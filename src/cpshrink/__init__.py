@@ -39,7 +39,6 @@ from .gauge import (
 )
 from .shrink import (
     FanProjectors,
-    KyFanCheck,
     NormBracket,
     NormCheck,
     ShrinkReport,
@@ -59,7 +58,6 @@ from .spectral import (
     EigenSystem,
     hermitian_eigensystem,
     is_psd,
-    jordan_decomposition,
     random_hermitian,
     singular_values,
     spectral_norm,
@@ -80,7 +78,6 @@ __all__ = [
     "InfeasibleShape",
     "KrausChannel",
     "KyFan",
-    "KyFanCheck",
     "NonFinite",
     "NormBracket",
     "NormCheck",
@@ -98,7 +95,6 @@ __all__ = [
     "hermitian_eigensystem",
     "identity_channel",
     "is_psd",
-    "jordan_decomposition",
     "norm_battery",
     "norm_of",
     "padded_dim_for",

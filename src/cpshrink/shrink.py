@@ -19,21 +19,18 @@ from math import inf
 import numpy as np
 
 from .channel import KrausChannel
-from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval
 from .spectral import (
     hermitian_basis,
     hermitian_eigensystem,
     hermitize,
     random_hermitian,
-    require_hermitian,
     singular_values,
     spectral_norm,
 )
 
 __all__ = [
     "FanProjectors",
-    "KyFanCheck",
     "NormBracket",
     "NormCheck",
     "ShrinkReport",
@@ -150,13 +147,6 @@ def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     return spectral_norm(inv.adjoint_identity_image), witness
 
 
-def _pad_spectra(s: np.ndarray, padded_dim: int) -> np.ndarray:
-    if s.shape[-1] == padded_dim:
-        return s
-    pad = np.zeros(s.shape[:-1] + (padded_dim - s.shape[-1],))
-    return np.concatenate([s, pad], axis=-1)
-
-
 def empirical_lower_bound(
     phi: KrausChannel, norm: GaugeNorm, restarts: int, steps: int, seed=0
 ) -> tuple[float, np.ndarray]:
@@ -183,8 +173,7 @@ def empirical_lower_bound(
     basis = hermitian_basis(d)
 
     def gauge_of(mats: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(mats, compute_uv=False)
-        return np.asarray(gauge_eval(norm, _pad_spectra(s, padded)), dtype=float)
+        return np.asarray(gauge_eval(norm, singular_values(mats, padded)), dtype=float)
 
     def image_gauge(mats: np.ndarray) -> np.ndarray:
         imgs = np.einsum("kab,...bc,kdc->...ad", ops, mats, ops.conj())
@@ -225,36 +214,6 @@ def empirical_lower_bound(
 
 
 @dataclass(frozen=True)
-class KyFanCheck:
-    k: int
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-def check_kyfan_bounds(phi: KrausChannel, x) -> list[KyFanCheck]:
-    """Per-k Ky Fan inequality for one input: lhs = k-norm of the image,
-    rhs = upper bound times the k-norm of the input.
-
-    ``ok`` grants relative slack 1e-9 on the right-hand side. k runs over
-    1..padded_dim.
-    """
-    mat = require_hermitian(x)
-    if mat.shape[0] != phi.d_in:
-        raise DimensionMismatch(f"input has dimension {mat.shape[0]}, channel expects {phi.d_in}")
-    bound = shrink_upper_bound(phi)
-    padded = padded_dim_for(phi)
-    s_in = np.cumsum(singular_values(mat, padded))
-    s_out = np.cumsum(singular_values(phi.apply(mat), padded))
-    checks = []
-    for k in range(1, padded + 1):
-        lhs = float(s_out[k - 1])
-        rhs = bound * float(s_in[k - 1])
-        checks.append(KyFanCheck(k, lhs, rhs, lhs <= rhs + BOUND_SLACK * max(1.0, rhs)))
-    return checks
-
-
-@dataclass(frozen=True)
 class NormCheck:
     norm: GaugeNorm
     lhs: float
@@ -263,20 +222,27 @@ class NormCheck:
 
 
 def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
-    """The shrinking inequality for one input across a list of gauge norms."""
-    mat = require_hermitian(x)
-    if mat.shape[0] != phi.d_in:
-        raise DimensionMismatch(f"input has dimension {mat.shape[0]}, channel expects {phi.d_in}")
+    """The shrinking inequality for one input across a list of gauge norms.
+
+    lhs = the norm of the image, rhs = the upper bound times the norm of the
+    input; ``ok`` grants relative slack 1e-9 on the right-hand side.
+    """
+    image = phi.apply(x)
     bound = shrink_upper_bound(phi)
     padded = padded_dim_for(phi)
-    s_in = singular_values(mat, padded)
-    s_out = singular_values(phi.apply(mat), padded)
+    s_in = singular_values(x, padded)
+    s_out = singular_values(image, padded)
     checks = []
     for norm in norms:
         lhs = float(gauge_eval(norm, s_out))
         rhs = bound * float(gauge_eval(norm, s_in))
         checks.append(NormCheck(norm, lhs, rhs, lhs <= rhs + BOUND_SLACK * max(1.0, rhs)))
     return checks
+
+
+def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:
+    """Per-k Ky Fan inequality for one input, k = 1..padded_dim."""
+    return check_gauge_bounds(phi, x, [KyFan(k) for k in range(1, padded_dim_for(phi) + 1)])
 
 
 def norm_battery(max_k: int = 6) -> list[GaugeNorm]:

@@ -1,7 +1,9 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-Everything operates on complex128 arrays and is written for small dimensions
-(up to ~16); no sparse or structured paths.
+``singular_values`` is the package's single SVD entry point: every spectrum,
+norm and inequality check reads the zero-padded singular values it returns,
+for one matrix or a stack. Everything operates on complex128 arrays and is
+written for small dimensions (up to ~16); no sparse or structured paths.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "hermitian_eigensystem",
     "hermitize",
     "is_psd",
-    "jordan_decomposition",
     "random_hermitian",
     "require_hermitian",
     "singular_values",
@@ -39,14 +40,17 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Return ``a`` as a finite 2-D complex128 array with positive dimensions."""
+def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Return ``a`` as a finite 2-D complex128 array with positive dimensions.
+
+    With ``stacked`` a stack ``(..., r, c)`` of such matrices is accepted too.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise DimensionMismatch(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("matrix contains NaN or Inf entries")
     return m
 
@@ -78,41 +82,50 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
     Parameters
     ----------
     m : array_like
-        Complex matrix, any rectangular shape.
+        Complex matrix of any rectangular shape, or a stack ``(..., r, c)`` of
+        them; the result then has shape ``(..., padded_dim)``.
     padded_dim : int
-        Length of the returned vector. Must be at least the number of nonzero
-        singular values, otherwise PadTooSmall is raised.
+        Length of each returned spectrum. Must be at least the number of
+        nonzero singular values of every matrix, otherwise PadTooSmall is raised.
     """
+    mat = as_complex_matrix(m, stacked=True)
     if padded_dim < 1:
         raise ValueError(f"padded_dim must be >= 1, got {padded_dim}")
-    mat = as_complex_matrix(m)
     try:
         s = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
-    # rank detection threshold in the style of numpy's matrix_rank default
-    tol = max(mat.shape) * np.finfo(np.float64).eps * float(s[0])
-    nonzero = int(np.count_nonzero(s > tol))
-    if padded_dim < nonzero:
-        raise PadTooSmall(
-            f"padded_dim={padded_dim} is less than the {nonzero} nonzero singular values"
-        )
-    out = np.zeros(padded_dim)
-    keep = min(padded_dim, s.size)
-    out[:keep] = s[:keep]
+    n = s.shape[-1]
+    if n > padded_dim:
+        # rank detection threshold in the style of numpy's matrix_rank default
+        tol = max(mat.shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
+        nonzero = int(np.count_nonzero(s > tol, axis=-1).max())
+        if padded_dim < nonzero:
+            raise PadTooSmall(
+                f"padded_dim={padded_dim} is less than the {nonzero} nonzero singular values"
+            )
+        return s[..., :padded_dim]
+    if n == padded_dim:
+        return s
+    out = np.zeros(s.shape[:-1] + (padded_dim,))
+    out[..., :n] = s
     return out
+
+
+def _unpadded(m) -> np.ndarray:
+    # the full spectrum of one matrix: min(r, c) values, no padding
+    mat = as_complex_matrix(m)
+    return singular_values(mat, min(mat.shape))
 
 
 def spectral_norm(m) -> float:
     """Largest singular value."""
-    s = np.linalg.svd(as_complex_matrix(m), compute_uv=False)
-    return float(s[0])
+    return float(_unpadded(m)[0])
 
 
 def trace_norm(m) -> float:
     """Sum of all singular values."""
-    s = np.linalg.svd(as_complex_matrix(m), compute_uv=False)
-    return float(s.sum())
+    return float(_unpadded(m).sum())
 
 
 class EigenSystem(NamedTuple):
@@ -136,21 +149,13 @@ def hermitian_eigensystem(x) -> EigenSystem:
     return EigenSystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
 
 
-def jordan_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
-    """Split Hermitian ``x`` into positive and negative parts.
-
-    Returns ``(q, r)`` with both operators positive semidefinite, orthogonal
-    supports, ``q - r = x`` and ``q + r = |x|``.
-    """
-    w, v = hermitian_eigensystem(x)
-    q = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    r = (v * np.clip(-w, 0.0, None)) @ v.conj().T
-    return hermitize(q), hermitize(r)
-
-
 def is_psd(x, tol_scale: float = PSD_TOL) -> bool:
     """Positive semidefinite up to ``-tol_scale * max(1, largest eigenvalue)``."""
-    w = np.linalg.eigvalsh(require_hermitian(x))
+    mat = require_hermitian(x)
+    try:
+        w = np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     return bool(w[0] >= -tol_scale * max(1.0, float(w[-1])))
 
 

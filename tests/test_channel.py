@@ -121,6 +121,7 @@ class TestApply:
             phi = random_channel(3, 3, 2, 1.0, seed)
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             assert is_psd(phi.apply(a @ a.conj().T))
+        assert not is_psd(np.diag([1.0, -1e-6]))
 
     def test_trace_identity(self):
         # tr(Phi(x)) equals tr(Phi†(I) x)

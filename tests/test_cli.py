@@ -119,6 +119,15 @@ class TestReport:
         assert code == 2
         assert "foo" in err
 
+    def test_svd_failure_exits_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        code, _, err = run(capsys, "report", "--channel", "random:2x2x2:1")
+        assert code == 3
+        assert err.startswith("error: numerical failure: ")
+
     def test_seventeen_digit_floats(self, capsys):
         code, out, _ = run(
             capsys, "report", "--channel", "random:2x2x2:9", "--norm", "schatten:2",

@@ -8,7 +8,7 @@ from cpshrink.channel import (
     random_channel,
     random_cptp_channel,
 )
-from cpshrink.errors import DimensionMismatch
+from cpshrink.errors import ConvergenceFailure, DimensionMismatch
 from cpshrink.gauge import Combination, KyFan, Schatten, gauge_eval
 from cpshrink.shrink import (
     check_gauge_bounds,
@@ -275,12 +275,40 @@ class TestInequalityChecks:
 
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)
-        ks = [chk.k for chk in check_kyfan_bounds(phi, np.eye(2))]
+        ks = [chk.norm.k for chk in check_kyfan_bounds(phi, np.eye(2))]
         assert ks == list(range(1, 6))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             check_kyfan_bounds(partial_trace_channel(2, 2), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call, min_ndim",
+    [
+        # only stacks fail here, so the error must come from the ascent's batched SVD
+        (lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
+        (shrink_upper_bound, 2),
+        (lambda phi: spectral_norm(phi.kraus[0]), 2),
+        (lambda phi: trace_norm(phi.kraus[0]), 2),
+        (lambda phi: check_gauge_bounds(phi, np.eye(phi.d_in), norm_battery(3)), 2),
+    ],
+    ids=["empirical_lower_bound", "shrink_upper_bound", "spectral_norm", "trace_norm",
+         "check_gauge_bounds"],
+)
+def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, call, min_ndim):
+    # every SVD goes through singular_values, which wraps the solver's error
+    real_svd = np.linalg.svd
+
+    def flaky(a, *args, **kwargs):
+        if np.ndim(a) >= min_ndim:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    phi = random_channel(2, 3, 2, 1.0, 35)
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    with pytest.raises(ConvergenceFailure):
+        call(phi)
 
 
 class TestBatteryAndReport:

@@ -6,7 +6,6 @@ from cpshrink.spectral import (
     hermitian_basis,
     hermitian_eigensystem,
     is_psd,
-    jordan_decomposition,
     random_hermitian,
     singular_values,
     spectral_norm,
@@ -60,10 +59,20 @@ class TestSingularValues:
         assert out.shape == (5,)
         assert np.all(out[2:] == 0.0)
         assert np.all(np.diff(out) <= 1e-12)
+        # a stack of rank 2, 1 and 0 matrices matches per-matrix calls bit for bit
+        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        stack = np.stack([m[:, :4], np.outer(u, m[0, :4]), np.zeros((2, 4))])
+        out = singular_values(stack, 5)
+        assert out.shape == (3, 5)
+        for mat, row in zip(stack, out):
+            np.testing.assert_array_equal(row, singular_values(mat, 5))
 
     def test_pad_too_small(self):
         with pytest.raises(PadTooSmall):
             singular_values(np.diag([3.0, 2.0, 1.0]), 2)
+        # one matrix of the stack is enough
+        with pytest.raises(PadTooSmall):
+            singular_values(np.stack([np.diag([3.0, 0.0, 0.0]), np.diag([3.0, 2.0, 1.0])]), 2)
 
     def test_non_finite(self):
         bad = np.eye(2, dtype=complex)
@@ -73,6 +82,9 @@ class TestSingularValues:
         bad[0, 1] = np.inf
         with pytest.raises(NonFinite):
             singular_values(bad, 2)
+        bad[0, 1] = np.nan
+        with pytest.raises(NonFinite):
+            singular_values(np.stack([np.eye(2), bad]), 2)
 
     def test_bad_padded_dim(self):
         with pytest.raises(ValueError):
@@ -141,36 +153,16 @@ class TestEigensystem:
         # solver failure surfaces as this type rather than being masked
         assert issubclass(ConvergenceFailure, RuntimeError)
 
+    def test_solver_failure_is_wrapped(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-class TestJordanDecomposition:
-    def test_diagonal_example(self):
-        q, r = jordan_decomposition(np.diag([2.0, -5.0, 1.0]))
-        np.testing.assert_allclose(q, np.diag([2.0, 0.0, 1.0]), atol=1e-12)
-        np.testing.assert_allclose(r, np.diag([0.0, 5.0, 0.0]), atol=1e-12)
-
-    def test_psd_input_has_zero_negative_part(self):
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        x = a @ a.conj().T
-        q, r = jordan_decomposition(x)
-        np.testing.assert_allclose(q, x, atol=1e-9)
-        assert np.abs(r).max() <= 1e-9
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-    def test_invariants(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        for _ in range(20):
-            x = random_hermitian(dim, rng)
-            q, r = jordan_decomposition(x)
-            assert np.abs(q - r - x).max() <= 1e-10
-            assert np.abs(q @ r).max() <= 1e-9
-            assert is_psd(q) and is_psd(r)
-            # q + r recovers |x| on the same eigenbasis
-            values, vectors = hermitian_eigensystem(x)
-            absx = (vectors * np.abs(values)) @ vectors.conj().T
-            assert np.abs(q + r - absx).max() <= 1e-9
-            total = np.trace(q).real + np.trace(r).real
-            assert abs(total - singular_values(x, dim).sum()) <= 1e-9
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailure):
+            hermitian_eigensystem(np.eye(2))
+        with pytest.raises(ConvergenceFailure):
+            is_psd(np.eye(2))
 
 
 class TestHelpers:
