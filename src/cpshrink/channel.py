@@ -32,6 +32,7 @@ __all__ = [
     "ChannelInvariants",
     "KrausChannel",
     "identity_channel",
+    "kraus_map",
     "partial_trace_channel",
     "random_channel",
     "random_cptp_channel",
@@ -45,6 +46,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_n E_n x E_n†`` for a Kraus stack ``ops`` and ``x`` of shape ``(..., d_in, d_in)``.
+
+    The package's one implementation of the map; it does no validation.
+    """
+    return np.einsum("kab,...bc,kdc->...ad", ops, x, ops.conj())
 
 
 @dataclass(frozen=True)
@@ -106,16 +115,11 @@ class KrausChannel:
         return np.stack(self.kraus)
 
     def apply(self, x) -> np.ndarray:
-        """Image of the Hermitian operator ``x`` under the channel."""
-        mat = require_hermitian(x)
-        if mat.shape[0] != self.d_in:
-            raise DimensionMismatch(
-                f"input has dimension {mat.shape[0]}, channel expects {self.d_in}"
-            )
-        out = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
-        for op in self.kraus:
-            out += op @ mat @ op.conj().T
-        return hermitize(out)
+        """Image of a Hermitian operator, or of each one in a stack ``(..., d_in, d_in)``."""
+        mat = require_hermitian(x, stacked=True)
+        if mat.shape[-1] != self.d_in:
+            raise DimensionMismatch(f"input has dimension {mat.shape[-1]}, channel expects {self.d_in}")
+        return hermitize(kraus_map(self.stacked(), mat))
 
     def invariants(self) -> ChannelInvariants:
         """The invariant operator pair (Phi(I), Phi†(I))."""

@@ -129,12 +129,9 @@ def _report_doc(args, phi: KrausChannel) -> dict:
     inv = phi.invariants()
 
     rng = np.random.default_rng(args.seed)
-    checks = failures = 0
-    for _ in range(REPORT_FUZZ_INPUTS):
-        x = random_hermitian(phi.d_in, rng)
-        for chk in check_kyfan_bounds(phi, x):
-            checks += 1
-            failures += 0 if chk.ok else 1
+    xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(REPORT_FUZZ_INPUTS)])
+    oks = np.stack([chk.ok for chk in check_kyfan_bounds(phi, xs)])
+    checks, failures = oks.size, int(oks.size - np.count_nonzero(oks))
 
     return {
         "channel": {
@@ -219,6 +216,9 @@ def _violation_witness(phi: KrausChannel, x: np.ndarray | None) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    for flag, count in (("--random", args.random), ("--trials", args.trials)):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
     channels: list[tuple[str, KrausChannel]] = []
     if args.channel is not None:
@@ -246,23 +246,25 @@ def _cmd_verify(args) -> int:
     }
     witness: dict | None = None
 
-    def record(suite: str, ok: bool, phi: KrausChannel, x: np.ndarray | None) -> None:
+    def record(suite: str, ok, phi: KrausChannel, x: np.ndarray | None) -> None:
+        # ok is one flag or one per trial; x is the witness input should any fail
         nonlocal witness
-        suites[suite][0] += 1
-        if not ok:
-            suites[suite][1] += 1
-            if witness is None:
-                witness = _violation_witness(phi, x)
+        suites[suite][0] += int(np.size(ok))
+        suites[suite][1] += int(np.size(ok) - np.count_nonzero(ok))
+        if witness is None and not np.all(ok):
+            witness = _violation_witness(phi, x)
 
     for _, phi in channels:
         battery = norm_battery(padded_dim_for(phi))
-        for _ in range(args.trials):
-            x = random_hermitian(phi.d_in, rng)
-            for chk in check_gauge_bounds(phi, x, battery):
-                # the battery's Ky Fan rows are exactly KyFan(1..padded), the per-k suite
-                if isinstance(chk.norm, KyFan):
-                    record("ky fan inequality (per k)", chk.ok, phi, x)
-                record("gauge norm battery", chk.ok, phi, x)
+        xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(args.trials)])
+        checks = check_gauge_bounds(phi, xs, battery)
+        # the witness is the first trial that fails any norm, as in trial-by-trial order
+        first_bad = xs[np.argmin(np.all([chk.ok for chk in checks], axis=0))]
+        for chk in checks:
+            # the battery's Ky Fan rows are exactly KyFan(1..padded), the per-k suite
+            if isinstance(chk.norm, KyFan):
+                record("ky fan inequality (per k)", chk.ok, phi, first_bad)
+            record("gauge norm battery", chk.ok, phi, first_bad)
         inv = phi.invariants()
         base_choi = phi.choi_matrix()
         for extra in range(REMIX_CHECKS):

@@ -18,7 +18,7 @@ from math import inf
 
 import numpy as np
 
-from .channel import KrausChannel
+from .channel import KrausChannel, kraus_map
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval
 from .spectral import (
     hermitian_basis,
@@ -176,8 +176,7 @@ def empirical_lower_bound(
         return np.asarray(gauge_eval(norm, singular_values(mats, padded)), dtype=float)
 
     def image_gauge(mats: np.ndarray) -> np.ndarray:
-        imgs = np.einsum("kab,...bc,kdc->...ad", ops, mats, ops.conj())
-        return gauge_of(imgs)
+        return gauge_of(kraus_map(ops, mats))
 
     def ratio(mats: np.ndarray) -> np.ndarray:
         return image_gauge(mats) / gauge_of(mats)
@@ -215,17 +214,23 @@ def empirical_lower_bound(
 
 @dataclass(frozen=True)
 class NormCheck:
+    """The shrinking inequality ``lhs <= rhs`` for one norm; ``ok`` grants relative slack 1e-9.
+
+    ``lhs`` is the norm of the image, ``rhs`` the universal bound times the norm
+    of the input: floats and a bool for one input, length-T arrays for T inputs.
+    """
+
     norm: GaugeNorm
-    lhs: float
-    rhs: float
-    ok: bool
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    ok: bool | np.ndarray
 
 
 def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
-    """The shrinking inequality for one input across a list of gauge norms.
+    """The shrinking inequality across a list of gauge norms, one NormCheck per norm.
 
-    lhs = the norm of the image, rhs = the upper bound times the norm of the
-    input; ``ok`` grants relative slack 1e-9 on the right-hand side.
+    ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them; the
+    upper bound is computed once for the whole stack.
     """
     image = phi.apply(x)
     bound = shrink_upper_bound(phi)
@@ -234,14 +239,15 @@ def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
     s_out = singular_values(image, padded)
     checks = []
     for norm in norms:
-        lhs = float(gauge_eval(norm, s_out))
-        rhs = bound * float(gauge_eval(norm, s_in))
-        checks.append(NormCheck(norm, lhs, rhs, lhs <= rhs + BOUND_SLACK * max(1.0, rhs)))
+        lhs = gauge_eval(norm, s_out)
+        rhs = bound * gauge_eval(norm, s_in)
+        ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
+        checks.append(NormCheck(norm, lhs, rhs, ok if np.ndim(ok) else bool(ok)))
     return checks
 
 
 def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:
-    """Per-k Ky Fan inequality for one input, k = 1..padded_dim."""
+    """Per-k Ky Fan inequality for one input or a stack, k = 1..padded_dim."""
     return check_gauge_bounds(phi, x, [KyFan(k) for k in range(1, padded_dim_for(phi) + 1)])
 
 

@@ -55,25 +55,26 @@ def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol_scale: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a, tol_scale: float = HERMITICITY_TOL, stacked: bool = False) -> np.ndarray:
     """Validate that ``a`` is square and self-adjoint, and return it as complex128.
 
     The accepted deviation from the adjoint is entrywise
-    ``tol_scale * max(1, largest entry magnitude)``.
+    ``tol_scale * max(1, largest entry magnitude)``. With ``stacked`` a stack
+    ``(..., d, d)`` is accepted too, each matrix held to its own tolerance.
     """
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
+    m = as_complex_matrix(a, stacked)
+    if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    dev = float(np.abs(m - m.conj().T).max())
-    if dev > tol_scale * scale:
-        raise ValueError(f"matrix is not Hermitian: adjoint deviation {dev:.3e} exceeds tolerance")
+    dev = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    over = dev[dev > tol_scale * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))]
+    if over.size:
+        raise ValueError(f"matrix is not Hermitian: adjoint deviation {over.max():.3e} exceeds tolerance")
     return m
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize round-off: (a + a†) / 2."""
-    return (a + a.conj().T) / 2.0
+    """Symmetrize round-off: (a + a†) / 2, for a matrix or a stack."""
+    return (a + np.swapaxes(a, -2, -1).conj()) / 2.0
 
 
 def singular_values(m, padded_dim: int) -> np.ndarray:

@@ -93,17 +93,28 @@ class TestApply:
     def test_matches_slow_oracle(self, d_in, d_out, n_kraus):
         rng = np.random.default_rng(42)
         phi = random_channel(d_in, d_out, n_kraus, 1.0, 42)
-        for _ in range(5):
-            x = random_hermitian(d_in, rng)
+        xs = np.stack([random_hermitian(d_in, rng) for _ in range(5)])
+        for x in xs:
             np.testing.assert_allclose(phi.apply(x), slow_apply(phi.kraus, x), atol=1e-10)
+        # a stack maps matrix by matrix, bit for bit
+        images = phi.apply(xs)
+        assert images.shape == (5, d_out, d_out)
+        for x, image in zip(xs, images):
+            np.testing.assert_allclose(image, slow_apply(phi.kraus, x), atol=1e-10)
+            np.testing.assert_array_equal(image, phi.apply(x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             partial_trace_channel(2, 2).apply(np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            partial_trace_channel(2, 2).apply(np.stack([np.eye(3), np.eye(3)]))
 
     def test_rejects_non_hermitian_input(self):
         with pytest.raises(ValueError):
             identity_channel(2).apply(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # one bad matrix in a stack is enough
+        with pytest.raises(ValueError):
+            identity_channel(2).apply(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
     def test_linearity(self):
         rng = np.random.default_rng(1)

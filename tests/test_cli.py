@@ -159,6 +159,20 @@ class TestVerify:
         assert code == 2
         assert "--dims" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--random", "0"), "--random"),
+            (("--random", "-3"), "--random"),
+            (("--random", "2", "--trials", "0"), "--trials"),
+        ],
+    )
+    def test_nothing_to_check_exits_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + flag)
+
     def test_missing_target_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify"])

@@ -272,6 +272,17 @@ class TestInequalityChecks:
             x = random_hermitian(phi.d_in, rng)
             assert all(chk.ok for chk in check_kyfan_bounds(phi, x))
             assert all(chk.ok for chk in check_gauge_bounds(phi, x, norm_battery(6)))
+            # a stack of inputs gives one length-T array per field, matching per-input calls
+            xs = np.stack([x] + [random_hermitian(phi.d_in, rng) for _ in range(3)])
+            for check in (check_kyfan_bounds, lambda p, y: check_gauge_bounds(p, y, norm_battery(6))):
+                stacked = check(phi, xs)
+                singles = [check(phi, y) for y in xs]
+                for n, chk in enumerate(stacked):
+                    assert chk.lhs.shape == chk.rhs.shape == chk.ok.shape == (4,)
+                    for t, single in enumerate(s[n] for s in singles):
+                        assert chk.norm == single.norm and chk.ok[t] == single.ok
+                        assert chk.lhs[t] == pytest.approx(single.lhs, rel=1e-15)
+                        assert chk.rhs[t] == pytest.approx(single.rhs, rel=1e-15)
 
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)
@@ -292,9 +303,11 @@ class TestInequalityChecks:
         (lambda phi: spectral_norm(phi.kraus[0]), 2),
         (lambda phi: trace_norm(phi.kraus[0]), 2),
         (lambda phi: check_gauge_bounds(phi, np.eye(phi.d_in), norm_battery(3)), 2),
+        # only stacks fail here, so the error must come from the stacked check's SVDs
+        (lambda phi: check_gauge_bounds(phi, np.stack([np.eye(phi.d_in)] * 3), norm_battery(3)), 3),
     ],
     ids=["empirical_lower_bound", "shrink_upper_bound", "spectral_norm", "trace_norm",
-         "check_gauge_bounds"],
+         "check_gauge_bounds", "check_gauge_bounds_stacked"],
 )
 def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, call, min_ndim):
     # every SVD goes through singular_values, which wraps the solver's error

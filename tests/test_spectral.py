@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
+from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
     hermitian_basis,
     hermitian_eigensystem,
     is_psd,
     random_hermitian,
+    require_hermitian,
     singular_values,
     spectral_norm,
     trace_norm,
@@ -147,6 +149,19 @@ class TestEigensystem:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.zeros((2, 3)))
+        # single-matrix functions refuse stacks; only the channel map takes them
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        for call in (
+            hermitian_eigensystem,
+            is_psd,
+            require_hermitian,
+            lambda x: top_k_eigensum(x, 1),
+            lambda x: fan_projectors(x, 1),
+        ):
+            with pytest.raises(DimensionMismatch):
+                call(stack)
+        with pytest.raises(DimensionMismatch):
+            is_psd(np.ones((2, 1, 1)))
 
     def test_convergence_failure_type_exists(self):
         # eigh essentially never fails on valid input; the contract is that a
