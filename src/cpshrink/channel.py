@@ -16,7 +16,7 @@ each entry a two-element [re, im] list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +43,9 @@ ISOMETRY_TOL = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+    """Mark a freshly built array read-only and return it."""
+    a.setflags(write=False)
+    return a
 
 
 def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -77,17 +77,19 @@ class KrausChannel:
     ----------
     d_in, d_out : int
         Input and output space dimensions.
-    kraus : sequence of array_like
+    kraus : sequence of array_like, or array_like of shape (n, d_out, d_in)
         Operators of shape ``(d_out, d_in)``. Individual zero operators are
         allowed, but at least one operator must be nonzero.
 
-    The stored arrays are complex128 copies marked read-only; treat a channel
-    as immutable.
+    ``kraus`` is stored as one read-only complex128 copy of shape
+    ``(n_kraus, d_out, d_in)``, and the invariant pair is computed from it once,
+    at construction; treat a channel as immutable.
     """
 
     d_in: int
     d_out: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
+    _invariants: ChannelInvariants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
@@ -99,36 +101,35 @@ class KrausChannel:
                 raise DimensionMismatch(
                     f"kraus[{idx}] has shape {mat.shape}, expected ({self.d_out}, {self.d_in})"
                 )
-            ops.append(_frozen(mat))
+            ops.append(mat)
         if not ops:
             raise ValueError("at least one Kraus operator is required")
-        if all(not op.any() for op in ops):
+        stack = _frozen(np.stack(ops))
+        if not stack.any():
             raise ValueError("Kraus set must contain at least one nonzero operator")
-        object.__setattr__(self, "kraus", tuple(ops))
+        m = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
+        w = np.zeros((self.d_in, self.d_in), dtype=np.complex128)
+        for op in stack:
+            m += op @ op.conj().T
+            w += op.conj().T @ op
+        inv = ChannelInvariants(_frozen(hermitize(m)), _frozen(hermitize(w)))
+        object.__setattr__(self, "kraus", stack)
+        object.__setattr__(self, "_invariants", inv)
 
     @property
     def n_kraus(self) -> int:
         return len(self.kraus)
-
-    def stacked(self) -> np.ndarray:
-        """Kraus operators as one (n_kraus, d_out, d_in) array."""
-        return np.stack(self.kraus)
 
     def apply(self, x) -> np.ndarray:
         """Image of a Hermitian operator, or of each one in a stack ``(..., d_in, d_in)``."""
         mat = require_hermitian(x, stacked=True)
         if mat.shape[-1] != self.d_in:
             raise DimensionMismatch(f"input has dimension {mat.shape[-1]}, channel expects {self.d_in}")
-        return hermitize(kraus_map(self.stacked(), mat))
+        return hermitize(kraus_map(self.kraus, mat))
 
     def invariants(self) -> ChannelInvariants:
-        """The invariant operator pair (Phi(I), Phi†(I))."""
-        m = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
-        w = np.zeros((self.d_in, self.d_in), dtype=np.complex128)
-        for op in self.kraus:
-            m += op @ op.conj().T
-            w += op.conj().T @ op
-        return ChannelInvariants(_frozen(hermitize(m)), _frozen(hermitize(w)))
+        """The invariant operator pair (Phi(I), Phi†(I)), computed at construction."""
+        return self._invariants
 
     def remix(self, v) -> "KrausChannel":
         """Equivalent channel with Kraus set ``G_m = sum_n v[m, n] E_n``.
@@ -145,8 +146,7 @@ class KrausChannel:
         dev = float(np.abs(vm.conj().T @ vm - np.eye(cols)).max())
         if dev > ISOMETRY_TOL:
             raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
-        new_ops = np.einsum("mn,nab->mab", vm, self.stacked())
-        return KrausChannel(self.d_in, self.d_out, tuple(new_ops))
+        return KrausChannel(self.d_in, self.d_out, np.einsum("mn,nab->mab", vm, self.kraus))
 
     def choi_matrix(self) -> np.ndarray:
         """Block matrix of basis-unit images, row-block index = input basis index.
@@ -154,7 +154,7 @@ class KrausChannel:
         Dimension is ``d_in * d_out``; the result is positive semidefinite
         exactly because the map is completely positive.
         """
-        vecs = np.stack([op.T.reshape(-1) for op in self.kraus])
+        vecs = self.kraus.transpose(0, 2, 1).reshape(self.n_kraus, -1)
         return hermitize(np.einsum("na,nb->ab", vecs, vecs.conj()))
 
     def to_dict(self) -> dict:
@@ -185,7 +185,7 @@ class KrausChannel:
         for n, op in enumerate(raw):
             ops.append(entries_to_matrix(op, d_out, d_in, field=f"kraus[{n}]"))
         try:
-            return cls(d_in, d_out, tuple(ops))
+            return cls(d_in, d_out, ops)
         except (ValueError, DimensionMismatch) as exc:
             raise ChannelFormatError(f"kraus: {exc}") from exc
 
@@ -253,7 +253,7 @@ def partial_trace_channel(d_b: int, d_c: int) -> KrausChannel:
         bra = np.zeros((1, d_c), dtype=np.complex128)
         bra[0, c] = 1.0
         ops.append(np.kron(eye, bra))
-    return KrausChannel(d_b * d_c, d_b, tuple(ops))
+    return KrausChannel(d_b * d_c, d_b, ops)
 
 
 def random_channel(d_in: int, d_out: int, n_kraus: int, scale: float = 1.0, seed=0) -> KrausChannel:
@@ -274,7 +274,7 @@ def random_channel(d_in: int, d_out: int, n_kraus: int, scale: float = 1.0, seed
         )
         if ops.any():  # an all-zero draw has probability zero; redo keeps the contract
             break
-    return KrausChannel(d_in, d_out, tuple(ops))
+    return KrausChannel(d_in, d_out, ops)
 
 
 def random_cptp_channel(d_in: int, d_out: int, n_kraus: int, seed=0) -> KrausChannel:
@@ -292,8 +292,7 @@ def random_cptp_channel(d_in: int, d_out: int, n_kraus: int, seed=0) -> KrausCha
             f"n_kraus * d_out = {n_kraus * d_out} < d_in = {d_in}: no isometry exists"
         )
     q = random_isometry(n_kraus * d_out, d_in, seed)
-    ops = tuple(q[i * d_out : (i + 1) * d_out, :] for i in range(n_kraus))
-    return KrausChannel(d_in, d_out, ops)
+    return KrausChannel(d_in, d_out, q.reshape(n_kraus, d_out, d_in))
 
 
 def random_isometry(rows: int, cols: int, seed=0) -> np.ndarray:

@@ -169,7 +169,7 @@ def empirical_lower_bound(
         raise ValueError(f"steps must be >= 0, got {steps}")
     d = phi.d_in
     padded = padded_dim_for(phi)
-    ops = phi.stacked()
+    ops = phi.kraus
     basis = hermitian_basis(d)
 
     def gauge_of(mats: np.ndarray) -> np.ndarray:

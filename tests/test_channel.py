@@ -81,6 +81,38 @@ class TestConstruction:
         phi = identity_channel(2)
         with pytest.raises(ValueError):
             phi.kraus[0][0, 0] = 5.0
+        # every constructor stores one read-only complex128 stack (n_kraus, d_out, d_in)
+        base = random_channel(3, 2, 2, 1.0, 4)
+        cases = [
+            (identity_channel(2), (1, 2, 2)),
+            (partial_trace_channel(2, 3), (3, 2, 6)),
+            (base, (2, 2, 3)),
+            (random_cptp_channel(3, 2, 2, 4), (2, 2, 3)),
+            (base.remix(random_isometry(4, 2, 5)), (4, 2, 3)),
+            (KrausChannel.from_json(base.to_json()), (2, 2, 3)),
+            (KrausChannel(2, 1, [[[1, 2]], [[0, 1j]]]), (2, 1, 2)),
+        ]
+        for phi, shape in cases:
+            assert isinstance(phi.kraus, np.ndarray)
+            assert phi.kraus.dtype == np.complex128 and phi.kraus.shape == shape
+            assert not phi.kraus.flags.writeable
+            assert not phi.invariants().identity_image.flags.writeable
+            assert not phi.invariants().adjoint_identity_image.flags.writeable
+            with pytest.raises(ValueError):
+                phi.kraus[-1, 0, 0] = 5.0
+
+    def test_source_array_copied(self):
+        # writing into the caller's array after construction leaves the channel as built
+        src = np.stack([np.eye(2), np.diag([0.0, 2.0])]).astype(np.complex128)
+        ops = [src[0].copy(), src[1].copy()]
+        from_stack, from_list = KrausChannel(2, 2, src), KrausChannel(2, 2, ops)
+        before = [(phi.kraus.copy(), phi.invariants().identity_image.copy()) for phi in (from_stack, from_list)]
+        src[1, 0, 0] = 7.0
+        ops[1][0, 0] = 7.0
+        for phi, (kraus, image) in zip((from_stack, from_list), before):
+            np.testing.assert_array_equal(phi.kraus, kraus)
+            np.testing.assert_array_equal(phi.invariants().identity_image, image)
+        np.testing.assert_array_equal(from_stack.invariants().identity_image, np.diag([1.0, 5.0]))
 
 
 class TestApply:
@@ -160,6 +192,8 @@ class TestInvariants:
     def test_matches_direct_sums(self):
         phi = random_channel(3, 4, 2, 1.0, 11)
         inv = phi.invariants()
+        # the pair is computed once, at construction, and handed out as is
+        assert phi.invariants() is inv
         m = sum(op @ op.conj().T for op in phi.kraus)
         w = sum(op.conj().T @ op for op in phi.kraus)
         assert np.abs(inv.identity_image - m).max() <= 1e-10
