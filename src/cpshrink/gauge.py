@@ -88,7 +88,10 @@ def _eval_sorted(norm: GaugeNorm, s: np.ndarray):
             return s[..., 0]
         if norm.p == 1.0:
             return s.sum(axis=-1)
-        return (s ** norm.p).sum(axis=-1) ** (1.0 / norm.p)
+        # s_max * ||s / s_max||_p: s ** p alone overflows or underflows for large p
+        top = s[..., :1]
+        unit = s / np.where(top > 0.0, top, 1.0)
+        return s[..., 0] * (unit ** norm.p).sum(axis=-1) ** (1.0 / norm.p)
     if isinstance(norm, Combination):
         total = norm.terms[0][0] * _eval_sorted(norm.terms[0][1], s)
         for c, t in norm.terms[1:]:

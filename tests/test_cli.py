@@ -128,6 +128,14 @@ class TestReport:
         assert code == 3
         assert err.startswith("error: numerical failure: ")
 
+    def test_large_schatten_exponent_exits_0(self, capsys):
+        code, out, _ = run(
+            capsys, "report", "--channel", "random:1x1x1:3", "--norm", "schatten:400", "--format", "json",
+        )
+        assert code == 0
+        row = json.loads(out)["norms"][0]
+        assert row["empirical_lower"] <= row["upper_bound"] * (1 + 1e-9)
+
     def test_seventeen_digit_floats(self, capsys):
         code, out, _ = run(
             capsys, "report", "--channel", "random:2x2x2:9", "--norm", "schatten:2",

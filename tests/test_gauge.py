@@ -81,6 +81,15 @@ class TestGaugeEval:
             for row, val in zip(stack, batched):
                 assert gauge_eval(norm, row) == pytest.approx(val, rel=1e-15)
 
+    def test_schatten_large_exponent_neither_overflows_nor_underflows(self):
+        # s ** 400 overflows at 10 and underflows at 0.1; the norm must still read s_max
+        assert gauge_eval(Schatten(400.0), np.array([10.0, 1.0])) == pytest.approx(10.0, rel=1e-15)
+        assert gauge_eval(Schatten(400.0), np.array([0.1, 0.05])) == pytest.approx(0.1, rel=1e-15)
+        stack = np.array([[10.0, 1.0], [0.1, 0.05], [0.0, 0.0], [4.0, 3.0]])
+        np.testing.assert_allclose(gauge_eval(Schatten(400.0), stack), [10.0, 0.1, 0.0, 4.0], rtol=1e-15)
+        combo = Combination(((1.0, Schatten(400.0)), (2.0, KyFan(1))))
+        np.testing.assert_allclose(gauge_eval(combo, stack), [30.0, 0.3, 0.0, 12.0], rtol=1e-15)
+
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             gauge_eval(KyFan(1), np.array([1.0, -0.5]))
