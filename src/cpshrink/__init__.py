@@ -31,10 +31,8 @@ from .gauge import (
     GaugeNorm,
     KyFan,
     Schatten,
-    fan_dominance,
     format_norm,
     gauge_eval,
-    norm_of,
     parse_norm,
 )
 from .shrink import (
@@ -88,7 +86,6 @@ __all__ = [
     "check_gauge_bounds",
     "check_kyfan_bounds",
     "empirical_lower_bound",
-    "fan_dominance",
     "fan_projectors",
     "format_norm",
     "gauge_eval",
@@ -96,7 +93,6 @@ __all__ = [
     "identity_channel",
     "is_psd",
     "norm_battery",
-    "norm_of",
     "padded_dim_for",
     "parse_norm",
     "partial_trace_channel",

@@ -6,7 +6,7 @@ class NonFinite(ValueError):
 
 
 class PadTooSmall(ValueError):
-    """Requested spectrum length cannot hold all nonzero singular values."""
+    """Requested spectrum length is shorter than the full spectrum, min(r, c)."""
 
 
 class ConvergenceFailure(RuntimeError):

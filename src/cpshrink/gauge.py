@@ -14,22 +14,16 @@ from math import inf, isfinite
 import numpy as np
 
 from .errors import DimensionMismatch
-from .spectral import singular_values
 
 __all__ = [
     "Combination",
     "GaugeNorm",
     "KyFan",
     "Schatten",
-    "fan_dominance",
     "format_norm",
     "gauge_eval",
-    "norm_of",
     "parse_norm",
 ]
-
-DOMINANCE_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class KyFan:
@@ -114,31 +108,6 @@ def gauge_eval(norm: GaugeNorm, spectrum):
         raise ValueError("spectrum entries must be nonnegative")
     out = _eval_sorted(norm, np.flip(np.sort(s, axis=-1), axis=-1))
     return float(out) if s.ndim == 1 else out
-
-
-def norm_of(norm: GaugeNorm, m, padded_dim: int) -> float:
-    """Unitarily invariant norm of ``m``: the gauge of its padded singular values."""
-    return float(gauge_eval(norm, singular_values(m, padded_dim)))
-
-
-def fan_dominance(u, v, slack: float = DOMINANCE_SLACK) -> bool:
-    """True when every leading partial sum of sorted ``u`` is bounded by the one for ``v``.
-
-    Partial-sum domination for every k is equivalent to ``u`` being bounded by
-    ``v`` under all symmetric gauge functions at once; each comparison carries
-    ``slack`` of absolute headroom.
-    """
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    if uu.ndim != 1 or vv.ndim != 1:
-        raise DimensionMismatch("fan_dominance expects 1-D vectors")
-    if uu.shape != vv.shape:
-        raise DimensionMismatch(f"vector lengths differ: {uu.shape[0]} vs {vv.shape[0]}")
-    if np.any(uu < 0) or np.any(vv < 0):
-        raise ValueError("entries must be nonnegative")
-    cu = np.cumsum(np.sort(uu)[::-1])
-    cv = np.cumsum(np.sort(vv)[::-1])
-    return bool(np.all(cu <= cv + slack))
 
 
 def parse_norm(text: str) -> GaugeNorm:

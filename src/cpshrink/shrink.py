@@ -251,7 +251,7 @@ def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:
     return check_gauge_bounds(phi, x, [KyFan(k) for k in range(1, padded_dim_for(phi) + 1)])
 
 
-def norm_battery(max_k: int = 6) -> list[GaugeNorm]:
+def norm_battery(max_k: int) -> list[GaugeNorm]:
     """Fixed verification battery: Schatten {1, 1.5, 2, 3, inf}, Ky Fan 1..max_k,
     and two positive combinations."""
     norms: list[GaugeNorm] = [
@@ -288,8 +288,6 @@ class ShrinkReport:
     upper_bound: float
     spectral_factor: float
     trace_factor: float
-    spectral_witness: np.ndarray
-    trace_witness: np.ndarray
     per_norm: tuple[NormBracket, ...]
     padded_dim: int
 
@@ -301,8 +299,8 @@ def shrink_report(
 
     The same seed drives every norm's search, so reports are reproducible.
     """
-    s_val, s_wit = spectral_shrink_factor(phi)
-    t_val, t_wit = trace_shrink_factor(phi)
+    s_val, _ = spectral_shrink_factor(phi)
+    t_val, _ = trace_shrink_factor(phi)
     brackets = tuple(
         NormBracket(norm, *empirical_lower_bound(phi, norm, restarts, steps, seed))
         for norm in norms
@@ -311,8 +309,6 @@ def shrink_report(
         upper_bound=max(s_val, t_val),
         spectral_factor=s_val,
         trace_factor=t_val,
-        spectral_witness=s_wit,
-        trace_witness=t_wit,
         per_norm=brackets,
         padded_dim=padded_dim_for(phi),
     )

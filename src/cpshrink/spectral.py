@@ -55,18 +55,18 @@ def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
     return m
 
 
-def require_hermitian(a, tol_scale: float = HERMITICITY_TOL, stacked: bool = False) -> np.ndarray:
+def require_hermitian(a, stacked: bool = False) -> np.ndarray:
     """Validate that ``a`` is square and self-adjoint, and return it as complex128.
 
     The accepted deviation from the adjoint is entrywise
-    ``tol_scale * max(1, largest entry magnitude)``. With ``stacked`` a stack
-    ``(..., d, d)`` is accepted too, each matrix held to its own tolerance.
+    ``HERMITICITY_TOL * max(1, largest entry magnitude)``. With ``stacked`` a
+    stack ``(..., d, d)`` is accepted too, each matrix held to its own tolerance.
     """
     m = as_complex_matrix(a, stacked)
     if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {m.shape}")
     dev = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
-    over = dev[dev > tol_scale * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))]
+    over = dev[dev > HERMITICITY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))]
     if over.size:
         raise ValueError(f"matrix is not Hermitian: adjoint deviation {over.max():.3e} exceeds tolerance")
     return m
@@ -86,26 +86,19 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
         Complex matrix of any rectangular shape, or a stack ``(..., r, c)`` of
         them; the result then has shape ``(..., padded_dim)``.
     padded_dim : int
-        Length of each returned spectrum. Must be at least the number of
-        nonzero singular values of every matrix, otherwise PadTooSmall is raised.
+        Length of each returned spectrum. Must be at least ``min(r, c)``, the
+        length of the full spectrum, otherwise PadTooSmall is raised.
     """
     mat = as_complex_matrix(m, stacked=True)
     if padded_dim < 1:
         raise ValueError(f"padded_dim must be >= 1, got {padded_dim}")
+    n = min(mat.shape[-2:])
+    if padded_dim < n:
+        raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
     try:
         s = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
-    n = s.shape[-1]
-    if n > padded_dim:
-        # rank detection threshold in the style of numpy's matrix_rank default
-        tol = max(mat.shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
-        nonzero = int(np.count_nonzero(s > tol, axis=-1).max())
-        if padded_dim < nonzero:
-            raise PadTooSmall(
-                f"padded_dim={padded_dim} is less than the {nonzero} nonzero singular values"
-            )
-        return s[..., :padded_dim]
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))
@@ -150,14 +143,14 @@ def hermitian_eigensystem(x) -> EigenSystem:
     return EigenSystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
 
 
-def is_psd(x, tol_scale: float = PSD_TOL) -> bool:
-    """Positive semidefinite up to ``-tol_scale * max(1, largest eigenvalue)``."""
+def is_psd(x) -> bool:
+    """Positive semidefinite up to ``-PSD_TOL * max(1, largest eigenvalue)``."""
     mat = require_hermitian(x)
     try:
         w = np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    return bool(w[0] >= -tol_scale * max(1.0, float(w[-1])))
+    return bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 
 def hermitian_basis(dim: int) -> np.ndarray:

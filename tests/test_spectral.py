@@ -43,10 +43,13 @@ class TestSingularValues:
         assert out.shape == (4,)
         assert np.all(out == 0.0)
 
-    def test_zero_matrix_can_truncate(self):
-        # truncation is fine as long as only zeros are dropped
-        out = singular_values(np.zeros((2, 2)), 1)
-        np.testing.assert_array_equal(out, [0.0])
+    def test_zero_matrix_cannot_truncate(self):
+        # the pad must hold the full spectrum, min(r, c) values, even when they are all zero
+        with pytest.raises(PadTooSmall):
+            singular_values(np.zeros((2, 2)), 1)
+        with pytest.raises(PadTooSmall):
+            singular_values(np.zeros((3, 2, 5)), 1)
+        np.testing.assert_array_equal(singular_values(np.zeros((2, 5)), 2), [0.0, 0.0])
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(11)
