@@ -14,7 +14,7 @@ between.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import floor, inf, log2
 
 import numpy as np
 
@@ -159,7 +159,9 @@ def empirical_lower_bound(
     spacing 1e-5, renormalizing to unit gauge norm after every move. The best
     value over the whole schedule wins; ties go to the earliest start.
     Deterministic for fixed arguments, and the result can never exceed the
-    universal upper bound beyond numerical noise.
+    universal upper bound beyond numerical noise. The search runs on the Kraus
+    set rescaled by a power of two, so the result scales exactly with the
+    channel: Kraus operators ``c * E`` give ``c**2`` times the value for ``E``.
 
     Returns ``(lower, witness)`` with the witness at unit gauge norm.
     """
@@ -169,7 +171,10 @@ def empirical_lower_bound(
         raise ValueError(f"steps must be >= 0, got {steps}")
     d = phi.d_in
     padded = padded_dim_for(phi)
-    ops = phi.kraus
+    t, trace_witness = trace_shrink_factor(phi)
+    # search where t is in [1, 4): a power-of-two rescale is exact and keeps the gradient norm finite
+    k = floor(log2(t) / 2)
+    ops = phi.kraus * 2.0**-k
     basis = hermitian_basis(d)
 
     def gauge_of(mats: np.ndarray) -> np.ndarray:
@@ -181,7 +186,6 @@ def empirical_lower_bound(
     def ratio(mats: np.ndarray) -> np.ndarray:
         return image_gauge(mats) / gauge_of(mats)
 
-    _, trace_witness = trace_shrink_factor(phi)
     starts = [np.eye(d, dtype=np.complex128), trace_witness.astype(np.complex128)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
@@ -209,7 +213,7 @@ def empirical_lower_bound(
         best_vals[improved] = vals[improved]
         best_xs[improved] = xs[improved]
     winner = int(np.argmax(best_vals))
-    return float(best_vals[winner]), best_xs[winner].copy()
+    return float(best_vals[winner]) * 4.0**k, best_xs[winner].copy()
 
 
 @dataclass(frozen=True)
@@ -281,8 +285,10 @@ class ShrinkReport:
     """Channel-level summary.
 
     ``upper_bound`` equals max(spectral_factor, trace_factor) exactly and
-    bounds every entry's shrinking factor; each bracket's witness has unit
-    gauge norm and achieves its ``empirical_lower``.
+    bounds every entry's shrinking factor; every bracket holds
+    ``empirical_lower <= upper_bound``, a search value rounding above the bound
+    being stored as the bound. Each bracket's witness has unit gauge norm and
+    achieves its ``empirical_lower`` up to rounding.
     """
 
     upper_bound: float
@@ -301,14 +307,16 @@ def shrink_report(
     """
     s_val, _ = spectral_shrink_factor(phi)
     t_val, _ = trace_shrink_factor(phi)
-    brackets = tuple(
-        NormBracket(norm, *empirical_lower_bound(phi, norm, restarts, steps, seed))
-        for norm in norms
-    )
+    upper = max(s_val, t_val)
+    brackets = []
+    for norm in norms:
+        lower, witness = empirical_lower_bound(phi, norm, restarts, steps, seed)
+        # the bound is proven, so a search value above it is rounding in the ratio
+        brackets.append(NormBracket(norm, min(lower, upper), witness))
     return ShrinkReport(
-        upper_bound=max(s_val, t_val),
+        upper_bound=upper,
         spectral_factor=s_val,
         trace_factor=t_val,
-        per_norm=brackets,
+        per_norm=tuple(brackets),
         padded_dim=padded_dim_for(phi),
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpshrink.channel import (
     KrausChannel,
@@ -241,6 +243,25 @@ class TestEmpiricalLowerBound:
         lb, _ = empirical_lower_bound(b, Schatten(2.0), restarts=4, steps=15, seed=1)
         assert lb == pytest.approx(4.0 * la, rel=1e-9)
 
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        e=st.integers(-150, 150),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+        seed=st.integers(0, 1000),
+        norm=st.sampled_from([Schatten(1.0), Schatten(3.0), Schatten(INF), KyFan(2),
+                              Combination(((0.5, Schatten(2.0)), (2.0, KyFan(1))))]),
+    )
+    @example(e=-150, shape=(3, 2, 2), seed=5, norm=Schatten(3.0))
+    @example(e=150, shape=(3, 2, 2), seed=5, norm=Schatten(3.0))
+    def test_scale_covariance_at_extreme_scales(self, e, shape, seed, norm):
+        # beyond about 1e+-80 the ascent's gradient norm would underflow or overflow
+        phi = random_channel(*shape, 1.0, seed)
+        c = 10.0**e
+        scaled = KrausChannel(phi.d_in, phi.d_out, c * phi.kraus)
+        lower, _ = empirical_lower_bound(phi, norm, restarts=4, steps=10, seed=1)
+        lower_c, _ = empirical_lower_bound(scaled, norm, restarts=4, steps=10, seed=1)
+        assert lower_c / c**2 == pytest.approx(lower, rel=1e-9)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
@@ -350,3 +371,13 @@ class TestBatteryAndReport:
         by_norm = {b.norm: b.empirical_lower for b in rep.per_norm}
         assert by_norm[Schatten(INF)] == pytest.approx(3.0, abs=1e-9)
         assert by_norm[Schatten(1.0)] == pytest.approx(1.0, abs=1e-9)
+
+    def test_brackets_never_invert(self):
+        # on both channels the search ratio rounds above the proven bound at these settings
+        norms = [Schatten(INF), Schatten(2.0), Schatten(1.0), KyFan(2)]
+        for phi, restarts, steps in ((random_channel(1, 1, 1, 1.0, 3), 20, 40),
+                                     (random_channel(8, 8, 1, 1.0, 4), 0, 0)):
+            rep = shrink_report(phi, norms, restarts, steps, seed=0)
+            for bracket in rep.per_norm:
+                assert bracket.empirical_lower <= rep.upper_bound
+                assert rep.upper_bound - bracket.empirical_lower >= 0.0
