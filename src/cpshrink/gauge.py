@@ -25,6 +25,7 @@ __all__ = [
     "parse_norm",
 ]
 
+
 @dataclass(frozen=True)
 class KyFan:
     """Sum of the ``k`` largest singular values.

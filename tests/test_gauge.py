@@ -18,6 +18,7 @@ INF = float("inf")
 def norm_of(norm, m, padded_dim):
     return gauge_eval(norm, singular_values(m, padded_dim))
 
+
 BATTERY = [
     KyFan(1),
     KyFan(2),
