@@ -22,6 +22,7 @@ __all__ = [
     "Schatten",
     "format_norm",
     "gauge_eval",
+    "gauge_grad",
     "parse_norm",
 ]
 
@@ -92,6 +93,24 @@ def _eval_sorted(norm: GaugeNorm, s: np.ndarray):
         for c, t in norm.terms[1:]:
             total = total + c * _eval_sorted(t, s)
         return total
+    raise TypeError(f"unsupported gauge norm: {norm!r}")
+
+
+def gauge_grad(norm: GaugeNorm, s: np.ndarray) -> np.ndarray:
+    """Gradient of ``norm``'s gauge function at descending spectra ``s`` (last axis);
+    at a kink (a tie at a Ky Fan cut, a zero entry) one subgradient, always finite."""
+    if isinstance(norm, Schatten) and norm.p in (1.0, inf):
+        norm = KyFan(1 if norm.p == inf else s.shape[-1])
+    if isinstance(norm, KyFan):
+        return np.broadcast_to(np.arange(s.shape[-1]) < norm.k, s.shape).astype(float)
+    if isinstance(norm, Schatten):
+        # (u / ||u||_p)**(p - 1) with u = s / s_max, the rescale _eval_sorted uses
+        top = s[..., :1]
+        unit = s / np.where(top > 0.0, top, 1.0)
+        size = (unit ** norm.p).sum(axis=-1, keepdims=True) ** (1.0 / norm.p)
+        return (unit / np.where(size > 0.0, size, 1.0)) ** (norm.p - 1.0)
+    if isinstance(norm, Combination):
+        return sum(c * gauge_grad(t, s) for c, t in norm.terms)
     raise TypeError(f"unsupported gauge norm: {norm!r}")
 
 

@@ -19,12 +19,12 @@ from math import floor, inf, log2
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_grad
 from .spectral import (
-    hermitian_basis,
     hermitian_eigensystem,
     hermitize,
     random_hermitian,
+    singular_decomposition,
     singular_values,
     spectral_norm,
 )
@@ -51,7 +51,6 @@ ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
 ASCENT_STEP0 = 0.1
 ASCENT_DECAY = 0.9
-FD_EPS = 1e-5
 
 
 def padded_dim_for(phi: KrausChannel) -> int:
@@ -152,16 +151,20 @@ def empirical_lower_bound(
 ) -> tuple[float, np.ndarray]:
     """Best found value of |||Phi(x)||| over unit-norm Hermitian inputs.
 
-    Multi-start projected ascent. Two analytic seeds are always evaluated (the
+    Multi-start ascent. Two analytic seeds are always evaluated (the
     normalized identity and the trace-factor witness), followed by ``restarts``
-    random Hermitian directions; each start is refined for ``steps`` rounds of
-    forward-difference ascent with step size 0.1 * 0.9**t and finite-difference
-    spacing 1e-5, renormalizing to unit gauge norm after every move. The best
-    value over the whole schedule wins; ties go to the earliest start.
-    Deterministic for fixed arguments, and the result can never exceed the
-    universal upper bound beyond numerical noise. The search runs on the Kraus
-    set rescaled by a power of two, so the result scales exactly with the
-    channel: Kraus operators ``c * E`` give ``c**2`` times the value for ``E``.
+    random Hermitian directions; each start takes ``steps`` moves of length
+    0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
+    renormalizing to unit gauge norm after every move. At unit norm that
+    gradient is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where
+    ``r`` is the ratio and ``Y(U diag(s) V†) = U diag(gauge_grad(s)) V†`` is the
+    norm's gradient (A. S. Lewis, J. Convex Anal. 2, 1995; G. A. Watson, Linear
+    Algebra Appl. 170, 1992). The best value over the whole schedule wins; ties
+    go to the earliest start. Deterministic for fixed arguments, and the result
+    can never exceed the universal upper bound beyond numerical noise. The
+    search runs on the Kraus set rescaled by a power of two, so the result
+    scales exactly with the channel: Kraus operators ``c * E`` give ``c**2``
+    times the value for ``E``.
 
     Returns ``(lower, witness)`` with the witness at unit gauge norm.
     """
@@ -170,45 +173,37 @@ def empirical_lower_bound(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     d = phi.d_in
-    padded = padded_dim_for(phi)
     t, trace_witness = trace_shrink_factor(phi)
     # search where t is in [1, 4): a power-of-two rescale is exact and keeps the gradient norm finite
     k = floor(log2(t) / 2)
     ops = phi.kraus * 2.0**-k
-    basis = hermitian_basis(d)
+    adjoint = np.swapaxes(ops, -2, -1).conj()
 
-    def gauge_of(mats: np.ndarray) -> np.ndarray:
-        return np.asarray(gauge_eval(norm, singular_values(mats, padded)), dtype=float)
-
-    def image_gauge(mats: np.ndarray) -> np.ndarray:
-        return gauge_of(kraus_map(ops, mats))
-
-    def ratio(mats: np.ndarray) -> np.ndarray:
-        return image_gauge(mats) / gauge_of(mats)
+    def evaluate(xs: np.ndarray):
+        # unit-norm inputs, ratios and ratio gradients, all from one SVD of inputs and one of images
+        u, s, vh = singular_decomposition(xs)
+        uo, so, vho = singular_decomposition(kraus_map(ops, xs))
+        size = gauge_eval(norm, s)
+        vals = gauge_eval(norm, so) / size
+        y_in = (u * gauge_grad(norm, s)[:, None, :]) @ vh
+        y_out = (uo * gauge_grad(norm, so)[:, None, :]) @ vho
+        grads = hermitize(kraus_map(adjoint, y_out) - vals[:, None, None] * y_in)
+        return xs / size[:, None, None], vals, grads
 
     starts = [np.eye(d, dtype=np.complex128), trace_witness.astype(np.complex128)]
     rng = np.random.default_rng(seed)
     for _ in range(restarts):
         h = random_hermitian(d, rng)
-        while gauge_of(h[None])[0] <= 0.0:  # exclude the zero direction
+        while gauge_eval(norm, singular_values(h, d)) <= 0.0:  # exclude the zero direction
             h = random_hermitian(d, rng)
         starts.append(h)
 
-    xs = np.stack(starts)
-    xs = xs / gauge_of(xs)[:, None, None]
-    vals = ratio(xs)
-    best_vals = vals.copy()
-    best_xs = xs.copy()
+    xs, vals, grads = evaluate(np.stack(starts))
+    best_vals, best_xs = vals.copy(), xs.copy()
     for t in range(steps):
         step = ASCENT_STEP0 * ASCENT_DECAY**t
-        perturbed = xs[:, None, :, :] + FD_EPS * basis[None, :, :, :]
-        slopes = (ratio(perturbed) - vals[:, None]) / FD_EPS
-        grads = np.einsum("bp,pij->bij", slopes, basis)
-        gnorm = np.sqrt(np.einsum("bij,bij->b", grads, grads.conj()).real)
-        safe = np.where(gnorm > 0.0, gnorm, 1.0)
-        xs = xs + step * np.where(gnorm > 0.0, 1.0, 0.0)[:, None, None] * grads / safe[:, None, None]
-        xs = xs / gauge_of(xs)[:, None, None]
-        vals = ratio(xs)
+        gnorm = np.linalg.norm(grads, axis=(-2, -1))
+        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[:, None, None])
         improved = vals > best_vals
         best_vals[improved] = vals[improved]
         best_xs[improved] = xs[improved]

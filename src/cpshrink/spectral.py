@@ -1,9 +1,9 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-``singular_values`` is the package's single SVD entry point: every spectrum,
-norm and inequality check reads the zero-padded singular values it returns,
-for one matrix or a stack. Everything operates on complex128 arrays and is
-written for small dimensions (up to ~16); no sparse or structured paths.
+``singular_values`` (zero-padded spectra, read by every norm and check) and
+``singular_decomposition`` (thin factors, read by the lower-bound search) share
+the package's one SVD solver call and take one matrix or a stack. Everything
+is complex128 and written for small dimensions; no sparse or structured paths.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ __all__ = [
     "EigenSystem",
     "as_complex_matrix",
     "as_rng",
-    "hermitian_basis",
     "hermitian_eigensystem",
     "hermitize",
     "is_psd",
     "random_hermitian",
     "require_hermitian",
+    "singular_decomposition",
     "singular_values",
     "spectral_norm",
     "trace_norm",
@@ -77,6 +77,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -2, -1).conj()) / 2.0
 
 
+def _svd(mat: np.ndarray, compute_uv: bool):
+    try:
+        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
+
+
 def singular_values(m, padded_dim: int) -> np.ndarray:
     """Singular values of ``m``, descending, zero-padded to length ``padded_dim``.
 
@@ -95,15 +102,18 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
-    try:
-        s = np.linalg.svd(mat, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
+    s = _svd(mat, compute_uv=False)
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))
     out[..., :n] = s
     return out
+
+
+def singular_decomposition(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(u, s, vh)`` of ``m`` or of each matrix in a stack, ``s`` descending
+    and unpadded; the input checks and failure type of singular_values."""
+    return _svd(as_complex_matrix(m, stacked=True), compute_uv=True)
 
 
 def _unpadded(m) -> np.ndarray:
@@ -151,31 +161,6 @@ def is_psd(x) -> bool:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     return bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
-
-
-def hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis (Frobenius inner product) of dim x dim Hermitian matrices.
-
-    Ordered as the ``dim`` diagonal units followed by the symmetric and
-    antisymmetric pair combinations; shape ``(dim*dim, dim, dim)``.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    out = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
-    n = 0
-    for i in range(dim):
-        out[n, i, i] = 1.0
-        n += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            out[n, i, j] = inv_sqrt2
-            out[n, j, i] = inv_sqrt2
-            n += 1
-            out[n, i, j] = -1j * inv_sqrt2
-            out[n, j, i] = 1j * inv_sqrt2
-            n += 1
-    return out
 
 
 def random_hermitian(dim: int, seed=0) -> np.ndarray:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from cpshrink.gauge import (
     Schatten,
     format_norm,
     gauge_eval,
+    gauge_grad,
     parse_norm,
 )
+from cpshrink.shrink import norm_battery
 from cpshrink.spectral import random_hermitian, singular_values
 
 INF = float("inf")
@@ -100,6 +104,48 @@ class TestGaugeEval:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatch):
             gauge_eval(KyFan(1), np.zeros((0,)))
+
+
+GRAD_NORMS = [KyFan(1), KyFan(2), KyFan(3), Schatten(1.0), Schatten(1.5), Schatten(3.0),
+              Schatten(INF)] + [n for n in norm_battery(1) if isinstance(n, Combination)]
+
+
+def central_difference(norm, s, h=1e-6):
+    """Gradient of gauge_eval at one spectrum by central differences."""
+    out = np.zeros_like(s)
+    for i in range(s.size):
+        step = np.zeros_like(s)
+        step[i] = h
+        out[i] = (gauge_eval(norm, s + step) - gauge_eval(norm, s - step)) / (2 * h)
+    return out
+
+
+class TestGaugeGrad:
+    @pytest.mark.parametrize("norm", GRAD_NORMS, ids=format_norm)
+    def test_matches_central_differences(self, norm):
+        s = np.array([3.0, 2.2, 1.1, 0.4])
+        np.testing.assert_allclose(gauge_grad(norm, s), central_difference(norm, s), rtol=1e-7, atol=1e-8)
+        # a stack of spectra, distinct entries at least 0.2 apart so no difference step crosses a tie
+        rng = np.random.default_rng(9)
+        stack = -np.sort(-(np.arange(4) * 0.3 + rng.random((2, 3, 4)) * 0.1), axis=-1)
+        got = gauge_grad(norm, stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(stack.shape[:-1]):
+            np.testing.assert_allclose(got[idx], central_difference(norm, stack[idx]), rtol=1e-7, atol=1e-8)
+
+    @pytest.mark.parametrize("norm", GRAD_NORMS, ids=format_norm)
+    def test_zero_spectrum_is_finite(self, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = gauge_grad(norm, np.zeros(3))
+            stack = gauge_grad(norm, np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert np.isfinite(single).all() and np.isfinite(stack).all()
+
+    def test_schatten_large_exponent_does_not_overflow(self):
+        s = np.array([10.0, 1.0])
+        got = gauge_grad(Schatten(400.0), s)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, central_difference(Schatten(400.0), s), atol=1e-8)
 
 
 class TestVariantValidation:

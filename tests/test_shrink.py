@@ -262,6 +262,16 @@ class TestEmpiricalLowerBound:
         lower_c, _ = empirical_lower_bound(scaled, norm, restarts=4, steps=10, seed=1)
         assert lower_c / c**2 == pytest.approx(lower, rel=1e-9)
 
+    def test_schatten_two_reaches_exact_factor(self):
+        # oracle: the Schatten-2 factor is the largest singular value of sum_n E_n (x) conj(E_n)
+        rng = np.random.default_rng(7)
+        for seed in range(10):
+            d_in, d_out, n_kraus = (int(v) for v in rng.integers((1, 1, 1), (5, 5, 4)))
+            phi = random_channel(d_in, d_out, n_kraus, 1.0, seed)
+            h = np.linalg.svd(sum(np.kron(e, e.conj()) for e in phi.kraus), compute_uv=False)[0]
+            lower, _ = empirical_lower_bound(phi, Schatten(2.0), restarts=20, steps=40, seed=0)
+            assert h * (1 - 1e-5) <= lower <= h * (1 + 1e-12)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
@@ -318,7 +328,8 @@ class TestInequalityChecks:
 @pytest.mark.parametrize(
     "call, min_ndim",
     [
-        # only stacks fail here, so the error must come from the ascent's batched SVD
+        # only stacks fail here, so the error must come from the ascent's batched
+        # singular_decomposition
         (lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
         (shrink_upper_bound, 2),
         (lambda phi: spectral_norm(phi.kraus[0]), 2),
@@ -331,7 +342,8 @@ class TestInequalityChecks:
          "check_gauge_bounds", "check_gauge_bounds_stacked"],
 )
 def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, call, min_ndim):
-    # every SVD goes through singular_values, which wraps the solver's error
+    # singular_values and singular_decomposition share one checked solver call,
+    # which wraps the solver's error
     real_svd = np.linalg.svd
 
     def flaky(a, *args, **kwargs):

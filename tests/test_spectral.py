@@ -4,11 +4,11 @@ import pytest
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
-    hermitian_basis,
     hermitian_eigensystem,
     is_psd,
     random_hermitian,
     require_hermitian,
+    singular_decomposition,
     singular_values,
     spectral_norm,
     trace_norm,
@@ -71,6 +71,11 @@ class TestSingularValues:
         assert out.shape == (3, 5)
         for mat, row in zip(stack, out):
             np.testing.assert_array_equal(row, singular_values(mat, 5))
+        # the thin factors of the same stack: unpadded spectra that rebuild each matrix
+        u, s, vh = singular_decomposition(stack)
+        assert u.shape == (3, 2, 2) and s.shape == (3, 2) and vh.shape == (3, 2, 4)
+        np.testing.assert_allclose(s, out[:, :2], atol=1e-12)
+        np.testing.assert_allclose(u @ (s[..., None] * vh), stack, atol=1e-12)
 
     def test_pad_too_small(self):
         with pytest.raises(PadTooSmall):
@@ -90,6 +95,8 @@ class TestSingularValues:
         bad[0, 1] = np.nan
         with pytest.raises(NonFinite):
             singular_values(np.stack([np.eye(2), bad]), 2)
+        with pytest.raises(NonFinite):
+            singular_decomposition(np.stack([np.eye(2), bad]))
 
     def test_bad_padded_dim(self):
         with pytest.raises(ValueError):
@@ -188,17 +195,6 @@ class TestHelpers:
         x = np.diag([2.0, -5.0, 1.0])
         assert spectral_norm(x) == pytest.approx(5.0, abs=1e-12)
         assert trace_norm(x) == pytest.approx(8.0, abs=1e-12)
-
-    @pytest.mark.parametrize("dim", [1, 2, 4])
-    def test_hermitian_basis_orthonormal(self, dim):
-        basis = hermitian_basis(dim)
-        assert basis.shape == (dim * dim, dim, dim)
-        for i, b in enumerate(basis):
-            assert np.abs(b - b.conj().T).max() == 0.0
-            for j in range(i, dim * dim):
-                inner = np.trace(b.conj().T @ basis[j]).real
-                expect = 1.0 if i == j else 0.0
-                assert abs(inner - expect) <= 1e-12
 
     def test_random_hermitian_is_hermitian_and_seeded(self):
         a = random_hermitian(4, 7)
