@@ -26,7 +26,7 @@ from .errors import (
     InfeasibleShape,
     NotIsometry,
 )
-from .spectral import as_complex_matrix, as_rng, hermitize, require_hermitian
+from .spectral import as_complex_matrix, hermitize, require_hermitian
 
 __all__ = [
     "ChannelInvariants",
@@ -266,7 +266,7 @@ def random_channel(d_in: int, d_out: int, n_kraus: int, scale: float = 1.0, seed
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         ops = scale * (
             rng.standard_normal((n_kraus, d_out, d_in))
@@ -299,7 +299,7 @@ def random_isometry(rows: int, cols: int, seed=0) -> np.ndarray:
     """Matrix with orthonormal columns from the QR of a complex Gaussian draw."""
     if rows < cols:
         raise InfeasibleShape(f"an isometry needs rows >= cols, got {rows} x {cols}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, _ = np.linalg.qr(g)
     return q

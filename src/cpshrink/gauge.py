@@ -3,7 +3,9 @@
 A gauge norm is evaluated on a vector of singular values that has already been
 zero-padded to a common length, so norms of matrices with different shapes can
 be compared on equal footing. Three families are supported: Ky Fan sums,
-Schatten p-norms, and positive combinations of the two.
+Schatten p-norms, and positive combinations of the two. Each family is defined
+once, in ``gauge_value_grad``, which gives the value and the gradient on
+descending spectra; ``gauge_eval`` sorts and validates first and keeps the value.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ __all__ = [
     "Schatten",
     "format_norm",
     "gauge_eval",
-    "gauge_grad",
+    "gauge_value_grad",
     "parse_norm",
 ]
 
@@ -75,42 +77,27 @@ class Combination:
 GaugeNorm = KyFan | Schatten | Combination
 
 
-def _eval_sorted(norm: GaugeNorm, s: np.ndarray):
-    if isinstance(norm, KyFan):
-        k = min(norm.k, s.shape[-1])
-        return s[..., :k].sum(axis=-1)
-    if isinstance(norm, Schatten):
-        if norm.p == inf:
-            return s[..., 0]
-        if norm.p == 1.0:
-            return s.sum(axis=-1)
-        # s_max * ||s / s_max||_p: s ** p alone overflows or underflows for large p
-        top = s[..., :1]
-        unit = s / np.where(top > 0.0, top, 1.0)
-        return s[..., 0] * (unit ** norm.p).sum(axis=-1) ** (1.0 / norm.p)
-    if isinstance(norm, Combination):
-        total = norm.terms[0][0] * _eval_sorted(norm.terms[0][1], s)
-        for c, t in norm.terms[1:]:
-            total = total + c * _eval_sorted(t, s)
-        return total
-    raise TypeError(f"unsupported gauge norm: {norm!r}")
+def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and gradient of ``norm``'s gauge function at descending spectra ``s``.
 
-
-def gauge_grad(norm: GaugeNorm, s: np.ndarray) -> np.ndarray:
-    """Gradient of ``norm``'s gauge function at descending spectra ``s`` (last axis);
-    at a kink (a tie at a Ky Fan cut, a zero entry) one subgradient, always finite."""
+    The last axis holds the spectrum and leading axes a stack; the value drops
+    the last axis and the gradient keeps the shape of ``s``. At a kink (a tie at
+    a Ky Fan cut, a zero entry) the gradient is one subgradient, always finite.
+    """
     if isinstance(norm, Schatten) and norm.p in (1.0, inf):
         norm = KyFan(1 if norm.p == inf else s.shape[-1])
     if isinstance(norm, KyFan):
-        return np.broadcast_to(np.arange(s.shape[-1]) < norm.k, s.shape).astype(float)
+        top_k = np.broadcast_to(np.arange(s.shape[-1]) < norm.k, s.shape)
+        return s[..., : norm.k].sum(axis=-1), top_k.astype(float)
     if isinstance(norm, Schatten):
-        # (u / ||u||_p)**(p - 1) with u = s / s_max, the rescale _eval_sorted uses
+        # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
         top = s[..., :1]
         unit = s / np.where(top > 0.0, top, 1.0)
         size = (unit ** norm.p).sum(axis=-1, keepdims=True) ** (1.0 / norm.p)
-        return (unit / np.where(size > 0.0, size, 1.0)) ** (norm.p - 1.0)
+        return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (norm.p - 1.0)
     if isinstance(norm, Combination):
-        return sum(c * gauge_grad(t, s) for c, t in norm.terms)
+        parts = [(c, gauge_value_grad(t, s)) for c, t in norm.terms]
+        return sum(c * v for c, (v, _) in parts), sum(c * g for c, (_, g) in parts)
     raise TypeError(f"unsupported gauge norm: {norm!r}")
 
 
@@ -126,7 +113,7 @@ def gauge_eval(norm: GaugeNorm, spectrum):
         raise DimensionMismatch("spectrum must have at least one entry")
     if np.any(s < 0):
         raise ValueError("spectrum entries must be nonnegative")
-    out = _eval_sorted(norm, np.flip(np.sort(s, axis=-1), axis=-1))
+    out, _ = gauge_value_grad(norm, np.flip(np.sort(s, axis=-1), axis=-1))
     return float(out) if s.ndim == 1 else out
 
 

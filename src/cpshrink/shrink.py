@@ -19,7 +19,7 @@ from math import floor, inf, log2
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_grad
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_value_grad
 from .spectral import (
     hermitian_eigensystem,
     hermitize,
@@ -157,9 +157,11 @@ def empirical_lower_bound(
     0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
     renormalizing to unit gauge norm after every move. At unit norm that
     gradient is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where
-    ``r`` is the ratio and ``Y(U diag(s) V†) = U diag(gauge_grad(s)) V†`` is the
-    norm's gradient (A. S. Lewis, J. Convex Anal. 2, 1995; G. A. Watson, Linear
-    Algebra Appl. 170, 1992). The best value over the whole schedule wins; ties
+    ``r`` is the ratio and ``Y(U diag(s) V†) = U diag(g) V†`` is the norm's
+    gradient (A. S. Lewis, J. Convex Anal. 2, 1995; G. A. Watson, Linear
+    Algebra Appl. 170, 1992). One ``gauge_value_grad(norm, s)`` call per
+    spectrum gives both ``|||x|||`` and ``g``, on the descending spectra the
+    decomposition returns. The best value over the whole schedule wins; ties
     go to the earliest start. Deterministic for fixed arguments, and the result
     can never exceed the universal upper bound beyond numerical noise. The
     search runs on the Kraus set rescaled by a power of two, so the result
@@ -183,20 +185,17 @@ def empirical_lower_bound(
         # unit-norm inputs, ratios and ratio gradients, all from one SVD of inputs and one of images
         u, s, vh = singular_decomposition(xs)
         uo, so, vho = singular_decomposition(kraus_map(ops, xs))
-        size = gauge_eval(norm, s)
-        vals = gauge_eval(norm, so) / size
-        y_in = (u * gauge_grad(norm, s)[:, None, :]) @ vh
-        y_out = (uo * gauge_grad(norm, so)[:, None, :]) @ vho
+        size, g_in = gauge_value_grad(norm, s)
+        image, g_out = gauge_value_grad(norm, so)
+        vals = image / size
+        y_in = (u * g_in[:, None, :]) @ vh
+        y_out = (uo * g_out[:, None, :]) @ vho
         grads = hermitize(kraus_map(adjoint, y_out) - vals[:, None, None] * y_in)
         return xs / size[:, None, None], vals, grads
 
-    starts = [np.eye(d, dtype=np.complex128), trace_witness.astype(np.complex128)]
     rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        h = random_hermitian(d, rng)
-        while gauge_eval(norm, singular_values(h, d)) <= 0.0:  # exclude the zero direction
-            h = random_hermitian(d, rng)
-        starts.append(h)
+    starts = [np.eye(d, dtype=np.complex128), trace_witness]
+    starts += [random_hermitian(d, rng) for _ in range(restarts)]
 
     xs, vals, grads = evaluate(np.stack(starts))
     best_vals, best_xs = vals.copy(), xs.copy()
@@ -229,17 +228,17 @@ def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
     """The shrinking inequality across a list of gauge norms, one NormCheck per norm.
 
     ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them; the
-    upper bound is computed once for the whole stack.
+    upper bound is computed once for the whole stack, and each norm is evaluated
+    once on the image and input spectra stacked together.
     """
     image = phi.apply(x)
     bound = shrink_upper_bound(phi)
     padded = padded_dim_for(phi)
-    s_in = singular_values(x, padded)
-    s_out = singular_values(image, padded)
+    spectra = np.stack([singular_values(image, padded), singular_values(x, padded)])
     checks = []
     for norm in norms:
-        lhs = gauge_eval(norm, s_out)
-        rhs = bound * gauge_eval(norm, s_in)
+        lhs, size = gauge_eval(norm, spectra)
+        rhs = bound * size
         ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
         checks.append(NormCheck(norm, lhs, rhs, ok if np.ndim(ok) else bool(ok)))
     return checks

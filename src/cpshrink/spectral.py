@@ -17,7 +17,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmal
 __all__ = [
     "EigenSystem",
     "as_complex_matrix",
-    "as_rng",
     "hermitian_eigensystem",
     "hermitize",
     "is_psd",
@@ -31,13 +30,6 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Pass through a Generator, otherwise seed a fresh one."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
@@ -165,6 +157,6 @@ def is_psd(x) -> bool:
 
 def random_hermitian(dim: int, seed=0) -> np.ndarray:
     """Hermitian matrix with i.i.d. complex Gaussian entries, symmetrized."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitize(a)

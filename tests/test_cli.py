@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cpshrink.channel import random_channel
+from cpshrink import shrink
+from cpshrink.channel import KrausChannel, matrix_to_entries, random_channel
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import Schatten
 from cpshrink.shrink import shrink_report
+from cpshrink.spectral import random_hermitian
 
 
 def run(capsys, *argv):
@@ -136,6 +138,17 @@ class TestReport:
         row = json.loads(out)["norms"][0]
         assert row["empirical_lower"] <= row["upper_bound"] * (1 + 1e-9)
 
+    def test_long_norm_spec_keeps_its_column(self, capsys):
+        spec = "combo:0.5*schatten:2+2*kyfan:2"
+        assert len(spec) >= 28
+        code, out, _ = run(
+            capsys, "report", "--channel", "random:2x2x2:1", "--norm", spec,
+            "--restarts", "1", "--steps", "2",
+        )
+        assert code == 0
+        (row,) = [line for line in out.splitlines() if line.startswith(spec)]
+        assert row.split()[0] == spec and len(row.split()) == 4
+
     def test_seventeen_digit_floats(self, capsys):
         code, out, _ = run(
             capsys, "report", "--channel", "random:2x2x2:9", "--norm", "schatten:2",
@@ -185,6 +198,46 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("scale", [1e3, 1e120])
+    def test_remix_invariance_holds_at_large_kraus_scale(self, capsys, tmp_path, scale):
+        path = tmp_path / "chan.json"
+        path.write_text(random_channel(3, 3, 2, scale, 1).to_json())
+        code, out, _ = run(capsys, "verify", "--channel", str(path), "--trials", "5")
+        assert code == 0
+        assert "remix invariance                     2         0" in out
+        assert "result: PASS" in out
+
+    def test_tampered_remix_fails(self, capsys, monkeypatch):
+        remix = KrausChannel.remix
+
+        def tampered(self, v):
+            mixed = remix(self, v)
+            return KrausChannel(mixed.d_in, mixed.d_out, mixed.kraus * (1 + 1e-6))
+
+        monkeypatch.setattr(KrausChannel, "remix", tampered)
+        code, out, _ = run(capsys, "verify", "--channel", "random:3x3x2:1", "--trials", "5")
+        assert code == 1
+        assert "remix invariance                     2         2" in out
+
+    def test_failing_suites_and_witness(self, capsys, monkeypatch):
+        # a negative slack fails some checks: the counts and the first failing trial are pinned
+        monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
+        code, out, _ = run(capsys, "verify", "--channel", "random:3x2x2:4", "--trials", "6")
+        assert code == 1
+        table, _, witness = out.partition("result: FAIL\n")
+        assert table.splitlines()[:5] == [
+            "suite                            cases  failures",
+            "ky fan inequality (per k)           18         3",
+            "gauge norm battery                  60        11",
+            "remix invariance                     2         0",
+            "choi positivity                      1         0",
+        ]
+        doc = json.loads(witness)
+        assert doc["channel"] == resolve_channel("random:3x2x2:4").to_dict()
+        rng = np.random.default_rng(0)
+        trials = [random_hermitian(3, rng) for _ in range(6)]
+        assert doc["input"] == matrix_to_entries(trials[1])
 
     def test_file_channel(self, capsys, tmp_path):
         path = tmp_path / "chan.json"

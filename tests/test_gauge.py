@@ -10,7 +10,7 @@ from cpshrink.gauge import (
     Schatten,
     format_norm,
     gauge_eval,
-    gauge_grad,
+    gauge_value_grad,
     parse_norm,
 )
 from cpshrink.shrink import norm_battery
@@ -120,6 +120,10 @@ def central_difference(norm, s, h=1e-6):
     return out
 
 
+def gauge_grad(norm, s):
+    return gauge_value_grad(norm, s)[1]
+
+
 class TestGaugeGrad:
     @pytest.mark.parametrize("norm", GRAD_NORMS, ids=format_norm)
     def test_matches_central_differences(self, norm):
@@ -146,6 +150,20 @@ class TestGaugeGrad:
         got = gauge_grad(Schatten(400.0), s)
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, central_difference(Schatten(400.0), s), atol=1e-8)
+
+    @pytest.mark.parametrize("norm", norm_battery(4), ids=format_norm)
+    def test_value_is_gauge_eval_bit_for_bit(self, norm):
+        rng = np.random.default_rng(11)
+        # zeros, ties and a padded tail, as the checks and the search see them
+        single = np.array([4.0, 2.5, 2.5, 0.7, 0.0, 0.0])
+        stack = -np.sort(-rng.random((3, 5, 6)) * rng.choice([1e-3, 1.0, 1e4], (3, 5, 1)), axis=-1)
+        stack[0, 0] = 0.0
+        value, grad = gauge_value_grad(norm, single)
+        assert np.ndim(value) == 0 and grad.shape == single.shape
+        assert float(value) == gauge_eval(norm, single)
+        value, grad = gauge_value_grad(norm, stack)
+        assert value.shape == stack.shape[:-1] and grad.shape == stack.shape
+        np.testing.assert_array_equal(value, gauge_eval(norm, stack))
 
 
 class TestVariantValidation:

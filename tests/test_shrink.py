@@ -315,6 +315,25 @@ class TestInequalityChecks:
                         assert chk.lhs[t] == pytest.approx(single.lhs, rel=1e-15)
                         assert chk.rhs[t] == pytest.approx(single.rhs, rel=1e-15)
 
+    def test_one_stacked_evaluation_matches_per_spectrum_values(self):
+        rng = np.random.default_rng(35)
+        for phi in (random_channel(3, 2, 2, 1.0, 36), random_channel(2, 4, 3, 1.0, 37)):
+            padded = padded_dim_for(phi)
+            bound = shrink_upper_bound(phi)
+            xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(4)])
+            for norm in norm_battery(padded):
+                (chk,) = check_gauge_bounds(phi, xs, [norm])
+                (single,) = check_gauge_bounds(phi, xs[2], [norm])
+                for t, x in enumerate(xs):
+                    lhs = gauge_eval(norm, singular_values(phi.apply(x), padded))
+                    rhs = bound * gauge_eval(norm, singular_values(x, padded))
+                    # numpy's power ufunc may round the last bit by array layout, so not ==
+                    assert chk.lhs[t] == pytest.approx(lhs, rel=1e-15, abs=0.0)
+                    assert chk.rhs[t] == pytest.approx(rhs, rel=1e-15, abs=0.0)
+                    if t == 2:
+                        assert single.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
+                        assert single.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
+
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)
         ks = [chk.norm.k for chk in check_kyfan_bounds(phi, np.eye(2))]
