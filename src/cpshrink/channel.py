@@ -51,9 +51,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum_n E_n x E_n†`` for a Kraus stack ``ops`` and ``x`` of shape ``(..., d_in, d_in)``.
 
-    The package's one implementation of the map; it does no validation.
+    The package's one implementation of the map; it does no validation. Two
+    batched matmuls, each over the whole Kraus set: ``x [E_1† ... E_K†]``, its
+    K blocks stacked into rows, then ``[E_1 ... E_K]`` times that.
     """
-    return np.einsum("kab,...bc,kdc->...ad", ops, x, ops.conj())
+    n_kraus, d_out, d_in = ops.shape
+    right = ops.conj().transpose(2, 0, 1).reshape(d_in, n_kraus * d_out)
+    left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
+    blocks = (x @ right).reshape(*x.shape[:-1], n_kraus, d_out)
+    return left @ np.swapaxes(blocks, -3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ between.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import floor, inf, log2
 
@@ -21,10 +22,10 @@ import numpy as np
 from .channel import KrausChannel, kraus_map
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_value_grad
 from .spectral import (
+    hermitian_decomposition,
     hermitian_eigensystem,
     hermitize,
     random_hermitian,
-    singular_decomposition,
     singular_values,
     spectral_norm,
 )
@@ -146,9 +147,18 @@ def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     return spectral_norm(inv.adjoint_identity_image), witness
 
 
+def _norm_gradients(norms: list[GaugeNorm], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norm values ``(N, B)`` and Lewis gradients ``(N, B, d, d)`` of a Hermitian
+    stack ``(N, B, d, d)`` whose block n is measured in ``norms[n]``."""
+    w, v = hermitian_decomposition(xs)
+    parts = [gauge_value_grad(norm, s) for norm, s in zip(norms, np.abs(w))]
+    g = np.sign(w) * np.stack([grad for _, grad in parts])
+    return np.stack([val for val, _ in parts]), (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+
+
 def empirical_lower_bound(
-    phi: KrausChannel, norm: GaugeNorm, restarts: int, steps: int, seed=0
-) -> tuple[float, np.ndarray]:
+    phi: KrausChannel, norm: GaugeNorm | Sequence[GaugeNorm], restarts: int, steps: int, seed=0
+) -> tuple[float, np.ndarray] | list[tuple[float, np.ndarray]]:
     """Best found value of |||Phi(x)||| over unit-norm Hermitian inputs.
 
     Multi-start ascent. Two analytic seeds are always evaluated (the
@@ -157,23 +167,30 @@ def empirical_lower_bound(
     0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
     renormalizing to unit gauge norm after every move. At unit norm that
     gradient is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where
-    ``r`` is the ratio and ``Y(U diag(s) V†) = U diag(g) V†`` is the norm's
-    gradient (A. S. Lewis, J. Convex Anal. 2, 1995; G. A. Watson, Linear
-    Algebra Appl. 170, 1992). One ``gauge_value_grad(norm, s)`` call per
-    spectrum gives both ``|||x|||`` and ``g``, on the descending spectra the
-    decomposition returns. The best value over the whole schedule wins; ties
-    go to the earliest start. Deterministic for fixed arguments, and the result
-    can never exceed the universal upper bound beyond numerical noise. The
-    search runs on the Kraus set rescaled by a power of two, so the result
-    scales exactly with the channel: Kraus operators ``c * E`` give ``c**2``
-    times the value for ``E``.
+    ``r`` is the ratio and ``Y(V diag(w) V†) = V diag(sign(w) * g) V†`` is the
+    norm's gradient at a Hermitian matrix with eigenpairs ``(w, V)`` (A. S.
+    Lewis, SIAM J. Optim. 6, 1996). One ``gauge_value_grad(norm, |w|)`` call
+    per spectrum gives both ``|||x|||`` and ``g``, on the descending ``|w|``
+    that ``hermitian_decomposition`` returns. The best value over the whole
+    schedule wins; ties go to the earliest start. Deterministic for fixed
+    arguments, and the result can never exceed the universal upper bound beyond
+    numerical noise. The search runs on the Kraus set rescaled by a power of
+    two, so the result scales exactly with the channel: Kraus operators
+    ``c * E`` give ``c**2`` times the value for ``E``.
 
-    Returns ``(lower, witness)`` with the witness at unit gauge norm.
+    Returns ``(lower, witness)`` with the witness at unit gauge norm. ``norm``
+    may also be a sequence of N norms: the N searches then run from the same
+    starts as one batched ascent, one decomposition per step over all of them,
+    and a list of N ``(lower, witness)`` pairs is returned, each equal bit for
+    bit to that norm's single-norm call.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    norms = [norm] if isinstance(norm, GaugeNorm) else list(norm)
+    if not norms:
+        return []
     d = phi.d_in
     t, trace_witness = trace_shrink_factor(phi)
     # search where t is in [1, 4): a power-of-two rescale is exact and keeps the gradient norm finite
@@ -182,32 +199,31 @@ def empirical_lower_bound(
     adjoint = np.swapaxes(ops, -2, -1).conj()
 
     def evaluate(xs: np.ndarray):
-        # unit-norm inputs, ratios and ratio gradients, all from one SVD of inputs and one of images
-        u, s, vh = singular_decomposition(xs)
-        uo, so, vho = singular_decomposition(kraus_map(ops, xs))
-        size, g_in = gauge_value_grad(norm, s)
-        image, g_out = gauge_value_grad(norm, so)
+        # unit-norm inputs, ratios and ratio gradients, from one eigh of inputs and one of images
+        size, y_in = _norm_gradients(norms, xs)
+        image, y_out = _norm_gradients(norms, kraus_map(ops, xs))
         vals = image / size
-        y_in = (u * g_in[:, None, :]) @ vh
-        y_out = (uo * g_out[:, None, :]) @ vho
-        grads = hermitize(kraus_map(adjoint, y_out) - vals[:, None, None] * y_in)
-        return xs / size[:, None, None], vals, grads
+        grads = hermitize(kraus_map(adjoint, y_out) - vals[..., None, None] * y_in)
+        return xs / size[..., None, None], vals, grads
 
     rng = np.random.default_rng(seed)
     starts = [np.eye(d, dtype=np.complex128), trace_witness]
     starts += [random_hermitian(d, rng) for _ in range(restarts)]
 
-    xs, vals, grads = evaluate(np.stack(starts))
+    xs, vals, grads = evaluate(np.tile(np.stack(starts), (len(norms), 1, 1, 1)))
     best_vals, best_xs = vals.copy(), xs.copy()
     for t in range(steps):
         step = ASCENT_STEP0 * ASCENT_DECAY**t
         gnorm = np.linalg.norm(grads, axis=(-2, -1))
-        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[:, None, None])
+        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None])
         improved = vals > best_vals
         best_vals[improved] = vals[improved]
         best_xs[improved] = xs[improved]
-    winner = int(np.argmax(best_vals))
-    return float(best_vals[winner]) * 4.0**k, best_xs[winner].copy()
+    found = [
+        (float(best_vals[n, i]) * 4.0**k, best_xs[n, i].copy())
+        for n, i in enumerate(np.argmax(best_vals, axis=-1))
+    ]
+    return found[0] if isinstance(norm, GaugeNorm) else found
 
 
 @dataclass(frozen=True)
@@ -297,20 +313,19 @@ def shrink_report(
 ) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
-    The same seed drives every norm's search, so reports are reproducible.
+    The same seed drives every norm's search, and all of them run as one
+    batched ascent, so reports are reproducible.
     """
+    norms = list(norms)
     s_val, _ = spectral_shrink_factor(phi)
     t_val, _ = trace_shrink_factor(phi)
     upper = max(s_val, t_val)
-    brackets = []
-    for norm in norms:
-        lower, witness = empirical_lower_bound(phi, norm, restarts, steps, seed)
-        # the bound is proven, so a search value above it is rounding in the ratio
-        brackets.append(NormBracket(norm, min(lower, upper), witness))
+    found = empirical_lower_bound(phi, norms, restarts, steps, seed)
     return ShrinkReport(
         upper_bound=upper,
         spectral_factor=s_val,
         trace_factor=t_val,
-        per_norm=tuple(brackets),
+        # the bound is proven, so a search value above it is rounding in the ratio
+        per_norm=tuple(NormBracket(norm, min(lower, upper), w) for norm, (lower, w) in zip(norms, found)),
         padded_dim=padded_dim_for(phi),
     )

@@ -1,9 +1,11 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-``singular_values`` (zero-padded spectra, read by every norm and check) and
-``singular_decomposition`` (thin factors, read by the lower-bound search) share
-the package's one SVD solver call and take one matrix or a stack. Everything
-is complex128 and written for small dimensions; no sparse or structured paths.
+``singular_values`` (zero-padded spectra, read by every norm and check) is the
+package's one SVD call. ``hermitian_decomposition`` (eigenpairs by descending
+magnitude, read by the lower-bound search) and ``hermitian_eigensystem`` share
+its one checked ``eigh`` call. Both stack-aware helpers take one matrix or a
+stack. Everything is complex128 and written for small dimensions; no sparse or
+structured paths.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmal
 __all__ = [
     "EigenSystem",
     "as_complex_matrix",
+    "hermitian_decomposition",
     "hermitian_eigensystem",
     "hermitize",
     "is_psd",
     "random_hermitian",
     "require_hermitian",
-    "singular_decomposition",
     "singular_values",
     "spectral_norm",
     "trace_norm",
@@ -69,11 +71,11 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -2, -1).conj()) / 2.0
 
 
-def _svd(mat: np.ndarray, compute_uv: bool):
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def singular_values(m, padded_dim: int) -> np.ndarray:
@@ -94,18 +96,15 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
-    s = _svd(mat, compute_uv=False)
+    try:
+        s = np.linalg.svd(mat, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))
     out[..., :n] = s
     return out
-
-
-def singular_decomposition(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``(u, s, vh)`` of ``m`` or of each matrix in a stack, ``s`` descending
-    and unpadded; the input checks and failure type of singular_values."""
-    return _svd(as_complex_matrix(m, stacked=True), compute_uv=True)
 
 
 def _unpadded(m) -> np.ndarray:
@@ -137,12 +136,28 @@ def hermitian_eigensystem(x) -> EigenSystem:
     Convergence failures from the underlying solver are surfaced as
     ConvergenceFailure, never masked.
     """
-    mat = require_hermitian(x)
-    try:
-        w, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    w, v = _eigh(require_hermitian(x))
     return EigenSystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
+
+
+def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, v)`` of a Hermitian matrix or of each one in a stack
+    ``(..., d, d)``, ordered by descending ``|w|``; column i of ``v`` pairs with
+    ``w[..., i]``.
+
+    ``|w|`` is then the descending singular spectrum, and ``x = v diag(w) v†``.
+    Only the lower triangle is read, so the input is not checked for symmetry;
+    it is checked for finiteness and squareness, and a solver failure is
+    surfaced as ConvergenceFailure.
+    """
+    mat = as_complex_matrix(x, stacked=True)
+    if mat.shape[-2] != mat.shape[-1]:
+        raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
+    w, v = _eigh(mat)
+    order = np.argsort(-np.abs(w), axis=-1)
+    # one index array per leading axis, broadcast against the order
+    lead = np.indices(w.shape[:-1] + (1,), sparse=True)[:-1]
+    return w[(*lead, order)], np.swapaxes(np.swapaxes(v, -2, -1)[(*lead, order)], -2, -1)
 
 
 def is_psd(x) -> bool:

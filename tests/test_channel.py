@@ -6,6 +6,7 @@ import pytest
 from cpshrink.channel import (
     KrausChannel,
     identity_channel,
+    kraus_map,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
@@ -110,6 +111,22 @@ class TestConstruction:
         for phi in channels:
             np.testing.assert_array_equal(phi.kraus[1], np.diag([0.0, 2.0]))
             np.testing.assert_array_equal(phi.invariants().identity_image, np.diag([1.0, 5.0]))
+
+
+class TestKrausMap:
+    @pytest.mark.parametrize("d_in,d_out,n_kraus", [(2, 2, 1), (3, 2, 2), (2, 5, 3), (4, 3, 1), (1, 3, 2)])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=["one", "3d", "4d"])
+    def test_matches_operator_loop(self, d_in, d_out, n_kraus, lead):
+        rng = np.random.default_rng(43)
+        ops = rng.standard_normal((n_kraus, d_out, d_in)) + 1j * rng.standard_normal((n_kraus, d_out, d_in))
+        adjoint = np.swapaxes(ops, -2, -1).conj()
+        for stack, dim in ((ops, d_in), (adjoint, d_out)):
+            # any square input, not only Hermitian ones: the map does no validation
+            x = rng.standard_normal((*lead, dim, dim)) + 1j * rng.standard_normal((*lead, dim, dim))
+            out = kraus_map(stack, x)
+            loop = sum(e @ x @ e.conj().T for e in stack)
+            assert out.shape == loop.shape
+            assert np.abs(out - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 class TestApply:

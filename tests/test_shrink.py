@@ -10,6 +10,7 @@ from cpshrink.channel import (
     random_channel,
     random_cptp_channel,
 )
+from cpshrink import shrink
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
 from cpshrink.gauge import Combination, KyFan, Schatten, gauge_eval
 from cpshrink.shrink import (
@@ -222,6 +223,43 @@ class TestEmpiricalLowerBound:
         b, wb = empirical_lower_bound(phi, Schatten(2.0), restarts=6, steps=20, seed=11)
         assert a == b
         np.testing.assert_array_equal(wa, wb)
+        first, second = (empirical_lower_bound(phi, norm_battery(3), restarts=6, steps=20, seed=11) for _ in "ab")
+        for (a, wa), (b, wb) in zip(first, second, strict=True):
+            assert a == b
+            np.testing.assert_array_equal(wa, wb)
+
+    def test_norm_gradient_matches_central_differences(self):
+        # the search's gradient at Hermitian inputs with both signs of eigenvalue, one
+        # block per battery norm, against central differences of gauge_eval
+        rng = np.random.default_rng(44)
+        norms = norm_battery(3)
+        xs = np.stack([np.stack([random_hermitian(4, rng) for _ in range(3)]) for _ in norms])
+        assert (np.linalg.eigvalsh(xs)[..., 0] < 0).all() and (np.linalg.eigvalsh(xs)[..., -1] > 0).all()
+        values, grads = shrink._norm_gradients(norms, xs)
+        h = 1e-6
+        for norm, block, vals, ys in zip(norms, xs, values, grads):
+            for x, val, y in zip(block, vals, ys):
+                assert val == pytest.approx(gauge_eval(norm, singular_values(x, 4)), rel=1e-12)
+                for _ in range(3):
+                    e = random_hermitian(4, rng)
+                    up = gauge_eval(norm, singular_values(x + h * e, 4))
+                    down = gauge_eval(norm, singular_values(x - h * e, 4))
+                    assert np.vdot(y, e).real == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-8)
+
+    def test_batched_search_matches_single_norm_calls(self):
+        # one batched ascent for all norms gives each norm's single-norm result bit for bit,
+        # and a report's rows are those results, clamped to the universal bound
+        norms = norm_battery(3)
+        for phi in (random_channel(3, 2, 2, 1.0, 40), random_channel(2, 4, 3, 1e-3, 41),
+                    random_cptp_channel(4, 3, 2, 42), partial_trace_channel(2, 2)):
+            batched = empirical_lower_bound(phi, norms, restarts=5, steps=12, seed=3)
+            rep = shrink_report(phi, norms, restarts=5, steps=12, seed=3)
+            assert len(batched) == len(rep.per_norm) == len(norms)
+            for norm, (lower, witness), row in zip(norms, batched, rep.per_norm):
+                single, single_witness = empirical_lower_bound(phi, norm, restarts=5, steps=12, seed=3)
+                assert lower == single and row.empirical_lower == min(single, rep.upper_bound)
+                np.testing.assert_array_equal(witness, single_witness)
+                np.testing.assert_array_equal(row.witness, single_witness)
 
     def test_witness_has_unit_norm_and_achieves(self):
         norms = [Schatten(2.0), KyFan(2), Schatten(1.5)]
@@ -278,6 +316,10 @@ class TestEmpiricalLowerBound:
             empirical_lower_bound(phi, Schatten(2.0), restarts=-1, steps=5, seed=0)
         with pytest.raises(ValueError):
             empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=-1, seed=0)
+        with pytest.raises(ValueError):
+            empirical_lower_bound(phi, norm_battery(2), restarts=-1, steps=5, seed=0)
+        with pytest.raises(ValueError):
+            empirical_lower_bound(phi, norm_battery(2), restarts=1, steps=-1, seed=0)
 
 
 class TestInequalityChecks:
@@ -345,33 +387,33 @@ class TestInequalityChecks:
 
 
 @pytest.mark.parametrize(
-    "call, min_ndim",
+    "solver, call, min_ndim",
     [
         # only stacks fail here, so the error must come from the ascent's batched
-        # singular_decomposition
-        (lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
-        (shrink_upper_bound, 2),
-        (lambda phi: spectral_norm(phi.kraus[0]), 2),
-        (lambda phi: trace_norm(phi.kraus[0]), 2),
-        (lambda phi: check_gauge_bounds(phi, np.eye(phi.d_in), norm_battery(3)), 2),
+        # hermitian_decomposition (the trace witness decomposes one matrix)
+        ("eigh", lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
+        ("svd", shrink_upper_bound, 2),
+        ("svd", lambda phi: spectral_norm(phi.kraus[0]), 2),
+        ("svd", lambda phi: trace_norm(phi.kraus[0]), 2),
+        ("svd", lambda phi: check_gauge_bounds(phi, np.eye(phi.d_in), norm_battery(3)), 2),
         # only stacks fail here, so the error must come from the stacked check's SVDs
-        (lambda phi: check_gauge_bounds(phi, np.stack([np.eye(phi.d_in)] * 3), norm_battery(3)), 3),
+        ("svd", lambda phi: check_gauge_bounds(phi, np.stack([np.eye(phi.d_in)] * 3), norm_battery(3)), 3),
     ],
     ids=["empirical_lower_bound", "shrink_upper_bound", "spectral_norm", "trace_norm",
          "check_gauge_bounds", "check_gauge_bounds_stacked"],
 )
-def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, call, min_ndim):
-    # singular_values and singular_decomposition share one checked solver call,
-    # which wraps the solver's error
-    real_svd = np.linalg.svd
+def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, solver, call, min_ndim):
+    # singular_values has the one checked SVD call, and hermitian_decomposition
+    # shares the one checked eigh call; each wraps the solver's error
+    real = getattr(np.linalg, solver)
 
     def flaky(a, *args, **kwargs):
         if np.ndim(a) >= min_ndim:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(a, *args, **kwargs)
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
+        return real(a, *args, **kwargs)
 
     phi = random_channel(2, 3, 2, 1.0, 35)
-    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(np.linalg, solver, flaky)
     with pytest.raises(ConvergenceFailure):
         call(phi)
 
@@ -402,6 +444,17 @@ class TestBatteryAndReport:
         by_norm = {b.norm: b.empirical_lower for b in rep.per_norm}
         assert by_norm[Schatten(INF)] == pytest.approx(3.0, abs=1e-9)
         assert by_norm[Schatten(1.0)] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_norms", [1, 4, 10])
+    def test_report_computes_trace_factor_twice(self, monkeypatch, n_norms):
+        # once for the report's factors and once for the one batched search, whatever the norm count
+        calls = []
+        real = shrink.trace_shrink_factor
+        monkeypatch.setattr(shrink, "trace_shrink_factor", lambda phi: calls.append(phi) or real(phi))
+        phi = random_channel(3, 2, 2, 1.0, 43)
+        rep = shrink_report(phi, norm_battery(3)[:n_norms], restarts=2, steps=3, seed=0)
+        assert len(rep.per_norm) == n_norms
+        assert len(calls) == 2
 
     def test_brackets_never_invert(self):
         # on both channels the search ratio rounds above the proven bound at these settings

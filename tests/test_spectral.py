@@ -4,11 +4,11 @@ import pytest
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
+    hermitian_decomposition,
     hermitian_eigensystem,
     is_psd,
     random_hermitian,
     require_hermitian,
-    singular_decomposition,
     singular_values,
     spectral_norm,
     trace_norm,
@@ -71,11 +71,6 @@ class TestSingularValues:
         assert out.shape == (3, 5)
         for mat, row in zip(stack, out):
             np.testing.assert_array_equal(row, singular_values(mat, 5))
-        # the thin factors of the same stack: unpadded spectra that rebuild each matrix
-        u, s, vh = singular_decomposition(stack)
-        assert u.shape == (3, 2, 2) and s.shape == (3, 2) and vh.shape == (3, 2, 4)
-        np.testing.assert_allclose(s, out[:, :2], atol=1e-12)
-        np.testing.assert_allclose(u @ (s[..., None] * vh), stack, atol=1e-12)
 
     def test_pad_too_small(self):
         with pytest.raises(PadTooSmall):
@@ -95,8 +90,6 @@ class TestSingularValues:
         bad[0, 1] = np.nan
         with pytest.raises(NonFinite):
             singular_values(np.stack([np.eye(2), bad]), 2)
-        with pytest.raises(NonFinite):
-            singular_decomposition(np.stack([np.eye(2), bad]))
 
     def test_bad_padded_dim(self):
         with pytest.raises(ValueError):
@@ -188,6 +181,47 @@ class TestEigensystem:
             hermitian_eigensystem(np.eye(2))
         with pytest.raises(ConvergenceFailure):
             is_psd(np.eye(2))
+        with pytest.raises(ConvergenceFailure):
+            hermitian_decomposition(np.stack([np.eye(2)] * 3))
+
+
+def _hermitian_stack(rng, count, dim):
+    # mixed scales and signs; the first matrix repeats a magnitude (+-2) and holds an exact zero
+    stack = np.stack([random_hermitian(dim, rng) * 10.0**e for e in rng.integers(-3, 4, size=count)])
+    stack[0] = np.diag([2.0, -2.0, 0.0, 1.0, -3.0][:dim])
+    return stack
+
+
+class TestHermitianDecomposition:
+    def test_magnitudes_are_singular_values(self):
+        rng = np.random.default_rng(23)
+        for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
+            x = _hermitian_stack(rng, int(np.prod(shape)), dim).reshape(*shape, dim, dim)
+            w, v = hermitian_decomposition(x)
+            assert w.shape == x.shape[:-1] and v.shape == x.shape
+            sv = singular_values(x, dim)
+            assert np.all(np.abs(np.abs(w) - sv) <= 1e-12 * sv[..., :1])
+            assert np.all(np.diff(np.abs(w), axis=-1) <= 0.0)
+
+    def test_rebuilds_each_matrix_of_a_stack(self):
+        rng = np.random.default_rng(24)
+        x = _hermitian_stack(rng, 8, 5).reshape(2, 4, 5, 5)
+        w, v = hermitian_decomposition(x)
+        rebuilt = (v * w[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+        for mat, back, vecs in zip(x.reshape(-1, 5, 5), rebuilt.reshape(-1, 5, 5), v.reshape(-1, 5, 5)):
+            assert np.abs(back - mat).max() <= 1e-12 * np.abs(mat).max()
+            assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
+
+    def test_input_checks(self):
+        bad = np.stack([np.eye(3, dtype=complex)] * 4)
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(NonFinite):
+            hermitian_decomposition(bad)
+        bad[2, 1, 0] = np.inf
+        with pytest.raises(NonFinite):
+            hermitian_decomposition(bad)
+        with pytest.raises(DimensionMismatch):
+            hermitian_decomposition(np.zeros((2, 2, 3)))
 
 
 class TestHelpers:
