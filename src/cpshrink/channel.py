@@ -113,12 +113,12 @@ class KrausChannel:
         stack = _frozen(np.stack(ops))
         if not stack.any():
             raise ValueError("Kraus set must contain at least one nonzero operator")
-        m = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
-        w = np.zeros((self.d_in, self.d_in), dtype=np.complex128)
-        for op in stack:
-            m += op @ op.conj().T
-            w += op.conj().T @ op
-        inv = ChannelInvariants(_frozen(hermitize(m)), _frozen(hermitize(w)))
+        # Phi(I) = L L† with L = [E_1 ... E_K]; Phi†(I) = R† R with R the E_n stacked into rows
+        left = stack.transpose(1, 0, 2).reshape(self.d_out, -1)
+        right = stack.reshape(-1, self.d_in)
+        inv = ChannelInvariants(
+            _frozen(hermitize(left @ left.conj().T)), _frozen(hermitize(right.conj().T @ right))
+        )
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "_invariants", inv)
 
@@ -152,7 +152,8 @@ class KrausChannel:
         dev = float(np.abs(vm.conj().T @ vm - np.eye(cols)).max())
         if dev > ISOMETRY_TOL:
             raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
-        return KrausChannel(self.d_in, self.d_out, np.einsum("mn,nab->mab", vm, self.kraus))
+        mixed = vm @ self.kraus.reshape(cols, -1)
+        return KrausChannel(self.d_in, self.d_out, mixed.reshape(rows, self.d_out, self.d_in))
 
     def choi_matrix(self) -> np.ndarray:
         """Block matrix of basis-unit images, row-block index = input basis index.
@@ -161,7 +162,7 @@ class KrausChannel:
         exactly because the map is completely positive.
         """
         vecs = self.kraus.transpose(0, 2, 1).reshape(self.n_kraus, -1)
-        return hermitize(np.einsum("na,nb->ab", vecs, vecs.conj()))
+        return hermitize(vecs.T @ vecs.conj())
 
     def to_dict(self) -> dict:
         """Channel as a JSON-ready dict in the interchange schema."""
@@ -226,7 +227,10 @@ def entries_to_matrix(raw, rows: int, cols: int, field: str) -> np.ndarray:
                 or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
             ):
                 raise ChannelFormatError(f"{field}[{r}][{c}]: expected a [re, im] number pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # an integer literal beyond the float64 range
+                re = im = np.inf
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise ChannelFormatError(f"{field}[{r}][{c}]: entries must be finite")
             out[r, c] = re + 1j * im
@@ -253,12 +257,8 @@ def partial_trace_channel(d_b: int, d_c: int) -> KrausChannel:
     """
     if d_b < 1 or d_c < 1:
         raise ValueError(f"subsystem dimensions must be positive, got ({d_b}, {d_c})")
-    eye = np.eye(d_b, dtype=np.complex128)
-    ops = []
-    for c in range(d_c):
-        bra = np.zeros((1, d_c), dtype=np.complex128)
-        bra[0, c] = 1.0
-        ops.append(np.kron(eye, bra))
+    # the stack of I_b ⊗ <c|, one bra <c| per row of eye(d_c)
+    ops = np.kron(np.eye(d_b), np.eye(d_c)[:, None, :])
     return KrausChannel(d_b * d_c, d_b, ops)
 
 

@@ -96,22 +96,14 @@ def fan_projectors(x, k: int) -> FanProjectors:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     w, v = hermitian_eigensystem(x)
-    dim = w.size
     absw = np.abs(w)
     # stable sort: eigenvalues tied in magnitude keep their decomposition order
     order = np.argsort(-absw, kind="stable")
-    selected = order[: min(k, dim)]
+    selected = order[:k]
     tol = ZERO_EIGENVALUE_TOL * max(1.0, float(absw.max()))
-    pos = [i for i in selected if w[i] > tol]
-    neg = [i for i in selected if w[i] < -tol]
-    p_q = np.zeros((dim, dim), dtype=np.complex128)
-    p_r = np.zeros((dim, dim), dtype=np.complex128)
-    if pos:
-        cols = v[:, pos]
-        p_q = cols @ cols.conj().T
-    if neg:
-        cols = v[:, neg]
-        p_r = cols @ cols.conj().T
+    pos, neg = selected[w[selected] > tol], selected[w[selected] < -tol]
+    # an empty selection gives the zero projector
+    p_q, p_r = (v[:, cols] @ v[:, cols].conj().T for cols in (pos, neg))
     return FanProjectors(hermitize(p_q), hermitize(p_r), k)
 
 

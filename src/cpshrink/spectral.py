@@ -3,9 +3,10 @@
 ``singular_values`` (zero-padded spectra, read by every norm and check) is the
 package's one SVD call. ``hermitian_decomposition`` (eigenpairs by descending
 magnitude, read by the lower-bound search) and ``hermitian_eigensystem`` share
-its one checked ``eigh`` call. Both stack-aware helpers take one matrix or a
-stack. Everything is complex128 and written for small dimensions; no sparse or
-structured paths.
+its one ``eigh`` call, and ``is_psd`` makes the one ``eigvalsh`` call; all three
+go through one checked call that raises a solver failure as ConvergenceFailure.
+Both stack-aware helpers take one matrix or a stack. Everything is complex128
+and written for small dimensions; no sparse or structured paths.
 """
 
 from __future__ import annotations
@@ -71,11 +72,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -2, -1).conj()) / 2.0
 
 
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _linalg(name: str, *args, **kwargs):
+    """``np.linalg.<name>``, looked up per call, with its LinAlgError raised as ConvergenceFailure."""
     try:
-        return np.linalg.eigh(mat)
+        return getattr(np.linalg, name)(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+        what = "singular value decomposition failed" if name == "svd" else "eigensolver did not converge"
+        raise ConvergenceFailure(f"{what}: {exc}") from exc
 
 
 def singular_values(m, padded_dim: int) -> np.ndarray:
@@ -96,10 +99,7 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
-    try:
-        s = np.linalg.svd(mat, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"singular value decomposition failed: {exc}") from exc
+    s = _linalg("svd", mat, compute_uv=False)
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))
@@ -136,7 +136,7 @@ def hermitian_eigensystem(x) -> EigenSystem:
     Convergence failures from the underlying solver are surfaced as
     ConvergenceFailure, never masked.
     """
-    w, v = _eigh(require_hermitian(x))
+    w, v = _linalg("eigh", require_hermitian(x))
     return EigenSystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
 
 
@@ -153,7 +153,7 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     mat = as_complex_matrix(x, stacked=True)
     if mat.shape[-2] != mat.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
-    w, v = _eigh(mat)
+    w, v = _linalg("eigh", mat)
     order = np.argsort(-np.abs(w), axis=-1)
     # one index array per leading axis, broadcast against the order
     lead = np.indices(w.shape[:-1] + (1,), sparse=True)[:-1]
@@ -163,10 +163,7 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
 def is_psd(x) -> bool:
     """Positive semidefinite up to ``-PSD_TOL * max(1, largest eigenvalue)``."""
     mat = require_hermitian(x)
-    try:
-        w = np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    w = _linalg("eigvalsh", mat)
     return bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 

@@ -18,7 +18,7 @@ from cpshrink.errors import (
     InfeasibleShape,
     NotIsometry,
 )
-from cpshrink.spectral import is_psd, random_hermitian
+from cpshrink.spectral import hermitize, is_psd, random_hermitian
 
 
 # ==== independent oracles ====
@@ -213,6 +213,22 @@ class TestInvariants:
         assert np.abs(inv.identity_image - m).max() <= 1e-10
         assert np.abs(inv.adjoint_identity_image - w).max() <= 1e-10
 
+    def test_pair_is_kernel_at_identity(self):
+        # Phi(I) and Phi†(I) as kraus_map gives them at the identity, with the
+        # Kraus stack and with the adjoint stack E_n†, bit for bit
+        shapes = [(1, 1, 1), (1, 3, 2), (3, 1, 4), (2, 2, 1), (3, 2, 2), (2, 4, 3), (4, 3, 4), (5, 5, 4)]
+        base = [random_channel(*shape, 1.0, 50 + i) for i, shape in enumerate(shapes)]
+        channels = base + [phi.remix(random_isometry(phi.n_kraus + 2, phi.n_kraus, 3)) for phi in base]
+        channels += [KrausChannel.from_json(phi.to_json()) for phi in base]
+        channels += [random_cptp_channel(3, 2, 2, 4), partial_trace_channel(2, 3)]
+        for phi in channels:
+            inv = phi.invariants()
+            adjoint = np.swapaxes(phi.kraus, -2, -1).conj()
+            image = hermitize(kraus_map(phi.kraus, np.eye(phi.d_in)))
+            adjoint_image = hermitize(kraus_map(adjoint, np.eye(phi.d_out)))
+            np.testing.assert_array_equal(inv.identity_image, image)
+            np.testing.assert_array_equal(inv.adjoint_identity_image, adjoint_image)
+
     def test_psd(self):
         for seed in range(10):
             inv = random_channel(3, 2, 2, 1.0, seed).invariants()
@@ -250,6 +266,16 @@ class TestRemix:
         assert np.abs(inv.identity_image - minv.identity_image).max() <= 1e-9
         assert np.abs(inv.adjoint_identity_image - minv.adjoint_identity_image).max() <= 1e-9
 
+    def test_matches_operator_sum(self):
+        # G_m = sum_n v[m, n] E_n, for an isometry that grows the set from 3 to 5
+        phi = random_channel(3, 2, 3, 1.0, 13)
+        v = random_isometry(5, 3, 14)
+        mixed = phi.remix(v)
+        assert mixed.kraus.shape == (5, 2, 3)
+        for m in range(5):
+            want = sum(v[m, n] * phi.kraus[n] for n in range(3))
+            assert np.abs(mixed.kraus[m] - want).max() <= 1e-12
+
     def test_rejects_non_isometry(self):
         phi = random_channel(2, 2, 2, 1.0, 8)
         with pytest.raises(NotIsometry):
@@ -284,6 +310,14 @@ class TestChoi:
 
 
 class TestPartialTrace:
+    @pytest.mark.parametrize("d_b,d_c", [(1, 1), (1, 3), (3, 1), (2, 3), (3, 2)])
+    def test_kraus_stack_is_kron(self, d_b, d_c):
+        # operator c is I_b ⊗ <c|, exactly
+        phi = partial_trace_channel(d_b, d_c)
+        assert phi.n_kraus == d_c
+        for c, op in enumerate(phi.kraus):
+            np.testing.assert_array_equal(op, np.kron(np.eye(d_b), np.eye(d_c)[c : c + 1]))
+
     def test_identity_input(self):
         phi = partial_trace_channel(2, 2)
         np.testing.assert_allclose(phi.apply(np.eye(4)), 2.0 * np.eye(2), atol=1e-12)
@@ -401,3 +435,10 @@ class TestJsonInterchange:
         doc = {"d_in": 1, "d_out": 1, "kraus": [[[[0.0, 0.0]]]]}
         with pytest.raises(ChannelFormatError, match="kraus"):
             KrausChannel.from_dict(doc)
+
+    @pytest.mark.parametrize("entry", ["[1%s, 0.0]", "[0.0, -1%s]"], ids=["re", "im"])
+    def test_oversized_integer_named(self, entry):
+        # an integer literal beyond the float64 range is no finite entry
+        text = '{"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0], %s]]]}' % (entry % ("0" * 400))
+        with pytest.raises(ChannelFormatError, match=r"^kraus\[0\]\[0\]\[1\]: entries must be finite$"):
+            KrausChannel.from_json(text)

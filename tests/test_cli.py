@@ -245,3 +245,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--channel", str(path), "--trials", "5")
         assert code == 0
         assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0], [1%s, 0.0]]]]}' % ("0" * 400))
+    code, out, err = run(capsys, command, "--channel", str(path))
+    assert code == 2
+    assert out == ""
+    assert "kraus[0][0][1]: entries must be finite" in err

@@ -414,7 +414,8 @@ def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, solver, call, 
 
     phi = random_channel(2, 3, 2, 1.0, 35)
     monkeypatch.setattr(np.linalg, solver, flaky)
-    with pytest.raises(ConvergenceFailure):
+    failure = {"eigh": "eigensolver did not converge", "svd": "singular value decomposition failed"}[solver]
+    with pytest.raises(ConvergenceFailure, match=f"^{failure}: {solver} did not converge$"):
         call(phi)
 
 

@@ -177,12 +177,17 @@ class TestEigensystem:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(ConvergenceFailure):
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        eig_failure = "^eigensolver did not converge: Eigenvalues did not converge$"
+        with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_eigensystem(np.eye(2))
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match=eig_failure):
             is_psd(np.eye(2))
-        with pytest.raises(ConvergenceFailure):
+        with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_decomposition(np.stack([np.eye(2)] * 3))
+        svd_failure = "^singular value decomposition failed: Eigenvalues did not converge$"
+        with pytest.raises(ConvergenceFailure, match=svd_failure):
+            singular_values(np.eye(2), 2)
 
 
 def _hermitian_stack(rng, count, dim):
