@@ -2,10 +2,10 @@
 
 The package answers one question: given a channel in Kraus form, by how much
 can it expand a Hermitian operator's unitarily invariant norm? It provides the
-exact factors for the spectral and trace norms (with saturating inputs), a
-universal upper bound covering every symmetric gauge norm, empirical lower
-bounds with witnesses, and verification utilities for the underlying
-inequalities.
+exact factors for the spectral, trace and Schatten-2 norms (with saturating
+inputs), a universal upper bound covering every symmetric gauge norm,
+empirical lower bounds with witnesses, and verification utilities for the
+underlying inequalities.
 """
 
 from .channel import (
@@ -46,6 +46,7 @@ from .shrink import (
     fan_projectors,
     norm_battery,
     padded_dim_for,
+    schatten2_shrink_factor,
     shrink_report,
     shrink_upper_bound,
     spectral_shrink_factor,
@@ -100,6 +101,7 @@ __all__ = [
     "random_cptp_channel",
     "random_hermitian",
     "random_isometry",
+    "schatten2_shrink_factor",
     "shrink_report",
     "shrink_upper_bound",
     "singular_values",

@@ -16,6 +16,7 @@ each entry a two-element [re, im] list.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,8 @@ class KrausChannel:
     Parameters
     ----------
     d_in, d_out : int
-        Input and output space dimensions.
+        Input and output space dimensions; any integer type (numpy integers
+        included), stored as Python ints.
     kraus : sequence of array_like, or array_like of shape (n, d_out, d_in)
         Operators of shape ``(d_out, d_in)``. Individual zero operators are
         allowed, but at least one operator must be nonzero.
@@ -98,6 +100,8 @@ class KrausChannel:
     _invariants: ChannelInvariants = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "d_in", operator.index(self.d_in))
+        object.__setattr__(self, "d_out", operator.index(self.d_out))
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError(f"dimensions must be positive, got d_in={self.d_in} d_out={self.d_out}")
         ops = []

@@ -7,15 +7,18 @@ largest eigenvalue of Phi(I) (the identity saturates it), and the trace norm
 factor is the largest eigenvalue of Phi†(I) (a rank-1 projector onto a top
 eigenvector saturates it). The maximum of the two bounds the factor for every
 other gauge norm, so each norm gets a bracket
-[empirical lower bound, universal upper bound]; no tightness is claimed in
-between.
+[lower bound, universal upper bound]. The Schatten-2 factor is exact too: the
+largest singular value of sum_n E_n ⊗ conj(E_n), the matrix of Phi on
+row-major vectorized inputs. A report takes the exact factor for every norm
+with a closed form (see ``shrink_report``) and searches the rest; no
+tightness is claimed for a searched lower bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import floor, inf, log2
+from math import floor, inf, log2, sqrt
 
 import numpy as np
 
@@ -41,6 +44,7 @@ __all__ = [
     "fan_projectors",
     "norm_battery",
     "padded_dim_for",
+    "schatten2_shrink_factor",
     "shrink_report",
     "shrink_upper_bound",
     "spectral_shrink_factor",
@@ -137,6 +141,43 @@ def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     top = vectors[:, :1]
     witness = hermitize(top @ top.conj().T)
     return spectral_norm(inv.adjoint_identity_image), witness
+
+
+def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
+    """Exact Schatten-2 factor ``h`` and a Hermitian input of unit Frobenius norm achieving it.
+
+    On row-major vectorized inputs ``Phi`` is the matrix
+    ``M = sum_n E_n ⊗ conj(E_n)``, so over complex inputs the factor is
+    ``h = sigma_max(M)``, with ``h**2`` the top eigenvalue of
+    ``M† M = sum_{n,m} B_nm ⊗ conj(B_nm)``, ``B_nm = E_n† E_m``. That Gram is the
+    realignment of the Gram of the vectorized ``B_nm``, which are the blocks of
+    ``L† L`` (``L = [E_1 ... E_K]``), so ``M`` itself is never formed. Hermitian
+    inputs reach ``h``: ``Phi`` maps Hermitian ``A``, ``B`` to Hermitian images,
+    so ``||Phi(A + iB)||_2**2 = ||Phi(A)||_2**2 + ||Phi(B)||_2**2`` against
+    ``||A + iB||_2**2 = ||A||_2**2 + ||B||_2**2``. And since
+    ``Phi(X†) = Phi(X)†``, the top eigenspace is closed under ``X -> X†``: the top
+    eigenvector, reshaped to ``X = H_1 + i H_2`` (``H_1``, ``H_2`` Hermitian), has
+    both parts in it, one of them with at least half of the squared norm, and
+    that part, normalized, is the witness.
+
+    The Gram is built from the Kraus set rescaled by a power of two (its
+    largest entry in [1, 2)), so nothing under- or overflows and Kraus operators
+    ``c * E`` give ``c**2`` times the value for ``E``. When ``c`` is a power of
+    two the rescaled set is the same, so value and witness scale bit for bit,
+    down to subnormal entries (where the value itself underflows to 0).
+    """
+    n_kraus, d_out, d_in = phi.kraus.shape
+    k = floor(log2(np.abs(phi.kraus).max()))
+    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
+    ops = np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128)
+    left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
+    blocks = (left.conj().T @ left).reshape(n_kraus, d_in, n_kraus, d_in).transpose(0, 2, 1, 3)
+    vecs = blocks.reshape(n_kraus * n_kraus, d_in * d_in)
+    gram = (vecs.T @ vecs.conj()).reshape(d_in, d_in, d_in, d_in).transpose(0, 2, 1, 3)
+    values, vectors = hermitian_eigensystem(hermitize(gram.reshape(d_in * d_in, d_in * d_in)))
+    x = vectors[:, 0].reshape(d_in, d_in)
+    witness = max((hermitize(x), hermitize(1j * x)), key=lambda part: np.vdot(part, part).real)
+    return sqrt(values[0]) * 4.0**k, witness / sqrt(np.vdot(witness, witness).real)
 
 
 def _norm_gradients(norms: list[GaugeNorm], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +329,11 @@ class ShrinkReport:
 
     ``upper_bound`` equals max(spectral_factor, trace_factor) exactly and
     bounds every entry's shrinking factor; every bracket holds
-    ``empirical_lower <= upper_bound``, a search value rounding above the bound
-    being stored as the bound. Each bracket's witness has unit gauge norm and
-    achieves its ``empirical_lower`` up to rounding.
+    ``empirical_lower <= upper_bound``, a value rounding above the bound being
+    stored as the bound. Each bracket's witness has unit gauge norm and
+    achieves its ``empirical_lower`` up to rounding. Rows for Schatten inf,
+    Ky Fan 1, Schatten 1, Ky Fan k >= ``padded_dim`` and Schatten 2 hold the
+    exact factor; the others hold the search's best value.
     """
 
     upper_bound: float
@@ -305,19 +348,37 @@ def shrink_report(
 ) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
-    The same seed drives every norm's search, and all of them run as one
-    batched ascent, so reports are reproducible.
+    A norm with a closed form takes the exact factor and its witness, with no
+    search: Schatten inf and Ky Fan 1 are the spectral norm, so the spectral
+    factor at the identity; Schatten 1, and Ky Fan k with k at or beyond the
+    padded dimension, are the trace norm on inputs and images alike, so the
+    trace factor at its rank-1 projector; Schatten 2 is
+    ``schatten2_shrink_factor``. Every other norm (combinations included) is
+    searched by one batched ``empirical_lower_bound`` call, which returns at
+    once when no norm is left; each searched row equals its single-norm search
+    bit for bit. The same seed drives every search, so reports are
+    reproducible.
     """
     norms = list(norms)
-    s_val, _ = spectral_shrink_factor(phi)
-    t_val, _ = trace_shrink_factor(phi)
-    upper = max(s_val, t_val)
-    found = empirical_lower_bound(phi, norms, restarts, steps, seed)
+    padded = padded_dim_for(phi)
+    spectral, trace = spectral_shrink_factor(phi), trace_shrink_factor(phi)
+    upper = max(spectral[0], trace[0])
+    found, searched = {}, []
+    for norm in dict.fromkeys(norms):
+        if norm in (Schatten(inf), KyFan(1)):
+            found[norm] = spectral
+        elif norm == Schatten(1.0) or isinstance(norm, KyFan) and norm.k >= padded:
+            found[norm] = trace
+        elif norm == Schatten(2.0):
+            found[norm] = schatten2_shrink_factor(phi)
+        else:
+            searched.append(norm)
+    found.update(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
     return ShrinkReport(
         upper_bound=upper,
-        spectral_factor=s_val,
-        trace_factor=t_val,
-        # the bound is proven, so a search value above it is rounding in the ratio
-        per_norm=tuple(NormBracket(norm, min(lower, upper), w) for norm, (lower, w) in zip(norms, found)),
-        padded_dim=padded_dim_for(phi),
+        spectral_factor=spectral[0],
+        trace_factor=trace[0],
+        # the bound is proven, so a value above it is rounding
+        per_norm=tuple(NormBracket(norm, min(found[norm][0], upper), found[norm][1]) for norm in norms),
+        padded_dim=padded,
     )

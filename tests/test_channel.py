@@ -401,6 +401,15 @@ class TestJsonInterchange:
         for a, b in zip(phi.kraus, again.kraus):
             np.testing.assert_array_equal(a, b)
 
+    def test_numpy_integer_dimensions_round_trip(self):
+        # shapes drawn with rng.integers are numpy integers; the dimensions are stored as ints
+        d_in, d_out = np.int64(2), np.int32(3)
+        phi = KrausChannel(d_in, d_out, random_channel(2, 3, 2, 1.0, 78).kraus)
+        assert type(phi.d_in) is int and type(phi.d_out) is int
+        again = KrausChannel.from_json(phi.to_json())
+        assert (again.d_in, again.d_out) == (2, 3)
+        np.testing.assert_array_equal(again.kraus, phi.kraus)
+
     def test_schema_shape(self):
         doc = json.loads(partial_trace_channel(2, 2).to_json())
         assert doc["d_in"] == 4 and doc["d_out"] == 2

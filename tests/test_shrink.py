@@ -9,6 +9,7 @@ from cpshrink.channel import (
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
+    random_isometry,
 )
 from cpshrink import shrink
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
@@ -20,6 +21,7 @@ from cpshrink.shrink import (
     fan_projectors,
     norm_battery,
     padded_dim_for,
+    schatten2_shrink_factor,
     shrink_report,
     shrink_upper_bound,
     spectral_shrink_factor,
@@ -185,6 +187,97 @@ class TestExactFactors:
             assert shrink_upper_bound(phi) == max(s_val, t_val)
 
 
+def _schatten2_cases():
+    # shapes with d_in or d_out equal to 1, a cptp, a ptrace and an identity channel, and a
+    # Kraus set holding a zero and a rank-one operator; the ptrace and identity channels have
+    # a degenerate top eigenvalue
+    shapes = [(1, 1, 1), (1, 4, 2), (4, 1, 3), (3, 3, 2), (2, 5, 1), (6, 4, 3), (8, 8, 2)]
+    return [random_channel(*shape, 1.0, seed) for seed, shape in enumerate(shapes)] + [
+        random_cptp_channel(4, 3, 2, 8),
+        partial_trace_channel(2, 3),
+        identity_channel(3),
+        KrausChannel(3, 2, (np.zeros((2, 3)), np.outer([1.0, 2j], [1.0, 0.0, -1.0]))),
+    ]
+
+
+def _assert_attaining_witness(phi, h, witness):
+    # Hermitian bit for bit, unit Frobenius norm, and its image's Frobenius norm is h
+    padded = padded_dim_for(phi)
+    assert witness.shape == (phi.d_in, phi.d_in)
+    np.testing.assert_array_equal(witness, witness.conj().T)
+    assert gauge_eval(Schatten(2.0), singular_values(witness, padded)) == pytest.approx(1.0, rel=1e-12)
+    achieved = gauge_eval(Schatten(2.0), singular_values(phi.apply(witness), padded))
+    assert achieved == pytest.approx(h, rel=1e-12)
+
+
+class TestSchattenTwoFactor:
+    def test_matches_dense_oracle(self):
+        # the oracle: the largest singular value of the map's matrix sum_n E_n (x) conj(E_n)
+        for phi in _schatten2_cases():
+            h, _ = schatten2_shrink_factor(phi)
+            oracle = np.linalg.svd(sum(np.kron(e, e.conj()) for e in phi.kraus), compute_uv=False)[0]
+            assert h == pytest.approx(oracle, rel=1e-12)
+
+    def test_witness_is_hermitian_unit_and_attains(self):
+        for phi in _schatten2_cases():
+            _assert_attaining_witness(phi, *schatten2_shrink_factor(phi))
+
+    @pytest.mark.parametrize("turn", [1, -1, 1j], ids=["hermitian", "anti-hermitian", "between"])
+    def test_witness_for_any_eigenvector_phase(self, monkeypatch, turn):
+        # a simple top eigenvector is fixed only up to a phase, and X† is a multiple of X;
+        # turn it so that X is Hermitian, anti-Hermitian or neither: the witness must take the
+        # larger Hermitian part, normalized, whatever the phase
+        real = shrink.hermitian_eigensystem
+
+        def turned(x):
+            values, vectors = real(x)
+            top = vectors[:, 0].reshape(round(len(values) ** 0.5), -1)
+            return values, vectors * np.sqrt(turn * np.vdot(top, top.conj().T) / np.vdot(top, top))
+
+        monkeypatch.setattr(shrink, "hermitian_eigensystem", turned)
+        for phi in _schatten2_cases()[:7]:  # random draws, whose top eigenvalue is simple
+            _assert_attaining_witness(phi, *schatten2_shrink_factor(phi))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        e=st.integers(-150, 150),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        seed=st.integers(0, 1000),
+    )
+    @example(e=-150, shape=(3, 2, 2), seed=5)
+    @example(e=150, shape=(3, 2, 2), seed=5)
+    def test_scales_by_c_squared(self, e, shape, seed):
+        phi = random_channel(*shape, 1.0, seed)
+        h, witness = schatten2_shrink_factor(phi)
+        h_c, _ = schatten2_shrink_factor(KrausChannel(phi.d_in, phi.d_out, 10.0**e * phi.kraus))
+        assert h_c / 10.0 ** (2 * e) == pytest.approx(h, rel=1e-12)
+        # a power-of-two scale is exact: the rescaled Kraus set is the same
+        p = 2.0 ** (3 * e)
+        h_p, witness_p = schatten2_shrink_factor(KrausChannel(phi.d_in, phi.d_out, p * phi.kraus))
+        assert h_p == h * p**2
+        np.testing.assert_array_equal(witness_p, witness)
+
+    def test_subnormal_kraus_entries(self):
+        # the power-of-two rescale is exact down to subnormal entries: the witness is unchanged
+        # and the value underflows to 0, as the exact one does in float64
+        ops = np.array([[[1.0, 2.0], [0.0, -1j]], [[0.5, 0.0], [1j, 1.0]]])
+        _, witness = schatten2_shrink_factor(KrausChannel(2, 2, ops))
+        h_tiny, witness_tiny = schatten2_shrink_factor(KrausChannel(2, 2, 2.0**-1070 * ops))
+        assert h_tiny == 0.0
+        np.testing.assert_array_equal(witness_tiny, witness)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 1000),
+    )
+    def test_unchanged_under_remix(self, shape, extra, seed):
+        phi = random_channel(*shape, 1.0, seed)
+        mixed = phi.remix(random_isometry(phi.n_kraus + extra, phi.n_kraus, seed))
+        assert schatten2_shrink_factor(mixed)[0] == pytest.approx(schatten2_shrink_factor(phi)[0], rel=1e-12)
+
+
 class TestEmpiricalLowerBound:
     def test_saturates_spectral_with_analytic_seeds_only(self):
         for seed in range(5):
@@ -247,19 +340,27 @@ class TestEmpiricalLowerBound:
                     assert np.vdot(y, e).real == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-8)
 
     def test_batched_search_matches_single_norm_calls(self):
-        # one batched ascent for all norms gives each norm's single-norm result bit for bit,
-        # and a report's rows are those results, clamped to the universal bound
+        # one batched ascent for all norms gives each norm's single-norm result bit for bit; a
+        # report's rows are the exact factors for the norms with a closed form and those
+        # results for the rest, clamped to the universal bound
         norms = norm_battery(3)
         for phi in (random_channel(3, 2, 2, 1.0, 40), random_channel(2, 4, 3, 1e-3, 41),
                     random_cptp_channel(4, 3, 2, 42), partial_trace_channel(2, 2)):
             batched = empirical_lower_bound(phi, norms, restarts=5, steps=12, seed=3)
             rep = shrink_report(phi, norms, restarts=5, steps=12, seed=3)
+            s, t = spectral_shrink_factor(phi), trace_shrink_factor(phi)
+            h = schatten2_shrink_factor(phi)
+            closed = {Schatten(INF): s, KyFan(1): s, Schatten(1.0): t, Schatten(2.0): h}
+            # Ky Fan k at or beyond the padded dimension is the trace norm on both sides
+            closed.update({KyFan(k): t for k in range(padded_dim_for(phi), 4)})
             assert len(batched) == len(rep.per_norm) == len(norms)
             for norm, (lower, witness), row in zip(norms, batched, rep.per_norm):
                 single, single_witness = empirical_lower_bound(phi, norm, restarts=5, steps=12, seed=3)
-                assert lower == single and row.empirical_lower == min(single, rep.upper_bound)
+                assert lower == single
                 np.testing.assert_array_equal(witness, single_witness)
-                np.testing.assert_array_equal(row.witness, single_witness)
+                want, want_witness = closed.get(norm, (single, single_witness))
+                assert row.empirical_lower == min(want, rep.upper_bound)
+                np.testing.assert_array_equal(row.witness, want_witness)
 
     def test_witness_has_unit_norm_and_achieves(self):
         norms = [Schatten(2.0), KyFan(2), Schatten(1.5)]
@@ -448,14 +549,30 @@ class TestBatteryAndReport:
 
     @pytest.mark.parametrize("n_norms", [1, 4, 10])
     def test_report_computes_trace_factor_twice(self, monkeypatch, n_norms):
-        # once for the report's factors and once for the one batched search, whatever the norm count
+        # once for the report's factors and once for the one batched search, whatever the norm
+        # count; the first norm alone is Schatten 1, a closed-form row, so nothing is searched
+        # and the search returns before it reads the trace factor
         calls = []
         real = shrink.trace_shrink_factor
         monkeypatch.setattr(shrink, "trace_shrink_factor", lambda phi: calls.append(phi) or real(phi))
         phi = random_channel(3, 2, 2, 1.0, 43)
         rep = shrink_report(phi, norm_battery(3)[:n_norms], restarts=2, steps=3, seed=0)
         assert len(rep.per_norm) == n_norms
-        assert len(calls) == 2
+        assert len(calls) == (1 if n_norms == 1 else 2)
+
+    def test_default_report_runs_no_search(self, monkeypatch):
+        # schatten:inf, 2 and 1 all have a closed form, so no decomposition stack is taken, and
+        # neither is one for Ky Fan 1 or Ky Fan k at or beyond the padded dimension (4 here);
+        # one searched norm makes the search run
+        calls = []
+        real = shrink.hermitian_decomposition
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(x) or real(x))
+        phi = random_channel(4, 3, 2, 1.0, 44)
+        shrink_report(phi, [Schatten(INF), Schatten(2.0), Schatten(1.0)], restarts=20, steps=40, seed=0)
+        shrink_report(phi, [KyFan(1), KyFan(4), KyFan(7)], restarts=20, steps=40, seed=0)
+        assert calls == []
+        shrink_report(phi, [Schatten(INF), Schatten(3.0)], restarts=2, steps=3, seed=0)
+        assert len(calls) == 2 * (1 + 3)
 
     def test_brackets_never_invert(self):
         # on both channels the search ratio rounds above the proven bound at these settings
