@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="gauge norm spec (repeatable); default: " + " ".join(DEFAULT_NORMS),
     )
     rep.add_argument("--restarts", type=int, default=20, help="random search restarts")
-    rep.add_argument("--steps", type=int, default=40, help="ascent steps per restart")
+    rep.add_argument(
+        "--steps", type=int, default=40, help="search steps per start (a cap where the search can stop early)"
+    )
     rep.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     rep.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -25,6 +25,7 @@ __all__ = [
     "format_norm",
     "gauge_eval",
     "gauge_value_grad",
+    "kyfan_weights",
     "parse_norm",
 ]
 
@@ -99,6 +100,20 @@ def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.nda
         parts = [(c, gauge_value_grad(t, s)) for c, t in norm.terms]
         return sum(c * v for c, (v, _) in parts), sum(c * g for c, (_, g) in parts)
     raise TypeError(f"unsupported gauge norm: {norm!r}")
+
+
+def kyfan_weights(norm: GaugeNorm, n: int) -> np.ndarray | None:
+    """Weights ``w`` with ``norm(s) = <w, s>`` for every descending ``s >= 0`` of length ``n``.
+
+    Ky Fan norms, Schatten 1 and inf, and positive combinations of these are
+    linear on descending spectra; a norm with a Schatten-p term, 1 < p < inf,
+    is not, and gives None.
+    """
+    terms = norm.terms if isinstance(norm, Combination) else ((1.0, norm),)
+    if any(isinstance(t, Schatten) and t.p not in (1.0, inf) for _, t in terms):
+        return None
+    # a linear gauge's gradient is its weight vector, at any spectrum
+    return gauge_value_grad(norm, np.ones(n))[1]
 
 
 def gauge_eval(norm: GaugeNorm, spectrum):

@@ -23,7 +23,7 @@ from math import floor, inf, log2, sqrt
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_value_grad
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_value_grad, kyfan_weights
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
@@ -56,6 +56,7 @@ ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
 ASCENT_STEP0 = 0.1
 ASCENT_DECAY = 0.9
+STALL_GAIN = 1e-12
 
 
 def padded_dim_for(phi: KrausChannel) -> int:
@@ -180,13 +181,120 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     return sqrt(values[0]) * 4.0**k, witness / sqrt(np.vdot(witness, witness).real)
 
 
-def _norm_gradients(norms: list[GaugeNorm], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Norm values ``(N, B)`` and Lewis gradients ``(N, B, d, d)`` of a Hermitian
-    stack ``(N, B, d, d)`` whose block n is measured in ``norms[n]``."""
+def _norm_gradients(
+    norms: list[GaugeNorm], counts: Sequence[int], xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a Hermitian stack
+    ``(R, d, d)`` whose consecutive blocks of ``counts[n]`` matrices are measured in
+    ``norms[n]``."""
     w, v = hermitian_decomposition(xs)
-    parts = [gauge_value_grad(norm, s) for norm, s in zip(norms, np.abs(w))]
-    g = np.sign(w) * np.stack([grad for _, grad in parts])
-    return np.stack([val for val, _ in parts]), (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+    parts = [gauge_value_grad(norm, s) for norm, s in zip(norms, np.split(np.abs(w), np.cumsum(counts)[:-1]))]
+    g = np.sign(w) * np.concatenate([grad for _, grad in parts])
+    return np.concatenate([val for val, _ in parts]), (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+
+
+def _linear_step(norm: GaugeNorm, weights: np.ndarray | None, mu: np.ndarray) -> np.ndarray:
+    """Spectra ``z >= 0`` of unit ``norm`` maximizing ``<mu, z>``, for a stack of PSD eigenvalue
+    vectors ``mu`` in ``hermitian_decomposition``'s order, so descending up to rounding.
+
+    ``U diag(z) U†`` then maximizes ``<G, Z>`` over PSD ``Z`` with ``norm(Z) <= 1`` for
+    ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
+    G's eigenbasis. With Ky Fan weights ``w`` (``gauge.kyfan_weights``) the gauge is
+    ``<w, z>`` on descending ``z``, so the maximizer is a vertex ``1_{<=m} / W_m``,
+    ``W = cumsum(w)``, at the first ``m`` maximizing ``cumsum(mu)_m / W_m``. For Schatten
+    p, 1 < p < inf, Hölder's equality case gives ``(mu / mu_1) ** (1 / (p - 1))``;
+    dividing by ``mu_1`` first keeps every entry in [0, 1] as p -> 1, and ``mu = 0``
+    gives ``e_1``. Rounding below 0 is clipped.
+    """
+    mu = np.maximum(mu, 0.0)
+    index = np.arange(mu.shape[-1])
+    if weights is not None:
+        cut = np.cumsum(weights)
+        m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
+        return (index <= m) / cut[m]
+    top = mu[..., :1]
+    z = np.where(top > 0.0, mu / np.where(top > 0.0, top, 1.0), index == 0) ** (1.0 / (norm.p - 1.0))
+    return z / gauge_value_grad(norm, z)[0][..., None]
+
+
+def _winners(best_vals: np.ndarray, best_xs: np.ndarray, n_norms: int) -> list[tuple[float, np.ndarray]]:
+    """Per norm, the best value and input over its block of start rows; ties go to the earliest start."""
+    best = best_vals.reshape(n_norms, -1)
+    return [(best[n, i], best_xs[n * best.shape[1] + i]) for n, i in enumerate(np.argmax(best, axis=-1))]
+
+
+def _conditional_gradient(
+    ops: np.ndarray,
+    norms: list[GaugeNorm],
+    weights: dict[GaugeNorm, np.ndarray | None],
+    starts: np.ndarray,
+    spectra: np.ndarray,
+    steps: int,
+) -> list[tuple[float, np.ndarray]]:
+    """Best unit-norm PSD input ``(value, witness)`` per norm, by conditional gradient.
+
+    Row ``r`` of the stacks is start ``r % S`` (``starts`` is ``(S, d, d)`` PSD with
+    spectra ``spectra``) measured in ``norms[r // S]``; rows stay grouped by norm as
+    stopped ones leave. Each iteration decomposes the images once for values and
+    gradients, maps the gradients back with one adjoint ``kraus_map``, decomposes the
+    resulting ``G`` once and moves each row to its ``_linear_step``. A row stops once an
+    iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations.
+    """
+    n_starts = len(starts)
+    adjoint = np.swapaxes(ops, -2, -1).conj()
+    owner = np.repeat(np.arange(len(norms)), n_starts)
+    xs = np.concatenate([starts / gauge_value_grad(norm, spectra)[0][:, None, None] for norm in norms])
+    live = np.arange(len(owner))
+    vals, ys = _norm_gradients(norms, [n_starts] * len(norms), kraus_map(ops, xs))
+    best_vals, best_xs = vals.copy(), xs.copy()
+    for _ in range(steps):
+        if not live.size:
+            break
+        counts = np.bincount(owner[live], minlength=len(norms))
+        mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
+        z = np.concatenate([
+            _linear_step(norm, weights[norm], block)
+            for norm, block in zip(norms, np.split(mu, np.cumsum(counts)[:-1]))
+        ])
+        xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
+        new_vals, ys = _norm_gradients(norms, counts, kraus_map(ops, xs))
+        improved = new_vals > best_vals[live]
+        best_vals[live[improved]] = new_vals[improved]
+        best_xs[live[improved]] = xs[improved]
+        moving = new_vals - vals > STALL_GAIN * vals
+        live, vals, ys = live[moving], new_vals[moving], ys[moving]
+    return _winners(best_vals, best_xs, len(norms))
+
+
+def _ascent(
+    ops: np.ndarray, norms: list[GaugeNorm], starts: np.ndarray, steps: int
+) -> list[tuple[float, np.ndarray]]:
+    """Best unit-norm Hermitian input ``(value, witness)`` per norm, by gradient ascent.
+
+    Every norm climbs from every start (``(S, d, d)``), ``steps`` moves of length
+    ``ASCENT_STEP0 * ASCENT_DECAY**t`` along the normalized ratio gradient.
+    """
+    adjoint = np.swapaxes(ops, -2, -1).conj()
+    counts = [len(starts)] * len(norms)
+
+    def evaluate(xs: np.ndarray):
+        # unit-norm inputs, ratios and ratio gradients, from one eigh of inputs and one of images
+        size, y_in = _norm_gradients(norms, counts, xs)
+        image, y_out = _norm_gradients(norms, counts, kraus_map(ops, xs))
+        vals = image / size
+        grads = hermitize(kraus_map(adjoint, y_out) - vals[..., None, None] * y_in)
+        return xs / size[..., None, None], vals, grads
+
+    xs, vals, grads = evaluate(np.tile(starts, (len(norms), 1, 1)))
+    best_vals, best_xs = vals.copy(), xs.copy()
+    for t in range(steps):
+        step = ASCENT_STEP0 * ASCENT_DECAY**t
+        gnorm = np.linalg.norm(grads, axis=(-2, -1))
+        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None])
+        improved = vals > best_vals
+        best_vals[improved] = vals[improved]
+        best_xs[improved] = xs[improved]
+    return _winners(best_vals, best_xs, len(norms))
 
 
 def empirical_lower_bound(
@@ -194,28 +302,45 @@ def empirical_lower_bound(
 ) -> tuple[float, np.ndarray] | list[tuple[float, np.ndarray]]:
     """Best found value of |||Phi(x)||| over unit-norm Hermitian inputs.
 
-    Multi-start ascent. Two analytic seeds are always evaluated (the
-    normalized identity and the trace-factor witness), followed by ``restarts``
-    random Hermitian directions; each start takes ``steps`` moves of length
-    0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
-    renormalizing to unit gauge norm after every move. At unit norm that
-    gradient is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where
-    ``r`` is the ratio and ``Y(V diag(w) V†) = V diag(sign(w) * g) V†`` is the
-    norm's gradient at a Hermitian matrix with eigenpairs ``(w, V)`` (A. S.
-    Lewis, SIAM J. Optim. 6, 1996). One ``gauge_value_grad(norm, |w|)`` call
-    per spectrum gives both ``|||x|||`` and ``g``, on the descending ``|w|``
-    that ``hermitian_decomposition`` returns. The best value over the whole
-    schedule wins; ties go to the earliest start. Deterministic for fixed
-    arguments, and the result can never exceed the universal upper bound beyond
-    numerical noise. The search runs on the Kraus set rescaled by a power of
-    two, so the result scales exactly with the channel: Kraus operators
-    ``c * E`` give ``c**2`` times the value for ``E``.
+    For a positive map ``|||Phi(x)||| <= |||Phi(|x|)|||`` (``-Phi(|x|) <= Phi(x) <=
+    Phi(|x|)``; R. Bhatia, *Matrix Analysis*, 1997), so the factor is reached on PSD
+    inputs, where ``f(X) = |||Phi(X)|||`` is convex with PSD gradient
+    ``G = Phi†(Y(Phi(X)))``. Two step rules, each from the same schedule of starts:
+    two analytic ones (the normalized identity and the trace-factor witness), then
+    ``restarts`` random ones.
+
+    - Conditional gradient (the "generalized power" iteration of M. Journée,
+      Y. Nesterov, P. Richtárik, R. Sepulchre, JMLR 11, 2010) for every norm whose
+      linear step has a closed form (``_linear_step``): Ky Fan norms, Schatten p and
+      positive combinations of Ky Fan and Schatten 1 and inf terms. The random starts
+      are pure states ``vv†``. Each iteration moves to ``argmax {<G, Z> : Z >= 0,
+      |||Z||| <= 1}``, which cannot lower the value; ``steps`` caps the iterations, and
+      a start stops as soon as one gains at most ``STALL_GAIN`` of its value.
+      Witnesses are PSD.
+    - Gradient ascent for a combination with a Schatten-p term, 1 < p < inf, whose
+      linear step has no closed form. The random starts are Hermitian
+      (``random_hermitian``). Each start takes ``steps`` moves of length
+      0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
+      renormalizing to unit gauge norm after every move. At unit norm that gradient
+      is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where ``r`` is the
+      ratio.
+
+    ``Y(V diag(w) V†) = V diag(sign(w) * g) V†`` is the norm's gradient at a Hermitian
+    matrix with eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one
+    ``gauge_value_grad(norm, |w|)`` call per spectrum gives both the norm and ``g``,
+    on the descending ``|w|`` that ``hermitian_decomposition`` returns. The best
+    value over the whole schedule wins; ties go to the earliest start.
+    Deterministic for fixed arguments, and the result can never exceed the
+    universal upper bound beyond numerical noise. The search runs on the Kraus set
+    rescaled by a power of two (its largest entry in [1, 2)), so the result scales
+    exactly with the channel: Kraus operators ``c * E`` give ``c**2`` times the
+    value for ``E``.
 
     Returns ``(lower, witness)`` with the witness at unit gauge norm. ``norm``
-    may also be a sequence of N norms: the N searches then run from the same
-    starts as one batched ascent, one decomposition per step over all of them,
-    and a list of N ``(lower, witness)`` pairs is returned, each equal bit for
-    bit to that norm's single-norm call.
+    may also be a sequence of N norms: the searches of each step rule then run as
+    one batched search, one decomposition per stage over all their rows, and a list
+    of N ``(lower, witness)`` pairs is returned, each equal bit for bit to that
+    norm's single-norm call.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -225,38 +350,31 @@ def empirical_lower_bound(
     if not norms:
         return []
     d = phi.d_in
-    t, trace_witness = trace_shrink_factor(phi)
-    # search where t is in [1, 4): a power-of-two rescale is exact and keeps the gradient norm finite
-    k = floor(log2(t) / 2)
-    ops = phi.kraus * 2.0**-k
-    adjoint = np.swapaxes(ops, -2, -1).conj()
-
-    def evaluate(xs: np.ndarray):
-        # unit-norm inputs, ratios and ratio gradients, from one eigh of inputs and one of images
-        size, y_in = _norm_gradients(norms, xs)
-        image, y_out = _norm_gradients(norms, kraus_map(ops, xs))
-        vals = image / size
-        grads = hermitize(kraus_map(adjoint, y_out) - vals[..., None, None] * y_in)
-        return xs / size[..., None, None], vals, grads
-
-    rng = np.random.default_rng(seed)
-    starts = [np.eye(d, dtype=np.complex128), trace_witness]
-    starts += [random_hermitian(d, rng) for _ in range(restarts)]
-
-    xs, vals, grads = evaluate(np.tile(np.stack(starts), (len(norms), 1, 1, 1)))
-    best_vals, best_xs = vals.copy(), xs.copy()
-    for t in range(steps):
-        step = ASCENT_STEP0 * ASCENT_DECAY**t
-        gnorm = np.linalg.norm(grads, axis=(-2, -1))
-        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None])
-        improved = vals > best_vals
-        best_vals[improved] = vals[improved]
-        best_xs[improved] = xs[improved]
-    found = [
-        (float(best_vals[n, i]) * 4.0**k, best_xs[n, i].copy())
-        for n, i in enumerate(np.argmax(best_vals, axis=-1))
-    ]
-    return found[0] if isinstance(norm, GaugeNorm) else found
+    _, trace_witness = trace_shrink_factor(phi)
+    k = floor(log2(np.abs(phi.kraus).max()))
+    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
+    ops = np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128)
+    unique = list(dict.fromkeys(norms))
+    weights = {n: kyfan_weights(n, d) for n in unique}
+    stepped = [n for n in unique if weights[n] is not None or isinstance(n, Schatten)]
+    ascended = [n for n in unique if n not in stepped]
+    found = {}
+    if stepped:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        starts = np.concatenate([[np.eye(d), trace_witness], v[:, :, None] * v[:, None, :].conj()])
+        # the identity's spectrum is all ones, every other start's is e_1
+        spectra = np.eye(1, d).repeat(len(starts), axis=0)
+        spectra[0] = 1.0
+        found.update(zip(stepped, _conditional_gradient(ops, stepped, weights, starts, spectra, steps)))
+    if ascended:
+        rng = np.random.default_rng(seed)
+        starts = [np.eye(d, dtype=np.complex128), trace_witness]
+        starts += [random_hermitian(d, rng) for _ in range(restarts)]
+        found.update(zip(ascended, _ascent(ops, ascended, np.stack(starts), steps)))
+    out = [(float(found[n][0]) * 4.0**k, found[n][1].copy()) for n in norms]
+    return out[0] if isinstance(norm, GaugeNorm) else out
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,16 @@ class TestReport:
         row = json.loads(out)["norms"][0]
         assert row["empirical_lower"] <= row["upper_bound"] * (1 + 1e-9)
 
+    def test_underflowing_trace_factor_exits_0(self, capsys, tmp_path):
+        # Kraus entries near 1e-170: every factor underflows to 0, and the search still runs
+        path = tmp_path / "tiny.json"
+        path.write_text(random_channel(2, 2, 1, 1e-170, 1).to_json())
+        code, out, err = run(capsys, "report", "--channel", str(path), "--norm", "schatten:3", "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [row["empirical_lower"] for row in doc["norms"]] == [0.0]
+        assert doc["factors"]["upper_bound"] == 0.0
+
     def test_long_norm_spec_keeps_its_column(self, capsys):
         spec = "combo:0.5*schatten:2+2*kyfan:2"
         assert len(spec) >= 28

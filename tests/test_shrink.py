@@ -13,7 +13,7 @@ from cpshrink.channel import (
 )
 from cpshrink import shrink
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
-from cpshrink.gauge import Combination, KyFan, Schatten, gauge_eval
+from cpshrink.gauge import Combination, KyFan, Schatten, format_norm, gauge_eval, kyfan_weights, parse_norm
 from cpshrink.shrink import (
     check_gauge_bounds,
     check_kyfan_bounds,
@@ -28,7 +28,13 @@ from cpshrink.shrink import (
     top_k_eigensum,
     trace_shrink_factor,
 )
-from cpshrink.spectral import random_hermitian, singular_values, spectral_norm, trace_norm
+from cpshrink.spectral import (
+    hermitian_decomposition,
+    random_hermitian,
+    singular_values,
+    spectral_norm,
+    trace_norm,
+)
 
 INF = float("inf")
 
@@ -328,7 +334,8 @@ class TestEmpiricalLowerBound:
         norms = norm_battery(3)
         xs = np.stack([np.stack([random_hermitian(4, rng) for _ in range(3)]) for _ in norms])
         assert (np.linalg.eigvalsh(xs)[..., 0] < 0).all() and (np.linalg.eigvalsh(xs)[..., -1] > 0).all()
-        values, grads = shrink._norm_gradients(norms, xs)
+        values, grads = shrink._norm_gradients(norms, [3] * len(norms), xs.reshape(-1, 4, 4))
+        values, grads = values.reshape(len(norms), 3), grads.reshape(xs.shape)
         h = 1e-6
         for norm, block, vals, ys in zip(norms, xs, values, grads):
             for x, val, y in zip(block, vals, ys):
@@ -409,7 +416,20 @@ class TestEmpiricalLowerBound:
             phi = random_channel(d_in, d_out, n_kraus, 1.0, seed)
             h = np.linalg.svd(sum(np.kron(e, e.conj()) for e in phi.kraus), compute_uv=False)[0]
             lower, _ = empirical_lower_bound(phi, Schatten(2.0), restarts=20, steps=40, seed=0)
-            assert h * (1 - 1e-5) <= lower <= h * (1 + 1e-12)
+            assert h * (1 - 1e-9) <= lower <= h * (1 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 2.0**-1070], ids=["1e-170", "subnormal"])
+    def test_underflowing_trace_factor(self, scale):
+        # at Kraus entries below about 1e-162, t = ||Phi†(I)|| underflows to 0; the search
+        # rescales from the largest Kraus entry, exactly down to subnormal entries, so it still
+        # runs, and only its values underflow
+        phi = random_channel(3, 2, 2, scale, 40)
+        assert trace_shrink_factor(phi)[0] == 0.0
+        padded = padded_dim_for(phi)
+        norms = norm_battery(3)
+        for norm, (lower, witness) in zip(norms, empirical_lower_bound(phi, norms, 3, 5, seed=0), strict=True):
+            assert lower == 0.0
+            assert gauge_eval(norm, singular_values(witness, padded)) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
@@ -421,6 +441,113 @@ class TestEmpiricalLowerBound:
             empirical_lower_bound(phi, norm_battery(2), restarts=-1, steps=5, seed=0)
         with pytest.raises(ValueError):
             empirical_lower_bound(phi, norm_battery(2), restarts=1, steps=-1, seed=0)
+
+
+def _random_psd(dim, rank, rng):
+    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return a @ a.conj().T
+
+
+# every family with a closed-form linear step
+STEPPED_NORMS = [Schatten(1.0), Schatten(1.1), Schatten(1.5), Schatten(2.0), Schatten(3.0), Schatten(INF),
+                 KyFan(1), KyFan(2), KyFan(3), KyFan(6),
+                 Combination(((1.0, KyFan(1)), (1.0, Schatten(1.0)))),
+                 Combination(((1.0, KyFan(1)), (2.0, KyFan(3)))),
+                 Combination(((0.5, Schatten(INF)), (0.25, KyFan(2))))]
+
+# (channel, universal bound, empirical_lower_bound(phi, PINNED_NORMS, 20, 40, 0) values) of the
+# batched Hermitian ascent that searched every norm before the conditional-gradient rule
+PINNED_NORMS = [parse_norm(spec) for spec in (
+    "schatten:1.5", "schatten:3", "kyfan:2",
+    "combo:1*kyfan:1+1*schatten:1", "combo:1*kyfan:1+2*kyfan:3", "combo:0.5*schatten:2+2*kyfan:2",
+)]
+PINNED = [
+    (random_channel(3, 2, 2, 1.0, 40), 9.81674719074042,
+     [8.1511996437460255, 8.4826573691261959, 8.8606326284791876, 8.3347265115403282, 8.4933181239368789,
+      8.6469169042847014]),
+    (random_channel(2, 4, 3, 1.0, 41), 22.20425719398057,
+     [18.938953103872723, 17.614436557156051, 21.613555494917609, 19.753332263056706, 20.394032075877629,
+      20.773861338428027]),
+    (random_channel(4, 4, 2, 1.0, 46), 33.84372117053839,
+     [27.701105122429606, 24.818096915924496, 33.843721170538394, 28.233631907498086, 30.047825287402564,
+      32.110661086583988]),
+    (random_channel(3, 3, 3, 1.0, 47), 30.887254733627845,
+     [22.640528071642112, 24.809411075999321, 23.869065777697866, 24.530093063460434, 23.599107697415132,
+      23.114483842132291]),
+    (random_cptp_channel(4, 3, 2, 42), 1.9190730439113826,
+     [1.2166757661298417, 1.5233270927571425, 1.7663071012236831, 1.3058720938055377, 1.4170104348444832,
+      1.6680908907342142]),
+    (partial_trace_channel(2, 2), 2.0,
+     [1.2599210498948732, 1.5874010519681998, 2.0, 1.3333286300013447, 1.4285714285714286,
+      1.8828427124746192]),
+]
+
+
+class TestConditionalGradient:
+    @pytest.mark.parametrize("norm", STEPPED_NORMS, ids=format_norm)
+    def test_linear_step_is_optimal(self, norm):
+        # the step's Z has unit norm, is PSD, and beats <G, X> for 200 feasible PSD X: the
+        # identity, pure states and random inputs of every rank, each at unit norm
+        rng = np.random.default_rng(60)
+        dim = 4
+        weights = kyfan_weights(norm, dim)
+        for rank in (1, 2, 3, 4):
+            g = _random_psd(dim, rank, rng)
+            g /= spectral_norm(g)
+            mu, u = hermitian_decomposition(g)
+            z = shrink._linear_step(norm, weights, mu)
+            step = (u * z) @ u.conj().T
+            assert z.min() >= 0.0
+            assert gauge_eval(norm, z) == pytest.approx(1.0, abs=1e-12)
+            assert gauge_eval(norm, singular_values(step, dim)) == pytest.approx(1.0, abs=1e-12)
+            best = np.vdot(g, step).real
+            xs = [np.eye(dim)] + [_random_psd(dim, 1, rng) for _ in range(99)]
+            xs += [_random_psd(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(100)]
+            for x in xs:
+                assert np.vdot(g, x).real / gauge_eval(norm, singular_values(x, dim)) <= best + 1e-12
+
+    @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2)], ids=format_norm)
+    def test_linear_step_at_zero_gradient_is_first_direction(self, norm):
+        z = shrink._linear_step(norm, kyfan_weights(norm, 3), np.zeros(3))
+        np.testing.assert_allclose(z, [1.0, 0.0, 0.0], rtol=1e-15)
+
+    def test_witnesses_are_psd_with_unit_norm(self):
+        for phi in (random_channel(3, 2, 2, 1.0, 50), random_channel(4, 3, 3, 1.0, 51),
+                    random_cptp_channel(3, 4, 2, 52)):
+            padded = padded_dim_for(phi)
+            for norm, (lower, witness) in zip(STEPPED_NORMS, empirical_lower_bound(phi, STEPPED_NORMS, 5, 15, 0)):
+                np.testing.assert_array_equal(witness, witness.conj().T)
+                spectrum = np.linalg.eigvalsh(witness)
+                assert spectrum[0] >= -1e-12 * spectrum[-1]
+                assert gauge_eval(norm, singular_values(witness, padded)) == pytest.approx(1.0, abs=1e-12)
+                achieved = gauge_eval(norm, singular_values(phi.apply(witness), padded))
+                assert achieved == pytest.approx(lower, rel=1e-12)
+
+    def test_converged_search_stops_early(self, monkeypatch):
+        # every start of both norms is stationary after 21 iterations: 1 + 2 * 21 decompositions
+        # of stacks, not 1 + 2 * 10000, and a cap at 21 gives the same result bit for bit
+        calls = []
+        real = shrink.hermitian_decomposition
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(len(x)) or real(x))
+        phi = random_channel(3, 2, 2, 1.0, 40)
+        norms = [Schatten(3.0), KyFan(2)]
+        found = empirical_lower_bound(phi, norms, restarts=4, steps=10_000, seed=0)
+        assert len(calls) == 43
+        assert calls[:5] == [12, 12, 12, 11, 11] and calls[-2:] == [1, 1]
+        for (a, wa), (b, wb) in zip(found, empirical_lower_bound(phi, norms, restarts=4, steps=21, seed=0)):
+            assert a == b
+            np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_no_loss_against_the_ascent(self, case):
+        phi, bound, pinned = PINNED[case]
+        assert shrink_upper_bound(phi) == bound
+        found = empirical_lower_bound(phi, PINNED_NORMS, 20, 40, 0)
+        for norm, want, (lower, _) in zip(PINNED_NORMS, pinned, found, strict=True):
+            if kyfan_weights(norm, phi.d_in) is None and not isinstance(norm, Schatten):
+                assert lower == want  # a mixed combination keeps the ascent
+            else:
+                assert lower >= want - 1e-9 * bound
 
 
 class TestInequalityChecks:
@@ -490,7 +617,7 @@ class TestInequalityChecks:
 @pytest.mark.parametrize(
     "solver, call, min_ndim",
     [
-        # only stacks fail here, so the error must come from the ascent's batched
+        # only stacks fail here, so the error must come from the search's batched
         # hermitian_decomposition (the trace witness decomposes one matrix)
         ("eigh", lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
         ("svd", shrink_upper_bound, 2),
@@ -572,7 +699,8 @@ class TestBatteryAndReport:
         shrink_report(phi, [KyFan(1), KyFan(4), KyFan(7)], restarts=20, steps=40, seed=0)
         assert calls == []
         shrink_report(phi, [Schatten(INF), Schatten(3.0)], restarts=2, steps=3, seed=0)
-        assert len(calls) == 2 * (1 + 3)
+        # the starts' images, then G and the images at each of the 3 iterations, which all run
+        assert len(calls) == 1 + 2 * 3
 
     def test_brackets_never_invert(self):
         # on both channels the search ratio rounds above the proven bound at these settings
