@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     InfeasibleShape,
     NotIsometry,
 )
-from .spectral import as_complex_matrix, hermitize, require_hermitian
+from .spectral import as_complex_matrix, hermitian_eigensystem, hermitize, require_hermitian, spectral_norm
 
 __all__ = [
     "ChannelInvariants",
@@ -70,10 +71,32 @@ class ChannelInvariants:
     ``identity_image`` is the channel applied to the identity (lives on the
     output space); ``adjoint_identity_image`` is the adjoint map applied to the
     identity (lives on the input space). Both are positive semidefinite.
+
+    The spectral data every shrinking factor reads is derived from the pair here
+    and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
+    ``t = ||Phi†(I)||_inf`` and the trace witness. A failed solver call is
+    raised and not kept, so the next read tries again.
     """
 
     identity_image: np.ndarray
     adjoint_identity_image: np.ndarray
+
+    @cached_property
+    def identity_image_norm(self) -> float:
+        """``s``: the spectral-norm factor, and the largest eigenvalue of ``Phi(I)``."""
+        return spectral_norm(self.identity_image)
+
+    @cached_property
+    def adjoint_identity_image_norm(self) -> float:
+        """``t``: the trace-norm factor, and the largest eigenvalue of ``Phi†(I)``."""
+        return spectral_norm(self.adjoint_identity_image)
+
+    @cached_property
+    def adjoint_top_projector(self) -> np.ndarray:
+        """Read-only rank-1 projector onto the first listed top eigenvector of ``Phi†(I)``."""
+        _, vectors = hermitian_eigensystem(self.adjoint_identity_image)
+        top = vectors[:, :1]
+        return _frozen(hermitize(top @ top.conj().T))
 
 
 @dataclass(frozen=True)

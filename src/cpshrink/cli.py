@@ -27,7 +27,8 @@ from .shrink import (
     shrink_report,
     shrink_upper_bound,
 )
-from .spectral import is_psd, random_hermitian, spectral_norm
+from .spectral import is_psd, random_hermitian
+from .spectral import spectral_norm  # unused; bench/tracer.py wraps cli.spectral_norm by name
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -141,8 +142,8 @@ def _report_doc(args, phi: KrausChannel) -> dict:
             "kraus_count": phi.n_kraus,
         },
         "invariants": {
-            "identity_image_norm": spectral_norm(inv.identity_image),
-            "adjoint_identity_image_norm": spectral_norm(inv.adjoint_identity_image),
+            "identity_image_norm": inv.identity_image_norm,
+            "adjoint_identity_image_norm": inv.adjoint_identity_image_norm,
         },
         "factors": {
             "upper_bound": rep.upper_bound,

@@ -30,7 +30,7 @@ from .spectral import (
     hermitize,
     random_hermitian,
     singular_values,
-    spectral_norm,
+    spectral_norm,  # unused; bench/tracer.py wraps shrink.spectral_norm by name
 )
 
 __all__ = [
@@ -115,10 +115,10 @@ def fan_projectors(x, k: int) -> FanProjectors:
 def shrink_upper_bound(phi: KrausChannel) -> float:
     """Upper bound on the shrinking factor valid for every gauge norm.
 
-    The larger spectral norm of the two invariant operators.
+    The larger spectral norm of the two invariant operators, ``max(s, t)``.
     """
     inv = phi.invariants()
-    return max(spectral_norm(inv.identity_image), spectral_norm(inv.adjoint_identity_image))
+    return max(inv.identity_image_norm, inv.adjoint_identity_image_norm)
 
 
 def spectral_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
@@ -127,8 +127,7 @@ def spectral_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     The identity is a maximizer because its image is the invariant operator on
     the output space.
     """
-    inv = phi.invariants()
-    return spectral_norm(inv.identity_image), np.eye(phi.d_in, dtype=np.complex128)
+    return phi.invariants().identity_image_norm, np.eye(phi.d_in, dtype=np.complex128)
 
 
 def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
@@ -136,12 +135,17 @@ def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
 
     The witness projects onto a leading eigenvector of the input-space
     invariant operator; under degeneracy the first listed eigenvector is used.
+    It is the channel's one read-only copy.
     """
     inv = phi.invariants()
-    _, vectors = hermitian_eigensystem(inv.adjoint_identity_image)
-    top = vectors[:, :1]
-    witness = hermitize(top @ top.conj().T)
-    return spectral_norm(inv.adjoint_identity_image), witness
+    return inv.adjoint_identity_image_norm, inv.adjoint_top_projector
+
+
+def _rescaled_kraus(phi: KrausChannel) -> tuple[np.ndarray, int]:
+    """The Kraus stack times ``2**-k``, and ``k``, for the ``k`` that puts its largest entry in [1, 2)."""
+    k = floor(log2(np.abs(phi.kraus).max()))
+    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
+    return np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128), k
 
 
 def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
@@ -168,9 +172,7 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     down to subnormal entries (where the value itself underflows to 0).
     """
     n_kraus, d_out, d_in = phi.kraus.shape
-    k = floor(log2(np.abs(phi.kraus).max()))
-    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
-    ops = np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128)
+    ops, k = _rescaled_kraus(phi)
     left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
     blocks = (left.conj().T @ left).reshape(n_kraus, d_in, n_kraus, d_in).transpose(0, 2, 1, 3)
     vecs = blocks.reshape(n_kraus * n_kraus, d_in * d_in)
@@ -351,9 +353,7 @@ def empirical_lower_bound(
         return []
     d = phi.d_in
     _, trace_witness = trace_shrink_factor(phi)
-    k = floor(log2(np.abs(phi.kraus).max()))
-    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
-    ops = np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128)
+    ops, k = _rescaled_kraus(phi)
     unique = list(dict.fromkeys(norms))
     weights = {n: kyfan_weights(n, d) for n in unique}
     stepped = [n for n in unique if weights[n] is not None or isinstance(n, Schatten)]

@@ -265,3 +265,34 @@ def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "kraus[0][0][1]: entries must be finite" in err
+
+
+@pytest.mark.parametrize("argv, svd, eigh", [
+    # s and t take one SVD each, the fuzz two (images and inputs); one eigh for the trace
+    # witness and one for the Schatten-2 Gram
+    (("report", "--channel", "cptp:3x2x2:1"), 4, 2),
+    # the searched row reads the same cached witness; the search's eigh calls are not pinned here
+    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None),
+    # the printed bound reads the s and t the stacked check already computed
+    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0),
+    # 4 per channel: the remixed channels never read s, t or the witness
+    (("verify", "--random", "3"), 12, 0),
+], ids=["report", "report-schatten3", "verify-channel", "verify-random"])
+def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
+    counts = {"svd": 0, "eigh": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert counts["svd"] == svd
+    assert eigh is None or counts["eigh"] == eigh

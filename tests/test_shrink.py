@@ -431,6 +431,24 @@ class TestEmpiricalLowerBound:
             assert lower == 0.0
             assert gauge_eval(norm, singular_values(witness, padded)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("norm", [Schatten(3.0), parse_norm("combo:0.5*schatten:2+2*kyfan:2")],
+                             ids=["conditional-gradient", "ascent"])
+    def test_ties_go_to_the_identity_start(self, monkeypatch, norm):
+        # on the identity channel every start reaches the factor 1, so starts tie exactly; the
+        # earliest, the normalized identity, must win over the trace witness and the random ones
+        phi = identity_channel(3)
+        real = shrink._winners
+        tied = []
+
+        def spy(best_vals, best_xs, n_norms):
+            tied.append(int(np.count_nonzero(best_vals == 1.0)))
+            return real(best_vals, best_xs, n_norms)
+
+        monkeypatch.setattr(shrink, "_winners", spy)
+        val, witness = empirical_lower_bound(phi, norm, 4, 10, 0)
+        assert tied[0] >= 5 and val == 1.0
+        np.testing.assert_allclose(witness, np.eye(3) / gauge_eval(norm, np.ones(3)), rtol=0, atol=1e-15)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
@@ -678,7 +696,8 @@ class TestBatteryAndReport:
     def test_report_computes_trace_factor_twice(self, monkeypatch, n_norms):
         # once for the report's factors and once for the one batched search, whatever the norm
         # count; the first norm alone is Schatten 1, a closed-form row, so nothing is searched
-        # and the search returns before it reads the trace factor
+        # and the search returns before it reads the trace factor. Both calls only read the
+        # channel's cached t and witness: the spectral work is done once (TestSharedSpectralData)
         calls = []
         real = shrink.trace_shrink_factor
         monkeypatch.setattr(shrink, "trace_shrink_factor", lambda phi: calls.append(phi) or real(phi))
@@ -711,3 +730,56 @@ class TestBatteryAndReport:
             for bracket in rep.per_norm:
                 assert bracket.empirical_lower <= rep.upper_bound
                 assert rep.upper_bound - bracket.empirical_lower >= 0.0
+
+
+class TestSharedSpectralData:
+    """``s``, ``t`` and the trace witness are derived once per channel, on first read."""
+
+    NORMS = [Schatten(INF), Schatten(1.0), Schatten(2.0), Schatten(3.0), KyFan(2),
+             parse_norm("combo:0.5*schatten:2+2*kyfan:2")]
+
+    @staticmethod
+    def _assert_same_report(a, b):
+        assert (a.upper_bound, a.spectral_factor, a.trace_factor, a.padded_dim) == (
+            b.upper_bound, b.spectral_factor, b.trace_factor, b.padded_dim)
+        for x, y in zip(a.per_norm, b.per_norm, strict=True):
+            assert x.norm == y.norm and x.empirical_lower == y.empirical_lower
+            np.testing.assert_array_equal(x.witness, y.witness)
+
+    def test_second_report_matches_a_fresh_channel(self):
+        phi = random_channel(3, 2, 2, 1.0, 45)
+        shrink_report(phi, self.NORMS, restarts=3, steps=4, seed=1)
+        again = shrink_report(phi, self.NORMS, restarts=3, steps=4, seed=1)
+        fresh = shrink_report(random_channel(3, 2, 2, 1.0, 45), self.NORMS, restarts=3, steps=4, seed=1)
+        self._assert_same_report(again, fresh)
+
+    def test_trace_witness_is_read_only(self):
+        phi = random_channel(3, 2, 2, 1.0, 46)
+        before = shrink_report(phi, self.NORMS, restarts=3, steps=4, seed=1)
+        _, witness = trace_shrink_factor(phi)
+        row = before.per_norm[self.NORMS.index(Schatten(1.0))].witness
+        for target in (witness, row):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0, 0] = 7.0
+        self._assert_same_report(shrink_report(phi, self.NORMS, restarts=3, steps=4, seed=1), before)
+
+    @pytest.mark.parametrize("solver, read", [
+        ("svd", shrink_upper_bound),
+        ("svd", lambda phi: trace_shrink_factor(phi)[0]),
+        ("eigh", lambda phi: trace_shrink_factor(phi)[1]),
+    ], ids=["upper-bound", "trace-factor", "trace-witness"])
+    def test_failed_first_read_is_not_kept(self, monkeypatch, solver, read):
+        real = getattr(np.linalg, solver)
+        failures = []
+
+        def fail_once(*args, **kwargs):
+            if not failures:
+                failures.append(solver)
+                raise np.linalg.LinAlgError(f"{solver} did not converge")
+            return real(*args, **kwargs)
+
+        phi = random_channel(3, 2, 2, 1.0, 47)
+        monkeypatch.setattr(np.linalg, solver, fail_once)
+        with pytest.raises(ConvergenceFailure):
+            read(phi)
+        np.testing.assert_array_equal(read(phi), read(random_channel(3, 2, 2, 1.0, 47)))
