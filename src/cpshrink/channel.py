@@ -99,6 +99,28 @@ class ChannelInvariants:
         return _frozen(hermitize(top @ top.conj().T))
 
 
+def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:
+    """A fresh complex128 stack ``(n, d_out, d_in)`` of the validated Kraus set.
+
+    A nonempty array of that shape is validated in one call; anything else, or
+    an array that fails, goes operator by operator, so errors name the operator.
+    """
+    if isinstance(kraus, np.ndarray) and kraus.shape[1:] == (d_out, d_in) and len(kraus):
+        try:
+            return as_complex_matrix(np.array(kraus, dtype=np.complex128), stacked=True)
+        except (TypeError, ValueError):
+            pass  # the loop raises the same error for the first bad operator
+    ops = []
+    for idx, op in enumerate(kraus):
+        mat = as_complex_matrix(op)
+        if mat.shape != (d_out, d_in):
+            raise DimensionMismatch(f"kraus[{idx}] has shape {mat.shape}, expected ({d_out}, {d_in})")
+        ops.append(mat)
+    if not ops:
+        raise ValueError("at least one Kraus operator is required")
+    return np.stack(ops)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Completely positive map given by a list of Kraus operators.
@@ -127,17 +149,7 @@ class KrausChannel:
         object.__setattr__(self, "d_out", operator.index(self.d_out))
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError(f"dimensions must be positive, got d_in={self.d_in} d_out={self.d_out}")
-        ops = []
-        for idx, op in enumerate(self.kraus):
-            mat = as_complex_matrix(op)
-            if mat.shape != (self.d_out, self.d_in):
-                raise DimensionMismatch(
-                    f"kraus[{idx}] has shape {mat.shape}, expected ({self.d_out}, {self.d_in})"
-                )
-            ops.append(mat)
-        if not ops:
-            raise ValueError("at least one Kraus operator is required")
-        stack = _frozen(np.stack(ops))
+        stack = _frozen(_kraus_stack(self.kraus, self.d_out, self.d_in))
         if not stack.any():
             raise ValueError("Kraus set must contain at least one nonzero operator")
         # Phi(I) = L L† with L = [E_1 ... E_K]; Phi†(I) = R† R with R the E_n stacked into rows

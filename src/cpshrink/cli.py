@@ -130,7 +130,7 @@ def _report_doc(args, phi: KrausChannel) -> dict:
     inv = phi.invariants()
 
     rng = np.random.default_rng(args.seed)
-    xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(REPORT_FUZZ_INPUTS)])
+    xs = random_hermitian(phi.d_in, rng, REPORT_FUZZ_INPUTS)
     oks = np.stack([chk.ok for chk in check_kyfan_bounds(phi, xs)])
     checks, failures = oks.size, int(oks.size - np.count_nonzero(oks))
 
@@ -262,7 +262,7 @@ def _cmd_verify(args) -> int:
 
     for _, phi in channels:
         battery = norm_battery(padded_dim_for(phi))
-        xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(args.trials)])
+        xs = random_hermitian(phi.d_in, rng, args.trials)
         oks = np.array([chk.ok for chk in check_gauge_bounds(phi, xs, battery)])  # (norms, trials)
         # the witness is the first trial that fails any norm, as in trial-by-trial order
         first_bad = xs[np.argmin(oks.all(axis=0))]

@@ -369,10 +369,9 @@ def empirical_lower_bound(
         spectra[0] = 1.0
         found.update(zip(stepped, _conditional_gradient(ops, stepped, weights, starts, spectra, steps)))
     if ascended:
-        rng = np.random.default_rng(seed)
-        starts = [np.eye(d, dtype=np.complex128), trace_witness]
-        starts += [random_hermitian(d, rng) for _ in range(restarts)]
-        found.update(zip(ascended, _ascent(ops, ascended, np.stack(starts), steps)))
+        draws = random_hermitian(d, np.random.default_rng(seed), restarts)
+        starts = np.concatenate([[np.eye(d), trace_witness], draws])
+        found.update(zip(ascended, _ascent(ops, ascended, starts, steps)))
     out = [(float(found[n][0]) * 4.0**k, found[n][1].copy()) for n in norms]
     return out[0] if isinstance(norm, GaugeNorm) else out
 
@@ -395,20 +394,21 @@ def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
     """The shrinking inequality across a list of gauge norms, one NormCheck per norm.
 
     ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them; the
-    upper bound is computed once for the whole stack, and each norm is evaluated
-    once on the image and input spectra stacked together.
+    upper bound is computed once for the whole stack, the whole list is
+    evaluated in one ``gauge_eval`` call on the image and input spectra stacked
+    together, and all inequalities are compared at once.
     """
+    norms = list(norms)
     image = phi.apply(x)
     bound = shrink_upper_bound(phi)
     padded = padded_dim_for(phi)
     spectra = np.stack([singular_values(image, padded), singular_values(x, padded)])
-    checks = []
-    for norm in norms:
-        lhs, size = gauge_eval(norm, spectra)
-        rhs = bound * size
-        ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
-        checks.append(NormCheck(norm, lhs, rhs, ok if np.ndim(ok) else bool(ok)))
-    return checks
+    values = gauge_eval(norms, spectra)  # (norms, image | input, ...)
+    lhs, rhs = values[:, 0], bound * values[:, 1]
+    ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
+    return [
+        NormCheck(norm, lhs[n], rhs[n], ok[n] if ok.ndim > 1 else bool(ok[n])) for n, norm in enumerate(norms)
+    ]
 
 
 def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:

@@ -167,8 +167,14 @@ def is_psd(x) -> bool:
     return bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
 
 
-def random_hermitian(dim: int, seed=0) -> np.ndarray:
-    """Hermitian matrix with i.i.d. complex Gaussian entries, symmetrized."""
+def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:
+    """Hermitian matrix with i.i.d. complex Gaussian entries, symmetrized.
+
+    With a ``count`` a stack ``(count, dim, dim)`` comes from one draw. It reads
+    the generator stream in the order of ``count`` single draws, so it equals
+    their stack bit for bit and leaves the generator in the same state.
+    """
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(a)
+    g = rng.standard_normal((1 if count is None else count, 2, dim, dim))
+    x = hermitize(g[:, 0] + 1j * g[:, 1])
+    return x[0] if count is None else x

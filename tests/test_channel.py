@@ -16,6 +16,7 @@ from cpshrink.errors import (
     ChannelFormatError,
     DimensionMismatch,
     InfeasibleShape,
+    NonFinite,
     NotIsometry,
 )
 from cpshrink.spectral import hermitize, is_psd, random_hermitian
@@ -107,10 +108,42 @@ class TestConstruction:
         src = np.stack([np.eye(2), np.diag([0.0, 2.0])]).astype(np.complex128)
         ops = list(src.copy())
         channels = [KrausChannel(2, 2, src), KrausChannel(2, 2, ops)]
+        # the stack is validated in one call on a copy, so the caller's array is not frozen
+        assert src.flags.writeable
         src[1, 0, 0] = ops[1][0, 0] = 7.0
         for phi in channels:
             np.testing.assert_array_equal(phi.kraus[1], np.diag([0.0, 2.0]))
             np.testing.assert_array_equal(phi.invariants().identity_image, np.diag([1.0, 5.0]))
+
+
+class TestStackedConstruction:
+    # an (n, d_out, d_in) array is validated in one call; errors match the per-operator path
+
+    def test_stack_and_list_give_identical_channels(self):
+        src = random_channel(3, 2, 3, 1.0, 6).kraus
+        for ops in (np.array(src), src.real.copy()):
+            stacked, listed = KrausChannel(3, 2, ops), KrausChannel(3, 2, list(ops))
+            assert stacked.kraus.tobytes() == listed.kraus.tobytes()
+            for name in ("identity_image", "adjoint_identity_image"):
+                a, b = (getattr(phi.invariants(), name) for phi in (stacked, listed))
+                assert a.tobytes() == b.tobytes()
+
+    def test_non_finite_stack(self):
+        ops = np.zeros((3, 2, 2))
+        ops[0] = np.eye(2)
+        ops[2, 1, 0] = np.nan
+        with pytest.raises(NonFinite, match="NaN or Inf"):
+            KrausChannel(2, 2, ops)
+
+    def test_wrong_operator_shape_names_the_operator(self):
+        with pytest.raises(DimensionMismatch, match=r"kraus\[0\] has shape \(3, 2\), expected \(2, 3\)"):
+            KrausChannel(3, 2, np.ones((2, 3, 2)))
+
+    def test_empty_and_all_zero_stacks(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            KrausChannel(3, 2, np.zeros((0, 2, 3)))
+        with pytest.raises(ValueError, match="at least one nonzero"):
+            KrausChannel(3, 2, np.zeros((2, 2, 3)))
 
 
 class TestKrausMap:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cpshrink import shrink
+from cpshrink import cli, shrink
 from cpshrink.channel import KrausChannel, matrix_to_entries, random_channel
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
@@ -296,3 +296,20 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
     assert code == 0
     assert counts["svd"] == svd
     assert eigh is None or counts["eigh"] == eigh
+
+
+def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):
+    # one stacked input draw and one battery evaluation per channel, at the names
+    # the benchmark's tracer wraps
+    counts = {"random_hermitian": 0, "gauge_eval": 0}
+    for owner, name in ((cli, "random_hermitian"), (shrink, "gauge_eval")):
+        real = getattr(owner, name)
+
+        def call(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+    code, out, _ = run(capsys, "verify", "--random", "3", "--trials", "20")
+    assert code == 0 and "result: PASS" in out
+    assert counts == {"random_hermitian": 3, "gauge_eval": 3}

@@ -106,6 +106,38 @@ class TestGaugeEval:
             gauge_eval(KyFan(1), np.zeros((0,)))
 
 
+# the battery, repeats of a Ky Fan, a Schatten and a combination, and a combination
+# whose terms (Schatten 4, Ky Fan 7 beyond the spectrum) are nowhere else in the list
+SEQUENCE = norm_battery(5) + [
+    KyFan(2),
+    Schatten(1.5),
+    Combination(((0.5, Schatten(2.0)), (2.0, KyFan(2)))),
+    Combination(((3.0, Schatten(4.0)), (0.25, KyFan(7)))),
+]
+
+
+class TestGaugeEvalSequence:
+    @pytest.mark.parametrize("shape", [(5,), (7, 5), (2, 3, 5)])
+    def test_matches_single_norm_calls_bit_for_bit(self, shape):
+        spectra = np.random.default_rng(10).random(shape)
+        spectra[..., 3] = 0.0  # a zero entry, as padding leaves
+        values = gauge_eval(SEQUENCE, spectra)
+        assert values.shape == (len(SEQUENCE),) + shape[:-1]
+        for n, norm in enumerate(SEQUENCE):
+            assert values[n].tobytes() == np.asarray(gauge_eval(norm, spectra), dtype=float).tobytes()
+
+    def test_tuple_is_a_sequence(self):
+        s = np.array([3.0, 1.0, 2.0])
+        np.testing.assert_array_equal(gauge_eval(tuple(SEQUENCE), s), gauge_eval(SEQUENCE, s))
+
+    def test_empty_sequence(self):
+        assert gauge_eval([], np.ones((4, 3))).shape == (0, 4)
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError):
+            gauge_eval(SEQUENCE, np.array([[1.0, 0.5], [1.0, -0.5]]))
+
+
 GRAD_NORMS = [KyFan(1), KyFan(2), KyFan(3), Schatten(1.0), Schatten(1.5), Schatten(3.0),
               Schatten(INF)] + [n for n in norm_battery(1) if isinstance(n, Combination)]
 

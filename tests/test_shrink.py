@@ -449,6 +449,26 @@ class TestEmpiricalLowerBound:
         assert tied[0] >= 5 and val == 1.0
         np.testing.assert_allclose(witness, np.eye(3) / gauge_eval(norm, np.ones(3)), rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("restarts", [0, 3])
+    def test_ascent_starts_are_the_analytic_two_and_one_draw(self, monkeypatch, restarts):
+        # the random starts are one stacked draw, empty at restarts=0
+        phi = random_channel(3, 2, 2, 1.0, 42)
+        norm = parse_norm("combo:0.5*schatten:2+2*kyfan:2")
+        real = shrink._ascent
+        seen = []
+        monkeypatch.setattr(shrink, "_ascent", lambda ops, norms, starts, steps: seen.append(starts)
+                            or real(ops, norms, starts, steps))
+        lower, witness = empirical_lower_bound(phi, norm, restarts, 5, seed=7)
+        (starts,) = seen
+        assert starts.shape == (2 + restarts, 3, 3)
+        np.testing.assert_array_equal(starts[0], np.eye(3))
+        np.testing.assert_array_equal(starts[1], trace_shrink_factor(phi)[1])
+        rng = np.random.default_rng(7)
+        for got in starts[2:]:
+            assert got.tobytes() == random_hermitian(3, rng).tobytes()
+        assert 0.0 < lower <= shrink_upper_bound(phi)
+        assert gauge_eval(norm, singular_values(witness, padded_dim_for(phi))) == pytest.approx(1.0, rel=1e-12)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
@@ -621,6 +641,25 @@ class TestInequalityChecks:
                     if t == 2:
                         assert single.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
                         assert single.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
+
+    def test_empty_norm_list(self):
+        phi = random_channel(3, 2, 2, 1.0, 38)
+        xs = random_hermitian(3, 39, 4)
+        assert check_gauge_bounds(phi, xs[0], []) == []
+        assert check_gauge_bounds(phi, xs, []) == []
+
+    def test_duplicate_norms_get_one_check_each(self):
+        phi = random_channel(3, 2, 2, 1.0, 40)
+        combo = Combination(((0.5, Schatten(2.0)), (2.0, KyFan(2))))
+        norms = [Schatten(3.0), combo, KyFan(1), Schatten(3.0), combo]
+        for x in (random_hermitian(3, 41), random_hermitian(3, 41, 4)):
+            checks = check_gauge_bounds(phi, x, norms)
+            assert [chk.norm for chk in checks] == norms
+            for first, again in ((0, 3), (1, 4)):
+                for field in ("lhs", "rhs", "ok"):
+                    a, b = getattr(checks[first], field), getattr(checks[again], field)
+                    assert type(a) is type(b) and np.array_equal(a, b)
+            assert all(type(chk.ok) is (bool if x.ndim == 2 else np.ndarray) for chk in checks)
 
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)

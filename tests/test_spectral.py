@@ -240,3 +240,15 @@ class TestHelpers:
         b = random_hermitian(4, 7)
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - a.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("count", [0, 1, 20])
+    def test_random_hermitian_count_is_the_loop_in_one_draw(self, dim, count):
+        one, loop = np.random.default_rng(9), np.random.default_rng(9)
+        stack = random_hermitian(dim, one, count)
+        singles = [random_hermitian(dim, loop) for _ in range(count)]
+        assert stack.shape == (count, dim, dim) and stack.dtype == np.complex128
+        assert stack.tobytes() == np.array(singles, dtype=np.complex128).tobytes()
+        # the generator is left where the loop leaves it
+        assert one.bit_generator.state == loop.bit_generator.state
+        assert one.standard_normal() == loop.standard_normal()
