@@ -3,15 +3,19 @@
 A gauge norm is evaluated on a vector of singular values that has already been
 zero-padded to a common length, so norms of matrices with different shapes can
 be compared on equal footing. Three families are supported: Ky Fan sums,
-Schatten p-norms, and positive combinations of the two. Each family is defined
-once, in ``gauge_value_grad``, which gives the value and the gradient on
-descending spectra; ``gauge_eval`` sorts and validates first and keeps the value.
+Schatten p-norms, and positive combinations of the two. ``base_terms`` reduces
+every norm to its base gauges once, which is where equal norms are told apart;
+each base family is defined once, in ``gauge_value_grad``, which gives the value
+and the gradient on descending spectra; ``gauge_eval`` sorts and validates
+first and keeps the value.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from math import inf, isfinite
 
 import numpy as np
@@ -23,6 +27,7 @@ __all__ = [
     "GaugeNorm",
     "KyFan",
     "Schatten",
+    "base_terms",
     "format_norm",
     "gauge_eval",
     "gauge_value_grad",
@@ -79,6 +84,26 @@ class Combination:
 GaugeNorm = KyFan | Schatten | Combination
 
 
+@cache
+def base_terms(norm: GaugeNorm, n: int) -> tuple[tuple[float, KyFan | Schatten], ...]:
+    """``norm`` as a sum ``((c, base), ...)`` of base gauges on spectra of length ``n``.
+
+    Schatten inf is Ky Fan 1; Schatten 1, and Ky Fan k with k >= n, are Ky Fan n
+    (the trace norm); so a Schatten base has 1 < p < inf. A norm that is not a
+    combination is one term with coefficient 1, and a combination keeps its
+    terms' order. Norms with the same terms are the same gauge on these spectra;
+    this is the one place that decides which norms are equal. Each answer is
+    computed once and shared, so calls on the search's path build no new norms.
+    """
+    if isinstance(norm, Combination):
+        return tuple((c, base) for c, t in norm.terms for _, base in base_terms(t, n))
+    if not isinstance(norm, (KyFan, Schatten)):
+        raise TypeError(f"unsupported gauge norm: {norm!r}")
+    if isinstance(norm, KyFan) and norm.k > n or norm == Schatten(1.0):
+        norm = KyFan(n)
+    return ((1.0, KyFan(1) if norm == Schatten(inf) else norm),)
+
+
 def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and gradient of ``norm``'s gauge function at descending spectra ``s``.
 
@@ -86,32 +111,27 @@ def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.nda
     the last axis and the gradient keeps the shape of ``s``. At a kink (a tie at
     a Ky Fan cut, a zero entry) the gradient is one subgradient, always finite.
     """
-    if isinstance(norm, Schatten) and norm.p in (1.0, inf):
-        norm = KyFan(1 if norm.p == inf else s.shape[-1])
-    if isinstance(norm, KyFan):
-        top_k = np.broadcast_to(np.arange(s.shape[-1]) < norm.k, s.shape)
-        return s[..., : norm.k].sum(axis=-1), top_k.astype(float)
-    if isinstance(norm, Schatten):
-        # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
-        top = s[..., :1]
-        unit = s / np.where(top > 0.0, top, 1.0)
-        size = (unit ** norm.p).sum(axis=-1, keepdims=True) ** (1.0 / norm.p)
-        return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (norm.p - 1.0)
-    if isinstance(norm, Combination):
-        parts = [(c, gauge_value_grad(t, s)) for c, t in norm.terms]
+    (c, base), *rest = terms = base_terms(norm, s.shape[-1])
+    if rest or c != 1.0:
+        parts = [(c, gauge_value_grad(t, s)) for c, t in terms]
         return sum(c * v for c, (v, _) in parts), sum(c * g for c, (_, g) in parts)
-    raise TypeError(f"unsupported gauge norm: {norm!r}")
+    if isinstance(base, KyFan):
+        top_k = np.broadcast_to(np.arange(s.shape[-1]) < base.k, s.shape)
+        return s[..., : base.k].sum(axis=-1), top_k.astype(float)
+    # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
+    top = s[..., :1]
+    unit = s / np.where(top > 0.0, top, 1.0)
+    size = (unit ** base.p).sum(axis=-1, keepdims=True) ** (1.0 / base.p)
+    return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (base.p - 1.0)
 
 
 def kyfan_weights(norm: GaugeNorm, n: int) -> np.ndarray | None:
     """Weights ``w`` with ``norm(s) = <w, s>`` for every descending ``s >= 0`` of length ``n``.
 
-    Ky Fan norms, Schatten 1 and inf, and positive combinations of these are
-    linear on descending spectra; a norm with a Schatten-p term, 1 < p < inf,
-    is not, and gives None.
+    A norm whose base terms are all Ky Fan sums is linear on descending spectra;
+    a norm with a Schatten base (1 < p < inf) is not, and gives None.
     """
-    terms = norm.terms if isinstance(norm, Combination) else ((1.0, norm),)
-    if any(isinstance(t, Schatten) and t.p not in (1.0, inf) for _, t in terms):
+    if any(isinstance(base, Schatten) for _, base in base_terms(norm, n)):
         return None
     # a linear gauge's gradient is its weight vector, at any spectrum
     return gauge_value_grad(norm, np.ones(n))[1]
@@ -124,11 +144,11 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     spectra evaluates to a stack of norm values. A 1-D input returns a float.
     Entries are sorted internally, making the result permutation invariant.
 
-    ``norm`` may also be a sequence of N norms: the spectra are then validated
-    and sorted once, each distinct norm is evaluated once, a combination is
-    summed from its terms' values as ``gauge_value_grad`` sums them, and the N
-    values come stacked on a new leading axis, equal bit for bit to N
-    single-norm calls.
+    ``norm`` may also be a sequence of N norms, and the N values then come
+    stacked on a new leading axis. Either way the spectra are validated and
+    sorted once, each distinct base of ``base_terms`` is evaluated once, and a
+    combination is summed from its bases' values as ``gauge_value_grad`` sums
+    them, so equal norms give equal values bit for bit.
     """
     s = np.asarray(spectrum, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
@@ -136,27 +156,21 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     if np.any(s < 0):
         raise ValueError("spectrum entries must be nonnegative")
     s = np.flip(np.sort(s, axis=-1), axis=-1)
+    norms = [norm] if isinstance(norm, GaugeNorm) else list(norm)
+    terms = [base_terms(n, s.shape[-1]) for n in norms]
+    values = {base: gauge_value_grad(base, s)[0] for base in dict.fromkeys(b for ts in terms for _, b in ts)}
+    out = np.array([sum(c * values[b] for c, b in ts) for ts in terms], dtype=float).reshape(len(norms), *s.shape[:-1])
     if isinstance(norm, GaugeNorm):
-        out, _ = gauge_value_grad(norm, s)
-        return float(out) if s.ndim == 1 else out
-    values = {}
-
-    def value(n: GaugeNorm):
-        if n not in values:
-            values[n] = (
-                sum(c * value(t) for c, t in n.terms) if isinstance(n, Combination) else gauge_value_grad(n, s)[0]
-            )
-        return values[n]
-
-    norms = list(norm)
-    return np.array([value(n) for n in norms], dtype=float).reshape((len(norms),) + s.shape[:-1])
+        return float(out[0]) if s.ndim == 1 else out[0]
+    return out
 
 
 def parse_norm(text: str) -> GaugeNorm:
     """Parse a norm spec: ``kyfan:<k>``, ``schatten:<p>`` or ``combo:<c>*<norm>+...``.
 
     ``schatten:inf`` selects the spectral norm. Combination example:
-    ``combo:1*kyfan:1+0.5*schatten:2``. Coefficients are plain decimals.
+    ``combo:1*kyfan:1+0.5*schatten:2``. Coefficients and exponents are decimals,
+    with or without an exponent part (``1e-3``, ``2.5e+300``).
     """
     t = text.strip()
     if t.startswith("combo:"):
@@ -164,7 +178,8 @@ def parse_norm(text: str) -> GaugeNorm:
         body = t[len("combo:"):]
         if not body:
             raise ValueError("empty combination spec")
-        for part in body.split("+"):
+        # a '+' right after an exponent's 'e' belongs to the number
+        for part in re.split(r"(?<![eE])\+", body):
             coeff_text, sep, norm_text = part.partition("*")
             if not sep:
                 raise ValueError(f"combination term {part!r} must look like <coeff>*<norm>")
@@ -183,21 +198,25 @@ def parse_norm(text: str) -> GaugeNorm:
         except ValueError as exc:
             raise ValueError(f"bad kyfan order {arg!r}") from exc
     if kind == "schatten":
-        if arg.lower() in ("inf", "infinity"):
-            return Schatten(inf)
-        try:
+        try:  # float reads inf and infinity, in any case
             return Schatten(float(arg))
         except ValueError as exc:
             raise ValueError(f"bad schatten exponent {arg!r}") from exc
     raise ValueError(f"unknown norm family {kind!r} in {text!r}")
 
 
+def _number(x: float) -> str:
+    """``x`` in ``:g`` form when that reads back as ``x``, else its shortest exact form."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def format_norm(norm: GaugeNorm) -> str:
-    """Inverse of parse_norm."""
+    """Inverse of parse_norm: ``parse_norm(format_norm(n)) == n`` for every norm."""
     if isinstance(norm, KyFan):
         return f"kyfan:{norm.k}"
     if isinstance(norm, Schatten):
-        return "schatten:inf" if norm.p == inf else f"schatten:{norm.p:g}"
+        return f"schatten:{_number(norm.p)}"
     if isinstance(norm, Combination):
-        return "combo:" + "+".join(f"{c:g}*{format_norm(t)}" for c, t in norm.terms)
+        return "combo:" + "+".join(f"{_number(c)}*{format_norm(t)}" for c, t in norm.terms)
     raise TypeError(f"unsupported gauge norm: {norm!r}")

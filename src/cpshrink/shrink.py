@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import floor, inf, log2, sqrt
+from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, gauge_eval, gauge_value_grad, kyfan_weights
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_value_grad, kyfan_weights
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
@@ -141,11 +141,29 @@ def trace_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     return inv.adjoint_identity_image_norm, inv.adjoint_top_projector
 
 
+def _ldexp(x: np.ndarray, k) -> np.ndarray:
+    """Real or complex ``x`` times ``2**k`` (``k`` broadcasts): ldexp on the real view is
+    exact down to subnormal entries, where ``2.0**k`` itself would overflow."""
+    return np.ldexp(np.ascontiguousarray(x).view(np.float64), k).view(x.dtype)
+
+
 def _rescaled_kraus(phi: KrausChannel) -> tuple[np.ndarray, int]:
     """The Kraus stack times ``2**-k``, and ``k``, for the ``k`` that puts its largest entry in [1, 2)."""
     k = floor(log2(np.abs(phi.kraus).max()))
-    # ldexp on the real view is exact down to subnormal entries, where 2.0**-k would overflow
-    return np.ldexp(phi.kraus.view(np.float64), -k).view(np.complex128), k
+    return _ldexp(phi.kraus, -k), k
+
+
+def _rescaled_norm(norm: GaugeNorm) -> tuple[GaugeNorm, int]:
+    """``norm`` times ``2**-k``, and ``k``, for the ``k`` that puts its largest coefficient in [1, 2).
+
+    A positive multiple of a norm has the same factor, so a search can run on this
+    one without over- or underflowing and scale its witness back by ``2**-k``. A
+    norm that is not a combination has coefficient 1 and comes back as it is.
+    """
+    if not isinstance(norm, Combination):
+        return norm, 0
+    k = frexp(max(c for c, _ in norm.terms))[1] - 1
+    return Combination(tuple((ldexp(c, -k), t) for c, t in norm.terms)), k
 
 
 def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
@@ -203,10 +221,10 @@ def _linear_step(norm: GaugeNorm, weights: np.ndarray | None, mu: np.ndarray) ->
     ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
     G's eigenbasis. With Ky Fan weights ``w`` (``gauge.kyfan_weights``) the gauge is
     ``<w, z>`` on descending ``z``, so the maximizer is a vertex ``1_{<=m} / W_m``,
-    ``W = cumsum(w)``, at the first ``m`` maximizing ``cumsum(mu)_m / W_m``. For Schatten
-    p, 1 < p < inf, Hölder's equality case gives ``(mu / mu_1) ** (1 / (p - 1))``;
-    dividing by ``mu_1`` first keeps every entry in [0, 1] as p -> 1, and ``mu = 0``
-    gives ``e_1``. Rounding below 0 is clipped.
+    ``W = cumsum(w)``, at the first ``m`` maximizing ``cumsum(mu)_m / W_m``. Otherwise
+    every term of ``norm`` has one Schatten-p base, 1 < p < inf, and Hölder's equality
+    case gives ``(mu / mu_1) ** (1 / (p - 1))``; dividing by ``mu_1`` first keeps every
+    entry in [0, 1] as p -> 1, and ``mu = 0`` gives ``e_1``. Rounding below 0 is clipped.
     """
     mu = np.maximum(mu, 0.0)
     index = np.arange(mu.shape[-1])
@@ -214,8 +232,9 @@ def _linear_step(norm: GaugeNorm, weights: np.ndarray | None, mu: np.ndarray) ->
         cut = np.cumsum(weights)
         m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
         return (index <= m) / cut[m]
+    p = base_terms(norm, mu.shape[-1])[0][1].p
     top = mu[..., :1]
-    z = np.where(top > 0.0, mu / np.where(top > 0.0, top, 1.0), index == 0) ** (1.0 / (norm.p - 1.0))
+    z = np.where(top > 0.0, mu / np.where(top > 0.0, top, 1.0), index == 0) ** (1.0 / (p - 1.0))
     return z / gauge_value_grad(norm, z)[0][..., None]
 
 
@@ -269,15 +288,24 @@ def _conditional_gradient(
 
 
 def _ascent(
-    ops: np.ndarray, norms: list[GaugeNorm], starts: np.ndarray, steps: int
+    ops: np.ndarray, scaled: list[tuple[GaugeNorm, int]], starts: np.ndarray, steps: int
 ) -> list[tuple[float, np.ndarray]]:
     """Best unit-norm Hermitian input ``(value, witness)`` per norm, by gradient ascent.
 
-    Every norm climbs from every start (``(S, d, d)``), ``steps`` moves of length
-    ``ASCENT_STEP0 * ASCENT_DECAY**t`` along the normalized ratio gradient.
+    ``scaled`` holds each norm as ``_rescaled_norm`` gives it, ``2**-k`` times the norm
+    as given, with its ``k``. Every norm climbs from every start (``(S, d, d)``), ``steps``
+    moves of length ``ASCENT_STEP0 * ASCENT_DECAY**t`` along the normalized ratio
+    gradient, measured in the norm as given, whose unit inputs are ``2**-k`` times the
+    ones here. ``evaluate`` reads only the direction of its input, so each move is made
+    at whichever of the two scales keeps both terms in range: the search is that of
+    the norm as given, bit for bit, wherever that one stays in range.
     """
+    norms = [norm for norm, _ in scaled]
     adjoint = np.swapaxes(ops, -2, -1).conj()
     counts = [len(starts)] * len(norms)
+    ks = np.repeat([k for _, k in scaled], len(starts))[:, None, None]
+    # 2**-k * xs + move for k > 0, xs + 2**k * move for k < 0: one direction either way
+    on_xs, on_move = np.ldexp(1.0, -np.maximum(ks, 0)), np.ldexp(1.0, np.minimum(ks, 0))
 
     def evaluate(xs: np.ndarray):
         # unit-norm inputs, ratios and ratio gradients, from one eigh of inputs and one of images
@@ -292,7 +320,8 @@ def _ascent(
     for t in range(steps):
         step = ASCENT_STEP0 * ASCENT_DECAY**t
         gnorm = np.linalg.norm(grads, axis=(-2, -1))
-        xs, vals, grads = evaluate(xs + step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None])
+        move = step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None]
+        xs, vals, grads = evaluate(xs * on_xs + move * on_move)
         improved = vals > best_vals
         best_vals[improved] = vals[improved]
         best_xs[improved] = xs[improved]
@@ -313,14 +342,14 @@ def empirical_lower_bound(
 
     - Conditional gradient (the "generalized power" iteration of M. Journée,
       Y. Nesterov, P. Richtárik, R. Sepulchre, JMLR 11, 2010) for every norm whose
-      linear step has a closed form (``_linear_step``): Ky Fan norms, Schatten p and
-      positive combinations of Ky Fan and Schatten 1 and inf terms. The random starts
+      linear step has a closed form (``_linear_step``): a norm whose base terms
+      (``gauge.base_terms``) are all Ky Fan sums, or all one Schatten p. The random starts
       are pure states ``vv†``. Each iteration moves to ``argmax {<G, Z> : Z >= 0,
       |||Z||| <= 1}``, which cannot lower the value; ``steps`` caps the iterations, and
       a start stops as soon as one gains at most ``STALL_GAIN`` of its value.
       Witnesses are PSD.
-    - Gradient ascent for a combination with a Schatten-p term, 1 < p < inf, whose
-      linear step has no closed form. The random starts are Hermitian
+    - Gradient ascent for a combination of two or more distinct bases, one of them
+      Schatten p, whose linear step has no closed form. The random starts are Hermitian
       (``random_hermitian``). Each start takes ``steps`` moves of length
       0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
       renormalizing to unit gauge norm after every move. At unit norm that gradient
@@ -336,7 +365,10 @@ def empirical_lower_bound(
     universal upper bound beyond numerical noise. The search runs on the Kraus set
     rescaled by a power of two (its largest entry in [1, 2)), so the result scales
     exactly with the channel: Kraus operators ``c * E`` give ``c**2`` times the
-    value for ``E``.
+    value for ``E``. Each norm is searched with its coefficients rescaled the same
+    way (``_rescaled_norm``), which changes no bit of a search that stays in range
+    and lets one with extreme coefficients finish; its witness is scaled back
+    exactly, and one beyond the float range has infinite entries.
 
     Returns ``(lower, witness)`` with the witness at unit gauge norm. ``norm``
     may also be a sequence of N norms: the searches of each step rule then run as
@@ -354,10 +386,11 @@ def empirical_lower_bound(
     d = phi.d_in
     _, trace_witness = trace_shrink_factor(phi)
     ops, k = _rescaled_kraus(phi)
-    unique = list(dict.fromkeys(norms))
-    weights = {n: kyfan_weights(n, d) for n in unique}
-    stepped = [n for n in unique if weights[n] is not None or isinstance(n, Schatten)]
-    ascended = [n for n in unique if n not in stepped]
+    scaled = {n: _rescaled_norm(n) for n in norms}
+    weights = {m: kyfan_weights(m, d) for m, _ in scaled.values()}
+    # the ascent is left for two or more distinct bases, one of them Schatten p
+    ascended = [n for n, (m, _) in scaled.items() if weights[m] is None and len({b for _, b in base_terms(m, d)}) > 1]
+    stepped = [n for n in scaled if n not in ascended]
     found = {}
     if stepped:
         rng = np.random.default_rng(seed)
@@ -367,12 +400,14 @@ def empirical_lower_bound(
         # the identity's spectrum is all ones, every other start's is e_1
         spectra = np.eye(1, d).repeat(len(starts), axis=0)
         spectra[0] = 1.0
-        found.update(zip(stepped, _conditional_gradient(ops, stepped, weights, starts, spectra, steps)))
+        searched = [scaled[n][0] for n in stepped]
+        found.update(zip(stepped, _conditional_gradient(ops, searched, weights, starts, spectra, steps)))
     if ascended:
         draws = random_hermitian(d, np.random.default_rng(seed), restarts)
         starts = np.concatenate([[np.eye(d), trace_witness], draws])
-        found.update(zip(ascended, _ascent(ops, ascended, starts, steps)))
-    out = [(float(found[n][0]) * 4.0**k, found[n][1].copy()) for n in norms]
+        found.update(zip(ascended, _ascent(ops, [scaled[n] for n in ascended], starts, steps)))
+    with np.errstate(over="ignore"):
+        out = [(float(found[n][0]) * 4.0**k, _ldexp(found[n][1], -scaled[n][1])) for n in norms]
     return out[0] if isinstance(norm, GaugeNorm) else out
 
 
@@ -450,8 +485,9 @@ class ShrinkReport:
     ``empirical_lower <= upper_bound``, a value rounding above the bound being
     stored as the bound. Each bracket's witness has unit gauge norm and
     achieves its ``empirical_lower`` up to rounding. Rows for Schatten inf,
-    Ky Fan 1, Schatten 1, Ky Fan k >= ``padded_dim`` and Schatten 2 hold the
-    exact factor; the others hold the search's best value.
+    Ky Fan 1, Schatten 1, Ky Fan k >= ``padded_dim``, Schatten 2 and positive
+    multiples of these hold the exact factor; the others hold the search's best
+    value.
     """
 
     upper_bound: float
@@ -466,31 +502,39 @@ def shrink_report(
 ) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
-    A norm with a closed form takes the exact factor and its witness, with no
-    search: Schatten inf and Ky Fan 1 are the spectral norm, so the spectral
-    factor at the identity; Schatten 1, and Ky Fan k with k at or beyond the
-    padded dimension, are the trace norm on inputs and images alike, so the
-    trace factor at its rank-1 projector; Schatten 2 is
-    ``schatten2_shrink_factor``. Every other norm (combinations included) is
-    searched by one batched ``empirical_lower_bound`` call, which returns at
-    once when no norm is left; each searched row equals its single-norm search
-    bit for bit. The same seed drives every search, so reports are
-    reproducible.
+    A norm whose terms (``gauge.base_terms`` at the padded dimension) all have
+    one base with a closed form takes the exact factor and its witness, with no
+    search: Ky Fan 1 (Schatten inf) is the spectral norm, so the spectral factor
+    at the identity; Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the
+    trace norm on inputs and images alike, so the trace factor at its rank-1
+    projector; Schatten 2 is ``schatten2_shrink_factor``. A positive multiple of
+    a norm has its factor, and its witness is divided by the sum of the
+    coefficients. Every other norm is searched by one batched
+    ``empirical_lower_bound`` call, which returns at once when no norm is left;
+    each searched row equals its single-norm search bit for bit. The same seed
+    drives every search, so reports are reproducible.
     """
     norms = list(norms)
     padded = padded_dim_for(phi)
     spectral, trace = spectral_shrink_factor(phi), trace_shrink_factor(phi)
     upper = max(spectral[0], trace[0])
-    found, searched = {}, []
+
+    def closed_form(base: KyFan | Schatten) -> tuple[float, np.ndarray] | None:
+        if isinstance(base, KyFan):
+            return spectral if base.k == 1 else trace if base.k == padded else None
+        return schatten2_shrink_factor(phi) if base.p == 2.0 else None
+
+    found = {}
     for norm in dict.fromkeys(norms):
-        if norm in (Schatten(inf), KyFan(1)):
-            found[norm] = spectral
-        elif norm == Schatten(1.0) or isinstance(norm, KyFan) and norm.k >= padded:
-            found[norm] = trace
-        elif norm == Schatten(2.0):
-            found[norm] = schatten2_shrink_factor(phi)
-        else:
-            searched.append(norm)
+        # coefficients rescaled as the search's, so their sum cannot overflow
+        scaled, e = _rescaled_norm(norm)
+        terms = base_terms(scaled, padded)
+        exact = closed_form(terms[0][1]) if len({b for _, b in terms}) == 1 else None
+        if exact is not None:
+            total = sum(c for c, _ in terms)
+            with np.errstate(over="ignore"):
+                found[norm] = exact if (total, e) == (1.0, 0) else (exact[0], _ldexp(exact[1] / total, -e))
+    searched = [norm for norm in dict.fromkeys(norms) if norm not in found]
     found.update(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
     return ShrinkReport(
         upper_bound=upper,

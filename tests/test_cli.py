@@ -148,6 +148,31 @@ class TestReport:
         assert [row["empirical_lower"] for row in doc["norms"]] == [0.0]
         assert doc["factors"]["upper_bound"] == 0.0
 
+    @pytest.mark.parametrize("spec, plain", [
+        ("combo:1e308*kyfan:1+1e308*kyfan:2", "combo:1*kyfan:1+1*kyfan:2"),
+        ("combo:1e-320*kyfan:2", "combo:1*kyfan:2"),
+        ("combo:1e-320*kyfan:1", "kyfan:1"),
+    ])
+    def test_extreme_coefficients_exit_0(self, capsys, spec, plain):
+        # a positive multiple has the same factor, so the search runs on rescaled coefficients
+        # and neither overflows nor underflows into "bad input"
+        rows = {}
+        for norm in (spec, plain):
+            code, out, err = run(capsys, "report", "--channel", "ptrace:2x3", "--norm", norm, "--format", "json")
+            assert (code, err) == (0, "")
+            (rows[norm],) = json.loads(out)["norms"]
+        assert rows[spec]["empirical_lower"] == pytest.approx(rows[plain]["empirical_lower"], rel=1e-12)
+        assert rows[spec]["gap"] == pytest.approx(rows[plain]["gap"], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", ["schatten:1.0000000001", "schatten:1234567.0",
+                                      "combo:0.1234567*kyfan:1+1*schatten:2"])
+    def test_row_names_the_norm_asked_for(self, capsys, spec):
+        code, out, _ = run(capsys, "report", "--channel", "ptrace:2x3", "--norm", spec, "--restarts", "2",
+                           "--steps", "3", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["norms"]
+        assert row["norm"] == spec
+
     def test_long_norm_spec_keeps_its_column(self, capsys):
         spec = "combo:0.5*schatten:2+2*kyfan:2"
         assert len(spec) >= 28

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cpshrink import gauge
 from cpshrink.errors import DimensionMismatch
 from cpshrink.gauge import (
     Combination,
     KyFan,
     Schatten,
+    base_terms,
     format_norm,
     gauge_eval,
     gauge_value_grad,
@@ -136,6 +140,76 @@ class TestGaugeEvalSequence:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             gauge_eval(SEQUENCE, np.array([[1.0, 0.5], [1.0, -0.5]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_evaluation_per_distinct_base(self, monkeypatch, n):
+        # the battery on spectra of length n: Schatten 1 is Ky Fan n and Schatten inf is Ky Fan 1,
+        # and the combinations' terms are among the rest, so n Ky Fan sums and Schatten 1.5, 2, 3
+        seen = []
+        real = gauge.gauge_value_grad
+        monkeypatch.setattr(gauge, "gauge_value_grad", lambda norm, s: seen.append(norm) or real(norm, s))
+        gauge_eval(norm_battery(n), np.random.default_rng(14).random((2, 3, n)))
+        assert len(seen) == len(set(seen)) == n + 3
+        assert set(seen) == {KyFan(k) for k in range(1, n + 1)} | {Schatten(1.5), Schatten(2.0), Schatten(3.0)}
+
+
+# pairs of equal norms on spectra of length 4
+EQUAL_NORMS = [
+    (Schatten(INF), KyFan(1)),
+    (Schatten(1.0), KyFan(4)),
+    (KyFan(5), KyFan(4)),
+    (KyFan(9), Schatten(1.0)),
+    (Combination(((2.0, Schatten(INF)), (1.0, KyFan(7)))), Combination(((2.0, KyFan(1)), (1.0, Schatten(1.0))))),
+]
+
+
+class TestBaseTerms:
+    def test_spectral_and_trace_ends_are_ky_fan(self):
+        assert base_terms(Schatten(INF), 4) == ((1.0, KyFan(1)),)
+        assert base_terms(Schatten(1.0), 4) == ((1.0, KyFan(4)),)
+        assert base_terms(KyFan(4), 4) == base_terms(KyFan(9), 4) == ((1.0, KyFan(4)),)
+        assert base_terms(KyFan(3), 4) == ((1.0, KyFan(3)),)
+        assert base_terms(Schatten(1.5), 4) == ((1.0, Schatten(1.5)),)
+        assert base_terms(Schatten(1.0), 1) == base_terms(Schatten(INF), 1) == ((1.0, KyFan(1)),)
+
+    def test_combination_keeps_its_terms_in_order(self):
+        norm = Combination(((0.5, Schatten(2.0)), (2.0, KyFan(6)), (3.0, Schatten(INF)), (1.0, Schatten(2.0))))
+        assert base_terms(norm, 5) == ((0.5, Schatten(2.0)), (2.0, KyFan(5)), (3.0, KyFan(1)), (1.0, Schatten(2.0)))
+
+    def test_plain_norms_are_reduced_once(self):
+        # the search's hot path reads the same answer, not a new one per call
+        assert base_terms(KyFan(7), 3) is base_terms(KyFan(7), 3)
+        assert base_terms(KyFan(7), 3)[0][1] is base_terms(KyFan(7), 3)[0][1]
+
+    def test_rejects_other_objects(self):
+        with pytest.raises(TypeError):
+            base_terms(2.0, 3)
+
+    @given(st.integers(1, 8), st.lists(st.tuples(st.floats(1e-3, 1e3), st.one_of(
+        st.builds(KyFan, st.integers(1, 10)),
+        st.builds(Schatten, st.one_of(st.just(1.0), st.just(INF), st.floats(1.0, 50.0))),
+    )), min_size=1, max_size=4))
+    def test_bases_and_values(self, n, terms):
+        norm = Combination(tuple(terms))
+        reduced = base_terms(norm, n)
+        assert [c for c, _ in reduced] == [float(c) for c, _ in terms]
+        for _, base in reduced:
+            assert isinstance(base, KyFan) and base.k <= n or 1.0 < base.p < INF
+        s = -np.sort(-np.random.default_rng(n).random(n))
+        assert gauge_eval(norm, s) == pytest.approx(sum(c * gauge_eval(b, s) for c, b in reduced), rel=1e-12)
+
+    @pytest.mark.parametrize("pair", EQUAL_NORMS, ids=lambda pair: " = ".join(map(format_norm, pair)))
+    def test_equal_norms_give_equal_values_bit_for_bit(self, pair):
+        a, b = pair
+        spectra = np.random.default_rng(15).random((3, 2, 4))
+        spectra[0, 0] = 0.0
+        assert gauge_eval(a, spectra[0, 1]) == gauge_eval(b, spectra[0, 1])
+        assert gauge_eval(a, spectra).tobytes() == gauge_eval(b, spectra).tobytes()
+        values = gauge_eval([a, b], spectra)
+        assert values[0].tobytes() == values[1].tobytes()
+        for s in (spectra[1, 0], spectra):
+            (va, ga), (vb, gb) = gauge_value_grad(a, -np.sort(-s)), gauge_value_grad(b, -np.sort(-s))
+            assert np.asarray(va).tobytes() == np.asarray(vb).tobytes() and ga.tobytes() == gb.tobytes()
 
 
 GRAD_NORMS = [KyFan(1), KyFan(2), KyFan(3), Schatten(1.0), Schatten(1.5), Schatten(3.0),
@@ -288,6 +362,12 @@ class TestFanDominance:
         assert seen_true > 0 and seen_false > 0
 
 
+BASE_NORMS = st.one_of(
+    st.builds(KyFan, st.integers(1, 10**30)),
+    st.builds(Schatten, st.one_of(st.just(INF), st.floats(1.0, allow_infinity=False))),
+)
+
+
 class TestParseFormat:
     @pytest.mark.parametrize(
         "text,expected",
@@ -307,6 +387,35 @@ class TestParseFormat:
         [KyFan(3), Schatten(2.0), Schatten(INF), Combination(((2.0, KyFan(2)), (1.0, Schatten(1.0))))],
     )
     def test_round_trip(self, norm):
+        assert parse_norm(format_norm(norm)) == norm
+
+    @pytest.mark.parametrize(
+        "text",
+        ["schatten:1", "schatten:1.5", "schatten:inf", "kyfan:3", "combo:1*kyfan:1+1*schatten:1",
+         "combo:0.5*schatten:2+2*kyfan:2", "combo:1e+300*schatten:3", "schatten:1e+06"],
+    )
+    def test_short_labels_are_kept(self, text):
+        # a label that reads back as its norm prints as it did
+        assert format_norm(parse_norm(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["schatten:1.0000000001", "schatten:1234567.0", "combo:0.1234567*kyfan:1+1*schatten:2",
+         "combo:1.0000000000000002*kyfan:1+0.30000000000000004*schatten:3"],
+    )
+    def test_long_labels_are_exact(self, text):
+        assert format_norm(parse_norm(text)) == text
+
+    def test_exponents_inside_combinations(self):
+        norm = Combination(((1e300, Schatten(1e6)), (2.5e-7, KyFan(2))))
+        assert parse_norm("combo:1e+300*schatten:1e+06+2.5e-07*kyfan:2") == norm
+        assert parse_norm(format_norm(norm)) == norm
+
+    @given(st.one_of(BASE_NORMS, st.builds(Combination, st.lists(
+        st.tuples(st.floats(0.0, exclude_min=True, allow_infinity=False), BASE_NORMS), min_size=1, max_size=4,
+    ).map(tuple))))
+    def test_format_is_the_inverse_of_parse(self, norm):
+        # any exponent, any coefficient down to the subnormals, any order
         assert parse_norm(format_norm(norm)) == norm
 
     @pytest.mark.parametrize(

@@ -469,6 +469,50 @@ class TestEmpiricalLowerBound:
         assert 0.0 < lower <= shrink_upper_bound(phi)
         assert gauge_eval(norm, singular_values(witness, padded_dim_for(phi))) == pytest.approx(1.0, rel=1e-12)
 
+    # (norm, power-of-two exponent of its rescale): the ascent (k = 1, -6, 6) and the
+    # conditional gradient (k = 1, 5, -4)
+    RESCALED = [("combo:0.5*schatten:2+2*kyfan:2", 1), ("combo:0.01*schatten:3+0.03*kyfan:1", -6),
+                ("combo:96*schatten:1.5+5*kyfan:2", 6), ("combo:3*schatten:3", 1),
+                ("combo:40*kyfan:1+0.1*kyfan:3", 5), ("combo:0.05*schatten:1.5+0.01*schatten:1.5", -5)]
+
+    @pytest.mark.parametrize("spec, k", RESCALED, ids=[spec for spec, _ in RESCALED])
+    def test_rescaled_coefficients_change_no_bit(self, monkeypatch, spec, k):
+        # each search runs with the largest coefficient in [1, 2); in range that is the search
+        # of the norm as given, values and witnesses bit for bit
+        norm = parse_norm(spec)
+        scaled, got_k = shrink._rescaled_norm(norm)
+        assert got_k == k and 1.0 <= max(c for c, _ in scaled.terms) < 2.0
+        phi = random_channel(3, 2, 2, 1.0, 48)
+        rescaled = empirical_lower_bound(phi, norm, 4, 10, seed=2)
+        monkeypatch.setattr(shrink, "_rescaled_norm", lambda n: (n, 0))
+        as_given = empirical_lower_bound(phi, norm, 4, 10, seed=2)
+        assert rescaled[0] == as_given[0]
+        assert rescaled[1].tobytes() == as_given[1].tobytes()
+
+    @pytest.mark.parametrize("spec, plain", [
+        ("combo:1e308*kyfan:1+1e308*kyfan:2", "combo:1*kyfan:1+1*kyfan:2"),
+        ("combo:1e-320*kyfan:2", "kyfan:2"),
+        ("combo:1.7e308*schatten:3", "schatten:3"),
+        ("combo:5e-324*schatten:1.5+5e-324*schatten:1.5", "schatten:1.5"),
+    ])
+    def test_extreme_coefficients(self, spec, plain):
+        # the search of a norm whose values over- or underflow runs on its rescaled coefficients;
+        # no warning is raised (pytest makes RuntimeWarning an error), and the value is the
+        # one of the norm with coefficient 1 up to rounding
+        phi = random_channel(4, 3, 2, 1.0, 49)
+        lower, _ = empirical_lower_bound(phi, parse_norm(spec), 4, 10, seed=0)
+        want, _ = empirical_lower_bound(phi, parse_norm(plain), 4, 10, seed=0)
+        assert lower == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ["combo:1.7e308*schatten:3+1.7e308*kyfan:8",
+                                      "combo:1e-320*schatten:3+1e-320*kyfan:1"])
+    def test_extreme_coefficients_in_the_ascent(self, spec):
+        # a mixed combination keeps the ascent, whose moves are measured in the norm as given:
+        # at these scales they dwarf or vanish beside the inputs, and nothing over- or underflows
+        phi = random_channel(8, 8, 2, 1.0, 1)
+        lower, witness = empirical_lower_bound(phi, parse_norm(spec), 4, 10, seed=0)
+        assert 0.0 < lower <= shrink_upper_bound(phi) and witness.shape == (8, 8)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
@@ -575,6 +619,25 @@ class TestConditionalGradient:
         for (a, wa), (b, wb) in zip(found, empirical_lower_bound(phi, norms, restarts=4, steps=21, seed=0)):
             assert a == b
             np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("spec, rule", [
+        ("schatten:3", "_conditional_gradient"),
+        ("combo:3*schatten:3", "_conditional_gradient"),
+        ("combo:1*schatten:1.5+2*schatten:1.5", "_conditional_gradient"),
+        ("combo:1*kyfan:1+1*schatten:inf+2*kyfan:2", "_conditional_gradient"),
+        ("combo:1*schatten:3+1*kyfan:1", "_ascent"),
+        ("combo:1*schatten:3+1*schatten:1.5", "_ascent"),
+        ("combo:1*schatten:2+1*schatten:inf", "_ascent"),
+    ])
+    def test_step_rule_reads_the_base_terms(self, monkeypatch, spec, rule):
+        # one Schatten base, or Ky Fan bases only, take the conditional gradient; the ascent is
+        # left for two or more distinct bases, one of them Schatten p
+        calls = []
+        for name in ("_conditional_gradient", "_ascent"):
+            real = getattr(shrink, name)
+            monkeypatch.setattr(shrink, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        empirical_lower_bound(random_channel(3, 2, 2, 1.0, 40), parse_norm(spec), 2, 3, seed=0)
+        assert calls == [rule]
 
     @pytest.mark.parametrize("case", range(len(PINNED)))
     def test_no_loss_against_the_ascent(self, case):
@@ -759,6 +822,44 @@ class TestBatteryAndReport:
         shrink_report(phi, [Schatten(INF), Schatten(3.0)], restarts=2, steps=3, seed=0)
         # the starts' images, then G and the images at each of the 3 iterations, which all run
         assert len(calls) == 1 + 2 * 3
+
+    @pytest.mark.parametrize("phi", [random_channel(3, 2, 2, 1.0, 40), random_cptp_channel(4, 3, 2, 42),
+                                     partial_trace_channel(2, 3)], ids=["random", "cptp", "ptrace"])
+    def test_positive_multiples_share_the_row(self, phi):
+        # c * N and N + N have N's factor: exact rows exactly, searched rows up to rounding, each
+        # with a witness of unit norm in its own norm
+        padded = padded_dim_for(phi)
+        for spec in ("schatten:inf", "schatten:1", "schatten:2", f"kyfan:{padded}", "kyfan:2", "schatten:3",
+                     "schatten:1.5", "combo:1*kyfan:1+1*schatten:1"):
+            norm = parse_norm(spec)
+            terms = norm.terms if isinstance(norm, Combination) else ((1.0, norm),)
+            multiples = [Combination(tuple((c * a, t) for a, t in terms)) for c in (0.5, 2.0, 3.0)]
+            multiples.append(Combination(terms + terms))
+            first, *rest = shrink_report(phi, [norm, *multiples], restarts=20, steps=40, seed=0).per_norm
+            for row in rest:
+                assert row.empirical_lower == pytest.approx(first.empirical_lower, rel=1e-12)
+                size = gauge_eval(row.norm, singular_values(row.witness, padded))
+                assert size == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, plain", [
+        ("combo:2*schatten:2", "schatten:2"),
+        ("combo:1*kyfan:1+1*schatten:inf", "schatten:inf"),
+        ("combo:0.5*schatten:1+0.25*kyfan:9", "schatten:1"),
+        ("combo:1e308*kyfan:1+1e308*schatten:inf", "schatten:inf"),
+    ])
+    def test_multiples_of_closed_forms_are_exact(self, monkeypatch, spec, plain):
+        # one closed-form base under every term: the exact factor, its witness divided by the
+        # sum of the coefficients, and no search
+        calls = []
+        real = shrink.hermitian_decomposition
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(x) or real(x))
+        phi = random_channel(4, 3, 2, 1.0, 44)
+        norm = parse_norm(spec)
+        row, want = shrink_report(phi, [norm, parse_norm(plain)], restarts=20, steps=40, seed=0).per_norm
+        assert calls == []
+        top = max(c for c, _ in norm.terms)  # 2e308 overflows; 2 * 1e308 does not
+        assert row.empirical_lower == want.empirical_lower
+        np.testing.assert_allclose(row.witness, want.witness / top / sum(c / top for c, _ in norm.terms), rtol=1e-15)
 
     def test_brackets_never_invert(self):
         # on both channels the search ratio rounds above the proven bound at these settings
