@@ -7,7 +7,8 @@ Schatten p-norms, and positive combinations of the two. ``base_terms`` reduces
 every norm to its base gauges once, which is where equal norms are told apart;
 each base family is defined once, in ``gauge_value_grad``, which gives the value
 and the gradient on descending spectra; ``gauge_eval`` sorts and validates
-first and keeps the value.
+first and keeps the value; ``gauge_parts`` splits a norm into its linear Ky Fan
+part and its Schatten terms.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ __all__ = [
     "base_terms",
     "format_norm",
     "gauge_eval",
+    "gauge_parts",
     "gauge_value_grad",
-    "kyfan_weights",
     "parse_norm",
 ]
 
@@ -125,16 +126,19 @@ def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.nda
     return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (base.p - 1.0)
 
 
-def kyfan_weights(norm: GaugeNorm, n: int) -> np.ndarray | None:
-    """Weights ``w`` with ``norm(s) = <w, s>`` for every descending ``s >= 0`` of length ``n``.
+@cache
+def gauge_parts(norm: GaugeNorm, n: int) -> tuple[np.ndarray, tuple[Schatten, ...], np.ndarray]:
+    """``norm`` on descending spectra ``z >= 0`` of length ``n`` as ``<w, z> + sum_j c_j ||z||_{p_j}``.
 
-    A norm whose base terms are all Ky Fan sums is linear on descending spectra;
-    a norm with a Schatten base (1 < p < inf) is not, and gives None.
+    Returns the Ky Fan weights ``w`` (the sum of the Ky Fan terms' gradients, which are
+    constant), the distinct Schatten bases ``p_j`` (1 < p < inf) in term order, and their
+    summed coefficients ``c_j``. A norm with no Schatten base is linear on these spectra,
+    ``norm(z) = <w, z>``. Each answer is computed once and shared; do not modify it.
     """
-    if any(isinstance(base, Schatten) for _, base in base_terms(norm, n)):
-        return None
-    # a linear gauge's gradient is its weight vector, at any spectrum
-    return gauge_value_grad(norm, np.ones(n))[1]
+    terms = base_terms(norm, n)
+    bases = tuple(dict.fromkeys(b for _, b in terms if isinstance(b, Schatten)))
+    w = sum((c * gauge_value_grad(b, np.ones(n))[1] for c, b in terms if isinstance(b, KyFan)), np.zeros(n))
+    return w, bases, np.array([sum(c for c, b in terms if b == base) for base in bases])
 
 
 def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):

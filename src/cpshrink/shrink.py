@@ -23,12 +23,12 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_value_grad, kyfan_weights
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_parts, gauge_value_grad
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitize,
-    random_hermitian,
+    random_hermitian,  # unused; bench/tracer.py wraps shrink.random_hermitian by name
     singular_values,
     spectral_norm,  # unused; bench/tracer.py wraps shrink.spectral_norm by name
 )
@@ -54,8 +54,6 @@ __all__ = [
 
 ZERO_EIGENVALUE_TOL = 1e-12
 BOUND_SLACK = 1e-9
-ASCENT_STEP0 = 0.1
-ASCENT_DECAY = 0.9
 STALL_GAIN = 1e-12
 
 
@@ -204,53 +202,122 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
 def _norm_gradients(
     norms: list[GaugeNorm], counts: Sequence[int], xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a Hermitian stack
+    """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a PSD stack
     ``(R, d, d)`` whose consecutive blocks of ``counts[n]`` matrices are measured in
     ``norms[n]``."""
     w, v = hermitian_decomposition(xs)
     parts = [gauge_value_grad(norm, s) for norm, s in zip(norms, np.split(np.abs(w), np.cumsum(counts)[:-1]))]
-    g = np.sign(w) * np.concatenate([grad for _, grad in parts])
+    g = np.concatenate([grad for _, grad in parts])
     return np.concatenate([val for val, _ in parts]), (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
 
 
-def _linear_step(norm: GaugeNorm, weights: np.ndarray | None, mu: np.ndarray) -> np.ndarray:
+def _holder(y: np.ndarray, p: float) -> np.ndarray:
+    """Hölder's direction ``(y / y_1) ** (1 / (p - 1))`` for descending ``y >= 0``: the
+    maximizer of ``<y, z>`` at unit ``||z||_p``, up to scale. Dividing by ``y_1`` first keeps
+    every entry in [0, 1] as p -> 1, and ``y = 0`` gives ``e_1``."""
+    top = y[..., :1]
+    return np.where(top > 0.0, y / np.where(top > 0.0, top, 1.0), np.arange(y.shape[-1]) == 0) ** (1.0 / (p - 1.0))
+
+
+def _isotonic_fit(v: np.ndarray) -> np.ndarray:
+    """Non-increasing least-squares fit of each row of ``v``, the one pool-adjacent-violators
+    builds, in its loop-free min-max form ``min_{s<=i} max_{t>=i} mean(v[s..t])``."""
+    sums = np.concatenate([np.zeros_like(v[..., :1]), np.cumsum(v, axis=-1)], axis=-1)
+    s, t = np.arange(v.shape[-1])[:, None], np.arange(v.shape[-1])
+    means = np.where(s <= t, (sums[..., None, 1:] - sums[..., :-1, None]) / np.maximum(t - s + 1, 1), -inf)
+    tail = np.maximum.accumulate(means[..., ::-1], axis=-1)[..., ::-1]  # [s, i]: max over t >= i
+    return np.where(s <= t, tail, inf).min(axis=-2)
+
+
+def _solve_gradient(y: np.ndarray, z: np.ndarray, bases: tuple[Schatten, ...], c: np.ndarray) -> np.ndarray:
+    """Up to scale, the ``x >= 0`` with ``sum_j c_j (x_i / A_j) ** (p_j - 1) = y_i`` for every
+    entry, where ``A_j = ||z||_{p_j}``, for descending ``y >= 0`` with ``y_1 > 0``.
+
+    With one exponent that is Hölder's direction. Otherwise each entry is the root of a
+    sum of exponentials in ``u = log x_i``, convex and increasing, so Newton's method
+    from above, at the least of the terms' own roots, falls monotonically onto it; an
+    entry stops once a step no longer lowers it, whatever the other entries do.
+    """
+    if len(bases) == 1:
+        return _holder(y, bases[0].p)
+    q = np.array([b.p for b in bases]) - 1.0
+    sizes = np.stack([gauge_value_grad(b, z)[0] for b in bases], axis=-1)
+    # y, c and the sizes enter as ratios, so a norm rescaled by a power of two solves the same
+    top = y[:, :1]
+    log_a = np.log(c / top) - q * np.log(sizes / sizes[:, :1])
+    on = y > 0.0
+    t = np.where(on, y / top, 1.0)
+    u = ((np.log(t)[..., None] - log_a[:, None, :]) / q).min(axis=-1)
+    while True:
+        terms = np.exp(log_a[:, None, :] + q * u[..., None])
+        lower = u - (terms.sum(axis=-1) - t) / (q * terms).sum(axis=-1)
+        if not (lower < u).any():
+            # u_1, at the largest y_1, is the largest: shift it to 0 so that nothing overflows
+            return np.where(on, np.exp(u - u[:, :1]), 0.0)
+        u = np.where(lower < u, lower, u)
+
+
+def _linear_step(norm: GaugeNorm, mu: np.ndarray) -> np.ndarray:
     """Spectra ``z >= 0`` of unit ``norm`` maximizing ``<mu, z>``, for a stack of PSD eigenvalue
     vectors ``mu`` in ``hermitian_decomposition``'s order, so descending up to rounding.
 
     ``U diag(z) U†`` then maximizes ``<G, Z>`` over PSD ``Z`` with ``norm(Z) <= 1`` for
     ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
-    G's eigenbasis. With Ky Fan weights ``w`` (``gauge.kyfan_weights``) the gauge is
-    ``<w, z>`` on descending ``z``, so the maximizer is a vertex ``1_{<=m} / W_m``,
-    ``W = cumsum(w)``, at the first ``m`` maximizing ``cumsum(mu)_m / W_m``. Otherwise
-    every term of ``norm`` has one Schatten-p base, 1 < p < inf, and Hölder's equality
-    case gives ``(mu / mu_1) ** (1 / (p - 1))``; dividing by ``mu_1`` first keeps every
-    entry in [0, 1] as p -> 1, and ``mu = 0`` gives ``e_1``. Rounding below 0 is clipped.
+    G's eigenbasis. On descending ``z`` the gauge is ``<w, z> + sum_j c_j ||z||_{p_j}``
+    (``gauge.gauge_parts``), and rounding below 0 in ``mu`` is clipped. Two cases:
+
+    - Ky Fan bases only: the gauge is ``<w, z>``, so the maximizer is a vertex
+      ``1_{<=m} / W_m``, ``W = cumsum(w)``, at the first ``m`` maximizing
+      ``cumsum(mu)_m / W_m``.
+    - A Schatten base: the first round takes Hölder's direction for ``p_1``. Each further
+      round (W. Dinkelbach's iteration for the ratio ``<mu, z> / norm(z)``) takes ``eta``,
+      the row's best ratio so far, fits ``mu / eta - w`` non-increasing (``_isotonic_fit``),
+      clips it at 0 to ``y``, and solves the optimality condition
+      ``sum_j c_j (z_i / A_j) ** (p_j - 1) = y_i`` with ``A_j = ||z||_{p_j}`` at the row's
+      best ``z`` (``_solve_gradient``). A row stops as soon as its ratio stops rising.
+      Without Ky Fan terms and with one exponent the first round is already optimal, and
+      ``mu = 0`` gives ``e_1``.
     """
     mu = np.maximum(mu, 0.0)
     index = np.arange(mu.shape[-1])
-    if weights is not None:
-        cut = np.cumsum(weights)
+    w, bases, c = gauge_parts(norm, mu.shape[-1])
+    if not bases:
+        cut = np.cumsum(w)
         m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
         return (index <= m) / cut[m]
-    p = base_terms(norm, mu.shape[-1])[0][1].p
-    top = mu[..., :1]
-    z = np.where(top > 0.0, mu / np.where(top > 0.0, top, 1.0), index == 0) ** (1.0 / (p - 1.0))
-    return z / gauge_value_grad(norm, z)[0][..., None]
+    rows = mu.reshape(-1, mu.shape[-1])
+    z = _holder(rows, bases[0].p)
+    z /= gauge_value_grad(norm, z)[0][:, None]
+    best = (rows * z).sum(axis=-1)
+    live = np.flatnonzero(best > 0.0) if w.any() or len(bases) > 1 else index[:0]
+    while live.size:
+        v = rows[live] / best[live, None] - w
+        # without Ky Fan terms v is mu / eta, descending already
+        new = _solve_gradient(np.maximum(_isotonic_fit(v) if w.any() else v, 0.0), z[live], bases, c)
+        new /= gauge_value_grad(norm, new)[0][:, None]
+        ratio = (rows[live] * new).sum(axis=-1)
+        rising = ratio > best[live]
+        live, new, ratio = live[rising], new[rising], ratio[rising]
+        z[live], best[live] = new, ratio
+    return z.reshape(mu.shape)
 
 
 def _winners(best_vals: np.ndarray, best_xs: np.ndarray, n_norms: int) -> list[tuple[float, np.ndarray]]:
-    """Per norm, the best value and input over its block of start rows; ties go to the earliest start."""
+    """Per norm, the best value and input over its block of start rows. Values within
+    ``STALL_GAIN`` of the best tie, as a step that gains no more is no progress, and ties go
+    to the earliest start."""
     best = best_vals.reshape(n_norms, -1)
-    return [(best[n, i], best_xs[n * best.shape[1] + i]) for n, i in enumerate(np.argmax(best, axis=-1))]
+    tied = best >= (1.0 - STALL_GAIN) * best.max(axis=-1, keepdims=True)
+    return [(best[n, i], best_xs[n * best.shape[1] + i]) for n, i in enumerate(np.argmax(tied, axis=-1))]
 
 
 def _conditional_gradient(
     ops: np.ndarray,
     norms: list[GaugeNorm],
-    weights: dict[GaugeNorm, np.ndarray | None],
     starts: np.ndarray,
     spectra: np.ndarray,
     steps: int,
+    bound: float,
 ) -> list[tuple[float, np.ndarray]]:
     """Best unit-norm PSD input ``(value, witness)`` per norm, by conditional gradient.
 
@@ -259,7 +326,9 @@ def _conditional_gradient(
     stopped ones leave. Each iteration decomposes the images once for values and
     gradients, maps the gradients back with one adjoint ``kraus_map``, decomposes the
     resulting ``G`` once and moves each row to its ``_linear_step``. A row stops once an
-    iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations.
+    iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations, and
+    every row of a norm stops after an iteration that leaves the norm's best value within
+    ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
     """
     n_starts = len(starts)
     adjoint = np.swapaxes(ops, -2, -1).conj()
@@ -273,58 +342,17 @@ def _conditional_gradient(
             break
         counts = np.bincount(owner[live], minlength=len(norms))
         mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
-        z = np.concatenate([
-            _linear_step(norm, weights[norm], block)
-            for norm, block in zip(norms, np.split(mu, np.cumsum(counts)[:-1]))
-        ])
+        blocks = zip(norms, np.split(mu, np.cumsum(counts)[:-1]))
+        z = np.concatenate([_linear_step(norm, block) for norm, block in blocks])
         xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
         new_vals, ys = _norm_gradients(norms, counts, kraus_map(ops, xs))
         improved = new_vals > best_vals[live]
         best_vals[live[improved]] = new_vals[improved]
         best_xs[live[improved]] = xs[improved]
-        moving = new_vals - vals > STALL_GAIN * vals
+        # a norm whose best value is within STALL_GAIN of the bound is done: no start can beat it
+        done = best_vals.reshape(len(norms), -1).max(axis=-1) >= (1.0 - STALL_GAIN) * bound
+        moving = (new_vals - vals > STALL_GAIN * vals) & ~done[owner[live]]
         live, vals, ys = live[moving], new_vals[moving], ys[moving]
-    return _winners(best_vals, best_xs, len(norms))
-
-
-def _ascent(
-    ops: np.ndarray, scaled: list[tuple[GaugeNorm, int]], starts: np.ndarray, steps: int
-) -> list[tuple[float, np.ndarray]]:
-    """Best unit-norm Hermitian input ``(value, witness)`` per norm, by gradient ascent.
-
-    ``scaled`` holds each norm as ``_rescaled_norm`` gives it, ``2**-k`` times the norm
-    as given, with its ``k``. Every norm climbs from every start (``(S, d, d)``), ``steps``
-    moves of length ``ASCENT_STEP0 * ASCENT_DECAY**t`` along the normalized ratio
-    gradient, measured in the norm as given, whose unit inputs are ``2**-k`` times the
-    ones here. ``evaluate`` reads only the direction of its input, so each move is made
-    at whichever of the two scales keeps both terms in range: the search is that of
-    the norm as given, bit for bit, wherever that one stays in range.
-    """
-    norms = [norm for norm, _ in scaled]
-    adjoint = np.swapaxes(ops, -2, -1).conj()
-    counts = [len(starts)] * len(norms)
-    ks = np.repeat([k for _, k in scaled], len(starts))[:, None, None]
-    # 2**-k * xs + move for k > 0, xs + 2**k * move for k < 0: one direction either way
-    on_xs, on_move = np.ldexp(1.0, -np.maximum(ks, 0)), np.ldexp(1.0, np.minimum(ks, 0))
-
-    def evaluate(xs: np.ndarray):
-        # unit-norm inputs, ratios and ratio gradients, from one eigh of inputs and one of images
-        size, y_in = _norm_gradients(norms, counts, xs)
-        image, y_out = _norm_gradients(norms, counts, kraus_map(ops, xs))
-        vals = image / size
-        grads = hermitize(kraus_map(adjoint, y_out) - vals[..., None, None] * y_in)
-        return xs / size[..., None, None], vals, grads
-
-    xs, vals, grads = evaluate(np.tile(starts, (len(norms), 1, 1)))
-    best_vals, best_xs = vals.copy(), xs.copy()
-    for t in range(steps):
-        step = ASCENT_STEP0 * ASCENT_DECAY**t
-        gnorm = np.linalg.norm(grads, axis=(-2, -1))
-        move = step * grads / np.where(gnorm > 0.0, gnorm, 1.0)[..., None, None]
-        xs, vals, grads = evaluate(xs * on_xs + move * on_move)
-        improved = vals > best_vals
-        best_vals[improved] = vals[improved]
-        best_xs[improved] = xs[improved]
     return _winners(best_vals, best_xs, len(norms))
 
 
@@ -336,31 +364,25 @@ def empirical_lower_bound(
     For a positive map ``|||Phi(x)||| <= |||Phi(|x|)|||`` (``-Phi(|x|) <= Phi(x) <=
     Phi(|x|)``; R. Bhatia, *Matrix Analysis*, 1997), so the factor is reached on PSD
     inputs, where ``f(X) = |||Phi(X)|||`` is convex with PSD gradient
-    ``G = Phi†(Y(Phi(X)))``. Two step rules, each from the same schedule of starts:
-    two analytic ones (the normalized identity and the trace-factor witness), then
-    ``restarts`` random ones.
+    ``G = Phi†(Y(Phi(X)))``. Every norm is searched by conditional gradient (the
+    "generalized power" iteration of M. Journée, Y. Nesterov, P. Richtárik,
+    R. Sepulchre, JMLR 11, 2010) from one schedule of starts: two analytic ones (the
+    normalized identity and the trace-factor witness), then ``restarts`` random pure
+    states ``vv†``. Each iteration moves to ``argmax {<G, Z> : Z >= 0, |||Z||| <= 1}``
+    (``_linear_step``), which cannot lower the value; ``steps`` caps the iterations,
+    and a start stops as soon as one gains at most ``STALL_GAIN`` of its value, or once
+    its norm's best value is within ``STALL_GAIN`` of the universal bound, which no
+    input exceeds. Witnesses are PSD. For a norm with a Schatten base the step is Dinkelbach's
+    iteration for a ratio (W. Dinkelbach, *Management Science* 13, 1967), and the order
+    constraint on spectra is met by an isotonic fit (T. Robertson, F. T. Wright,
+    R. L. Dykstra, *Order Restricted Statistical Inference*, 1988).
 
-    - Conditional gradient (the "generalized power" iteration of M. Journée,
-      Y. Nesterov, P. Richtárik, R. Sepulchre, JMLR 11, 2010) for every norm whose
-      linear step has a closed form (``_linear_step``): a norm whose base terms
-      (``gauge.base_terms``) are all Ky Fan sums, or all one Schatten p. The random starts
-      are pure states ``vv†``. Each iteration moves to ``argmax {<G, Z> : Z >= 0,
-      |||Z||| <= 1}``, which cannot lower the value; ``steps`` caps the iterations, and
-      a start stops as soon as one gains at most ``STALL_GAIN`` of its value.
-      Witnesses are PSD.
-    - Gradient ascent for a combination of two or more distinct bases, one of them
-      Schatten p, whose linear step has no closed form. The random starts are Hermitian
-      (``random_hermitian``). Each start takes ``steps`` moves of length
-      0.1 * 0.9**t along the normalized exact gradient of |||Phi(x)||| / |||x|||,
-      renormalizing to unit gauge norm after every move. At unit norm that gradient
-      is the Hermitian part of ``Phi†(Y(Phi(x))) - r * Y(x)``, where ``r`` is the
-      ratio.
-
-    ``Y(V diag(w) V†) = V diag(sign(w) * g) V†`` is the norm's gradient at a Hermitian
-    matrix with eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one
+    ``Y(V diag(w) V†) = V diag(g) V†`` is the norm's gradient at a PSD matrix with
+    eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one
     ``gauge_value_grad(norm, |w|)`` call per spectrum gives both the norm and ``g``,
     on the descending ``|w|`` that ``hermitian_decomposition`` returns. The best
-    value over the whole schedule wins; ties go to the earliest start.
+    value over the whole schedule wins; values within ``STALL_GAIN`` of it tie, and
+    ties go to the earliest start.
     Deterministic for fixed arguments, and the result can never exceed the
     universal upper bound beyond numerical noise. The search runs on the Kraus set
     rescaled by a power of two (its largest entry in [1, 2)), so the result scales
@@ -371,10 +393,10 @@ def empirical_lower_bound(
     exactly, and one beyond the float range has infinite entries.
 
     Returns ``(lower, witness)`` with the witness at unit gauge norm. ``norm``
-    may also be a sequence of N norms: the searches of each step rule then run as
-    one batched search, one decomposition per stage over all their rows, and a list
-    of N ``(lower, witness)`` pairs is returned, each equal bit for bit to that
-    norm's single-norm call.
+    may also be a sequence of N norms: their searches then run as one batched
+    search, one decomposition per stage over all their rows, and a list of N
+    ``(lower, witness)`` pairs is returned, each equal bit for bit to that norm's
+    single-norm call.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -387,25 +409,18 @@ def empirical_lower_bound(
     _, trace_witness = trace_shrink_factor(phi)
     ops, k = _rescaled_kraus(phi)
     scaled = {n: _rescaled_norm(n) for n in norms}
-    weights = {m: kyfan_weights(m, d) for m, _ in scaled.values()}
-    # the ascent is left for two or more distinct bases, one of them Schatten p
-    ascended = [n for n, (m, _) in scaled.items() if weights[m] is None and len({b for _, b in base_terms(m, d)}) > 1]
-    stepped = [n for n in scaled if n not in ascended]
-    found = {}
-    if stepped:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
-        v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        starts = np.concatenate([[np.eye(d), trace_witness], v[:, :, None] * v[:, None, :].conj()])
-        # the identity's spectrum is all ones, every other start's is e_1
-        spectra = np.eye(1, d).repeat(len(starts), axis=0)
-        spectra[0] = 1.0
-        searched = [scaled[n][0] for n in stepped]
-        found.update(zip(stepped, _conditional_gradient(ops, searched, weights, starts, spectra, steps)))
-    if ascended:
-        draws = random_hermitian(d, np.random.default_rng(seed), restarts)
-        starts = np.concatenate([[np.eye(d), trace_witness], draws])
-        found.update(zip(ascended, _ascent(ops, [scaled[n] for n in ascended], starts, steps)))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    starts = np.concatenate([[np.eye(d), trace_witness], v[:, :, None] * v[:, None, :].conj()])
+    # the identity's spectrum is all ones, every other start's is e_1
+    spectra = np.eye(1, d).repeat(len(starts), axis=0)
+    spectra[0] = 1.0
+    # the universal bound at the search's scale; one that underflowed to a subnormal stops nothing
+    upper = shrink_upper_bound(phi)
+    bound = ldexp(upper, -2 * k) if upper >= np.finfo(float).tiny else inf
+    searched = [m for m, _ in scaled.values()]
+    found = dict(zip(scaled, _conditional_gradient(ops, searched, starts, spectra, steps, bound)))
     with np.errstate(over="ignore"):
         out = [(float(found[n][0]) * 4.0**k, _ldexp(found[n][1], -scaled[n][1])) for n in norms]
     return out[0] if isinstance(norm, GaugeNorm) else out
@@ -454,13 +469,7 @@ def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:
 def norm_battery(max_k: int) -> list[GaugeNorm]:
     """Fixed verification battery: Schatten {1, 1.5, 2, 3, inf}, Ky Fan 1..max_k,
     and two positive combinations."""
-    norms: list[GaugeNorm] = [
-        Schatten(1.0),
-        Schatten(1.5),
-        Schatten(2.0),
-        Schatten(3.0),
-        Schatten(inf),
-    ]
+    norms: list[GaugeNorm] = [Schatten(p) for p in (1.0, 1.5, 2.0, 3.0, inf)]
     norms.extend(KyFan(k) for k in range(1, max_k + 1))
     norms.append(Combination(((1.0, KyFan(1)), (1.0, Schatten(1.0)))))
     norms.append(Combination(((0.5, Schatten(2.0)), (2.0, KyFan(2)))))

@@ -13,7 +13,7 @@ from cpshrink.channel import (
 )
 from cpshrink import shrink
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
-from cpshrink.gauge import Combination, KyFan, Schatten, format_norm, gauge_eval, kyfan_weights, parse_norm
+from cpshrink.gauge import Combination, KyFan, Schatten, format_norm, gauge_eval, parse_norm
 from cpshrink.shrink import (
     check_gauge_bounds,
     check_kyfan_bounds,
@@ -328,12 +328,12 @@ class TestEmpiricalLowerBound:
             np.testing.assert_array_equal(wa, wb)
 
     def test_norm_gradient_matches_central_differences(self):
-        # the search's gradient at Hermitian inputs with both signs of eigenvalue, one
-        # block per battery norm, against central differences of gauge_eval
+        # the search's gradient at positive definite inputs (the search only measures images
+        # of PSD inputs), one block per battery norm, against central differences of gauge_eval
         rng = np.random.default_rng(44)
         norms = norm_battery(3)
-        xs = np.stack([np.stack([random_hermitian(4, rng) for _ in range(3)]) for _ in norms])
-        assert (np.linalg.eigvalsh(xs)[..., 0] < 0).all() and (np.linalg.eigvalsh(xs)[..., -1] > 0).all()
+        xs = np.stack([np.stack([_random_psd(4, 4, rng) for _ in range(3)]) for _ in norms])
+        assert (np.linalg.eigvalsh(xs)[..., 0] > 1e-3).all()
         values, grads = shrink._norm_gradients(norms, [3] * len(norms), xs.reshape(-1, 4, 4))
         values, grads = values.reshape(len(norms), 3), grads.reshape(xs.shape)
         h = 1e-6
@@ -347,7 +347,7 @@ class TestEmpiricalLowerBound:
                     assert np.vdot(y, e).real == pytest.approx((up - down) / (2 * h), rel=1e-6, abs=1e-8)
 
     def test_batched_search_matches_single_norm_calls(self):
-        # one batched ascent for all norms gives each norm's single-norm result bit for bit; a
+        # one batched search for all norms gives each norm's single-norm result bit for bit; a
         # report's rows are the exact factors for the norms with a closed form and those
         # results for the rest, clamped to the universal bound
         norms = norm_battery(3)
@@ -400,7 +400,8 @@ class TestEmpiricalLowerBound:
     @example(e=-150, shape=(3, 2, 2), seed=5, norm=Schatten(3.0))
     @example(e=150, shape=(3, 2, 2), seed=5, norm=Schatten(3.0))
     def test_scale_covariance_at_extreme_scales(self, e, shape, seed, norm):
-        # beyond about 1e+-80 the ascent's gradient norm would underflow or overflow
+        # values scale by c**2 up to 1e+-300; the search runs on the Kraus set rescaled by a power
+        # of two, so none of its steps over- or underflows
         phi = random_channel(*shape, 1.0, seed)
         c = 10.0**e
         scaled = KrausChannel(phi.d_in, phi.d_out, c * phi.kraus)
@@ -431,11 +432,12 @@ class TestEmpiricalLowerBound:
             assert lower == 0.0
             assert gauge_eval(norm, singular_values(witness, padded)) == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("norm", [Schatten(3.0), parse_norm("combo:0.5*schatten:2+2*kyfan:2")],
-                             ids=["conditional-gradient", "ascent"])
-    def test_ties_go_to_the_identity_start(self, monkeypatch, norm):
-        # on the identity channel every start reaches the factor 1, so starts tie exactly; the
-        # earliest, the normalized identity, must win over the trace witness and the random ones
+    @pytest.mark.parametrize("norm, ties", [(Schatten(3.0), 5), (parse_norm("combo:0.5*schatten:2+2*kyfan:2"), 2)],
+                             ids=["conditional-gradient", "mixed-combination"])
+    def test_ties_go_to_the_identity_start(self, monkeypatch, norm, ties):
+        # on the identity channel every start reaches the factor 1 up to rounding (`ties` of them
+        # exactly), and values within STALL_GAIN of the best tie; the earliest, the normalized
+        # identity, must win over the trace witness and the random ones
         phi = identity_channel(3)
         real = shrink._winners
         tied = []
@@ -446,34 +448,38 @@ class TestEmpiricalLowerBound:
 
         monkeypatch.setattr(shrink, "_winners", spy)
         val, witness = empirical_lower_bound(phi, norm, 4, 10, 0)
-        assert tied[0] >= 5 and val == 1.0
+        assert tied[0] >= ties and val == 1.0
         np.testing.assert_allclose(witness, np.eye(3) / gauge_eval(norm, np.ones(3)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("restarts", [0, 3])
-    def test_ascent_starts_are_the_analytic_two_and_one_draw(self, monkeypatch, restarts):
-        # the random starts are one stacked draw, empty at restarts=0
+    def test_mixed_norms_get_the_common_starts(self, monkeypatch, restarts):
+        # a mixed combination starts where every other norm does: the identity, the trace witness
+        # and one stacked draw of pure states, empty at restarts=0
         phi = random_channel(3, 2, 2, 1.0, 42)
-        norm = parse_norm("combo:0.5*schatten:2+2*kyfan:2")
-        real = shrink._ascent
+        mixed = parse_norm("combo:0.5*schatten:2+2*kyfan:2")
+        real = shrink._conditional_gradient
         seen = []
-        monkeypatch.setattr(shrink, "_ascent", lambda ops, norms, starts, steps: seen.append(starts)
-                            or real(ops, norms, starts, steps))
-        lower, witness = empirical_lower_bound(phi, norm, restarts, 5, seed=7)
-        (starts,) = seen
+        monkeypatch.setattr(shrink, "_conditional_gradient", lambda ops, norms, starts, *rest:
+                            seen.append(starts) or real(ops, norms, starts, *rest))
+        lower, witness = empirical_lower_bound(phi, mixed, restarts, 5, seed=7)
+        empirical_lower_bound(phi, Schatten(3.0), restarts, 5, seed=7)
+        starts, common = seen
+        assert starts.tobytes() == common.tobytes()
         assert starts.shape == (2 + restarts, 3, 3)
         np.testing.assert_array_equal(starts[0], np.eye(3))
         np.testing.assert_array_equal(starts[1], trace_shrink_factor(phi)[1])
-        rng = np.random.default_rng(7)
-        for got in starts[2:]:
-            assert got.tobytes() == random_hermitian(3, rng).tobytes()
+        for pure in starts[2:]:
+            np.testing.assert_allclose(pure @ pure, pure, atol=1e-15)
+            assert np.trace(pure).real == pytest.approx(1.0, rel=1e-15)
         assert 0.0 < lower <= shrink_upper_bound(phi)
-        assert gauge_eval(norm, singular_values(witness, padded_dim_for(phi))) == pytest.approx(1.0, rel=1e-12)
+        assert gauge_eval(mixed, singular_values(witness, padded_dim_for(phi))) == pytest.approx(1.0, rel=1e-12)
 
-    # (norm, power-of-two exponent of its rescale): the ascent (k = 1, -6, 6) and the
-    # conditional gradient (k = 1, 5, -4)
+    # (norm, power-of-two exponent of its rescale): mixed combinations (k = 1, -6, 6, 2), one
+    # Schatten base (k = 1, -5) and Ky Fan bases only (k = 5)
     RESCALED = [("combo:0.5*schatten:2+2*kyfan:2", 1), ("combo:0.01*schatten:3+0.03*kyfan:1", -6),
                 ("combo:96*schatten:1.5+5*kyfan:2", 6), ("combo:3*schatten:3", 1),
-                ("combo:40*kyfan:1+0.1*kyfan:3", 5), ("combo:0.05*schatten:1.5+0.01*schatten:1.5", -5)]
+                ("combo:40*kyfan:1+0.1*kyfan:3", 5), ("combo:0.05*schatten:1.5+0.01*schatten:1.5", -5),
+                ("combo:6*schatten:3+0.7*schatten:1.5+1*kyfan:2", 2)]
 
     @pytest.mark.parametrize("spec, k", RESCALED, ids=[spec for spec, _ in RESCALED])
     def test_rescaled_coefficients_change_no_bit(self, monkeypatch, spec, k):
@@ -506,9 +512,9 @@ class TestEmpiricalLowerBound:
 
     @pytest.mark.parametrize("spec", ["combo:1.7e308*schatten:3+1.7e308*kyfan:8",
                                       "combo:1e-320*schatten:3+1e-320*kyfan:1"])
-    def test_extreme_coefficients_in_the_ascent(self, spec):
-        # a mixed combination keeps the ascent, whose moves are measured in the norm as given:
-        # at these scales they dwarf or vanish beside the inputs, and nothing over- or underflows
+    def test_extreme_coefficients_in_a_mixed_step(self, spec):
+        # a mixed combination's step fits and solves on its rescaled coefficients, so at these
+        # scales nothing over- or underflows
         phi = random_channel(8, 8, 2, 1.0, 1)
         lower, witness = empirical_lower_bound(phi, parse_norm(spec), 4, 10, seed=0)
         assert 0.0 < lower <= shrink_upper_bound(phi) and witness.shape == (8, 8)
@@ -530,12 +536,16 @@ def _random_psd(dim, rank, rng):
     return a @ a.conj().T
 
 
-# every family with a closed-form linear step
+# both cases of the linear step: Ky Fan bases only, and a Schatten base with or without Ky Fan
+# terms, with one exponent or two
 STEPPED_NORMS = [Schatten(1.0), Schatten(1.1), Schatten(1.5), Schatten(2.0), Schatten(3.0), Schatten(INF),
                  KyFan(1), KyFan(2), KyFan(3), KyFan(6),
                  Combination(((1.0, KyFan(1)), (1.0, Schatten(1.0)))),
                  Combination(((1.0, KyFan(1)), (2.0, KyFan(3)))),
-                 Combination(((0.5, Schatten(INF)), (0.25, KyFan(2))))]
+                 Combination(((0.5, Schatten(INF)), (0.25, KyFan(2)))),
+                 Combination(((0.5, Schatten(2.0)), (2.0, KyFan(2)))),
+                 Combination(((1.0, Schatten(3.0)), (1.0, KyFan(1)))),
+                 Combination(((1.0, Schatten(3.0)), (1.0, Schatten(1.5))))]
 
 # (channel, universal bound, empirical_lower_bound(phi, PINNED_NORMS, 20, 40, 0) values) of the
 # batched Hermitian ascent that searched every norm before the conditional-gradient rule
@@ -568,16 +578,16 @@ PINNED = [
 class TestConditionalGradient:
     @pytest.mark.parametrize("norm", STEPPED_NORMS, ids=format_norm)
     def test_linear_step_is_optimal(self, norm):
-        # the step's Z has unit norm, is PSD, and beats <G, X> for 200 feasible PSD X: the
-        # identity, pure states and random inputs of every rank, each at unit norm
-        rng = np.random.default_rng(60)
+        # the step's Z has unit norm, is PSD, and beats <G, X> for 300 feasible PSD X: the
+        # identity, pure states, random inputs of every rank, and the step's own spectrum
+        # perturbed by 1e-2 to 1e-4 of itself, each at unit norm
+        rng, near = np.random.default_rng(60), np.random.default_rng(61)
         dim = 4
-        weights = kyfan_weights(norm, dim)
         for rank in (1, 2, 3, 4):
             g = _random_psd(dim, rank, rng)
             g /= spectral_norm(g)
             mu, u = hermitian_decomposition(g)
-            z = shrink._linear_step(norm, weights, mu)
+            z = shrink._linear_step(norm, mu)
             step = (u * z) @ u.conj().T
             assert z.min() >= 0.0
             assert gauge_eval(norm, z) == pytest.approx(1.0, abs=1e-12)
@@ -585,13 +595,17 @@ class TestConditionalGradient:
             best = np.vdot(g, step).real
             xs = [np.eye(dim)] + [_random_psd(dim, 1, rng) for _ in range(99)]
             xs += [_random_psd(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(100)]
+            for eps in 10.0 ** -near.integers(2, 5, size=100):
+                nearby = np.abs(z * (1.0 + eps * near.standard_normal(dim)) + eps * z[0] * near.random(dim))
+                xs.append((u * nearby) @ u.conj().T)
             for x in xs:
                 assert np.vdot(g, x).real / gauge_eval(norm, singular_values(x, dim)) <= best + 1e-12
 
-    @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2)], ids=format_norm)
+    @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2), parse_norm("combo:1*schatten:3+1*kyfan:1")],
+                             ids=format_norm)
     def test_linear_step_at_zero_gradient_is_first_direction(self, norm):
-        z = shrink._linear_step(norm, kyfan_weights(norm, 3), np.zeros(3))
-        np.testing.assert_allclose(z, [1.0, 0.0, 0.0], rtol=1e-15)
+        z = shrink._linear_step(norm, np.zeros(3))
+        np.testing.assert_allclose(z, np.array([1.0, 0.0, 0.0]) / gauge_eval(norm, [1.0, 0.0, 0.0]), rtol=1e-15)
 
     def test_witnesses_are_psd_with_unit_norm(self):
         for phi in (random_channel(3, 2, 2, 1.0, 50), random_channel(4, 3, 3, 1.0, 51),
@@ -620,22 +634,21 @@ class TestConditionalGradient:
             assert a == b
             np.testing.assert_array_equal(wa, wb)
 
+    # (norm, the search it takes): whatever its base terms, the conditional gradient
     @pytest.mark.parametrize("spec, rule", [
         ("schatten:3", "_conditional_gradient"),
         ("combo:3*schatten:3", "_conditional_gradient"),
         ("combo:1*schatten:1.5+2*schatten:1.5", "_conditional_gradient"),
         ("combo:1*kyfan:1+1*schatten:inf+2*kyfan:2", "_conditional_gradient"),
-        ("combo:1*schatten:3+1*kyfan:1", "_ascent"),
-        ("combo:1*schatten:3+1*schatten:1.5", "_ascent"),
-        ("combo:1*schatten:2+1*schatten:inf", "_ascent"),
+        ("combo:1*schatten:3+1*kyfan:1", "_conditional_gradient"),
+        ("combo:1*schatten:3+1*schatten:1.5", "_conditional_gradient"),
+        ("combo:1*schatten:2+1*schatten:inf", "_conditional_gradient"),
     ])
     def test_step_rule_reads_the_base_terms(self, monkeypatch, spec, rule):
-        # one Schatten base, or Ky Fan bases only, take the conditional gradient; the ascent is
-        # left for two or more distinct bases, one of them Schatten p
+        # the base terms choose the linear step's case, not the search: every norm takes one call
         calls = []
-        for name in ("_conditional_gradient", "_ascent"):
-            real = getattr(shrink, name)
-            monkeypatch.setattr(shrink, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        real = getattr(shrink, rule)
+        monkeypatch.setattr(shrink, rule, lambda *a: calls.append(rule) or real(*a))
         empirical_lower_bound(random_channel(3, 2, 2, 1.0, 40), parse_norm(spec), 2, 3, seed=0)
         assert calls == [rule]
 
@@ -644,11 +657,8 @@ class TestConditionalGradient:
         phi, bound, pinned = PINNED[case]
         assert shrink_upper_bound(phi) == bound
         found = empirical_lower_bound(phi, PINNED_NORMS, 20, 40, 0)
-        for norm, want, (lower, _) in zip(PINNED_NORMS, pinned, found, strict=True):
-            if kyfan_weights(norm, phi.d_in) is None and not isinstance(norm, Schatten):
-                assert lower == want  # a mixed combination keeps the ascent
-            else:
-                assert lower >= want - 1e-9 * bound
+        for want, (lower, _) in zip(pinned, found, strict=True):
+            assert lower >= want - 1e-9 * bound
 
 
 class TestInequalityChecks:
@@ -830,7 +840,8 @@ class TestBatteryAndReport:
         # with a witness of unit norm in its own norm
         padded = padded_dim_for(phi)
         for spec in ("schatten:inf", "schatten:1", "schatten:2", f"kyfan:{padded}", "kyfan:2", "schatten:3",
-                     "schatten:1.5", "combo:1*kyfan:1+1*schatten:1"):
+                     "schatten:1.5", "combo:1*kyfan:1+1*schatten:1", "combo:1*schatten:3+1*kyfan:1",
+                     "combo:0.5*schatten:2+2*kyfan:2", "combo:1*schatten:3+1*schatten:1.5"):
             norm = parse_norm(spec)
             terms = norm.terms if isinstance(norm, Combination) else ((1.0, norm),)
             multiples = [Combination(tuple((c * a, t) for a, t in terms)) for c in (0.5, 2.0, 3.0)]
@@ -840,6 +851,17 @@ class TestBatteryAndReport:
                 assert row.empirical_lower == pytest.approx(first.empirical_lower, rel=1e-12)
                 size = gauge_eval(row.norm, singular_values(row.witness, padded))
                 assert size == pytest.approx(1.0, rel=1e-12)
+
+    def test_mixed_rows_do_not_depend_on_the_norm_scale(self):
+        # the mixed step reads only ratios of its coefficients, so c * N gives N's row to rounding,
+        # and bit for bit when c is a power of two, whose rescaled norm is N itself
+        phi = partial_trace_channel(2, 3)
+        specs = ("combo:1e308*schatten:3+1e308*kyfan:1", "combo:3*schatten:3+3*kyfan:1",
+                 "combo:1*schatten:3+1*kyfan:1", "combo:2*schatten:3+2*kyfan:1")
+        huge, three, plain, two = (row.empirical_lower for row in
+                                   shrink_report(phi, [parse_norm(s) for s in specs], 20, 40, 0).per_norm)
+        assert huge == pytest.approx(plain, rel=1e-12) and three == pytest.approx(plain, rel=1e-12)
+        assert two == plain
 
     @pytest.mark.parametrize("spec, plain", [
         ("combo:2*schatten:2", "schatten:2"),
