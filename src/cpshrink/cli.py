@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +40,7 @@ EXIT_NUMERIC = 3
 REPORT_FUZZ_INPUTS = 25
 REMIX_CHECKS = 2
 DEFAULT_NORMS = ("schatten:inf", "schatten:2", "schatten:1")
+NORM_COLUMN = 27
 
 
 def _float17(x: float) -> str:
@@ -182,10 +185,12 @@ def _print_report_text(doc: dict) -> None:
         + " trace=" + _float17(fac["trace"])
         + f" padded_dim={fac['padded_dim']}"
     )
-    print(f"{'norm':<28}{'empirical_lower':<26}{'upper_bound':<26}gap")
+    # the norm column is at least 27 wide and fits the longest label, plus one space
+    width = max([NORM_COLUMN] + [len(row["norm"]) for row in doc["norms"]])
+    print(f"{'norm':<{width + 1}}{'empirical_lower':<26}{'upper_bound':<26}gap")
     for row in doc["norms"]:
         print(
-            f"{row['norm']:<27} "
+            f"{row['norm']:<{width}} "
             + f"{_float17(row['empirical_lower']):<26}"
             + f"{_float17(row['upper_bound']):<26}"
             + _float17(row["gap"])
@@ -300,14 +305,19 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse builds a formatter, which reads the terminal size, for every argument
+    # it adds; read the width once, as HelpFormatter does (columns - 2), and share it
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="cpshrink",
         description="Shrinking factors of completely positive maps under unitarily invariant norms.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     rep = sub.add_parser(
         "report",
+        formatter_class=formatter,
         help="bracket the shrinking factor of one channel per norm",
         description=(
             "Compute the universal upper bound, the exact spectral/trace factors, and an "
@@ -331,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser(
         "verify",
+        formatter_class=formatter,
         help="fuzz the shrinking inequalities on one channel or many random ones",
     )
     target = ver.add_mutually_exclusive_group(required=True)

@@ -6,9 +6,9 @@ be compared on equal footing. Three families are supported: Ky Fan sums,
 Schatten p-norms, and positive combinations of the two. ``base_terms`` reduces
 every norm to its base gauges once, which is where equal norms are told apart;
 each base family is defined once, in ``gauge_value_grad``, which gives the value
-and the gradient on descending spectra; ``gauge_eval`` sorts and validates
-first and keeps the value; ``gauge_parts`` splits a norm into its linear Ky Fan
-part and its Schatten terms.
+and, unless told not to, the gradient on descending spectra; ``gauge_eval``
+sorts and validates first and asks for values only; ``gauge_parts`` splits a
+norm into its linear Ky Fan part and its Schatten terms.
 """
 
 from __future__ import annotations
@@ -105,25 +105,28 @@ def base_terms(norm: GaugeNorm, n: int) -> tuple[tuple[float, KyFan | Schatten],
     return ((1.0, KyFan(1) if norm == Schatten(inf) else norm),)
 
 
-def gauge_value_grad(norm: GaugeNorm, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def gauge_value_grad(norm: GaugeNorm, s: np.ndarray, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Value and gradient of ``norm``'s gauge function at descending spectra ``s``.
 
     The last axis holds the spectrum and leading axes a stack; the value drops
     the last axis and the gradient keeps the shape of ``s``. At a kink (a tie at
     a Ky Fan cut, a zero entry) the gradient is one subgradient, always finite.
+    With ``grad=False`` no gradient is built and ``None`` takes its place; the
+    value is the same, bit for bit.
     """
     (c, base), *rest = terms = base_terms(norm, s.shape[-1])
     if rest or c != 1.0:
-        parts = [(c, gauge_value_grad(t, s)) for c, t in terms]
-        return sum(c * v for c, (v, _) in parts), sum(c * g for c, (_, g) in parts)
+        parts = [(c, gauge_value_grad(t, s, grad)) for c, t in terms]
+        value = sum(c * v for c, (v, _) in parts)
+        return value, sum(c * g for c, (_, g) in parts) if grad else None
     if isinstance(base, KyFan):
-        top_k = np.broadcast_to(np.arange(s.shape[-1]) < base.k, s.shape)
-        return s[..., : base.k].sum(axis=-1), top_k.astype(float)
+        top_k = np.broadcast_to(np.arange(s.shape[-1]) < base.k, s.shape).astype(float) if grad else None
+        return s[..., : base.k].sum(axis=-1), top_k
     # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
     top = s[..., :1]
     unit = s / np.where(top > 0.0, top, 1.0)
     size = (unit ** base.p).sum(axis=-1, keepdims=True) ** (1.0 / base.p)
-    return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (base.p - 1.0)
+    return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (base.p - 1.0) if grad else None
 
 
 @cache
@@ -162,7 +165,8 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     s = np.flip(np.sort(s, axis=-1), axis=-1)
     norms = [norm] if isinstance(norm, GaugeNorm) else list(norm)
     terms = [base_terms(n, s.shape[-1]) for n in norms]
-    values = {base: gauge_value_grad(base, s)[0] for base in dict.fromkeys(b for ts in terms for _, b in ts)}
+    bases = dict.fromkeys(b for ts in terms for _, b in ts)
+    values = {base: gauge_value_grad(base, s, grad=False)[0] for base in bases}
     out = np.array([sum(c * values[b] for c, b in ts) for ts in terms], dtype=float).reshape(len(norms), *s.shape[:-1])
     if isinstance(norm, GaugeNorm):
         return float(out[0]) if s.ndim == 1 else out[0]

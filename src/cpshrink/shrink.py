@@ -29,6 +29,7 @@ from .spectral import (
     hermitian_eigensystem,
     hermitize,
     random_hermitian,  # unused; bench/tracer.py wraps shrink.random_hermitian by name
+    require_hermitian,
     singular_values,
     spectral_norm,  # unused; bench/tracer.py wraps shrink.spectral_norm by name
 )
@@ -446,13 +447,17 @@ def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
     ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them; the
     upper bound is computed once for the whole stack, the whole list is
     evaluated in one ``gauge_eval`` call on the image and input spectra stacked
-    together, and all inequalities are compared at once.
+    together, and all inequalities are compared at once. Both spectra take the
+    Hermitian SVD, which reads one triangle: the inputs are validated and
+    hermitized first, so the image and the input side read the same matrix,
+    and ``apply`` hermitizes the images.
     """
     norms = list(norms)
+    x = hermitize(require_hermitian(x, stacked=True))
     image = phi.apply(x)
     bound = shrink_upper_bound(phi)
     padded = padded_dim_for(phi)
-    spectra = np.stack([singular_values(image, padded), singular_values(x, padded)])
+    spectra = np.stack([singular_values(image, padded, hermitian=True), singular_values(x, padded, hermitian=True)])
     values = gauge_eval(norms, spectra)  # (norms, image | input, ...)
     lhs, rhs = values[:, 0], bound * values[:, 1]
     ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)

@@ -1,9 +1,10 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
 ``singular_values`` (zero-padded spectra, read by every norm and check) is the
-package's one SVD call. ``hermitian_decomposition`` (eigenpairs by descending
-magnitude, read by the lower-bound search) and ``hermitian_eigensystem`` share
-its one ``eigh`` call, and ``is_psd`` makes the one ``eigvalsh`` call; all three
+package's one SVD call; Hermitian stacks take numpy's Hermitian path through
+it. ``hermitian_decomposition`` (eigenpairs by descending magnitude, read by
+the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
+call, and ``is_psd`` makes the one ``eigvalsh`` call; all three
 go through one checked call that raises a solver failure as ConvergenceFailure.
 Both stack-aware helpers take one matrix or a stack. Everything is complex128
 and written for small dimensions; no sparse or structured paths.
@@ -81,7 +82,7 @@ def _linalg(name: str, *args, **kwargs):
         raise ConvergenceFailure(f"{what}: {exc}") from exc
 
 
-def singular_values(m, padded_dim: int) -> np.ndarray:
+def singular_values(m, padded_dim: int, hermitian: bool = False) -> np.ndarray:
     """Singular values of ``m``, descending, zero-padded to length ``padded_dim``.
 
     Parameters
@@ -92,14 +93,21 @@ def singular_values(m, padded_dim: int) -> np.ndarray:
     padded_dim : int
         Length of each returned spectrum. Must be at least ``min(r, c)``, the
         length of the full spectrum, otherwise PadTooSmall is raised.
+    hermitian : bool
+        The matrices are Hermitian: the same SVD call then takes numpy's
+        Hermitian path, the eigenvalues of the lower triangle by magnitude,
+        at well under the cost of the general one. They must be square, else
+        DimensionMismatch is raised; symmetry is the caller's to guarantee.
     """
     mat = as_complex_matrix(m, stacked=True)
     if padded_dim < 1:
         raise ValueError(f"padded_dim must be >= 1, got {padded_dim}")
+    if hermitian and mat.shape[-2] != mat.shape[-1]:
+        raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
-    s = _linalg("svd", mat, compute_uv=False)
+    s = _linalg("svd", mat, compute_uv=False, hermitian=hermitian)
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +110,28 @@ class TestReport:
         assert code == 0
         for name in ("schatten:inf", "schatten:2", "schatten:1"):
             assert name in out
+
+    def test_value_columns_line_up_with_the_header(self, capsys):
+        # labels of 30 and 35 characters widen the norm column; each row's values start
+        # where the header's names do
+        code, out, _ = run(
+            capsys, "report", "--channel", "ptrace:2x3", "--norm", "combo:1*schatten:inf+1*kyfan:1",
+            "--norm", "kyfan:2", "--norm", "combo:1e308*kyfan:1+1e308*kyfan:2",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("norm "))
+        starts = [m.start() for m in re.finditer(r"\S+", lines[at])]
+        assert starts == [0, 36, 62, 88]
+        for row in lines[at + 1: at + 4]:
+            assert [m.start() for m in re.finditer(r"\S+", row)] == starts
+
+    def test_short_labels_keep_the_default_columns(self, capsys):
+        code, out, _ = run(capsys, "report", "--channel", "ptrace:2x3", "--norm", "kyfan:2")
+        assert code == 0
+        header, row = out.splitlines()[3:5]
+        assert header == f"{'norm':<28}{'empirical_lower':<26}{'upper_bound':<26}gap"
+        assert row == "kyfan:2" + " " * 21 + "3.0" + " " * 23 + "3.0" + " " * 23 + "0.0"
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -338,3 +362,18 @@ def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--random", "3", "--trials", "20")
     assert code == 0 and "result: PASS" in out
     assert counts == {"random_hermitian": 3, "gauge_eval": 3}
+
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_is_formatted_as_argparse_default(monkeypatch, columns):
+    # build_parser reads the terminal width once; help and usage must read as the
+    # default formatter, which sizes itself on every call, prints them
+    monkeypatch.setenv("COLUMNS", columns)
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for p in (parser, *sub.choices.values()):
+        ours = (p.format_help(), p.format_usage())
+        p.formatter_class = argparse.HelpFormatter
+        assert ours == (p.format_help(), p.format_usage())
+    assert [p.prog for p in sub.choices.values()] == ["cpshrink report", "cpshrink verify"]

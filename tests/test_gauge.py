@@ -120,6 +120,13 @@ SEQUENCE = norm_battery(5) + [
 ]
 
 
+# every family and both ends of Schatten, which reduce to Ky Fan sums
+EVAL_BASES = st.one_of(
+    st.builds(KyFan, st.integers(1, 10)),
+    st.builds(Schatten, st.one_of(st.just(1.0), st.just(INF), st.floats(1.0, 50.0))),
+)
+
+
 class TestGaugeEvalSequence:
     @pytest.mark.parametrize("shape", [(5,), (7, 5), (2, 3, 5)])
     def test_matches_single_norm_calls_bit_for_bit(self, shape):
@@ -145,12 +152,39 @@ class TestGaugeEvalSequence:
     def test_one_evaluation_per_distinct_base(self, monkeypatch, n):
         # the battery on spectra of length n: Schatten 1 is Ky Fan n and Schatten inf is Ky Fan 1,
         # and the combinations' terms are among the rest, so n Ky Fan sums and Schatten 1.5, 2, 3
-        seen = []
+        # values only: no gradient is built for any of them
+        seen, grads = [], []
         real = gauge.gauge_value_grad
-        monkeypatch.setattr(gauge, "gauge_value_grad", lambda norm, s: seen.append(norm) or real(norm, s))
+
+        def spy(norm, s, grad=True):
+            value, g = real(norm, s, grad)
+            seen.append(norm)
+            grads.append(g)
+            return value, g
+
+        monkeypatch.setattr(gauge, "gauge_value_grad", spy)
         gauge_eval(norm_battery(n), np.random.default_rng(14).random((2, 3, n)))
         assert len(seen) == len(set(seen)) == n + 3
         assert set(seen) == {KyFan(k) for k in range(1, n + 1)} | {Schatten(1.5), Schatten(2.0), Schatten(3.0)}
+        assert grads == [None] * (n + 3)
+
+    @given(
+        st.one_of(EVAL_BASES, st.builds(Combination, st.lists(
+            st.tuples(st.floats(1e-3, 1e3), EVAL_BASES), min_size=1, max_size=4,
+        ).map(tuple))),
+        st.integers(1, 8).flatmap(lambda n: st.lists(
+            st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n), min_size=1, max_size=3,
+        )),
+    )
+    def test_values_are_the_value_half_bit_for_bit(self, norm, rows):
+        # gauge_eval's values-only path against the value of the full call on sorted spectra
+        s = np.array(rows)
+        ordered = np.flip(np.sort(s, axis=-1), axis=-1)
+        full = gauge_value_grad(norm, ordered)
+        assert np.asarray(gauge_eval(norm, s)).tobytes() == np.asarray(full[0], dtype=float).tobytes()
+        assert np.asarray(gauge_eval(norm, s[0])).tobytes() == np.asarray(full[0][0], dtype=float).tobytes()
+        value, none = gauge_value_grad(norm, ordered, grad=False)
+        assert none is None and value.tobytes() == np.asarray(full[0], dtype=float).tobytes()
 
 
 # pairs of equal norms on spectra of length 4
@@ -185,10 +219,7 @@ class TestBaseTerms:
         with pytest.raises(TypeError):
             base_terms(2.0, 3)
 
-    @given(st.integers(1, 8), st.lists(st.tuples(st.floats(1e-3, 1e3), st.one_of(
-        st.builds(KyFan, st.integers(1, 10)),
-        st.builds(Schatten, st.one_of(st.just(1.0), st.just(INF), st.floats(1.0, 50.0))),
-    )), min_size=1, max_size=4))
+    @given(st.integers(1, 8), st.lists(st.tuples(st.floats(1e-3, 1e3), EVAL_BASES), min_size=1, max_size=4))
     def test_bases_and_values(self, n, terms):
         norm = Combination(tuple(terms))
         reduced = base_terms(norm, n)

@@ -29,7 +29,9 @@ from cpshrink.shrink import (
     trace_shrink_factor,
 )
 from cpshrink.spectral import (
+    HERMITICITY_TOL,
     hermitian_decomposition,
+    hermitize,
     random_hermitian,
     singular_values,
     spectral_norm,
@@ -714,6 +716,29 @@ class TestInequalityChecks:
                     if t == 2:
                         assert single.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
                         assert single.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
+
+    def test_input_inside_the_hermitian_tolerance_is_read_whole(self):
+        # the Hermitian SVD reads one triangle, so an input off its adjoint by just
+        # under the tolerance must check as its Hermitian part on both sides
+        phi = random_channel(6, 5, 3, 1.0, 42)
+        rng = np.random.default_rng(43)
+        xs = random_hermitian(6, 44, 4)
+        skew = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
+        skew -= np.swapaxes(skew, -2, -1).conj()
+        # x + e * skew deviates from its adjoint by 2 e |skew|, entrywise
+        scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), keepdims=True)) / np.abs(skew).max(
+            axis=(-2, -1), keepdims=True
+        )
+        off = xs + 0.45 * HERMITICITY_TOL * scale * skew
+        assert not np.array_equal(off, hermitize(off))
+        for x in (off, off[1]):
+            for chk, whole in zip(check_gauge_bounds(phi, x, norm_battery(6)),
+                                  check_gauge_bounds(phi, hermitize(x), norm_battery(6))):
+                for field in ("lhs", "rhs", "ok"):
+                    assert np.array_equal(getattr(chk, field), getattr(whole, field))
+        # an input outside the tolerance is still refused
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_gauge_bounds(phi, xs + 0.55 * HERMITICITY_TOL * scale * skew, norm_battery(6))
 
     def test_empty_norm_list(self):
         phi = random_channel(3, 2, 2, 1.0, 38)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cpshrink.channel import random_channel
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
@@ -117,6 +118,44 @@ class TestSingularValues:
             x = random_hermitian(5, rng)
             eigs = np.sort(np.abs(np.linalg.eigvalsh(x)))[::-1]
             np.testing.assert_allclose(singular_values(x, 5), eigs, atol=1e-10)
+
+
+# Kraus scales c: the images then carry c**2, from 1e-300 to 1e300
+KRAUS_SCALES = [1e-150, 1e-75, 1.0, 1e75, 1e150]
+
+
+class TestHermitianSingularValues:
+    @pytest.mark.parametrize("scale", KRAUS_SCALES)
+    @pytest.mark.parametrize("d_in, d_out, n_kraus", [(3, 3, 2), (2, 4, 1), (4, 2, 3), (1, 3, 2)])
+    def test_matches_the_general_svd(self, scale, d_in, d_out, n_kraus):
+        # images and inputs of a check, padded to the channel's common length and not
+        phi = random_channel(d_in, d_out, n_kraus, scale, 16)
+        xs = random_hermitian(d_in, 17, 6)
+        for mats in (phi.apply(xs), xs):
+            for padded in (mats.shape[-1], max(d_in, d_out) + 1):
+                fast = singular_values(mats, padded, hermitian=True)
+                slow = singular_values(mats, padded)
+                assert fast.shape == slow.shape == (6, padded)
+                assert np.all(np.abs(fast - slow) <= 1e-13 * slow.max(axis=-1, keepdims=True))
+                assert np.all(fast[:, mats.shape[-1]:] == 0.0)
+
+    def test_one_matrix(self):
+        x = random_hermitian(4, 18)
+        np.testing.assert_allclose(singular_values(x, 6, hermitian=True), singular_values(x, 6), rtol=0, atol=1e-13)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch, match="square"):
+            singular_values(np.ones((2, 3)), 3, hermitian=True)
+        with pytest.raises(DimensionMismatch, match="square"):
+            singular_values(np.ones((4, 2, 3)), 3, hermitian=True)
+
+    def test_rejects_non_finite(self):
+        bad = np.eye(3, dtype=complex)
+        bad[2, 1] = bad[1, 2] = np.nan
+        with pytest.raises(NonFinite):
+            singular_values(bad, 3, hermitian=True)
+        with pytest.raises(NonFinite):
+            singular_values(np.stack([np.eye(3), bad]), 3, hermitian=True)
 
 
 class TestEigensystem:
