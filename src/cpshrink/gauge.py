@@ -5,10 +5,10 @@ zero-padded to a common length, so norms of matrices with different shapes can
 be compared on equal footing. Three families are supported: Ky Fan sums,
 Schatten p-norms, and positive combinations of the two. ``base_terms`` reduces
 every norm to its base gauges once, which is where equal norms are told apart;
-each base family is defined once, in ``gauge_value_grad``, which gives the value
-and, unless told not to, the gradient on descending spectra; ``gauge_eval``
-sorts and validates first and asks for values only; ``gauge_parts`` splits a
-norm into its linear Ky Fan part and its Schatten terms.
+``gauge_table`` turns a list of norms into Ky Fan weights and Schatten
+coefficients, and ``table_eval`` evaluates every row of a table at once, the
+one place where each base family is written. ``gauge_value_grad`` is one norm's
+row, and ``gauge_eval`` sorts and validates first and asks for values only.
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ __all__ = [
     "base_terms",
     "format_norm",
     "gauge_eval",
-    "gauge_parts",
+    "gauge_table",
     "gauge_value_grad",
     "parse_norm",
+    "table_eval",
 ]
 
 
@@ -105,43 +106,63 @@ def base_terms(norm: GaugeNorm, n: int) -> tuple[tuple[float, KyFan | Schatten],
     return ((1.0, KyFan(1) if norm == Schatten(inf) else norm),)
 
 
-def gauge_value_grad(norm: GaugeNorm, s: np.ndarray, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Value and gradient of ``norm``'s gauge function at descending spectra ``s``.
+@cache
+def gauge_table(norms: tuple[GaugeNorm, ...], n: int) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+    """``norms`` on descending spectra ``s >= 0`` of length ``n`` as the rows of one table,
+    norm ``r`` being ``<weights[r], s> + sum_j coefficients[r, j] * ||s||_{exponents[j]}``.
 
-    The last axis holds the spectrum and leading axes a stack; the value drops
-    the last axis and the gradient keeps the shape of ``s``. At a kink (a tie at
-    a Ky Fan cut, a zero entry) the gradient is one subgradient, always finite.
-    With ``grad=False`` no gradient is built and ``None`` takes its place; the
-    value is the same, bit for bit.
+    Returns the Ky Fan weights ``(N, n)`` (a Ky Fan ``k`` term adds its coefficient to
+    the first ``k``, so a row's weights are its Ky Fan part's gradient), the distinct
+    Schatten exponents ``(J,)`` in ascending order, and the summed coefficients
+    ``(N, J)``, all built from ``base_terms``. Each answer is computed once and shared,
+    read-only.
     """
-    (c, base), *rest = terms = base_terms(norm, s.shape[-1])
-    if rest or c != 1.0:
-        parts = [(c, gauge_value_grad(t, s, grad)) for c, t in terms]
-        value = sum(c * v for c, (v, _) in parts)
-        return value, sum(c * g for c, (_, g) in parts) if grad else None
-    if isinstance(base, KyFan):
-        top_k = np.broadcast_to(np.arange(s.shape[-1]) < base.k, s.shape).astype(float) if grad else None
-        return s[..., : base.k].sum(axis=-1), top_k
+    terms = [base_terms(norm, n) for norm in norms]
+    exponents = tuple(sorted({b.p for ts in terms for _, b in ts if isinstance(b, Schatten)}))
+    weights, coefficients = np.zeros((len(norms), n)), np.zeros((len(norms), len(exponents)))
+    for row, ts in enumerate(terms):
+        for c, base in ts:
+            if isinstance(base, KyFan):
+                weights[row, : base.k] += c
+            else:
+                coefficients[row, exponents.index(base.p)] += c
+    weights.flags.writeable = coefficients.flags.writeable = False
+    return weights, exponents, coefficients
+
+
+def table_eval(s, weights, exponents, coefficients, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every row's value and, unless ``grad`` is false, gradient at descending spectra ``s``.
+
+    The rows are a ``gauge_table``'s, or a selection of them: ``weights`` (..., n) and
+    ``coefficients`` (..., J) broadcast against ``s``, whose last axis holds the
+    spectrum; values drop that axis and gradients keep it. This is where each base
+    family is written. At a kink (a tie at a Ky Fan cut, a zero entry) the gradient is
+    one subgradient, always finite. A row's arithmetic does not depend on the other
+    rows: a column the row does not use adds an exact zero, and each column is raised
+    with its exponent as a Python float, in ascending order.
+    """
+    product = weights * s
+    value, g = product.sum(axis=-1), np.broadcast_to(weights, product.shape) if grad else None
     # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
     top = s[..., :1]
     unit = s / np.where(top > 0.0, top, 1.0)
-    size = (unit ** base.p).sum(axis=-1, keepdims=True) ** (1.0 / base.p)
-    return (top * size)[..., 0], (unit / np.where(size > 0.0, size, 1.0)) ** (base.p - 1.0) if grad else None
+    for j, p in enumerate(exponents):
+        c = coefficients[..., j : j + 1]
+        size = (unit ** p).sum(axis=-1, keepdims=True) ** (1.0 / p)
+        # c * size first: size <= n, so a column a row does not use adds top * 0, even where
+        # top * size overflows
+        value = value + (top * (c * size))[..., 0]
+        if grad:
+            g = g + c * (unit / np.where(size > 0.0, size, 1.0)) ** (p - 1.0)
+    return value, g
 
 
-@cache
-def gauge_parts(norm: GaugeNorm, n: int) -> tuple[np.ndarray, tuple[Schatten, ...], np.ndarray]:
-    """``norm`` on descending spectra ``z >= 0`` of length ``n`` as ``<w, z> + sum_j c_j ||z||_{p_j}``.
-
-    Returns the Ky Fan weights ``w`` (the sum of the Ky Fan terms' gradients, which are
-    constant), the distinct Schatten bases ``p_j`` (1 < p < inf) in term order, and their
-    summed coefficients ``c_j``. A norm with no Schatten base is linear on these spectra,
-    ``norm(z) = <w, z>``. Each answer is computed once and shared; do not modify it.
-    """
-    terms = base_terms(norm, n)
-    bases = tuple(dict.fromkeys(b for _, b in terms if isinstance(b, Schatten)))
-    w = sum((c * gauge_value_grad(b, np.ones(n))[1] for c, b in terms if isinstance(b, KyFan)), np.zeros(n))
-    return w, bases, np.array([sum(c for c, b in terms if b == base) for base in bases])
+def gauge_value_grad(norm: GaugeNorm, s: np.ndarray, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Value and gradient of ``norm``'s gauge function at descending spectra ``s``: the
+    ``table_eval`` of its one-row table. With ``grad=False`` no gradient is built and
+    ``None`` takes its place; the value is the same, bit for bit."""
+    weights, exponents, coefficients = gauge_table((norm,), s.shape[-1])
+    return table_eval(s, weights[0], exponents, coefficients[0], grad)
 
 
 def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
@@ -153,9 +174,8 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
 
     ``norm`` may also be a sequence of N norms, and the N values then come
     stacked on a new leading axis. Either way the spectra are validated and
-    sorted once, each distinct base of ``base_terms`` is evaluated once, and a
-    combination is summed from its bases' values as ``gauge_value_grad`` sums
-    them, so equal norms give equal values bit for bit.
+    sorted once and the whole list is one values-only ``table_eval`` call on its
+    table; each value equals the norm's ``gauge_value_grad`` value bit for bit.
     """
     s = np.asarray(spectrum, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:
@@ -163,14 +183,11 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     if np.any(s < 0):
         raise ValueError("spectrum entries must be nonnegative")
     s = np.flip(np.sort(s, axis=-1), axis=-1)
-    norms = [norm] if isinstance(norm, GaugeNorm) else list(norm)
-    terms = [base_terms(n, s.shape[-1]) for n in norms]
-    bases = dict.fromkeys(b for ts in terms for _, b in ts)
-    values = {base: gauge_value_grad(base, s, grad=False)[0] for base in bases}
-    out = np.array([sum(c * values[b] for c, b in ts) for ts in terms], dtype=float).reshape(len(norms), *s.shape[:-1])
+    norms = (norm,) if isinstance(norm, GaugeNorm) else tuple(norm)
+    values, _ = table_eval(s[..., None, :], *gauge_table(norms, s.shape[-1]), grad=False)
     if isinstance(norm, GaugeNorm):
-        return float(out[0]) if s.ndim == 1 else out[0]
-    return out
+        return float(values[..., 0]) if s.ndim == 1 else values[..., 0]
+    return np.moveaxis(values, -1, 0)
 
 
 def parse_norm(text: str) -> GaugeNorm:

@@ -23,7 +23,7 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
-from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_parts, gauge_value_grad
+from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
@@ -201,15 +201,15 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
 
 
 def _norm_gradients(
-    norms: list[GaugeNorm], counts: Sequence[int], xs: np.ndarray
+    norms: Sequence[GaugeNorm], owner: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a PSD stack
-    ``(R, d, d)`` whose consecutive blocks of ``counts[n]`` matrices are measured in
-    ``norms[n]``."""
+    ``(R, d, d)`` whose matrix ``r`` is measured in ``norms[owner[r]]``: one
+    ``table_eval`` call, each row reading its norm's table row."""
     w, v = hermitian_decomposition(xs)
-    parts = [gauge_value_grad(norm, s) for norm, s in zip(norms, np.split(np.abs(w), np.cumsum(counts)[:-1]))]
-    g = np.concatenate([grad for _, grad in parts])
-    return np.concatenate([val for val, _ in parts]), (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+    weights, exponents, coefficients = gauge_table(tuple(norms), w.shape[-1])
+    vals, g = table_eval(np.abs(w), weights[owner], exponents, coefficients[owner])
+    return vals, (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
 
 
 def _holder(y: np.ndarray, p: float) -> np.ndarray:
@@ -230,7 +230,7 @@ def _isotonic_fit(v: np.ndarray) -> np.ndarray:
     return np.where(s <= t, tail, inf).min(axis=-2)
 
 
-def _solve_gradient(y: np.ndarray, z: np.ndarray, bases: tuple[Schatten, ...], c: np.ndarray) -> np.ndarray:
+def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], c: np.ndarray) -> np.ndarray:
     """Up to scale, the ``x >= 0`` with ``sum_j c_j (x_i / A_j) ** (p_j - 1) = y_i`` for every
     entry, where ``A_j = ||z||_{p_j}``, for descending ``y >= 0`` with ``y_1 > 0``.
 
@@ -239,10 +239,11 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, bases: tuple[Schatten, ...], c
     from above, at the least of the terms' own roots, falls monotonically onto it; an
     entry stops once a step no longer lowers it, whatever the other entries do.
     """
-    if len(bases) == 1:
-        return _holder(y, bases[0].p)
-    q = np.array([b.p for b in bases]) - 1.0
-    sizes = np.stack([gauge_value_grad(b, z)[0] for b in bases], axis=-1)
+    if len(exponents) == 1:
+        return _holder(y, exponents[0])
+    q = np.array(exponents) - 1.0
+    # one row per exponent, its Schatten norm alone: the sizes (R, J)
+    sizes, _ = table_eval(z[:, None, :], np.zeros(z.shape[-1]), exponents, np.eye(len(exponents)), grad=False)
     # y, c and the sizes enter as ratios, so a norm rescaled by a power of two solves the same
     top = y[:, :1]
     log_a = np.log(c / top) - q * np.log(sizes / sizes[:, :1])
@@ -265,12 +266,12 @@ def _linear_step(norm: GaugeNorm, mu: np.ndarray) -> np.ndarray:
     ``U diag(z) U†`` then maximizes ``<G, Z>`` over PSD ``Z`` with ``norm(Z) <= 1`` for
     ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
     G's eigenbasis. On descending ``z`` the gauge is ``<w, z> + sum_j c_j ||z||_{p_j}``
-    (``gauge.gauge_parts``), and rounding below 0 in ``mu`` is clipped. Two cases:
+    (the norm's ``gauge.gauge_table`` row), and rounding below 0 in ``mu`` is clipped. Two cases:
 
     - Ky Fan bases only: the gauge is ``<w, z>``, so the maximizer is a vertex
       ``1_{<=m} / W_m``, ``W = cumsum(w)``, at the first ``m`` maximizing
       ``cumsum(mu)_m / W_m``.
-    - A Schatten base: the first round takes Hölder's direction for ``p_1``. Each further
+    - A Schatten base: the first round takes Hölder's direction for the least ``p_1``. Each further
       round (W. Dinkelbach's iteration for the ratio ``<mu, z> / norm(z)``) takes ``eta``,
       the row's best ratio so far, fits ``mu / eta - w`` non-increasing (``_isotonic_fit``),
       clips it at 0 to ``y``, and solves the optimality condition
@@ -281,21 +282,21 @@ def _linear_step(norm: GaugeNorm, mu: np.ndarray) -> np.ndarray:
     """
     mu = np.maximum(mu, 0.0)
     index = np.arange(mu.shape[-1])
-    w, bases, c = gauge_parts(norm, mu.shape[-1])
-    if not bases:
+    (w,), ps, (c,) = gauge_table((norm,), mu.shape[-1])
+    if not ps:
         cut = np.cumsum(w)
         m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
         return (index <= m) / cut[m]
     rows = mu.reshape(-1, mu.shape[-1])
-    z = _holder(rows, bases[0].p)
-    z /= gauge_value_grad(norm, z)[0][:, None]
+    z = _holder(rows, ps[0])
+    z /= table_eval(z, w, ps, c, grad=False)[0][:, None]
     best = (rows * z).sum(axis=-1)
-    live = np.flatnonzero(best > 0.0) if w.any() or len(bases) > 1 else index[:0]
+    live = np.flatnonzero(best > 0.0) if w.any() or len(ps) > 1 else index[:0]
     while live.size:
         v = rows[live] / best[live, None] - w
         # without Ky Fan terms v is mu / eta, descending already
-        new = _solve_gradient(np.maximum(_isotonic_fit(v) if w.any() else v, 0.0), z[live], bases, c)
-        new /= gauge_value_grad(norm, new)[0][:, None]
+        new = _solve_gradient(np.maximum(_isotonic_fit(v) if w.any() else v, 0.0), z[live], ps, c)
+        new /= table_eval(new, w, ps, c, grad=False)[0][:, None]
         ratio = (rows[live] * new).sum(axis=-1)
         rising = ratio > best[live]
         live, new, ratio = live[rising], new[rising], ratio[rising]
@@ -314,7 +315,7 @@ def _winners(best_vals: np.ndarray, best_xs: np.ndarray, n_norms: int) -> list[t
 
 def _conditional_gradient(
     ops: np.ndarray,
-    norms: list[GaugeNorm],
+    norms: tuple[GaugeNorm, ...],
     starts: np.ndarray,
     spectra: np.ndarray,
     steps: int,
@@ -331,22 +332,22 @@ def _conditional_gradient(
     every row of a norm stops after an iteration that leaves the norm's best value within
     ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
     """
-    n_starts = len(starts)
     adjoint = np.swapaxes(ops, -2, -1).conj()
-    owner = np.repeat(np.arange(len(norms)), n_starts)
-    xs = np.concatenate([starts / gauge_value_grad(norm, spectra)[0][:, None, None] for norm in norms])
+    owner = np.repeat(np.arange(len(norms)), len(starts))
+    sizes, _ = table_eval(spectra[:, None, :], *gauge_table(norms, spectra.shape[-1]), grad=False)  # (S, N)
+    xs = (starts / sizes.T[..., None, None]).reshape(-1, *starts.shape[1:])
     live = np.arange(len(owner))
-    vals, ys = _norm_gradients(norms, [n_starts] * len(norms), kraus_map(ops, xs))
+    vals, ys = _norm_gradients(norms, owner, kraus_map(ops, xs))
     best_vals, best_xs = vals.copy(), xs.copy()
     for _ in range(steps):
         if not live.size:
             break
         counts = np.bincount(owner[live], minlength=len(norms))
         mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
-        blocks = zip(norms, np.split(mu, np.cumsum(counts)[:-1]))
-        z = np.concatenate([_linear_step(norm, block) for norm, block in blocks])
+        blocks = zip(norms, counts, np.split(mu, np.cumsum(counts)[:-1]))
+        z = np.concatenate([_linear_step(norm, block) for norm, count, block in blocks if count])
         xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
-        new_vals, ys = _norm_gradients(norms, counts, kraus_map(ops, xs))
+        new_vals, ys = _norm_gradients(norms, owner[live], kraus_map(ops, xs))
         improved = new_vals > best_vals[live]
         best_vals[live[improved]] = new_vals[improved]
         best_xs[live[improved]] = xs[improved]
@@ -379,13 +380,15 @@ def empirical_lower_bound(
     R. L. Dykstra, *Order Restricted Statistical Inference*, 1988).
 
     ``Y(V diag(w) V†) = V diag(g) V†`` is the norm's gradient at a PSD matrix with
-    eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one
-    ``gauge_value_grad(norm, |w|)`` call per spectrum gives both the norm and ``g``,
-    on the descending ``|w|`` that ``hermitian_decomposition`` returns. The best
+    eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one ``table_eval``
+    call over every row, each with its norm's ``gauge_table`` row, gives both the
+    norms and ``g`` on the descending ``|w|`` that ``hermitian_decomposition``
+    returns. The best
     value over the whole schedule wins; values within ``STALL_GAIN`` of it tie, and
     ties go to the earliest start.
-    Deterministic for fixed arguments, and the result can never exceed the
-    universal upper bound beyond numerical noise. The search runs on the Kraus set
+    Deterministic for fixed arguments, and the result never exceeds the universal
+    upper bound: that bound is proven, so a value rounding above it is returned as
+    the bound, with the witness that reached it. The search runs on the Kraus set
     rescaled by a power of two (its largest entry in [1, 2)), so the result scales
     exactly with the channel: Kraus operators ``c * E`` give ``c**2`` times the
     value for ``E``. Each norm is searched with its coefficients rescaled the same
@@ -420,10 +423,10 @@ def empirical_lower_bound(
     # the universal bound at the search's scale; one that underflowed to a subnormal stops nothing
     upper = shrink_upper_bound(phi)
     bound = ldexp(upper, -2 * k) if upper >= np.finfo(float).tiny else inf
-    searched = [m for m, _ in scaled.values()]
+    searched = tuple(m for m, _ in scaled.values())
     found = dict(zip(scaled, _conditional_gradient(ops, searched, starts, spectra, steps, bound)))
     with np.errstate(over="ignore"):
-        out = [(float(found[n][0]) * 4.0**k, _ldexp(found[n][1], -scaled[n][1])) for n in norms]
+        out = [(min(float(found[n][0]) * 4.0**k, upper), _ldexp(found[n][1], -scaled[n][1])) for n in norms]
     return out[0] if isinstance(norm, GaugeNorm) else out
 
 
@@ -554,7 +557,8 @@ def shrink_report(
         upper_bound=upper,
         spectral_factor=spectral[0],
         trace_factor=trace[0],
-        # the bound is proven, so a value above it is rounding
+        # the bound is proven, so a value above it is rounding; searched values are clamped
+        # already, and this clamps the computed Schatten-2 factor
         per_norm=tuple(NormBracket(norm, min(found[norm][0], upper), found[norm][1]) for norm in norms),
         padded_dim=padded,
     )

@@ -14,8 +14,10 @@ from cpshrink.gauge import (
     base_terms,
     format_norm,
     gauge_eval,
+    gauge_table,
     gauge_value_grad,
     parse_norm,
+    table_eval,
 )
 from cpshrink.shrink import norm_battery
 from cpshrink.spectral import random_hermitian, singular_values
@@ -150,23 +152,19 @@ class TestGaugeEvalSequence:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_evaluation_per_distinct_base(self, monkeypatch, n):
-        # the battery on spectra of length n: Schatten 1 is Ky Fan n and Schatten inf is Ky Fan 1,
-        # and the combinations' terms are among the rest, so n Ky Fan sums and Schatten 1.5, 2, 3
-        # values only: no gradient is built for any of them
-        seen, grads = [], []
-        real = gauge.gauge_value_grad
+        # the battery on spectra of length n is one table: Schatten 1 is Ky Fan n and Schatten inf
+        # is Ky Fan 1, so its exponent columns are Schatten 1.5, 2 and 3, each raised once, and one
+        # evaluator call gives every value: no gradient is built
+        seen = []
+        real = gauge.table_eval
 
-        def spy(norm, s, grad=True):
-            value, g = real(norm, s, grad)
-            seen.append(norm)
-            grads.append(g)
-            return value, g
+        def spy(s, weights, exponents, coefficients, grad=True):
+            seen.append((weights.shape, exponents, coefficients.shape, grad))
+            return real(s, weights, exponents, coefficients, grad)
 
-        monkeypatch.setattr(gauge, "gauge_value_grad", spy)
+        monkeypatch.setattr(gauge, "table_eval", spy)
         gauge_eval(norm_battery(n), np.random.default_rng(14).random((2, 3, n)))
-        assert len(seen) == len(set(seen)) == n + 3
-        assert set(seen) == {KyFan(k) for k in range(1, n + 1)} | {Schatten(1.5), Schatten(2.0), Schatten(3.0)}
-        assert grads == [None] * (n + 3)
+        assert seen == [((n + 7, n), (1.5, 2.0, 3.0), (n + 7, 3), False)]
 
     @given(
         st.one_of(EVAL_BASES, st.builds(Combination, st.lists(
@@ -185,6 +183,69 @@ class TestGaugeEvalSequence:
         assert np.asarray(gauge_eval(norm, s[0])).tobytes() == np.asarray(full[0][0], dtype=float).tobytes()
         value, none = gauge_value_grad(norm, ordered, grad=False)
         assert none is None and value.tobytes() == np.asarray(full[0], dtype=float).tobytes()
+
+
+# norm lists of every family, with repeats, on spectra past numpy's 8-way unrolled sums
+TABLE_NORMS = st.lists(st.one_of(EVAL_BASES, st.builds(Combination, st.lists(
+    st.tuples(st.floats(1e-3, 1e3), EVAL_BASES), min_size=1, max_size=4,
+).map(tuple))), min_size=1, max_size=6)
+TABLE_SPECTRA = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n), min_size=1, max_size=3,
+))
+
+
+def reference_value(norm, s):
+    """``norm`` at spectrum ``s`` from its own terms: Ky Fan by a cumulative sum, Schatten by numpy's norm."""
+    s = -np.sort(-s)
+    terms = norm.terms if isinstance(norm, Combination) else ((1.0, norm),)
+    return sum(c * (np.cumsum(s)[min(t.k, s.size) - 1] if isinstance(t, KyFan) else np.linalg.norm(s, t.p))
+               for c, t in terms)
+
+
+class TestGaugeTable:
+    def test_rows(self):
+        norms = (KyFan(2), Schatten(3.0), Combination(((0.5, Schatten(1.5)), (2.0, KyFan(1)), (1.0, Schatten(3.0)))),
+                 Schatten(INF), Schatten(1.0))
+        weights, exponents, coefficients = table = gauge_table(norms, 3)
+        assert exponents == (1.5, 3.0)
+        np.testing.assert_array_equal(weights, [[1, 1, 0], [0, 0, 0], [2, 0, 0], [1, 0, 0], [1, 1, 1]])
+        np.testing.assert_array_equal(coefficients, [[0, 0], [0, 1], [0.5, 1], [0, 0], [0, 0]])
+        assert gauge_table(norms, 3) is table
+        assert not weights.flags.writeable and not coefficients.flags.writeable
+
+    @given(TABLE_NORMS, TABLE_SPECTRA)
+    def test_values_match_a_reference(self, norms, rows):
+        s = np.array(rows)
+        values = gauge_eval(norms, s)
+        direct, _ = table_eval(-np.sort(-s)[:, None, :], *gauge_table(tuple(norms), s.shape[-1]), grad=False)
+        for n, norm in enumerate(norms):
+            for t, spectrum in enumerate(s):
+                want = reference_value(norm, spectrum)
+                assert values[n, t] == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert direct[t, n] == values[n, t]
+
+    @given(TABLE_NORMS, TABLE_SPECTRA, st.data())
+    def test_a_row_does_not_depend_on_the_table(self, norms, rows, data):
+        # a norm alone and inside any larger table: value and gradient bit for bit
+        s = -np.sort(-np.array(rows))
+        n = data.draw(st.integers(0, len(norms) - 1))
+        values, grads = table_eval(s[:, None, :], *gauge_table(tuple(norms), s.shape[-1]))
+        alone, alone_grad = table_eval(s[:, None, :], *gauge_table((norms[n],), s.shape[-1]))
+        wrapped, wrapped_grad = gauge_value_grad(norms[n], s)
+        assert values[:, n].tobytes() == alone[:, 0].tobytes() == wrapped.tobytes()
+        assert grads[:, n].tobytes() == alone_grad[:, 0].tobytes() == wrapped_grad.tobytes()
+        # the search's form: one table row per spectrum
+        weights, exponents, coefficients = gauge_table(tuple(norms), s.shape[-1])
+        owner = np.array([n] * len(s))
+        by_row, by_row_grad = table_eval(s, weights[owner], exponents, coefficients[owner])
+        assert by_row.tobytes() == wrapped.tobytes() and by_row_grad.tobytes() == grads[:, n].tobytes()
+
+    def test_an_overflowing_column_stays_in_its_rows(self):
+        # ||s||_3 overflows at these entries; the Ky Fan row beside it reads as it does alone
+        s = np.array([1.5e308, 1.5e308])
+        with np.errstate(over="ignore"):
+            values = gauge_eval([KyFan(1), Schatten(3.0)], s)
+        assert values[0] == gauge_eval(KyFan(1), s) == 1.5e308 and values[1] == INF
 
 
 # pairs of equal norms on spectra of length 4

@@ -336,7 +336,7 @@ class TestEmpiricalLowerBound:
         norms = norm_battery(3)
         xs = np.stack([np.stack([_random_psd(4, 4, rng) for _ in range(3)]) for _ in norms])
         assert (np.linalg.eigvalsh(xs)[..., 0] > 1e-3).all()
-        values, grads = shrink._norm_gradients(norms, [3] * len(norms), xs.reshape(-1, 4, 4))
+        values, grads = shrink._norm_gradients(norms, np.repeat(np.arange(len(norms)), 3), xs.reshape(-1, 4, 4))
         values, grads = values.reshape(len(norms), 3), grads.reshape(xs.shape)
         h = 1e-6
         for norm, block, vals, ys in zip(norms, xs, values, grads):
@@ -907,6 +907,20 @@ class TestBatteryAndReport:
         top = max(c for c, _ in norm.terms)  # 2e308 overflows; 2 * 1e308 does not
         assert row.empirical_lower == want.empirical_lower
         np.testing.assert_allclose(row.witness, want.witness / top / sum(c / top for c, _ in norm.terms), rtol=1e-15)
+
+    def test_searched_values_never_exceed_the_bound(self):
+        # rank-one channels, whose analytic starts reach max(s, t) up to rounding, often one ulp
+        # above it; each value is at most the bound, exactly, and its witness still achieves it
+        norms = [parse_norm(spec) for spec in ("combo:0.5*schatten:2+2*kyfan:2", "kyfan:2",
+                                               "combo:1*kyfan:2+1*schatten:1.5", "combo:1*kyfan:1+1*kyfan:2",
+                                               "schatten:3")]
+        for i in range(40):
+            phi = random_channel(2 + i % 4, 2 + (i // 4) % 4, 1, 1.0, i)
+            upper = shrink_upper_bound(phi)
+            for norm, (lower, witness) in zip(norms, empirical_lower_bound(phi, norms, 20, 40, seed=i)):
+                assert lower <= upper
+                achieved = gauge_eval(norm, singular_values(phi.apply(witness), padded_dim_for(phi)))
+                assert achieved == pytest.approx(lower, rel=1e-12)
 
     def test_brackets_never_invert(self):
         # on both channels the search ratio rounds above the proven bound at these settings
