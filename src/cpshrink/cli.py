@@ -39,6 +39,8 @@ EXIT_NUMERIC = 3
 
 REPORT_FUZZ_INPUTS = 25
 REMIX_CHECKS = 2
+# matrix entries of the inputs that verify checks in one stacked pass (1 MiB of complex128)
+VERIFY_BLOCK_ENTRIES = 2**16
 DEFAULT_NORMS = ("schatten:inf", "schatten:2", "schatten:1")
 NORM_COLUMN = 27
 
@@ -226,6 +228,22 @@ def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> bool:
     return float(np.abs(mixed - base).max()) <= 1e-9 * max(1.0, float(np.abs(base).max()))
 
 
+def _blocks(channels: list[KrausChannel], trials: int):
+    """Runs of consecutive channels whose input stacks hold at most
+    ``VERIFY_BLOCK_ENTRIES`` entries together; a channel over it is a block alone."""
+    block: list[KrausChannel] = []
+    entries = 0
+    for phi in channels:
+        size = trials * phi.d_in**2
+        if block and entries + size > VERIFY_BLOCK_ENTRIES:
+            yield block
+            block, entries = [], 0
+        block.append(phi)
+        entries += size
+    if block:
+        yield block
+
+
 def _cmd_verify(args) -> int:
     for flag, count in (("--random", args.random), ("--trials", args.trials)):
         if count is not None and count < 1:
@@ -265,29 +283,39 @@ def _cmd_verify(args) -> int:
         if witness is None and not np.all(ok):
             witness = _violation_witness(phi, x)
 
-    for _, phi in channels:
-        battery = norm_battery(padded_dim_for(phi))
-        xs = random_hermitian(phi.d_in, rng, args.trials)
-        oks = np.array([chk.ok for chk in check_gauge_bounds(phi, xs, battery)])  # (norms, trials)
-        # the witness is the first trial that fails any norm, as in trial-by-trial order
-        first_bad = xs[np.argmin(oks.all(axis=0))]
-        # the battery's Ky Fan rows are exactly KyFan(1..padded), the per-k suite
-        record("ky fan inequality (per k)", oks[[isinstance(n, KyFan) for n in battery]], phi, first_bad)
-        record("gauge norm battery", oks, phi, first_bad)
-        inv = phi.invariants()
-        base_choi = phi.choi_matrix()
-        for extra in range(REMIX_CHECKS):
-            rows = phi.n_kraus + 2 * extra
-            v = random_isometry(rows, phi.n_kraus, rng)
-            mixed = phi.remix(v)
-            minv = mixed.invariants()
-            ok = (
-                _remixed_close(minv.identity_image, inv.identity_image)
-                and _remixed_close(minv.adjoint_identity_image, inv.adjoint_identity_image)
-                and _remixed_close(mixed.choi_matrix(), base_choi)
+    for block in _blocks([phi for _, phi in channels], args.trials):
+        # every draw in channel order: a channel's inputs, then its remix isometries
+        draws = [
+            (
+                random_hermitian(phi.d_in, rng, args.trials),
+                [random_isometry(phi.n_kraus + 2 * extra, phi.n_kraus, rng) for extra in range(REMIX_CHECKS)],
             )
-            record("remix invariance", ok, phi, None)
-        record("choi positivity", is_psd(base_choi), phi, None)
+            for phi in block
+        ]
+        battery = norm_battery(max(padded_dim_for(phi) for phi in block))
+        checks = check_gauge_bounds(block, [xs for xs, _ in draws], battery)
+        oks = np.array([chk.ok for chk in checks])  # (norms, channels, trials)
+        # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
+        # up to its own padded dimension, the per-k suite, since the rest repeat its trace norm
+        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])
+        for c, (phi, (xs, isometries)) in enumerate(zip(block, draws)):
+            rows = orders <= padded_dim_for(phi)
+            # the witness is the first trial that fails any norm, as in trial-by-trial order
+            first_bad = xs[np.argmin(oks[rows, c].all(axis=0))]
+            record("ky fan inequality (per k)", oks[rows & (orders > 0), c], phi, first_bad)
+            record("gauge norm battery", oks[rows, c], phi, first_bad)
+            inv = phi.invariants()
+            base_choi = phi.choi_matrix()
+            for v in isometries:
+                mixed = phi.remix(v)
+                minv = mixed.invariants()
+                ok = (
+                    _remixed_close(minv.identity_image, inv.identity_image)
+                    and _remixed_close(minv.adjoint_identity_image, inv.adjoint_identity_image)
+                    and _remixed_close(mixed.choi_matrix(), base_choi)
+                )
+                record("remix invariance", ok, phi, None)
+            record("choi positivity", is_psd(base_choi), phi, None)
 
     print(f"{'suite':<30}{'cases':>8}{'failures':>10}")
     for name, (cases, fails) in suites.items():

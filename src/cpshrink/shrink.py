@@ -23,6 +23,7 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 import numpy as np
 
 from .channel import KrausChannel, kraus_map
+from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
     hermitian_decomposition,
@@ -435,7 +436,8 @@ class NormCheck:
     """The shrinking inequality ``lhs <= rhs`` for one norm; ``ok`` grants relative slack 1e-9.
 
     ``lhs`` is the norm of the image, ``rhs`` the universal bound times the norm
-    of the input: floats and a bool for one input, length-T arrays for T inputs.
+    of the input: floats and a bool for one input, length-T arrays for T inputs,
+    with a leading channel axis when several channels are checked at once.
     """
 
     norm: GaugeNorm
@@ -444,26 +446,52 @@ class NormCheck:
     ok: bool | np.ndarray
 
 
-def check_gauge_bounds(phi: KrausChannel, x, norms) -> list[NormCheck]:
+def check_gauge_bounds(phi: KrausChannel | Sequence[KrausChannel], x, norms) -> list[NormCheck]:
     """The shrinking inequality across a list of gauge norms, one NormCheck per norm.
 
-    ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them; the
-    upper bound is computed once for the whole stack, the whole list is
-    evaluated in one ``gauge_eval`` call on the image and input spectra stacked
-    together, and all inequalities are compared at once. Both spectra take the
-    Hermitian SVD, which reads one triangle: the inputs are validated and
-    hermitized first, so the image and the input side read the same matrix,
-    and ``apply`` hermitizes the images.
+    ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them. ``phi`` may
+    also be a sequence of C channels with ``x`` a sequence of one input or stack each,
+    all of one shape (else DimensionMismatch); each field then gains a leading
+    channel axis, ``(C,)`` or ``(C, T)``. Each channel is validated, hermitized and
+    mapped on its own, and its upper bound is computed once for its whole stack.
+    The image stacks and the input stacks are grouped by matrix size, each size
+    taking one Hermitian SVD (which reads one triangle: the inputs are hermitized
+    first, so the image and the input side read the same matrix, and ``apply``
+    hermitizes the images) zero-padded to the largest ``padded_dim_for`` in the
+    list. The whole list is then evaluated in one ``gauge_eval`` call and all
+    inequalities are compared at once. Zero padding leaves every gauge value as
+    it is: a channel whose padded dimension is the list's gets the values of its
+    own call bit for bit, any other one up to rounding.
     """
+    single = isinstance(phi, KrausChannel)
+    phis, xs = ([phi], [x]) if single else (list(phi), list(x))
+    if len(phis) != len(xs):
+        raise DimensionMismatch(f"{len(phis)} channels need as many inputs, got {len(xs)}")
+    if not phis:
+        raise ValueError("check_gauge_bounds needs at least one channel")
     norms = list(norms)
-    x = hermitize(require_hermitian(x, stacked=True))
-    image = phi.apply(x)
-    bound = shrink_upper_bound(phi)
-    padded = padded_dim_for(phi)
-    spectra = np.stack([singular_values(image, padded, hermitian=True), singular_values(x, padded, hermitian=True)])
-    values = gauge_eval(norms, spectra)  # (norms, image | input, ...)
-    lhs, rhs = values[:, 0], bound * values[:, 1]
+    xs = [hermitize(require_hermitian(y, stacked=True)) for y in xs]
+    lead = xs[0].shape[:-2]
+    if any(y.shape[:-2] != lead for y in xs):
+        raise DimensionMismatch(f"input stacks must share one shape, got {[y.shape[:-2] for y in xs]}")
+    images = [p.apply(y) for p, y in zip(phis, xs)]
+    bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
+    padded = max(padded_dim_for(p) for p in phis)
+    spectra = np.empty((2, len(phis), *lead, padded))
+    for side, mats in enumerate((images, xs)):
+        for size in dict.fromkeys(m.shape[-1] for m in mats):
+            members = [c for c, m in enumerate(mats) if m.shape[-1] == size]
+            # a size that one channel holds reads its stack in place: the copy would be most
+            # of what grouping costs a single-channel call
+            group = mats[members[0]][None] if len(members) == 1 else np.stack([mats[c] for c in members])
+            found = singular_values(group, padded, hermitian=True)
+            for c, s in zip(members, found):
+                spectra[side, c] = s
+    values = gauge_eval(norms, spectra)  # (norms, image | input, channels, ...)
+    lhs, rhs = values[:, 0], bounds * values[:, 1]
     ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
+    if single:
+        lhs, rhs, ok = lhs[:, 0], rhs[:, 0], ok[:, 0]
     return [
         NormCheck(norm, lhs[n], rhs[n], ok[n] if ok.ndim > 1 else bool(ok[n])) for n, norm in enumerate(norms)
     ]

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from cpshrink import cli, shrink
-from cpshrink.channel import KrausChannel, matrix_to_entries, random_channel
+from cpshrink.channel import KrausChannel, matrix_to_entries, random_channel, random_isometry
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
-from cpshrink.gauge import Schatten
-from cpshrink.shrink import shrink_report
+from cpshrink.gauge import KyFan, Schatten
+from cpshrink.shrink import check_gauge_bounds, norm_battery, shrink_report
 from cpshrink.spectral import random_hermitian
 
 
@@ -298,6 +298,43 @@ class TestVerify:
         trials = [random_hermitian(3, rng) for _ in range(6)]
         assert doc["input"] == matrix_to_entries(trials[1])
 
+    def test_stacked_channels_match_a_per_channel_loop(self, capsys, monkeypatch):
+        # a negative slack fails some checks; the suite table and the witness are those
+        # that one check per channel predicts, with the draws in the same order
+        monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
+        rng = np.random.default_rng(0)
+        shapes = [(int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(2**31)))
+                  for _ in range(5)]
+        cases = fails = kyfan_cases = kyfan_fails = 0
+        witness = None
+        for d_in, d_out, n_kraus, sub in shapes:
+            phi = random_channel(d_in, d_out, n_kraus, 1.0, sub)
+            xs = random_hermitian(d_in, rng, 6)
+            for extra in range(cli.REMIX_CHECKS):
+                random_isometry(n_kraus + 2 * extra, n_kraus, rng)
+            checks = check_gauge_bounds(phi, xs, norm_battery(max(d_in, d_out)))
+            oks = np.array([chk.ok for chk in checks])
+            kyfan = np.array([isinstance(chk.norm, KyFan) for chk in checks])
+            cases, fails = cases + oks.size, fails + int((~oks).sum())
+            kyfan_cases, kyfan_fails = kyfan_cases + oks[kyfan].size, kyfan_fails + int((~oks[kyfan]).sum())
+            if witness is None and not oks.all():
+                witness = {"channel": phi.to_dict(), "input": matrix_to_entries(xs[np.argmin(oks.all(axis=0))])}
+        assert fails and witness is not None
+        argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        table, _, printed = out.partition("result: FAIL\n")
+        assert table.splitlines()[1:] == [
+            f"ky fan inequality (per k){kyfan_cases:>13}{kyfan_fails:>10}",
+            f"gauge norm battery{cases:>20}{fails:>10}",
+            "remix invariance                    10         0",
+            "choi positivity                      5         0",
+        ]
+        assert json.loads(printed) == witness
+        # one channel per block prints the same
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
+        assert run(capsys, *argv)[:2] == (1, out)
+
     def test_file_channel(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
         path.write_text(random_channel(2, 2, 2, 1.0, 21).to_json())
@@ -324,9 +361,13 @@ def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
     (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None),
     # the printed bound reads the s and t the stacked check already computed
     (("verify", "--channel", "cptp:3x2x2:1"), 4, 0),
-    # 4 per channel: the remixed channels never read s, t or the witness
+    # s and t for each channel (the remixed channels never read them or the witness), then
+    # the one stacked check: one SVD per distinct image size and one per distinct input
+    # size. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5: 2 * 3 + 3 + 3
     (("verify", "--random", "3"), 12, 0),
-], ids=["report", "report-schatten3", "verify-channel", "verify-random"])
+    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: 2 * 6 + 2 + 2
+    (("verify", "--random", "6", "--dims", "2..3"), 16, 0),
+], ids=["report", "report-schatten3", "verify-channel", "verify-random", "verify-random-shared-sizes"])
 def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
     counts = {"svd": 0, "eigh": 0}
 
@@ -348,8 +389,8 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
 
 
 def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):
-    # one stacked input draw and one battery evaluation per channel, at the names
-    # the benchmark's tracer wraps
+    # one stacked input draw per channel and one battery evaluation per block of
+    # channels (here all three), at the names the benchmark's tracer wraps
     counts = {"random_hermitian": 0, "gauge_eval": 0}
     for owner, name in ((cli, "random_hermitian"), (shrink, "gauge_eval")):
         real = getattr(owner, name)
@@ -361,7 +402,7 @@ def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):
         monkeypatch.setattr(owner, name, call)
     code, out, _ = run(capsys, "verify", "--random", "3", "--trials", "20")
     assert code == 0 and "result: PASS" in out
-    assert counts == {"random_hermitian": 3, "gauge_eval": 3}
+    assert counts == {"random_hermitian": 3, "gauge_eval": 1}
 
 
 

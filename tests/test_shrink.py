@@ -759,6 +759,50 @@ class TestInequalityChecks:
                     assert type(a) is type(b) and np.array_equal(a, b)
             assert all(type(chk.ok) is (bool if x.ndim == 2 else np.ndarray) for chk in checks)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**31 - 1)),
+            min_size=1,
+            max_size=6,
+        ),
+        trials=st.one_of(st.none(), st.integers(1, 4)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_channel_sequence_matches_one_call_per_channel(self, shapes, trials, seed):
+        # one stacked pass over several channels: the ok flags of one call per channel,
+        # its values bit for bit where the channel has the list's padded dimension
+        # (the same spectrum length) and up to rounding where it has fewer zeros
+        phis = [random_channel(d_in, d_out, n, 1.0, s) for d_in, d_out, n, s in shapes]
+        rng = np.random.default_rng(seed)
+        xs = [random_hermitian(phi.d_in, rng, trials) for phi in phis]
+        padded = max(padded_dim_for(phi) for phi in phis)
+        norms = norm_battery(padded)
+        checks = check_gauge_bounds(phis, xs, norms)
+        assert [chk.norm for chk in checks] == norms
+        for c, (phi, x) in enumerate(zip(phis, xs)):
+            for chk, single in zip(checks, check_gauge_bounds(phi, x, norms), strict=True):
+                assert chk.ok.shape == chk.lhs.shape == chk.rhs.shape == (len(phis), *np.shape(single.ok))
+                assert np.array_equal(chk.ok[c], single.ok)
+                for field in ("lhs", "rhs"):
+                    got, want = getattr(chk, field)[c], getattr(single, field)
+                    if padded_dim_for(phi) == padded:
+                        assert np.array_equal(got, want)
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_channel_sequence_needs_one_input_shape(self):
+        phis = [random_channel(2, 3, 1, 1.0, 1), random_channel(3, 2, 2, 1.0, 2)]
+        for xs in (
+            [random_hermitian(2, 0, 3), random_hermitian(3, 0, 4)],
+            [random_hermitian(2, 0, 3), random_hermitian(3, 0)],
+            [random_hermitian(2, 0, 3)],
+        ):
+            with pytest.raises(DimensionMismatch):
+                check_gauge_bounds(phis, xs, norm_battery(3))
+        with pytest.raises(ValueError, match="at least one channel"):
+            check_gauge_bounds([], [], norm_battery(3))
+
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)
         ks = [chk.norm.k for chk in check_kyfan_bounds(phi, np.eye(2))]
