@@ -26,6 +26,7 @@ from .errors import (
     ChannelFormatError,
     DimensionMismatch,
     InfeasibleShape,
+    NonFinite,
     NotIsometry,
 )
 from .spectral import as_complex_matrix, hermitian_eigensystem, hermitize, require_hermitian, spectral_norm
@@ -75,7 +76,9 @@ class ChannelInvariants:
     The spectral data every shrinking factor reads is derived from the pair here
     and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
     ``t = ||Phi†(I)||_inf`` and the trace witness. A failed solver call is
-    raised and not kept, so the next read tries again.
+    raised and not kept, so the next read tries again. An operator of the pair
+    that overflowed float64 (Kraus entries far beyond 1e150) raises NonFinite,
+    naming it, when ``s`` or ``t`` is read.
     """
 
     identity_image: np.ndarray
@@ -84,12 +87,12 @@ class ChannelInvariants:
     @cached_property
     def identity_image_norm(self) -> float:
         """``s``: the spectral-norm factor, and the largest eigenvalue of ``Phi(I)``."""
-        return spectral_norm(self.identity_image)
+        return _invariant_norm(self.identity_image, "Phi(I)")
 
     @cached_property
     def adjoint_identity_image_norm(self) -> float:
         """``t``: the trace-norm factor, and the largest eigenvalue of ``Phi†(I)``."""
-        return spectral_norm(self.adjoint_identity_image)
+        return _invariant_norm(self.adjoint_identity_image, "Phi†(I)")
 
     @cached_property
     def adjoint_top_projector(self) -> np.ndarray:
@@ -97,6 +100,14 @@ class ChannelInvariants:
         _, vectors = hermitian_eigensystem(self.adjoint_identity_image)
         top = vectors[:, :1]
         return _frozen(hermitize(top @ top.conj().T))
+
+
+def _invariant_norm(op: np.ndarray, name: str) -> float:
+    """Spectral norm of an operator of the invariant pair, named ``name`` if it overflowed."""
+    try:
+        return spectral_norm(op)
+    except NonFinite:
+        raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150") from None
 
 
 def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:

@@ -7,8 +7,8 @@ Schatten p-norms, and positive combinations of the two. ``base_terms`` reduces
 every norm to its base gauges once, which is where equal norms are told apart;
 ``gauge_table`` turns a list of norms into Ky Fan weights and Schatten
 coefficients, and ``table_eval`` evaluates every row of a table at once, the
-one place where each base family is written. ``gauge_value_grad`` is one norm's
-row, and ``gauge_eval`` sorts and validates first and asks for values only.
+one place where each base family is written. ``gauge_eval`` sorts and validates
+first and asks for values only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "format_norm",
     "gauge_eval",
     "gauge_table",
-    "gauge_value_grad",
     "parse_norm",
     "table_eval",
 ]
@@ -157,14 +156,6 @@ def table_eval(s, weights, exponents, coefficients, grad: bool = True) -> tuple[
     return value, g
 
 
-def gauge_value_grad(norm: GaugeNorm, s: np.ndarray, grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Value and gradient of ``norm``'s gauge function at descending spectra ``s``: the
-    ``table_eval`` of its one-row table. With ``grad=False`` no gradient is built and
-    ``None`` takes its place; the value is the same, bit for bit."""
-    weights, exponents, coefficients = gauge_table((norm,), s.shape[-1])
-    return table_eval(s, weights[0], exponents, coefficients[0], grad)
-
-
 def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     """Evaluate ``norm`` on a vector of nonnegative values.
 
@@ -175,7 +166,7 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     ``norm`` may also be a sequence of N norms, and the N values then come
     stacked on a new leading axis. Either way the spectra are validated and
     sorted once and the whole list is one values-only ``table_eval`` call on its
-    table; each value equals the norm's ``gauge_value_grad`` value bit for bit.
+    table; each value equals the value of the norm's one-row table bit for bit.
     """
     s = np.asarray(spectrum, dtype=float)
     if s.ndim < 1 or s.shape[-1] < 1:

@@ -452,16 +452,16 @@ def check_gauge_bounds(phi: KrausChannel | Sequence[KrausChannel], x, norms) -> 
     ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them. ``phi`` may
     also be a sequence of C channels with ``x`` a sequence of one input or stack each,
     all of one shape (else DimensionMismatch); each field then gains a leading
-    channel axis, ``(C,)`` or ``(C, T)``. Each channel is validated, hermitized and
-    mapped on its own, and its upper bound is computed once for its whole stack.
-    The image stacks and the input stacks are grouped by matrix size, each size
-    taking one Hermitian SVD (which reads one triangle: the inputs are hermitized
-    first, so the image and the input side read the same matrix, and ``apply``
-    hermitizes the images) zero-padded to the largest ``padded_dim_for`` in the
-    list. The whole list is then evaluated in one ``gauge_eval`` call and all
-    inequalities are compared at once. Zero padding leaves every gauge value as
-    it is: a channel whose padded dimension is the list's gets the values of its
-    own call bit for bit, any other one up to rounding.
+    channel axis, ``(C,)`` or ``(C, T)``. Each input stack is validated and
+    hermitized once and mapped with ``kraus_map``, and each channel's upper bound is
+    computed once for its whole stack. The image stacks and the input stacks are
+    grouped together by matrix size, each size taking one Hermitian SVD (which
+    reads one triangle: inputs and images are hermitized, so it reads the whole
+    matrix) zero-padded to the largest ``padded_dim_for`` in the list. The whole
+    list is then evaluated in one ``gauge_eval`` call and all inequalities are
+    compared at once. Zero padding leaves every gauge value as it is: a channel
+    whose padded dimension is the list's gets the values of its own call bit for
+    bit, any other one up to rounding.
     """
     single = isinstance(phi, KrausChannel)
     phis, xs = ([phi], [x]) if single else (list(phi), list(x))
@@ -472,22 +472,19 @@ def check_gauge_bounds(phi: KrausChannel | Sequence[KrausChannel], x, norms) -> 
     norms = list(norms)
     xs = [hermitize(require_hermitian(y, stacked=True)) for y in xs]
     lead = xs[0].shape[:-2]
-    if any(y.shape[:-2] != lead for y in xs):
-        raise DimensionMismatch(f"input stacks must share one shape, got {[y.shape[:-2] for y in xs]}")
-    images = [p.apply(y) for p, y in zip(phis, xs)]
+    shapes = [(y.shape, p.d_in) for p, y in zip(phis, xs)]
+    if any(shape != (*lead, d, d) for shape, d in shapes):
+        raise DimensionMismatch(f"inputs need one stack shape of d_in x d_in matrices, got (shape, d_in) {shapes}")
     bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
+    # the C image stacks, then the C input stacks
+    mats = [hermitize(kraus_map(p.kraus, y)) for p, y in zip(phis, xs)] + xs
     padded = max(padded_dim_for(p) for p in phis)
-    spectra = np.empty((2, len(phis), *lead, padded))
-    for side, mats in enumerate((images, xs)):
-        for size in dict.fromkeys(m.shape[-1] for m in mats):
-            members = [c for c, m in enumerate(mats) if m.shape[-1] == size]
-            # a size that one channel holds reads its stack in place: the copy would be most
-            # of what grouping costs a single-channel call
-            group = mats[members[0]][None] if len(members) == 1 else np.stack([mats[c] for c in members])
-            found = singular_values(group, padded, hermitian=True)
-            for c, s in zip(members, found):
-                spectra[side, c] = s
-    values = gauge_eval(norms, spectra)  # (norms, image | input, channels, ...)
+    spectra = np.empty((len(mats), *lead, padded))
+    for size in {m.shape[-1] for m in mats}:
+        members = [i for i, m in enumerate(mats) if m.shape[-1] == size]
+        spectra[members] = singular_values(np.stack([mats[i] for i in members]), padded, hermitian=True)
+    # (norms, image | input, channels, ...)
+    values = gauge_eval(norms, spectra.reshape(2, len(phis), *lead, padded))
     lhs, rhs = values[:, 0], bounds * values[:, 1]
     ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
     if single:

@@ -274,6 +274,19 @@ class TestInvariants:
             phi.apply(np.eye(3)), phi.invariants().identity_image, atol=1e-10
         )
 
+    @pytest.mark.parametrize("read, name", [
+        ("identity_image_norm", r"Phi\(I\)"),
+        ("adjoint_identity_image_norm", r"Phi†\(I\)"),
+    ], ids=["s", "t"])
+    def test_overflowing_pair_is_named(self, read, name):
+        # finite Kraus entries whose squares overflow float64: reading s or t names the
+        # operator, on every read, rather than calling the matrix non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = KrausChannel(2, 2, [np.array([[1e160, 0.0], [2e160, 1e160]])]).invariants()
+        for _ in range(2):
+            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
+                getattr(inv, read)
+
 
 class TestRemix:
     def test_identity_recombination(self):

@@ -353,21 +353,38 @@ def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
     assert "kraus[0][0][1]: entries must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
+    # finite entries whose invariant pair overflows float64: bad input, named as such
+    path = tmp_path / "huge.json"
+    op = [[[1e160, 0.0], [0.0, 0.0]], [[2e160, 0.0], [1e160, 0.0]]]
+    path.write_text(json.dumps({"d_in": 2, "d_out": 2, "kraus": [op]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, command, "--channel", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: Phi(I) overflows float64: Kraus entries beyond the supported range 1e-150..1e150" in err
+
+
 @pytest.mark.parametrize("argv, svd, eigh", [
-    # s and t take one SVD each, the fuzz two (images and inputs); one eigh for the trace
-    # witness and one for the Schatten-2 Gram
+    # s and t take one SVD each, the fuzz one per matrix size (2 x 2 images, 3 x 3 inputs);
+    # one eigh for the trace witness and one for the Schatten-2 Gram
     (("report", "--channel", "cptp:3x2x2:1"), 4, 2),
     # the searched row reads the same cached witness; the search's eigh calls are not pinned here
     (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None),
     # the printed bound reads the s and t the stacked check already computed
     (("verify", "--channel", "cptp:3x2x2:1"), 4, 0),
+    # a square channel's fuzz takes its images and inputs in one SVD: s, t and one
+    (("report", "--channel", "random:3x3x1:1"), 3, 2),
     # s and t for each channel (the remixed channels never read them or the witness), then
-    # the one stacked check: one SVD per distinct image size and one per distinct input
-    # size. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5: 2 * 3 + 3 + 3
-    (("verify", "--random", "3"), 12, 0),
-    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: 2 * 6 + 2 + 2
-    (("verify", "--random", "6", "--dims", "2..3"), 16, 0),
-], ids=["report", "report-schatten3", "verify-channel", "verify-random", "verify-random-shared-sizes"])
+    # the one stacked check: one SVD per distinct matrix size over images and inputs
+    # together. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5, sizes {4, 2, 5, 3}:
+    # 2 * 3 + 4
+    (("verify", "--random", "3"), 10, 0),
+    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3, sizes {2, 3}: 2 * 6 + 2
+    (("verify", "--random", "6", "--dims", "2..3"), 14, 0),
+], ids=["report", "report-schatten3", "verify-channel", "report-square", "verify-random",
+        "verify-random-shared-sizes"])
 def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
     counts = {"svd": 0, "eigh": 0}
 

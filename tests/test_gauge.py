@@ -15,7 +15,6 @@ from cpshrink.gauge import (
     format_norm,
     gauge_eval,
     gauge_table,
-    gauge_value_grad,
     parse_norm,
     table_eval,
 )
@@ -27,6 +26,12 @@ INF = float("inf")
 
 def norm_of(norm, m, padded_dim):
     return gauge_eval(norm, singular_values(m, padded_dim))
+
+
+def table_row(norm, n):
+    """Row 0 of ``norm``'s one-row table on spectra of length ``n``, as ``table_eval`` takes it."""
+    weights, exponents, coefficients = gauge_table((norm,), n)
+    return weights[0], exponents, coefficients[0]
 
 
 BATTERY = [
@@ -175,14 +180,15 @@ class TestGaugeEvalSequence:
         )),
     )
     def test_values_are_the_value_half_bit_for_bit(self, norm, rows):
-        # gauge_eval's values-only path against the value of the full call on sorted spectra
+        # gauge_eval's values-only path, and table_eval's, against the value of the full
+        # call on sorted spectra
         s = np.array(rows)
         ordered = np.flip(np.sort(s, axis=-1), axis=-1)
-        full = gauge_value_grad(norm, ordered)
+        full = table_eval(ordered, *table_row(norm, s.shape[-1]))
         assert np.asarray(gauge_eval(norm, s)).tobytes() == np.asarray(full[0], dtype=float).tobytes()
         assert np.asarray(gauge_eval(norm, s[0])).tobytes() == np.asarray(full[0][0], dtype=float).tobytes()
-        value, none = gauge_value_grad(norm, ordered, grad=False)
-        assert none is None and value.tobytes() == np.asarray(full[0], dtype=float).tobytes()
+        value, _ = table_eval(ordered, *table_row(norm, s.shape[-1]), grad=False)
+        assert value.tobytes() == np.asarray(full[0], dtype=float).tobytes()
 
 
 # norm lists of every family, with repeats, on spectra past numpy's 8-way unrolled sums
@@ -231,7 +237,7 @@ class TestGaugeTable:
         n = data.draw(st.integers(0, len(norms) - 1))
         values, grads = table_eval(s[:, None, :], *gauge_table(tuple(norms), s.shape[-1]))
         alone, alone_grad = table_eval(s[:, None, :], *gauge_table((norms[n],), s.shape[-1]))
-        wrapped, wrapped_grad = gauge_value_grad(norms[n], s)
+        wrapped, wrapped_grad = table_eval(s, *table_row(norms[n], s.shape[-1]))
         assert values[:, n].tobytes() == alone[:, 0].tobytes() == wrapped.tobytes()
         assert grads[:, n].tobytes() == alone_grad[:, 0].tobytes() == wrapped_grad.tobytes()
         # the search's form: one table row per spectrum
@@ -300,7 +306,7 @@ class TestBaseTerms:
         values = gauge_eval([a, b], spectra)
         assert values[0].tobytes() == values[1].tobytes()
         for s in (spectra[1, 0], spectra):
-            (va, ga), (vb, gb) = gauge_value_grad(a, -np.sort(-s)), gauge_value_grad(b, -np.sort(-s))
+            (va, ga), (vb, gb) = (table_eval(-np.sort(-s), *table_row(norm, 4)) for norm in (a, b))
             assert np.asarray(va).tobytes() == np.asarray(vb).tobytes() and ga.tobytes() == gb.tobytes()
 
 
@@ -319,7 +325,7 @@ def central_difference(norm, s, h=1e-6):
 
 
 def gauge_grad(norm, s):
-    return gauge_value_grad(norm, s)[1]
+    return table_eval(s, *table_row(norm, s.shape[-1]))[1]
 
 
 class TestGaugeGrad:
@@ -356,10 +362,10 @@ class TestGaugeGrad:
         single = np.array([4.0, 2.5, 2.5, 0.7, 0.0, 0.0])
         stack = -np.sort(-rng.random((3, 5, 6)) * rng.choice([1e-3, 1.0, 1e4], (3, 5, 1)), axis=-1)
         stack[0, 0] = 0.0
-        value, grad = gauge_value_grad(norm, single)
+        value, grad = table_eval(single, *table_row(norm, 6))
         assert np.ndim(value) == 0 and grad.shape == single.shape
         assert float(value) == gauge_eval(norm, single)
-        value, grad = gauge_value_grad(norm, stack)
+        value, grad = table_eval(stack, *table_row(norm, 6))
         assert value.shape == stack.shape[:-1] and grad.shape == stack.shape
         np.testing.assert_array_equal(value, gauge_eval(norm, stack))
 

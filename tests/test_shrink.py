@@ -11,7 +11,7 @@ from cpshrink.channel import (
     random_cptp_channel,
     random_isometry,
 )
-from cpshrink import shrink
+from cpshrink import channel, shrink, spectral
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
 from cpshrink.gauge import Combination, KyFan, Schatten, format_norm, gauge_eval, parse_norm
 from cpshrink.shrink import (
@@ -769,6 +769,8 @@ class TestInequalityChecks:
         trials=st.one_of(st.none(), st.integers(1, 4)),
         seed=st.integers(0, 2**31 - 1),
     )
+    # one channel's image size is another's input size, so one SVD takes both
+    @example(shapes=[(2, 3, 1, 0), (3, 2, 2, 1)], trials=3, seed=0)
     def test_channel_sequence_matches_one_call_per_channel(self, shapes, trials, seed):
         # one stacked pass over several channels: the ok flags of one call per channel,
         # its values bit for bit where the channel has the list's padded dimension
@@ -790,6 +792,28 @@ class TestInequalityChecks:
                         assert np.array_equal(got, want)
                     else:
                         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("sequence", [False, True], ids=["one-channel", "sequence"])
+    def test_each_input_stack_is_validated_once(self, monkeypatch, sequence):
+        # one Hermitian check per input stack, and none on the images: the check maps the
+        # stack it validated itself
+        seen = []
+        real = spectral.require_hermitian
+
+        def counting(a, stacked=False):
+            seen.append(np.shape(a))
+            return real(a, stacked)
+
+        for module in (spectral, channel, shrink):
+            monkeypatch.setattr(module, "require_hermitian", counting)
+        phis = [random_channel(3, 2, 2, 1.0, 50), random_channel(2, 3, 1, 1.0, 51)]
+        xs = [random_hermitian(3, 52, 4), random_hermitian(2, 53, 4)]
+        if sequence:
+            check_gauge_bounds(phis, xs, norm_battery(3))
+        else:
+            phis, xs = phis[:1], xs[:1]
+            check_gauge_bounds(phis[0], xs[0], norm_battery(3))
+        assert seen == [x.shape for x in xs]
 
     def test_channel_sequence_needs_one_input_shape(self):
         phis = [random_channel(2, 3, 1, 1.0, 1), random_channel(3, 2, 2, 1.0, 2)]
