@@ -54,7 +54,6 @@ from .shrink import (
     trace_shrink_factor,
 )
 from .spectral import (
-    EigenSystem,
     hermitian_eigensystem,
     is_psd,
     random_hermitian,
@@ -71,7 +70,6 @@ __all__ = [
     "Combination",
     "ConvergenceFailure",
     "DimensionMismatch",
-    "EigenSystem",
     "FanProjectors",
     "GaugeNorm",
     "InfeasibleShape",

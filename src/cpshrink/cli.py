@@ -126,7 +126,10 @@ def resolve_channel(source: str) -> KrausChannel:
             text = fh.read()
     except OSError as exc:
         raise ChannelFormatError(f"cannot read channel file {source!r}: {exc}") from exc
-    return KrausChannel.from_json(text)
+    # finite entries whose invariant pair overflows raise the named NonFinite error on
+    # construction, since s and t are read first; numpy's warnings would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return KrausChannel.from_json(text)
 
 
 def _report_doc(args, phi: KrausChannel) -> dict:
@@ -216,16 +219,20 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _violation_witness(phi: KrausChannel, x: np.ndarray | None) -> dict:
-    doc = {"channel": phi.to_dict()}
-    if x is not None:
-        doc["input"] = matrix_to_entries(x)
-    return doc
-
-
 def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> bool:
     # entrywise, relative to the base operator's largest entry, as require_hermitian is
     return float(np.abs(mixed - base).max()) <= 1e-9 * max(1.0, float(np.abs(base).max()))
+
+
+def _remix_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
+    """The channel remixed by the isometry ``v`` keeps its invariant pair and Choi matrix."""
+    mixed = phi.remix(v)
+    inv, minv = phi.invariants(), mixed.invariants()
+    return (
+        _remixed_close(minv.identity_image, inv.identity_image)
+        and _remixed_close(minv.adjoint_identity_image, inv.adjoint_identity_image)
+        and _remixed_close(mixed.choi_matrix(), base_choi)
+    )
 
 
 def _blocks(channels: list[KrausChannel], trials: int):
@@ -249,9 +256,9 @@ def _cmd_verify(args) -> int:
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be at least 1, got {count}")
     rng = np.random.default_rng(args.seed)
-    channels: list[tuple[str, KrausChannel]] = []
+    channels: list[KrausChannel] = []
     if args.channel is not None:
-        channels.append((args.channel, resolve_channel(args.channel)))
+        channels.append(resolve_channel(args.channel))
     else:
         lo_hi = args.dims.split("..")
         if len(lo_hi) != 2:
@@ -260,12 +267,12 @@ def _cmd_verify(args) -> int:
         hi = _parse_int(lo_hi[1], "--dims high end")
         if not 1 <= lo <= hi:
             raise ChannelFormatError(f"--dims range is empty or invalid: {args.dims!r}")
-        for i in range(args.random):
+        for _ in range(args.random):
             d_in = int(rng.integers(lo, hi + 1))
             d_out = int(rng.integers(lo, hi + 1))
             n_kraus = int(rng.integers(1, 4))
             sub = int(rng.integers(2**31))
-            channels.append((f"random#{i}", random_channel(d_in, d_out, n_kraus, 1.0, sub)))
+            channels.append(random_channel(d_in, d_out, n_kraus, 1.0, sub))
 
     suites = {
         "ky fan inequality (per k)": [0, 0],
@@ -274,16 +281,7 @@ def _cmd_verify(args) -> int:
         "choi positivity": [0, 0],
     }
     witness: dict | None = None
-
-    def record(suite: str, ok, phi: KrausChannel, x: np.ndarray | None) -> None:
-        # ok is one flag or one per trial; x is the witness input should any fail
-        nonlocal witness
-        suites[suite][0] += int(np.size(ok))
-        suites[suite][1] += int(np.size(ok) - np.count_nonzero(ok))
-        if witness is None and not np.all(ok):
-            witness = _violation_witness(phi, x)
-
-    for block in _blocks([phi for _, phi in channels], args.trials):
+    for block in _blocks(channels, args.trials):
         # every draw in channel order: a channel's inputs, then its remix isometries
         draws = [
             (
@@ -292,36 +290,39 @@ def _cmd_verify(args) -> int:
             )
             for phi in block
         ]
-        battery = norm_battery(max(padded_dim_for(phi) for phi in block))
+        padded = np.array([padded_dim_for(phi) for phi in block])
+        battery = norm_battery(int(padded.max()))
         checks = check_gauge_bounds(block, [xs for xs, _ in draws], battery)
         oks = np.array([chk.ok for chk in checks])  # (norms, channels, trials)
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
         # up to its own padded dimension, the per-k suite, since the rest repeat its trace norm
-        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])
-        for c, (phi, (xs, isometries)) in enumerate(zip(block, draws)):
-            rows = orders <= padded_dim_for(phi)
-            # the witness is the first trial that fails any norm, as in trial-by-trial order
-            first_bad = xs[np.argmin(oks[rows, c].all(axis=0))]
-            record("ky fan inequality (per k)", oks[rows & (orders > 0), c], phi, first_bad)
-            record("gauge norm battery", oks[rows, c], phi, first_bad)
-            inv = phi.invariants()
-            base_choi = phi.choi_matrix()
-            for v in isometries:
-                mixed = phi.remix(v)
-                minv = mixed.invariants()
-                ok = (
-                    _remixed_close(minv.identity_image, inv.identity_image)
-                    and _remixed_close(minv.adjoint_identity_image, inv.adjoint_identity_image)
-                    and _remixed_close(mixed.choi_matrix(), base_choi)
-                )
-                record("remix invariance", ok, phi, None)
-            record("choi positivity", is_psd(base_choi), phi, None)
+        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])[:, None]
+        rows = orders <= padded  # (norms, channels)
+        chois = [phi.choi_matrix() for phi in block]
+        remixed = np.array([
+            [_remix_holds(phi, v, choi) for v in isometries]
+            for phi, choi, (_, isometries) in zip(block, chois, draws)
+        ])  # (channels, REMIX_CHECKS)
+        psd = np.array([is_psd(choi) for choi in chois])  # (channels,)
+        # each suite's flags in the table's order; a case is one flag
+        for counts, ok in zip(suites.values(), (oks[rows & (orders > 0)], oks[rows], remixed, psd)):
+            counts[0] += ok.size
+            counts[1] += ok.size - np.count_nonzero(ok)
+        # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
+        trial_ok = (oks | ~rows[:, :, None]).all(axis=0)  # (channels, trials)
+        bad = ~(trial_ok.all(axis=1) & remixed.all(axis=1) & psd)
+        # the run's witness is its first failing channel, as a channel-by-channel pass finds it
+        if witness is None and bad.any():
+            c = int(np.argmax(bad))
+            witness = {"channel": block[c].to_dict()}
+            if not trial_ok[c].all():
+                witness["input"] = matrix_to_entries(draws[c][0][np.argmin(trial_ok[c])])
 
     print(f"{'suite':<30}{'cases':>8}{'failures':>10}")
     for name, (cases, fails) in suites.items():
         print(f"{name:<30}{cases:>8}{fails:>10}")
     if args.channel is not None:
-        print("upper bound: " + _float17(shrink_upper_bound(channels[0][1])))
+        print("upper bound: " + _float17(shrink_upper_bound(channels[0])))
     total_failures = sum(f for _, f in suites.values())
     if total_failures:
         print("result: FAIL")

@@ -12,14 +12,11 @@ and written for small dimensions; no sparse or structured paths.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 
 __all__ = [
-    "EigenSystem",
     "as_complex_matrix",
     "hermitian_decomposition",
     "hermitian_eigensystem",
@@ -131,21 +128,15 @@ def trace_norm(m) -> float:
     return float(_unpadded(m).sum())
 
 
-class EigenSystem(NamedTuple):
-    """Eigenvalues in descending order; column i of ``vectors`` pairs with ``values[i]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigensystem(x) -> EigenSystem:
-    """Full eigensystem of a Hermitian operator, eigenvalues descending.
+def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigensystem ``(w, v)`` of a Hermitian operator, eigenvalues descending;
+    column i of ``v`` pairs with ``w[i]``.
 
     Convergence failures from the underlying solver are surfaced as
     ConvergenceFailure, never masked.
     """
     w, v = _linalg("eigh", require_hermitian(x))
-    return EigenSystem(np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1]))
+    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:

@@ -335,6 +335,44 @@ class TestVerify:
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
         assert run(capsys, *argv)[:2] == (1, out)
 
+    @pytest.mark.parametrize("patched, line", [
+        ("is_psd", "choi positivity                      5         1"),
+        ("_remixed_close", "remix invariance                    10         2"),
+    ])
+    def test_witness_of_a_suite_without_inputs(self, capsys, monkeypatch, patched, line):
+        # the third of five random channels fails a suite that draws no input: its
+        # witness is the channel alone, unless the battery fails in an earlier channel
+        rng = np.random.default_rng(0)
+        shapes = [[int(rng.integers(*r)) for r in ((1, 6), (1, 6), (1, 4), (2**31,))] for _ in range(5)]
+        d_in, d_out, n_kraus, sub = shapes[2]
+        target = random_channel(d_in, d_out, n_kraus, 1.0, sub)
+        choi = target.choi_matrix()
+        real = getattr(cli, patched)
+        argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
+
+        def witness(out):
+            return json.loads(out.partition("result: FAIL\n")[2])
+
+        with monkeypatch.context() as m:
+            m.setattr(shrink, "BOUND_SLACK", -0.6)
+            battery_witness = witness(run(capsys, *argv)[1])
+        # is_psd takes the Choi matrix, and the remix suite's last comparison takes it as its base
+        monkeypatch.setattr(cli, patched, lambda *args: not np.array_equal(args[-1], choi) and real(*args))
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and line in out
+        assert [row.split()[-1] for row in out.splitlines()[1:5]].count("0") == 3
+        assert witness(out) == {"channel": target.to_dict()}
+        # one channel per block prints the same
+        with monkeypatch.context() as m:
+            m.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
+            assert run(capsys, *argv)[:2] == (1, out)
+        # a battery failure in an earlier channel wins, with its failing input
+        monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and line in out
+        assert witness(out) == battery_witness
+        assert "input" in battery_witness and battery_witness["channel"] != target.to_dict()
+
     def test_file_channel(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
         path.write_text(random_channel(2, 2, 2, 1.0, 21).to_json())
@@ -359,8 +397,7 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     path = tmp_path / "huge.json"
     op = [[[1e160, 0.0], [0.0, 0.0]], [[2e160, 0.0], [1e160, 0.0]]]
     path.write_text(json.dumps({"d_in": 2, "d_out": 2, "kraus": [op]}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, command, "--channel", str(path))
+    code, out, err = run(capsys, command, "--channel", str(path))
     assert code == 2
     assert out == ""
     assert "error: Phi(I) overflows float64: Kraus entries beyond the supported range 1e-150..1e150" in err
