@@ -65,7 +65,7 @@ def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     return left @ np.swapaxes(blocks, -3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelInvariants:
     """Operator pair unchanged under isometric recombination of the Kraus set.
 
@@ -113,26 +113,28 @@ def _invariant_norm(op: np.ndarray, name: str) -> float:
 def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:
     """A fresh complex128 stack ``(n, d_out, d_in)`` of the validated Kraus set.
 
-    A nonempty array of that shape is validated in one call; anything else, or
-    an array that fails, goes operator by operator, so errors name the operator.
+    One path for an array and a sequence of operators alike: the shapes are
+    checked once (an array's ``shape[1:]``, each operator's only when that does
+    not match), the set is converted once, copied, and checked for emptiness and
+    finiteness in one call each. Every error about an operator names it as
+    ``kraus[i]``: DimensionMismatch for a wrong shape or ndim, NonFinite for NaN
+    or Inf entries.
     """
-    if isinstance(kraus, np.ndarray) and kraus.shape[1:] == (d_out, d_in) and len(kraus):
-        try:
-            return as_complex_matrix(np.array(kraus, dtype=np.complex128), stacked=True)
-        except (TypeError, ValueError):
-            pass  # the loop raises the same error for the first bad operator
-    ops = []
-    for idx, op in enumerate(kraus):
-        mat = as_complex_matrix(op)
-        if mat.shape != (d_out, d_in):
-            raise DimensionMismatch(f"kraus[{idx}] has shape {mat.shape}, expected ({d_out}, {d_in})")
-        ops.append(mat)
-    if not ops:
+    if getattr(kraus, "shape", ())[1:] != (d_out, d_in):
+        kraus = list(kraus)  # any iterable of operators, read once
+        for i, op in enumerate(kraus):
+            if np.shape(op) != (d_out, d_in):
+                raise DimensionMismatch(f"kraus[{i}] has shape {np.shape(op)}, expected ({d_out}, {d_in})")
+    stack = np.array(kraus, dtype=np.complex128)
+    if not len(stack):
         raise ValueError("at least one Kraus operator is required")
-    return np.stack(ops)
+    if not np.isfinite(stack).all():
+        i = np.argmin(np.isfinite(stack).all(axis=(1, 2)))
+        raise NonFinite(f"kraus[{i}] contains NaN or Inf entries")
+    return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive map given by a list of Kraus operators.
 
@@ -142,18 +144,21 @@ class KrausChannel:
         Input and output space dimensions; any integer type (numpy integers
         included), stored as Python ints.
     kraus : sequence of array_like, or array_like of shape (n, d_out, d_in)
-        Operators of shape ``(d_out, d_in)``. Individual zero operators are
-        allowed, but at least one operator must be nonzero.
+        Operators of shape ``(d_out, d_in)``, finite. Individual zero operators
+        are allowed, but at least one operator must be nonzero. An operator of
+        the wrong shape or with NaN or Inf entries is named as ``kraus[i]`` in
+        the error, whichever form the set comes in.
 
     ``kraus`` is stored as one read-only complex128 copy of shape
     ``(n_kraus, d_out, d_in)``, and the invariant pair is computed from it once,
-    at construction; treat a channel as immutable.
+    at construction; treat a channel as immutable. Channels, like the other
+    records that hold arrays, compare and hash by identity.
     """
 
     d_in: int
     d_out: int
     kraus: np.ndarray
-    _invariants: ChannelInvariants = field(init=False, repr=False, compare=False)
+    _invariants: ChannelInvariants = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d_in", operator.index(self.d_in))
@@ -238,9 +243,7 @@ class KrausChannel:
         raw = doc["kraus"]
         if not isinstance(raw, list) or not raw:
             raise ChannelFormatError("kraus: expected a nonempty list of operators")
-        ops = []
-        for n, op in enumerate(raw):
-            ops.append(entries_to_matrix(op, d_out, d_in, field=f"kraus[{n}]"))
+        ops = [entries_to_matrix(op, d_out, d_in, field=f"kraus[{n}]") for n, op in enumerate(raw)]
         try:
             return cls(d_in, d_out, ops)
         except (ValueError, DimensionMismatch) as exc:
@@ -315,22 +318,16 @@ def partial_trace_channel(d_b: int, d_c: int) -> KrausChannel:
 def random_channel(d_in: int, d_out: int, n_kraus: int, scale: float = 1.0, seed=0) -> KrausChannel:
     """Channel with i.i.d. complex Gaussian Kraus entries times ``scale``.
 
-    Deterministic for a fixed seed. Scaling the entries by c multiplies both
-    invariant operators by c**2.
+    Deterministic for a fixed seed, drawn once. Scaling the entries by c
+    multiplies both invariant operators by c**2.
     """
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
-    while True:
-        ops = scale * (
-            rng.standard_normal((n_kraus, d_out, d_in))
-            + 1j * rng.standard_normal((n_kraus, d_out, d_in))
-        )
-        if ops.any():  # an all-zero draw has probability zero; redo keeps the contract
-            break
-    return KrausChannel(d_in, d_out, ops)
+    ops = rng.standard_normal((n_kraus, d_out, d_in)) + 1j * rng.standard_normal((n_kraus, d_out, d_in))
+    return KrausChannel(d_in, d_out, scale * ops)
 
 
 def random_cptp_channel(d_in: int, d_out: int, n_kraus: int, seed=0) -> KrausChannel:

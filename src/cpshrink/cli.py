@@ -118,6 +118,8 @@ def resolve_channel(source: str) -> KrausChannel:
             raise ChannelFormatError(f"{kind} spec needs a seed: {kind}:<dIn>x<dOut>x<n>:<seed>")
         d_in, d_out, n_kraus = _parse_dims(shape_text, f"{kind} shape", 3)
         seed = _parse_int(seed_text, f"{kind} seed")
+        if seed < 0:
+            raise ChannelFormatError(f"{kind} seed: expected a non-negative integer, got {seed_text!r}")
         if kind == "random":
             return random_channel(d_in, d_out, n_kraus, 1.0, seed)
         return random_cptp_channel(d_in, d_out, n_kraus, seed)
@@ -385,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_verify(args)

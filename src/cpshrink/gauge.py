@@ -13,6 +13,7 @@ first and asks for values only.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,12 +42,19 @@ __all__ = [
 class KyFan:
     """Sum of the ``k`` largest singular values.
 
-    With ``k`` at or beyond the spectrum length this is the trace norm.
+    With ``k`` at or beyond the spectrum length this is the trace norm. ``k`` may
+    be any integer type (numpy integers and Python bools included) and is stored as a
+    Python int, so equal orders give equal, equally hashed norms; a non-integer
+    such as ``2.0`` or ``"2"`` raises ValueError.
     """
 
     k: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            pass  # not an integer type: rejected below
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"KyFan order must be an integer >= 1, got {self.k!r}")
 

@@ -76,7 +76,7 @@ def top_k_eigensum(x, k: int) -> float:
     return float(w[: min(k, w.size)].sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FanProjectors:
     """Orthogonal projectors splitting the top-k singular directions by sign.
 
@@ -338,8 +338,8 @@ def _conditional_gradient(
     sizes, _ = table_eval(spectra[:, None, :], *gauge_table(norms, spectra.shape[-1]), grad=False)  # (S, N)
     xs = (starts / sizes.T[..., None, None]).reshape(-1, *starts.shape[1:])
     live = np.arange(len(owner))
-    vals, ys = _norm_gradients(norms, owner, kraus_map(ops, xs))
-    best_vals, best_xs = vals.copy(), xs.copy()
+    best_vals, ys = _norm_gradients(norms, owner, kraus_map(ops, xs))
+    best_xs = xs.copy()
     for _ in range(steps):
         if not live.size:
             break
@@ -349,13 +349,15 @@ def _conditional_gradient(
         z = np.concatenate([_linear_step(norm, block) for norm, count, block in blocks if count])
         xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
         new_vals, ys = _norm_gradients(norms, owner[live], kraus_map(ops, xs))
-        improved = new_vals > best_vals[live]
+        # a live row's value is its best: it moved on only by gaining, and every gain is a new best
+        vals = best_vals[live]
+        improved = new_vals > vals
         best_vals[live[improved]] = new_vals[improved]
         best_xs[live[improved]] = xs[improved]
         # a norm whose best value is within STALL_GAIN of the bound is done: no start can beat it
         done = best_vals.reshape(len(norms), -1).max(axis=-1) >= (1.0 - STALL_GAIN) * bound
         moving = (new_vals - vals > STALL_GAIN * vals) & ~done[owner[live]]
-        live, vals, ys = live[moving], new_vals[moving], ys[moving]
+        live, ys = live[moving], ys[moving]
     return _winners(best_vals, best_xs, len(norms))
 
 
@@ -431,13 +433,14 @@ def empirical_lower_bound(
     return out[0] if isinstance(norm, GaugeNorm) else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormCheck:
     """The shrinking inequality ``lhs <= rhs`` for one norm; ``ok`` grants relative slack 1e-9.
 
     ``lhs`` is the norm of the image, ``rhs`` the universal bound times the norm
     of the input: floats and a bool for one input, length-T arrays for T inputs,
     with a leading channel axis when several channels are checked at once.
+    Like every record here that may hold arrays, it compares and hashes by identity.
     """
 
     norm: GaugeNorm
@@ -509,7 +512,7 @@ def norm_battery(max_k: int) -> list[GaugeNorm]:
     return norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormBracket:
     """One norm's bracket: the best lower bound found and its witness input."""
 
@@ -518,7 +521,7 @@ class NormBracket:
     witness: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShrinkReport:
     """Channel-level summary.
 

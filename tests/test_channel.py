@@ -116,8 +116,27 @@ class TestConstruction:
             np.testing.assert_array_equal(phi.invariants().identity_image, np.diag([1.0, 5.0]))
 
 
+def _bad_kraus(case):
+    """(d_in, d_out, the set as an array, the message naming what is wrong, the error type)."""
+    ops = np.zeros((3, 2, 2))
+    ops[0] = np.eye(2)
+    if case == "nan":
+        ops[2, 1, 0] = np.nan
+        return 2, 2, ops, r"kraus\[2\] contains NaN or Inf entries", NonFinite
+    if case == "inf":
+        ops[1, 0, 1] = -np.inf
+        return 2, 2, ops, r"kraus\[1\] contains NaN or Inf entries", NonFinite
+    if case == "shape":
+        return 3, 2, np.ones((2, 3, 2)), r"kraus\[0\] has shape \(3, 2\), expected \(2, 3\)", DimensionMismatch
+    if case == "1-D":
+        # each operator of a 2-D array is one of its rows
+        return 2, 2, np.eye(2), r"kraus\[0\] has shape \(2,\), expected \(2, 2\)", DimensionMismatch
+    return 3, 2, np.zeros((0, 2, 3)), "at least one Kraus operator is required", ValueError
+
+
 class TestStackedConstruction:
-    # an (n, d_out, d_in) array is validated in one call; errors match the per-operator path
+    # one path builds the stack from an array or a sequence: the same set gives the same
+    # channel or the same error, and every error about an operator names it
 
     def test_stack_and_list_give_identical_channels(self):
         src = random_channel(3, 2, 3, 1.0, 6).kraus
@@ -128,15 +147,37 @@ class TestStackedConstruction:
                 a, b = (getattr(phi.invariants(), name) for phi in (stacked, listed))
                 assert a.tobytes() == b.tobytes()
 
+    def test_any_iterable_of_operators(self):
+        src = random_channel(3, 2, 3, 1.0, 6).kraus
+        phi = KrausChannel(3, 2, (op for op in src))
+        assert phi.kraus.tobytes() == src.tobytes()
+
+    @pytest.mark.parametrize("form", ["array", "list"])
+    @pytest.mark.parametrize("case", ["shape", "1-D", "nan", "inf", "empty"])
+    def test_bad_set_names_the_operator(self, form, case):
+        d_in, d_out, ops, message, error = _bad_kraus(case)
+        with pytest.raises(error, match="^" + message + "$") as info:
+            KrausChannel(d_in, d_out, ops if form == "array" else list(ops))
+        # exactly this type: NonFinite and DimensionMismatch are ValueErrors too
+        assert type(info.value) is error
+
     def test_non_finite_stack(self):
+        # the first non-finite operator is the one named
         ops = np.zeros((3, 2, 2))
         ops[0] = np.eye(2)
-        ops[2, 1, 0] = np.nan
-        with pytest.raises(NonFinite, match="NaN or Inf"):
-            KrausChannel(2, 2, ops)
+        ops[1, 0, 0], ops[2, 1, 0] = np.inf, np.nan
+        for kraus in (ops, list(ops), [np.eye(2), np.full((2, 2), np.nan)]):
+            with pytest.raises(NonFinite, match=r"^kraus\[1\] contains NaN or Inf entries$"):
+                KrausChannel(2, 2, kraus)
 
     def test_wrong_operator_shape_names_the_operator(self):
-        with pytest.raises(DimensionMismatch, match=r"kraus\[0\] has shape \(3, 2\), expected \(2, 3\)"):
+        # the first misshapen operator of a sequence is the one named, whatever its ndim
+        good = np.eye(2)
+        with pytest.raises(DimensionMismatch, match=r"^kraus\[1\] has shape \(2,\), expected \(2, 2\)$"):
+            KrausChannel(2, 2, [good, np.ones(2), np.ones((3, 2))])
+        with pytest.raises(DimensionMismatch, match=r"^kraus\[2\] has shape \(3, 2\), expected \(2, 2\)$"):
+            KrausChannel(2, 2, (good, good, np.ones((3, 2))))
+        with pytest.raises(DimensionMismatch, match=r"^kraus\[0\] has shape \(3, 2\), expected \(2, 3\)$"):
             KrausChannel(3, 2, np.ones((2, 3, 2)))
 
     def test_empty_and_all_zero_stacks(self):
@@ -405,6 +446,11 @@ class TestRandomChannels:
         b = random_channel(3, 2, 2, 1.0, 123)
         for x, y in zip(a.kraus, b.kraus):
             np.testing.assert_array_equal(x, y)
+
+    def test_one_draw_real_part_first(self):
+        rng = np.random.default_rng(123)
+        re, im = rng.standard_normal((2, 2, 2, 3))
+        assert random_channel(3, 2, 2, 0.5, 123).kraus.tobytes() == (0.5 * (re + 1j * im)).tobytes()
 
     def test_scale_covariance(self):
         a = random_channel(3, 2, 2, 1.0, 9)

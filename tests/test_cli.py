@@ -381,6 +381,25 @@ class TestVerify:
         assert "result: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("report", "--channel", "ptrace:2x2", "--seed", "-1"), "--seed must be non-negative, got -1"),
+        (("verify", "--random", "2", "--seed", "-3"), "--seed must be non-negative, got -3"),
+        (("verify", "--channel", "random:2x2x1:-5"), "random seed: expected a non-negative integer, got '-5'"),
+        (("report", "--channel", "random:2x2x1:-5"), "random seed: expected a non-negative integer, got '-5'"),
+        (("verify", "--channel", "cptp:2x2x1:-5"), "cptp seed: expected a non-negative integer, got '-5'"),
+        (("report", "--channel", "cptp:2x2x1:-5"), "cptp seed: expected a non-negative integer, got '-5'"),
+    ],
+    ids=["report-flag", "verify-flag", "verify-random", "report-random", "verify-cptp", "report-cptp"],
+)
+def test_negative_seed_exits_2_naming_it(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["report", "verify"])
 def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
     path = tmp_path / "huge.json"

@@ -375,6 +375,17 @@ class TestVariantValidation:
         with pytest.raises(ValueError):
             KyFan(0)
 
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(3), np.uint8(1), True], ids=repr)
+    def test_kyfan_order_of_any_integer_type_is_canonical(self, k):
+        norm = KyFan(k)
+        assert type(norm.k) is int and norm == KyFan(int(k)) and hash(norm) == hash(KyFan(int(k)))
+        assert format_norm(norm) == f"kyfan:{int(k)}" and parse_norm(format_norm(norm)) == norm
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), "2", None, False, np.int64(0)], ids=repr)
+    def test_kyfan_order_rejects_non_integers(self, k):
+        with pytest.raises(ValueError, match="KyFan order must be an integer >= 1"):
+            KyFan(k)
+
     def test_schatten_exponent_at_least_one(self):
         with pytest.raises(ValueError):
             Schatten(0.5)

@@ -1052,3 +1052,28 @@ class TestSharedSpectralData:
         with pytest.raises(ConvergenceFailure):
             read(phi)
         np.testing.assert_array_equal(read(phi), read(random_channel(3, 2, 2, 1.0, 47)))
+
+
+def _report():
+    return shrink_report(random_channel(2, 2, 1, 1.0, 0), [KyFan(1), Schatten(3.0)], restarts=1, steps=1)
+
+
+# records that hold arrays: a generated __eq__ would compare arrays and raise for two equal-shaped ones
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_channel(2, 2, 1, 1.0, 0),
+        lambda: random_channel(2, 2, 1, 1.0, 0).invariants(),
+        lambda: check_gauge_bounds(identity_channel(2), np.eye(2), [KyFan(1)])[0],
+        lambda: check_gauge_bounds(identity_channel(2), np.stack([np.eye(2)] * 3), [KyFan(1)])[0],
+        lambda: _report().per_norm[1],
+        _report,
+        lambda: fan_projectors(np.diag([2.0, -1.0]), 1),
+    ],
+    ids=["KrausChannel", "ChannelInvariants", "NormCheck-scalar", "NormCheck-stack", "NormBracket",
+         "ShrinkReport", "FanProjectors"],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
