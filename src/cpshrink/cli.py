@@ -141,7 +141,7 @@ def _report_doc(args, phi: KrausChannel) -> dict:
 
     rng = np.random.default_rng(args.seed)
     xs = random_hermitian(phi.d_in, rng, REPORT_FUZZ_INPUTS)
-    oks = np.stack([chk.ok for chk in check_kyfan_bounds(phi, xs)])
+    oks = check_kyfan_bounds(phi, xs).ok
     checks, failures = oks.size, int(oks.size - np.count_nonzero(oks))
 
     return {
@@ -222,8 +222,8 @@ def _cmd_report(args) -> int:
 
 
 def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> bool:
-    # entrywise, relative to the base operator's largest entry, as require_hermitian is
-    return float(np.abs(mixed - base).max()) <= 1e-9 * max(1.0, float(np.abs(base).max()))
+    # entrywise, relative to the base operator's largest entry, so it holds at any Kraus scale
+    return float(np.abs(mixed - base).max()) <= 1e-9 * float(np.abs(base).max())
 
 
 def _remix_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
@@ -294,11 +294,10 @@ def _cmd_verify(args) -> int:
         ]
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
-        checks = check_gauge_bounds(block, [xs for xs, _ in draws], battery)
-        oks = np.array([chk.ok for chk in checks])  # (norms, channels, trials)
+        check = check_gauge_bounds(block, [xs for xs, _ in draws], battery)  # (norms, channels, trials)
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
         # up to its own padded dimension, the per-k suite, since the rest repeat its trace norm
-        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])[:, None]
+        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in check.norms])[:, None]
         rows = orders <= padded  # (norms, channels)
         chois = [phi.choi_matrix() for phi in block]
         remixed = np.array([
@@ -307,11 +306,11 @@ def _cmd_verify(args) -> int:
         ])  # (channels, REMIX_CHECKS)
         psd = np.array([is_psd(choi) for choi in chois])  # (channels,)
         # each suite's flags in the table's order; a case is one flag
-        for counts, ok in zip(suites.values(), (oks[rows & (orders > 0)], oks[rows], remixed, psd)):
+        for counts, ok in zip(suites.values(), (check.ok[rows & (orders > 0)], check.ok[rows], remixed, psd)):
             counts[0] += ok.size
             counts[1] += ok.size - np.count_nonzero(ok)
         # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
-        trial_ok = (oks | ~rows[:, :, None]).all(axis=0)  # (channels, trials)
+        trial_ok = (check.ok | ~rows[:, :, None]).all(axis=0)  # (channels, trials)
         bad = ~(trial_ok.all(axis=1) & remixed.all(axis=1) & psd)
         # the run's witness is its first failing channel, as a channel-by-channel pass finds it
         if witness is None and bad.any():

@@ -435,44 +435,44 @@ def empirical_lower_bound(
 
 @dataclass(frozen=True, eq=False)
 class NormCheck:
-    """The shrinking inequality ``lhs <= rhs`` for one norm; ``ok`` grants relative slack 1e-9.
+    """The shrinking inequality ``lhs <= rhs`` for N norms, C channels and their inputs.
 
-    ``lhs`` is the norm of the image, ``rhs`` the universal bound times the norm
-    of the input: floats and a bool for one input, length-T arrays for T inputs,
-    with a leading channel axis when several channels are checked at once.
+    ``lhs`` holds the norms of the images and ``rhs`` the universal bound times the
+    norms of the inputs, arrays of shape ``(N, C, *lead)`` for inputs stacked as
+    ``(*lead, d_in, d_in)``: row ``n`` is ``norms[n]``, column ``c`` the ``c``-th
+    channel. ``ok`` is ``lhs <= (1 + BOUND_SLACK) * rhs``, the same shape; the slack is
+    relative, so Kraus operators ``c * E`` check exactly as ``E`` does.
     Like every record here that may hold arrays, it compares and hashes by identity.
     """
 
-    norm: GaugeNorm
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    ok: bool | np.ndarray
+    norms: tuple[GaugeNorm, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    ok: np.ndarray
 
 
-def check_gauge_bounds(phi: KrausChannel | Sequence[KrausChannel], x, norms) -> list[NormCheck]:
-    """The shrinking inequality across a list of gauge norms, one NormCheck per norm.
+def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
+    """The shrinking inequality for C channels across a list of N gauge norms.
 
-    ``x`` is one Hermitian input or a stack ``(T, d_in, d_in)`` of them. ``phi`` may
-    also be a sequence of C channels with ``x`` a sequence of one input or stack each,
-    all of one shape (else DimensionMismatch); each field then gains a leading
-    channel axis, ``(C,)`` or ``(C, T)``. Each input stack is validated and
-    hermitized once and mapped with ``kraus_map``, and each channel's upper bound is
-    computed once for its whole stack. The image stacks and the input stacks are
-    grouped together by matrix size, each size taking one Hermitian SVD (which
-    reads one triangle: inputs and images are hermitized, so it reads the whole
-    matrix) zero-padded to the largest ``padded_dim_for`` in the list. The whole
-    list is then evaluated in one ``gauge_eval`` call and all inequalities are
-    compared at once. Zero padding leaves every gauge value as it is: a channel
-    whose padded dimension is the list's gets the values of its own call bit for
-    bit, any other one up to rounding.
+    ``xs`` holds one Hermitian input or stack ``(*lead, d_in, d_in)`` per channel,
+    all of one shape (else DimensionMismatch); the record's fields have shape
+    ``(N, C, *lead)``. Each input stack is validated and hermitized once and mapped
+    with ``kraus_map``, and each channel's upper bound is computed once for its
+    whole stack. The image stacks and the input stacks are grouped together by
+    matrix size, each size taking one Hermitian SVD (which reads one triangle:
+    inputs and images are hermitized, so it reads the whole matrix) zero-padded to
+    the largest ``padded_dim_for`` in the list. The whole list is then evaluated in
+    one ``gauge_eval`` call and all inequalities are compared at once. Zero padding
+    leaves every gauge value as it is: a channel whose padded dimension is the
+    list's gets the values of a call on it alone bit for bit, any other one up to
+    rounding.
     """
-    single = isinstance(phi, KrausChannel)
-    phis, xs = ([phi], [x]) if single else (list(phi), list(x))
+    phis, xs = list(phis), list(xs)
     if len(phis) != len(xs):
         raise DimensionMismatch(f"{len(phis)} channels need as many inputs, got {len(xs)}")
     if not phis:
         raise ValueError("check_gauge_bounds needs at least one channel")
-    norms = list(norms)
+    norms = tuple(norms)
     xs = [hermitize(require_hermitian(y, stacked=True)) for y in xs]
     lead = xs[0].shape[:-2]
     shapes = [(y.shape, p.d_in) for p, y in zip(phis, xs)]
@@ -489,17 +489,13 @@ def check_gauge_bounds(phi: KrausChannel | Sequence[KrausChannel], x, norms) -> 
     # (norms, image | input, channels, ...)
     values = gauge_eval(norms, spectra.reshape(2, len(phis), *lead, padded))
     lhs, rhs = values[:, 0], bounds * values[:, 1]
-    ok = lhs <= rhs + BOUND_SLACK * np.maximum(1.0, rhs)
-    if single:
-        lhs, rhs, ok = lhs[:, 0], rhs[:, 0], ok[:, 0]
-    return [
-        NormCheck(norm, lhs[n], rhs[n], ok[n] if ok.ndim > 1 else bool(ok[n])) for n, norm in enumerate(norms)
-    ]
+    return NormCheck(norms, lhs, rhs, lhs <= (1.0 + BOUND_SLACK) * rhs)
 
 
-def check_kyfan_bounds(phi: KrausChannel, x) -> list[NormCheck]:
-    """Per-k Ky Fan inequality for one input or a stack, k = 1..padded_dim."""
-    return check_gauge_bounds(phi, x, [KyFan(k) for k in range(1, padded_dim_for(phi) + 1)])
+def check_kyfan_bounds(phi: KrausChannel, x) -> NormCheck:
+    """Per-k Ky Fan inequality for one input or a stack, k = 1..padded_dim: the record of
+    ``check_gauge_bounds`` on the one channel, so ``C = 1``."""
+    return check_gauge_bounds([phi], [x], [KyFan(k) for k in range(1, padded_dim_for(phi) + 1)])
 
 
 def norm_battery(max_k: int) -> list[GaugeNorm]:

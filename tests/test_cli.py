@@ -267,6 +267,45 @@ class TestVerify:
         assert "remix invariance                     2         0" in out
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-150])
+    def test_wrong_remix_fails_at_any_kraus_scale(self, capsys, monkeypatch, tmp_path, scale):
+        # the comparison is relative to the base's largest entry, so a remix that scales the
+        # Kraus set by 1.5 fails at a small Kraus scale too, and a right one passes there
+        path = tmp_path / "chan.json"
+        path.write_text(random_channel(3, 3, 2, scale, 1).to_json())
+        argv = ("verify", "--channel", str(path), "--trials", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "remix invariance                     2         0" in out
+        remix = KrausChannel.remix
+
+        def scaled(self, v):
+            mixed = remix(self, v)
+            return KrausChannel(mixed.d_in, mixed.d_out, mixed.kraus * 1.5)
+
+        monkeypatch.setattr(KrausChannel, "remix", scaled)
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "remix invariance                     2         2" in out
+
+    @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40, 1e150, 1e-150], ids=["2^40", "2^-40", "1e150", "1e-150"])
+    def test_halved_bound_fails_alike_at_any_kraus_scale(self, capsys, monkeypatch, tmp_path, scale):
+        # the slack is relative to the bound, so a bound half the true one fails the same
+        # checks for Kraus operators c * E as for E, however small or large c is
+        real = shrink.shrink_upper_bound
+        monkeypatch.setattr(shrink, "shrink_upper_bound", lambda phi: real(phi) / 2)
+        tables = []
+        for c in (1.0, scale):
+            path = tmp_path / "chan.json"
+            path.write_text(random_channel(3, 2, 2, c, 4).to_json())
+            code, out, _ = run(capsys, "verify", "--channel", str(path))
+            assert code == 1
+            tables.append(out.splitlines()[:5])
+        assert tables[0] == tables[1]
+        assert tables[0][1:3] == [
+            "ky fan inequality (per k)           60         3",
+            "gauge norm battery                 200         8",
+        ]
+
     def test_tampered_remix_fails(self, capsys, monkeypatch):
         remix = KrausChannel.remix
 
@@ -312,9 +351,9 @@ class TestVerify:
             xs = random_hermitian(d_in, rng, 6)
             for extra in range(cli.REMIX_CHECKS):
                 random_isometry(n_kraus + 2 * extra, n_kraus, rng)
-            checks = check_gauge_bounds(phi, xs, norm_battery(max(d_in, d_out)))
-            oks = np.array([chk.ok for chk in checks])
-            kyfan = np.array([isinstance(chk.norm, KyFan) for chk in checks])
+            check = check_gauge_bounds([phi], [xs], norm_battery(max(d_in, d_out)))
+            oks = check.ok[:, 0]
+            kyfan = np.array([isinstance(norm, KyFan) for norm in check.norms])
             cases, fails = cases + oks.size, fails + int((~oks).sum())
             kyfan_cases, kyfan_fails = kyfan_cases + oks[kyfan].size, kyfan_fails + int((~oks[kyfan]).sum())
             if witness is None and not oks.all():

@@ -666,37 +666,53 @@ class TestConditionalGradient:
 class TestInequalityChecks:
     def test_zero_input_all_ok(self):
         phi = random_channel(3, 2, 2, 1.0, 31)
-        checks = check_kyfan_bounds(phi, np.zeros((3, 3)))
-        assert len(checks) == padded_dim_for(phi)
-        for chk in checks:
-            assert chk.ok and chk.lhs == 0.0 and chk.rhs == 0.0
+        chk = check_kyfan_bounds(phi, np.zeros((3, 3)))
+        assert len(chk.norms) == padded_dim_for(phi)
+        assert chk.ok.shape == (padded_dim_for(phi), 1)
+        assert chk.ok.all() and not chk.lhs.any() and not chk.rhs.any()
 
     def test_identity_channel_is_tight(self):
         rng = np.random.default_rng(32)
         phi = identity_channel(3)
         x = random_hermitian(3, rng)
-        for chk in check_kyfan_bounds(phi, x):
-            assert chk.ok
-            assert chk.lhs == pytest.approx(chk.rhs, rel=1e-12)
+        chk = check_kyfan_bounds(phi, x)
+        assert chk.ok.all()
+        np.testing.assert_allclose(chk.lhs, chk.rhs, rtol=1e-12, atol=1e-12)
 
     def test_random_fuzz_all_ok(self):
         rng = np.random.default_rng(33)
         for seed in range(20):
             phi = random_channel(int(rng.integers(2, 5)), int(rng.integers(2, 5)), 2, 1.0, seed)
             x = random_hermitian(phi.d_in, rng)
-            assert all(chk.ok for chk in check_kyfan_bounds(phi, x))
-            assert all(chk.ok for chk in check_gauge_bounds(phi, x, norm_battery(6)))
-            # a stack of inputs gives one length-T array per field, matching per-input calls
+            assert check_kyfan_bounds(phi, x).ok.all()
+            assert check_gauge_bounds([phi], [x], norm_battery(6)).ok.all()
+            # a stack of inputs gains a trailing axis of length T, matching per-input calls
             xs = np.stack([x] + [random_hermitian(phi.d_in, rng) for _ in range(3)])
-            for check in (check_kyfan_bounds, lambda p, y: check_gauge_bounds(p, y, norm_battery(6))):
+            for check in (check_kyfan_bounds, lambda p, y: check_gauge_bounds([p], [y], norm_battery(6))):
                 stacked = check(phi, xs)
-                singles = [check(phi, y) for y in xs]
-                for n, chk in enumerate(stacked):
-                    assert chk.lhs.shape == chk.rhs.shape == chk.ok.shape == (4,)
-                    for t, single in enumerate(s[n] for s in singles):
-                        assert chk.norm == single.norm and chk.ok[t] == single.ok
-                        assert chk.lhs[t] == pytest.approx(single.lhs, rel=1e-15)
-                        assert chk.rhs[t] == pytest.approx(single.rhs, rel=1e-15)
+                assert stacked.lhs.shape == stacked.rhs.shape == stacked.ok.shape == (len(stacked.norms), 1, 4)
+                for t, y in enumerate(xs):
+                    single = check(phi, y)
+                    assert single.norms == stacked.norms
+                    assert np.array_equal(stacked.ok[..., t], single.ok)
+                    for field in ("lhs", "rhs"):
+                        np.testing.assert_allclose(
+                            getattr(stacked, field)[..., t], getattr(single, field), rtol=1e-15, atol=1e-12
+                        )
+
+    def test_record_shapes_and_relative_slack(self, monkeypatch):
+        # one record of (norms, channels, trials) arrays, its ok the relative comparison
+        phis = [random_channel(3, 2, 2, 1.0, 60), random_channel(2, 4, 1, 1e-7, 61), random_channel(4, 3, 3, 1e7, 62)]
+        rng = np.random.default_rng(63)
+        xs = [random_hermitian(phi.d_in, rng, 5) for phi in phis]
+        norms = norm_battery(4)
+        for slack in (shrink.BOUND_SLACK, -0.6):
+            monkeypatch.setattr(shrink, "BOUND_SLACK", slack)
+            chk = check_gauge_bounds(phis, xs, norms)
+            assert chk.norms == tuple(norms)
+            assert chk.lhs.shape == chk.rhs.shape == chk.ok.shape == (len(norms), 3, 5)
+            assert np.array_equal(chk.ok, chk.lhs <= (1 + slack) * chk.rhs)
+            assert chk.ok.all() == (slack > 0)
 
     def test_one_stacked_evaluation_matches_per_spectrum_values(self):
         rng = np.random.default_rng(35)
@@ -705,17 +721,17 @@ class TestInequalityChecks:
             bound = shrink_upper_bound(phi)
             xs = np.stack([random_hermitian(phi.d_in, rng) for _ in range(4)])
             for norm in norm_battery(padded):
-                (chk,) = check_gauge_bounds(phi, xs, [norm])
-                (single,) = check_gauge_bounds(phi, xs[2], [norm])
+                chk = check_gauge_bounds([phi], [xs], [norm])
+                single = check_gauge_bounds([phi], [xs[2]], [norm])
                 for t, x in enumerate(xs):
                     lhs = gauge_eval(norm, singular_values(phi.apply(x), padded))
                     rhs = bound * gauge_eval(norm, singular_values(x, padded))
                     # numpy's power ufunc may round the last bit by array layout, so not ==
-                    assert chk.lhs[t] == pytest.approx(lhs, rel=1e-15, abs=0.0)
-                    assert chk.rhs[t] == pytest.approx(rhs, rel=1e-15, abs=0.0)
+                    assert chk.lhs[0, 0, t] == pytest.approx(lhs, rel=1e-15, abs=0.0)
+                    assert chk.rhs[0, 0, t] == pytest.approx(rhs, rel=1e-15, abs=0.0)
                     if t == 2:
-                        assert single.lhs == pytest.approx(lhs, rel=1e-15, abs=0.0)
-                        assert single.rhs == pytest.approx(rhs, rel=1e-15, abs=0.0)
+                        assert single.lhs[0, 0] == pytest.approx(lhs, rel=1e-15, abs=0.0)
+                        assert single.rhs[0, 0] == pytest.approx(rhs, rel=1e-15, abs=0.0)
 
     def test_input_inside_the_hermitian_tolerance_is_read_whole(self):
         # the Hermitian SVD reads one triangle, so an input off its adjoint by just
@@ -732,32 +748,33 @@ class TestInequalityChecks:
         off = xs + 0.45 * HERMITICITY_TOL * scale * skew
         assert not np.array_equal(off, hermitize(off))
         for x in (off, off[1]):
-            for chk, whole in zip(check_gauge_bounds(phi, x, norm_battery(6)),
-                                  check_gauge_bounds(phi, hermitize(x), norm_battery(6))):
-                for field in ("lhs", "rhs", "ok"):
-                    assert np.array_equal(getattr(chk, field), getattr(whole, field))
+            chk = check_gauge_bounds([phi], [x], norm_battery(6))
+            whole = check_gauge_bounds([phi], [hermitize(x)], norm_battery(6))
+            for field in ("lhs", "rhs", "ok"):
+                assert np.array_equal(getattr(chk, field), getattr(whole, field))
         # an input outside the tolerance is still refused
         with pytest.raises(ValueError, match="not Hermitian"):
-            check_gauge_bounds(phi, xs + 0.55 * HERMITICITY_TOL * scale * skew, norm_battery(6))
+            check_gauge_bounds([phi], [xs + 0.55 * HERMITICITY_TOL * scale * skew], norm_battery(6))
 
     def test_empty_norm_list(self):
         phi = random_channel(3, 2, 2, 1.0, 38)
         xs = random_hermitian(3, 39, 4)
-        assert check_gauge_bounds(phi, xs[0], []) == []
-        assert check_gauge_bounds(phi, xs, []) == []
+        for x, shape in ((xs[0], (0, 1)), (xs, (0, 1, 4))):
+            chk = check_gauge_bounds([phi], [x], [])
+            assert chk.norms == ()
+            assert chk.lhs.shape == chk.rhs.shape == chk.ok.shape == shape
 
     def test_duplicate_norms_get_one_check_each(self):
         phi = random_channel(3, 2, 2, 1.0, 40)
         combo = Combination(((0.5, Schatten(2.0)), (2.0, KyFan(2))))
         norms = [Schatten(3.0), combo, KyFan(1), Schatten(3.0), combo]
         for x in (random_hermitian(3, 41), random_hermitian(3, 41, 4)):
-            checks = check_gauge_bounds(phi, x, norms)
-            assert [chk.norm for chk in checks] == norms
+            chk = check_gauge_bounds([phi], [x], norms)
+            assert chk.norms == tuple(norms)
+            assert chk.ok.shape == (len(norms), 1, *x.shape[:-2])
             for first, again in ((0, 3), (1, 4)):
                 for field in ("lhs", "rhs", "ok"):
-                    a, b = getattr(checks[first], field), getattr(checks[again], field)
-                    assert type(a) is type(b) and np.array_equal(a, b)
-            assert all(type(chk.ok) is (bool if x.ndim == 2 else np.ndarray) for chk in checks)
+                    assert np.array_equal(getattr(chk, field)[first], getattr(chk, field)[again])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -780,18 +797,18 @@ class TestInequalityChecks:
         xs = [random_hermitian(phi.d_in, rng, trials) for phi in phis]
         padded = max(padded_dim_for(phi) for phi in phis)
         norms = norm_battery(padded)
-        checks = check_gauge_bounds(phis, xs, norms)
-        assert [chk.norm for chk in checks] == norms
+        chk = check_gauge_bounds(phis, xs, norms)
+        assert chk.norms == tuple(norms)
         for c, (phi, x) in enumerate(zip(phis, xs)):
-            for chk, single in zip(checks, check_gauge_bounds(phi, x, norms), strict=True):
-                assert chk.ok.shape == chk.lhs.shape == chk.rhs.shape == (len(phis), *np.shape(single.ok))
-                assert np.array_equal(chk.ok[c], single.ok)
-                for field in ("lhs", "rhs"):
-                    got, want = getattr(chk, field)[c], getattr(single, field)
-                    if padded_dim_for(phi) == padded:
-                        assert np.array_equal(got, want)
-                    else:
-                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            single = check_gauge_bounds([phi], [x], norms)
+            assert chk.ok.shape == chk.lhs.shape == chk.rhs.shape == (len(norms), len(phis), *x.shape[:-2])
+            assert np.array_equal(chk.ok[:, c], single.ok[:, 0])
+            for field in ("lhs", "rhs"):
+                got, want = getattr(chk, field)[:, c], getattr(single, field)[:, 0]
+                if padded_dim_for(phi) == padded:
+                    assert np.array_equal(got, want)
+                else:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("sequence", [False, True], ids=["one-channel", "sequence"])
     def test_each_input_stack_is_validated_once(self, monkeypatch, sequence):
@@ -808,11 +825,9 @@ class TestInequalityChecks:
             monkeypatch.setattr(module, "require_hermitian", counting)
         phis = [random_channel(3, 2, 2, 1.0, 50), random_channel(2, 3, 1, 1.0, 51)]
         xs = [random_hermitian(3, 52, 4), random_hermitian(2, 53, 4)]
-        if sequence:
-            check_gauge_bounds(phis, xs, norm_battery(3))
-        else:
+        if not sequence:
             phis, xs = phis[:1], xs[:1]
-            check_gauge_bounds(phis[0], xs[0], norm_battery(3))
+        check_gauge_bounds(phis, xs, norm_battery(3))
         assert seen == [x.shape for x in xs]
 
     def test_channel_sequence_needs_one_input_shape(self):
@@ -829,7 +844,7 @@ class TestInequalityChecks:
 
     def test_k_range_is_padded_dim(self):
         phi = random_channel(2, 5, 2, 1.0, 34)
-        ks = [chk.norm.k for chk in check_kyfan_bounds(phi, np.eye(2))]
+        ks = [norm.k for norm in check_kyfan_bounds(phi, np.eye(2)).norms]
         assert ks == list(range(1, 6))
 
     def test_dimension_mismatch(self):
@@ -846,9 +861,9 @@ class TestInequalityChecks:
         ("svd", shrink_upper_bound, 2),
         ("svd", lambda phi: spectral_norm(phi.kraus[0]), 2),
         ("svd", lambda phi: trace_norm(phi.kraus[0]), 2),
-        ("svd", lambda phi: check_gauge_bounds(phi, np.eye(phi.d_in), norm_battery(3)), 2),
+        ("svd", lambda phi: check_gauge_bounds([phi], [np.eye(phi.d_in)], norm_battery(3)), 2),
         # only stacks fail here, so the error must come from the stacked check's SVDs
-        ("svd", lambda phi: check_gauge_bounds(phi, np.stack([np.eye(phi.d_in)] * 3), norm_battery(3)), 3),
+        ("svd", lambda phi: check_gauge_bounds([phi], [np.stack([np.eye(phi.d_in)] * 3)], norm_battery(3)), 3),
     ],
     ids=["empirical_lower_bound", "shrink_upper_bound", "spectral_norm", "trace_norm",
          "check_gauge_bounds", "check_gauge_bounds_stacked"],
@@ -1064,8 +1079,8 @@ def _report():
     [
         lambda: random_channel(2, 2, 1, 1.0, 0),
         lambda: random_channel(2, 2, 1, 1.0, 0).invariants(),
-        lambda: check_gauge_bounds(identity_channel(2), np.eye(2), [KyFan(1)])[0],
-        lambda: check_gauge_bounds(identity_channel(2), np.stack([np.eye(2)] * 3), [KyFan(1)])[0],
+        lambda: check_gauge_bounds([identity_channel(2)], [np.eye(2)], [KyFan(1)]),
+        lambda: check_gauge_bounds([identity_channel(2)], [np.stack([np.eye(2)] * 3)], [KyFan(1)]),
         lambda: _report().per_norm[1],
         _report,
         lambda: fan_projectors(np.diag([2.0, -1.0]), 1),
