@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,17 +30,20 @@ from .errors import (
     NonFinite,
     NotIsometry,
 )
-from .spectral import as_complex_matrix, hermitian_eigensystem, hermitize, require_hermitian, spectral_norm
+from .spectral import as_complex_matrix, hermitian_eigensystem, hermitize, require_hermitian, singular_values
 
 __all__ = [
     "ChannelInvariants",
     "KrausChannel",
+    "complex_gaussian",
     "identity_channel",
     "kraus_map",
+    "orthonormal_columns",
     "partial_trace_channel",
     "random_channel",
     "random_cptp_channel",
     "random_isometry",
+    "read_invariant_norms",
 ]
 
 ISOMETRY_TOL = 1e-9
@@ -75,10 +79,11 @@ class ChannelInvariants:
 
     The spectral data every shrinking factor reads is derived from the pair here
     and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
-    ``t = ||Phi†(I)||_inf`` and the trace witness. A failed solver call is
-    raised and not kept, so the next read tries again. An operator of the pair
-    that overflowed float64 (Kraus entries far beyond 1e150) raises NonFinite,
-    naming it, when ``s`` or ``t`` is read.
+    ``t = ||Phi†(I)||_inf`` and the trace witness. ``read_invariant_norms``
+    reads ``s`` and ``t`` of many pairs at once and keeps them where these reads
+    keep them. A failed solver call is raised and not kept, so the next read
+    tries again. An operator of the pair that overflowed float64 (Kraus entries
+    far beyond 1e150) raises NonFinite, naming it, when ``s`` or ``t`` is read.
     """
 
     identity_image: np.ndarray
@@ -87,12 +92,12 @@ class ChannelInvariants:
     @cached_property
     def identity_image_norm(self) -> float:
         """``s``: the spectral-norm factor, and the largest eigenvalue of ``Phi(I)``."""
-        return _invariant_norm(self.identity_image, "Phi(I)")
+        return _invariant_norms([(self.identity_image, "Phi(I)")])[0]
 
     @cached_property
     def adjoint_identity_image_norm(self) -> float:
         """``t``: the trace-norm factor, and the largest eigenvalue of ``Phi†(I)``."""
-        return _invariant_norm(self.adjoint_identity_image, "Phi†(I)")
+        return _invariant_norms([(self.adjoint_identity_image, "Phi†(I)")])[0]
 
     @cached_property
     def adjoint_top_projector(self) -> np.ndarray:
@@ -102,12 +107,46 @@ class ChannelInvariants:
         return _frozen(hermitize(top @ top.conj().T))
 
 
-def _invariant_norm(op: np.ndarray, name: str) -> float:
-    """Spectral norm of an operator of the invariant pair, named ``name`` if it overflowed."""
-    try:
-        return spectral_norm(op)
-    except NonFinite:
-        raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150") from None
+def _invariant_norms(ops: Sequence[tuple[np.ndarray, str]]) -> list[float]:
+    """Spectral norms of operators of invariant pairs, given with their names.
+
+    One general SVD per distinct size through ``singular_values``; numpy
+    decomposes each matrix of a stack on its own, so a value does not depend on
+    the others. Before any SVD, the first operator that overflowed float64
+    raises NonFinite naming it.
+    """
+    for op, name in ops:
+        if not np.isfinite(op).all():
+            raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150")
+    out = [0.0] * len(ops)
+    for size in {len(op) for op, _ in ops}:
+        members = [i for i, (op, _) in enumerate(ops) if len(op) == size]
+        tops = singular_values(np.stack([ops[i][0] for i in members]), size)[:, 0]
+        for i, top in zip(members, tops):
+            out[i] = float(top)
+    return out
+
+
+# each norm of the pair: the cached property that keeps it, its operator, the operator's name
+_PAIR_NORMS = (
+    ("identity_image_norm", "identity_image", "Phi(I)"),
+    ("adjoint_identity_image_norm", "adjoint_identity_image", "Phi†(I)"),
+)
+
+
+def read_invariant_norms(pairs: Sequence[ChannelInvariants]) -> None:
+    """Read ``s`` and ``t`` of every pair at once, kept where the pairs' own reads keep them.
+
+    The operators not read yet take one general SVD per distinct size, as a
+    single read takes one, so each value equals its single read bit for bit and
+    a later read recomputes nothing. The first operator that overflowed, in pair
+    order with ``Phi(I)`` before ``Phi†(I)``, raises the NonFinite that names it.
+    A solver failure is raised, and nothing is kept.
+    """
+    unread = [(inv, attr, getattr(inv, op), name) for inv in pairs for attr, op, name in _PAIR_NORMS
+              if attr not in vars(inv)]
+    for (inv, attr, _, _), value in zip(unread, _invariant_norms([(op, name) for _, _, op, name in unread])):
+        vars(inv)[attr] = value
 
 
 def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:
@@ -325,8 +364,7 @@ def random_channel(d_in: int, d_out: int, n_kraus: int, scale: float = 1.0, seed
         raise ValueError(f"n_kraus must be >= 1, got {n_kraus}")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    rng = np.random.default_rng(seed)
-    ops = rng.standard_normal((n_kraus, d_out, d_in)) + 1j * rng.standard_normal((n_kraus, d_out, d_in))
+    ops = complex_gaussian(np.random.default_rng(seed), (n_kraus, d_out, d_in))
     return KrausChannel(d_in, d_out, scale * ops)
 
 
@@ -349,10 +387,32 @@ def random_cptp_channel(d_in: int, d_out: int, n_kraus: int, seed=0) -> KrausCha
 
 
 def random_isometry(rows: int, cols: int, seed=0) -> np.ndarray:
-    """Matrix with orthonormal columns from the QR of a complex Gaussian draw."""
+    """Matrix with orthonormal columns from the QR of a complex Gaussian draw.
+
+    ``seed`` may be a ``np.random.Generator``, which the draw advances. A block of
+    isometries drawn with ``complex_gaussian`` and taken through
+    ``orthonormal_columns`` equals per-call results bit for bit.
+    """
     if rows < cols:
         raise InfeasibleShape(f"an isometry needs rows >= cols, got {rows} x {cols}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, _ = np.linalg.qr(g)
-    return q
+    return orthonormal_columns([complex_gaussian(np.random.default_rng(seed), (rows, cols))])[0]
+
+
+def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """I.i.d. complex Gaussian entries: one draw of the real parts, then one of the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def orthonormal_columns(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The Q factor of each matrix's reduced QR, one stacked ``np.linalg.qr`` per distinct shape.
+
+    numpy factors each matrix of a stack on its own, so each Q equals that of the
+    matrix's own QR bit for bit.
+    """
+    out: list[np.ndarray] = [None] * len(mats)
+    for shape in {m.shape for m in mats}:
+        members = [i for i, m in enumerate(mats) if m.shape == shape]
+        q, _ = np.linalg.qr(np.stack([mats[i] for i in members]))
+        for i, qi in zip(members, q):
+            out[i] = qi
+    return out

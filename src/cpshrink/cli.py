@@ -12,12 +12,13 @@ import numpy as np
 
 from .channel import (
     KrausChannel,
+    complex_gaussian,
     identity_channel,
     matrix_to_entries,
+    orthonormal_columns,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
-    random_isometry,
 )
 from .errors import ChannelFormatError, ConvergenceFailure
 from .gauge import KyFan, format_norm, parse_norm
@@ -284,14 +285,17 @@ def _cmd_verify(args) -> int:
     }
     witness: dict | None = None
     for block in _blocks(channels, args.trials):
-        # every draw in channel order: a channel's inputs, then its remix isometries
+        # every draw in channel order: a channel's inputs, then the Gaussians of its remix
+        # isometries as random_isometry draws them; then one QR per isometry shape
         draws = [
             (
                 random_hermitian(phi.d_in, rng, args.trials),
-                [random_isometry(phi.n_kraus + 2 * extra, phi.n_kraus, rng) for extra in range(REMIX_CHECKS)],
+                [complex_gaussian(rng, (phi.n_kraus + 2 * extra, phi.n_kraus)) for extra in range(REMIX_CHECKS)],
             )
             for phi in block
         ]
+        flat = orthonormal_columns([g for _, gaussians in draws for g in gaussians])
+        isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
         check = check_gauge_bounds(block, [xs for xs, _ in draws], battery)  # (norms, channels, trials)
@@ -301,8 +305,8 @@ def _cmd_verify(args) -> int:
         rows = orders <= padded  # (norms, channels)
         chois = [phi.choi_matrix() for phi in block]
         remixed = np.array([
-            [_remix_holds(phi, v, choi) for v in isometries]
-            for phi, choi, (_, isometries) in zip(block, chois, draws)
+            [_remix_holds(phi, v, choi) for v in vs]
+            for phi, choi, vs in zip(block, chois, isometries)
         ])  # (channels, REMIX_CHECKS)
         psd = np.array([is_psd(choi) for choi in chois])  # (channels,)
         # each suite's flags in the table's order; a case is one flag

@@ -22,7 +22,7 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
 
-from .channel import KrausChannel, kraus_map
+from .channel import KrausChannel, kraus_map, read_invariant_norms
 from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
@@ -457,8 +457,10 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     ``xs`` holds one Hermitian input or stack ``(*lead, d_in, d_in)`` per channel,
     all of one shape (else DimensionMismatch); the record's fields have shape
     ``(N, C, *lead)``. Each input stack is validated and hermitized once and mapped
-    with ``kraus_map``, and each channel's upper bound is computed once for its
-    whole stack. The image stacks and the input stacks are grouped together by
+    with ``kraus_map``, and each channel's upper bound is read once for its whole
+    stack: ``read_invariant_norms`` first takes the ``s`` and ``t`` not yet read
+    in one general SVD per operator size, and ``shrink_upper_bound`` then reads
+    them kept. The image stacks and the input stacks are grouped together by
     matrix size, each size taking one Hermitian SVD (which reads one triangle:
     inputs and images are hermitized, so it reads the whole matrix) zero-padded to
     the largest ``padded_dim_for`` in the list. The whole list is then evaluated in
@@ -478,6 +480,7 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     shapes = [(y.shape, p.d_in) for p, y in zip(phis, xs)]
     if any(shape != (*lead, d, d) for shape, d in shapes):
         raise DimensionMismatch(f"inputs need one stack shape of d_in x d_in matrices, got (shape, d_in) {shapes}")
+    read_invariant_norms([p.invariants() for p in phis])
     bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
     # the C image stacks, then the C input stacks
     mats = [hermitize(kraus_map(p.kraus, y)) for p, y in zip(phis, xs)] + xs

@@ -160,10 +160,12 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_psd(x) -> bool:
-    """Positive semidefinite up to ``-PSD_TOL * max(1, largest eigenvalue)``."""
+    """Positive semidefinite: the smallest eigenvalue is at least ``-PSD_TOL`` times
+    the largest one, or at least 0 when none is positive. The tolerance is relative
+    only, so the test reads ``c * x`` as it reads ``x`` at any scale ``c > 0``."""
     mat = require_hermitian(x)
     w = _linalg("eigvalsh", mat)
-    return bool(w[0] >= -PSD_TOL * max(1.0, float(w[-1])))
+    return bool(w[0] >= -PSD_TOL * max(0.0, float(w[-1])))
 
 
 def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:

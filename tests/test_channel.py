@@ -5,12 +5,15 @@ import pytest
 
 from cpshrink.channel import (
     KrausChannel,
+    complex_gaussian,
     identity_channel,
     kraus_map,
+    orthonormal_columns,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
     random_isometry,
+    read_invariant_norms,
 )
 from cpshrink.errors import (
     ChannelFormatError,
@@ -328,6 +331,39 @@ class TestInvariants:
             with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
                 getattr(inv, read)
 
+    def test_batch_read_equals_single_reads(self, monkeypatch):
+        # mixed sizes, 1 x 1 among them, sizes shared within and across channels
+        shapes = [(1, 1, 1), (3, 2, 2), (2, 3, 1), (3, 3, 2), (1, 4, 3), (4, 1, 2)]
+        pairs = [random_channel(*shape, 1.0, 60 + i).invariants() for i, shape in enumerate(shapes)]
+        singles = [random_channel(*shape, 1.0, 60 + i).invariants() for i, shape in enumerate(shapes)]
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        read_invariant_norms(pairs)
+        # one general SVD per distinct operator size: {1, 2, 3, 4}
+        assert sorted(shape[-1] for shape in calls) == [1, 2, 3, 4]
+        calls.clear()
+        read_invariant_norms(pairs)
+        batch = [(inv.identity_image_norm, inv.adjoint_identity_image_norm) for inv in pairs]
+        assert calls == []
+        for (s, t), inv in zip(batch, singles):
+            assert type(s) is float and type(t) is float
+            assert (s, t) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
+
+    def test_batch_read_names_the_overflowed_operator(self):
+        # one operator of each pair overflows: the squared norm of the one row, or of the
+        # one column, of three entries 8e153. The first overflowed operator in pair order is
+        # named, and the batch reads nothing before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = KrausChannel(3, 1, [np.full((1, 3), 8e153)]).invariants()  # Phi(I) overflows
+            tall = KrausChannel(1, 3, [np.full((3, 1), 8e153)]).invariants()  # Phi†(I) overflows
+        assert np.isfinite(wide.adjoint_identity_image).all() and np.isfinite(tall.identity_image).all()
+        fine = random_channel(2, 2, 1, 1.0, 3).invariants()
+        for pairs, name in (([fine, wide, tall], r"Phi\(I\)"), ([fine, tall, wide], r"Phi†\(I\)")):
+            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
+                read_invariant_norms(pairs)
+            assert "identity_image_norm" not in vars(fine)
+
 
 class TestRemix:
     def test_identity_recombination(self):
@@ -483,6 +519,24 @@ class TestRandomChannels:
     def test_isometry_infeasible_shape(self):
         with pytest.raises(InfeasibleShape):
             random_isometry(2, 3, 0)
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 1), (1, 1), (2, 2), (4, 2), (3, 3), (5, 3)],  # no shape shared
+        [(4, 2), (2, 2), (4, 2), (3, 3), (2, 2), (4, 2), (1, 1)],  # shared shapes, interleaved
+    ], ids=["unshared", "shared"])
+    def test_block_of_isometries_is_the_loop(self, monkeypatch, shapes):
+        # drawn in order, then one QR per distinct shape: bit for bit the per-call
+        # isometries, with the generator left where the calls leave it
+        block, loop = np.random.default_rng(8), np.random.default_rng(8)
+        singles = [random_isometry(rows, cols, loop) for rows, cols in shapes]
+        calls = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+        stacked = orthonormal_columns([complex_gaussian(block, shape) for shape in shapes])
+        assert len(calls) == len(set(shapes))
+        for q, single in zip(stacked, singles):
+            assert q.shape == single.shape and q.tobytes() == single.tobytes()
+        assert block.bit_generator.state == loop.bit_generator.state
 
 
 class TestJsonInterchange:

@@ -471,13 +471,15 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     (("verify", "--channel", "cptp:3x2x2:1"), 4, 0),
     # a square channel's fuzz takes its images and inputs in one SVD: s, t and one
     (("report", "--channel", "random:3x3x1:1"), 3, 2),
-    # s and t for each channel (the remixed channels never read them or the witness), then
-    # the one stacked check: one SVD per distinct matrix size over images and inputs
-    # together. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5, sizes {4, 2, 5, 3}:
-    # 2 * 3 + 4
-    (("verify", "--random", "3"), 10, 0),
-    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3, sizes {2, 3}: 2 * 6 + 2
-    (("verify", "--random", "6", "--dims", "2..3"), 14, 0),
+    # the block's s and t (the remixed channels never read them or the witness) take one
+    # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
+    # one per distinct matrix size over images and inputs together. At seed 0 the channels
+    # are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes {4, 2, 5} | {5, 3, 2}, the check
+    # sizes {4, 2, 5} | {5, 3, 2}: 4 + 4
+    (("verify", "--random", "3"), 8, 0),
+    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
+    # the check: 2 + 2
+    (("verify", "--random", "6", "--dims", "2..3"), 4, 0),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "verify-random",
         "verify-random-shared-sizes"])
 def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
@@ -498,6 +500,27 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
     assert code == 0
     assert counts["svd"] == svd
     assert eigh is None or counts["eigh"] == eigh
+
+
+@pytest.mark.parametrize("argv, one_block, channel_blocks", [
+    # at seed 0 the channels have 2, 1 and 2 Kraus operators; the remix isometries are
+    # (n + 2 * extra) x n for extra 0 and 1, so the shapes are {2x2, 4x2, 1x1, 3x1}: 4 in
+    # one block, and 2 per channel in blocks of one: 2 * 3
+    (("verify", "--random", "3"), 4, 6),
+    # 2, 1, 2, 3, 2 and 3 Kraus operators: shapes {1x1, 3x1, 2x2, 4x2, 3x3, 5x3}, 6 in
+    # one block, and 2 * 6 in blocks of one
+    (("verify", "--random", "6", "--dims", "2..3"), 6, 12),
+], ids=["verify-random", "verify-random-shared-shapes"])
+def test_verify_takes_one_qr_per_isometry_shape_per_block(capsys, monkeypatch, argv, one_block, channel_blocks):
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == one_block
+    calls.clear()
+    monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
+    assert run(capsys, *argv)[:2] == (0, out)
+    assert len(calls) == channel_blocks
 
 
 def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):

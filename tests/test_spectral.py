@@ -291,3 +291,10 @@ class TestHelpers:
         # the generator is left where the loop leaves it
         assert one.bit_generator.state == loop.bit_generator.state
         assert one.standard_normal() == loop.standard_normal()
+
+    @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-150, 1e150])
+    def test_psd_tolerance_is_relative_at_any_scale(self, c):
+        # a negative eigenvalue 1e-2 of the largest fails at every scale, where an absolute
+        # floor would let it pass once the largest eigenvalue is below 1
+        assert not is_psd(c * np.diag([1.0, -1e-2]))
+        assert is_psd(c * np.diag([1.0, 0.0]))
