@@ -240,7 +240,8 @@ def _remix_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> boo
 
 def _blocks(channels: list[KrausChannel], trials: int):
     """Runs of consecutive channels whose input stacks hold at most
-    ``VERIFY_BLOCK_ENTRIES`` entries together; a channel over it is a block alone."""
+    ``VERIFY_BLOCK_ENTRIES`` entries together; a channel over it is a block alone
+    and is checked in chunks (``_chunks``)."""
     block: list[KrausChannel] = []
     entries = 0
     for phi in channels:
@@ -252,6 +253,21 @@ def _blocks(channels: list[KrausChannel], trials: int):
         entries += size
     if block:
         yield block
+
+
+def _chunks(block: list[KrausChannel], trials: int) -> list[int]:
+    """Trial counts in which a block draws and checks its inputs: all at once, except
+    for a lone channel over ``VERIFY_BLOCK_ENTRIES``, which takes at most that many
+    entries at a time, so memory stays bounded at any ``--trials``."""
+    step = max(1, VERIFY_BLOCK_ENTRIES // block[0].d_in**2) if len(block) == 1 else trials
+    return [min(step, trials - start) for start in range(0, trials, step)]
+
+
+def _tally(suites: dict, *flags) -> None:
+    # a case is one flag
+    for name, ok in flags:
+        suites[name][0] += ok.size
+        suites[name][1] += ok.size - np.count_nonzero(ok)
 
 
 def _cmd_verify(args) -> int:
@@ -285,43 +301,51 @@ def _cmd_verify(args) -> int:
     }
     witness: dict | None = None
     for block in _blocks(channels, args.trials):
-        # every draw in channel order: a channel's inputs, then the Gaussians of its remix
-        # isometries as random_isometry draws them; then one QR per isometry shape
-        draws = [
-            (
-                random_hermitian(phi.d_in, rng, args.trials),
-                [complex_gaussian(rng, (phi.n_kraus + 2 * extra, phi.n_kraus)) for extra in range(REMIX_CHECKS)],
-            )
-            for phi in block
-        ]
-        flat = orthonormal_columns([g for _, gaussians in draws for g in gaussians])
-        isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
-        check = check_gauge_bounds(block, [xs for xs, _ in draws], battery)  # (norms, channels, trials)
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
         # up to its own padded dimension, the per-k suite, since the rest repeat its trace norm
-        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in check.norms])[:, None]
+        orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])[:, None]
         rows = orders <= padded  # (norms, channels)
+        # every draw in channel order: a channel's inputs, then the Gaussians of its remix
+        # isometries as random_isometry draws them. A lone channel over the cap draws and
+        # checks its inputs chunk by chunk before its Gaussians: the stream is the same,
+        # since random_hermitian reads a stack as that many single draws
+        counts = _chunks(block, args.trials)
+        gaussians: list[np.ndarray] = []
+        failed_input: list[np.ndarray | None] = [None] * len(block)  # each channel's first failing input
+        for i, count in enumerate(counts):
+            inputs = []
+            for phi in block:
+                inputs.append(random_hermitian(phi.d_in, rng, count))
+                if i == len(counts) - 1:
+                    gaussians += [
+                        complex_gaussian(rng, (phi.n_kraus + 2 * extra, phi.n_kraus)) for extra in range(REMIX_CHECKS)
+                    ]
+            ok = check_gauge_bounds(block, inputs, battery).ok  # (norms, channels, count)
+            # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
+            trial_ok = (ok | ~rows[:, :, None]).all(axis=0)  # (channels, count)
+            for c in np.flatnonzero(~trial_ok.all(axis=1)):
+                if failed_input[c] is None:
+                    failed_input[c] = inputs[c][np.argmin(trial_ok[c])]
+            _tally(suites, ("ky fan inequality (per k)", ok[rows & (orders > 0)]), ("gauge norm battery", ok[rows]))
+        # one QR per isometry shape for the whole block
+        flat = orthonormal_columns(gaussians)
+        isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
         chois = [phi.choi_matrix() for phi in block]
         remixed = np.array([
             [_remix_holds(phi, v, choi) for v in vs]
             for phi, choi, vs in zip(block, chois, isometries)
         ])  # (channels, REMIX_CHECKS)
         psd = np.array([is_psd(choi) for choi in chois])  # (channels,)
-        # each suite's flags in the table's order; a case is one flag
-        for counts, ok in zip(suites.values(), (check.ok[rows & (orders > 0)], check.ok[rows], remixed, psd)):
-            counts[0] += ok.size
-            counts[1] += ok.size - np.count_nonzero(ok)
-        # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
-        trial_ok = (check.ok | ~rows[:, :, None]).all(axis=0)  # (channels, trials)
-        bad = ~(trial_ok.all(axis=1) & remixed.all(axis=1) & psd)
+        _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
+        bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd
         # the run's witness is its first failing channel, as a channel-by-channel pass finds it
         if witness is None and bad.any():
             c = int(np.argmax(bad))
             witness = {"channel": block[c].to_dict()}
-            if not trial_ok[c].all():
-                witness["input"] = matrix_to_entries(draws[c][0][np.argmin(trial_ok[c])])
+            if failed_input[c] is not None:
+                witness["input"] = matrix_to_entries(failed_input[c])
 
     print(f"{'suite':<30}{'cases':>8}{'failures':>10}")
     for name, (cases, fails) in suites.items():
@@ -366,9 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="gauge norm spec (repeatable); default: " + " ".join(DEFAULT_NORMS),
     )
-    rep.add_argument("--restarts", type=int, default=20, help="random search restarts")
     rep.add_argument(
-        "--steps", type=int, default=40, help="search steps per start (a cap where the search can stop early)"
+        "--restarts", type=int, default=0, help="random pure-state starts beside the two analytic ones"
+    )
+    rep.add_argument(
+        "--steps", type=int, default=200, help="search steps per start (a cap where the search can stop early)"
     )
     rep.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     rep.add_argument("--format", choices=("text", "json"), default="text")

@@ -556,7 +556,9 @@ def shrink_report(
     coefficients. Every other norm is searched by one batched
     ``empirical_lower_bound`` call, which returns at once when no norm is left;
     each searched row equals its single-norm search bit for bit. The same seed
-    drives every search, so reports are reproducible.
+    drives every search, so reports are reproducible. ``restarts`` and ``steps``
+    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
+    search runs only the two analytic starts, each capped at 200 iterations.
     """
     norms = list(norms)
     padded = padded_dim_for(phi)

@@ -57,6 +57,15 @@ class TestResolveChannel:
 
 
 class TestReport:
+    def test_default_schedule_is_the_analytic_starts(self, capsys):
+        # the default schedule is no random start and a cap of 200 steps, and says so
+        argv = ("report", "--channel", "ptrace:2x3", "--norm", "schatten:3",
+                "--norm", "combo:0.5*schatten:2+2*kyfan:2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "parameters: restarts=0 steps=200 seed=0"
+        assert run(capsys, *argv, "--restarts", "0", "--steps", "200") == (0, out, "")
+
     def test_partial_trace_text(self, capsys):
         code, out, _ = run(
             capsys, "report", "--channel", "ptrace:2x3", "--norm", "schatten:inf",
@@ -553,3 +562,21 @@ def test_help_is_formatted_as_argparse_default(monkeypatch, columns):
         p.formatter_class = argparse.HelpFormatter
         assert ours == (p.format_help(), p.format_usage())
     assert [p.prog for p in sub.choices.values()] == ["cpshrink report", "cpshrink verify"]
+
+
+@pytest.mark.parametrize("entries, stacks", [(18, [2, 2, 2, 1]), (9, [1] * 7)])
+def test_verify_checks_a_channel_over_the_cap_in_chunks(capsys, monkeypatch, entries, stacks):
+    # a lone channel whose inputs exceed the cap draws and checks them at most that many
+    # entries at a time, so its memory does not grow with --trials; under a negative slack
+    # trial 1 fails first, so the witness's input comes from the first or the second chunk. The
+    # table, the witness and the exit code are those of one pass over all seven trials
+    monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
+    argv = ("verify", "--channel", "random:3x2x2:4", "--trials", "7")
+    whole = run(capsys, *argv)
+    assert whole[0] == 1
+    sizes = []
+    real = cli.check_gauge_bounds
+    monkeypatch.setattr(cli, "check_gauge_bounds", lambda phis, xs, norms: sizes.append(len(xs[0])) or real(phis, xs, norms))
+    monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", entries)
+    assert run(capsys, *argv) == whole
+    assert sizes == stacks

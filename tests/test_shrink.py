@@ -662,6 +662,27 @@ class TestConditionalGradient:
         for want, (lower, _) in zip(pinned, found, strict=True):
             assert lower >= want - 1e-9 * bound
 
+    @pytest.mark.parametrize("kind", ["random", "cptp"])
+    def test_default_schedule_loses_nothing_to_random_starts(self, kind):
+        # the CLI's default schedule, the two analytic starts capped at 200 iterations,
+        # against the former default of 20 random starts beside them capped at 40
+        norms = [parse_norm(spec) for spec in (
+            "schatten:3", "schatten:1.5", "kyfan:2",
+            "combo:1*schatten:3+1*schatten:1.5", "combo:0.5*schatten:2+2*kyfan:2",
+        )]
+        rng = np.random.default_rng(25)
+        for seed in range(6):
+            d_in, d_out, n_kraus = (int(v) for v in rng.integers((2, 2, 1), (5, 5, 4)))
+            if kind == "random":
+                phi = random_channel(d_in, d_out, n_kraus, 1.0, seed)
+            else:
+                phi = random_cptp_channel(d_in, d_out, n_kraus, seed)
+            bound = shrink_upper_bound(phi)
+            analytic = empirical_lower_bound(phi, norms, restarts=0, steps=200, seed=0)
+            restarted = empirical_lower_bound(phi, norms, restarts=20, steps=40, seed=0)
+            for (lower, _), (former, _) in zip(analytic, restarted, strict=True):
+                assert lower >= former - 1e-9 * bound
+
 
 class TestInequalityChecks:
     def test_zero_input_all_ok(self):
