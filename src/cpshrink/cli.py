@@ -332,12 +332,12 @@ def _cmd_verify(args) -> int:
         # one QR per isometry shape for the whole block
         flat = orthonormal_columns(gaussians)
         isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
-        chois = [phi.choi_matrix() for phi in block]
-        remixed = np.array([
-            [_remix_holds(phi, v, choi) for v in vs]
-            for phi, choi, vs in zip(block, chois, isometries)
-        ])  # (channels, REMIX_CHECKS)
-        psd = np.array([is_psd(choi) for choi in chois])  # (channels,)
+        # one channel's Choi matrix at a time, (d_in d_out)^2 entries each, uncounted by the block cap
+        remixed, psd = np.empty((len(block), REMIX_CHECKS), dtype=bool), np.empty(len(block), dtype=bool)
+        for c, (phi, vs) in enumerate(zip(block, isometries)):
+            choi = phi.choi_matrix()
+            remixed[c] = [_remix_holds(phi, v, choi) for v in vs]
+            psd[c] = is_psd(choi)
         _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
         bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd
         # the run's witness is its first failing channel, as a channel-by-channel pass finds it

@@ -16,8 +16,9 @@ tightness is claimed for a searched lower bound.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
@@ -28,6 +29,7 @@ from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_ev
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     hermitize,
     random_hermitian,  # unused; bench/tracer.py wraps shrink.random_hermitian by name
     require_hermitian,
@@ -188,17 +190,32 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     ``c * E`` give ``c**2`` times the value for ``E``. When ``c`` is a power of
     two the rescaled set is the same, so value and witness scale bit for bit,
     down to subnormal entries (where the value itself underflows to 0).
+
+    The value is read from a values-only solve of the Gram (``_schatten2_value``,
+    which ``shrink_report`` calls alone), the witness from its full eigensystem.
     """
+    gram, k = _schatten2_gram(phi)
+    _, vectors = hermitian_eigensystem(gram)
+    x = vectors[:, 0].reshape(phi.d_in, phi.d_in)
+    witness = max((hermitize(x), hermitize(1j * x)), key=lambda part: np.vdot(part, part).real)
+    return _schatten2_value(gram, k), witness / sqrt(np.vdot(witness, witness).real)
+
+
+def _schatten2_gram(phi: KrausChannel) -> tuple[np.ndarray, int]:
+    """The Hermitian Gram ``M† M`` of ``schatten2_shrink_factor``, ``d_in² x d_in²``, built from the
+    Kraus set times ``2**-k``, and ``k``."""
     n_kraus, d_out, d_in = phi.kraus.shape
     ops, k = _rescaled_kraus(phi)
     left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
     blocks = (left.conj().T @ left).reshape(n_kraus, d_in, n_kraus, d_in).transpose(0, 2, 1, 3)
     vecs = blocks.reshape(n_kraus * n_kraus, d_in * d_in)
     gram = (vecs.T @ vecs.conj()).reshape(d_in, d_in, d_in, d_in).transpose(0, 2, 1, 3)
-    values, vectors = hermitian_eigensystem(hermitize(gram.reshape(d_in * d_in, d_in * d_in)))
-    x = vectors[:, 0].reshape(d_in, d_in)
-    witness = max((hermitize(x), hermitize(1j * x)), key=lambda part: np.vdot(part, part).real)
-    return sqrt(values[0]) * 4.0**k, witness / sqrt(np.vdot(witness, witness).real)
+    return hermitize(gram.reshape(d_in * d_in, d_in * d_in)), k
+
+
+def _schatten2_value(gram: np.ndarray, k: int) -> float:
+    """``h`` from ``_schatten2_gram``'s pair: the root of the Gram's top eigenvalue, scaled back by ``4**k``."""
+    return sqrt(hermitian_eigenvalues(gram)[0]) * 4.0**k
 
 
 def _norm_gradients(
@@ -513,11 +530,20 @@ def norm_battery(max_k: int) -> list[GaugeNorm]:
 
 @dataclass(frozen=True, eq=False)
 class NormBracket:
-    """One norm's bracket: the best lower bound found and its witness input."""
+    """One norm's bracket: the best lower bound found and its witness input.
+
+    ``witness`` is built by ``build_witness`` on first read and then kept, so a
+    report that prints only values takes no solve for it. A failed build is
+    raised and not kept, so the next read tries again.
+    """
 
     norm: GaugeNorm
     empirical_lower: float
-    witness: np.ndarray
+    build_witness: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def witness(self) -> np.ndarray:
+        return self.build_witness()
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,18 +567,30 @@ class ShrinkReport:
     padded_dim: int
 
 
+def _scaled_witness(build: Callable[[], np.ndarray], total: float, e: int) -> np.ndarray:
+    """The witness ``build`` makes, for the norm whose coefficients, times ``2**-e``, sum to ``total``."""
+    witness = build()
+    with np.errstate(over="ignore"):
+        return _ldexp(witness / total, -e)
+
+
 def shrink_report(
     phi: KrausChannel, norms, restarts: int, steps: int, seed=0
 ) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
     A norm whose terms (``gauge.base_terms`` at the padded dimension) all have
-    one base with a closed form takes the exact factor and its witness, with no
-    search: Ky Fan 1 (Schatten inf) is the spectral norm, so the spectral factor
-    at the identity; Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the
-    trace norm on inputs and images alike, so the trace factor at its rank-1
-    projector; Schatten 2 is ``schatten2_shrink_factor``. A positive multiple of
-    a norm has its factor, and its witness is divided by the sum of the
+    one base with a closed form takes the exact factor, with no search: Ky Fan 1
+    (Schatten inf) is the spectral norm, so the spectral factor at the identity;
+    Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the trace norm on
+    inputs and images alike, so the trace factor at its rank-1 projector;
+    Schatten 2 is ``schatten2_shrink_factor``. These values come from
+    eigenvalues alone: ``s`` and ``t`` from ``read_invariant_norms``, and ``h``
+    from one values-only solve per report, whatever the number of its rows. An
+    exact row's witness is built on first read, by the factor function named
+    (the trace one's read-only projector, the Schatten-2 one's eigensystem), so
+    a report read for its values takes no ``eigh``. A positive multiple of a
+    norm has its factor, and its witness is divided by the sum of the
     coefficients. Every other norm is searched by one batched
     ``empirical_lower_bound`` call, which returns at once when no norm is left;
     each searched row equals its single-norm search bit for bit. The same seed
@@ -562,13 +600,19 @@ def shrink_report(
     """
     norms = list(norms)
     padded = padded_dim_for(phi)
-    spectral, trace = spectral_shrink_factor(phi), trace_shrink_factor(phi)
-    upper = max(spectral[0], trace[0])
+    inv = phi.invariants()
+    read_invariant_norms([inv])
+    spectral, trace = inv.identity_image_norm, inv.adjoint_identity_image_norm
+    upper = max(spectral, trace)
+    # the Schatten-2 factor, solved for on first need; its d_in^4 Gram is not kept
+    schatten2 = cache(lambda: _schatten2_value(*_schatten2_gram(phi)))
 
-    def closed_form(base: KyFan | Schatten) -> tuple[float, np.ndarray] | None:
+    def closed_form(base: KyFan | Schatten) -> tuple[float, Callable[[], np.ndarray]] | None:
         if isinstance(base, KyFan):
-            return spectral if base.k == 1 else trace if base.k == padded else None
-        return schatten2_shrink_factor(phi) if base.p == 2.0 else None
+            if base.k == 1:
+                return spectral, lambda: spectral_shrink_factor(phi)[1]
+            return (trace, lambda: trace_shrink_factor(phi)[1]) if base.k == padded else None
+        return (schatten2(), lambda: schatten2_shrink_factor(phi)[1]) if base.p == 2.0 else None
 
     found = {}
     for norm in dict.fromkeys(norms):
@@ -578,16 +622,18 @@ def shrink_report(
         exact = closed_form(terms[0][1]) if len({b for _, b in terms}) == 1 else None
         if exact is not None:
             total = sum(c for c, _ in terms)
-            with np.errstate(over="ignore"):
-                found[norm] = exact if (total, e) == (1.0, 0) else (exact[0], _ldexp(exact[1] / total, -e))
+            value, build = exact
+            found[norm] = value, build if (total, e) == (1.0, 0) else partial(_scaled_witness, build, total, e)
     searched = [norm for norm in dict.fromkeys(norms) if norm not in found]
-    found.update(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
+    for norm, (lower, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
+        found[norm] = lower, lambda witness=witness: witness
+    # the bound is proven, so a value above it is rounding; searched values are clamped
+    # already, and this clamps the computed Schatten-2 factor
+    brackets = {norm: NormBracket(norm, min(value, upper), build) for norm, (value, build) in found.items()}
     return ShrinkReport(
         upper_bound=upper,
-        spectral_factor=spectral[0],
-        trace_factor=trace[0],
-        # the bound is proven, so a value above it is rounding; searched values are clamped
-        # already, and this clamps the computed Schatten-2 factor
-        per_norm=tuple(NormBracket(norm, min(found[norm][0], upper), found[norm][1]) for norm in norms),
+        spectral_factor=spectral,
+        trace_factor=trace,
+        per_norm=tuple(brackets[norm] for norm in norms),
         padded_dim=padded,
     )

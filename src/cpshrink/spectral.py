@@ -4,8 +4,9 @@
 package's one SVD call; Hermitian stacks take numpy's Hermitian path through
 it. ``hermitian_decomposition`` (eigenpairs by descending magnitude, read by
 the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
-call, and ``is_psd`` makes the one ``eigvalsh`` call; all three
-go through one checked call that raises a solver failure as ConvergenceFailure.
+call, and ``hermitian_eigenvalues`` (read by ``is_psd`` and the Schatten-2
+factor) makes the one ``eigvalsh`` call; all three go through one checked call
+that raises a solver failure as ConvergenceFailure.
 Both stack-aware helpers take one matrix or a stack. Everything is complex128
 and written for small dimensions; no sparse or structured paths.
 """
@@ -20,6 +21,7 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_decomposition",
     "hermitian_eigensystem",
+    "hermitian_eigenvalues",
     "hermitize",
     "is_psd",
     "random_hermitian",
@@ -139,6 +141,15 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
+def hermitian_eigenvalues(x) -> np.ndarray:
+    """Eigenvalues of a Hermitian operator, descending, from a values-only solve.
+
+    The input is checked as ``hermitian_eigensystem`` checks it, and a solver
+    failure is surfaced as ConvergenceFailure.
+    """
+    return _linalg("eigvalsh", require_hermitian(x))[::-1]
+
+
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs ``(w, v)`` of a Hermitian matrix or of each one in a stack
     ``(..., d, d)``, ordered by descending ``|w|``; column i of ``v`` pairs with
@@ -163,9 +174,8 @@ def is_psd(x) -> bool:
     """Positive semidefinite: the smallest eigenvalue is at least ``-PSD_TOL`` times
     the largest one, or at least 0 when none is positive. The tolerance is relative
     only, so the test reads ``c * x`` as it reads ``x`` at any scale ``c > 0``."""
-    mat = require_hermitian(x)
-    w = _linalg("eigvalsh", mat)
-    return bool(w[0] >= -PSD_TOL * max(0.0, float(w[-1])))
+    w = hermitian_eigenvalues(x)
+    return bool(w[-1] >= -PSD_TOL * max(0.0, float(w[0])))
 
 
 def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -470,29 +471,30 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     assert "error: Phi(I) overflows float64: Kraus entries beyond the supported range 1e-150..1e150" in err
 
 
-@pytest.mark.parametrize("argv, svd, eigh", [
+@pytest.mark.parametrize("argv, svd, eigh, eigvalsh", [
     # s and t take one SVD each, the fuzz one per matrix size (2 x 2 images, 3 x 3 inputs);
-    # one eigh for the trace witness and one for the Schatten-2 Gram
-    (("report", "--channel", "cptp:3x2x2:1"), 4, 2),
-    # the searched row reads the same cached witness; the search's eigh calls are not pinned here
-    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None),
-    # the printed bound reads the s and t the stacked check already computed
-    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0),
-    # a square channel's fuzz takes its images and inputs in one SVD: s, t and one
-    (("report", "--channel", "random:3x3x1:1"), 3, 2),
+    # the report reads no witness, so no eigh: one values-only solve for the Schatten-2 Gram
+    (("report", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
+    # the searched row's search reads the trace witness; its eigh calls are not pinned here
+    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None, 0),
+    # the printed bound reads the s and t the stacked check already computed; Choi
+    # positivity takes one values-only solve per channel
+    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
+    # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs
+    (("report", "--channel", "random:3x3x1:1"), 2, 0, 1),
     # the block's s and t (the remixed channels never read them or the witness) take one
     # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
     # one per distinct matrix size over images and inputs together. At seed 0 the channels
     # are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes {4, 2, 5} | {5, 3, 2}, the check
     # sizes {4, 2, 5} | {5, 3, 2}: 4 + 4
-    (("verify", "--random", "3"), 8, 0),
+    (("verify", "--random", "3"), 8, 0, 3),
     # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
     # the check: 2 + 2
-    (("verify", "--random", "6", "--dims", "2..3"), 4, 0),
+    (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 6),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "verify-random",
         "verify-random-shared-sizes"])
-def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
-    counts = {"svd": 0, "eigh": 0}
+def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh, eigvalsh):
+    counts = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
     def counting(name):
         real = getattr(np.linalg, name)
@@ -509,6 +511,29 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh):
     assert code == 0
     assert counts["svd"] == svd
     assert eigh is None or counts["eigh"] == eigh
+    assert counts["eigvalsh"] == eigvalsh
+
+
+def test_verify_keeps_one_choi_matrix_at_a_time(capsys, monkeypatch):
+    # a block's Choi matrices are not counted by its input cap, so each channel's is dropped
+    # before the next one's is built: alive at any call are at most the base matrix and the
+    # one remixed matrix being compared with it
+    made = []
+    alive = []
+    real = KrausChannel.choi_matrix
+
+    def counted(self):
+        choi = real(self)
+        made.append(weakref.ref(choi))
+        alive.append(sum(ref() is not None for ref in made))
+        return choi
+
+    monkeypatch.setattr(KrausChannel, "choi_matrix", counted)
+    code, out, _ = run(capsys, "verify", "--random", "6", "--dims", "2..3", "--trials", "1")
+    assert code == 0 and "result: PASS" in out
+    # each of the six channels: its base matrix, then one per remix check
+    assert len(alive) == 6 * 3
+    assert max(alive) <= 2
 
 
 @pytest.mark.parametrize("argv, one_block, channel_blocks", [

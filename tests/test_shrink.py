@@ -934,18 +934,56 @@ class TestBatteryAndReport:
         assert by_norm[Schatten(1.0)] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n_norms", [1, 4, 10])
-    def test_report_computes_trace_factor_twice(self, monkeypatch, n_norms):
-        # once for the report's factors and once for the one batched search, whatever the norm
-        # count; the first norm alone is Schatten 1, a closed-form row, so nothing is searched
-        # and the search returns before it reads the trace factor. Both calls only read the
-        # channel's cached t and witness: the spectral work is done once (TestSharedSpectralData)
+    def test_report_reads_trace_factor_only_to_search(self, monkeypatch, n_norms):
+        # the report's own factors read t from the invariant pair, so the one call is the
+        # batched search's start, whatever the norm count; the first norm alone is Schatten 1,
+        # a closed-form row whose witness is not read, so nothing calls it
         calls = []
         real = shrink.trace_shrink_factor
         monkeypatch.setattr(shrink, "trace_shrink_factor", lambda phi: calls.append(phi) or real(phi))
         phi = random_channel(3, 2, 2, 1.0, 43)
         rep = shrink_report(phi, norm_battery(3)[:n_norms], restarts=2, steps=3, seed=0)
         assert len(rep.per_norm) == n_norms
-        assert len(calls) == (1 if n_norms == 1 else 2)
+        assert len(calls) == (0 if n_norms == 1 else 1)
+
+    def test_exact_witness_is_built_on_first_read(self, monkeypatch):
+        # schatten:2 and a positive multiple of it share one values-only solve; no eigh runs
+        # until a witness is read, one runs then, and the row keeps what it built
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def call(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, call)
+        phi = random_channel(3, 2, 2, 1.0, 48)
+        rep = shrink_report(phi, [Schatten(2.0), parse_norm("combo:3*schatten:2")], restarts=0, steps=5)
+        assert counts == {"eigh": 0, "eigvalsh": 1}
+        row, multiple = rep.per_norm
+        witness = row.witness
+        assert counts["eigh"] == 1
+        assert row.witness is witness and counts["eigh"] == 1
+        h, want = schatten2_shrink_factor(phi)
+        assert row.empirical_lower == multiple.empirical_lower == min(h, rep.upper_bound)
+        np.testing.assert_array_equal(witness, want)
+        np.testing.assert_array_equal(multiple.witness, want / 3.0)
+
+    def test_failed_witness_build_is_not_kept(self, monkeypatch):
+        real = np.linalg.eigh
+        failures = []
+
+        def fail_once(*args, **kwargs):
+            if not failures:
+                failures.append("eigh")
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return real(*args, **kwargs)
+
+        phi = random_channel(3, 2, 2, 1.0, 49)
+        row = shrink_report(phi, [Schatten(2.0)], restarts=0, steps=5).per_norm[0]
+        monkeypatch.setattr(np.linalg, "eigh", fail_once)
+        with pytest.raises(ConvergenceFailure):
+            row.witness
+        np.testing.assert_array_equal(row.witness, schatten2_shrink_factor(phi)[1])
 
     def test_default_report_runs_no_search(self, monkeypatch):
         # schatten:inf, 2 and 1 all have a closed form, so no decomposition stack is taken, and

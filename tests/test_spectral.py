@@ -7,6 +7,7 @@ from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
+    hermitian_eigenvalues,
     is_psd,
     random_hermitian,
     require_hermitian,
@@ -195,6 +196,7 @@ class TestEigensystem:
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         for call in (
             hermitian_eigensystem,
+            hermitian_eigenvalues,
             is_psd,
             require_hermitian,
             lambda x: top_k_eigensum(x, 1),
@@ -204,6 +206,18 @@ class TestEigensystem:
                 call(stack)
         with pytest.raises(DimensionMismatch):
             is_psd(np.ones((2, 1, 1)))
+
+    def test_eigenvalues_match_the_eigensystem(self):
+        # the values-only solve gives the eigensystem's values, descending, up to rounding,
+        # and checks its input as the eigensystem does
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 5, 9):
+            x = random_hermitian(dim, rng)
+            w = hermitian_eigenvalues(x)
+            assert np.all(np.diff(w) <= 0.0)
+            np.testing.assert_allclose(w, hermitian_eigensystem(x)[0], rtol=0, atol=1e-13 * np.abs(w).max())
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_convergence_failure_type_exists(self):
         # eigh essentially never fails on valid input; the contract is that a
@@ -220,6 +234,8 @@ class TestEigensystem:
         eig_failure = "^eigensolver did not converge: Eigenvalues did not converge$"
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_eigensystem(np.eye(2))
+        with pytest.raises(ConvergenceFailure, match=eig_failure):
+            hermitian_eigenvalues(np.eye(2))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             is_psd(np.eye(2))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
