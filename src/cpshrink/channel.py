@@ -30,7 +30,9 @@ from .errors import (
     NonFinite,
     NotIsometry,
 )
-from .spectral import as_complex_matrix, hermitian_eigensystem, hermitize, require_hermitian, singular_values
+from .spectral import (
+    as_complex_matrix, hermitian_eigensystem, hermitize, per_shape, require_hermitian, singular_values,
+)
 
 __all__ = [
     "ChannelInvariants",
@@ -110,21 +112,15 @@ class ChannelInvariants:
 def _invariant_norms(ops: Sequence[tuple[np.ndarray, str]]) -> list[float]:
     """Spectral norms of operators of invariant pairs, given with their names.
 
-    One general SVD per distinct size through ``singular_values``; numpy
-    decomposes each matrix of a stack on its own, so a value does not depend on
-    the others. Before any SVD, the first operator that overflowed float64
-    raises NonFinite naming it.
+    One general SVD per distinct size (``per_shape`` over ``singular_values``), so
+    a value does not depend on the others. Before any SVD, the first operator that
+    overflowed float64 raises NonFinite naming it.
     """
     for op, name in ops:
         if not np.isfinite(op).all():
             raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150")
-    out = [0.0] * len(ops)
-    for size in {len(op) for op, _ in ops}:
-        members = [i for i, (op, _) in enumerate(ops) if len(op) == size]
-        tops = singular_values(np.stack([ops[i][0] for i in members]), size)[:, 0]
-        for i, top in zip(members, tops):
-            out[i] = float(top)
-    return out
+    tops = per_shape(lambda stack: singular_values(stack, stack.shape[-1])[:, 0], [op for op, _ in ops])
+    return [float(top) for top in tops]
 
 
 # each norm of the pair: the cached property that keeps it, its operator, the operator's name
@@ -404,15 +400,6 @@ def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nda
 
 
 def orthonormal_columns(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The Q factor of each matrix's reduced QR, one stacked ``np.linalg.qr`` per distinct shape.
-
-    numpy factors each matrix of a stack on its own, so each Q equals that of the
-    matrix's own QR bit for bit.
-    """
-    out: list[np.ndarray] = [None] * len(mats)
-    for shape in {m.shape for m in mats}:
-        members = [i for i, m in enumerate(mats) if m.shape == shape]
-        q, _ = np.linalg.qr(np.stack([mats[i] for i in members]))
-        for i, qi in zip(members, q):
-            out[i] = qi
-    return out
+    """The Q factor of each matrix's reduced QR, one stacked ``np.linalg.qr`` per distinct
+    shape (``per_shape``), so each Q equals that of the matrix's own QR bit for bit."""
+    return per_shape(lambda stack: np.linalg.qr(stack)[0], mats)

@@ -240,27 +240,22 @@ def _remix_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> boo
 
 def _blocks(channels: list[KrausChannel], trials: int):
     """Runs of consecutive channels whose input stacks hold at most
-    ``VERIFY_BLOCK_ENTRIES`` entries together; a channel over it is a block alone
-    and is checked in chunks (``_chunks``)."""
-    block: list[KrausChannel] = []
+    ``VERIFY_BLOCK_ENTRIES`` entries together, a channel over it being a block alone,
+    each with the trial counts in which the block draws and checks its inputs. Each
+    count takes at most that many entries, or one trial, so memory stays bounded at
+    any ``--trials``: a block within the cap takes one count, all its trials."""
+    blocks: list[list[KrausChannel]] = []
     entries = 0
     for phi in channels:
         size = trials * phi.d_in**2
-        if block and entries + size > VERIFY_BLOCK_ENTRIES:
-            yield block
-            block, entries = [], 0
-        block.append(phi)
+        if not blocks or entries + size > VERIFY_BLOCK_ENTRIES:
+            blocks.append([])
+            entries = 0
+        blocks[-1].append(phi)
         entries += size
-    if block:
-        yield block
-
-
-def _chunks(block: list[KrausChannel], trials: int) -> list[int]:
-    """Trial counts in which a block draws and checks its inputs: all at once, except
-    for a lone channel over ``VERIFY_BLOCK_ENTRIES``, which takes at most that many
-    entries at a time, so memory stays bounded at any ``--trials``."""
-    step = max(1, VERIFY_BLOCK_ENTRIES // block[0].d_in**2) if len(block) == 1 else trials
-    return [min(step, trials - start) for start in range(0, trials, step)]
+    for block in blocks:
+        step = max(1, VERIFY_BLOCK_ENTRIES // sum(phi.d_in**2 for phi in block))
+        yield block, [min(step, trials - start) for start in range(0, trials, step)]
 
 
 def _tally(suites: dict, *flags) -> None:
@@ -300,7 +295,7 @@ def _cmd_verify(args) -> int:
         "choi positivity": [0, 0],
     }
     witness: dict | None = None
-    for block in _blocks(channels, args.trials):
+    for block, counts in _blocks(channels, args.trials):
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
@@ -311,7 +306,6 @@ def _cmd_verify(args) -> int:
         # isometries as random_isometry draws them. A lone channel over the cap draws and
         # checks its inputs chunk by chunk before its Gaussians: the stream is the same,
         # since random_hermitian reads a stack as that many single draws
-        counts = _chunks(block, args.trials)
         gaussians: list[np.ndarray] = []
         failed_input: list[np.ndarray | None] = [None] * len(block)  # each channel's first failing input
         for i, count in enumerate(counts):

@@ -216,16 +216,19 @@ def parse_norm(text: str) -> GaugeNorm:
     kind, sep, arg = t.partition(":")
     if not sep:
         raise ValueError(f"norm spec {text!r} is missing ':'")
+    # text that is no number is bad here; a number out of range keeps its constructor's reason
     if kind == "kyfan":
         try:
-            return KyFan(int(arg))
+            k = int(arg)
         except ValueError as exc:
             raise ValueError(f"bad kyfan order {arg!r}") from exc
+        return KyFan(k)
     if kind == "schatten":
         try:  # float reads inf and infinity, in any case
-            return Schatten(float(arg))
+            p = float(arg)
         except ValueError as exc:
             raise ValueError(f"bad schatten exponent {arg!r}") from exc
+        return Schatten(p)
     raise ValueError(f"unknown norm family {kind!r} in {text!r}")
 
 

@@ -31,6 +31,7 @@ from .spectral import (
     hermitian_eigensystem,
     hermitian_eigenvalues,
     hermitize,
+    per_shape,
     random_hermitian,  # unused; bench/tracer.py wraps shrink.random_hermitian by name
     require_hermitian,
     singular_values,
@@ -191,14 +192,12 @@ def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:
     two the rescaled set is the same, so value and witness scale bit for bit,
     down to subnormal entries (where the value itself underflows to 0).
 
-    The value is read from a values-only solve of the Gram (``_schatten2_value``,
-    which ``shrink_report`` calls alone), the witness from its full eigensystem.
+    The value is read from a values-only solve of the Gram (``_schatten2_value``),
+    the witness from its full eigensystem (``_schatten2_witness``);
+    ``shrink_report`` calls each alone.
     """
     gram, k = _schatten2_gram(phi)
-    _, vectors = hermitian_eigensystem(gram)
-    x = vectors[:, 0].reshape(phi.d_in, phi.d_in)
-    witness = max((hermitize(x), hermitize(1j * x)), key=lambda part: np.vdot(part, part).real)
-    return _schatten2_value(gram, k), witness / sqrt(np.vdot(witness, witness).real)
+    return _schatten2_value(gram, k), _schatten2_witness(gram, phi.d_in)
 
 
 def _schatten2_gram(phi: KrausChannel) -> tuple[np.ndarray, int]:
@@ -216,6 +215,13 @@ def _schatten2_gram(phi: KrausChannel) -> tuple[np.ndarray, int]:
 def _schatten2_value(gram: np.ndarray, k: int) -> float:
     """``h`` from ``_schatten2_gram``'s pair: the root of the Gram's top eigenvalue, scaled back by ``4**k``."""
     return sqrt(hermitian_eigenvalues(gram)[0]) * 4.0**k
+
+
+def _schatten2_witness(gram: np.ndarray, d_in: int) -> np.ndarray:
+    """The witness of ``schatten2_shrink_factor`` from the Gram's full eigensystem alone."""
+    x = hermitian_eigensystem(gram)[1][:, 0].reshape(d_in, d_in)
+    witness = max((hermitize(x), hermitize(1j * x)), key=lambda part: np.vdot(part, part).real)
+    return witness / sqrt(np.vdot(witness, witness).real)
 
 
 def _norm_gradients(
@@ -478,13 +484,13 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     stack: ``read_invariant_norms`` first takes the ``s`` and ``t`` not yet read
     in one general SVD per operator size, and ``shrink_upper_bound`` then reads
     them kept. The image stacks and the input stacks are grouped together by
-    matrix size, each size taking one Hermitian SVD (which reads one triangle:
-    inputs and images are hermitized, so it reads the whole matrix) zero-padded to
-    the largest ``padded_dim_for`` in the list. The whole list is then evaluated in
-    one ``gauge_eval`` call and all inequalities are compared at once. Zero padding
-    leaves every gauge value as it is: a channel whose padded dimension is the
-    list's gets the values of a call on it alone bit for bit, any other one up to
-    rounding.
+    matrix size (``per_shape``), each size taking one Hermitian SVD (which reads
+    one triangle: inputs and images are hermitized, so it reads the whole matrix)
+    zero-padded to the largest ``padded_dim_for`` in the list. The whole list is
+    then evaluated in one ``gauge_eval`` call and all inequalities are compared at
+    once. Zero padding leaves every gauge value as it is: a channel whose padded
+    dimension is the list's gets the values of a call on it alone bit for bit,
+    any other one up to rounding.
     """
     phis, xs = list(phis), list(xs)
     if len(phis) != len(xs):
@@ -502,10 +508,7 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     # the C image stacks, then the C input stacks
     mats = [hermitize(kraus_map(p.kraus, y)) for p, y in zip(phis, xs)] + xs
     padded = max(padded_dim_for(p) for p in phis)
-    spectra = np.empty((len(mats), *lead, padded))
-    for size in {m.shape[-1] for m in mats}:
-        members = [i for i, m in enumerate(mats) if m.shape[-1] == size]
-        spectra[members] = singular_values(np.stack([mats[i] for i in members]), padded, hermitian=True)
+    spectra = np.array(per_shape(partial(singular_values, padded_dim=padded, hermitian=True), mats))
     # (norms, image | input, channels, ...)
     values = gauge_eval(norms, spectra.reshape(2, len(phis), *lead, padded))
     lhs, rhs = values[:, 0], bounds * values[:, 1]
@@ -587,13 +590,13 @@ def shrink_report(
     Schatten 2 is ``schatten2_shrink_factor``. These values come from
     eigenvalues alone: ``s`` and ``t`` from ``read_invariant_norms``, and ``h``
     from one values-only solve per report, whatever the number of its rows. An
-    exact row's witness is built on first read, by the factor function named
-    (the trace one's read-only projector, the Schatten-2 one's eigensystem), so
-    a report read for its values takes no ``eigh``. A positive multiple of a
-    norm has its factor, and its witness is divided by the sum of the
-    coefficients. Every other norm is searched by one batched
-    ``empirical_lower_bound`` call, which returns at once when no norm is left;
-    each searched row equals its single-norm search bit for bit. The same seed
+    exact row's witness is built on first read, as the factor function named
+    builds it (the trace one's read-only projector; the Schatten-2 one from the
+    Gram's eigensystem alone, with no second solve for ``h``), so a report read
+    for its values takes no ``eigh``. A positive multiple of a norm has its
+    factor, and its witness is divided by the sum of the coefficients. Every
+    other norm is searched by one batched ``empirical_lower_bound`` call, which
+    returns at once when no norm is left; each searched row equals its single-norm search bit for bit. The same seed
     drives every search, so reports are reproducible. ``restarts`` and ``steps``
     are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
     search runs only the two analytic starts, each capped at 200 iterations.
@@ -612,7 +615,7 @@ def shrink_report(
             if base.k == 1:
                 return spectral, lambda: spectral_shrink_factor(phi)[1]
             return (trace, lambda: trace_shrink_factor(phi)[1]) if base.k == padded else None
-        return (schatten2(), lambda: schatten2_shrink_factor(phi)[1]) if base.p == 2.0 else None
+        return (schatten2(), lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)) if base.p == 2.0 else None
 
     found = {}
     for norm in dict.fromkeys(norms):

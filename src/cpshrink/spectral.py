@@ -6,12 +6,18 @@ it. ``hermitian_decomposition`` (eigenpairs by descending magnitude, read by
 the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
 call, and ``hermitian_eigenvalues`` (read by ``is_psd`` and the Schatten-2
 factor) makes the one ``eigvalsh`` call; all three go through one checked call
-that raises a solver failure as ConvergenceFailure.
+that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
+place that stacks a list of matrices by shape for a batched solver call (the
+invariant norms' SVDs, the checks' Hermitian SVDs, the remix isometries' QRs);
+numpy factors each matrix of a stack on its own, so each result equals the one
+of a call on its matrix alone bit for bit.
 Both stack-aware helpers take one matrix or a stack. Everything is complex128
 and written for small dimensions; no sparse or structured paths.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +30,7 @@ __all__ = [
     "hermitian_eigenvalues",
     "hermitize",
     "is_psd",
+    "per_shape",
     "random_hermitian",
     "require_hermitian",
     "singular_values",
@@ -79,6 +86,21 @@ def _linalg(name: str, *args, **kwargs):
     except np.linalg.LinAlgError as exc:
         what = "singular value decomposition failed" if name == "svd" else "eigensolver did not converge"
         raise ConvergenceFailure(f"{what}: {exc}") from exc
+
+
+def per_shape(solve: Callable[[np.ndarray], Sequence], mats: Sequence[np.ndarray]) -> list:
+    """``solve`` of each matrix in ``mats``, in input order, from one call per distinct shape.
+
+    ``solve`` takes a stack ``(n, *shape)`` of the matrices that share a shape and
+    returns their n results in stack order. Shapes are taken in order of first
+    appearance.
+    """
+    out = [None] * len(mats)
+    for shape in dict.fromkeys(m.shape for m in mats):
+        members = [i for i, m in enumerate(mats) if m.shape == shape]
+        for i, result in zip(members, solve(np.stack([mats[i] for i in members]))):
+            out[i] = result
+    return out
 
 
 def singular_values(m, padded_dim: int, hermitian: bool = False) -> np.ndarray:

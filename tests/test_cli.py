@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cpshrink import cli, shrink
-from cpshrink.channel import KrausChannel, matrix_to_entries, random_channel, random_isometry
+from cpshrink.channel import KrausChannel, identity_channel, matrix_to_entries, random_channel, random_isometry
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import KyFan, Schatten
@@ -605,3 +605,26 @@ def test_verify_checks_a_channel_over_the_cap_in_chunks(capsys, monkeypatch, ent
     monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", entries)
     assert run(capsys, *argv) == whole
     assert sizes == stacks
+
+
+def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
+    # one rule partitions every run: a channel that brings a block to exactly the cap
+    # stays in it, one entry more starts a new block, and each block takes its trials in
+    # chunks of at most the cap's entries: all at once within the cap, else summing to them
+    def parts(cap, dims, trials):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
+        channels = [identity_channel(d) for d in dims]
+        return [([phi.d_in for phi in block], counts) for block, counts in cli._blocks(channels, trials)]
+
+    # 4 trials of d_in 2, 1 and 2: 16 + 4 + 16 = 36 entries
+    assert parts(36, (2, 1, 2), 4) == [([2, 1, 2], [4])]
+    assert parts(35, (2, 1, 2), 4) == [([2, 1], [4]), ([2], [4])]
+    # a lone channel over the cap: 7 trials of 9 entries, at most 18 at a time, or one
+    # trial when the cap is under one trial's entries
+    assert parts(18, (3,), 7) == [([3], [2, 2, 2, 1])]
+    assert parts(8, (3,), 7) == [([3], [1] * 7)]
+    assert parts(20, (1, 3), 4) == [([1], [4]), ([3], [2, 2])]
+    # the default cap: a 16 x 16 channel at 300 trials holds 76,800 entries
+    monkeypatch.undo()
+    ((block, counts),) = cli._blocks([identity_channel(16)], 300)
+    assert len(block) == 1 and counts == [256, 44]

@@ -527,10 +527,21 @@ class TestParseFormat:
         # any exponent, any coefficient down to the subnormals, any order
         assert parse_norm(format_norm(norm)) == norm
 
-    @pytest.mark.parametrize(
-        "text",
-        ["kyfan:0", "kyfan:x", "schatten:0.5", "schatten:", "combo:", "combo:kyfan:1", "plain", "foo:3"],
-    )
-    def test_parse_rejects(self, text):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("text, match", [pytest.param(text, match, id=text) for text, match in [
+        # a number out of range keeps the constructor's reason; text that is no number is "bad"
+        ("kyfan:0", "KyFan order must be an integer >= 1, got 0$"),
+        ("kyfan:-2", "KyFan order must be an integer >= 1, got -2$"),
+        ("kyfan:x", "bad kyfan order 'x'"),
+        ("kyfan:1.5", "bad kyfan order '1.5'"),
+        ("schatten:0.5", "Schatten exponent must be >= 1, got 0.5$"),
+        ("schatten:", "bad schatten exponent ''"),
+        ("combo:1*schatten:0.5", "Schatten exponent must be >= 1, got 0.5$"),
+        ("combo:x*kyfan:1", "bad combination coefficient 'x'"),
+        ("combo:", "empty combination spec"),
+        ("combo:kyfan:1", "must look like <coeff>"),
+        ("plain", "missing ':'"),
+        ("foo:3", "unknown norm family 'foo'"),
+    ]])
+    def test_parse_rejects(self, text, match):
+        with pytest.raises(ValueError, match=match):
             parse_norm(text)
