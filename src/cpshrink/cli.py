@@ -166,8 +166,8 @@ def _report_doc(args, phi: KrausChannel) -> dict:
             {
                 "norm": format_norm(b.norm),
                 "empirical_lower": b.empirical_lower,
-                "upper_bound": rep.upper_bound,
-                "gap": rep.upper_bound - b.empirical_lower,
+                "upper_bound": b.upper,
+                "gap": b.upper - b.empirical_lower,
             }
             for b in rep.per_norm
         ],

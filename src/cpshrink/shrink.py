@@ -10,8 +10,9 @@ other gauge norm, so each norm gets a bracket
 [lower bound, universal upper bound]. The Schatten-2 factor is exact too: the
 largest singular value of sum_n E_n ⊗ conj(E_n), the matrix of Phi on
 row-major vectorized inputs. A report takes the exact factor for every norm
-with a closed form (see ``shrink_report``) and searches the rest; no
-tightness is claimed for a searched lower bound.
+with a closed form and searches the rest, one resolver (``_resolve_rows``)
+deciding each row's value, witness and upper bound; no tightness is claimed
+for a searched lower bound.
 """
 
 from __future__ import annotations
@@ -533,15 +534,19 @@ def norm_battery(max_k: int) -> list[GaugeNorm]:
 
 @dataclass(frozen=True, eq=False)
 class NormBracket:
-    """One norm's bracket: the best lower bound found and its witness input.
+    """One norm's answer: the best lower bound found, the row's upper bound and the
+    witness of the lower bound.
 
-    ``witness`` is built by ``build_witness`` on first read and then kept, so a
-    report that prints only values takes no solve for it. A failed build is
-    raised and not kept, so the next read tries again.
+    ``empirical_lower <= upper`` always holds; both come from ``_resolve_rows``,
+    which gives every row the universal bound ``max(s, t)`` today. ``witness`` is
+    built by ``build_witness`` on first read and then kept, so a report that
+    prints only values takes no solve for it. A failed build is raised and not
+    kept, so the next read tries again.
     """
 
     norm: GaugeNorm
     empirical_lower: float
+    upper: float
     build_witness: Callable[[], np.ndarray] = field(repr=False)
 
     @cached_property
@@ -554,13 +559,14 @@ class ShrinkReport:
     """Channel-level summary.
 
     ``upper_bound`` equals max(spectral_factor, trace_factor) exactly and
-    bounds every entry's shrinking factor; every bracket holds
-    ``empirical_lower <= upper_bound``, a value rounding above the bound being
-    stored as the bound. Each bracket's witness has unit gauge norm and
-    achieves its ``empirical_lower`` up to rounding. Rows for Schatten inf,
-    Ky Fan 1, Schatten 1, Ky Fan k >= ``padded_dim``, Schatten 2 and positive
-    multiples of these hold the exact factor; the others hold the search's best
-    value.
+    bounds every entry's shrinking factor: it is the paper's bound, whatever
+    bound a row carries. Every bracket holds ``empirical_lower <= upper``, a
+    value rounding above its bound being stored as the bound, and each
+    bracket's ``upper`` is at most ``upper_bound`` (equal to it today). Each
+    bracket's witness has unit gauge norm and achieves its ``empirical_lower``
+    up to rounding. Rows for Schatten inf, Ky Fan 1, Schatten 1, Ky Fan
+    k >= ``padded_dim``, Schatten 2 and positive multiples of these hold the
+    exact factor; the others hold the search's best value.
     """
 
     upper_bound: float
@@ -577,66 +583,82 @@ def _scaled_witness(build: Callable[[], np.ndarray], total: float, e: int) -> np
         return _ldexp(witness / total, -e)
 
 
-def shrink_report(
-    phi: KrausChannel, norms, restarts: int, steps: int, seed=0
-) -> ShrinkReport:
-    """Bracket the shrinking factor of ``phi`` for each requested norm.
+def _resolve_rows(phi: KrausChannel, norms, restarts: int, steps: int, seed) -> dict[GaugeNorm, NormBracket]:
+    """Each distinct norm's answer, as its bracket: value, witness builder and upper
+    bound. This is the one place that decides them.
 
-    A norm whose terms (``gauge.base_terms`` at the padded dimension) all have
-    one base with a closed form takes the exact factor, with no search: Ky Fan 1
-    (Schatten inf) is the spectral norm, so the spectral factor at the identity;
-    Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the trace norm on
-    inputs and images alike, so the trace factor at its rank-1 projector;
-    Schatten 2 is ``schatten2_shrink_factor``. These values come from
-    eigenvalues alone: ``s`` and ``t`` from ``read_invariant_norms``, and ``h``
-    from one values-only solve per report, whatever the number of its rows. An
-    exact row's witness is built on first read, as the factor function named
-    builds it (the trace one's read-only projector; the Schatten-2 one from the
-    Gram's eigensystem alone, with no second solve for ``h``), so a report read
-    for its values takes no ``eigh``. A positive multiple of a norm has its
-    factor, and its witness is divided by the sum of the coefficients. Every
-    other norm is searched by one batched ``empirical_lower_bound`` call, which
-    returns at once when no norm is left; each searched row equals its single-norm search bit for bit. The same seed
-    drives every search, so reports are reproducible. ``restarts`` and ``steps``
-    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
-    search runs only the two analytic starts, each capped at 200 iterations.
+    A norm whose terms (``gauge.base_terms`` at the padded dimension) all have one
+    base in ``closed`` takes that base's exact factor and witness builder, as
+    ``shrink_report`` lists them; a positive multiple's witness is divided by the sum
+    of its coefficients. Every other norm takes its value and witness from one
+    batched ``empirical_lower_bound`` call. Every row's upper bound is the universal
+    ``u = max(s, t)``, which bounds every factor, so a value above it is rounding:
+    this is the one place a row's value is clamped to its bound. ``s`` and ``t``
+    are read together (``read_invariant_norms``) and kept by the channel.
     """
-    norms = list(norms)
     padded = padded_dim_for(phi)
     inv = phi.invariants()
     read_invariant_norms([inv])
     spectral, trace = inv.identity_image_norm, inv.adjoint_identity_image_norm
     upper = max(spectral, trace)
-    # the Schatten-2 factor, solved for on first need; its d_in^4 Gram is not kept
-    schatten2 = cache(lambda: _schatten2_value(*_schatten2_gram(phi)))
-
-    def closed_form(base: KyFan | Schatten) -> tuple[float, Callable[[], np.ndarray]] | None:
-        if isinstance(base, KyFan):
-            if base.k == 1:
-                return spectral, lambda: spectral_shrink_factor(phi)[1]
-            return (trace, lambda: trace_shrink_factor(phi)[1]) if base.k == padded else None
-        return (schatten2(), lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)) if base.p == 2.0 else None
-
+    # base -> (value, witness builder), each run on first need; the d_in^4 Gram is not kept.
+    # Ky Fan 1 comes last, so it is the entry when the padded dimension is 1
+    closed = {
+        KyFan(padded): (lambda: trace, lambda: trace_shrink_factor(phi)[1]),
+        KyFan(1): (lambda: spectral, lambda: spectral_shrink_factor(phi)[1]),
+        Schatten(2.0): (cache(lambda: _schatten2_value(*_schatten2_gram(phi))),
+                        lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)),
+    }
     found = {}
     for norm in dict.fromkeys(norms):
         # coefficients rescaled as the search's, so their sum cannot overflow
         scaled, e = _rescaled_norm(norm)
         terms = base_terms(scaled, padded)
-        exact = closed_form(terms[0][1]) if len({b for _, b in terms}) == 1 else None
-        if exact is not None:
+        if len({b for _, b in terms}) == 1 and terms[0][1] in closed:
+            value, build = closed[terms[0][1]]
             total = sum(c for c, _ in terms)
-            value, build = exact
-            found[norm] = value, build if (total, e) == (1.0, 0) else partial(_scaled_witness, build, total, e)
+            found[norm] = value(), build if (total, e) == (1.0, 0) else partial(_scaled_witness, build, total, e)
     searched = [norm for norm in dict.fromkeys(norms) if norm not in found]
     for norm, (lower, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
         found[norm] = lower, lambda witness=witness: witness
-    # the bound is proven, so a value above it is rounding; searched values are clamped
-    # already, and this clamps the computed Schatten-2 factor
-    brackets = {norm: NormBracket(norm, min(value, upper), build) for norm, (value, build) in found.items()}
+    return {norm: NormBracket(norm, min(value, upper), upper, build) for norm, (value, build) in found.items()}
+
+
+def shrink_report(
+    phi: KrausChannel, norms, restarts: int, steps: int, seed=0
+) -> ShrinkReport:
+    """Bracket the shrinking factor of ``phi`` for each requested norm.
+
+    Each row is the bracket ``_resolve_rows`` gives its norm, which decides the
+    row's value, witness and upper bound. A norm whose terms (``gauge.base_terms``
+    at the padded dimension) all have one base with a closed form takes the exact
+    factor, with no search: Ky Fan 1 (Schatten inf) is the spectral norm, so the
+    spectral factor at the identity; Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k
+    beyond it) is the trace norm on inputs and images alike, so the trace factor
+    at its rank-1 projector; Schatten 2 is ``schatten2_shrink_factor``. These
+    values come from eigenvalues alone: ``s`` and ``t`` from
+    ``read_invariant_norms``, and ``h`` from one values-only solve per report,
+    whatever the number of its rows. An exact row's witness is built on first
+    read, as the factor function named builds it (the trace one's read-only
+    projector; the Schatten-2 one from the Gram's eigensystem alone, with no
+    second solve for ``h``), so a report read for its values takes no ``eigh``.
+    A positive multiple of a norm has its factor, and its witness is divided by
+    the sum of the coefficients. Every other norm is searched by one batched
+    ``empirical_lower_bound`` call, which returns at once when no norm is left;
+    each searched row equals its single-norm search bit for bit. The same seed
+    drives every search, so reports are reproducible. ``restarts`` and ``steps``
+    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
+    search runs only the two analytic starts, each capped at 200 iterations.
+    Every row's ``upper`` is the universal bound today, the same as the report's
+    ``upper_bound``.
+    """
+    norms = list(norms)
+    brackets = _resolve_rows(phi, norms, restarts, steps, seed)
+    inv = phi.invariants()
     return ShrinkReport(
-        upper_bound=upper,
-        spectral_factor=spectral,
-        trace_factor=trace,
+        upper_bound=max(inv.identity_image_norm, inv.adjoint_identity_image_norm),
+        spectral_factor=inv.identity_image_norm,
+        trace_factor=inv.adjoint_identity_image_norm,
         per_norm=tuple(brackets[norm] for norm in norms),
-        padded_dim=padded,
+        padded_dim=padded_dim_for(phi),
     )

@@ -1,0 +1,140 @@
+"""Classical channels: an exact oracle for the report's rows at every size.
+
+For a nonnegative ``P`` (``d_out x d_in``) the Kraus operators
+``E_ij = sqrt(P_ij) e_i e_j†`` (one per ``P_ij > 0``) give ``Phi(X) = diag(P diag X)``.
+Pinching lowers no unitarily invariant norm and ``Phi(X) = Phi(diag X)``, so the
+factor for the gauge ``g`` is ``sup g(Px) / g(x)`` over real vectors, and
+``|Px| <= P|x|`` makes nonnegative ``x`` enough (R. Bhatia, *Matrix Analysis*, 1997).
+The oracle computes it from ``P`` with numpy alone, and nothing of ``cpshrink.gauge``:
+
+- Ky Fan k in closed form. The nonnegative part of the Ky Fan k ball has the
+  extreme points ``e_j`` and ``1_S / k`` with ``|S| >= k``, and ``P`` is monotone,
+  so ``S`` is every index: the factor is
+  ``max(||P 1||_(k) / min(k, d_in), max_j ||P e_j||_(k))``.
+- Schatten p as the ``l_p -> l_p`` norm of ``P``, bracketed: from below by Boyd's
+  power iteration ``x <- (Pᵀ (Px)^(p-1))^(1/(p-1))`` (D. W. Boyd, Linear Algebra
+  Appl. 9, 1974), from above by Schur's test at its iterate: with
+  ``a = x^(1/q)`` and ``b^q = P a^q`` (``1/p + 1/q = 1``), ``Pᵀ b^p <= C a^p``
+  gives ``||P||_(p->p) <= C^(1/p)``. At Boyd's fixed point the two meet.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cpshrink import KrausChannel, KyFan, Schatten, shrink_report
+
+BOYD_STEPS = 10_000
+EXPONENTS = (1.5, 3.0)
+
+
+def classical_channel(p: np.ndarray) -> KrausChannel:
+    rows, cols = np.nonzero(p)
+    kraus = np.zeros((len(rows), *p.shape))
+    kraus[np.arange(len(rows)), rows, cols] = np.sqrt(p[rows, cols])
+    return KrausChannel(p.shape[1], p.shape[0], kraus)
+
+
+def _top_sum(y: np.ndarray, k: int) -> float:
+    """Sum of the ``k`` largest entries of ``y``, all of them when ``k`` exceeds its length."""
+    return float(np.sort(y)[::-1][:k].sum())
+
+
+def kyfan_factor(p: np.ndarray, k: int) -> float:
+    return max(_top_sum(p.sum(axis=1), k) / min(k, p.shape[1]), max(_top_sum(col, k) for col in p.T))
+
+
+def _lp(x: np.ndarray, exp: float) -> float:
+    return float((x**exp).sum() ** (1.0 / exp))
+
+
+def schatten_bracket(p: np.ndarray, exp: float) -> tuple[float, float]:
+    """``[Boyd, Schur]`` around the ``l_exp -> l_exp`` norm of nonnegative ``p``, iterated
+    until the two meet within 1e-15 relative or ``BOYD_STEPS`` run out."""
+    x = np.ones(p.shape[1])
+    for _ in range(BOYD_STEPS):
+        x = (p.T @ (p @ x) ** (exp - 1.0)) ** (1.0 / (exp - 1.0))
+        x /= x.max()
+        lower = _lp(p @ x, exp) / _lp(x, exp)
+        # a^q = x, b^q = P x (so C_1 = 1), b^p = (P x)^(p-1), a^p = x^(p-1); a zero column of P
+        # is a zero entry of x and of Pᵀ b^p alike, and bounds nothing
+        lhs, ap = p.T @ (p @ x) ** (exp - 1.0), x ** (exp - 1.0)
+        on = ap > 0.0
+        assert not lhs[~on].any()
+        upper = float((lhs[on] / ap[on]).max() ** (1.0 / exp))
+        if upper - lower <= 1e-15 * upper:
+            break
+    return lower, upper
+
+
+@st.composite
+def nonnegative_matrices(draw) -> np.ndarray:
+    """``d_out x d_in`` with d 2..6, entries 0 or in [1e-3, 1], and a whole zero row or column
+    at times, but not all zero. The range keeps Boyd's iterate far from underflow; the
+    report's own scale invariance is tested elsewhere."""
+    d_out, d_in = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entry = st.just(0.0) | st.floats(1e-3, 1.0)
+    p = np.array(draw(st.lists(entry, min_size=d_out * d_in, max_size=d_out * d_in))).reshape(d_out, d_in)
+    row, col = draw(st.none() | st.integers(0, d_out - 1)), draw(st.none() | st.integers(0, d_in - 1))
+    if row is not None:
+        p[row] = 0.0
+    if col is not None:
+        p[:, col] = 0.0
+    assume(p.any())
+    return p
+
+
+def test_oracle_on_known_channels():
+    # a permutation keeps every norm; the trace on 3 x 3 inputs (P a row of ones) takes
+    # |tr X| / ||X||_(k) to 3 / k at X = I, and ||x||_1 / ||x||_p to ||1||_q = 3^(1 - 1/p)
+    perm = np.eye(4)[[2, 0, 3, 1]]
+    assert [kyfan_factor(perm, k) for k in (1, 2, 4, 6)] == [1.0, 1.0, 1.0, 1.0]
+    ones = np.ones((1, 3))
+    assert [kyfan_factor(ones, k) for k in (1, 2, 3)] == [3.0, 1.5, 1.0]
+    for exp in EXPONENTS:
+        lower, upper = schatten_bracket(ones, exp)
+        assert upper - lower <= 1e-15 * upper
+        np.testing.assert_allclose([lower, upper], 3.0 ** (1.0 - 1.0 / exp), rtol=1e-14)
+        np.testing.assert_allclose(schatten_bracket(perm, exp), 1.0, rtol=1e-14)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nonnegative_matrices())
+def test_default_report_meets_the_oracle(p):
+    # no searched row exceeds the exact factor by more than 1e-12 u, and the Schatten rows
+    # reach it within 1e-11 u (not on every sparse P: see the next test); Ky Fan rows may
+    # fall short (the default schedule's two analytic starts miss some pure-state optima),
+    # so only their upper side is checked.
+    # The exact rows match the oracle too: s, t and h = ||P||_2 at Ky Fan 1, Ky Fan
+    # padded and Schatten 2
+    phi = classical_channel(p)
+    padded = max(p.shape)
+    u = max(p.sum(axis=1).max(), p.sum(axis=0).max())
+    kyfans = [KyFan(k) for k in range(1, padded + 1)]
+    rep = shrink_report(phi, [Schatten(e) for e in EXPONENTS] + [Schatten(2.0)] + kyfans, restarts=0, steps=200)
+    assert abs(rep.upper_bound - u) <= 1e-14 * u
+    schatten, h, (first, *searched, last) = rep.per_norm[:2], rep.per_norm[2], rep.per_norm[3:]
+    for row, exp in zip(schatten, EXPONENTS):
+        lower, upper = schatten_bracket(p, exp)
+        assert upper - lower <= 1e-13 * u
+        assert row.empirical_lower <= upper + 1e-12 * u
+        assert row.empirical_lower >= lower - 1e-11 * u
+    for row in searched:
+        assert row.empirical_lower <= kyfan_factor(p, row.norm.k) + 1e-12 * u
+    exact = [(h, np.linalg.norm(p, 2)), (first, kyfan_factor(p, 1)), (last, kyfan_factor(p, padded))]
+    for row, want in exact:
+        assert abs(row.empirical_lower - want) <= 1e-12 * u
+
+
+@pytest.mark.xfail(strict=True, reason="the default schedule stops 7.5e-5 u short of this Schatten-3 optimum")
+def test_default_report_reaches_a_near_tied_schatten_optimum():
+    # columns 0 and 2 feed disjoint rows, so the Schatten-3 factor is the larger of their l_3
+    # norms, 0.4979 and 0.5: the optimum is the pure state e_2, which neither analytic start
+    # is (the trace witness is e_0, the column of largest total), and the search creeps
+    # toward it at a linear rate. 200 steps leave it 7.5e-5 u short, 2000 steps 3.7e-11 u
+    p = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.3125, 0.0, 0.0], [0.453125, 0.0, 0.0]])
+    lower, _ = schatten_bracket(p, 3.0)
+    assert lower == pytest.approx(0.5, rel=1e-15)
+    row = shrink_report(classical_channel(p), [Schatten(3.0)], restarts=0, steps=200).per_norm[0]
+    assert row.empirical_lower >= lower - 1e-11 * row.upper

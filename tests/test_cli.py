@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import weakref
@@ -11,7 +12,7 @@ from cpshrink.channel import KrausChannel, identity_channel, matrix_to_entries, 
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import KyFan, Schatten
-from cpshrink.shrink import check_gauge_bounds, norm_battery, shrink_report
+from cpshrink.shrink import check_gauge_bounds, norm_battery, shrink_report, shrink_upper_bound
 from cpshrink.spectral import random_hermitian
 
 
@@ -227,6 +228,36 @@ class TestReport:
         doc = json.loads(out)
         value = doc["invariants"]["identity_image_norm"]
         assert f'"identity_image_norm": {value:.17g}' in out
+
+    def test_each_row_prints_its_own_bound(self, capsys, monkeypatch):
+        # the resolver decides each row's bound: one lowered below u there moves that row's
+        # upper_bound and gap, in JSON and text, while the other row and the factors keep u
+        real = shrink._resolve_rows
+
+        def lowered(*args):
+            rows = real(*args)
+            row = rows[Schatten(3.0)]
+            rows[row.norm] = dataclasses.replace(row, upper=(row.empirical_lower + row.upper) / 2)
+            return rows
+
+        monkeypatch.setattr(shrink, "_resolve_rows", lowered)
+        argv = ("report", "--channel", "cptp:3x2x2:5", "--norm", "schatten:3", "--norm", "schatten:1.5")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        u = shrink_upper_bound(resolve_channel("cptp:3x2x2:5"))
+        moved, kept = doc["norms"]
+        bound = (moved["empirical_lower"] + u) / 2
+        assert moved["empirical_lower"] < bound < u
+        assert (moved["upper_bound"], moved["gap"]) == (bound, bound - moved["empirical_lower"])
+        assert (kept["upper_bound"], kept["gap"]) == (u, u - kept["empirical_lower"])
+        assert doc["factors"]["upper_bound"] == u
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines() if line.startswith("schatten:")]
+        assert rows == [[row["norm"], *(cli._float17(row[key]) for key in ("empirical_lower", "upper_bound", "gap"))]
+                        for row in (moved, kept)]
+        assert "factors: upper=" + cli._float17(u) in out
 
 
 class TestVerify:

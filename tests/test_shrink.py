@@ -1074,6 +1074,9 @@ class TestBatteryAndReport:
             for bracket in rep.per_norm:
                 assert bracket.empirical_lower <= rep.upper_bound
                 assert rep.upper_bound - bracket.empirical_lower >= 0.0
+                # each row carries its own bound, the universal one on every row today
+                assert bracket.upper == rep.upper_bound
+                assert bracket.empirical_lower <= bracket.upper
 
 
 class TestSharedSpectralData:
