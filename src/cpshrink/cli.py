@@ -46,40 +46,6 @@ DEFAULT_NORMS = ("schatten:inf", "schatten:2", "schatten:1")
 NORM_COLUMN = 27
 
 
-def _float17(x: float) -> str:
-    # 17 significant digits round-trip float64 exactly, keeping reports diffable
-    text = format(float(x), ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
-
-
-def _emit_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_emit_json(v, indent + 1)}" for k, v in obj.items()]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{_emit_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float17(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -180,29 +146,21 @@ def _print_report_text(doc: dict) -> None:
     ch = doc["channel"]
     print(f"channel {ch['source']}: d_in={ch['d_in']} d_out={ch['d_out']} kraus={ch['kraus_count']}")
     inv = doc["invariants"]
+    # every float prints as repr, its shortest text that reads back exactly, as json.dumps writes it
     print(
-        "invariant norms: |Phi(I)|_inf="
-        + _float17(inv["identity_image_norm"])
-        + " |Phi*(I)|_inf="
-        + _float17(inv["adjoint_identity_image_norm"])
+        f"invariant norms: |Phi(I)|_inf={inv['identity_image_norm']!r} "
+        f"|Phi*(I)|_inf={inv['adjoint_identity_image_norm']!r}"
     )
     fac = doc["factors"]
     print(
-        "factors: upper=" + _float17(fac["upper_bound"])
-        + " spectral=" + _float17(fac["spectral"])
-        + " trace=" + _float17(fac["trace"])
-        + f" padded_dim={fac['padded_dim']}"
+        f"factors: upper={fac['upper_bound']!r} spectral={fac['spectral']!r} trace={fac['trace']!r} "
+        f"padded_dim={fac['padded_dim']}"
     )
     # the norm column is at least 27 wide and fits the longest label, plus one space
     width = max([NORM_COLUMN] + [len(row["norm"]) for row in doc["norms"]])
     print(f"{'norm':<{width + 1}}{'empirical_lower':<26}{'upper_bound':<26}gap")
     for row in doc["norms"]:
-        print(
-            f"{row['norm']:<{width}} "
-            + f"{_float17(row['empirical_lower']):<26}"
-            + f"{_float17(row['upper_bound']):<26}"
-            + _float17(row["gap"])
-        )
+        print(f"{row['norm']:<{width}} {row['empirical_lower']!r:<26}{row['upper_bound']!r:<26}{row['gap']!r}")
     ver = doc["verification"]
     print(
         f"per-k inequality fuzz: {ver['inputs']} inputs, {ver['checks']} checks, "
@@ -216,7 +174,7 @@ def _cmd_report(args) -> int:
     phi = resolve_channel(args.channel)
     doc = _report_doc(args, phi)
     if args.format == "json":
-        print(_emit_json(doc))
+        print(json.dumps(doc, indent=2))
     else:
         _print_report_text(doc)
     return EXIT_OK
@@ -345,12 +303,12 @@ def _cmd_verify(args) -> int:
     for name, (cases, fails) in suites.items():
         print(f"{name:<30}{cases:>8}{fails:>10}")
     if args.channel is not None:
-        print("upper bound: " + _float17(shrink_upper_bound(channels[0])))
+        print(f"upper bound: {shrink_upper_bound(channels[0])!r}")
     total_failures = sum(f for _, f in suites.values())
     if total_failures:
         print("result: FAIL")
         assert witness is not None
-        print(_emit_json(witness))
+        print(json.dumps(witness, indent=2))
         return EXIT_VIOLATION
     print("result: PASS")
     return EXIT_OK
@@ -415,11 +373,14 @@ def main(argv=None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_verify(args)
-    except (ChannelFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ChannelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceFailure as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -233,9 +233,10 @@ def parse_norm(text: str) -> GaugeNorm:
 
 
 def _number(x: float) -> str:
-    """``x`` in ``:g`` form when that reads back as ``x``, else its shortest exact form."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(x)
+    """The shorter of ``x``'s ``:g`` form, when that reads back as ``x``, and its shortest
+    exact form ``repr(x)``, ``:g`` on a tie. ``:g`` is never the longer for a normal float,
+    but a subnormal's six digits can read back and outrun repr (``1e-320``)."""
+    return min((t for t in (f"{x:g}", repr(x)) if float(t) == x), key=len)
 
 
 def format_norm(norm: GaugeNorm) -> str:

@@ -24,7 +24,7 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
 
-from .channel import KrausChannel, kraus_map, read_invariant_norms
+from .channel import KrausChannel, complex_gaussian, kraus_map, read_invariant_norms
 from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
@@ -441,7 +441,7 @@ def empirical_lower_bound(
     ops, k = _rescaled_kraus(phi)
     scaled = {n: _rescaled_norm(n) for n in norms}
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
+    v = complex_gaussian(rng, (restarts, d))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
     starts = np.concatenate([[np.eye(d), trace_witness], v[:, :, None] * v[:, None, :].conj()])
     # the identity's spectrum is all ones, every other start's is e_1

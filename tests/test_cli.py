@@ -165,6 +165,16 @@ class TestReport:
         assert code == 3
         assert err.startswith("error: numerical failure: ")
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        # numpy's own allocation failure is a MemoryError; this one allocates nothing
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 23.8 GiB for an array")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, "report", "--channel", "random:2x2x2:1")
+        assert (code, out) == (3, "")
+        assert err == "error: out of memory: Unable to allocate 23.8 GiB for an array\n"
+
     def test_large_schatten_exponent_exits_0(self, capsys):
         code, out, _ = run(
             capsys, "report", "--channel", "random:1x1x1:3", "--norm", "schatten:400", "--format", "json",
@@ -200,7 +210,7 @@ class TestReport:
         assert rows[spec]["gap"] == pytest.approx(rows[plain]["gap"], rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("spec", ["schatten:1.0000000001", "schatten:1234567.0",
-                                      "combo:0.1234567*kyfan:1+1*schatten:2"])
+                                      "combo:0.1234567*kyfan:1+1*schatten:2", "combo:1e-320*schatten:3"])
     def test_row_names_the_norm_asked_for(self, capsys, spec):
         code, out, _ = run(capsys, "report", "--channel", "ptrace:2x3", "--norm", spec, "--restarts", "2",
                            "--steps", "3", "--format", "json")
@@ -219,15 +229,33 @@ class TestReport:
         (row,) = [line for line in out.splitlines() if line.startswith(spec)]
         assert row.split()[0] == spec and len(row.split()) == 4
 
-    def test_seventeen_digit_floats(self, capsys):
-        code, out, _ = run(
-            capsys, "report", "--channel", "random:2x2x2:9", "--norm", "schatten:2",
-            "--restarts", "2", "--steps", "4", "--format", "json",
-        )
+    def test_floats_print_in_shortest_exact_form(self, capsys):
+        # every float prints as repr, the shortest text that reads back as that float, in JSON
+        # and text alike; this report's gap has a longer 17-digit form, so the case tells them apart
+        argv = ("report", "--channel", "ptrace:2x2", "--norm", "schatten:3")
+        doc = cli._report_doc(cli.build_parser().parse_args(argv), resolve_channel("ptrace:2x2"))
+
+        def leaves(node):
+            if isinstance(node, (dict, list)):
+                return [x for v in (node.values() if isinstance(node, dict) else node) for x in leaves(v)]
+            return [] if isinstance(node, str) else [node]
+
+        numbers = leaves(doc)
+        assert all(type(x) in (int, float) for x in numbers)
+        floats = [x for x in numbers if type(x) is float]
+        gap = doc["norms"][0]["gap"]
+        assert f"{gap:.17g}" != repr(gap)
+        code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
-        doc = json.loads(out)
-        value = doc["invariants"]["identity_image_norm"]
-        assert f'"identity_image_norm": {value:.17g}' in out
+        texts = []
+        parsed = json.loads(out, parse_float=lambda text: texts.append(text) or float(text))
+        assert texts == [repr(x) for x in floats]
+        assert [x for x in leaves(parsed) if type(x) is float] == floats
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        tokens = [t for t in re.findall(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?", out) if "." in t or "e" in t]
+        assert tokens == [repr(x) for x in floats]
+        assert [float(t) for t in tokens] == floats
 
     def test_each_row_prints_its_own_bound(self, capsys, monkeypatch):
         # the resolver decides each row's bound: one lowered below u there moves that row's
@@ -255,9 +283,9 @@ class TestReport:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         rows = [line.split() for line in out.splitlines() if line.startswith("schatten:")]
-        assert rows == [[row["norm"], *(cli._float17(row[key]) for key in ("empirical_lower", "upper_bound", "gap"))]
+        assert rows == [[row["norm"], *(repr(row[key]) for key in ("empirical_lower", "upper_bound", "gap"))]
                         for row in (moved, kept)]
-        assert "factors: upper=" + cli._float17(u) in out
+        assert "factors: upper=" + repr(u) in out
 
 
 class TestVerify:

@@ -510,7 +510,8 @@ class TestParseFormat:
     @pytest.mark.parametrize(
         "text",
         ["schatten:1.0000000001", "schatten:1234567.0", "combo:0.1234567*kyfan:1+1*schatten:2",
-         "combo:1.0000000000000002*kyfan:1+0.30000000000000004*schatten:3"],
+         "combo:1.0000000000000002*kyfan:1+0.30000000000000004*schatten:3",
+         "combo:1e-320*schatten:3", "combo:5e-324*schatten:3"],
     )
     def test_long_labels_are_exact(self, text):
         assert format_norm(parse_norm(text)) == text
