@@ -104,7 +104,6 @@ def resolve_channel(source: str) -> KrausChannel:
 def _report_doc(args, phi: KrausChannel) -> dict:
     norms = [parse_norm(t) for t in (args.norm or DEFAULT_NORMS)]
     rep = shrink_report(phi, norms, args.restarts, args.steps, args.seed)
-    inv = phi.invariants()
 
     rng = np.random.default_rng(args.seed)
     xs = random_hermitian(phi.d_in, rng, REPORT_FUZZ_INPUTS)
@@ -119,8 +118,8 @@ def _report_doc(args, phi: KrausChannel) -> dict:
             "kraus_count": phi.n_kraus,
         },
         "invariants": {
-            "identity_image_norm": inv.identity_image_norm,
-            "adjoint_identity_image_norm": inv.adjoint_identity_image_norm,
+            "identity_image_norm": rep.spectral_factor,
+            "adjoint_identity_image_norm": rep.trace_factor,
         },
         "factors": {
             "upper_bound": rep.upper_bound,

@@ -9,10 +9,10 @@ eigenvector saturates it). The maximum of the two bounds the factor for every
 other gauge norm, so each norm gets a bracket
 [lower bound, universal upper bound]. The Schatten-2 factor is exact too: the
 largest singular value of sum_n E_n ⊗ conj(E_n), the matrix of Phi on
-row-major vectorized inputs. A report takes the exact factor for every norm
-with a closed form and searches the rest, one resolver (``_resolve_rows``)
-deciding each row's value, witness and upper bound; no tightness is claimed
-for a searched lower bound.
+row-major vectorized inputs. A report (``shrink_report``, which decides each
+row's value, witness and upper bound) takes the exact factor for every norm
+with a closed form and searches the rest; no tightness is claimed for a
+searched lower bound.
 """
 
 from __future__ import annotations
@@ -537,8 +537,8 @@ class NormBracket:
     """One norm's answer: the best lower bound found, the row's upper bound and the
     witness of the lower bound.
 
-    ``empirical_lower <= upper`` always holds; both come from ``_resolve_rows``,
-    which gives every row the universal bound ``max(s, t)`` today. ``witness`` is
+    ``empirical_lower <= upper`` always holds. ``shrink_report`` decides both and
+    the witness builder; its docstring lists the rules. ``witness`` is
     built by ``build_witness`` on first read and then kept, so a report that
     prints only values takes no solve for it. A failed build is raised and not
     kept, so the next read tries again.
@@ -560,13 +560,11 @@ class ShrinkReport:
 
     ``upper_bound`` equals max(spectral_factor, trace_factor) exactly and
     bounds every entry's shrinking factor: it is the paper's bound, whatever
-    bound a row carries. Every bracket holds ``empirical_lower <= upper``, a
-    value rounding above its bound being stored as the bound, and each
-    bracket's ``upper`` is at most ``upper_bound`` (equal to it today). Each
-    bracket's witness has unit gauge norm and achieves its ``empirical_lower``
-    up to rounding. Rows for Schatten inf, Ky Fan 1, Schatten 1, Ky Fan
-    k >= ``padded_dim``, Schatten 2 and positive multiples of these hold the
-    exact factor; the others hold the search's best value.
+    bound a row carries. Each bracket's ``upper`` is at most ``upper_bound``,
+    and each bracket's witness has unit gauge norm and achieves its
+    ``empirical_lower`` up to rounding. Which rows are exact, and each row's
+    value and bound, are decided by ``shrink_report``; its docstring lists the
+    rules.
     """
 
     upper_bound: float
@@ -583,19 +581,41 @@ def _scaled_witness(build: Callable[[], np.ndarray], total: float, e: int) -> np
         return _ldexp(witness / total, -e)
 
 
-def _resolve_rows(phi: KrausChannel, norms, restarts: int, steps: int, seed) -> dict[GaugeNorm, NormBracket]:
-    """Each distinct norm's answer, as its bracket: value, witness builder and upper
-    bound. This is the one place that decides them.
+def shrink_report(
+    phi: KrausChannel, norms, restarts: int, steps: int, seed=0
+) -> ShrinkReport:
+    """Bracket the shrinking factor of ``phi`` for each requested norm.
+
+    This is the one function that decides each row's value, witness builder and
+    upper bound. ``s`` and ``t`` are read together (``read_invariant_norms``) and
+    kept by the channel, and the report's ``upper_bound`` is ``u = max(s, t)``.
 
     A norm whose terms (``gauge.base_terms`` at the padded dimension) all have one
-    base in ``closed`` takes that base's exact factor and witness builder, as
-    ``shrink_report`` lists them; a positive multiple's witness is divided by the sum
-    of its coefficients. Every other norm takes its value and witness from one
-    batched ``empirical_lower_bound`` call. Every row's upper bound is the universal
-    ``u = max(s, t)``, which bounds every factor, so a value above it is rounding:
-    this is the one place a row's value is clamped to its bound. ``s`` and ``t``
-    are read together (``read_invariant_norms``) and kept by the channel.
+    base with a closed form takes the exact factor, with no search: Ky Fan 1
+    (Schatten inf) is the spectral norm, so the spectral factor at the identity; Ky
+    Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the trace norm on inputs
+    and images alike, so the trace factor at its rank-1 projector; Schatten 2 is
+    ``schatten2_shrink_factor``. These values come from eigenvalues alone: ``s`` and
+    ``t`` as read above, and ``h`` from one values-only solve per report, whatever
+    the number of its rows. An exact row's witness is built on first read, as the
+    factor function named builds it (the trace one's read-only projector; the
+    Schatten-2 one from the Gram's eigensystem alone, with no second solve for
+    ``h``), so a report read for its values takes no ``eigh``. A positive multiple
+    of a norm has its factor, and its witness is divided by the sum of the
+    coefficients. Every other norm is searched by one batched
+    ``empirical_lower_bound`` call, which returns at once when no norm is left;
+    each searched row equals its single-norm search bit for bit. The same seed
+    drives every search, so reports are reproducible. ``restarts`` and ``steps``
+    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
+    search runs only the two analytic starts, each capped at 200 iterations.
+
+    Every row's ``upper`` is ``u`` today, which bounds every factor, so a value
+    above it is rounding, and the row holds ``u`` instead. ``empirical_lower_bound``
+    already clamps each searched value so; the clamp here guards the exact rows,
+    since ``h`` can round above ``u`` where they are equal (one Kraus operator ``E``
+    gives ``h = s = t = sigma_max(E)**2``). Duplicate norms share one row.
     """
+    norms = list(norms)
     padded = padded_dim_for(phi)
     inv = phi.invariants()
     read_invariant_norms([inv])
@@ -621,44 +641,5 @@ def _resolve_rows(phi: KrausChannel, norms, restarts: int, steps: int, seed) -> 
     searched = [norm for norm in dict.fromkeys(norms) if norm not in found]
     for norm, (lower, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
         found[norm] = lower, lambda witness=witness: witness
-    return {norm: NormBracket(norm, min(value, upper), upper, build) for norm, (value, build) in found.items()}
-
-
-def shrink_report(
-    phi: KrausChannel, norms, restarts: int, steps: int, seed=0
-) -> ShrinkReport:
-    """Bracket the shrinking factor of ``phi`` for each requested norm.
-
-    Each row is the bracket ``_resolve_rows`` gives its norm, which decides the
-    row's value, witness and upper bound. A norm whose terms (``gauge.base_terms``
-    at the padded dimension) all have one base with a closed form takes the exact
-    factor, with no search: Ky Fan 1 (Schatten inf) is the spectral norm, so the
-    spectral factor at the identity; Ky Fan ``padded_dim`` (Schatten 1, Ky Fan k
-    beyond it) is the trace norm on inputs and images alike, so the trace factor
-    at its rank-1 projector; Schatten 2 is ``schatten2_shrink_factor``. These
-    values come from eigenvalues alone: ``s`` and ``t`` from
-    ``read_invariant_norms``, and ``h`` from one values-only solve per report,
-    whatever the number of its rows. An exact row's witness is built on first
-    read, as the factor function named builds it (the trace one's read-only
-    projector; the Schatten-2 one from the Gram's eigensystem alone, with no
-    second solve for ``h``), so a report read for its values takes no ``eigh``.
-    A positive multiple of a norm has its factor, and its witness is divided by
-    the sum of the coefficients. Every other norm is searched by one batched
-    ``empirical_lower_bound`` call, which returns at once when no norm is left;
-    each searched row equals its single-norm search bit for bit. The same seed
-    drives every search, so reports are reproducible. ``restarts`` and ``steps``
-    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
-    search runs only the two analytic starts, each capped at 200 iterations.
-    Every row's ``upper`` is the universal bound today, the same as the report's
-    ``upper_bound``.
-    """
-    norms = list(norms)
-    brackets = _resolve_rows(phi, norms, restarts, steps, seed)
-    inv = phi.invariants()
-    return ShrinkReport(
-        upper_bound=max(inv.identity_image_norm, inv.adjoint_identity_image_norm),
-        spectral_factor=inv.identity_image_norm,
-        trace_factor=inv.adjoint_identity_image_norm,
-        per_norm=tuple(brackets[norm] for norm in norms),
-        padded_dim=padded_dim_for(phi),
-    )
+    rows = {norm: NormBracket(norm, min(value, upper), upper, build) for norm, (value, build) in found.items()}
+    return ShrinkReport(upper, spectral, trace, tuple(rows[norm] for norm in norms), padded)

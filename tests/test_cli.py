@@ -258,17 +258,17 @@ class TestReport:
         assert [float(t) for t in tokens] == floats
 
     def test_each_row_prints_its_own_bound(self, capsys, monkeypatch):
-        # the resolver decides each row's bound: one lowered below u there moves that row's
+        # the report decides each row's bound: one lowered below u there moves that row's
         # upper_bound and gap, in JSON and text, while the other row and the factors keep u
-        real = shrink._resolve_rows
+        real = cli.shrink_report
 
         def lowered(*args):
-            rows = real(*args)
-            row = rows[Schatten(3.0)]
-            rows[row.norm] = dataclasses.replace(row, upper=(row.empirical_lower + row.upper) / 2)
-            return rows
+            rep = real(*args)
+            rows = [dataclasses.replace(row, upper=(row.empirical_lower + row.upper) / 2)
+                    if row.norm == Schatten(3.0) else row for row in rep.per_norm]
+            return dataclasses.replace(rep, per_norm=tuple(rows))
 
-        monkeypatch.setattr(shrink, "_resolve_rows", lowered)
+        monkeypatch.setattr(cli, "shrink_report", lowered)
         argv = ("report", "--channel", "cptp:3x2x2:5", "--norm", "schatten:3", "--norm", "schatten:1.5")
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0
@@ -286,6 +286,18 @@ class TestReport:
         assert rows == [[row["norm"], *(repr(row[key]) for key in ("empirical_lower", "upper_bound", "gap"))]
                         for row in (moved, kept)]
         assert "factors: upper=" + repr(u) in out
+
+    @pytest.mark.parametrize("spec", ["cptp:3x3x2:5", "random:2x3x2:1"])
+    def test_invariants_block_holds_the_factors(self, capsys, spec):
+        # the invariants block holds the same s and t as factors, bit for bit, on a square
+        # channel and a non-square one, and both are the channel's own invariant reads
+        code, out, _ = run(capsys, "report", "--channel", spec, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        inv = resolve_channel(spec).invariants()
+        assert (doc["invariants"]["identity_image_norm"], doc["invariants"]["adjoint_identity_image_norm"]) == (
+            doc["factors"]["spectral"], doc["factors"]["trace"]
+        ) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
 
 
 class TestVerify:

@@ -1078,6 +1078,17 @@ class TestBatteryAndReport:
                 assert bracket.upper == rep.upper_bound
                 assert bracket.empirical_lower <= bracket.upper
 
+    def test_exact_rows_are_clamped_to_the_bound(self):
+        # one Kraus operator gives h = u, and here h rounds one ulp above u: the report's exact
+        # Schatten-2 rows, which no search clamps, must still read u with a zero gap
+        phi = random_channel(2, 2, 1, 1.0, 1)
+        u = shrink_upper_bound(phi)
+        assert schatten2_shrink_factor(phi)[0] > u
+        rep = shrink_report(phi, [parse_norm("schatten:2"), parse_norm("combo:3*schatten:2")], 0, 200)
+        for bracket in rep.per_norm:
+            assert (bracket.empirical_lower, bracket.upper) == (u, u)
+            assert bracket.upper - bracket.empirical_lower == 0.0
+
 
 class TestSharedSpectralData:
     """``s``, ``t`` and the trace witness are derived once per channel, on first read."""
