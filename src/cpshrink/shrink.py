@@ -9,17 +9,17 @@ eigenvector saturates it). The maximum of the two bounds the factor for every
 other gauge norm, so each norm gets a bracket
 [lower bound, universal upper bound]. The Schatten-2 factor is exact too: the
 largest singular value of sum_n E_n ⊗ conj(E_n), the matrix of Phi on
-row-major vectorized inputs. A report (``shrink_report``, which decides each
-row's value, witness and upper bound) takes the exact factor for every norm
-with a closed form and searches the rest; no tightness is claimed for a
-searched lower bound.
+row-major vectorized inputs. A report (``shrink_report``) decides one answer
+per distinct base gauge, its value, witness and upper bound, and combines them:
+a norm on one base with a closed form takes its exact factor, and every other
+norm is searched; no tightness is claimed for a searched lower bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
@@ -538,10 +538,12 @@ class NormBracket:
     witness of the lower bound.
 
     ``empirical_lower <= upper`` always holds. ``shrink_report`` decides both and
-    the witness builder; its docstring lists the rules. ``witness`` is
-    built by ``build_witness`` on first read and then kept, so a report that
-    prints only values takes no solve for it. A failed build is raised and not
-    kept, so the next read tries again.
+    the witness builder; its docstring lists the rules. It also keeps one bracket
+    per base gauge with a closed form, which the rows on that base scale. ``witness``
+    is built by ``build_witness`` on first read and then kept, so a report that
+    prints only values takes no solve for it, and rows that read one base's
+    bracket share its one build. A failed build is raised and not kept, so the
+    next read tries again.
     """
 
     norm: GaugeNorm
@@ -574,46 +576,51 @@ class ShrinkReport:
     padded_dim: int
 
 
-def _scaled_witness(build: Callable[[], np.ndarray], total: float, e: int) -> np.ndarray:
-    """The witness ``build`` makes, for the norm whose coefficients, times ``2**-e``, sum to ``total``."""
-    witness = build()
+def _scaled_witness(base: NormBracket, total: float, e: int) -> np.ndarray:
+    """``base``'s witness for a norm on that one base whose coefficients, times ``2**-e``, sum to
+    ``total``: the base's own array when ``total`` is 1 and ``e`` is 0, so such rows share it."""
     with np.errstate(over="ignore"):
-        return _ldexp(witness / total, -e)
+        return base.witness if (total, e) == (1.0, 0) else _ldexp(base.witness / total, -e)
 
 
-def shrink_report(
-    phi: KrausChannel, norms, restarts: int, steps: int, seed=0
-) -> ShrinkReport:
+def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
     This is the one function that decides each row's value, witness builder and
     upper bound. ``s`` and ``t`` are read together (``read_invariant_norms``) and
     kept by the channel, and the report's ``upper_bound`` is ``u = max(s, t)``.
 
-    A norm whose terms (``gauge.base_terms`` at the padded dimension) all have one
-    base with a closed form takes the exact factor, with no search: Ky Fan 1
-    (Schatten inf) is the spectral norm, so the spectral factor at the identity; Ky
-    Fan ``padded_dim`` (Schatten 1, Ky Fan k beyond it) is the trace norm on inputs
-    and images alike, so the trace factor at its rank-1 projector; Schatten 2 is
-    ``schatten2_shrink_factor``. These values come from eigenvalues alone: ``s`` and
-    ``t`` as read above, and ``h`` from one values-only solve per report, whatever
-    the number of its rows. An exact row's witness is built on first read, as the
-    factor function named builds it (the trace one's read-only projector; the
-    Schatten-2 one from the Gram's eigensystem alone, with no second solve for
-    ``h``), so a report read for its values takes no ``eigh``. A positive multiple
-    of a norm has its factor, and its witness is divided by the sum of the
-    coefficients. Every other norm is searched by one batched
-    ``empirical_lower_bound`` call, which returns at once when no norm is left;
-    each searched row equals its single-norm search bit for bit. The same seed
-    drives every search, so reports are reproducible. ``restarts`` and ``steps``
-    are the search's; ``cpshrink report`` passes 0 and 200 by default, so its
-    search runs only the two analytic starts, each capped at 200 iterations.
+    Rows are decided per base, then combined. Each distinct base gauge of the rows'
+    terms (``gauge.base_terms`` at the padded dimension) gets one answer: its upper
+    bound, ``u`` for every base today, which bounds every factor, and, where a closed
+    form gives its factor, an exact bracket. Ky Fan 1 (Schatten inf) is the spectral
+    norm, so the spectral factor at the identity; Ky Fan ``padded_dim`` (Schatten 1,
+    Ky Fan k beyond it) is the trace norm on inputs and images alike, so the trace
+    factor at its rank-1 projector; Schatten 2 is ``schatten2_shrink_factor``. These
+    values come from eigenvalues alone: ``s`` and ``t`` as read above, and ``h`` from
+    one values-only solve. A base's witness is built on first read, as the factor
+    function named builds it (the trace one's read-only projector; the Schatten-2
+    one from the Gram's eigensystem alone, with no second solve for ``h``), and kept,
+    so a report read for its values takes no ``eigh`` and every row on the base
+    shares one solve.
 
-    Every row's ``upper`` is ``u`` today, which bounds every factor, so a value
-    above it is rounding, and the row holds ``u`` instead. ``empirical_lower_bound``
-    already clamps each searched value so; the clamp here guards the exact rows,
-    since ``h`` can round above ``u`` where they are equal (one Kraus operator ``E``
-    gives ``h = s = t = sigma_max(E)**2``). Duplicate norms share one row.
+    A row whose terms all have one base with an exact bracket scales that bracket:
+    a positive multiple of a norm has its factor and bound, and its witness is the
+    base's divided by the sum of the coefficients. Every other row, a combination of
+    several bases among them, is searched by one batched ``empirical_lower_bound``
+    call, which returns at once when no row is left; each searched row equals its
+    single-norm search bit for bit, and its upper bound is the largest of its bases'
+    (a positive combination's ratio is at most the largest of its terms' ratios,
+    the mediant inequality). The same seed drives every search, so reports are
+    reproducible. ``restarts`` and ``steps`` are the search's; ``cpshrink report``
+    passes 0 and 200 by default, so its search runs only the two analytic starts,
+    each capped at 200 iterations.
+
+    A value above its bound is rounding, and the row holds the bound instead.
+    ``empirical_lower_bound`` already clamps each searched value to ``u``; the clamp
+    of a base's exact value guards the exact rows, since ``h`` can round above ``u``
+    where they are equal (one Kraus operator ``E`` gives ``h = s = t =
+    sigma_max(E)**2``). Duplicate norms share one row.
     """
     norms = list(norms)
     padded = padded_dim_for(phi)
@@ -621,25 +628,32 @@ def shrink_report(
     read_invariant_norms([inv])
     spectral, trace = inv.identity_image_norm, inv.adjoint_identity_image_norm
     upper = max(spectral, trace)
-    # base -> (value, witness builder), each run on first need; the d_in^4 Gram is not kept.
-    # Ky Fan 1 comes last, so it is the entry when the padded dimension is 1
-    closed = {
+    # coefficients rescaled as the search's, so their sum cannot overflow
+    scaled = {norm: _rescaled_norm(norm) for norm in norms}
+    terms = {norm: base_terms(m, padded) for norm, (m, _) in scaled.items()}
+    # one answer per distinct base: its upper bound, and its exact bracket where a closed form
+    # gives one. A form's value runs only for a base some row has, its witness on first read,
+    # and the d_in^4 Gram is not kept
+    bound = dict.fromkeys((b for ts in terms.values() for _, b in ts), upper)
+    forms = {
         KyFan(padded): (lambda: trace, lambda: trace_shrink_factor(phi)[1]),
+        # after Ky Fan padded_dim, so it is the rule when the padded dimension is 1
         KyFan(1): (lambda: spectral, lambda: spectral_shrink_factor(phi)[1]),
-        Schatten(2.0): (cache(lambda: _schatten2_value(*_schatten2_gram(phi))),
+        Schatten(2.0): (lambda: _schatten2_value(*_schatten2_gram(phi)),
                         lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)),
     }
-    found = {}
-    for norm in dict.fromkeys(norms):
-        # coefficients rescaled as the search's, so their sum cannot overflow
-        scaled, e = _rescaled_norm(norm)
-        terms = base_terms(scaled, padded)
-        if len({b for _, b in terms}) == 1 and terms[0][1] in closed:
-            value, build = closed[terms[0][1]]
-            total = sum(c for c, _ in terms)
-            found[norm] = value(), build if (total, e) == (1.0, 0) else partial(_scaled_witness, build, total, e)
-    searched = [norm for norm in dict.fromkeys(norms) if norm not in found]
-    for norm, (lower, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
-        found[norm] = lower, lambda witness=witness: witness
-    rows = {norm: NormBracket(norm, min(value, upper), upper, build) for norm, (value, build) in found.items()}
+    exact = {b: NormBracket(b, min(forms[b][0](), bound[b]), bound[b], forms[b][1]) for b in bound if b in forms}
+    # a row whose terms all have one base with an exact bracket scales it; every other row is searched
+    on = {norm: exact.get(ts[0][1]) if len({b for _, b in ts}) == 1 else None for norm, ts in terms.items()}
+    searched = [norm for norm, base in on.items() if base is None]
+    found = dict(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
+    rows = {}
+    for norm, ts in terms.items():
+        if (base := on[norm]) is not None:
+            build = partial(_scaled_witness, base, sum(c for c, _ in ts), scaled[norm][1])
+            rows[norm] = NormBracket(norm, base.empirical_lower, base.upper, build)
+        else:
+            # the largest of its bases' bounds bounds a combination (the mediant inequality)
+            cap, (value, witness) = max(bound[b] for _, b in ts), found[norm]
+            rows[norm] = NormBracket(norm, min(value, cap), cap, lambda witness=witness: witness)
     return ShrinkReport(upper, spectral, trace, tuple(rows[norm] for norm in norms), padded)

@@ -947,8 +947,9 @@ class TestBatteryAndReport:
         assert len(calls) == (0 if n_norms == 1 else 1)
 
     def test_exact_witness_is_built_on_first_read(self, monkeypatch):
-        # schatten:2 and a positive multiple of it share one values-only solve; no eigh runs
-        # until a witness is read, one runs then and no eigvalsh, and the row keeps what it built
+        # schatten:2 and two positive multiples of it share one values-only solve; no eigh runs
+        # until a witness is read, one runs then and no eigvalsh, and the base keeps what it built,
+        # so reading the multiples' witnesses takes no second eigh
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def call(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -957,17 +958,20 @@ class TestBatteryAndReport:
 
             monkeypatch.setattr(np.linalg, name, call)
         phi = random_channel(3, 2, 2, 1.0, 48)
-        rep = shrink_report(phi, [Schatten(2.0), parse_norm("combo:3*schatten:2")], restarts=0, steps=5)
+        norms = [parse_norm(spec) for spec in ("schatten:2", "combo:3*schatten:2", "combo:1*schatten:2+3*schatten:2")]
+        rep = shrink_report(phi, norms, restarts=0, steps=5)
         assert counts == {"eigh": 0, "eigvalsh": 1}
-        row, multiple = rep.per_norm
+        row, *multiples = rep.per_norm
         witness = row.witness
         # the read solves for the eigensystem alone, not for the value again
         assert counts == {"eigh": 1, "eigvalsh": 1}
-        assert row.witness is witness and counts["eigh"] == 1
+        assert row.witness is witness
+        for multiple, total in zip(multiples, (3.0, 4.0)):
+            assert multiple.witness.tobytes() == (witness / total).tobytes()
+        assert counts == {"eigh": 1, "eigvalsh": 1}
         h, want = schatten2_shrink_factor(phi)
-        assert row.empirical_lower == multiple.empirical_lower == min(h, rep.upper_bound)
+        assert row.empirical_lower == multiples[0].empirical_lower == multiples[1].empirical_lower == min(h, rep.upper_bound)
         np.testing.assert_array_equal(witness, want)
-        np.testing.assert_array_equal(multiple.witness, want / 3.0)
 
     def test_failed_witness_build_is_not_kept(self, monkeypatch):
         real = np.linalg.eigh
@@ -980,11 +984,13 @@ class TestBatteryAndReport:
             return real(*args, **kwargs)
 
         phi = random_channel(3, 2, 2, 1.0, 49)
-        row = shrink_report(phi, [Schatten(2.0)], restarts=0, steps=5).per_norm[0]
+        row, multiple = shrink_report(phi, [Schatten(2.0), parse_norm("combo:3*schatten:2")], restarts=0, steps=5).per_norm
         monkeypatch.setattr(np.linalg, "eigh", fail_once)
+        # the multiple's read fails in its base's build, which neither row keeps
         with pytest.raises(ConvergenceFailure):
-            row.witness
+            multiple.witness
         np.testing.assert_array_equal(row.witness, schatten2_shrink_factor(phi)[1])
+        assert multiple.witness.tobytes() == (row.witness / 3.0).tobytes()
 
     def test_default_report_runs_no_search(self, monkeypatch):
         # schatten:inf, 2 and 1 all have a closed form, so no decomposition stack is taken, and
@@ -1036,15 +1042,27 @@ class TestBatteryAndReport:
         ("combo:1*kyfan:1+1*schatten:inf", "schatten:inf"),
         ("combo:0.5*schatten:1+0.25*kyfan:9", "schatten:1"),
         ("combo:1e308*kyfan:1+1e308*schatten:inf", "schatten:inf"),
+        # several bases: two closed ones, and three with one searched
+        ("combo:1*kyfan:1+1*schatten:1", None),
+        ("combo:1*kyfan:1+1*schatten:2+1*schatten:3", None),
     ])
     def test_multiples_of_closed_forms_are_exact(self, monkeypatch, spec, plain):
         # one closed-form base under every term: the exact factor, its witness divided by the
-        # sum of the coefficients, and no search
+        # sum of the coefficients, and no search. A row on several bases is searched, whatever
+        # its bases are, and its bound is the largest of theirs, u today
         calls = []
         real = shrink.hermitian_decomposition
         monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(x) or real(x))
         phi = random_channel(4, 3, 2, 1.0, 44)
         norm = parse_norm(spec)
+        if plain is None:
+            rep = shrink_report(phi, [norm], restarts=20, steps=40, seed=0)
+            (row,) = rep.per_norm
+            assert calls and row.upper == rep.upper_bound
+            lower, witness = empirical_lower_bound(phi, norm, restarts=20, steps=40, seed=0)
+            assert row.empirical_lower == lower
+            assert row.witness.tobytes() == witness.tobytes()
+            return
         row, want = shrink_report(phi, [norm, parse_norm(plain)], restarts=20, steps=40, seed=0).per_norm
         assert calls == []
         top = max(c for c, _ in norm.terms)  # 2e308 overflows; 2 * 1e308 does not
