@@ -31,7 +31,8 @@ from .errors import (
     NotIsometry,
 )
 from .spectral import (
-    as_complex_matrix, hermitian_eigensystem, hermitize, per_shape, require_hermitian, singular_values,
+    as_complex_matrix, hermitian_eigensystem, hermitian_eigenvalues, hermitize, per_shape, require_hermitian,
+    singular_values,
 )
 
 __all__ = [
@@ -81,7 +82,8 @@ class ChannelInvariants:
 
     The spectral data every shrinking factor reads is derived from the pair here
     and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
-    ``t = ||Phi†(I)||_inf`` and the trace witness. ``read_invariant_norms``
+    ``t = ||Phi†(I)||_inf``, the trace witness and the eigenvalues of ``Phi(I)``,
+    whose partial sums are its Ky Fan norms. ``read_invariant_norms``
     reads ``s`` and ``t`` of many pairs at once and keeps them where these reads
     keep them. A failed solver call is raised and not kept, so the next read
     tries again. An operator of the pair that overflowed float64 (Kraus entries
@@ -107,6 +109,12 @@ class ChannelInvariants:
         _, vectors = hermitian_eigensystem(self.adjoint_identity_image)
         top = vectors[:, :1]
         return _frozen(hermitize(top @ top.conj().T))
+
+    @cached_property
+    def identity_image_spectrum(self) -> np.ndarray:
+        """Read-only eigenvalues of ``Phi(I)``, descending, from one values-only solve: the sum
+        of the first ``k`` is ``||Phi(I)||_(k)``, as ``shrink.top_k_eigensum`` computes it."""
+        return _frozen(hermitian_eigenvalues(self.identity_image))
 
 
 def _invariant_norms(ops: Sequence[tuple[np.ndarray, str]]) -> list[float]:

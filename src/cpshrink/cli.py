@@ -329,9 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=formatter,
         help="bracket the shrinking factor of one channel per norm",
         description=(
-            "Compute the universal upper bound, the exact spectral/trace factors, and an "
-            "empirical lower bound per requested norm. The report embeds a per-k inequality "
-            f"fuzz over {REPORT_FUZZ_INPUTS} seeded random inputs."
+            "Compute the universal upper bound u, the exact factor of every norm with a closed "
+            "form, and an empirical lower bound for every other requested norm. The closed forms: "
+            "the spectral norm (schatten:inf, kyfan:1), the trace norm (schatten:1, kyfan:k at or "
+            "beyond the padded dimension), schatten:2, kyfan:k for k at least the Kraus count K, "
+            "positive multiples of these, and every norm when K = 1, whose factor is u. The report "
+            f"embeds a per-k inequality fuzz over {REPORT_FUZZ_INPUTS} seeded random inputs."
         ),
     )
     rep.add_argument("--channel", required=True, help="channel JSON file or named constructor")

@@ -24,7 +24,7 @@ from math import floor, frexp, inf, ldexp, log2, sqrt
 
 import numpy as np
 
-from .channel import KrausChannel, complex_gaussian, kraus_map, read_invariant_norms
+from .channel import ChannelInvariants, KrausChannel, complex_gaussian, kraus_map, read_invariant_norms
 from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
@@ -72,12 +72,13 @@ def top_k_eigensum(x, k: int) -> float:
     """Sum of the ``k`` largest eigenvalues of Hermitian ``x``.
 
     This equals the maximum of tr(p x) over operators p with 0 <= p <= I and
-    tr(p) = k; ``k`` beyond the dimension is treated as the full trace.
+    tr(p) = k; ``k`` beyond the dimension is treated as the full trace. One
+    values-only solve, as ``ChannelInvariants.identity_image_spectrum`` takes for
+    ``Phi(I)``, so the report's ``||Phi(I)||_(k)`` equals this bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    w, _ = hermitian_eigensystem(x)
-    return float(w[: min(k, w.size)].sum())
+    return float(hermitian_eigenvalues(x)[:k].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,6 +584,45 @@ def _scaled_witness(base: NormBracket, total: float, e: int) -> np.ndarray:
         return base.witness if (total, e) == (1.0, 0) else _ldexp(base.witness / total, -e)
 
 
+def _closed_form(
+    phi: KrausChannel, inv: ChannelInvariants, base: KyFan | Schatten, padded: int
+) -> tuple[float, Callable[[], np.ndarray]] | None:
+    """The exact factor of ``base`` on a channel of two or more Kraus operators, with invariant
+    pair ``inv``, and its witness builder, where a closed form gives them; None elsewhere.
+
+    Ky Fan 1 is the spectral norm: ``s`` at the identity. Ky Fan ``padded`` is the trace
+    norm on inputs and images alike: ``t`` at the trace projector. Schatten 2 is
+    ``schatten2_shrink_factor``: ``h`` from a values-only solve of its Gram, the witness
+    from the Gram's eigensystem alone. Ky Fan ``k`` with ``n_kraus <= k < padded``:
+    ``Phi(vv†)`` has rank at most ``n_kraus <= k``, so its Ky Fan ``k`` norm is its trace
+    ``<v, Phi†(I) v> <= t``, and ``Phi(P) <= Phi(I)`` for every projector ``P``; the
+    extreme points of the PSD part of the Ky Fan ``k`` ball being the ``vv†`` and the
+    ``P / k`` with rank ``P >= k``, the factor is ``max(||Phi(I)||_(k) / k, t)`` at ``I / k``
+    or the trace projector when ``k <= d_in`` (the identity on a tie, the search's first
+    start), and ``t`` at the trace projector when ``k > d_in``, where no such ``P`` exists.
+    """
+    trace = inv.adjoint_identity_image_norm, lambda: trace_shrink_factor(phi)[1]
+    # Ky Fan 1 first, so it is the rule when the padded dimension is 1
+    if base == KyFan(1):
+        return inv.identity_image_norm, lambda: spectral_shrink_factor(phi)[1]
+    if base == KyFan(padded):
+        return trace
+    if base == Schatten(2.0):
+        return _schatten2_value(*_schatten2_gram(phi)), lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)
+    if not isinstance(base, KyFan) or base.k < phi.n_kraus:
+        return None
+    if base.k > phi.d_in:
+        return trace
+    mean = float(inv.identity_image_spectrum[: base.k].sum()) / base.k
+    return (mean, lambda: np.eye(phi.d_in, dtype=np.complex128) / base.k) if mean >= trace[0] else trace
+
+
+def _sole(brackets) -> NormBracket | None:
+    """The bracket every entry of ``brackets`` is, or None when they differ or are None."""
+    first, *rest = brackets
+    return first if all(b is first for b in rest) else None
+
+
 def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -> ShrinkReport:
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
@@ -592,35 +632,43 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
 
     Rows are decided per base, then combined. Each distinct base gauge of the rows'
     terms (``gauge.base_terms`` at the padded dimension) gets one answer: its upper
-    bound, ``u`` for every base today, which bounds every factor, and, where a closed
-    form gives its factor, an exact bracket. Ky Fan 1 (Schatten inf) is the spectral
-    norm, so the spectral factor at the identity; Ky Fan ``padded_dim`` (Schatten 1,
-    Ky Fan k beyond it) is the trace norm on inputs and images alike, so the trace
-    factor at its rank-1 projector; Schatten 2 is ``schatten2_shrink_factor``. These
-    values come from eigenvalues alone: ``s`` and ``t`` as read above, and ``h`` from
-    one values-only solve. A base's witness is built on first read, as the factor
-    function named builds it (the trace one's read-only projector; the Schatten-2
-    one from the Gram's eigensystem alone, with no second solve for ``h``), and kept,
-    so a report read for its values takes no ``eigh`` and every row on the base
-    shares one solve.
+    bound, ``u`` for every base today, which bounds every factor, and a bracket. The
+    bracket is exact where the Kraus count ``n_kraus`` or a closed form gives the factor:
 
-    A row whose terms all have one base with an exact bracket scales that bracket:
-    a positive multiple of a norm has its factor and bound, and its witness is the
-    base's divided by the sum of the coefficients. Every other row, a combination of
-    several bases among them, is searched by one batched ``empirical_lower_bound``
-    call, which returns at once when no row is left; each searched row equals its
-    single-norm search bit for bit, and its upper bound is the largest of its bases'
-    (a positive combination's ratio is at most the largest of its terms' ratios,
-    the mediant inequality). The same seed drives every search, so reports are
-    reproducible. ``restarts`` and ``steps`` are the search's; ``cpshrink report``
-    passes 0 and 200 by default, so its search runs only the two analytic starts,
-    each capped at 200 iterations.
+    - One Kraus operator ``E``: ``Phi(X) = E X E†``, so every factor is
+      ``||E||**2 = s = t = u``, attained at the trace projector, whose image has rank 1.
+      Every base shares one bracket, at ``u``, and so does every row, a combination of
+      several bases among them: its ratio there is ``u``, the largest of its bases'
+      bounds (the mediant inequality). Nothing is searched and no Gram is built.
+    - Otherwise ``_closed_form``: Ky Fan 1, Ky Fan ``padded_dim``, Schatten 2, and Ky Fan
+      ``k`` with ``n_kraus <= k < padded_dim``. Their values come from eigenvalues alone:
+      ``s`` and ``t`` as read above, ``h`` from one values-only solve, and
+      ``||Phi(I)||_(k)`` from one values-only solve of ``Phi(I)`` kept by the channel
+      (``ChannelInvariants.identity_image_spectrum``), which every Ky Fan row shares.
+
+    The decision reads the stored ``n_kraus``, never a numerical rank. A base's witness is
+    built on first read and kept, so a report read for its values takes no ``eigh`` and
+    every row on the base shares one solve. Each other base that some row has alone is
+    searched once, and its bracket holds the search's value and witness.
+
+    A row whose terms all share one base bracket scales it: a positive multiple of a
+    norm has its factor and bound, and its witness is the base's divided by the sum of
+    the coefficients (``_scaled_witness``). So the multiples of a searched base share its
+    one search, and their values are its value. Every other row, a combination of
+    several bases, is searched as it is, and its upper bound is the largest of its
+    bases' (a positive combination's ratio is at most the largest of its terms' ratios).
+    The searched bases and rows take one batched ``empirical_lower_bound`` call, which
+    returns at once when nothing is left; each searched base or row gets the value and
+    witness of its own single-norm search bit for bit. The same seed drives every
+    search, so reports are reproducible. ``restarts`` and ``steps`` are the search's;
+    ``cpshrink report`` passes 0 and 200 by default, so its search runs only the two
+    analytic starts, each capped at 200 iterations.
 
     A value above its bound is rounding, and the row holds the bound instead.
     ``empirical_lower_bound`` already clamps each searched value to ``u``; the clamp
     of a base's exact value guards the exact rows, since ``h`` can round above ``u``
-    where they are equal (one Kraus operator ``E`` gives ``h = s = t =
-    sigma_max(E)**2``). Duplicate norms share one row.
+    where they are equal (a channel whose Kraus operators are multiples of one ``E``
+    gives ``h = s = t = sigma_max(E)**2``). Duplicate norms share one row.
     """
     norms = list(norms)
     padded = padded_dim_for(phi)
@@ -631,25 +679,25 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     # coefficients rescaled as the search's, so their sum cannot overflow
     scaled = {norm: _rescaled_norm(norm) for norm in norms}
     terms = {norm: base_terms(m, padded) for norm, (m, _) in scaled.items()}
-    # one answer per distinct base: its upper bound, and its exact bracket where a closed form
-    # gives one. A form's value runs only for a base some row has, its witness on first read,
-    # and the d_in^4 Gram is not kept
+    # one answer per distinct base: its upper bound, and its bracket. A closed form runs only
+    # for a base some row has, its witness on first read, and the d_in^4 Gram is not kept
     bound = dict.fromkeys((b for ts in terms.values() for _, b in ts), upper)
-    forms = {
-        KyFan(padded): (lambda: trace, lambda: trace_shrink_factor(phi)[1]),
-        # after Ky Fan padded_dim, so it is the rule when the padded dimension is 1
-        KyFan(1): (lambda: spectral, lambda: spectral_shrink_factor(phi)[1]),
-        Schatten(2.0): (lambda: _schatten2_value(*_schatten2_gram(phi)),
-                        lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)),
-    }
-    exact = {b: NormBracket(b, min(forms[b][0](), bound[b]), bound[b], forms[b][1]) for b in bound if b in forms}
-    # a row whose terms all have one base with an exact bracket scales it; every other row is searched
-    on = {norm: exact.get(ts[0][1]) if len({b for _, b in ts}) == 1 else None for norm, ts in terms.items()}
-    searched = [norm for norm, base in on.items() if base is None]
+    if phi.n_kraus == 1:
+        one = NormBracket(KyFan(padded), upper, upper, lambda: trace_shrink_factor(phi)[1])
+        answer = dict.fromkeys(bound, one)
+    else:
+        forms = {b: form for b in bound if (form := _closed_form(phi, inv, b, padded)) is not None}
+        answer = {b: NormBracket(b, min(value, bound[b]), bound[b], build) for b, (value, build) in forms.items()}
+    # a base some row has alone is searched once; every other row left is searched as it is
+    left = [(norm, ts) for norm, ts in terms.items() if _sole(answer.get(b) for _, b in ts) is None]
+    searched = list(dict.fromkeys(ts[0][1] if len({b for _, b in ts}) == 1 else norm for norm, ts in left))
     found = dict(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
+    for b, (value, witness) in found.items():
+        if b in bound:  # a base, not a row on several bases
+            answer[b] = NormBracket(b, min(value, bound[b]), bound[b], lambda witness=witness: witness)
     rows = {}
     for norm, ts in terms.items():
-        if (base := on[norm]) is not None:
+        if (base := _sole(answer.get(b) for _, b in ts)) is not None:
             build = partial(_scaled_witness, base, sum(c for c, _ in ts), scaled[norm][1])
             rows[norm] = NormBracket(norm, base.empirical_lower, base.upper, build)
         else:

@@ -16,6 +16,12 @@ The oracle computes it from ``P`` with numpy alone, and nothing of ``cpshrink.ga
   Appl. 9, 1974), from above by Schur's test at its iterate: with
   ``a = x^(1/q)`` and ``b^q = P a^q`` (``1/p + 1/q = 1``), ``Pᵀ b^p <= C a^p``
   gives ``||P||_(p->p) <= C^(1/p)``. At Boyd's fixed point the two meet.
+
+The channel has one Kraus operator per nonzero entry of ``P``, so a sparse ``P`` reaches
+the rows that the Kraus count decides: every row when ``P`` has one nonzero entry, and
+Ky Fan ``k`` with ``nnz(P) <= k < padded_dim``. Those rows are checked for equality with
+the oracle. A dense grid over the PSD inputs of a two-dimensional input space checks
+them on channels that are not classical.
 """
 
 import numpy as np
@@ -23,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpshrink import KrausChannel, KyFan, Schatten, shrink_report
+from cpshrink import KrausChannel, KyFan, Schatten, parse_norm, random_channel, shrink_report
 
 BOYD_STEPS = 10_000
 EXPONENTS = (1.5, 3.0)
@@ -138,3 +144,97 @@ def test_default_report_reaches_a_near_tied_schatten_optimum():
     assert lower == pytest.approx(0.5, rel=1e-15)
     row = shrink_report(classical_channel(p), [Schatten(3.0)], restarts=0, steps=200).per_norm[0]
     assert row.empirical_lower >= lower - 1e-11 * row.upper
+
+
+@st.composite
+def sparse_nonnegative_matrices(draw) -> np.ndarray:
+    """``d_out x d_in`` with d 2..6 and one to five nonzero entries in [1e-3, 1], so one to five
+    Kraus operators."""
+    d_out, d_in = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, d_out * d_in - 1), min_size=1, max_size=5, unique=True))
+    p = np.zeros(d_out * d_in)
+    p[cells] = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(cells), max_size=len(cells)))
+    return p.reshape(d_out, d_in)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_nonnegative_matrices())
+def test_kraus_count_rows_meet_the_oracle(p):
+    # the Kraus count is nnz(P): Ky Fan k with nnz(P) <= k < padded equals the closed form,
+    # and with one nonzero entry every row does, Schatten and combinations included
+    phi = classical_channel(p)
+    padded = max(p.shape)
+    u = max(p.sum(axis=1).max(), p.sum(axis=0).max())
+    kyfans = [KyFan(k) for k in range(1, padded + 1)]
+    extra = [parse_norm(spec) for spec in ("combo:1*kyfan:1+1*schatten:1", "combo:0.5*schatten:2+2*kyfan:2")]
+    rows = shrink_report(phi, [Schatten(e) for e in EXPONENTS] + kyfans + extra, restarts=0, steps=200).per_norm
+    schatten, kyfan_rows, combos = rows[:2], rows[2:2 + padded], rows[2 + padded:]
+    for row in kyfan_rows:
+        if phi.n_kraus <= row.norm.k:
+            assert abs(row.empirical_lower - kyfan_factor(p, row.norm.k)) <= 1e-14 * u
+    if phi.n_kraus == 1:
+        # one entry P_ij: every norm's factor is P_ij, which both oracles read
+        (value,) = p[p > 0]
+        for row, exp in zip(schatten, EXPONENTS):
+            lower, upper = schatten_bracket(p, exp)
+            assert abs(row.empirical_lower - value) <= 1e-14 * u
+            assert lower - 1e-14 * u <= row.empirical_lower <= upper + 1e-14 * u
+        for row in (*kyfan_rows, *combos):
+            assert abs(row.empirical_lower - value) <= 1e-14 * u
+
+
+def _psd_grid(steps: int) -> np.ndarray:
+    """PSD 2 x 2 inputs ``vv† + r ww†`` with ``(v, w)`` an orthonormal pair on a grid of the
+    Bloch sphere and ``r`` on a grid of [0, 1]: the PSD inputs up to scale, finer with ``steps``."""
+    theta, phase, r = np.meshgrid(np.linspace(0.0, np.pi, steps + 1), np.linspace(0.0, 2 * np.pi, 2 * steps,
+                                  endpoint=False), np.linspace(0.0, 1.0, steps // 3 + 1), indexing="ij")
+    c, s = np.cos(theta / 2), np.exp(1j * phase) * np.sin(theta / 2)
+    v, w = np.stack([c, s], axis=-1), np.stack([-s.conj(), c], axis=-1)
+    outer = lambda a: a[..., :, None] * a[..., None, :].conj()
+    return (outer(v) + r[..., None, None] * outer(w)).reshape(-1, 2, 2)
+
+
+def _gauge(spec: tuple, eigs: np.ndarray) -> np.ndarray:
+    """A gauge ``((c, family, order), ...)`` of PSD spectra: Ky Fan ``k`` or Schatten ``p``."""
+    y = np.sort(np.abs(eigs), axis=-1)[..., ::-1]
+    parts = [c * (y[..., :a].sum(axis=-1) if family == "kyfan" else (y**a).sum(axis=-1) ** (1.0 / a))
+             for c, family, a in spec]
+    return sum(parts)
+
+
+# each norm as the grid oracle reads it, and as the report reads it
+GRID_NORMS = {
+    "kyfan:1": ((1.0, "kyfan", 1),),
+    "kyfan:2": ((1.0, "kyfan", 2),),
+    "schatten:3": ((1.0, "schatten", 3.0),),
+    "schatten:1.5": ((1.0, "schatten", 1.5),),
+    "combo:0.5*schatten:2+2*kyfan:2": ((0.5, "schatten", 2.0), (2.0, "kyfan", 2)),
+    "combo:1*schatten:3+1*kyfan:1": ((1.0, "schatten", 3.0), (1.0, "kyfan", 1)),
+}
+
+
+@pytest.mark.parametrize("shape, seed, specs", [
+    ((2, 2, 1), 3, tuple(GRID_NORMS)),
+    ((2, 3, 1), 4, tuple(GRID_NORMS)),
+    # two Kraus operators into three dimensions: Ky Fan 2 is max(||Phi(I)||_(2) / 2, t)
+    ((2, 3, 2), 5, ("kyfan:2",)),
+    ((2, 3, 2), 6, ("kyfan:2",)),
+], ids=["2x2x1", "2x3x1", "2x3x2-a", "2x3x2-b"])
+def test_kraus_count_rows_meet_a_dense_grid(shape, seed, specs):
+    # the largest ratio over a grid of PSD inputs never exceeds an exact row, which bounds every
+    # input, beyond rounding, and comes within the grid's resolution of it (2.5e-5 u at most on
+    # these channels). At k = d_in the trace projector always wins: ||Phi(I)||_(k) <= tr Phi(I)
+    # = tr Phi†(I) <= d_in t
+    phi = random_channel(*shape, 1.0, seed)
+    xs = _psd_grid(60)
+    images = np.einsum("nij,bjk,nlk->bil", phi.kraus, xs, phi.kraus.conj(), optimize=True)
+    image_eigs, input_eigs = np.linalg.eigvalsh(images), np.linalg.eigvalsh(xs)
+    rows = shrink_report(phi, [parse_norm(spec) for spec in specs], restarts=0, steps=200).per_norm
+    # u = max(||Phi(I)||_inf, ||Phi†(I)||_inf)
+    u = max(np.linalg.norm(np.einsum("nij,nkj->ik", phi.kraus, phi.kraus.conj()), 2),
+            np.linalg.norm(np.einsum("nji,njk->ik", phi.kraus.conj(), phi.kraus), 2))
+    for spec, row in zip(specs, rows):
+        gauge = GRID_NORMS[spec]
+        best = float((_gauge(gauge, image_eigs) / _gauge(gauge, input_eigs)).max())
+        assert best <= row.empirical_lower + 1e-12 * u
+        assert row.empirical_lower - best <= 1e-4 * u

@@ -551,8 +551,15 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # the printed bound reads the s and t the stacked check already computed; Choi
     # positivity takes one values-only solve per channel
     (("verify", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
-    # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs
-    (("report", "--channel", "random:3x3x1:1"), 2, 0, 1),
+    # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs;
+    # with one Kraus operator every row is u, so no Gram is built or solved
+    (("report", "--channel", "random:3x3x1:1"), 2, 0, 0),
+    # with two, the Schatten-2 row takes the Gram's one values-only solve
+    (("report", "--channel", "random:3x3x2:1"), 2, 0, 1),
+    # Ky Fan 3 and 4 of a partial trace (three Kraus operators, padded dimension 6) have a
+    # closed form, and both read Phi(I)'s eigenvalues from one values-only solve: s and t
+    # take one SVD per size (2 and 6), the fuzz one for the images and one for the inputs
+    (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 4, 0, 1),
     # the block's s and t (the remixed channels never read them or the witness) take one
     # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
     # one per distinct matrix size over images and inputs together. At seed 0 the channels
@@ -562,8 +569,8 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
     # the check: 2 + 2
     (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 6),
-], ids=["report", "report-schatten3", "verify-channel", "report-square", "verify-random",
-        "verify-random-shared-sizes"])
+], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
+        "report-kyfan-shared-spectrum", "verify-random", "verify-random-shared-sizes"])
 def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh, eigvalsh):
     counts = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 

@@ -13,7 +13,7 @@ from cpshrink.channel import (
 )
 from cpshrink import channel, shrink, spectral
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
-from cpshrink.gauge import Combination, KyFan, Schatten, format_norm, gauge_eval, parse_norm
+from cpshrink.gauge import Combination, KyFan, Schatten, base_terms, format_norm, gauge_eval, parse_norm
 from cpshrink.shrink import (
     check_gauge_bounds,
     check_kyfan_bounds,
@@ -350,8 +350,9 @@ class TestEmpiricalLowerBound:
 
     def test_batched_search_matches_single_norm_calls(self):
         # one batched search for all norms gives each norm's single-norm result bit for bit; a
-        # report's rows are the exact factors for the norms with a closed form and those
-        # results for the rest, clamped to the universal bound
+        # report's rows are the exact factors for the norms with a closed form, Ky Fan k with
+        # n_kraus <= k < padded among them, and those results for the rest, clamped to the
+        # universal bound
         norms = norm_battery(3)
         for phi in (random_channel(3, 2, 2, 1.0, 40), random_channel(2, 4, 3, 1e-3, 41),
                     random_cptp_channel(4, 3, 2, 42), partial_trace_channel(2, 2)):
@@ -362,6 +363,11 @@ class TestEmpiricalLowerBound:
             closed = {Schatten(INF): s, KyFan(1): s, Schatten(1.0): t, Schatten(2.0): h}
             # Ky Fan k at or beyond the padded dimension is the trace norm on both sides
             closed.update({KyFan(k): t for k in range(padded_dim_for(phi), 4)})
+            # below it, from n_kraus on: max(||Phi(I)||_(k) / k, t) at I / k or the trace
+            # projector, and t at the projector once k exceeds d_in
+            for k in range(phi.n_kraus, padded_dim_for(phi)):
+                mean = top_k_eigensum(phi.invariants().identity_image, k) / k
+                closed[KyFan(k)] = (mean, np.eye(phi.d_in) / k) if k <= phi.d_in and mean >= t[0] else t
             assert len(batched) == len(rep.per_norm) == len(norms)
             for norm, (lower, witness), row in zip(norms, batched, rep.per_norm):
                 single, single_witness = empirical_lower_bound(phi, norm, restarts=5, steps=12, seed=3)
@@ -1010,8 +1016,9 @@ class TestBatteryAndReport:
     @pytest.mark.parametrize("phi", [random_channel(3, 2, 2, 1.0, 40), random_cptp_channel(4, 3, 2, 42),
                                      partial_trace_channel(2, 3)], ids=["random", "cptp", "ptrace"])
     def test_positive_multiples_share_the_row(self, phi):
-        # c * N and N + N have N's factor: exact rows exactly, searched rows up to rounding, each
-        # with a witness of unit norm in its own norm
+        # c * N and N + N have N's factor: rows on one base exactly, searched or not, since they
+        # scale its one answer, and rows on several bases up to rounding, each with a witness of
+        # unit norm in its own norm
         padded = padded_dim_for(phi)
         for spec in ("schatten:inf", "schatten:1", "schatten:2", f"kyfan:{padded}", "kyfan:2", "schatten:3",
                      "schatten:1.5", "combo:1*kyfan:1+1*schatten:1", "combo:1*schatten:3+1*kyfan:1",
@@ -1021,8 +1028,10 @@ class TestBatteryAndReport:
             multiples = [Combination(tuple((c * a, t) for a, t in terms)) for c in (0.5, 2.0, 3.0)]
             multiples.append(Combination(terms + terms))
             first, *rest = shrink_report(phi, [norm, *multiples], restarts=20, steps=40, seed=0).per_norm
+            one_base = len({b for _, b in base_terms(norm, padded)}) == 1
             for row in rest:
                 assert row.empirical_lower == pytest.approx(first.empirical_lower, rel=1e-12)
+                assert row.empirical_lower == first.empirical_lower or not one_base
                 size = gauge_eval(row.norm, singular_values(row.witness, padded))
                 assert size == pytest.approx(1.0, rel=1e-12)
 
@@ -1097,15 +1106,161 @@ class TestBatteryAndReport:
                 assert bracket.empirical_lower <= bracket.upper
 
     def test_exact_rows_are_clamped_to_the_bound(self):
-        # one Kraus operator gives h = u, and here h rounds one ulp above u: the report's exact
-        # Schatten-2 rows, which no search clamps, must still read u with a zero gap
-        phi = random_channel(2, 2, 1, 1.0, 1)
+        # Kraus operators that are multiples of one E give h = u, and here h rounds one ulp above
+        # u. The map is one-Kraus, remixed into two operators, so the one-Kraus rule does not
+        # decide its rows: the report's exact Schatten-2 rows, which no search clamps, must
+        # still read u with a zero gap
+        phi = random_channel(2, 2, 1, 1.0, 0).remix(random_isometry(2, 1, 0))
+        assert phi.n_kraus == 2
         u = shrink_upper_bound(phi)
         assert schatten2_shrink_factor(phi)[0] > u
         rep = shrink_report(phi, [parse_norm("schatten:2"), parse_norm("combo:3*schatten:2")], 0, 200)
         for bracket in rep.per_norm:
             assert (bracket.empirical_lower, bracket.upper) == (u, u)
             assert bracket.upper - bracket.empirical_lower == 0.0
+
+
+def _count_searched_norms(monkeypatch) -> list[int]:
+    """Wrap the search's iteration to record how many norms each call is given."""
+    counts = []
+    real = shrink._conditional_gradient
+    monkeypatch.setattr(shrink, "_conditional_gradient",
+                        lambda ops, norms, *rest: counts.append(len(norms)) or real(ops, norms, *rest))
+    return counts
+
+
+ROW_SPECS = ("schatten:inf", "schatten:1", "schatten:2", "schatten:3", "schatten:1.5", "kyfan:2", "kyfan:3",
+             "kyfan:4", "combo:3*kyfan:2", "combo:1*kyfan:1+1*schatten:1", "combo:0.5*schatten:2+2*kyfan:2",
+             "combo:1*schatten:3+1*schatten:1.5", "combo:3*schatten:3")
+
+
+def _new_exact(phi, norm) -> bool:
+    """Whether the Kraus count decides ``norm``'s row: every row of a one-Kraus channel, and
+    Ky Fan k (with its multiples) for n_kraus <= k < padded_dim."""
+    terms = {b for _, b in base_terms(norm, padded_dim_for(phi))}
+    if phi.n_kraus == 1:
+        return True
+    (base,) = terms if len(terms) == 1 else (None,)
+    return isinstance(base, KyFan) and phi.n_kraus <= base.k < padded_dim_for(phi)
+
+
+class TestKrausCountRows:
+    """Rows decided by the Kraus count: every row of a one-Kraus channel, and Ky Fan k >= K."""
+
+    @pytest.mark.parametrize("phi", [random_channel(3, 4, 1, 1.0, 7), random_channel(4, 2, 1, 3e-90, 8),
+                                     identity_channel(3)], ids=["3x4", "4x2-tiny", "identity"])
+    def test_one_kraus_rows_are_u_at_the_trace_projector(self, monkeypatch, phi):
+        # Phi(X) = E X E†: every row, on several bases too, reads u with a zero gap, at the trace
+        # projector divided by the coefficient total; nothing is searched and no Gram is built,
+        # while the factors keep s and t as read
+        counts = _count_searched_norms(monkeypatch)
+        grams = []
+        monkeypatch.setattr(shrink, "_schatten2_gram", lambda phi: grams.append(phi))
+        norms = [parse_norm(spec) for spec in ROW_SPECS]
+        rep = shrink_report(phi, norms, restarts=3, steps=20)
+        assert counts == [] and grams == []
+        inv = phi.invariants()
+        assert (rep.spectral_factor, rep.trace_factor) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
+        u, projector = rep.upper_bound, trace_shrink_factor(phi)[1]
+        padded = padded_dim_for(phi)
+        # the first row, schatten:inf, has coefficient total 1 and holds the projector itself
+        assert rep.per_norm[0].witness is projector
+        for row in rep.per_norm:
+            assert (row.empirical_lower, row.upper) == (u, u)
+            scaled, e = shrink._rescaled_norm(row.norm)
+            total = sum(c for c, _ in base_terms(scaled, padded))
+            assert row.witness.tobytes() == shrink._scaled_witness(rep.per_norm[0], total, e).tobytes()
+            size = gauge_eval(row.norm, singular_values(row.witness, padded))
+            image = gauge_eval(row.norm, singular_values(phi.apply(row.witness), padded))
+            assert size == pytest.approx(1.0, rel=1e-14) and image == pytest.approx(u, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [random_channel(3, 5, 2, 1.0, 9), random_cptp_channel(4, 4, 2, 10),
+                                     random_channel(2, 5, 3, 1.0, 11), partial_trace_channel(2, 3)],
+                             ids=["random-3x5x2", "cptp-4x4x2", "random-2x5x3", "ptrace-2x3"])
+    def test_kyfan_rows_from_the_kraus_count(self, monkeypatch, phi):
+        # Ky Fan k with n_kraus <= k < padded: max(||Phi(I)||_(k) / k, t), through top_k_eigensum,
+        # at I / k or the trace projector, and t at the projector for k > d_in; no search runs
+        # for them, and Ky Fan k < n_kraus is still searched
+        counts = _count_searched_norms(monkeypatch)
+        padded = padded_dim_for(phi)
+        inv = phi.invariants()
+        t = inv.adjoint_identity_image_norm
+        closed = range(phi.n_kraus, padded)
+        rep = shrink_report(phi, [KyFan(k) for k in closed], restarts=3, steps=20)
+        assert counts == []
+        for k, row in zip(closed, rep.per_norm):
+            mean = top_k_eigensum(inv.identity_image, k) / k
+            want = max(mean, t) if k <= phi.d_in else t
+            assert row.empirical_lower == min(want, rep.upper_bound) and row.upper == rep.upper_bound
+            if k <= phi.d_in and mean >= t:
+                np.testing.assert_array_equal(row.witness, np.eye(phi.d_in) / k)
+            else:
+                assert row.witness is trace_shrink_factor(phi)[1]
+            image = gauge_eval(row.norm, singular_values(phi.apply(row.witness), padded))
+            assert image == pytest.approx(row.empirical_lower, rel=1e-12)
+        shrink_report(phi, [KyFan(k) for k in range(1, phi.n_kraus + 1)], restarts=3, steps=20)
+        assert counts == ([phi.n_kraus - 2] if phi.n_kraus > 2 else [])
+
+    def test_multiples_of_a_searched_base_share_one_search(self, monkeypatch):
+        # schatten:3 and two multiples of it are one search of Schatten 3: one norm reaches the
+        # iteration, and the multiples take its value and its witness over their coefficient
+        counts = _count_searched_norms(monkeypatch)
+        phi = random_channel(3, 3, 2, 1.0, 1)
+        norms = [parse_norm(spec) for spec in ("schatten:3", "combo:2*schatten:3", "combo:3*schatten:3")]
+        row, *multiples = shrink_report(phi, norms, restarts=0, steps=200).per_norm
+        assert counts == [1]
+        lower, witness = empirical_lower_bound(phi, Schatten(3.0), restarts=0, steps=200)
+        assert row.empirical_lower == lower and row.witness.tobytes() == witness.tobytes()
+        for multiple, c in zip(multiples, (2.0, 3.0)):
+            assert multiple.empirical_lower == lower and multiple.upper == row.upper
+            np.testing.assert_allclose(multiple.witness, witness / c, rtol=1e-15)
+            size = gauge_eval(multiple.norm, singular_values(multiple.witness, 3))
+            assert size == pytest.approx(1.0, rel=1e-14)
+
+
+@st.composite
+def kraus_count_channels(draw) -> KrausChannel:
+    """Random channels with d_in, d_out 1..5 and one to three Kraus operators."""
+    d_in, d_out, n_kraus = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    return random_channel(d_in, d_out, n_kraus, 1.0, draw(st.integers(0, 10_000)))
+
+
+class TestKrausCountProperties:
+    """The rows the Kraus count decides, against the search, the Kraus scale and remix."""
+
+    NORMS = [parse_norm(spec) for spec in ROW_SPECS]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phi=kraus_count_channels())
+    def test_rows_are_at_least_the_search(self, phi):
+        # the row is the exact factor, so no search value exceeds it beyond rounding
+        rep = shrink_report(phi, self.NORMS, restarts=2, steps=40, seed=1)
+        searched = empirical_lower_bound(phi, self.NORMS, restarts=2, steps=40, seed=1)
+        for row, (lower, _) in zip(rep.per_norm, searched):
+            if _new_exact(phi, row.norm):
+                assert row.empirical_lower >= lower - 1e-14 * rep.upper_bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phi=kraus_count_channels(), j=st.integers(-40, 40))
+    def test_rows_scale_bit_for_bit(self, phi, j):
+        # Kraus operators 2^j E: values times 4^j and the same witnesses, bit for bit
+        scaled = KrausChannel(phi.d_in, phi.d_out, 2.0**j * phi.kraus)
+        rows = zip(shrink_report(phi, self.NORMS, 0, 40).per_norm, shrink_report(scaled, self.NORMS, 0, 40).per_norm)
+        for row, big in rows:
+            if _new_exact(phi, row.norm):
+                assert big.empirical_lower == row.empirical_lower * 4.0**j
+                assert big.witness.tobytes() == row.witness.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(phi=kraus_count_channels(), seed=st.integers(0, 1000))
+    def test_rows_agree_under_remix(self, phi, seed):
+        # a unitary remix keeps the map and its Kraus count, so the same rows are decided the
+        # same way, up to rounding
+        mixed = phi.remix(random_isometry(phi.n_kraus, phi.n_kraus, seed))
+        rows = zip(shrink_report(phi, self.NORMS, 0, 40).per_norm, shrink_report(mixed, self.NORMS, 0, 40).per_norm)
+        for row, other in rows:
+            if _new_exact(phi, row.norm):
+                assert other.empirical_lower == pytest.approx(row.empirical_lower, rel=1e-12)
 
 
 class TestSharedSpectralData:
