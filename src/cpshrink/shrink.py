@@ -268,8 +268,10 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], 
     if len(exponents) == 1:
         return _holder(y, exponents[0])
     q = np.array(exponents) - 1.0
-    # one row per exponent, its Schatten norm alone: the sizes (R, J)
-    sizes, _ = table_eval(z[:, None, :], np.zeros(z.shape[-1]), exponents, np.eye(len(exponents)), grad=False)
+    # one row per exponent, its Schatten norm alone: the sizes (R, J), read from z sorted as a
+    # spectrum, since a warm start need not be descending
+    spectra = -np.sort(-z, axis=-1)[:, None, :]
+    sizes, _ = table_eval(spectra, np.zeros(z.shape[-1]), exponents, np.eye(len(exponents)), grad=False)
     # y, c and the sizes enter as ratios, so a norm rescaled by a power of two solves the same
     top = y[:, :1]
     log_a = np.log(c / top) - q * np.log(sizes / sizes[:, :1])
@@ -285,7 +287,7 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], 
         u = np.where(lower < u, lower, u)
 
 
-def _linear_step(norm: GaugeNorm, mu: np.ndarray) -> np.ndarray:
+def _linear_step(norm: GaugeNorm, mu: np.ndarray, z0: np.ndarray | None = None) -> np.ndarray:
     """Spectra ``z >= 0`` of unit ``norm`` maximizing ``<mu, z>``, for a stack of PSD eigenvalue
     vectors ``mu`` in ``hermitian_decomposition``'s order, so descending up to rounding.
 
@@ -297,27 +299,41 @@ def _linear_step(norm: GaugeNorm, mu: np.ndarray) -> np.ndarray:
     - Ky Fan bases only: the gauge is ``<w, z>``, so the maximizer is a vertex
       ``1_{<=m} / W_m``, ``W = cumsum(w)``, at the first ``m`` maximizing
       ``cumsum(mu)_m / W_m``.
-    - A Schatten base: the first round takes Hölder's direction for the least ``p_1``. Each further
-      round (W. Dinkelbach's iteration for the ratio ``<mu, z> / norm(z)``) takes ``eta``,
-      the row's best ratio so far, fits ``mu / eta - w`` non-increasing (``_isotonic_fit``),
-      clips it at 0 to ``y``, and solves the optimality condition
-      ``sum_j c_j (z_i / A_j) ** (p_j - 1) = y_i`` with ``A_j = ||z||_{p_j}`` at the row's
-      best ``z`` (``_solve_gradient``). A row stops as soon as its ratio stops rising.
-      Without Ky Fan terms and with one exponent the first round is already optimal, and
-      ``mu = 0`` gives ``e_1``.
+    - A Schatten base: without Ky Fan terms and with one exponent the answer is Hölder's
+      direction, normalized, and ``mu = 0`` gives ``e_1``. Otherwise W. Dinkelbach's iteration
+      for the ratio ``<mu, z> / norm(z)`` runs from a start per row: the row of ``z0``, a
+      spectrum ``>= 0`` of unit ``norm`` such as the row's previous step, at ratio
+      ``<mu, z0>``, or Hölder's direction for the least ``p_1``, normalized, where ``z0`` is
+      None or that ratio is not positive. Each round takes ``eta``, the row's best ratio so far, fits
+      ``mu / eta - w`` non-increasing (``_isotonic_fit``), clips it at 0 to ``y``, and solves
+      the optimality condition ``sum_j c_j (z_i / A_j) ** (p_j - 1) = y_i`` with
+      ``A_j = ||z||_{p_j}`` at the row's best ``z`` (``_solve_gradient``). A round solves the
+      ratio's subproblem from any start with a positive ratio, so a row stops as soon as its
+      ratio stops rising: a warm start that does not rise was already the answer.
     """
     mu = np.maximum(mu, 0.0)
-    index = np.arange(mu.shape[-1])
     (w,), ps, (c,) = gauge_table((norm,), mu.shape[-1])
     if not ps:
         cut = np.cumsum(w)
         m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
-        return (index <= m) / cut[m]
+        return (np.arange(mu.shape[-1]) <= m) / cut[m]
     rows = mu.reshape(-1, mu.shape[-1])
-    z = _holder(rows, ps[0])
-    z /= table_eval(z, w, ps, c, grad=False)[0][:, None]
-    best = (rows * z).sum(axis=-1)
-    live = np.flatnonzero(best > 0.0) if w.any() or len(ps) > 1 else index[:0]
+    if not w.any() and len(ps) == 1:
+        z = _holder(rows, ps[0])
+        z /= table_eval(z, w, ps, c, grad=False)[0][:, None]
+        return z.reshape(mu.shape)
+    if z0 is None:
+        z, best = np.empty_like(rows), np.zeros(len(rows))
+    else:
+        z = z0.reshape(rows.shape).copy()
+        best = (rows * z).sum(axis=-1)
+    # a row without a start, or whose start's ratio is not positive, starts from Hölder's direction
+    cold = np.flatnonzero(best <= 0.0)
+    if cold.size:
+        start = _holder(rows[cold], ps[0])
+        start /= table_eval(start, w, ps, c, grad=False)[0][:, None]
+        z[cold], best[cold] = start, (rows[cold] * start).sum(axis=-1)
+    live = np.flatnonzero(best > 0.0)
     while live.size:
         v = rows[live] / best[live, None] - w
         # without Ky Fan terms v is mu / eta, descending already
@@ -353,7 +369,10 @@ def _conditional_gradient(
     spectra ``spectra``) measured in ``norms[r // S]``; rows stay grouped by norm as
     stopped ones leave. Each iteration decomposes the images once for values and
     gradients, maps the gradients back with one adjoint ``kraus_map``, decomposes the
-    resulting ``G`` once and moves each row to its ``_linear_step``. A row stops once an
+    resulting ``G`` once and moves each row to its ``_linear_step``, one call per norm on its
+    block of rows. Each live row keeps its last step's spectrum beside its gradient, and its
+    next step's Dinkelbach rounds start from it; in a row's first iteration they start from
+    Hölder's direction. A row stops once an
     iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations, and
     every row of a norm stops after an iteration that leaves the norm's best value within
     ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
@@ -365,13 +384,18 @@ def _conditional_gradient(
     live = np.arange(len(owner))
     best_vals, ys = _norm_gradients(norms, owner, kraus_map(ops, xs))
     best_xs = xs.copy()
+    # each live row's last step spectrum, its next linear step's warm start
+    zs = None
     for _ in range(steps):
         if not live.size:
             break
-        counts = np.bincount(owner[live], minlength=len(norms))
+        # each norm's block of live rows ends at the running count of its rows
+        ends = np.cumsum(np.bincount(owner[live], minlength=len(norms))).tolist()
         mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
-        blocks = zip(norms, counts, np.split(mu, np.cumsum(counts)[:-1]))
-        z = np.concatenate([_linear_step(norm, block) for norm, count, block in blocks if count])
+        z = np.concatenate([
+            _linear_step(norm, mu[start:end], None if zs is None else zs[start:end])
+            for norm, start, end in zip(norms, [0, *ends], ends) if end > start
+        ])
         xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
         new_vals, ys = _norm_gradients(norms, owner[live], kraus_map(ops, xs))
         # a live row's value is its best: it moved on only by gaining, and every gain is a new best
@@ -382,7 +406,7 @@ def _conditional_gradient(
         # a norm whose best value is within STALL_GAIN of the bound is done: no start can beat it
         done = best_vals.reshape(len(norms), -1).max(axis=-1) >= (1.0 - STALL_GAIN) * bound
         moving = (new_vals - vals > STALL_GAIN * vals) & ~done[owner[live]]
-        live, ys = live[moving], ys[moving]
+        live, ys, zs = live[moving], ys[moving], z[moving]
     return _winners(best_vals, best_xs, len(norms))
 
 

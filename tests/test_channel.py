@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestKrausMap:
             loop = sum(e @ x @ e.conj().T for e in stack)
             assert out.shape == loop.shape
             assert np.abs(out - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    def test_no_superoperator(self):
+        # the map works on d x d blocks: a kernel that forms the d^2 x d^2 matrix
+        # sum_n E_n ⊗ conj(E_n) allocates one d^4 complex array (85 MB at d = 48) or more
+        rng = np.random.default_rng(44)
+        d = 48
+        ops = complex_gaussian(rng, (2, d, d))
+        x = complex_gaussian(rng, (2, d, d))
+        tracemalloc.start()
+        try:
+            kraus_map(ops, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d**4 * 16 / 8
 
 
 class TestApply:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -586,34 +588,60 @@ PINNED = [
 class TestConditionalGradient:
     @pytest.mark.parametrize("norm", STEPPED_NORMS, ids=format_norm)
     def test_linear_step_is_optimal(self, norm):
-        # the step's Z has unit norm, is PSD, and beats <G, X> for 300 feasible PSD X: the
-        # identity, pure states, random inputs of every rank, and the step's own spectrum
-        # perturbed by 1e-2 to 1e-4 of itself, each at unit norm
-        rng, near = np.random.default_rng(60), np.random.default_rng(61)
+        # the step's Z, cold and warm-started (from its spectrum perturbed by 1e-2 to 1e-4 of
+        # itself, and from the poor e_n), has unit norm, is PSD, and beats <G, X> for 300
+        # feasible PSD X: the identity, pure states, random inputs of every rank, and the
+        # cold step's own spectrum perturbed by 1e-2 to 1e-4 of itself, each at unit norm
+        rng, near, warm = np.random.default_rng(60), np.random.default_rng(61), np.random.default_rng(63)
         dim = 4
         for rank in (1, 2, 3, 4):
             g = _random_psd(dim, rank, rng)
             g /= spectral_norm(g)
             mu, u = hermitian_decomposition(g)
-            z = shrink._linear_step(norm, mu)
-            step = (u * z) @ u.conj().T
-            assert z.min() >= 0.0
-            assert gauge_eval(norm, z) == pytest.approx(1.0, abs=1e-12)
-            assert gauge_eval(norm, singular_values(step, dim)) == pytest.approx(1.0, abs=1e-12)
-            best = np.vdot(g, step).real
+            cold = shrink._linear_step(norm, mu)
+            eps = 10.0 ** -warm.integers(2, 5)
+            perturbed = -np.sort(-np.abs(cold * (1.0 + eps * warm.standard_normal(dim))))
+            last = np.eye(dim)[-1]
+            starts = [perturbed / gauge_eval(norm, perturbed), last / gauge_eval(norm, last)]
+            steps = [cold] + [shrink._linear_step(norm, mu, z0) for z0 in starts]
             xs = [np.eye(dim)] + [_random_psd(dim, 1, rng) for _ in range(99)]
             xs += [_random_psd(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(100)]
             for eps in 10.0 ** -near.integers(2, 5, size=100):
-                nearby = np.abs(z * (1.0 + eps * near.standard_normal(dim)) + eps * z[0] * near.random(dim))
+                nearby = np.abs(cold * (1.0 + eps * near.standard_normal(dim)) + eps * cold[0] * near.random(dim))
                 xs.append((u * nearby) @ u.conj().T)
-            for x in xs:
-                assert np.vdot(g, x).real / gauge_eval(norm, singular_values(x, dim)) <= best + 1e-12
+            for z in steps:
+                step = (u * z) @ u.conj().T
+                assert z.min() >= 0.0
+                assert gauge_eval(norm, z) == pytest.approx(1.0, abs=1e-12)
+                assert gauge_eval(norm, singular_values(step, dim)) == pytest.approx(1.0, abs=1e-12)
+                best = np.vdot(g, step).real
+                for x in xs:
+                    assert np.vdot(g, x).real / gauge_eval(norm, singular_values(x, dim)) <= best + 1e-12
+
+    @pytest.mark.parametrize("norm", STEPPED_NORMS, ids=format_norm)
+    def test_start_without_a_positive_ratio_takes_the_cold_step(self, norm):
+        # a block of warm-started rows: the middle one's start e_4 meets a gradient of rank 2
+        # at ratio 0, so it takes Hölder's start and gives the cold step bit for bit
+        rng = np.random.default_rng(62)
+        dim = 4
+        mu = -np.sort(-rng.random((3, dim)))
+        mu[1, 2:] = 0.0
+        cold = shrink._linear_step(norm, mu)
+        last = np.eye(dim)[-1]
+        z0 = cold.copy()
+        z0[1] = last / gauge_eval(norm, last)
+        assert mu[1] @ z0[1] == 0.0
+        warm = shrink._linear_step(norm, mu, z0)
+        assert warm[1].tobytes() == shrink._linear_step(norm, mu[1:2])[0].tobytes() == cold[1].tobytes()
 
     @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2), parse_norm("combo:1*schatten:3+1*kyfan:1")],
                              ids=format_norm)
     def test_linear_step_at_zero_gradient_is_first_direction(self, norm):
-        z = shrink._linear_step(norm, np.zeros(3))
-        np.testing.assert_allclose(z, np.array([1.0, 0.0, 0.0]) / gauge_eval(norm, [1.0, 0.0, 0.0]), rtol=1e-15)
+        first = np.array([1.0, 0.0, 0.0]) / gauge_eval(norm, [1.0, 0.0, 0.0])
+        # a warm start meets a zero gradient at ratio 0, so it falls back to Hölder's direction too
+        start = np.array([3.0, 2.0, 1.0]) / gauge_eval(norm, [3.0, 2.0, 1.0])
+        for z in (shrink._linear_step(norm, np.zeros(3)), shrink._linear_step(norm, np.zeros((1, 3)), start[None])):
+            np.testing.assert_allclose(z.reshape(3), first, rtol=1e-15)
 
     def test_witnesses_are_psd_with_unit_norm(self):
         for phi in (random_channel(3, 2, 2, 1.0, 50), random_channel(4, 3, 3, 1.0, 51),
@@ -641,6 +669,46 @@ class TestConditionalGradient:
         for (a, wa), (b, wb) in zip(found, empirical_lower_bound(phi, norms, restarts=4, steps=21, seed=0)):
             assert a == b
             np.testing.assert_array_equal(wa, wb)
+
+    def test_warm_started_steps_take_fewer_rounds(self, monkeypatch):
+        # report-small's norm list on a two-Kraus cptp channel, whose mixed rows run to the
+        # 200-step cap: 1 + 2 * 200 decompositions, and a linear step that starts each row's
+        # Dinkelbach rounds from its previous step takes about one isotonic fit per
+        # iteration, not the 401 of rounds that start again from Hölder's direction
+        fits, decompositions = [], []
+        fit, decompose = shrink._isotonic_fit, shrink.hermitian_decomposition
+        monkeypatch.setattr(shrink, "_isotonic_fit", lambda v: fits.append(len(v)) or fit(v))
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: decompositions.append(len(x)) or decompose(x))
+        norms = [parse_norm(spec) for spec in (
+            "schatten:1", "schatten:1.5", "schatten:2", "schatten:3", "schatten:inf", "kyfan:1", "kyfan:2",
+            "kyfan:3", "combo:1*kyfan:1+1*schatten:1", "combo:0.5*schatten:2+2*kyfan:2",
+        )]
+        shrink_report(random_cptp_channel(3, 3, 2, 1), norms, 0, 200)
+        assert (len(fits), len(decompositions)) == (202, 401)
+
+    # (channel, [combo:1*schatten:3+1*schatten:1.5, combo:0.5*schatten:2+2*kyfan:2] values of the
+    # default schedule when every linear step started from Hölder's direction)
+    @pytest.mark.parametrize("phi, pinned", [
+        (random_channel(16, 16, 2, 1.0, 1), [134.16216125364207, 159.6935406794671]),
+        (random_cptp_channel(16, 16, 2, 1), [1.270345747021489, 1.6340753003966504]),
+    ], ids=["random", "cptp"])
+    def test_warm_started_steps_keep_the_cold_values(self, phi, pinned):
+        norms = [parse_norm("combo:1*schatten:3+1*schatten:1.5"), parse_norm("combo:0.5*schatten:2+2*kyfan:2")]
+        bound = shrink_upper_bound(phi)
+        for want, (lower, _) in zip(pinned, empirical_lower_bound(phi, norms, 0, 200, 0), strict=True):
+            assert abs(lower - want) <= 1e-12 * bound
+
+    def test_search_step_forms_no_superoperator(self):
+        # one iteration at d = 32 maps and decomposes d x d stacks: a Kraus kernel that forms
+        # the d^2 x d^2 matrix of the map allocates one d^4 complex array (17 MB) or more
+        phi = random_channel(32, 32, 2, 1.0, 1)
+        tracemalloc.start()
+        try:
+            empirical_lower_bound(phi, Schatten(3.0), restarts=0, steps=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32**4 * 16 / 8
 
     # (norm, the search it takes): whatever its base terms, the conditional gradient
     @pytest.mark.parametrize("spec, rule", [
