@@ -10,9 +10,9 @@ other gauge norm, so each norm gets a bracket
 [lower bound, universal upper bound]. The Schatten-2 factor is exact too: the
 largest singular value of sum_n E_n ⊗ conj(E_n), the matrix of Phi on
 row-major vectorized inputs. A report (``shrink_report``) decides one answer
-per distinct base gauge, its value, witness and upper bound, and combines them:
-a norm on one base with a closed form takes its exact factor, and every other
-norm is searched; no tightness is claimed for a searched lower bound.
+per key, a row's base gauge or the row itself, its value, witness and upper
+bound: a key with a closed form takes its exact factor, and every other key is
+searched; no tightness is claimed for a searched lower bound.
 """
 
 from __future__ import annotations
@@ -562,13 +562,11 @@ class NormBracket:
     """One norm's answer: the best lower bound found, the row's upper bound and the
     witness of the lower bound.
 
-    ``empirical_lower <= upper`` always holds. ``shrink_report`` decides both and
-    the witness builder; its docstring lists the rules. It also keeps one bracket
-    per base gauge with a closed form, which the rows on that base scale. ``witness``
-    is built by ``build_witness`` on first read and then kept, so a report that
-    prints only values takes no solve for it, and rows that read one base's
-    bracket share its one build. A failed build is raised and not kept, so the
-    next read tries again.
+    ``empirical_lower <= upper`` always holds. ``shrink_report`` decides all three,
+    one bracket per key, which the rows on that key are or scale; its docstring lists
+    the rules. ``witness`` is built by ``build_witness`` on first read and then kept,
+    so a report that prints only values takes no solve for it. A failed build is
+    raised and not kept, so the next read tries again.
     """
 
     norm: GaugeNorm
@@ -602,49 +600,47 @@ class ShrinkReport:
 
 
 def _scaled_witness(base: NormBracket, total: float, e: int) -> np.ndarray:
-    """``base``'s witness for a norm on that one base whose coefficients, times ``2**-e``, sum to
-    ``total``: the base's own array when ``total`` is 1 and ``e`` is 0, so such rows share it."""
+    """``base``'s witness for a row that reads its bracket and whose coefficients, times ``2**-e``,
+    sum to ``total``: the base's own array when ``total`` is 1 and ``e`` is 0, so such rows share it."""
     with np.errstate(over="ignore"):
         return base.witness if (total, e) == (1.0, 0) else _ldexp(base.witness / total, -e)
 
 
 def _closed_form(
-    phi: KrausChannel, inv: ChannelInvariants, base: KyFan | Schatten, padded: int
+    phi: KrausChannel, inv: ChannelInvariants, key: GaugeNorm, padded: int
 ) -> tuple[float, Callable[[], np.ndarray]] | None:
-    """The exact factor of ``base`` on a channel of two or more Kraus operators, with invariant
-    pair ``inv``, and its witness builder, where a closed form gives them; None elsewhere.
+    """The exact factor of ``key`` on ``phi``, with invariant pair ``inv``, and its witness
+    builder, where the Kraus count or a closed form gives them; None elsewhere, and for a
+    combination on two or more Kraus operators.
 
-    Ky Fan 1 is the spectral norm: ``s`` at the identity. Ky Fan ``padded`` is the trace
-    norm on inputs and images alike: ``t`` at the trace projector. Schatten 2 is
-    ``schatten2_shrink_factor``: ``h`` from a values-only solve of its Gram, the witness
-    from the Gram's eigensystem alone. Ky Fan ``k`` with ``n_kraus <= k < padded``:
-    ``Phi(vv†)`` has rank at most ``n_kraus <= k``, so its Ky Fan ``k`` norm is its trace
-    ``<v, Phi†(I) v> <= t``, and ``Phi(P) <= Phi(I)`` for every projector ``P``; the
-    extreme points of the PSD part of the Ky Fan ``k`` ball being the ``vv†`` and the
-    ``P / k`` with rank ``P >= k``, the factor is ``max(||Phi(I)||_(k) / k, t)`` at ``I / k``
-    or the trace projector when ``k <= d_in`` (the identity on a tie, the search's first
-    start), and ``t`` at the trace projector when ``k > d_in``, where no such ``P`` exists.
+    One Kraus operator ``E``: ``Phi(X) = E X E†``, so every factor is ``||E||**2 = s = t = u``,
+    attained at the trace projector, whose image has rank 1. Otherwise Ky Fan 1 is the spectral
+    norm: ``s`` at the identity. Ky Fan ``padded`` is the trace norm on inputs and images alike:
+    ``t`` at the trace projector. Schatten 2 is ``schatten2_shrink_factor``: ``h`` from a
+    values-only solve of its Gram, the witness from the Gram's eigensystem alone. Ky Fan ``k``
+    with ``n_kraus <= k < padded``: ``Phi(vv†)`` has rank at most ``n_kraus <= k``, so its Ky Fan
+    ``k`` norm is its trace ``<v, Phi†(I) v> <= t``, and ``Phi(P) <= Phi(I)`` for every projector
+    ``P``; the extreme points of the PSD part of the Ky Fan ``k`` ball being the ``vv†`` and the
+    ``P / k`` with rank ``P >= k``, the factor is ``max(||Phi(I)||_(k) / k, t)`` at ``I / k`` or
+    the trace projector when ``k <= d_in`` (the identity on a tie, the search's first start), and
+    ``t`` at the trace projector when ``k > d_in``, where no such ``P`` exists.
     """
     trace = inv.adjoint_identity_image_norm, lambda: trace_shrink_factor(phi)[1]
-    # Ky Fan 1 first, so it is the rule when the padded dimension is 1
-    if base == KyFan(1):
+    if phi.n_kraus == 1:
+        return max(inv.identity_image_norm, trace[0]), trace[1]
+    # Ky Fan 1 before Ky Fan padded, so it is the rule when the padded dimension is 1
+    if key == KyFan(1):
         return inv.identity_image_norm, lambda: spectral_shrink_factor(phi)[1]
-    if base == KyFan(padded):
+    if key == KyFan(padded):
         return trace
-    if base == Schatten(2.0):
+    if key == Schatten(2.0):
         return _schatten2_value(*_schatten2_gram(phi)), lambda: _schatten2_witness(_schatten2_gram(phi)[0], phi.d_in)
-    if not isinstance(base, KyFan) or base.k < phi.n_kraus:
+    if not isinstance(key, KyFan) or key.k < phi.n_kraus:
         return None
-    if base.k > phi.d_in:
+    if key.k > phi.d_in:
         return trace
-    mean = float(inv.identity_image_spectrum[: base.k].sum()) / base.k
-    return (mean, lambda: np.eye(phi.d_in, dtype=np.complex128) / base.k) if mean >= trace[0] else trace
-
-
-def _sole(brackets) -> NormBracket | None:
-    """The bracket every entry of ``brackets`` is, or None when they differ or are None."""
-    first, *rest = brackets
-    return first if all(b is first for b in rest) else None
+    mean = float(inv.identity_image_spectrum[: key.k].sum()) / key.k
+    return (mean, lambda: np.eye(phi.d_in, dtype=np.complex128) / key.k) if mean >= trace[0] else trace
 
 
 def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -> ShrinkReport:
@@ -654,43 +650,30 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     upper bound. ``s`` and ``t`` are read together (``read_invariant_norms``) and
     kept by the channel, and the report's ``upper_bound`` is ``u = max(s, t)``.
 
-    Rows are decided per base, then combined. Each distinct base gauge of the rows'
-    terms (``gauge.base_terms`` at the padded dimension) gets one answer: its upper
-    bound, ``u`` for every base today, which bounds every factor, and a bracket. The
-    bracket is exact where the Kraus count ``n_kraus`` or a closed form gives the factor:
+    Each row reads one answer, its key's. A row's key is its base gauge
+    (``gauge.base_terms`` at the padded dimension) when its terms have one base, or when
+    the channel has one Kraus operator, which gives every base the same answer; otherwise
+    the key is the row itself. Each distinct key gets one bracket, capped by the largest
+    of its bases' upper bounds (``u`` for every base today; a positive combination's
+    ratio is at most the largest of its terms' ratios, the mediant inequality). The
+    bracket is exact where ``_closed_form`` gives the factor, from eigenvalues alone and
+    the stored ``n_kraus``, never a numerical rank; so a closed form runs only for a base
+    that some row has alone, and the ``d_in² x d_in²`` Gram is built only when a row reads
+    ``h``. The keys left take one batched ``empirical_lower_bound`` call, which returns at
+    once when none is left; each gets the value and witness of its own single-norm search
+    bit for bit, and the same seed drives every search, so reports are reproducible.
+    ``restarts`` and ``steps`` are the search's; ``cpshrink report`` passes 0 and 200 by
+    default, so its search runs only the two analytic starts, each capped at 200 iterations.
 
-    - One Kraus operator ``E``: ``Phi(X) = E X E†``, so every factor is
-      ``||E||**2 = s = t = u``, attained at the trace projector, whose image has rank 1.
-      Every base shares one bracket, at ``u``, and so does every row, a combination of
-      several bases among them: its ratio there is ``u``, the largest of its bases'
-      bounds (the mediant inequality). Nothing is searched and no Gram is built.
-    - Otherwise ``_closed_form``: Ky Fan 1, Ky Fan ``padded_dim``, Schatten 2, and Ky Fan
-      ``k`` with ``n_kraus <= k < padded_dim``. Their values come from eigenvalues alone:
-      ``s`` and ``t`` as read above, ``h`` from one values-only solve, and
-      ``||Phi(I)||_(k)`` from one values-only solve of ``Phi(I)`` kept by the channel
-      (``ChannelInvariants.identity_image_spectrum``), which every Ky Fan row shares.
-
-    The decision reads the stored ``n_kraus``, never a numerical rank. A base's witness is
-    built on first read and kept, so a report read for its values takes no ``eigh`` and
-    every row on the base shares one solve. Each other base that some row has alone is
-    searched once, and its bracket holds the search's value and witness.
-
-    A row whose terms all share one base bracket scales it: a positive multiple of a
-    norm has its factor and bound, and its witness is the base's divided by the sum of
-    the coefficients (``_scaled_witness``). So the multiples of a searched base share its
-    one search, and their values are its value. Every other row, a combination of
-    several bases, is searched as it is, and its upper bound is the largest of its
-    bases' (a positive combination's ratio is at most the largest of its terms' ratios).
-    The searched bases and rows take one batched ``empirical_lower_bound`` call, which
-    returns at once when nothing is left; each searched base or row gets the value and
-    witness of its own single-norm search bit for bit. The same seed drives every
-    search, so reports are reproducible. ``restarts`` and ``steps`` are the search's;
-    ``cpshrink report`` passes 0 and 200 by default, so its search runs only the two
-    analytic starts, each capped at 200 iterations.
+    A row whose key is itself is that bracket. Every other row, a positive multiple of its
+    key, or a combination of a one-Kraus channel, has the bracket's value and bound, and
+    its witness is the key's divided by the sum of its coefficients (``_scaled_witness``).
+    So the multiples of a base share one search, and one witness solve. A witness is
+    built on first read and kept, so a report read for its values takes no ``eigh``.
 
     A value above its bound is rounding, and the row holds the bound instead.
     ``empirical_lower_bound`` already clamps each searched value to ``u``; the clamp
-    of a base's exact value guards the exact rows, since ``h`` can round above ``u``
+    of an exact value guards the exact rows, since ``h`` can round above ``u``
     where they are equal (a channel whose Kraus operators are multiples of one ``E``
     gives ``h = s = t = sigma_max(E)**2``). Duplicate norms share one row.
     """
@@ -703,29 +686,18 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     # coefficients rescaled as the search's, so their sum cannot overflow
     scaled = {norm: _rescaled_norm(norm) for norm in norms}
     terms = {norm: base_terms(m, padded) for norm, (m, _) in scaled.items()}
-    # one answer per distinct base: its upper bound, and its bracket. A closed form runs only
-    # for a base some row has, its witness on first read, and the d_in^4 Gram is not kept
     bound = dict.fromkeys((b for ts in terms.values() for _, b in ts), upper)
-    if phi.n_kraus == 1:
-        one = NormBracket(KyFan(padded), upper, upper, lambda: trace_shrink_factor(phi)[1])
-        answer = dict.fromkeys(bound, one)
-    else:
-        forms = {b: form for b in bound if (form := _closed_form(phi, inv, b, padded)) is not None}
-        answer = {b: NormBracket(b, min(value, bound[b]), bound[b], build) for b, (value, build) in forms.items()}
-    # a base some row has alone is searched once; every other row left is searched as it is
-    left = [(norm, ts) for norm, ts in terms.items() if _sole(answer.get(b) for _, b in ts) is None]
-    searched = list(dict.fromkeys(ts[0][1] if len({b for _, b in ts}) == 1 else norm for norm, ts in left))
-    found = dict(zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)))
-    for b, (value, witness) in found.items():
-        if b in bound:  # a base, not a row on several bases
-            answer[b] = NormBracket(b, min(value, bound[b]), bound[b], lambda witness=witness: witness)
+    key = {norm: ts[0][1] if phi.n_kraus == 1 or len({b for _, b in ts}) == 1 else norm for norm, ts in terms.items()}
+    cap = {k: max(bound[b] for _, b in base_terms(k, padded)) for k in key.values()}
+    # the d_in^4 Gram is not kept: a Schatten-2 witness rebuilds it on first read
+    forms = {k: _closed_form(phi, inv, k, padded) for k in cap}
+    searched = [k for k, form in forms.items() if form is None]
+    for k, (value, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
+        forms[k] = value, lambda witness=witness: witness
+    answer = {k: NormBracket(k, min(value, cap[k]), cap[k], build) for k, (value, build) in forms.items()}
     rows = {}
-    for norm, ts in terms.items():
-        if (base := _sole(answer.get(b) for _, b in ts)) is not None:
-            build = partial(_scaled_witness, base, sum(c for c, _ in ts), scaled[norm][1])
-            rows[norm] = NormBracket(norm, base.empirical_lower, base.upper, build)
-        else:
-            # the largest of its bases' bounds bounds a combination (the mediant inequality)
-            cap, (value, witness) = max(bound[b] for _, b in ts), found[norm]
-            rows[norm] = NormBracket(norm, min(value, cap), cap, lambda witness=witness: witness)
+    for norm, k in key.items():
+        base = answer[k]
+        build = partial(_scaled_witness, base, sum(c for c, _ in terms[norm]), scaled[norm][1])
+        rows[norm] = base if k == norm else NormBracket(norm, base.empirical_lower, base.upper, build)
     return ShrinkReport(upper, spectral, trace, tuple(rows[norm] for norm in norms), padded)

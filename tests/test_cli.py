@@ -560,6 +560,9 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # closed form, and both read Phi(I)'s eigenvalues from one values-only solve: s and t
     # take one SVD per size (2 and 6), the fuzz one for the images and one for the inputs
     (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 4, 0, 1),
+    # a combination on Schatten 2 and Ky Fan 2 is searched as it is: no row reads h or
+    # ||Phi(I)||_(2), so neither the Gram nor Phi(I)'s eigenvalues are solved for
+    (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 2, None, 0),
     # the block's s and t (the remixed channels never read them or the witness) take one
     # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
     # one per distinct matrix size over images and inputs together. At seed 0 the channels
@@ -570,7 +573,8 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # the check: 2 + 2
     (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 6),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
-        "report-kyfan-shared-spectrum", "verify-random", "verify-random-shared-sizes"])
+        "report-kyfan-shared-spectrum", "report-combination-reads-no-base", "verify-random",
+        "verify-random-shared-sizes"])
 def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh, eigvalsh):
     counts = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 

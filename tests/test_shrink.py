@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from cpshrink.channel import (
     random_isometry,
 )
 from cpshrink import channel, shrink, spectral
+from cpshrink.cli import main
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
 from cpshrink.gauge import Combination, KyFan, Schatten, base_terms, format_norm, gauge_eval, parse_norm
 from cpshrink.shrink import (
@@ -1285,12 +1287,52 @@ class TestKrausCountRows:
             size = gauge_eval(multiple.norm, singular_values(multiple.witness, 3))
             assert size == pytest.approx(1.0, rel=1e-14)
 
+    def test_a_combination_on_schatten_2_builds_no_gram(self, monkeypatch):
+        # on two Kraus operators a combination is searched as it is, so a Schatten-2 base that
+        # no row has alone is not solved for: no row reads h, and no Gram is built
+        grams = []
+        monkeypatch.setattr(shrink, "_schatten2_gram", lambda phi: grams.append(phi))
+        norms = [parse_norm("combo:0.5*schatten:2+2*kyfan:2")]
+        (row,) = shrink_report(random_channel(3, 3, 2, 1.0, 1), norms, restarts=0, steps=20).per_norm
+        assert grams == [] and row.empirical_lower <= row.upper
+
+
+@pytest.mark.parametrize("source", ["random:3x4x1:7", "random:3x3x2:1", "cptp:4x3x2:42", "ptrace:2x3", "clamp"])
+def test_printed_rows_hold_their_brackets(capsys, tmp_path, source):
+    # every printed row, exact, scaled or searched: empirical_lower <= upper_bound <= the
+    # report's upper bound, and gap their difference exactly. The clamp channel is a one-Kraus
+    # map remixed into two operators, whose h rounds one ulp above u
+    if source == "clamp":
+        path = tmp_path / "clamp.json"
+        path.write_text(random_channel(2, 2, 1, 1.0, 0).remix(random_isometry(2, 1, 0)).to_json())
+        source = str(path)
+    argv = ["report", "--channel", source, "--format", "json", "--steps", "40"]
+    assert main([*argv, *(arg for spec in ROW_SPECS for arg in ("--norm", spec))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["norm"] for row in doc["norms"]] == [format_norm(parse_norm(spec)) for spec in ROW_SPECS]
+    for row in doc["norms"]:
+        assert row["empirical_lower"] <= row["upper_bound"] <= doc["factors"]["upper_bound"]
+        assert row["gap"] == row["upper_bound"] - row["empirical_lower"]
+
 
 @st.composite
-def kraus_count_channels(draw) -> KrausChannel:
-    """Random channels with d_in, d_out 1..5 and one to three Kraus operators."""
-    d_in, d_out, n_kraus = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    return random_channel(d_in, d_out, n_kraus, 1.0, draw(st.integers(0, 10_000)))
+def kraus_count_channels(draw, max_dim: int = 5) -> KrausChannel:
+    """Random channels with d_in, d_out 1..``max_dim`` and one to three Kraus operators."""
+    d_in, d_out = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    return random_channel(d_in, d_out, draw(st.integers(1, 3)), 1.0, draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(phi=kraus_count_channels(max_dim=4), specs=st.lists(st.sampled_from(ROW_SPECS), min_size=1, max_size=8))
+def test_rows_do_not_depend_on_the_other_rows(phi, specs):
+    # each row of a report, in any order and with repeats, is the row of a report on its norm
+    # alone, bit for bit: the rows share answers and one batched search, never a result
+    norms = [parse_norm(spec) for spec in specs]
+    rep = shrink_report(phi, norms, restarts=1, steps=5, seed=2)
+    for norm, row in zip(norms, rep.per_norm, strict=True):
+        (alone,) = shrink_report(phi, [norm], restarts=1, steps=5, seed=2).per_norm
+        assert (row.norm, row.empirical_lower, row.upper) == (norm, alone.empirical_lower, alone.upper)
+        assert row.witness.tobytes() == alone.witness.tobytes()
 
 
 class TestKrausCountProperties:
