@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import floor, frexp, inf, ldexp, log2, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,33 +228,52 @@ def _schatten2_witness(gram: np.ndarray, d_in: int) -> np.ndarray:
 
 
 def _norm_gradients(
-    norms: Sequence[GaugeNorm], owner: np.ndarray, xs: np.ndarray
+    weights: np.ndarray, exponents: tuple[float, ...], coefficients: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a PSD stack
-    ``(R, d, d)`` whose matrix ``r`` is measured in ``norms[owner[r]]``: one
-    ``table_eval`` call, each row reading its norm's table row."""
+    """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a PSD stack ``(R, d, d)``
+    whose matrix ``r`` is measured in the table row ``weights[r]``, ``coefficients[r]``: one
+    ``table_eval`` call, and no ``gauge_table`` call, since the search slices each row's
+    table row once and passes the slices."""
     w, v = hermitian_decomposition(xs)
-    weights, exponents, coefficients = gauge_table(tuple(norms), w.shape[-1])
-    vals, g = table_eval(np.abs(w), weights[owner], exponents, coefficients[owner])
+    vals, g = table_eval(np.abs(w), weights, exponents, coefficients)
     return vals, (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+
+
+@cache
+def _first(n: int) -> np.ndarray:
+    """``e_1`` of length ``n`` as a boolean mask, built once per length, read-only."""
+    first = np.arange(n) == 0
+    first.flags.writeable = False
+    return first
+
+
+@cache
+def _windows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The windows ``[s, t]`` of ``_isotonic_fit`` on rows of length ``n``: the mask ``s <= t``
+    ``(n, n)`` and the widths ``max(t - s + 1, 1)``, built once per length, read-only."""
+    s, t = np.arange(n)[:, None], np.arange(n)
+    window, widths = s <= t, np.maximum(t - s + 1, 1)
+    window.flags.writeable = widths.flags.writeable = False
+    return window, widths
 
 
 def _holder(y: np.ndarray, p: float) -> np.ndarray:
     """Hölder's direction ``(y / y_1) ** (1 / (p - 1))`` for descending ``y >= 0``: the
     maximizer of ``<y, z>`` at unit ``||z||_p``, up to scale. Dividing by ``y_1`` first keeps
-    every entry in [0, 1] as p -> 1, and ``y = 0`` gives ``e_1``."""
+    every entry in [0, 1] as p -> 1, and ``y = 0`` gives ``e_1``. Every row's first entry is
+    exactly 1."""
     top = y[..., :1]
-    return np.where(top > 0.0, y / np.where(top > 0.0, top, 1.0), np.arange(y.shape[-1]) == 0) ** (1.0 / (p - 1.0))
+    return np.where(top > 0.0, y / np.where(top > 0.0, top, 1.0), _first(y.shape[-1])) ** (1.0 / (p - 1.0))
 
 
 def _isotonic_fit(v: np.ndarray) -> np.ndarray:
     """Non-increasing least-squares fit of each row of ``v``, the one pool-adjacent-violators
     builds, in its loop-free min-max form ``min_{s<=i} max_{t>=i} mean(v[s..t])``."""
     sums = np.concatenate([np.zeros_like(v[..., :1]), np.cumsum(v, axis=-1)], axis=-1)
-    s, t = np.arange(v.shape[-1])[:, None], np.arange(v.shape[-1])
-    means = np.where(s <= t, (sums[..., None, 1:] - sums[..., :-1, None]) / np.maximum(t - s + 1, 1), -inf)
+    window, widths = _windows(v.shape[-1])
+    means = np.where(window, (sums[..., None, 1:] - sums[..., :-1, None]) / widths, -inf)
     tail = np.maximum.accumulate(means[..., ::-1], axis=-1)[..., ::-1]  # [s, i]: max over t >= i
-    return np.where(s <= t, tail, inf).min(axis=-2)
+    return np.where(window, tail, inf).min(axis=-2)
 
 
 def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], c: np.ndarray) -> np.ndarray:
@@ -263,7 +283,8 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], 
     With one exponent that is Hölder's direction. Otherwise each entry is the root of a
     sum of exponentials in ``u = log x_i``, convex and increasing, so Newton's method
     from above, at the least of the terms' own roots, falls monotonically onto it; an
-    entry stops once a step no longer lowers it, whatever the other entries do.
+    entry stops once a step no longer lowers it, whatever the other entries do. Either way
+    every row's first entry is exactly 1, as ``_unit_norm`` requires.
     """
     if len(exponents) == 1:
         return _holder(y, exponents[0])
@@ -287,20 +308,65 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], 
         u = np.where(lower < u, lower, u)
 
 
-def _linear_step(norm: GaugeNorm, mu: np.ndarray, z0: np.ndarray | None = None) -> np.ndarray:
-    """Spectra ``z >= 0`` of unit ``norm`` maximizing ``<mu, z>``, for a stack of PSD eigenvalue
-    vectors ``mu`` in ``hermitian_decomposition``'s order, so descending up to rounding.
+def _unit_norm(z: np.ndarray, w: np.ndarray, ps: tuple[float, ...], c: np.ndarray) -> np.ndarray:
+    """``<w, z> + sum_j c_j ||z||_{p_j}`` for spectra ``z`` whose first entry is exactly 1, such
+    as Hölder's direction and ``_solve_gradient``'s answers: the value of the one-row table
+    ``(w, ps, c)`` in closed form.
+
+    These are ``table_eval``'s own operations, in its own order, at ``top = 1``, where its
+    ``unit = z / top`` is ``z`` and ``top * (c * size)`` is ``c * size``; so on such spectra the
+    value equals ``table_eval(z, w, ps, c, grad=False)[0]`` bit for bit. It is valid only
+    there: without the leading 1, ``z ** p`` can over- or underflow where ``table_eval``'s
+    rescaled spectrum does not.
+    """
+    value = (w * z).sum(axis=-1)
+    for j, p in enumerate(ps):
+        value = value + c[j] * (z ** p).sum(axis=-1) ** (1.0 / p)
+    return value
+
+
+class _StepEntry(NamedTuple):
+    """One norm's constants for ``_linear_step`` on spectra of length ``n``, built once per search
+    by ``_step_entry``: its one-row ``gauge_table`` (Ky Fan weights ``w`` ``(n,)``, Schatten
+    exponents ``ps`` ascending, coefficients ``c`` ``(J,)``), its case (``"vertex"``, ``"holder"``
+    or ``"rounds"``), its Ky Fan cut ``cumsum(w)`` and whether it has Ky Fan weights."""
+
+    w: np.ndarray
+    ps: tuple[float, ...]
+    c: np.ndarray
+    case: str
+    cut: np.ndarray
+    kyfan: bool
+
+
+def _step_entry(norm: GaugeNorm, n: int) -> _StepEntry:
+    """``norm``'s ``_StepEntry`` on spectra of length ``n``: no Schatten base is a vertex step, one
+    Schatten base and no Ky Fan term is Hölder's, and every other norm takes Dinkelbach rounds."""
+    (w,), ps, (c,) = gauge_table((norm,), n)
+    cut = np.cumsum(w)
+    cut.flags.writeable = False
+    kyfan = bool(w.any())
+    case = "vertex" if not ps else "holder" if len(ps) == 1 and not kyfan else "rounds"
+    return _StepEntry(w, ps, c, case, cut, kyfan)
+
+
+def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray | None = None) -> np.ndarray:
+    """Spectra ``z >= 0`` of unit norm maximizing ``<mu, z>``, for the norm of ``entry``
+    (``_step_entry``) and a stack of PSD eigenvalue vectors ``mu`` in
+    ``hermitian_decomposition``'s order, so descending up to rounding.
 
     ``U diag(z) U†`` then maximizes ``<G, Z>`` over PSD ``Z`` with ``norm(Z) <= 1`` for
     ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
     G's eigenbasis. On descending ``z`` the gauge is ``<w, z> + sum_j c_j ||z||_{p_j}``
-    (the norm's ``gauge.gauge_table`` row), and rounding below 0 in ``mu`` is clipped. Two cases:
+    (the entry's table row), and rounding below 0 in ``mu`` is clipped. The entry's case
+    picks the rule:
 
-    - Ky Fan bases only: the gauge is ``<w, z>``, so the maximizer is a vertex
-      ``1_{<=m} / W_m``, ``W = cumsum(w)``, at the first ``m`` maximizing
-      ``cumsum(mu)_m / W_m``.
-    - A Schatten base: without Ky Fan terms and with one exponent the answer is Hölder's
-      direction, normalized, and ``mu = 0`` gives ``e_1``. Otherwise W. Dinkelbach's iteration
+    - ``"vertex"``, Ky Fan bases only: the gauge is ``<w, z>``, so the maximizer is a vertex
+      ``1_{<=m} / W_m``, at the first ``m`` maximizing ``cumsum(mu)_m / W_m`` for the entry's
+      cut ``W = cumsum(w)``.
+    - ``"holder"``, one Schatten base and no Ky Fan term: Hölder's direction, normalized, and
+      ``mu = 0`` gives ``e_1``.
+    - ``"rounds"``, every other norm: W. Dinkelbach's iteration
       for the ratio ``<mu, z> / norm(z)`` runs from a start per row: the row of ``z0``, a
       spectrum ``>= 0`` of unit ``norm`` such as the row's previous step, at ratio
       ``<mu, z0>``, or Hölder's direction for the least ``p_1``, normalized, where ``z0`` is
@@ -310,17 +376,19 @@ def _linear_step(norm: GaugeNorm, mu: np.ndarray, z0: np.ndarray | None = None) 
       ``A_j = ||z||_{p_j}`` at the row's best ``z`` (``_solve_gradient``). A round solves the
       ratio's subproblem from any start with a positive ratio, so a row stops as soon as its
       ratio stops rising: a warm start that does not rise was already the answer.
+
+    Every spectrum normalized here has first entry exactly 1, so each normalization is a
+    ``_unit_norm`` call.
     """
     mu = np.maximum(mu, 0.0)
-    (w,), ps, (c,) = gauge_table((norm,), mu.shape[-1])
-    if not ps:
-        cut = np.cumsum(w)
-        m = np.argmax(np.cumsum(mu, axis=-1) / cut, axis=-1)[..., None]
-        return (np.arange(mu.shape[-1]) <= m) / cut[m]
+    w, ps, c = entry.w, entry.ps, entry.c
+    if entry.case == "vertex":
+        m = np.argmax(np.cumsum(mu, axis=-1) / entry.cut, axis=-1)[..., None]
+        return (np.arange(mu.shape[-1]) <= m) / entry.cut[m]
     rows = mu.reshape(-1, mu.shape[-1])
-    if not w.any() and len(ps) == 1:
+    if entry.case == "holder":
         z = _holder(rows, ps[0])
-        z /= table_eval(z, w, ps, c, grad=False)[0][:, None]
+        z /= _unit_norm(z, w, ps, c)[:, None]
         return z.reshape(mu.shape)
     if z0 is None:
         z, best = np.empty_like(rows), np.zeros(len(rows))
@@ -331,14 +399,14 @@ def _linear_step(norm: GaugeNorm, mu: np.ndarray, z0: np.ndarray | None = None) 
     cold = np.flatnonzero(best <= 0.0)
     if cold.size:
         start = _holder(rows[cold], ps[0])
-        start /= table_eval(start, w, ps, c, grad=False)[0][:, None]
+        start /= _unit_norm(start, w, ps, c)[:, None]
         z[cold], best[cold] = start, (rows[cold] * start).sum(axis=-1)
     live = np.flatnonzero(best > 0.0)
     while live.size:
         v = rows[live] / best[live, None] - w
         # without Ky Fan terms v is mu / eta, descending already
-        new = _solve_gradient(np.maximum(_isotonic_fit(v) if w.any() else v, 0.0), z[live], ps, c)
-        new /= table_eval(new, w, ps, c, grad=False)[0][:, None]
+        new = _solve_gradient(np.maximum(_isotonic_fit(v) if entry.kyfan else v, 0.0), z[live], ps, c)
+        new /= _unit_norm(new, w, ps, c)[:, None]
         ratio = (rows[live] * new).sum(axis=-1)
         rising = ratio > best[live]
         live, new, ratio = live[rising], new[rising], ratio[rising]
@@ -367,37 +435,45 @@ def _conditional_gradient(
 
     Row ``r`` of the stacks is start ``r % S`` (``starts`` is ``(S, d, d)`` PSD with
     spectra ``spectra``) measured in ``norms[r // S]``; rows stay grouped by norm as
-    stopped ones leave. Each iteration decomposes the images once for values and
-    gradients, maps the gradients back with one adjoint ``kraus_map``, decomposes the
-    resulting ``G`` once and moves each row to its ``_linear_step``, one call per norm on its
-    block of rows. Each live row keeps its last step's spectrum beside its gradient, and its
-    next step's Dinkelbach rounds start from it; in a row's first iteration they start from
-    Hölder's direction. A row stops once an
+    stopped ones leave. What does not change during the search is built once, before the
+    first iteration: each row's slice of the images' ``gauge_table`` and each norm's
+    ``_step_entry``. Each iteration decomposes the images once for values and gradients
+    (``_norm_gradients`` on the live rows' slices), maps the gradients back with one adjoint
+    ``kraus_map``, decomposes the resulting ``G`` once and moves each row to its
+    ``_linear_step``, one call per norm on its block of rows. Each live row keeps its last
+    step's spectrum beside its gradient, and its next step's Dinkelbach rounds start from it;
+    in a row's first iteration they start from Hölder's direction. A row stops once an
     iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations, and
     every row of a norm stops after an iteration that leaves the norm's best value within
     ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
+    The live rows, their slices and the blocks' ends are filtered only after an iteration
+    in which some row stopped.
     """
     adjoint = np.swapaxes(ops, -2, -1).conj()
     owner = np.repeat(np.arange(len(norms)), len(starts))
     sizes, _ = table_eval(spectra[:, None, :], *gauge_table(norms, spectra.shape[-1]), grad=False)  # (S, N)
     xs = (starts / sizes.T[..., None, None]).reshape(-1, *starts.shape[1:])
+    # the images are d_out x d_out, the steps' spectra those of G, d_in x d_in
+    weights, exponents, coefficients = gauge_table(norms, ops.shape[-2])
+    weights, coefficients = weights[owner], coefficients[owner]
+    entries = [_step_entry(norm, spectra.shape[-1]) for norm in norms]
     live = np.arange(len(owner))
-    best_vals, ys = _norm_gradients(norms, owner, kraus_map(ops, xs))
+    best_vals, ys = _norm_gradients(weights, exponents, coefficients, kraus_map(ops, xs))
     best_xs = xs.copy()
     # each live row's last step spectrum, its next linear step's warm start
     zs = None
+    # each norm's block of live rows ends at the running count of its rows
+    ends = np.cumsum(np.bincount(owner, minlength=len(norms))).tolist()
     for _ in range(steps):
         if not live.size:
             break
-        # each norm's block of live rows ends at the running count of its rows
-        ends = np.cumsum(np.bincount(owner[live], minlength=len(norms))).tolist()
         mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
-        z = np.concatenate([
-            _linear_step(norm, mu[start:end], None if zs is None else zs[start:end])
-            for norm, start, end in zip(norms, [0, *ends], ends) if end > start
+        zs = np.concatenate([
+            _linear_step(entry, mu[start:end], None if zs is None else zs[start:end])
+            for entry, start, end in zip(entries, [0, *ends], ends) if end > start
         ])
-        xs = hermitize((u * z[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
-        new_vals, ys = _norm_gradients(norms, owner[live], kraus_map(ops, xs))
+        xs = hermitize((u * zs[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
+        new_vals, ys = _norm_gradients(weights, exponents, coefficients, kraus_map(ops, xs))
         # a live row's value is its best: it moved on only by gaining, and every gain is a new best
         vals = best_vals[live]
         improved = new_vals > vals
@@ -406,7 +482,10 @@ def _conditional_gradient(
         # a norm whose best value is within STALL_GAIN of the bound is done: no start can beat it
         done = best_vals.reshape(len(norms), -1).max(axis=-1) >= (1.0 - STALL_GAIN) * bound
         moving = (new_vals - vals > STALL_GAIN * vals) & ~done[owner[live]]
-        live, ys, zs = live[moving], ys[moving], z[moving]
+        if not moving.all():
+            live, ys, zs = live[moving], ys[moving], zs[moving]
+            weights, coefficients = weights[moving], coefficients[moving]
+            ends = np.cumsum(np.bincount(owner[live], minlength=len(norms))).tolist()
     return _winners(best_vals, best_xs, len(norms))
 
 

@@ -18,6 +18,7 @@ and written for small dimensions; no sparse or structured paths.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import cache
 
 import numpy as np
 
@@ -187,9 +188,18 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
     w, v = _linalg("eigh", mat)
     order = np.argsort(-np.abs(w), axis=-1)
-    # one index array per leading axis, broadcast against the order
-    lead = np.indices(w.shape[:-1] + (1,), sparse=True)[:-1]
+    lead = _leading_indices(w.shape[:-1])
     return w[(*lead, order)], np.swapaxes(np.swapaxes(v, -2, -1)[(*lead, order)], -2, -1)
+
+
+@cache
+def _leading_indices(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """One index array per leading axis of a stack of this ``shape``, broadcast against an
+    order along the last axis; built once per shape, read-only."""
+    lead = np.indices(shape + (1,), sparse=True)[:-1]
+    for index in lead:
+        index.flags.writeable = False
+    return tuple(lead)
 
 
 def is_psd(x) -> bool:

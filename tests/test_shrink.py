@@ -17,7 +17,17 @@ from cpshrink.channel import (
 from cpshrink import channel, shrink, spectral
 from cpshrink.cli import main
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
-from cpshrink.gauge import Combination, KyFan, Schatten, base_terms, format_norm, gauge_eval, parse_norm
+from cpshrink.gauge import (
+    Combination,
+    KyFan,
+    Schatten,
+    base_terms,
+    format_norm,
+    gauge_eval,
+    gauge_table,
+    parse_norm,
+    table_eval,
+)
 from cpshrink.shrink import (
     check_gauge_bounds,
     check_kyfan_bounds,
@@ -340,7 +350,9 @@ class TestEmpiricalLowerBound:
         norms = norm_battery(3)
         xs = np.stack([np.stack([_random_psd(4, 4, rng) for _ in range(3)]) for _ in norms])
         assert (np.linalg.eigvalsh(xs)[..., 0] > 1e-3).all()
-        values, grads = shrink._norm_gradients(norms, np.repeat(np.arange(len(norms)), 3), xs.reshape(-1, 4, 4))
+        weights, exponents, coefficients = gauge_table(tuple(norms), 4)
+        owner = np.repeat(np.arange(len(norms)), 3)
+        values, grads = shrink._norm_gradients(weights[owner], exponents, coefficients[owner], xs.reshape(-1, 4, 4))
         values, grads = values.reshape(len(norms), 3), grads.reshape(xs.shape)
         h = 1e-6
         for norm, block, vals, ys in zip(norms, xs, values, grads):
@@ -559,6 +571,12 @@ STEPPED_NORMS = [Schatten(1.0), Schatten(1.1), Schatten(1.5), Schatten(2.0), Sch
                  Combination(((1.0, Schatten(3.0)), (1.0, KyFan(1)))),
                  Combination(((1.0, Schatten(3.0)), (1.0, Schatten(1.5))))]
 
+# the norms of every report-small command in bench/workloads.py
+REPORT_SMALL_NORMS = (
+    "schatten:1", "schatten:1.5", "schatten:2", "schatten:3", "schatten:inf", "kyfan:1", "kyfan:2", "kyfan:3",
+    "combo:1*kyfan:1+1*schatten:1", "combo:0.5*schatten:2+2*kyfan:2",
+)
+
 # (channel, universal bound, empirical_lower_bound(phi, PINNED_NORMS, 20, 40, 0) values) of the
 # batched Hermitian ascent that searched every norm before the conditional-gradient rule
 PINNED_NORMS = [parse_norm(spec) for spec in (
@@ -600,12 +618,13 @@ class TestConditionalGradient:
             g = _random_psd(dim, rank, rng)
             g /= spectral_norm(g)
             mu, u = hermitian_decomposition(g)
-            cold = shrink._linear_step(norm, mu)
+            entry = shrink._step_entry(norm, dim)
+            cold = shrink._linear_step(entry, mu)
             eps = 10.0 ** -warm.integers(2, 5)
             perturbed = -np.sort(-np.abs(cold * (1.0 + eps * warm.standard_normal(dim))))
             last = np.eye(dim)[-1]
             starts = [perturbed / gauge_eval(norm, perturbed), last / gauge_eval(norm, last)]
-            steps = [cold] + [shrink._linear_step(norm, mu, z0) for z0 in starts]
+            steps = [cold] + [shrink._linear_step(entry, mu, z0) for z0 in starts]
             xs = [np.eye(dim)] + [_random_psd(dim, 1, rng) for _ in range(99)]
             xs += [_random_psd(dim, int(rng.integers(1, dim + 1)), rng) for _ in range(100)]
             for eps in 10.0 ** -near.integers(2, 5, size=100):
@@ -628,13 +647,14 @@ class TestConditionalGradient:
         dim = 4
         mu = -np.sort(-rng.random((3, dim)))
         mu[1, 2:] = 0.0
-        cold = shrink._linear_step(norm, mu)
+        entry = shrink._step_entry(norm, dim)
+        cold = shrink._linear_step(entry, mu)
         last = np.eye(dim)[-1]
         z0 = cold.copy()
         z0[1] = last / gauge_eval(norm, last)
         assert mu[1] @ z0[1] == 0.0
-        warm = shrink._linear_step(norm, mu, z0)
-        assert warm[1].tobytes() == shrink._linear_step(norm, mu[1:2])[0].tobytes() == cold[1].tobytes()
+        warm = shrink._linear_step(entry, mu, z0)
+        assert warm[1].tobytes() == shrink._linear_step(entry, mu[1:2])[0].tobytes() == cold[1].tobytes()
 
     @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2), parse_norm("combo:1*schatten:3+1*kyfan:1")],
                              ids=format_norm)
@@ -642,7 +662,8 @@ class TestConditionalGradient:
         first = np.array([1.0, 0.0, 0.0]) / gauge_eval(norm, [1.0, 0.0, 0.0])
         # a warm start meets a zero gradient at ratio 0, so it falls back to Hölder's direction too
         start = np.array([3.0, 2.0, 1.0]) / gauge_eval(norm, [3.0, 2.0, 1.0])
-        for z in (shrink._linear_step(norm, np.zeros(3)), shrink._linear_step(norm, np.zeros((1, 3)), start[None])):
+        entry = shrink._step_entry(norm, 3)
+        for z in (shrink._linear_step(entry, np.zeros(3)), shrink._linear_step(entry, np.zeros((1, 3)), start[None])):
             np.testing.assert_allclose(z.reshape(3), first, rtol=1e-15)
 
     def test_witnesses_are_psd_with_unit_norm(self):
@@ -687,6 +708,77 @@ class TestConditionalGradient:
         )]
         shrink_report(random_cptp_channel(3, 3, 2, 1), norms, 0, 200)
         assert (len(fits), len(decompositions)) == (202, 401)
+
+    def test_search_builds_its_tables_once(self, monkeypatch):
+        # the same report: its search builds the start table, the images' table and one step
+        # entry for each of its four norms, 6 gauge_table calls, and takes one table_eval for the
+        # start sizes and one per image decomposition, 1 + 201; every step normalization is
+        # _unit_norm's closed form. The decompositions and isotonic fits do not move
+        counts = dict.fromkeys(("gauge_table", "table_eval", "hermitian_decomposition", "_isotonic_fit"), 0)
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(shrink, name, counted(name, getattr(shrink, name)))
+        shrink_report(random_cptp_channel(3, 3, 2, 1), [parse_norm(spec) for spec in REPORT_SMALL_NORMS], 0, 200)
+        assert counts == {"gauge_table": 6, "table_eval": 202, "hermitian_decomposition": 401, "_isotonic_fit": 202}
+
+    @pytest.mark.parametrize("phi", [random_channel(2, 3, 2, 1.0, 1), random_channel(3, 2, 2, 1.0, 1)],
+                             ids=["2to3", "3to2"])
+    def test_batched_search_matches_single_norms_as_rows_stop(self, monkeypatch, phi):
+        # the report's one batched search on a channel with d_in != d_out, whose live rows stop
+        # norm by norm (8 down to 2), so the blocks and the rows' table slices are re-filtered
+        # more than once: each norm's value and witness equal its single-norm search's bit for bit
+        searches, live = [], []
+        search, decompose = shrink.empirical_lower_bound, shrink.hermitian_decomposition
+
+        def spy(*args):
+            searches.append((args, search(*args)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(shrink, "empirical_lower_bound", spy)
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: live.append(len(x)) or decompose(x))
+        shrink_report(phi, [parse_norm(spec) for spec in REPORT_SMALL_NORMS], 0, 200)
+        ((args, found),) = searches
+        _, norms, restarts, steps, seed = args
+        assert len(norms) == 4 and live[0] == 8 and live[-1] == 2
+        assert sum(a != b for a, b in zip(live, live[1:])) >= 2
+        monkeypatch.setattr(shrink, "hermitian_decomposition", decompose)
+        for norm, (value, witness) in zip(norms, found, strict=True):
+            alone, alone_witness = empirical_lower_bound(phi, norm, restarts, steps, seed)
+            assert value == alone
+            assert witness.tobytes() == alone_witness.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.one_of(st.sampled_from([1.0 + 1e-10, 2.0]), st.floats(1.0, 64.0, exclude_min=True)),
+                 min_size=1, max_size=3, unique=True),
+        st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(1, 6)), max_size=2),
+        st.data(),
+    )
+    def test_unit_norm_is_table_eval_bit_for_bit(self, n, exponents, kyfan, data):
+        # spectra with a leading 1, as the linear step normalizes them: Hölder's direction of
+        # descending y >= 0 (zero rows and zero tails among them) and, with two or three
+        # exponents, the Newton solve; the closed form equals table_eval's value bit for bit
+        coefficients = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(exponents), max_size=len(exponents)))
+        terms = [(c, Schatten(p)) for c, p in zip(coefficients, exponents)] + [(c, KyFan(k)) for c, k in kyfan]
+        (w,), ps, (c,) = gauge_table((Combination(tuple(terms)),), n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = -np.sort(-rng.random((4, n)), axis=-1)
+        y[0] = 0.0
+        y[1, max(1, n // 2):] = 0.0
+        spectra = [shrink._holder(y, ps[0])]
+        if len(ps) > 1:
+            y[0] = y[2]  # the Newton solve needs y_1 > 0
+            spectra.append(shrink._solve_gradient(y, -np.sort(-rng.random((4, n)), axis=-1) + 0.1, ps, c))
+        for z in spectra:
+            assert (z[:, 0] == 1.0).all()
+            assert shrink._unit_norm(z, w, ps, c).tobytes() == table_eval(z, w, ps, c, grad=False)[0].tobytes()
 
     # (channel, [combo:1*schatten:3+1*schatten:1.5, combo:0.5*schatten:2+2*kyfan:2] values of the
     # default schedule when every linear step started from Hölder's direction)
