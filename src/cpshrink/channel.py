@@ -38,8 +38,10 @@ from .spectral import (
 __all__ = [
     "ChannelInvariants",
     "KrausChannel",
+    "choi_product",
     "complex_gaussian",
     "identity_channel",
+    "invariant_pair",
     "kraus_map",
     "orthonormal_columns",
     "partial_trace_channel",
@@ -47,6 +49,7 @@ __all__ = [
     "random_cptp_channel",
     "random_isometry",
     "read_invariant_norms",
+    "remix_product",
 ]
 
 ISOMETRY_TOL = 1e-9
@@ -69,7 +72,49 @@ def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     right = ops.conj().transpose(2, 0, 1).reshape(d_in, n_kraus * d_out)
     left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
     blocks = (x @ right).reshape(*x.shape[:-1], n_kraus, d_out)
-    return left @ np.swapaxes(blocks, -3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
+    return left @ blocks.swapaxes(-3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
+
+
+def invariant_pair(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi(I), Phi†(I))`` of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``, each
+    hermitized, with the stack's leading axes.
+
+    ``Phi(I) = L L†`` with ``L = [E_1 ... E_K]``, and ``Phi†(I) = R† R`` with ``R`` the
+    ``E_n`` stacked into rows: one matrix product each over the whole Kraus set.
+    """
+    *lead, n_kraus, d_out, d_in = ops.shape
+    left = ops.swapaxes(-3, -2).reshape(*lead, d_out, n_kraus * d_in)
+    right = ops.reshape(*lead, n_kraus * d_out, d_in)
+    return (
+        hermitize(left @ left.conj().swapaxes(-2, -1)),
+        hermitize(right.conj().swapaxes(-2, -1) @ right),
+    )
+
+
+def choi_product(ops: np.ndarray) -> np.ndarray:
+    """Choi matrix of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``, hermitized, with
+    the stack's leading axes: one product of the vectorized operators with their conjugates."""
+    *lead, n_kraus, d_out, d_in = ops.shape
+    vecs = ops.swapaxes(-2, -1).reshape(*lead, n_kraus, d_in * d_out)
+    return hermitize(vecs.swapaxes(-2, -1) @ vecs.conj())
+
+
+def remix_product(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Kraus set ``G_m = sum_n v[m, n] E_n`` of the stack ``ops`` ``(K, d_out, d_in)`` for each
+    complex128 recombination matrix in ``v`` ``(..., rows, K)``, shape ``(..., rows, d_out, d_in)``.
+
+    Every matrix of ``v`` must have K columns (else DimensionMismatch) that are
+    orthonormal, ``v† v = I`` within ``ISOMETRY_TOL`` (else NotIsometry). Zero rows
+    of ``v`` add zero operators, which leave the map as it is.
+    """
+    n_kraus, d_out, d_in = ops.shape
+    rows, cols = v.shape[-2:]
+    if cols != n_kraus:
+        raise DimensionMismatch(f"recombination matrix has {cols} columns, channel has {n_kraus} Kraus operators")
+    dev = float(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(cols)).max())
+    if dev > ISOMETRY_TOL:
+        raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
+    return (v @ ops.reshape(cols, -1)).reshape(*v.shape[:-2], rows, d_out, d_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,12 +256,8 @@ class KrausChannel:
         stack = _frozen(_kraus_stack(self.kraus, self.d_out, self.d_in))
         if not stack.any():
             raise ValueError("Kraus set must contain at least one nonzero operator")
-        # Phi(I) = L L† with L = [E_1 ... E_K]; Phi†(I) = R† R with R the E_n stacked into rows
-        left = stack.transpose(1, 0, 2).reshape(self.d_out, -1)
-        right = stack.reshape(-1, self.d_in)
-        inv = ChannelInvariants(
-            _frozen(hermitize(left @ left.conj().T)), _frozen(hermitize(right.conj().T @ right))
-        )
+        image, adjoint_image = invariant_pair(stack)
+        inv = ChannelInvariants(_frozen(image), _frozen(adjoint_image))
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "_invariants", inv)
 
@@ -241,17 +282,7 @@ class KrausChannel:
         ``v`` must have orthonormal columns (``v† v = I`` within 1e-9) and as
         many columns as there are Kraus operators; extra rows grow the set.
         """
-        vm = as_complex_matrix(v)
-        rows, cols = vm.shape
-        if cols != self.n_kraus:
-            raise DimensionMismatch(
-                f"recombination matrix has {cols} columns, channel has {self.n_kraus} Kraus operators"
-            )
-        dev = float(np.abs(vm.conj().T @ vm - np.eye(cols)).max())
-        if dev > ISOMETRY_TOL:
-            raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
-        mixed = vm @ self.kraus.reshape(cols, -1)
-        return KrausChannel(self.d_in, self.d_out, mixed.reshape(rows, self.d_out, self.d_in))
+        return KrausChannel(self.d_in, self.d_out, remix_product(as_complex_matrix(v), self.kraus))
 
     def choi_matrix(self) -> np.ndarray:
         """Block matrix of basis-unit images, row-block index = input basis index.
@@ -259,8 +290,7 @@ class KrausChannel:
         Dimension is ``d_in * d_out``; the result is positive semidefinite
         exactly because the map is completely positive.
         """
-        vecs = self.kraus.transpose(0, 2, 1).reshape(self.n_kraus, -1)
-        return hermitize(vecs.T @ vecs.conj())
+        return choi_product(self.kraus)
 
     def to_dict(self) -> dict:
         """Channel as a JSON-ready dict in the interchange schema."""

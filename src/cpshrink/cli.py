@@ -12,13 +12,16 @@ import numpy as np
 
 from .channel import (
     KrausChannel,
+    choi_product,
     complex_gaussian,
     identity_channel,
+    invariant_pair,
     matrix_to_entries,
     orthonormal_columns,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
+    remix_product,
 )
 from .errors import ChannelFormatError, ConvergenceFailure
 from .gauge import KyFan, format_norm, parse_norm
@@ -179,20 +182,29 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> bool:
-    # entrywise, relative to the base operator's largest entry, so it holds at any Kraus scale
-    return float(np.abs(mixed - base).max()) <= 1e-9 * float(np.abs(base).max())
+def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> np.ndarray:
+    # one flag per matrix of the stack mixed, entrywise and relative to the base operator's
+    # largest entry, so it holds at any Kraus scale
+    return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * float(np.abs(base).max())
 
 
-def _remix_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
-    """The channel remixed by the isometry ``v`` keeps its invariant pair and Choi matrix."""
-    mixed = phi.remix(v)
-    inv, minv = phi.invariants(), mixed.invariants()
-    return (
-        _remixed_close(minv.identity_image, inv.identity_image)
-        and _remixed_close(minv.adjoint_identity_image, inv.adjoint_identity_image)
-        and _remixed_close(mixed.choi_matrix(), base_choi)
-    )
+def _remix_holds(phi: KrausChannel, vs: list[np.ndarray], base_choi: np.ndarray) -> np.ndarray:
+    """Whether the channel remixed by each isometry of ``vs`` keeps its invariant pair and
+    Choi matrix: one flag per isometry, from one product and one pair for all of them."""
+    # zero rows add zero Kraus operators, which leave the map as it is, so the isometries
+    # padded to the most rows share one shape and take one product
+    padded = np.zeros((len(vs), max(len(v) for v in vs), phi.n_kraus), dtype=np.complex128)
+    for r, v in enumerate(vs):
+        padded[r, :len(v)] = v
+    mixed = remix_product(padded, phi.kraus)
+    inv = phi.invariants()
+    image, adjoint_image = invariant_pair(mixed)
+    held = _remixed_close(image, inv.identity_image) & _remixed_close(adjoint_image, inv.adjoint_identity_image)
+    # one remixed Choi matrix at a time beside the base's, (d_in d_out)^2 entries each,
+    # from the remix's own operators, the padding's zero ones left out
+    for r, (ops, v) in enumerate(zip(mixed, vs)):
+        held[r] &= _remixed_close(choi_product(ops[:len(v)]), base_choi)
+    return held
 
 
 def _blocks(channels: list[KrausChannel], trials: int):
@@ -286,8 +298,8 @@ def _cmd_verify(args) -> int:
         # one channel's Choi matrix at a time, (d_in d_out)^2 entries each, uncounted by the block cap
         remixed, psd = np.empty((len(block), REMIX_CHECKS), dtype=bool), np.empty(len(block), dtype=bool)
         for c, (phi, vs) in enumerate(zip(block, isometries)):
-            choi = phi.choi_matrix()
-            remixed[c] = [_remix_holds(phi, v, choi) for v in vs]
+            choi = choi_product(phi.kraus)
+            remixed[c] = _remix_holds(phi, vs, choi)
             psd[c] = is_psd(choi)
         _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
         bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd

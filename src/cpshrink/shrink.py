@@ -236,7 +236,7 @@ def _norm_gradients(
     table row once and passes the slices."""
     w, v = hermitian_decomposition(xs)
     vals, g = table_eval(np.abs(w), weights, exponents, coefficients)
-    return vals, (v * g[..., None, :]) @ np.swapaxes(v, -2, -1).conj()
+    return vals, (v * g[..., None, :]) @ v.swapaxes(-2, -1).conj()
 
 
 @cache
@@ -449,7 +449,7 @@ def _conditional_gradient(
     The live rows, their slices and the blocks' ends are filtered only after an iteration
     in which some row stopped.
     """
-    adjoint = np.swapaxes(ops, -2, -1).conj()
+    adjoint = ops.swapaxes(-2, -1).conj()
     owner = np.repeat(np.arange(len(norms)), len(starts))
     sizes, _ = table_eval(spectra[:, None, :], *gauge_table(norms, spectra.shape[-1]), grad=False)  # (S, N)
     xs = (starts / sizes.T[..., None, None]).reshape(-1, *starts.shape[1:])
@@ -472,7 +472,7 @@ def _conditional_gradient(
             _linear_step(entry, mu[start:end], None if zs is None else zs[start:end])
             for entry, start, end in zip(entries, [0, *ends], ends) if end > start
         ])
-        xs = hermitize((u * zs[..., None, :]) @ np.swapaxes(u, -2, -1).conj())
+        xs = hermitize((u * zs[..., None, :]) @ u.swapaxes(-2, -1).conj())
         new_vals, ys = _norm_gradients(weights, exponents, coefficients, kraus_map(ops, xs))
         # a live row's value is its best: it moved on only by gaining, and every gain is a new best
         vals = best_vals[live]
@@ -584,8 +584,9 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
 
     ``xs`` holds one Hermitian input or stack ``(*lead, d_in, d_in)`` per channel,
     all of one shape (else DimensionMismatch); the record's fields have shape
-    ``(N, C, *lead)``. Each input stack is validated and hermitized once and mapped
-    with ``kraus_map``, and each channel's upper bound is read once for its whole
+    ``(N, C, *lead)``. The input stacks are validated and hermitized once per size
+    (``per_shape``), each then mapped with ``kraus_map``, and the image stacks are
+    hermitized once per size; each channel's upper bound is read once for its whole
     stack: ``read_invariant_norms`` first takes the ``s`` and ``t`` not yet read
     in one general SVD per operator size, and ``shrink_upper_bound`` then reads
     them kept. The image stacks and the input stacks are grouped together by
@@ -603,15 +604,16 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     if not phis:
         raise ValueError("check_gauge_bounds needs at least one channel")
     norms = tuple(norms)
-    xs = [hermitize(require_hermitian(y, stacked=True)) for y in xs]
+    xs = [np.asarray(y) for y in xs]
     lead = xs[0].shape[:-2]
     shapes = [(y.shape, p.d_in) for p, y in zip(phis, xs)]
     if any(shape != (*lead, d, d) for shape, d in shapes):
         raise DimensionMismatch(f"inputs need one stack shape of d_in x d_in matrices, got (shape, d_in) {shapes}")
+    xs = per_shape(lambda stack: hermitize(require_hermitian(stack, stacked=True)), xs)
     read_invariant_norms([p.invariants() for p in phis])
     bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
-    # the C image stacks, then the C input stacks
-    mats = [hermitize(kraus_map(p.kraus, y)) for p, y in zip(phis, xs)] + xs
+    # the C image stacks, hermitized once per size, then the C input stacks
+    mats = per_shape(hermitize, [kraus_map(p.kraus, y) for p, y in zip(phis, xs)]) + xs
     padded = max(padded_dim_for(p) for p in phis)
     spectra = np.array(per_shape(partial(singular_values, padded_dim=padded, hermitian=True), mats))
     # (norms, image | input, channels, ...)

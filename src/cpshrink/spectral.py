@@ -7,8 +7,9 @@ the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
 call, and ``hermitian_eigenvalues`` (read by ``is_psd`` and the Schatten-2
 factor) makes the one ``eigvalsh`` call; all three go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
-place that stacks a list of matrices by shape for a batched solver call (the
-invariant norms' SVDs, the checks' Hermitian SVDs, the remix isometries' QRs);
+place that stacks a list of matrices by shape for a batched call (the
+invariant norms' SVDs, the checks' input validation, image hermitization and
+Hermitian SVDs, the remix isometries' QRs);
 numpy factors each matrix of a stack on its own, so each result equals the one
 of a call on its matrix alone bit for bit.
 Both stack-aware helpers take one matrix or a stack. Everything is complex128
@@ -68,7 +69,7 @@ def require_hermitian(a, stacked: bool = False) -> np.ndarray:
     m = as_complex_matrix(a, stacked)
     if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {m.shape}")
-    dev = np.abs(m - np.swapaxes(m, -2, -1).conj()).max(axis=(-2, -1))
+    dev = np.abs(m - m.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
     over = dev[dev > HERMITICITY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))]
     if over.size:
         raise ValueError(f"matrix is not Hermitian: adjoint deviation {over.max():.3e} exceeds tolerance")
@@ -77,7 +78,7 @@ def require_hermitian(a, stacked: bool = False) -> np.ndarray:
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Symmetrize round-off: (a + a†) / 2, for a matrix or a stack."""
-    return (a + np.swapaxes(a, -2, -1).conj()) / 2.0
+    return (a + a.swapaxes(-2, -1).conj()) / 2.0
 
 
 def _linalg(name: str, *args, **kwargs):
@@ -94,12 +95,13 @@ def per_shape(solve: Callable[[np.ndarray], Sequence], mats: Sequence[np.ndarray
 
     ``solve`` takes a stack ``(n, *shape)`` of the matrices that share a shape and
     returns their n results in stack order. Shapes are taken in order of first
-    appearance.
+    appearance; a shape with one matrix passes it as a stack of one without a copy.
     """
     out = [None] * len(mats)
     for shape in dict.fromkeys(m.shape for m in mats):
         members = [i for i, m in enumerate(mats) if m.shape == shape]
-        for i, result in zip(members, solve(np.stack([mats[i] for i in members]))):
+        stack = mats[members[0]][None] if len(members) == 1 else np.stack([mats[i] for i in members])
+        for i, result in zip(members, solve(stack)):
             out[i] = result
     return out
 
@@ -189,7 +191,7 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     w, v = _linalg("eigh", mat)
     order = np.argsort(-np.abs(w), axis=-1)
     lead = _leading_indices(w.shape[:-1])
-    return w[(*lead, order)], np.swapaxes(np.swapaxes(v, -2, -1)[(*lead, order)], -2, -1)
+    return w[(*lead, order)], v.swapaxes(-2, -1)[(*lead, order)].swapaxes(-2, -1)
 
 
 @cache

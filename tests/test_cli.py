@@ -6,9 +6,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpshrink import cli, shrink
-from cpshrink.channel import KrausChannel, identity_channel, matrix_to_entries, random_channel, random_isometry
+from cpshrink.channel import (
+    KrausChannel,
+    choi_product,
+    identity_channel,
+    invariant_pair,
+    matrix_to_entries,
+    random_channel,
+    random_isometry,
+    remix_product,
+)
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import KyFan, Schatten
@@ -357,13 +368,8 @@ class TestVerify:
         argv = ("verify", "--channel", str(path), "--trials", "5")
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "remix invariance                     2         0" in out
-        remix = KrausChannel.remix
-
-        def scaled(self, v):
-            mixed = remix(self, v)
-            return KrausChannel(mixed.d_in, mixed.d_out, mixed.kraus * 1.5)
-
-        monkeypatch.setattr(KrausChannel, "remix", scaled)
+        real = cli.remix_product
+        monkeypatch.setattr(cli, "remix_product", lambda v, ops: real(v, ops) * 1.5)
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert "remix invariance                     2         2" in out
@@ -388,13 +394,8 @@ class TestVerify:
         ]
 
     def test_tampered_remix_fails(self, capsys, monkeypatch):
-        remix = KrausChannel.remix
-
-        def tampered(self, v):
-            mixed = remix(self, v)
-            return KrausChannel(mixed.d_in, mixed.d_out, mixed.kraus * (1 + 1e-6))
-
-        monkeypatch.setattr(KrausChannel, "remix", tampered)
+        real = cli.remix_product
+        monkeypatch.setattr(cli, "remix_product", lambda v, ops: real(v, ops) * (1 + 1e-6))
         code, out, _ = run(capsys, "verify", "--channel", "random:3x3x2:1", "--trials", "5")
         assert code == 1
         assert "remix invariance                     2         2" in out
@@ -456,8 +457,8 @@ class TestVerify:
         assert run(capsys, *argv)[:2] == (1, out)
 
     @pytest.mark.parametrize("patched, line", [
-        ("is_psd", "choi positivity                      5         1"),
-        ("_remixed_close", "remix invariance                    10         2"),
+        ("choi_product", "choi positivity                      5         1"),
+        ("remix_product", "remix invariance                    10         2"),
     ])
     def test_witness_of_a_suite_without_inputs(self, capsys, monkeypatch, patched, line):
         # the third of five random channels fails a suite that draws no input: its
@@ -468,6 +469,19 @@ class TestVerify:
         target = random_channel(d_in, d_out, n_kraus, 1.0, sub)
         choi = target.choi_matrix()
         real = getattr(cli, patched)
+
+        def choi_product(ops):
+            # the target's Choi matrix and its remixed ones, all shifted alike by -2 |choi|_max I:
+            # no longer positive, and still equal to one another within the remix tolerance
+            out = real(ops)
+            if out.shape == choi.shape and np.abs(out - choi).max() <= 1e-9 * np.abs(choi).max():
+                out = out - 2 * np.abs(choi).max() * np.eye(len(choi))
+            return out
+
+        def remix_product(v, ops):
+            # the target's remixed Kraus sets scaled by 1.5, every other channel's as they are
+            return real(v, ops) * (1.5 if np.array_equal(ops, target.kraus) else 1.0)
+
         argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
 
         def witness(out):
@@ -476,8 +490,7 @@ class TestVerify:
         with monkeypatch.context() as m:
             m.setattr(shrink, "BOUND_SLACK", -0.6)
             battery_witness = witness(run(capsys, *argv)[1])
-        # is_psd takes the Choi matrix, and the remix suite's last comparison takes it as its base
-        monkeypatch.setattr(cli, patched, lambda *args: not np.array_equal(args[-1], choi) and real(*args))
+        monkeypatch.setattr(cli, patched, {"choi_product": choi_product, "remix_product": remix_product}[patched])
         code, out, _ = run(capsys, *argv)
         assert code == 1 and line in out
         assert [row.split()[-1] for row in out.splitlines()[1:5]].count("0") == 3
@@ -602,20 +615,109 @@ def test_verify_keeps_one_choi_matrix_at_a_time(capsys, monkeypatch):
     # one remixed matrix being compared with it
     made = []
     alive = []
-    real = KrausChannel.choi_matrix
+    real = cli.choi_product
 
-    def counted(self):
-        choi = real(self)
+    def counted(ops):
+        choi = real(ops)
         made.append(weakref.ref(choi))
         alive.append(sum(ref() is not None for ref in made))
         return choi
 
-    monkeypatch.setattr(KrausChannel, "choi_matrix", counted)
+    monkeypatch.setattr(cli, "choi_product", counted)
     code, out, _ = run(capsys, "verify", "--random", "6", "--dims", "2..3", "--trials", "1")
     assert code == 0 and "result: PASS" in out
     # each of the six channels: its base matrix, then one per remix check
     assert len(alive) == 6 * 3
     assert max(alive) <= 2
+
+
+def test_verify_builds_no_remixed_channel(capsys, monkeypatch):
+    # the remix suite reads the remixed pair and Choi matrices from the shared helpers, so the
+    # only channels constructed are the six checked ones
+    built = []
+    real = KrausChannel.__post_init__
+    monkeypatch.setattr(KrausChannel, "__post_init__", lambda self: built.append(1) or real(self))
+    code, out, _ = run(capsys, "verify", "--random", "6", "--dims", "2..3", "--trials", "1")
+    assert code == 0 and "remix invariance                    12         0" in out
+    assert len(built) == 6
+
+
+def test_verify_validates_each_input_size_once_per_chunk(capsys, monkeypatch):
+    # each stacked check validates its inputs once per distinct input size: at seed 0 the
+    # six channels have d_in 3, 2, 2, 3, 3 and 2, so one block takes two validations; with
+    # a cap of 20 entries each channel is a block alone, in chunks of 5 (d = 2) or 2 (d = 3)
+    # of its 3 trials, one validation each
+    validations = []
+    real_require, real_check = shrink.require_hermitian, cli.check_gauge_bounds
+
+    def require(a, stacked=False):
+        validations.append(np.shape(a))
+        return real_require(a, stacked)
+
+    checks = []
+
+    def check(phis, xs, norms):
+        validations.clear()
+        out = real_check(phis, xs, norms)
+        checks.append((len(validations), len({phi.d_in for phi in phis})))
+        return out
+
+    monkeypatch.setattr(shrink, "require_hermitian", require)
+    monkeypatch.setattr(cli, "check_gauge_bounds", check)
+    argv = ("verify", "--random", "6", "--dims", "2..3", "--trials", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and checks == [(2, 2)]
+    checks.clear()
+    monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 20)
+    assert run(capsys, *argv)[:2] == (0, out)
+    assert checks == [(1, 1)] * 9
+
+
+def _remixed_channel_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
+    # the per-remix path: build the remixed channel and compare its pair and Choi matrix
+    def close(mixed, base):
+        return float(np.abs(mixed - base).max()) <= 1e-9 * float(np.abs(base).max())
+
+    mixed = phi.remix(v)
+    inv, minv = phi.invariants(), mixed.invariants()
+    return (
+        close(minv.identity_image, inv.identity_image)
+        and close(minv.adjoint_identity_image, inv.adjoint_identity_image)
+        and close(mixed.choi_matrix(), base_choi)
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    d_in=st.integers(1, 6),
+    d_out=st.integers(1, 6),
+    n_kraus=st.integers(1, 3),
+    j=st.integers(-490, 490),
+    seed=st.integers(0, 2**31 - 1),
+    tamper=st.sampled_from([1.0, 1 + 1e-12, 1 + 1e-6]),
+)
+def test_remix_suite_matches_remixed_channels(d_in, d_out, n_kraus, j, seed, tamper):
+    phi = random_channel(d_in, d_out, n_kraus, 2.0**j, seed)
+    rng = np.random.default_rng(seed)
+    # the helpers on a stack of unpadded isometries give each remixed channel's pair and Choi
+    # matrix bit for bit
+    for rows in (n_kraus, n_kraus + 2):
+        vs = np.stack([random_isometry(rows, n_kraus, rng) for _ in range(2)])
+        ops = remix_product(vs, phi.kraus)
+        pair, choi = invariant_pair(ops), choi_product(ops)
+        for r, v in enumerate(vs):
+            mixed = KrausChannel(d_in, d_out, (v @ phi.kraus.reshape(n_kraus, -1)).reshape(rows, d_out, d_in))
+            inv = mixed.invariants()
+            assert np.array_equal(pair[0][r], inv.identity_image)
+            assert np.array_equal(pair[1][r], inv.adjoint_identity_image)
+            assert np.array_equal(choi[r], mixed.choi_matrix())
+    # verify's one pass per channel, square isometry padded, flags each remix as the
+    # remixed channels do, against a base Choi matrix off by the factor tamper
+    vs = [random_isometry(n_kraus + 2 * extra, n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
+    base = phi.choi_matrix() * tamper
+    held = cli._remix_holds(phi, vs, base)
+    assert held.tolist() == [_remixed_channel_holds(phi, v, base) for v in vs]
+    assert held.all() == (tamper != 1 + 1e-6)
 
 
 @pytest.mark.parametrize("argv, one_block, channel_blocks", [

@@ -1001,8 +1001,8 @@ class TestInequalityChecks:
 
     @pytest.mark.parametrize("sequence", [False, True], ids=["one-channel", "sequence"])
     def test_each_input_stack_is_validated_once(self, monkeypatch, sequence):
-        # one Hermitian check per input stack, and none on the images: the check maps the
-        # stack it validated itself
+        # one Hermitian check per input size, each on the stack of that size's inputs, and
+        # none on the images: the check maps the stacks it validated itself
         seen = []
         real = spectral.require_hermitian
 
@@ -1012,12 +1012,23 @@ class TestInequalityChecks:
 
         for module in (spectral, channel, shrink):
             monkeypatch.setattr(module, "require_hermitian", counting)
-        phis = [random_channel(3, 2, 2, 1.0, 50), random_channel(2, 3, 1, 1.0, 51)]
-        xs = [random_hermitian(3, 52, 4), random_hermitian(2, 53, 4)]
+        phis = [random_channel(3, 2, 2, 1.0, 50), random_channel(2, 3, 1, 1.0, 51), random_channel(3, 3, 1, 1.0, 54)]
+        xs = [random_hermitian(3, 52, 4), random_hermitian(2, 53, 4), random_hermitian(3, 55, 4)]
         if not sequence:
             phis, xs = phis[:1], xs[:1]
         check_gauge_bounds(phis, xs, norm_battery(3))
-        assert seen == [x.shape for x in xs]
+        # sizes in order of first appearance, each a stack of its inputs
+        assert seen == ([(2, 4, 3, 3), (1, 4, 2, 2)] if sequence else [(1, 4, 3, 3)])
+
+    def test_mixed_sizes_refuse_one_non_hermitian_input(self):
+        # validated per size, a block still refuses any one input off its adjoint, whichever
+        # size it has and wherever it stands
+        phis = [random_channel(3, 2, 2, 1.0, 56), random_channel(2, 3, 1, 1.0, 57), random_channel(3, 3, 1, 1.0, 58)]
+        for c in range(len(phis)):
+            xs = [random_hermitian(phi.d_in, 59 + i, 4) for i, phi in enumerate(phis)]
+            xs[c][2, 0, 1] += 1e-3
+            with pytest.raises(ValueError, match="matrix is not Hermitian"):
+                check_gauge_bounds(phis, xs, norm_battery(3))
 
     def test_channel_sequence_needs_one_input_shape(self):
         phis = [random_channel(2, 3, 1, 1.0, 1), random_channel(3, 2, 2, 1.0, 2)]
