@@ -350,7 +350,7 @@ def _step_entry(norm: GaugeNorm, n: int) -> _StepEntry:
     return _StepEntry(w, ps, c, case, cut, kyfan)
 
 
-def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray | None = None) -> np.ndarray:
+def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Spectra ``z >= 0`` of unit norm maximizing ``<mu, z>``, for the norm of ``entry``
     (``_step_entry``) and a stack of PSD eigenvalue vectors ``mu`` in
     ``hermitian_decomposition``'s order, so descending up to rounding.
@@ -368,9 +368,9 @@ def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray | None = None
       ``mu = 0`` gives ``e_1``.
     - ``"rounds"``, every other norm: W. Dinkelbach's iteration
       for the ratio ``<mu, z> / norm(z)`` runs from a start per row: the row of ``z0``, a
-      spectrum ``>= 0`` of unit ``norm`` such as the row's previous step, at ratio
-      ``<mu, z0>``, or Hölder's direction for the least ``p_1``, normalized, where ``z0`` is
-      None or that ratio is not positive. Each round takes ``eta``, the row's best ratio so far, fits
+      spectrum ``>= 0`` such as the row's previous step (of unit ``norm``) or zeros, at ratio
+      ``<mu, z0>``, or Hölder's direction for the least ``p_1``, normalized, where that ratio
+      is not positive, as it is at zeros. Each round takes ``eta``, the row's best ratio so far, fits
       ``mu / eta - w`` non-increasing (``_isotonic_fit``), clips it at 0 to ``y``, and solves
       the optimality condition ``sum_j c_j (z_i / A_j) ** (p_j - 1) = y_i`` with
       ``A_j = ||z||_{p_j}`` at the row's best ``z`` (``_solve_gradient``). A round solves the
@@ -390,12 +390,9 @@ def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray | None = None
         z = _holder(rows, ps[0])
         z /= _unit_norm(z, w, ps, c)[:, None]
         return z.reshape(mu.shape)
-    if z0 is None:
-        z, best = np.empty_like(rows), np.zeros(len(rows))
-    else:
-        z = z0.reshape(rows.shape).copy()
-        best = (rows * z).sum(axis=-1)
-    # a row without a start, or whose start's ratio is not positive, starts from Hölder's direction
+    z = z0.reshape(rows.shape).copy()
+    best = (rows * z).sum(axis=-1)
+    # a row whose start's ratio is not positive starts from Hölder's direction
     cold = np.flatnonzero(best <= 0.0)
     if cold.size:
         start = _holder(rows[cold], ps[0])
@@ -442,7 +439,8 @@ def _conditional_gradient(
     ``kraus_map``, decomposes the resulting ``G`` once and moves each row to its
     ``_linear_step``, one call per norm on its block of rows. Each live row keeps its last
     step's spectrum beside its gradient, and its next step's Dinkelbach rounds start from it;
-    in a row's first iteration they start from Hölder's direction. A row stops once an
+    before its first step that spectrum is zeros, whose ratio is 0, so the first rounds start
+    from Hölder's direction, as every start without a positive ratio does. A row stops once an
     iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations, and
     every row of a norm stops after an iteration that leaves the norm's best value within
     ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
@@ -460,8 +458,8 @@ def _conditional_gradient(
     live = np.arange(len(owner))
     best_vals, ys = _norm_gradients(weights, exponents, coefficients, kraus_map(ops, xs))
     best_xs = xs.copy()
-    # each live row's last step spectrum, its next linear step's warm start
-    zs = None
+    # each live row's last step spectrum, its next linear step's warm start; zeros before its first
+    zs = np.zeros((len(owner), spectra.shape[-1]))
     # each norm's block of live rows ends at the running count of its rows
     ends = np.cumsum(np.bincount(owner, minlength=len(norms))).tolist()
     for _ in range(steps):
@@ -469,7 +467,7 @@ def _conditional_gradient(
             break
         mu, u = hermitian_decomposition(kraus_map(adjoint, ys))
         zs = np.concatenate([
-            _linear_step(entry, mu[start:end], None if zs is None else zs[start:end])
+            _linear_step(entry, mu[start:end], zs[start:end])
             for entry, start, end in zip(entries, [0, *ends], ends) if end > start
         ])
         xs = hermitize((u * zs[..., None, :]) @ u.swapaxes(-2, -1).conj())
@@ -640,8 +638,8 @@ def norm_battery(max_k: int) -> list[GaugeNorm]:
 
 @dataclass(frozen=True, eq=False)
 class NormBracket:
-    """One norm's answer: the best lower bound found, the row's upper bound and the
-    witness of the lower bound.
+    """One norm's answer: the best lower bound found, the upper bound ``u = max(s, t)``
+    and the witness of the lower bound.
 
     ``empirical_lower <= upper`` always holds. ``shrink_report`` decides all three,
     one bracket per key, which the rows on that key are or scale; its docstring lists
@@ -665,12 +663,11 @@ class ShrinkReport:
     """Channel-level summary.
 
     ``upper_bound`` equals max(spectral_factor, trace_factor) exactly and
-    bounds every entry's shrinking factor: it is the paper's bound, whatever
-    bound a row carries. Each bracket's ``upper`` is at most ``upper_bound``,
-    and each bracket's witness has unit gauge norm and achieves its
-    ``empirical_lower`` up to rounding. Which rows are exact, and each row's
-    value and bound, are decided by ``shrink_report``; its docstring lists the
-    rules.
+    bounds every entry's shrinking factor: it is the paper's bound, and each
+    bracket's ``upper`` is ``upper_bound``. Each bracket's witness has unit
+    gauge norm and achieves its ``empirical_lower`` up to rounding. Which rows
+    are exact, and each row's value, are decided by ``shrink_report``; its
+    docstring lists the rules.
     """
 
     upper_bound: float
@@ -734,11 +731,10 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     Each row reads one answer, its key's. A row's key is its base gauge
     (``gauge.base_terms`` at the padded dimension) when its terms have one base, or when
     the channel has one Kraus operator, which gives every base the same answer; otherwise
-    the key is the row itself. Each distinct key gets one bracket, capped by the largest
-    of its bases' upper bounds (``u`` for every base today; a positive combination's
-    ratio is at most the largest of its terms' ratios, the mediant inequality). The
-    bracket is exact where ``_closed_form`` gives the factor, from eigenvalues alone and
-    the stored ``n_kraus``, never a numerical rank; so a closed form runs only for a base
+    the key is the row itself. Each distinct key gets one bracket, whose upper bound is
+    ``u``, the paper's bound for every unitarily invariant norm. The bracket is exact
+    where ``_closed_form`` gives the factor, from eigenvalues alone and the stored
+    ``n_kraus``, never a numerical rank; so a closed form runs only for a base
     that some row has alone, and the ``d_in² x d_in²`` Gram is built only when a row reads
     ``h``. The keys left take one batched ``empirical_lower_bound`` call, which returns at
     once when none is left; each gets the value and witness of its own single-norm search
@@ -752,7 +748,7 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     So the multiples of a base share one search, and one witness solve. A witness is
     built on first read and kept, so a report read for its values takes no ``eigh``.
 
-    A value above its bound is rounding, and the row holds the bound instead.
+    A value above ``u`` is rounding, and the row holds ``u`` instead.
     ``empirical_lower_bound`` already clamps each searched value to ``u``; the clamp
     of an exact value guards the exact rows, since ``h`` can round above ``u``
     where they are equal (a channel whose Kraus operators are multiples of one ``E``
@@ -767,15 +763,13 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     # coefficients rescaled as the search's, so their sum cannot overflow
     scaled = {norm: _rescaled_norm(norm) for norm in norms}
     terms = {norm: base_terms(m, padded) for norm, (m, _) in scaled.items()}
-    bound = dict.fromkeys((b for ts in terms.values() for _, b in ts), upper)
     key = {norm: ts[0][1] if phi.n_kraus == 1 or len({b for _, b in ts}) == 1 else norm for norm, ts in terms.items()}
-    cap = {k: max(bound[b] for _, b in base_terms(k, padded)) for k in key.values()}
     # the d_in^4 Gram is not kept: a Schatten-2 witness rebuilds it on first read
-    forms = {k: _closed_form(phi, inv, k, padded) for k in cap}
+    forms = {k: _closed_form(phi, inv, k, padded) for k in dict.fromkeys(key.values())}
     searched = [k for k, form in forms.items() if form is None]
     for k, (value, witness) in zip(searched, empirical_lower_bound(phi, searched, restarts, steps, seed)):
         forms[k] = value, lambda witness=witness: witness
-    answer = {k: NormBracket(k, min(value, cap[k]), cap[k], build) for k, (value, build) in forms.items()}
+    answer = {k: NormBracket(k, min(value, upper), upper, build) for k, (value, build) in forms.items()}
     rows = {}
     for norm, k in key.items():
         base = answer[k]

@@ -1,11 +1,13 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-``singular_values`` (zero-padded spectra, read by every norm and check) is the
+``singular_values`` (zero-padded spectra, read by the inequality checks, the
+channel's invariant norms and ``spectral_norm``/``trace_norm``) is the
 package's one SVD call; Hermitian stacks take numpy's Hermitian path through
 it. ``hermitian_decomposition`` (eigenpairs by descending magnitude, read by
 the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
-call, and ``hermitian_eigenvalues`` (read by ``is_psd`` and the Schatten-2
-factor) makes the one ``eigvalsh`` call; all three go through one checked call
+call, and ``hermitian_eigenvalues`` (read by ``is_psd``, the Schatten-2
+factor, ``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``)
+makes the one ``eigvalsh`` call; all three go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
 place that stacks a list of matrices by shape for a batched call (the
 invariant norms' SVDs, the checks' input validation, image hermitization and

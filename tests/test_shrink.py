@@ -619,7 +619,7 @@ class TestConditionalGradient:
             g /= spectral_norm(g)
             mu, u = hermitian_decomposition(g)
             entry = shrink._step_entry(norm, dim)
-            cold = shrink._linear_step(entry, mu)
+            cold = shrink._linear_step(entry, mu, np.zeros_like(mu))
             eps = 10.0 ** -warm.integers(2, 5)
             perturbed = -np.sort(-np.abs(cold * (1.0 + eps * warm.standard_normal(dim))))
             last = np.eye(dim)[-1]
@@ -642,19 +642,22 @@ class TestConditionalGradient:
     @pytest.mark.parametrize("norm", STEPPED_NORMS, ids=format_norm)
     def test_start_without_a_positive_ratio_takes_the_cold_step(self, norm):
         # a block of warm-started rows: the middle one's start e_4 meets a gradient of rank 2
-        # at ratio 0, so it takes Hölder's start and gives the cold step bit for bit
+        # at ratio 0, and the all-zero block start meets every row at ratio 0, so the middle row
+        # takes Hölder's start from both and gives the cold step of that row alone bit for bit
         rng = np.random.default_rng(62)
         dim = 4
         mu = -np.sort(-rng.random((3, dim)))
         mu[1, 2:] = 0.0
         entry = shrink._step_entry(norm, dim)
-        cold = shrink._linear_step(entry, mu)
+        zero = np.zeros_like(mu)
+        cold = shrink._linear_step(entry, mu, zero)
         last = np.eye(dim)[-1]
         z0 = cold.copy()
         z0[1] = last / gauge_eval(norm, last)
         assert mu[1] @ z0[1] == 0.0
-        warm = shrink._linear_step(entry, mu, z0)
-        assert warm[1].tobytes() == shrink._linear_step(entry, mu[1:2])[0].tobytes() == cold[1].tobytes()
+        for start in (z0, zero):
+            warm = shrink._linear_step(entry, mu, start)
+            assert warm[1].tobytes() == shrink._linear_step(entry, mu[1:2], zero[1:2])[0].tobytes() == cold[1].tobytes()
 
     @pytest.mark.parametrize("norm", [Schatten(1.5), KyFan(2), parse_norm("combo:1*schatten:3+1*kyfan:1")],
                              ids=format_norm)
@@ -663,7 +666,8 @@ class TestConditionalGradient:
         # a warm start meets a zero gradient at ratio 0, so it falls back to Hölder's direction too
         start = np.array([3.0, 2.0, 1.0]) / gauge_eval(norm, [3.0, 2.0, 1.0])
         entry = shrink._step_entry(norm, 3)
-        for z in (shrink._linear_step(entry, np.zeros(3)), shrink._linear_step(entry, np.zeros((1, 3)), start[None])):
+        for z in (shrink._linear_step(entry, np.zeros(3), np.zeros(3)),
+                  shrink._linear_step(entry, np.zeros((1, 3)), start[None])):
             np.testing.assert_allclose(z.reshape(3), first, rtol=1e-15)
 
     def test_witnesses_are_psd_with_unit_norm(self):
@@ -1231,7 +1235,7 @@ class TestBatteryAndReport:
     def test_multiples_of_closed_forms_are_exact(self, monkeypatch, spec, plain):
         # one closed-form base under every term: the exact factor, its witness divided by the
         # sum of the coefficients, and no search. A row on several bases is searched, whatever
-        # its bases are, and its bound is the largest of theirs, u today
+        # its bases are, and its bound is u
         calls = []
         real = shrink.hermitian_decomposition
         monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(x) or real(x))
@@ -1266,15 +1270,18 @@ class TestBatteryAndReport:
                 assert achieved == pytest.approx(lower, rel=1e-12)
 
     def test_brackets_never_invert(self):
-        # on both channels the search ratio rounds above the proven bound at these settings
+        # on both one-Kraus channels the search ratio rounds above the proven bound at these
+        # settings; the two-Kraus channel searches a row on two bases and a multiple of Schatten 3
         norms = [Schatten(INF), Schatten(2.0), Schatten(1.0), KyFan(2)]
-        for phi, restarts, steps in ((random_channel(1, 1, 1, 1.0, 3), 20, 40),
-                                     (random_channel(8, 8, 1, 1.0, 4), 0, 0)):
-            rep = shrink_report(phi, norms, restarts, steps, seed=0)
+        combos = [parse_norm("combo:1*kyfan:1+1*schatten:1.5"), parse_norm("combo:2*schatten:3")]
+        for phi, rows, restarts, steps in ((random_channel(1, 1, 1, 1.0, 3), norms, 20, 40),
+                                           (random_channel(8, 8, 1, 1.0, 4), norms, 0, 0),
+                                           (random_channel(3, 3, 2, 1.0, 5), norms + combos, 0, 200)):
+            rep = shrink_report(phi, rows, restarts, steps, seed=0)
             for bracket in rep.per_norm:
                 assert bracket.empirical_lower <= rep.upper_bound
                 assert rep.upper_bound - bracket.empirical_lower >= 0.0
-                # each row carries its own bound, the universal one on every row today
+                # every row carries the universal bound, the searched and scaled ones too
                 assert bracket.upper == rep.upper_bound
                 assert bracket.empirical_lower <= bracket.upper
 
