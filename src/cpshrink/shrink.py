@@ -233,9 +233,10 @@ def _norm_gradients(
     """Norm values ``(R,)`` and Lewis gradients ``(R, d, d)`` of a PSD stack ``(R, d, d)``
     whose matrix ``r`` is measured in the table row ``weights[r]``, ``coefficients[r]``: one
     ``table_eval`` call, and no ``gauge_table`` call, since the search slices each row's
-    table row once and passes the slices."""
+    table row once and passes the slices. Its spectra are the eigenvalues, descending, with
+    rounding below 0 clipped, as ``_linear_step`` clips its ``mu``."""
     w, v = hermitian_decomposition(xs)
-    vals, g = table_eval(np.abs(w), weights, exponents, coefficients)
+    vals, g = table_eval(np.maximum(w, 0.0), weights, exponents, coefficients)
     return vals, (v * g[..., None, :]) @ v.swapaxes(-2, -1).conj()
 
 
@@ -353,7 +354,7 @@ def _step_entry(norm: GaugeNorm, n: int) -> _StepEntry:
 def _linear_step(entry: _StepEntry, mu: np.ndarray, z0: np.ndarray) -> np.ndarray:
     """Spectra ``z >= 0`` of unit norm maximizing ``<mu, z>``, for the norm of ``entry``
     (``_step_entry``) and a stack of PSD eigenvalue vectors ``mu`` in
-    ``hermitian_decomposition``'s order, so descending up to rounding.
+    ``hermitian_decomposition``'s order: descending, and ``>= 0`` up to rounding.
 
     ``U diag(z) U†`` then maximizes ``<G, Z>`` over PSD ``Z`` with ``norm(Z) <= 1`` for
     ``G = U diag(mu) U†``: by von Neumann's trace inequality the maximizer is diagonal in
@@ -511,8 +512,8 @@ def empirical_lower_bound(
     ``Y(V diag(w) V†) = V diag(g) V†`` is the norm's gradient at a PSD matrix with
     eigenpairs ``(w, V)`` (A. S. Lewis, SIAM J. Optim. 6, 1996); one ``table_eval``
     call over every row, each with its norm's ``gauge_table`` row, gives both the
-    norms and ``g`` on the descending ``|w|`` that ``hermitian_decomposition``
-    returns. The best
+    norms and ``g`` on the descending ``w`` that ``hermitian_decomposition`` returns,
+    clipped at 0, since the images of PSD inputs are PSD up to rounding. The best
     value over the whole schedule wins; values within ``STALL_GAIN`` of it tie, and
     ties go to the earliest start.
     Deterministic for fixed arguments, and the result never exceeds the universal

@@ -3,11 +3,12 @@
 ``singular_values`` (zero-padded spectra, read by the inequality checks, the
 channel's invariant norms and ``spectral_norm``/``trace_norm``) is the
 package's one SVD call; Hermitian stacks take numpy's Hermitian path through
-it. ``hermitian_decomposition`` (eigenpairs by descending magnitude, read by
-the lower-bound search) and ``hermitian_eigensystem`` share its one ``eigh``
-call, and ``hermitian_eigenvalues`` (read by ``is_psd``, the Schatten-2
-factor, ``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``)
-makes the one ``eigvalsh`` call; all three go through one checked call
+it. ``hermitian_decomposition`` (eigenpairs by descending eigenvalue, read by
+the lower-bound search, whose matrices are PSD up to rounding) makes the one
+``eigh`` call, and ``hermitian_eigensystem`` is its checked 2-D front.
+``hermitian_eigenvalues`` (read by ``is_psd``, the Schatten-2 factor,
+``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``) makes the
+one ``eigvalsh`` call; all three solvers go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
 place that stacks a list of matrices by shape for a batched call (the
 invariant norms' SVDs, the checks' input validation, image hermitization and
@@ -21,7 +22,6 @@ and written for small dimensions; no sparse or structured paths.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import cache
 
 import numpy as np
 
@@ -158,14 +158,14 @@ def trace_norm(m) -> float:
 
 
 def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigensystem ``(w, v)`` of a Hermitian operator, eigenvalues descending;
+    """Full eigensystem ``(w, v)`` of one Hermitian operator, eigenvalues descending;
     column i of ``v`` pairs with ``w[i]``.
 
-    Convergence failures from the underlying solver are surfaced as
-    ConvergenceFailure, never masked.
+    ``hermitian_decomposition`` of the input once ``require_hermitian`` has checked it:
+    a 2-D, square, finite and self-adjoint matrix. Convergence failures from the
+    underlying solver are surfaced as ConvergenceFailure, never masked.
     """
-    w, v = _linalg("eigh", require_hermitian(x))
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+    return hermitian_decomposition(require_hermitian(x))
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
@@ -179,31 +179,19 @@ def hermitian_eigenvalues(x) -> np.ndarray:
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs ``(w, v)`` of a Hermitian matrix or of each one in a stack
-    ``(..., d, d)``, ordered by descending ``|w|``; column i of ``v`` pairs with
-    ``w[..., i]``.
+    ``(..., d, d)``, eigenvalues descending; column i of ``v`` pairs with ``w[..., i]``.
 
-    ``|w|`` is then the descending singular spectrum, and ``x = v diag(w) v†``.
-    Only the lower triangle is read, so the input is not checked for symmetry;
-    it is checked for finiteness and squareness, and a solver failure is
-    surfaced as ConvergenceFailure.
+    ``eigh``'s ascending order reversed and made contiguous, so ``x = v diag(w) v†``;
+    on PSD input ``w`` is the descending singular spectrum up to rounding. Only the
+    lower triangle is read, so the input is not checked for symmetry; it is checked
+    for finiteness and squareness, and a solver failure is surfaced as
+    ConvergenceFailure.
     """
     mat = as_complex_matrix(x, stacked=True)
     if mat.shape[-2] != mat.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
     w, v = _linalg("eigh", mat)
-    order = np.argsort(-np.abs(w), axis=-1)
-    lead = _leading_indices(w.shape[:-1])
-    return w[(*lead, order)], v.swapaxes(-2, -1)[(*lead, order)].swapaxes(-2, -1)
-
-
-@cache
-def _leading_indices(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """One index array per leading axis of a stack of this ``shape``, broadcast against an
-    order along the last axis; built once per shape, read-only."""
-    lead = np.indices(shape + (1,), sparse=True)[:-1]
-    for index in lead:
-        index.flags.writeable = False
-    return tuple(lead)
+    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
 def is_psd(x) -> bool:

@@ -200,6 +200,13 @@ class TestExactFactors:
         _, w1 = trace_shrink_factor(phi)
         _, w2 = trace_shrink_factor(phi)
         np.testing.assert_array_equal(w1, w2)
+        # Phi†(I) = I ties every eigenvector: eigh lists the basis in order and the reversal puts
+        # the last basis vector first. The rows of ptrace: reports depend on that tie
+        for phi in (identity_channel(3), partial_trace_channel(2, 3)):
+            _, witness = trace_shrink_factor(phi)
+            last = np.zeros((phi.d_in, phi.d_in))
+            last[-1, -1] = 1.0
+            np.testing.assert_array_equal(witness, last)
 
     def test_upper_is_max_of_exact_factors(self):
         for seed in range(10):
@@ -681,6 +688,32 @@ class TestConditionalGradient:
                 assert gauge_eval(norm, singular_values(witness, padded)) == pytest.approx(1.0, abs=1e-12)
                 achieved = gauge_eval(norm, singular_values(phi.apply(witness), padded))
                 assert achieved == pytest.approx(lower, rel=1e-12)
+
+    def test_decomposed_matrices_are_psd(self, monkeypatch):
+        # the search clips its eigenvalues at 0 because it decomposes only images Phi(X) and
+        # adjoint images Phi†(Y) of PSD X and Y: on every channel kind, at extreme Kraus scales
+        # and on the classical channel of the strict xfail, for every case of the linear step,
+        # each matrix's smallest eigenvalue is at least -1e-12 times its largest
+        p = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.3125, 0.0, 0.0], [0.453125, 0.0, 0.0]])
+        rows, cols = np.nonzero(p)
+        classical = np.zeros((len(rows), *p.shape))
+        classical[np.arange(len(rows)), rows, cols] = np.sqrt(p[rows, cols])
+        spectra, real = [], shrink.hermitian_decomposition
+
+        def spy(x):
+            w, v = real(x)
+            spectra.append(w)
+            return w, v
+
+        monkeypatch.setattr(shrink, "hermitian_decomposition", spy)
+        for phi in (random_channel(3, 2, 2, 1.0, 70), random_cptp_channel(3, 3, 2, 71), partial_trace_channel(2, 3),
+                    identity_channel(3), random_channel(2, 3, 2, 1e-140, 72), random_channel(3, 3, 3, 1e140, 73),
+                    KrausChannel(3, 4, classical)):
+            spectra.clear()
+            empirical_lower_bound(phi, STEPPED_NORMS, restarts=3, steps=30, seed=0)
+            assert len(spectra) > 1
+            for w in spectra:
+                assert (w.min(axis=-1) >= -1e-12 * w.max(axis=-1)).all()
 
     def test_converged_search_stops_early(self, monkeypatch):
         # every start of both norms is stationary after 21 iterations: 1 + 2 * 21 decompositions

@@ -253,15 +253,36 @@ def _hermitian_stack(rng, count, dim):
 
 
 class TestHermitianDecomposition:
-    def test_magnitudes_are_singular_values(self):
+    def test_eigenpairs_descend_as_the_eigensystem_gives_them(self):
+        # eigenvalues descend, and each matrix of a stack gives hermitian_eigensystem's (w, v)
+        # bit for bit, on the first matrix's magnitude tie (+-2) and on an exact 2 I alike
         rng = np.random.default_rng(23)
         for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
-            x = _hermitian_stack(rng, int(np.prod(shape)), dim).reshape(*shape, dim, dim)
+            count = int(np.prod(shape))
+            stack = _hermitian_stack(rng, count, dim)
+            if count > 1:
+                stack[-1] = 2.0 * np.eye(dim)
+            x = stack.reshape(*shape, dim, dim)
             w, v = hermitian_decomposition(x)
             assert w.shape == x.shape[:-1] and v.shape == x.shape
-            sv = singular_values(x, dim)
-            assert np.all(np.abs(np.abs(w) - sv) <= 1e-12 * sv[..., :1])
-            assert np.all(np.diff(np.abs(w), axis=-1) <= 0.0)
+            assert np.all(np.diff(w, axis=-1) <= 0.0)
+            for mat, values, vectors in zip(stack, w.reshape(count, dim), v.reshape(count, dim, dim)):
+                one_w, one_v = hermitian_eigensystem(mat)
+                assert values.tobytes() == one_w.tobytes() and vectors.tobytes() == one_v.tobytes()
+        # the search decomposes PSD matrices only, where w is the singular spectrum: ranks 1..d
+        # at mixed scales, and the zero matrix
+        for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
+            count = int(np.prod(shape))
+            a = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+            # columns beyond each matrix's rank are zero
+            ranks, scales = rng.integers(1, dim + 1, size=(count, 1, 1)), 10.0 ** rng.integers(-3, 4, size=(count, 1, 1))
+            a *= (np.arange(dim) < ranks) * scales
+            if count > 1:
+                a[-1] = 0.0
+            x = (a @ a.conj().swapaxes(-2, -1)).reshape(*shape, dim, dim)
+            w, _ = hermitian_decomposition(x)
+            sv = singular_values(x, dim, hermitian=True)
+            assert np.all(np.abs(w - sv) <= 1e-12 * sv[..., :1])
 
     def test_rebuilds_each_matrix_of_a_stack(self):
         rng = np.random.default_rng(24)
@@ -282,6 +303,9 @@ class TestHermitianDecomposition:
             hermitian_decomposition(bad)
         with pytest.raises(DimensionMismatch):
             hermitian_decomposition(np.zeros((2, 2, 3)))
+        # the eigensystem is the decomposition's 2-D front: require_hermitian refuses a stack
+        with pytest.raises(DimensionMismatch):
+            hermitian_eigensystem(np.stack([np.eye(3)] * 2))
 
 
 class TestHelpers:
