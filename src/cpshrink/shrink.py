@@ -241,37 +241,32 @@ def _norm_gradients(
 
 
 @cache
-def _first(n: int) -> np.ndarray:
-    """``e_1`` of length ``n`` as a boolean mask, built once per length, read-only."""
-    first = np.arange(n) == 0
-    first.flags.writeable = False
-    return first
-
-
-@cache
-def _windows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The windows ``[s, t]`` of ``_isotonic_fit`` on rows of length ``n``: the mask ``s <= t``
-    ``(n, n)`` and the widths ``max(t - s + 1, 1)``, built once per length, read-only."""
+def _masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step's masks on rows of length ``n``, built once per length, read-only: ``e_1`` as a
+    boolean mask, for ``_holder``, and the windows ``[s, t]`` of ``_isotonic_fit``, the mask
+    ``s <= t`` ``(n, n)`` and the widths ``max(t - s + 1, 1)``."""
     s, t = np.arange(n)[:, None], np.arange(n)
-    window, widths = s <= t, np.maximum(t - s + 1, 1)
-    window.flags.writeable = widths.flags.writeable = False
-    return window, widths
+    masks = t == 0, s <= t, np.maximum(t - s + 1, 1)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 def _holder(y: np.ndarray, p: float) -> np.ndarray:
     """Hölder's direction ``(y / y_1) ** (1 / (p - 1))`` for descending ``y >= 0``: the
     maximizer of ``<y, z>`` at unit ``||z||_p``, up to scale. Dividing by ``y_1`` first keeps
-    every entry in [0, 1] as p -> 1, and ``y = 0`` gives ``e_1``. Every row's first entry is
-    exactly 1."""
+    every entry in [0, 1] as p -> 1, and ``y = 0`` gives ``e_1``, the first of ``_masks``.
+    Every row's first entry is exactly 1."""
     top = y[..., :1]
-    return np.where(top > 0.0, y / np.where(top > 0.0, top, 1.0), _first(y.shape[-1])) ** (1.0 / (p - 1.0))
+    return np.where(top > 0.0, y / np.where(top > 0.0, top, 1.0), _masks(y.shape[-1])[0]) ** (1.0 / (p - 1.0))
 
 
 def _isotonic_fit(v: np.ndarray) -> np.ndarray:
     """Non-increasing least-squares fit of each row of ``v``, the one pool-adjacent-violators
-    builds, in its loop-free min-max form ``min_{s<=i} max_{t>=i} mean(v[s..t])``."""
+    builds, in its loop-free min-max form ``min_{s<=i} max_{t>=i} mean(v[s..t])``, over the
+    windows ``[s, t]`` of ``_masks``."""
     sums = np.concatenate([np.zeros_like(v[..., :1]), np.cumsum(v, axis=-1)], axis=-1)
-    window, widths = _windows(v.shape[-1])
+    _, window, widths = _masks(v.shape[-1])
     means = np.where(window, (sums[..., None, 1:] - sums[..., :-1, None]) / widths, -inf)
     tail = np.maximum.accumulate(means[..., ::-1], axis=-1)[..., ::-1]  # [s, i]: max over t >= i
     return np.where(window, tail, inf).min(axis=-2)
@@ -311,14 +306,15 @@ def _solve_gradient(y: np.ndarray, z: np.ndarray, exponents: tuple[float, ...], 
 
 def _unit_norm(z: np.ndarray, w: np.ndarray, ps: tuple[float, ...], c: np.ndarray) -> np.ndarray:
     """``<w, z> + sum_j c_j ||z||_{p_j}`` for spectra ``z`` whose first entry is exactly 1, such
-    as Hölder's direction and ``_solve_gradient``'s answers: the value of the one-row table
-    ``(w, ps, c)`` in closed form.
+    as the search's starts (all ones and ``e_1``), Hölder's direction and ``_solve_gradient``'s
+    answers: the value of the one-row table ``(w, ps, c)``, a norm's step entry, in closed form.
 
     These are ``table_eval``'s own operations, in its own order, at ``top = 1``, where its
     ``unit = z / top`` is ``z`` and ``top * (c * size)`` is ``c * size``; so on such spectra the
-    value equals ``table_eval(z, w, ps, c, grad=False)[0]`` bit for bit. It is valid only
-    there: without the leading 1, ``z ** p`` can over- or underflow where ``table_eval``'s
-    rescaled spectrum does not.
+    value equals ``table_eval(z, w, ps, c, grad=False)[0]`` bit for bit, and so does the norm's
+    row of a whole-list ``gauge_table``, whose columns the norm does not use add exact zeros.
+    It is valid only there: without the leading 1, ``z ** p`` can over- or underflow where
+    ``table_eval``'s rescaled spectrum does not.
     """
     value = (w * z).sum(axis=-1)
     for j, p in enumerate(ps):
@@ -434,8 +430,11 @@ def _conditional_gradient(
     Row ``r`` of the stacks is start ``r % S`` (``starts`` is ``(S, d, d)`` PSD with
     spectra ``spectra``) measured in ``norms[r // S]``; rows stay grouped by norm as
     stopped ones leave. What does not change during the search is built once, before the
-    first iteration: each row's slice of the images' ``gauge_table`` and each norm's
-    ``_step_entry``. Each iteration decomposes the images once for values and gradients
+    first iteration, one table per side: each row's slice of the images' ``gauge_table`` at
+    ``d_out``, and each norm's ``_step_entry`` at ``d_in``. Every start's spectrum begins with
+    1 (all ones or ``e_1``), so each norm sizes its starts with ``_unit_norm`` from its step
+    entry, as the step normalizes its spectra; ``table_eval`` is reached only through
+    ``_norm_gradients``. Each iteration decomposes the images once for values and gradients
     (``_norm_gradients`` on the live rows' slices), maps the gradients back with one adjoint
     ``kraus_map``, decomposes the resulting ``G`` once and moves each row to its
     ``_linear_step``, one call per norm on its block of rows. Each live row keeps its last
@@ -445,17 +444,19 @@ def _conditional_gradient(
     iteration gains at most ``STALL_GAIN`` of its value, or after ``steps`` iterations, and
     every row of a norm stops after an iteration that leaves the norm's best value within
     ``STALL_GAIN`` of ``bound``, the universal bound ``max(s, t)`` at the scale of ``ops``.
-    The live rows, their slices and the blocks' ends are filtered only after an iteration
-    in which some row stopped.
+    That stop serves unital channels (``Phi(I) = Phi†(I) = I``), whose identity start is
+    already at the bound: their searches end after one iteration, where the stall rule alone
+    takes hundreds. The live rows, their slices and the blocks' ends are filtered only after
+    an iteration in which some row stopped.
     """
     adjoint = ops.swapaxes(-2, -1).conj()
     owner = np.repeat(np.arange(len(norms)), len(starts))
-    sizes, _ = table_eval(spectra[:, None, :], *gauge_table(norms, spectra.shape[-1]), grad=False)  # (S, N)
-    xs = (starts / sizes.T[..., None, None]).reshape(-1, *starts.shape[1:])
-    # the images are d_out x d_out, the steps' spectra those of G, d_in x d_in
+    # the images are d_out x d_out; the starts, and the steps' spectra, those of G, d_in x d_in
     weights, exponents, coefficients = gauge_table(norms, ops.shape[-2])
     weights, coefficients = weights[owner], coefficients[owner]
     entries = [_step_entry(norm, spectra.shape[-1]) for norm in norms]
+    sizes = np.array([_unit_norm(spectra, entry.w, entry.ps, entry.c) for entry in entries])  # (N, S)
+    xs = (starts / sizes[..., None, None]).reshape(-1, *starts.shape[1:])
     live = np.arange(len(owner))
     best_vals, ys = _norm_gradients(weights, exponents, coefficients, kraus_map(ops, xs))
     best_xs = xs.copy()
@@ -504,8 +505,10 @@ def empirical_lower_bound(
     (``_linear_step``), which cannot lower the value; ``steps`` caps the iterations,
     and a start stops as soon as one gains at most ``STALL_GAIN`` of its value, or once
     its norm's best value is within ``STALL_GAIN`` of the universal bound, which no
-    input exceeds. Witnesses are PSD. For a norm with a Schatten base the step is Dinkelbach's
-    iteration for a ratio (W. Dinkelbach, *Management Science* 13, 1967), and the order
+    input exceeds; so on a unital channel (``Phi(I) = Phi†(I) = I``), whose identity start
+    is at that bound, every start stops after one iteration. Witnesses are PSD. For a norm
+    with a Schatten base the step is Dinkelbach's iteration for a ratio
+    (W. Dinkelbach, *Management Science* 13, 1967), and the order
     constraint on spectra is met by an isotonic fit (T. Robertson, F. T. Wright,
     R. L. Dykstra, *Order Restricted Statistical Inference*, 1988).
 

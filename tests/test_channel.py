@@ -613,3 +613,24 @@ class TestJsonInterchange:
         text = '{"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0], %s]]]}' % (entry % ("0" * 400))
         with pytest.raises(ChannelFormatError, match=r"^kraus\[0\]\[0\]\[1\]: entries must be finite$"):
             KrausChannel.from_json(text)
+
+
+# ==== input checks no other test reaches ====
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: KrausChannel(0, 1, [np.ones((1, 1))]), ValueError, "d_in=0"),
+    (lambda: KrausChannel.from_dict([]), ChannelFormatError, "got list"),
+    (lambda: KrausChannel.from_dict({"d_in": 1, "d_out": 1, "kraus": []}), ChannelFormatError, "kraus: expected"),
+    (lambda: KrausChannel.from_dict({"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0]]]]}), ChannelFormatError,
+     "kraus[0][0]: expected 2 entries"),
+    (lambda: partial_trace_channel(0, 2), ValueError, "(0, 2)"),
+    (lambda: random_channel(2, 2, 0), ValueError, "n_kraus must be >= 1, got 0"),
+    (lambda: random_channel(2, 2, 1, 0.0), ValueError, "scale must be positive, got 0.0"),
+    (lambda: random_cptp_channel(2, 2, 0), ValueError, "n_kraus must be >= 1, got 0"),
+    (lambda: random_cptp_channel(0, 2, 1), ValueError, "d_in=0"),
+], ids=["dims", "document", "empty-kraus", "row-entries", "ptrace", "random-count", "random-scale",
+        "cptp-count", "cptp-dims"])
+def test_bad_input_is_named(build, error, named):
+    with pytest.raises(error) as caught:
+        build()
+    assert caught.type is error and named in str(caught.value)

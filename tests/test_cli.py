@@ -812,3 +812,13 @@ def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
     monkeypatch.undo()
     ((block, counts),) = cli._blocks([identity_channel(16)], 300)
     assert len(block) == 1 and counts == [256, 44]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("report", "--channel", "ptrace:0x2"), "ptrace dimensions: dimensions must be positive, got '0x2'"),
+    (("report", "--channel", "identity:0"), "identity dimension must be positive, got 0"),
+    (("verify", "--random", "2", "--dims", "3..2"), "--dims range is empty or invalid: '3..2'"),
+], ids=["ptrace", "identity", "dims"])
+def test_bad_dimensions_exit_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and named in err

@@ -546,3 +546,8 @@ class TestParseFormat:
     def test_parse_rejects(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_norm(text)
+
+
+def test_format_norm_rejects_a_string():
+    with pytest.raises(TypeError, match="unsupported gauge norm: 'schatten:2'$"):
+        format_norm("schatten:2")

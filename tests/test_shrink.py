@@ -141,6 +141,10 @@ class TestFanProjectors:
         assert np.abs(proj.p_q).max() == 0.0
         assert np.abs(proj.p_r).max() == 0.0
 
+    def test_order_below_one_is_named(self):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0$"):
+            fan_projectors(np.eye(2), 0)
+
 
 class TestExactFactors:
     def test_upper_bound_partial_trace(self):
@@ -730,6 +734,24 @@ class TestConditionalGradient:
             assert a == b
             np.testing.assert_array_equal(wa, wb)
 
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_bound_stop_ends_a_unital_search_at_once(self, monkeypatch, d):
+        # a mixture of three unitaries is unital and trace-preserving, so every factor is 1 and
+        # the identity start is already at u: the stop at the bound ends all 4 * (2 + 5) rows
+        # after one iteration, 3 decompositions, where the stall rule alone takes hundreds
+        rng = np.random.default_rng(d)
+        weights = rng.dirichlet(np.ones(3))
+        phi = KrausChannel(d, d, [np.sqrt(w) * random_isometry(d, d, rng) for w in weights])
+        calls = []
+        real = shrink.hermitian_decomposition
+        monkeypatch.setattr(shrink, "hermitian_decomposition", lambda x: calls.append(len(x)) or real(x))
+        specs = ("schatten:3", "schatten:1.5", "kyfan:2", "combo:0.5*schatten:2+2*kyfan:2")
+        report = shrink_report(phi, [parse_norm(spec) for spec in specs], 5, 200)
+        assert calls == [28, 28, 28]
+        u = report.upper_bound
+        for row in report.per_norm:
+            assert abs(row.empirical_lower - u) <= 1e-12 * u
+
     def test_warm_started_steps_take_fewer_rounds(self, monkeypatch):
         # report-small's norm list on a two-Kraus cptp channel, whose mixed rows run to the
         # 200-step cap: 1 + 2 * 200 decompositions, and a linear step that starts each row's
@@ -747,10 +769,10 @@ class TestConditionalGradient:
         assert (len(fits), len(decompositions)) == (202, 401)
 
     def test_search_builds_its_tables_once(self, monkeypatch):
-        # the same report: its search builds the start table, the images' table and one step
-        # entry for each of its four norms, 6 gauge_table calls, and takes one table_eval for the
-        # start sizes and one per image decomposition, 1 + 201; every step normalization is
-        # _unit_norm's closed form. The decompositions and isotonic fits do not move
+        # the same report: its search builds the images' table and one step entry for each of its
+        # four norms, 5 gauge_table calls, and takes one table_eval per image decomposition, 201;
+        # the starts are sized, and every step spectrum normalized, by _unit_norm's closed form
+        # from the norm's step entry. The decompositions and isotonic fits do not move
         counts = dict.fromkeys(("gauge_table", "table_eval", "hermitian_decomposition", "_isotonic_fit"), 0)
 
         def counted(name, real):
@@ -762,7 +784,7 @@ class TestConditionalGradient:
         for name in counts:
             monkeypatch.setattr(shrink, name, counted(name, getattr(shrink, name)))
         shrink_report(random_cptp_channel(3, 3, 2, 1), [parse_norm(spec) for spec in REPORT_SMALL_NORMS], 0, 200)
-        assert counts == {"gauge_table": 6, "table_eval": 202, "hermitian_decomposition": 401, "_isotonic_fit": 202}
+        assert counts == {"gauge_table": 5, "table_eval": 201, "hermitian_decomposition": 401, "_isotonic_fit": 202}
 
     @pytest.mark.parametrize("phi", [random_channel(2, 3, 2, 1.0, 1), random_channel(3, 2, 2, 1.0, 1)],
                              ids=["2to3", "3to2"])
@@ -799,23 +821,32 @@ class TestConditionalGradient:
         st.data(),
     )
     def test_unit_norm_is_table_eval_bit_for_bit(self, n, exponents, kyfan, data):
-        # spectra with a leading 1, as the linear step normalizes them: Hölder's direction of
-        # descending y >= 0 (zero rows and zero tails among them) and, with two or three
-        # exponents, the Newton solve; the closed form equals table_eval's value bit for bit
+        # spectra with a leading 1, as the search normalizes them: the starts' spectra (all ones
+        # and e_1), Hölder's direction of descending y >= 0 (zero rows and zero tails among them)
+        # and, with two or three exponents, the Newton solve. The closed form equals table_eval's
+        # value bit for bit, on the norm's one-row table and on its row of a whole-list table
+        # whose other norms add exponent columns it holds at zero coefficient
         coefficients = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(exponents), max_size=len(exponents)))
         terms = [(c, Schatten(p)) for c, p in zip(coefficients, exponents)] + [(c, KyFan(k)) for c, k in kyfan]
-        (w,), ps, (c,) = gauge_table((Combination(tuple(terms)),), n)
+        norm = Combination(tuple(terms))
+        (w,), ps, (c,) = gauge_table((norm,), n)
+        others = data.draw(st.lists(st.floats(1.0, 64.0, exclude_min=True), min_size=1, max_size=2, unique=True))
+        table = gauge_table((Schatten(others[0]), norm, *(Schatten(p) for p in others[1:])), n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         y = -np.sort(-rng.random((4, n)), axis=-1)
         y[0] = 0.0
         y[1, max(1, n // 2):] = 0.0
-        spectra = [shrink._holder(y, ps[0])]
+        starts = np.eye(1, n).repeat(3, axis=0)
+        starts[0] = 1.0
+        spectra = [starts, shrink._holder(y, ps[0])]
         if len(ps) > 1:
             y[0] = y[2]  # the Newton solve needs y_1 > 0
             spectra.append(shrink._solve_gradient(y, -np.sort(-rng.random((4, n)), axis=-1) + 0.1, ps, c))
         for z in spectra:
             assert (z[:, 0] == 1.0).all()
-            assert shrink._unit_norm(z, w, ps, c).tobytes() == table_eval(z, w, ps, c, grad=False)[0].tobytes()
+            closed = shrink._unit_norm(z, w, ps, c).tobytes()
+            assert closed == table_eval(z, w, ps, c, grad=False)[0].tobytes()
+            assert closed == table_eval(z[:, None, :], *table, grad=False)[0][:, 1].tobytes()
 
     # (channel, [combo:1*schatten:3+1*schatten:1.5, combo:0.5*schatten:2+2*kyfan:2] values of the
     # default schedule when every linear step started from Hölder's direction)

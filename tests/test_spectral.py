@@ -5,6 +5,7 @@ from cpshrink.channel import random_channel
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
+    as_complex_matrix,
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -338,3 +339,8 @@ class TestHelpers:
         # floor would let it pass once the largest eigenvalue is below 1
         assert not is_psd(c * np.diag([1.0, -1e-2]))
         assert is_psd(c * np.diag([1.0, 0.0]))
+
+
+def test_empty_matrix_is_named():
+    with pytest.raises(DimensionMismatch, match=r"positive, got \(0, 3\)$"):
+        as_complex_matrix(np.zeros((0, 3)))
