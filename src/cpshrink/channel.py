@@ -43,6 +43,7 @@ __all__ = [
     "identity_channel",
     "invariant_pair",
     "kraus_map",
+    "kraus_vectors",
     "orthonormal_columns",
     "partial_trace_channel",
     "random_channel",
@@ -91,11 +92,24 @@ def invariant_pair(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def kraus_vectors(ops: np.ndarray) -> np.ndarray:
+    """``V``: the vectorized operators of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``,
+    shape ``(..., K, d_in * d_out)``, row ``n`` holding ``E_n[a, i]`` at ``i * d_out + a``.
+
+    ``Choi = Vᵀ V̄`` (``choi_product``), and the ``K x K`` Kraus Gram ``V̄ Vᵀ`` holds
+    ``tr(E_m† E_n)``. The two products share their nonzero eigenvalues, so Choi
+    facts read from the Gram cost ``K x K`` algebra, not ``(d_in d_out)²``. Zero
+    entries added to the rows, or zero rows added to ``V``, change neither product's
+    nonzero eigenvalues.
+    """
+    *lead, n_kraus, d_out, d_in = ops.shape
+    return ops.swapaxes(-2, -1).reshape(*lead, n_kraus, d_in * d_out)
+
+
 def choi_product(ops: np.ndarray) -> np.ndarray:
     """Choi matrix of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``, hermitized, with
     the stack's leading axes: one product of the vectorized operators with their conjugates."""
-    *lead, n_kraus, d_out, d_in = ops.shape
-    vecs = ops.swapaxes(-2, -1).reshape(*lead, n_kraus, d_in * d_out)
+    vecs = kraus_vectors(ops)
     return hermitize(vecs.swapaxes(-2, -1) @ vecs.conj())
 
 

@@ -12,10 +12,10 @@ import numpy as np
 
 from .channel import (
     KrausChannel,
-    choi_product,
     complex_gaussian,
     identity_channel,
     invariant_pair,
+    kraus_vectors,
     matrix_to_entries,
     orthonormal_columns,
     partial_trace_channel,
@@ -33,7 +33,7 @@ from .shrink import (
     shrink_report,
     shrink_upper_bound,
 )
-from .spectral import is_psd, random_hermitian
+from .spectral import hermitian_eigenvalues, hermitize, is_psd, random_hermitian
 from .spectral import spectral_norm  # unused; bench/tracer.py wraps cli.spectral_norm by name
 
 EXIT_OK = 0
@@ -188,23 +188,67 @@ def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * float(np.abs(base).max())
 
 
-def _remix_holds(phi: KrausChannel, vs: list[np.ndarray], base_choi: np.ndarray) -> np.ndarray:
-    """Whether the channel remixed by each isometry of ``vs`` keeps its invariant pair and
-    Choi matrix: one flag per isometry, from one product and one pair for all of them."""
-    # zero rows add zero Kraus operators, which leave the map as it is, so the isometries
-    # padded to the most rows share one shape and take one product
-    padded = np.zeros((len(vs), max(len(v) for v in vs), phi.n_kraus), dtype=np.complex128)
-    for r, v in enumerate(vs):
-        padded[r, :len(v)] = v
-    mixed = remix_product(padded, phi.kraus)
-    inv = phi.invariants()
-    image, adjoint_image = invariant_pair(mixed)
-    held = _remixed_close(image, inv.identity_image) & _remixed_close(adjoint_image, inv.adjoint_identity_image)
-    # one remixed Choi matrix at a time beside the base's, (d_in d_out)^2 entries each,
-    # from the remix's own operators, the padding's zero ones left out
-    for r, (ops, v) in enumerate(zip(mixed, vs)):
-        held[r] &= _remixed_close(choi_product(ops[:len(v)]), base_choi)
-    return held
+def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Remix invariance ``(channels, REMIX_CHECKS)`` and Choi positivity ``(channels,)`` of a
+    run of channels, each remixed by its isometries, with no Choi matrix formed.
+
+    A remix keeps the invariant pair when each remixed operator is within the tolerance
+    of the channel's own. The Choi facts are read from the vectorized Kraus operators
+    ``V`` (``kraus_vectors``, ``Choi = Vᵀ V̄``). Choi's nonzero eigenvalues are those of
+    the Gram ``V̄ Vᵀ``, since ``XY`` and ``YX`` share theirs. For a remix ``F`` of ``E``,
+    ``Choi(F) - Choi(E) = Aᵀ S Ā`` with ``A = [V_F; V_E]`` and ``S = diag(I, -I)``; with
+    ``Aᵀ = QR`` that is ``Q (R S R†) Q†``, so its spectral norm is the largest eigenvalue
+    magnitude of the Hermitian ``R S R†``. It must be within ``1e-9`` times Choi's largest
+    entry, which for a PSD matrix is its largest diagonal entry, ``max_(i, a) sum_n
+    |E_n[a, i]|²``. Zero operators and zero vector entries pad every channel to the
+    run's largest counts and add zero eigenvalues only, so the run takes one Gram
+    product and one ``is_psd`` solve, and one QR, one product and one solve for the remixes.
+    """
+    rows = max(len(v) for vs in isometries for v in vs)
+    n_kraus = max(phi.n_kraus for phi in run)
+    size = max(phi.d_in * phi.d_out for phi in run)
+    # A of each channel and remix: the remixed operators' vectors, then from row `rows` the channel's own
+    stack = np.zeros((len(run), REMIX_CHECKS, rows + n_kraus, size), dtype=np.complex128)
+    held = np.empty((len(run), REMIX_CHECKS), dtype=bool)
+    for c, (phi, vs) in enumerate(zip(run, isometries)):
+        # zero rows add zero Kraus operators, which leave the map as it is, so the isometries
+        # padded to the most rows share one shape and take one product
+        padded = np.zeros((len(vs), max(len(v) for v in vs), phi.n_kraus), dtype=np.complex128)
+        for r, v in enumerate(vs):
+            padded[r, :len(v)] = v
+        mixed = remix_product(padded, phi.kraus)
+        inv = phi.invariants()
+        image, adjoint_image = invariant_pair(mixed)
+        held[c] = _remixed_close(image, inv.identity_image) & _remixed_close(adjoint_image, inv.adjoint_identity_image)
+        size_c = phi.d_in * phi.d_out
+        stack[c, :, :mixed.shape[1], :size_c] = kraus_vectors(mixed)
+        stack[c, :, rows:rows + phi.n_kraus, :size_c] = kraus_vectors(phi.kraus)
+    own = stack[:, 0, rows:]
+    psd = is_psd(own.conj() @ own.swapaxes(-2, -1))
+    top = (np.abs(own) ** 2).sum(axis=-2).max(axis=-1)
+    r = np.linalg.qr(stack.swapaxes(-2, -1), mode="r")
+    # on an exact remix R S R† is rounding alone, so only its hermitized form is Hermitian
+    # within the tolerance relative to its own largest entry
+    w = hermitian_eigenvalues(hermitize((r * np.repeat([1.0, -1.0], [rows, n_kraus])) @ r.conj().swapaxes(-2, -1)))
+    held &= np.maximum(w[..., 0], -w[..., -1]) <= 1e-9 * top[:, None]
+    return held, psd
+
+
+def _runs(channels: list[KrausChannel], isometries: list[list[np.ndarray]]):
+    """Slices of consecutive channels whose ``_choi_suites`` stack, ``(channels,
+    REMIX_CHECKS, rows + K, d_in d_out)`` at the run's largest counts, holds at most
+    ``VERIFY_BLOCK_ENTRIES`` entries, or at most the ``(d_in d_out)²`` of one Choi matrix
+    of its largest channel: a channel over both is a run alone."""
+    start, top = 0, (0, 0, 0)
+    for stop, (phi, vs) in enumerate(zip(channels, isometries)):
+        own = (max(map(len, vs)), phi.n_kraus, phi.d_in * phi.d_out)
+        rows, n_kraus, size = grown = tuple(map(max, top, own))
+        entries = (stop + 1 - start) * REMIX_CHECKS * (rows + n_kraus) * size
+        if stop > start and entries > max(VERIFY_BLOCK_ENTRIES, size**2):
+            yield slice(start, stop)
+            start, grown = stop, own
+        top = grown
+    yield slice(start, len(channels))
 
 
 def _blocks(channels: list[KrausChannel], trials: int):
@@ -295,12 +339,8 @@ def _cmd_verify(args) -> int:
         # one QR per isometry shape for the whole block
         flat = orthonormal_columns(gaussians)
         isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
-        # one channel's Choi matrix at a time, (d_in d_out)^2 entries each, uncounted by the block cap
-        remixed, psd = np.empty((len(block), REMIX_CHECKS), dtype=bool), np.empty(len(block), dtype=bool)
-        for c, (phi, vs) in enumerate(zip(block, isometries)):
-            choi = choi_product(phi.kraus)
-            remixed[c] = _remix_holds(phi, vs, choi)
-            psd[c] = is_psd(choi)
+        runs = [_choi_suites(block[run], isometries[run]) for run in _runs(block, isometries)]
+        remixed, psd = np.concatenate([held for held, _ in runs]), np.concatenate([ok for _, ok in runs])
         _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
         bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd
         # the run's witness is its first failing channel, as a channel-by-channel pass finds it

@@ -29,6 +29,7 @@ from .channel import ChannelInvariants, KrausChannel, complex_gaussian, kraus_ma
 from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
+    as_complex_matrix,
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -75,11 +76,12 @@ def top_k_eigensum(x, k: int) -> float:
     This equals the maximum of tr(p x) over operators p with 0 <= p <= I and
     tr(p) = k; ``k`` beyond the dimension is treated as the full trace. One
     values-only solve, as ``ChannelInvariants.identity_image_spectrum`` takes for
-    ``Phi(I)``, so the report's ``||Phi(I)||_(k)`` equals this bit for bit.
+    ``Phi(I)``, so the report's ``||Phi(I)||_(k)`` equals this bit for bit. One
+    matrix only: a stack raises DimensionMismatch.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(hermitian_eigenvalues(x)[:k].sum())
+    return float(hermitian_eigenvalues(as_complex_matrix(x))[:k].sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,15 +7,16 @@ it. ``hermitian_decomposition`` (eigenpairs by descending eigenvalue, read by
 the lower-bound search, whose matrices are PSD up to rounding) makes the one
 ``eigh`` call, and ``hermitian_eigensystem`` is its checked 2-D front.
 ``hermitian_eigenvalues`` (read by ``is_psd``, the Schatten-2 factor,
-``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``) makes the
-one ``eigvalsh`` call; all three solvers go through one checked call
+``ChannelInvariants.identity_image_spectrum``, ``top_k_eigensum`` and verify's
+remix suite) makes the one ``eigvalsh`` call; all three solvers go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
 place that stacks a list of matrices by shape for a batched call (the
 invariant norms' SVDs, the checks' input validation, image hermitization and
 Hermitian SVDs, the remix isometries' QRs);
 numpy factors each matrix of a stack on its own, so each result equals the one
 of a call on its matrix alone bit for bit.
-Both stack-aware helpers take one matrix or a stack. Everything is complex128
+``singular_values``, ``hermitian_decomposition``, ``hermitian_eigenvalues`` and
+``is_psd`` take one matrix or a stack. Everything is complex128
 and written for small dimensions; no sparse or structured paths.
 """
 
@@ -169,12 +170,13 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator, descending, from a values-only solve.
+    """Eigenvalues of a Hermitian operator, or of each one in a stack ``(..., d, d)``,
+    descending, from one values-only solve.
 
-    The input is checked as ``hermitian_eigensystem`` checks it, and a solver
-    failure is surfaced as ConvergenceFailure.
+    The input is checked as ``require_hermitian(x, stacked=True)`` checks it, and a
+    solver failure is surfaced as ConvergenceFailure.
     """
-    return _linalg("eigvalsh", require_hermitian(x))[::-1]
+    return _linalg("eigvalsh", require_hermitian(x, stacked=True))[..., ::-1]
 
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +196,16 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
 
 
-def is_psd(x) -> bool:
+def is_psd(x) -> bool | np.ndarray:
     """Positive semidefinite: the smallest eigenvalue is at least ``-PSD_TOL`` times
     the largest one, or at least 0 when none is positive. The tolerance is relative
-    only, so the test reads ``c * x`` as it reads ``x`` at any scale ``c > 0``."""
+    only, so the test reads ``c * x`` as it reads ``x`` at any scale ``c > 0``.
+
+    A bool for one matrix, and a bool array with the stack's leading axes for a
+    stack ``(..., d, d)``, from one ``hermitian_eigenvalues`` call."""
     w = hermitian_eigenvalues(x)
-    return bool(w[-1] >= -PSD_TOL * max(0.0, float(w[0])))
+    ok = w[..., -1] >= -PSD_TOL * np.maximum(0.0, w[..., 0])
+    return ok if ok.ndim else bool(ok)
 
 
 def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:

@@ -2,19 +2,20 @@ import argparse
 import dataclasses
 import json
 import re
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpshrink import cli, shrink
+from cpshrink import channel, cli, shrink
 from cpshrink.channel import (
     KrausChannel,
     choi_product,
     identity_channel,
     invariant_pair,
+    kraus_vectors,
     matrix_to_entries,
     random_channel,
     random_isometry,
@@ -24,7 +25,7 @@ from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import KyFan, Schatten
 from cpshrink.shrink import check_gauge_bounds, norm_battery, shrink_report, shrink_upper_bound
-from cpshrink.spectral import random_hermitian
+from cpshrink.spectral import is_psd, random_hermitian
 
 
 def run(capsys, *argv):
@@ -457,7 +458,7 @@ class TestVerify:
         assert run(capsys, *argv)[:2] == (1, out)
 
     @pytest.mark.parametrize("patched, line", [
-        ("choi_product", "choi positivity                      5         1"),
+        ("is_psd", "choi positivity                      5         1"),
         ("remix_product", "remix invariance                    10         2"),
     ])
     def test_witness_of_a_suite_without_inputs(self, capsys, monkeypatch, patched, line):
@@ -467,16 +468,19 @@ class TestVerify:
         shapes = [[int(rng.integers(*r)) for r in ((1, 6), (1, 6), (1, 4), (2**31,))] for _ in range(5)]
         d_in, d_out, n_kraus, sub = shapes[2]
         target = random_channel(d_in, d_out, n_kraus, 1.0, sub)
-        choi = target.choi_matrix()
+        vecs = kraus_vectors(target.kraus)
+        gram = vecs.conj() @ vecs.T
         real = getattr(cli, patched)
 
-        def choi_product(ops):
-            # the target's Choi matrix and its remixed ones, all shifted alike by -2 |choi|_max I:
-            # no longer positive, and still equal to one another within the remix tolerance
-            out = real(ops)
-            if out.shape == choi.shape and np.abs(out - choi).max() <= 1e-9 * np.abs(choi).max():
-                out = out - 2 * np.abs(choi).max() * np.eye(len(choi))
-            return out
+        def is_psd(grams):
+            # the target's Kraus Gram, zero-padded in the stack of its run, shifted by
+            # -2 |gram|_max I: no longer positive, while its remix suite reads no Gram
+            grams = grams.copy()
+            for g in grams:
+                if (np.abs(g[:n_kraus, :n_kraus] - gram).max() <= 1e-9 * np.abs(gram).max()
+                        and not g[n_kraus:].any() and not g[:, n_kraus:].any()):
+                    g -= 2 * np.abs(gram).max() * np.eye(len(g))
+            return real(grams)
 
         def remix_product(v, ops):
             # the target's remixed Kraus sets scaled by 1.5, every other channel's as they are
@@ -490,7 +494,7 @@ class TestVerify:
         with monkeypatch.context() as m:
             m.setattr(shrink, "BOUND_SLACK", -0.6)
             battery_witness = witness(run(capsys, *argv)[1])
-        monkeypatch.setattr(cli, patched, {"choi_product": choi_product, "remix_product": remix_product}[patched])
+        monkeypatch.setattr(cli, patched, {"is_psd": is_psd, "remix_product": remix_product}[patched])
         code, out, _ = run(capsys, *argv)
         assert code == 1 and line in out
         assert [row.split()[-1] for row in out.splitlines()[1:5]].count("0") == 3
@@ -561,9 +565,10 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     (("report", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
     # the searched row's search reads the trace witness; its eigh calls are not pinned here
     (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None, 0),
-    # the printed bound reads the s and t the stacked check already computed; Choi
-    # positivity takes one values-only solve per channel
-    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
+    # the printed bound reads the s and t the stacked check already computed; the Choi
+    # suites take two values-only solves per run of channels: one for the stack of Kraus
+    # Grams (positivity) and one for the stack of R S R† (remix invariance)
+    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0, 2),
     # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs;
     # with one Kraus operator every row is u, so no Gram is built or solved
     (("report", "--channel", "random:3x3x1:1"), 2, 0, 0),
@@ -580,11 +585,12 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
     # one per distinct matrix size over images and inputs together. At seed 0 the channels
     # are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes {4, 2, 5} | {5, 3, 2}, the check
-    # sizes {4, 2, 5} | {5, 3, 2}: 4 + 4
-    (("verify", "--random", "3"), 8, 0, 3),
+    # sizes {4, 2, 5} | {5, 3, 2}: 4 + 4. The three channels are one block and one run of
+    # the Choi suites, whose two solves (Grams, then R S R†) serve all three
+    (("verify", "--random", "3"), 8, 0, 2),
     # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
-    # the check: 2 + 2
-    (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 6),
+    # the check: 2 + 2. One block and one run: two solves for the six channels' Choi suites
+    (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 2),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
         "report-kyfan-shared-spectrum", "report-combination-reads-no-base", "verify-random",
         "verify-random-shared-sizes"])
@@ -609,26 +615,20 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh, eigval
     assert counts["eigvalsh"] == eigvalsh
 
 
-def test_verify_keeps_one_choi_matrix_at_a_time(capsys, monkeypatch):
-    # a block's Choi matrices are not counted by its input cap, so each channel's is dropped
-    # before the next one's is built: alive at any call are at most the base matrix and the
-    # one remixed matrix being compared with it
-    made = []
-    alive = []
-    real = cli.choi_product
-
-    def counted(ops):
-        choi = real(ops)
-        made.append(weakref.ref(choi))
-        alive.append(sum(ref() is not None for ref in made))
-        return choi
-
-    monkeypatch.setattr(cli, "choi_product", counted)
-    code, out, _ = run(capsys, "verify", "--random", "6", "--dims", "2..3", "--trials", "1")
-    assert code == 0 and "result: PASS" in out
-    # each of the six channels: its base matrix, then one per remix check
-    assert len(alive) == 6 * 3
-    assert max(alive) <= 2
+def test_verify_forms_no_choi_matrix(capsys, monkeypatch):
+    # the Choi suites read K x K algebra of the vectorized Kraus operators: choi_product is
+    # not called, and no solve is larger than a run's remixed and own Kraus counts together.
+    # The channel is 4 x 4 with two Kraus operators, so its Choi matrix would be 16 x 16;
+    # the solves are its 2 x 2 Gram and the 6 x 6 R S R† of 4 remixed and 2 own operators
+    calls = []
+    monkeypatch.setattr(channel, "choi_product", lambda ops: calls.append(ops.shape))
+    monkeypatch.setattr(cli, "choi_product", lambda ops: calls.append(ops.shape), raising=False)
+    sizes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: sizes.append(a.shape[-1]) or real(a, *args))
+    code, out, _ = run(capsys, "verify", "--channel", "random:4x4x2:1", "--trials", "1")
+    assert code == 0 and "choi positivity                      1         0" in out
+    assert calls == [] and sizes == [2, 6]
 
 
 def test_verify_builds_no_remixed_channel(capsys, monkeypatch):
@@ -711,28 +711,78 @@ def test_remix_suite_matches_remixed_channels(d_in, d_out, n_kraus, j, seed, tam
             assert np.array_equal(pair[0][r], inv.identity_image)
             assert np.array_equal(pair[1][r], inv.adjoint_identity_image)
             assert np.array_equal(choi[r], mixed.choi_matrix())
-    # verify's one pass per channel, square isometry padded, flags each remix as the
-    # remixed channels do, against a base Choi matrix off by the factor tamper
+    # verify's Choi suites, square isometry padded, flag each remix as the remixed channels
+    # do, against the channel's own Kraus vectors scaled by sqrt(tamper), so that its Choi
+    # matrix is off by the factor tamper: the reference compares that Choi matrix entrywise,
+    # the suite reads the spectral norm of the difference from R S R†
     vs = [random_isometry(n_kraus + 2 * extra, n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
-    base = phi.choi_matrix() * tamper
-    held = cli._remix_holds(phi, vs, base)
+    base = choi_product(phi.kraus * np.sqrt(tamper))
+    real = cli.kraus_vectors
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "kraus_vectors", lambda ops: real(ops) * (np.sqrt(tamper) if ops.ndim == 3 else 1.0))
+        (held,), (psd,) = cli._choi_suites([phi], [vs])
     assert held.tolist() == [_remixed_channel_holds(phi, v, base) for v in vs]
     assert held.all() == (tamper != 1 + 1e-6)
+    assert psd
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    d_in=st.integers(1, 6),
+    d_out=st.integers(1, 6),
+    n_kraus=st.integers(1, 4),
+    j=st.sampled_from([-490, 490]) | st.integers(-490, 490),
+    seed=st.integers(0, 2**31 - 1),
+    tamper=st.sampled_from([1.0, 1 + 1e-12, 1 + 1e-6, 1.5]),
+)
+def test_choi_suites_read_the_choi_spectra(d_in, d_out, n_kraus, j, seed, tamper):
+    # the two facts the Choi suites rest on, read from the matrices they solve: the Kraus
+    # Gram's eigenvalues are the Choi matrix's top min(K, d_in d_out), rank-deficient
+    # Grams (K > d_in d_out) among them, and R S R†'s largest eigenvalue magnitude is the
+    # spectral norm of the Choi difference, ~0 on exact remixes and never under its largest
+    # entry. The channel's own vectors are scaled by sqrt(tamper), its Choi matrix by tamper
+    phi = random_channel(d_in, d_out, n_kraus, 2.0**j, seed)
+    rng = np.random.default_rng(seed)
+    vs = [random_isometry(n_kraus + 2 * extra, n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
+    base = choi_product(phi.kraus * np.sqrt(tamper))
+    grams, differences = [], []
+    real_vectors, real_psd, real_eigenvalues = cli.kraus_vectors, cli.is_psd, cli.hermitian_eigenvalues
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "kraus_vectors", lambda ops: real_vectors(ops) * (np.sqrt(tamper) if ops.ndim == 3 else 1.0))
+        m.setattr(cli, "is_psd", lambda x: grams.append(x) or real_psd(x))
+        m.setattr(cli, "hermitian_eigenvalues", lambda x: differences.append(x) or real_eigenvalues(x))
+        (held,), (psd,) = cli._choi_suites([phi], [vs])
+    ((gram,),), ((difference, *_),) = grams, differences
+    assert gram.shape == (n_kraus, n_kraus)
+    w = np.linalg.eigvalsh(base)[::-1]
+    top = min(n_kraus, d_in * d_out)
+    np.testing.assert_allclose(np.linalg.eigvalsh(gram)[::-1][:top], w[:top], rtol=0, atol=1e-12 * w[0])
+    assert psd == is_psd(base)
+    largest = float(np.abs(base).max())
+    for r, v in enumerate(vs):
+        norm = float(np.abs(np.linalg.eigvalsh(difference[r])).max())
+        entrywise = float(np.abs(phi.remix(v).choi_matrix() - base).max())
+        assert norm >= entrywise - 1e-12 * largest
+        if tamper == 1.0:
+            assert norm <= 1e-12 * largest
+    assert held.all() == (tamper < 1 + 1e-6)
 
 
 @pytest.mark.parametrize("argv, one_block, channel_blocks", [
     # at seed 0 the channels have 2, 1 and 2 Kraus operators; the remix isometries are
     # (n + 2 * extra) x n for extra 0 and 1, so the shapes are {2x2, 4x2, 1x1, 3x1}: 4 in
-    # one block, and 2 per channel in blocks of one: 2 * 3
-    (("verify", "--random", "3"), 4, 6),
+    # one block, and 2 per channel in blocks of one: 2 * 3. The remix suite adds one R
+    # factor per run of the Choi suites: one block is one run, 4 + 1, and a block of one
+    # channel is one run too, (2 + 1) * 3
+    (("verify", "--random", "3"), 5, 9),
     # 2, 1, 2, 3, 2 and 3 Kraus operators: shapes {1x1, 3x1, 2x2, 4x2, 3x3, 5x3}, 6 in
-    # one block, and 2 * 6 in blocks of one
-    (("verify", "--random", "6", "--dims", "2..3"), 6, 12),
+    # one block, and 2 * 6 in blocks of one; plus one R factor per run, 6 + 1 and (2 + 1) * 6
+    (("verify", "--random", "6", "--dims", "2..3"), 7, 18),
 ], ids=["verify-random", "verify-random-shared-shapes"])
 def test_verify_takes_one_qr_per_isometry_shape_per_block(capsys, monkeypatch, argv, one_block, channel_blocks):
     calls = []
     real = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(calls) == one_block
     calls.clear()
@@ -812,6 +862,59 @@ def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
     monkeypatch.undo()
     ((block, counts),) = cli._blocks([identity_channel(16)], 300)
     assert len(block) == 1 and counts == [256, 44]
+
+
+def test_choi_runs_stay_within_the_cap_or_one_choi_matrix(monkeypatch):
+    # one rule splits a block's Choi suites into runs of consecutive channels: a run's stack,
+    # (channels, 2, rows + K, d_in d_out) at its largest counts, holds at most the cap's
+    # entries or one Choi matrix's (d_in d_out)^2 of its largest channel
+    def runs(cap, dims):
+        monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
+        channels = [identity_channel(d) for d in dims]
+        isometries = [[np.zeros((1 + 2 * extra, 1)) for extra in range(cli.REMIX_CHECKS)] for _ in channels]
+        return [[phi.d_in for phi in channels[run]] for run in cli._runs(channels, isometries)]
+
+    # one Kraus operator: rows 3 + K 1, so each channel holds 2 * 4 * d^2 entries at d_in = d
+    # alone: 32 at d = 2, 128 at d = 4 (one Choi matrix has 256)
+    assert runs(96, (2, 2, 2, 2)) == [[2, 2, 2], [2]]
+    assert runs(128, (2, 2, 2, 2)) == [[2, 2, 2, 2]]
+    assert runs(100, (4, 4, 4)) == [[4, 4], [4]]
+    assert runs(100, (2, 4, 2, 2)) == [[2, 4], [2, 2]]
+    assert runs(1, (2, 2)) == [[2], [2]]
+    assert runs(100, (1,)) == [[1]]
+
+
+def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):
+    # a block of 60 channels with d_in, d_out in 1..16 (one block: their inputs hold far under
+    # the cap) would hold 7.3 x 16 x 2^16 bytes in one Choi pass; in runs each holds about 2 x
+    # 16 bytes per entry the rule allows (the stack, and the QR's copy of it). The table and
+    # the witness do not depend on the runs: one run per channel and one for the whole block
+    # print the same
+    peaks = []
+    real = cli._choi_suites
+
+    def traced(channels, isometries):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = real(channels, isometries)
+        size = max(phi.d_in * phi.d_out for phi in channels)
+        peaks.append((tracemalloc.get_traced_memory()[1] - before) / (16 * max(cli.VERIFY_BLOCK_ENTRIES, size**2)))
+        return out
+
+    argv = ("verify", "--random", "60", "--dims", "1..16", "--trials", "1")
+    monkeypatch.setattr(cli, "_choi_suites", traced)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "choi positivity                     60         0" in out
+    assert len(peaks) > 1 and max(peaks) <= 3
+    monkeypatch.setattr(cli, "_choi_suites", real)
+    monkeypatch.setattr(cli, "_runs", lambda channels, isometries: [slice(c, c + 1) for c in range(len(channels))])
+    assert run(capsys, *argv)[:2] == (0, out)
+    monkeypatch.setattr(cli, "_runs", lambda channels, isometries: [slice(None)])
+    assert run(capsys, *argv)[:2] == (0, out)
 
 
 @pytest.mark.parametrize("argv, named", [

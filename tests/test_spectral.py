@@ -193,20 +193,20 @@ class TestEigensystem:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.zeros((2, 3)))
-        # single-matrix functions refuse stacks; only the channel map takes them
+        # single-matrix functions refuse stacks; the channel map, hermitian_eigenvalues and
+        # is_psd take them
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         for call in (
             hermitian_eigensystem,
-            hermitian_eigenvalues,
-            is_psd,
             require_hermitian,
             lambda x: top_k_eigensum(x, 1),
             lambda x: fan_projectors(x, 1),
         ):
             with pytest.raises(DimensionMismatch):
                 call(stack)
-        with pytest.raises(DimensionMismatch):
-            is_psd(np.ones((2, 1, 1)))
+        for call in (hermitian_eigenvalues, is_psd):
+            with pytest.raises(DimensionMismatch):
+                call(np.ones((2, 2, 3)))
 
     def test_eigenvalues_match_the_eigensystem(self):
         # the values-only solve gives the eigensystem's values, descending, up to rounding,
@@ -219,6 +219,30 @@ class TestEigensystem:
             np.testing.assert_allclose(w, hermitian_eigensystem(x)[0], rtol=0, atol=1e-13 * np.abs(w).max())
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_eigenvalues_and_psd_take_stacks(self, scale):
+        # a stack gives each matrix's own values and verdict bit for bit, with the stack's
+        # leading axes, from one solve; one matrix still gives a Python bool
+        rng = np.random.default_rng(8)
+        stack = scale * np.stack([random_hermitian(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        stack[0, 0] = scale * np.diag([1.0, 0.0, 0.0])
+        stack[1, 2] = scale * np.diag([1.0, 0.5, -1e-2])
+        w = hermitian_eigenvalues(stack)
+        ok = is_psd(stack)
+        assert w.shape == (2, 3, 3) and ok.shape == (2, 3) and ok.dtype == bool
+        for i in np.ndindex(2, 3):
+            assert w[i].tobytes() == hermitian_eigenvalues(stack[i]).tobytes()
+            assert ok[i] == is_psd(stack[i])
+        assert ok[0, 0] and not ok[1, 2]
+        assert is_psd(np.ones((2, 1, 1))).tolist() == [True, True]
+        assert is_psd(stack[0, 0]) is True and is_psd(stack[1, 2]) is False
+        # the stack is checked as require_hermitian checks it, entrywise within 1e-10 times
+        # max(1, the matrix's largest entry)
+        bad = stack.copy()
+        bad[1, 1, 0, 1] += max(1.0, scale)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            is_psd(bad)
 
     def test_convergence_failure_type_exists(self):
         # eigh essentially never fails on valid input; the contract is that a
