@@ -114,21 +114,23 @@ def choi_product(ops: np.ndarray) -> np.ndarray:
 
 
 def remix_product(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Kraus set ``G_m = sum_n v[m, n] E_n`` of the stack ``ops`` ``(K, d_out, d_in)`` for each
-    complex128 recombination matrix in ``v`` ``(..., rows, K)``, shape ``(..., rows, d_out, d_in)``.
+    """Kraus set ``G_m = sum_n v[m, n] E_n`` of the stack ``ops`` ``(..., K, d_out, d_in)`` for each
+    complex128 recombination matrix in ``v`` ``(..., rows, K)``, shape ``(..., rows, d_out, d_in)``
+    with the leading axes of ``v`` and ``ops`` broadcast against each other.
 
     Every matrix of ``v`` must have K columns (else DimensionMismatch) that are
     orthonormal, ``v† v = I`` within ``ISOMETRY_TOL`` (else NotIsometry). Zero rows
     of ``v`` add zero operators, which leave the map as it is.
     """
-    n_kraus, d_out, d_in = ops.shape
+    *lead, n_kraus, d_out, d_in = ops.shape
     rows, cols = v.shape[-2:]
     if cols != n_kraus:
         raise DimensionMismatch(f"recombination matrix has {cols} columns, channel has {n_kraus} Kraus operators")
     dev = float(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(cols)).max())
     if dev > ISOMETRY_TOL:
         raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
-    return (v @ ops.reshape(cols, -1)).reshape(*v.shape[:-2], rows, d_out, d_in)
+    mixed = v @ ops.reshape(*lead, cols, d_out * d_in)
+    return mixed.reshape(*mixed.shape[:-1], d_out, d_in)
 
 
 @dataclass(frozen=True, eq=False)

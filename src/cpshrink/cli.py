@@ -183,49 +183,64 @@ def _cmd_report(args) -> int:
 
 
 def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> np.ndarray:
-    # one flag per matrix of the stack mixed, entrywise and relative to the base operator's
-    # largest entry, so it holds at any Kraus scale
-    return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * float(np.abs(base).max())
+    # one flag per matrix of the stack mixed, entrywise and relative to the largest entry of
+    # its base matrix (base broadcasts against mixed), so it holds at any Kraus scale
+    return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * np.abs(base).max(axis=(-2, -1))
 
 
 def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Remix invariance ``(channels, REMIX_CHECKS)`` and Choi positivity ``(channels,)`` of a
     run of channels, each remixed by its isometries, with no Choi matrix formed.
 
-    A remix keeps the invariant pair when each remixed operator is within the tolerance
-    of the channel's own. The Choi facts are read from the vectorized Kraus operators
-    ``V`` (``kraus_vectors``, ``Choi = Vᵀ V̄``). Choi's nonzero eigenvalues are those of
-    the Gram ``V̄ Vᵀ``, since ``XY`` and ``YX`` share theirs. For a remix ``F`` of ``E``,
+    Each channel's Kraus set is copied into one zero-padded stack ``(channels, K, d_out,
+    d_in)`` at the run's largest counts. Zero operators and zero rows and columns leave a
+    channel's pair and Choi spectrum as they are, apart from zero padding and extra zero
+    eigenvalues. Each isometry ``v`` becomes ``v ⊕ I`` on the channel's zero operators,
+    then zero rows, so it stays an isometry of the padded stack and every remix comes from
+    one ``remix_product`` call and every remixed pair from one ``invariant_pair`` call. A
+    remix keeps the pair when each remixed operator is within the tolerance of the
+    channel's own. The Choi facts are read from the vectorized Kraus operators ``V``
+    (``kraus_vectors``, ``Choi = Vᵀ V̄``). Choi's nonzero eigenvalues are those of the Gram
+    ``V̄ Vᵀ``, since ``XY`` and ``YX`` share theirs. For a remix ``F`` of ``E``,
     ``Choi(F) - Choi(E) = Aᵀ S Ā`` with ``A = [V_F; V_E]`` and ``S = diag(I, -I)``; with
     ``Aᵀ = QR`` that is ``Q (R S R†) Q†``, so its spectral norm is the largest eigenvalue
     magnitude of the Hermitian ``R S R†``. It must be within ``1e-9`` times Choi's largest
     entry, which for a PSD matrix is its largest diagonal entry, ``max_(i, a) sum_n
-    |E_n[a, i]|²``. Zero operators and zero vector entries pad every channel to the
-    run's largest counts and add zero eigenvalues only, so the run takes one Gram
-    product and one ``is_psd`` solve, and one QR, one product and one solve for the remixes.
+    |E_n[a, i]|²``. So the run takes one Gram product and one ``is_psd`` solve, and one
+    QR, one product and one solve for the remixes.
     """
-    rows = max(len(v) for vs in isometries for v in vs)
-    n_kraus = max(phi.n_kraus for phi in run)
-    size = max(phi.d_in * phi.d_out for phi in run)
-    # A of each channel and remix: the remixed operators' vectors, then from row `rows` the channel's own
-    stack = np.zeros((len(run), REMIX_CHECKS, rows + n_kraus, size), dtype=np.complex128)
-    held = np.empty((len(run), REMIX_CHECKS), dtype=bool)
+    counts = np.array([phi.n_kraus for phi in run])
+    heights = np.array([[len(m) for m in vs] for vs in isometries])
+    n_kraus, d_out, d_in = int(counts.max()), max(phi.d_out for phi in run), max(phi.d_in for phi in run)
+    rows = n_kraus + int((heights - counts[:, None]).max())
+    # the padded Kraus stack, held as its vectors so that kraus_vectors(ops) is a view of them
+    ops = np.zeros((len(run), n_kraus, d_in, d_out), dtype=np.complex128).swapaxes(-2, -1)
+    image = np.zeros((len(run), d_out, d_out), dtype=np.complex128)
+    adjoint_image = np.zeros((len(run), d_in, d_in), dtype=np.complex128)
+    v = np.zeros((len(run), REMIX_CHECKS, rows, n_kraus), dtype=np.complex128)
     for c, (phi, vs) in enumerate(zip(run, isometries)):
-        # zero rows add zero Kraus operators, which leave the map as it is, so the isometries
-        # padded to the most rows share one shape and take one product
-        padded = np.zeros((len(vs), max(len(v) for v in vs), phi.n_kraus), dtype=np.complex128)
-        for r, v in enumerate(vs):
-            padded[r, :len(v)] = v
-        mixed = remix_product(padded, phi.kraus)
-        inv = phi.invariants()
-        image, adjoint_image = invariant_pair(mixed)
-        held[c] = _remixed_close(image, inv.identity_image) & _remixed_close(adjoint_image, inv.adjoint_identity_image)
-        size_c = phi.d_in * phi.d_out
-        stack[c, :, :mixed.shape[1], :size_c] = kraus_vectors(mixed)
-        stack[c, :, rows:rows + phi.n_kraus, :size_c] = kraus_vectors(phi.kraus)
-    own = stack[:, 0, rows:]
+        inv, k = phi.invariants(), phi.n_kraus
+        ops[c, :k, :phi.d_out, :phi.d_in] = phi.kraus
+        image[c, :phi.d_out, :phi.d_out] = inv.identity_image
+        adjoint_image[c, :phi.d_in, :phi.d_in] = inv.adjoint_identity_image
+        for i, m in enumerate(vs):
+            v[c, i, :len(m), :k] = m
+    # the identity block: zero operator k >= K of a channel maps to row height - K + k
+    zero_ops = np.arange(n_kraus) >= counts[:, None, None]
+    chan, remix, op = np.nonzero(np.broadcast_to(zero_ops, (len(run), REMIX_CHECKS, n_kraus)))
+    v[chan, remix, heights[chan, remix] - counts[chan] + op, op] = 1.0
+    mixed = remix_product(v, ops[:, None])
+    # each remixed pair against its channel's stored one, the remixed pair not kept
+    held = np.logical_and(*map(_remixed_close, invariant_pair(mixed), (image[:, None], adjoint_image[:, None])))
+    own = kraus_vectors(ops)
     psd = is_psd(own.conj() @ own.swapaxes(-2, -1))
     top = (np.abs(own) ** 2).sum(axis=-2).max(axis=-1)
+    # A of each channel and remix: the remixed operators' vectors, then from row `rows` the channel's own
+    own = np.broadcast_to(own[:, None], (len(run), REMIX_CHECKS, *own.shape[1:]))
+    stack = np.concatenate([kraus_vectors(mixed), own], axis=-2)
+    # the QR copies the stack: free the run's other padded arrays first, so that they are
+    # never alive beside that copy
+    del ops, own, mixed
     r = np.linalg.qr(stack.swapaxes(-2, -1), mode="r")
     # on an exact remix R S R† is rounding alone, so only its hermitized form is Hermitian
     # within the tolerance relative to its own largest entry
@@ -236,14 +251,15 @@ def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) ->
 
 def _runs(channels: list[KrausChannel], isometries: list[list[np.ndarray]]):
     """Slices of consecutive channels whose ``_choi_suites`` stack, ``(channels,
-    REMIX_CHECKS, rows + K, d_in d_out)`` at the run's largest counts, holds at most
-    ``VERIFY_BLOCK_ENTRIES`` entries, or at most the ``(d_in d_out)²`` of one Choi matrix
-    of its largest channel: a channel over both is a run alone."""
-    start, top = 0, (0, 0, 0)
+    REMIX_CHECKS, rows + K, d_in d_out)`` on the run's padded grid (its largest K, row
+    count, ``d_in`` and ``d_out``), holds at most ``VERIFY_BLOCK_ENTRIES`` entries, or at
+    most the ``(d_in d_out)²`` of one Choi matrix of its largest channel: a channel over
+    both is a run alone."""
+    start, top = 0, (0, 0, 0, 0, 0)
     for stop, (phi, vs) in enumerate(zip(channels, isometries)):
-        own = (max(map(len, vs)), phi.n_kraus, phi.d_in * phi.d_out)
-        rows, n_kraus, size = grown = tuple(map(max, top, own))
-        entries = (stop + 1 - start) * REMIX_CHECKS * (rows + n_kraus) * size
+        own = (max(map(len, vs)) - phi.n_kraus, phi.n_kraus, phi.d_in, phi.d_out, phi.d_in * phi.d_out)
+        extra, n_kraus, d_in, d_out, size = grown = tuple(map(max, top, own))
+        entries = (stop + 1 - start) * REMIX_CHECKS * (extra + 2 * n_kraus) * d_in * d_out
         if stop > start and entries > max(VERIFY_BLOCK_ENTRIES, size**2):
             yield slice(start, stop)
             start, grown = stop, own

@@ -66,14 +66,16 @@ def require_hermitian(a, stacked: bool = False) -> np.ndarray:
     """Validate that ``a`` is square and self-adjoint, and return it as complex128.
 
     The accepted deviation from the adjoint is entrywise
-    ``HERMITICITY_TOL * max(1, largest entry magnitude)``. With ``stacked`` a
-    stack ``(..., d, d)`` is accepted too, each matrix held to its own tolerance.
+    ``HERMITICITY_TOL * largest entry magnitude``. The tolerance is relative only,
+    as ``is_psd``'s is, so ``c * a`` checks as ``a`` at any scale ``c > 0``. With
+    ``stacked`` a stack ``(..., d, d)`` is accepted too, each matrix held to its
+    own tolerance.
     """
     m = as_complex_matrix(a, stacked)
     if m.shape[-2] != m.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {m.shape}")
     dev = np.abs(m - m.swapaxes(-2, -1).conj()).max(axis=(-2, -1))
-    over = dev[dev > HERMITICITY_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))]
+    over = dev[dev > HERMITICITY_TOL * np.abs(m).max(axis=(-2, -1))]
     if over.size:
         raise ValueError(f"matrix is not Hermitian: adjoint deviation {over.max():.3e} exceeds tolerance")
     return m

@@ -483,8 +483,14 @@ class TestVerify:
             return real(grams)
 
         def remix_product(v, ops):
-            # the target's remixed Kraus sets scaled by 1.5, every other channel's as they are
-            return real(v, ops) * (1.5 if np.array_equal(ops, target.kraus) else 1.0)
+            # the target's remixed Kraus sets scaled by 1.5, every other channel's as they are:
+            # ops is the run's zero-padded Kraus stack (channels, 1, K, d_out, d_in)
+            mixed = real(v, ops)
+            for c, padded in enumerate(ops[:, 0]):
+                if (np.array_equal(padded[:n_kraus, :d_out, :d_in], target.kraus)
+                        and np.count_nonzero(padded) == np.count_nonzero(target.kraus)):
+                    mixed[c] *= 1.5
+            return mixed
 
         argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
 
@@ -719,7 +725,8 @@ def test_remix_suite_matches_remixed_channels(d_in, d_out, n_kraus, j, seed, tam
     base = choi_product(phi.kraus * np.sqrt(tamper))
     real = cli.kraus_vectors
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "kraus_vectors", lambda ops: real(ops) * (np.sqrt(tamper) if ops.ndim == 3 else 1.0))
+        # the run's own Kraus stack is (channels, K, d_out, d_in), its remixes (channels, 2, rows, d_out, d_in)
+        m.setattr(cli, "kraus_vectors", lambda ops: real(ops) * (np.sqrt(tamper) if ops.ndim == 4 else 1.0))
         (held,), (psd,) = cli._choi_suites([phi], [vs])
     assert held.tolist() == [_remixed_channel_holds(phi, v, base) for v in vs]
     assert held.all() == (tamper != 1 + 1e-6)
@@ -748,7 +755,7 @@ def test_choi_suites_read_the_choi_spectra(d_in, d_out, n_kraus, j, seed, tamper
     grams, differences = [], []
     real_vectors, real_psd, real_eigenvalues = cli.kraus_vectors, cli.is_psd, cli.hermitian_eigenvalues
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "kraus_vectors", lambda ops: real_vectors(ops) * (np.sqrt(tamper) if ops.ndim == 3 else 1.0))
+        m.setattr(cli, "kraus_vectors", lambda ops: real_vectors(ops) * (np.sqrt(tamper) if ops.ndim == 4 else 1.0))
         m.setattr(cli, "is_psd", lambda x: grams.append(x) or real_psd(x))
         m.setattr(cli, "hermitian_eigenvalues", lambda x: differences.append(x) or real_eigenvalues(x))
         (held,), (psd,) = cli._choi_suites([phi], [vs])
@@ -766,6 +773,56 @@ def test_choi_suites_read_the_choi_spectra(d_in, d_out, n_kraus, j, seed, tamper
         if tamper == 1.0:
             assert norm <= 1e-12 * largest
     assert held.all() == (tamper < 1 + 1e-6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    first=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    rest=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=4),
+    counts=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+    scales=st.lists(st.sampled_from([-490, 490]) | st.integers(-490, 490), min_size=6, max_size=6),
+    seed=st.integers(0, 2**31 - 1),
+    tampered=st.integers(0, 5),
+    patched=st.sampled_from(["remix_product", "invariant_pair", "kraus_vectors"]),
+)
+def test_padded_run_flags_each_channel_as_alone(first, rest, counts, scales, seed, tampered, patched):
+    # a run of 2-6 channels is padded to its largest K, row count, d_in and d_out; the first two
+    # channels are d_in -> d_out and d_out -> d_in, so the padded grid exceeds some channel's
+    # d_in d_out unless d_in = d_out. One channel's first remix is tampered by 1 + 1e-6: its
+    # operators (both checks see them), its pair (the pair check alone sees it) or its vectors
+    # (the Choi check alone sees them). Each channel's flags are those of its own single-channel run, so
+    # padding never flips a neighbour's verdict, and every exact remix holds at Kraus scales
+    # 2^+-490, each check at its own channel's threshold
+    shapes = [first, first[::-1], *rest]
+    rng = np.random.default_rng(seed)
+    run = [random_channel(d_in, d_out, k, 2.0**j, int(rng.integers(2**31)))
+           for (d_in, d_out), k, j in zip(shapes, counts, scales)]
+    isometries = [[random_isometry(phi.n_kraus + 2 * extra, phi.n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
+                  for phi in run]
+    tampered %= len(run)
+    real = getattr(cli, patched)
+
+    def suites(channels, isos, target):
+        # the remixes' operators (channels, 2, rows, d_out, d_in), pair or vectors (channels, 2,
+        # rows, d_in d_out); the channels' own stack (channels, K, d_out, d_in) is left alone
+        def tampering(*args):
+            out = real(*args)
+            if target is not None and args[-1].ndim == 5:
+                for part in out if patched == "invariant_pair" else (out,):
+                    part[target, 0] *= 1 + 1e-6
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cli, patched, tampering)
+            return cli._choi_suites(channels, isos)
+
+    held, psd = suites(run, isometries, tampered)
+    for c, (phi, vs) in enumerate(zip(run, isometries)):
+        (alone_held,), (alone_psd,) = suites([phi], [vs], 0 if c == tampered else None)
+        assert held[c].tolist() == alone_held.tolist() and psd[c] == alone_psd
+    expected = np.ones((len(run), cli.REMIX_CHECKS), dtype=bool)
+    expected[tampered, 0] = False
+    assert held.tolist() == expected.tolist() and psd.all()
 
 
 @pytest.mark.parametrize("argv, one_block, channel_blocks", [
@@ -866,11 +923,13 @@ def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
 
 def test_choi_runs_stay_within_the_cap_or_one_choi_matrix(monkeypatch):
     # one rule splits a block's Choi suites into runs of consecutive channels: a run's stack,
-    # (channels, 2, rows + K, d_in d_out) at its largest counts, holds at most the cap's
-    # entries or one Choi matrix's (d_in d_out)^2 of its largest channel
+    # (channels, 2, rows + K, d_in d_out) on its padded grid (its largest counts and d_in and
+    # d_out), holds at most the cap's entries or one Choi matrix's (d_in d_out)^2 of its
+    # largest channel
     def runs(cap, dims):
+        # a dimension d is the identity channel on d, a pair (d_in, d_out) a random channel
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
-        channels = [identity_channel(d) for d in dims]
+        channels = [identity_channel(d) if isinstance(d, int) else random_channel(*d, 1, 1.0, 0) for d in dims]
         isometries = [[np.zeros((1 + 2 * extra, 1)) for extra in range(cli.REMIX_CHECKS)] for _ in channels]
         return [[phi.d_in for phi in channels[run]] for run in cli._runs(channels, isometries)]
 
@@ -882,6 +941,11 @@ def test_choi_runs_stay_within_the_cap_or_one_choi_matrix(monkeypatch):
     assert runs(100, (2, 4, 2, 2)) == [[2, 4], [2, 2]]
     assert runs(1, (2, 2)) == [[2], [2]]
     assert runs(100, (1,)) == [[1]]
+    # a 6 -> 2 channel beside a 2 -> 6 one: each alone holds 2 * 4 * 12 = 96 entries, but a
+    # run of both pads them to the 6 x 6 grid, 2 * 2 * 4 * 36 = 576 entries, not 192
+    assert runs(200, ((6, 2), (2, 6))) == [[6], [2]]
+    assert runs(575, ((6, 2), (2, 6))) == [[6], [2]]
+    assert runs(576, ((6, 2), (2, 6))) == [[6, 2]]
 
 
 def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):

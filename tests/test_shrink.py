@@ -999,9 +999,7 @@ class TestInequalityChecks:
         skew = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
         skew -= np.swapaxes(skew, -2, -1).conj()
         # x + e * skew deviates from its adjoint by 2 e |skew|, entrywise
-        scale = np.maximum(1.0, np.abs(xs).max(axis=(-2, -1), keepdims=True)) / np.abs(skew).max(
-            axis=(-2, -1), keepdims=True
-        )
+        scale = np.abs(xs).max(axis=(-2, -1), keepdims=True) / np.abs(skew).max(axis=(-2, -1), keepdims=True)
         off = xs + 0.45 * HERMITICITY_TOL * scale * skew
         assert not np.array_equal(off, hermitize(off))
         for x in (off, off[1]):

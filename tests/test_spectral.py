@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cpshrink.channel import random_channel
+from cpshrink.channel import kraus_vectors, random_channel
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
@@ -9,6 +9,7 @@ from cpshrink.spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitian_eigenvalues,
+    hermitize,
     is_psd,
     random_hermitian,
     require_hermitian,
@@ -238,11 +239,35 @@ class TestEigensystem:
         assert is_psd(np.ones((2, 1, 1))).tolist() == [True, True]
         assert is_psd(stack[0, 0]) is True and is_psd(stack[1, 2]) is False
         # the stack is checked as require_hermitian checks it, entrywise within 1e-10 times
-        # max(1, the matrix's largest entry)
+        # the matrix's largest entry
         bad = stack.copy()
-        bad[1, 1, 0, 1] += max(1.0, scale)
+        bad[1, 1, 0, 1] += scale
         with pytest.raises(ValueError, match="not Hermitian"):
             is_psd(bad)
+
+    def test_hermiticity_tolerance_is_relative(self):
+        # the adjoint deviation is held to 1e-10 times the matrix's own largest entry, so a
+        # matrix far from Hermitian is refused however small its entries, alone or as one
+        # matrix of a stack, and an asymmetry at rounding level passes at any scale
+        upper = np.array([[0.0, 1.0], [0.0, 0.0]])
+        for scale in (1.0, 1e-20, 2.0**-490):
+            for call in (require_hermitian, hermitian_eigenvalues, is_psd):
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    call(scale * upper)
+        stack = np.stack([np.diag([2.0, 1.0]), 1e-20 * upper, np.eye(2)])
+        for call in (lambda x: require_hermitian(x, stacked=True), hermitian_eigenvalues, is_psd):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                call(stack)
+        for j in (-490, 0, 490):
+            x = random_hermitian(4, 3) * 2.0**j
+            x[0, 1] *= 1 + 1e-14
+            np.testing.assert_allclose(
+                hermitian_eigenvalues(x), hermitian_eigenvalues(hermitize(x)), rtol=0, atol=1e-13 * np.abs(x).max()
+            )
+            # verify's Choi positivity hands is_psd the Kraus Gram as its product gives it,
+            # not hermitized: it passes the check at Kraus scales 2^+-490 too
+            vecs = kraus_vectors(random_channel(3, 4, 3, 2.0**j, 7).kraus)
+            assert is_psd(vecs.conj() @ vecs.T)
 
     def test_convergence_failure_type_exists(self):
         # eigh essentially never fails on valid input; the contract is that a
