@@ -196,7 +196,8 @@ def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) ->
     d_in)`` at the run's largest counts. Zero operators and zero rows and columns leave a
     channel's pair and Choi spectrum as they are, apart from zero padding and extra zero
     eigenvalues. Each isometry ``v`` becomes ``v ⊕ I`` on the channel's zero operators,
-    then zero rows, so it stays an isometry of the padded stack and every remix comes from
+    zero rows between them and ``I`` in the last K rows, so it stays an isometry of the
+    padded stack, every remix keeps its nonzero rows where they were, and every remix comes from
     one ``remix_product`` call and every remixed pair from one ``invariant_pair`` call. A
     remix keeps the pair when each remixed operator is within the tolerance of the
     channel's own. The Choi facts are read from the vectorized Kraus operators ``V``
@@ -209,26 +210,24 @@ def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) ->
     |E_n[a, i]|²``. So the run takes one Gram product and one ``is_psd`` solve, and one
     QR, one product and one solve for the remixes.
     """
-    counts = np.array([phi.n_kraus for phi in run])
-    heights = np.array([[len(m) for m in vs] for vs in isometries])
-    n_kraus, d_out, d_in = int(counts.max()), max(phi.d_out for phi in run), max(phi.d_in for phi in run)
-    rows = n_kraus + int((heights - counts[:, None]).max())
+    n_kraus, d_out, d_in = (max(getattr(phi, a) for phi in run) for a in ("n_kraus", "d_out", "d_in"))
+    rows = n_kraus + max(len(m) - phi.n_kraus for phi, vs in zip(run, isometries) for m in vs)
     # the padded Kraus stack, held as its vectors so that kraus_vectors(ops) is a view of them
     ops = np.zeros((len(run), n_kraus, d_in, d_out), dtype=np.complex128).swapaxes(-2, -1)
     image = np.zeros((len(run), d_out, d_out), dtype=np.complex128)
     adjoint_image = np.zeros((len(run), d_in, d_in), dtype=np.complex128)
     v = np.zeros((len(run), REMIX_CHECKS, rows, n_kraus), dtype=np.complex128)
+    # the identity on the last K rows: zero operator k of a channel maps to row rows - K + k,
+    # below every isometry's own rows; a channel's own columns take its isometries instead
+    v[..., rows - n_kraus:, :] = np.eye(n_kraus)
     for c, (phi, vs) in enumerate(zip(run, isometries)):
         inv, k = phi.invariants(), phi.n_kraus
         ops[c, :k, :phi.d_out, :phi.d_in] = phi.kraus
         image[c, :phi.d_out, :phi.d_out] = inv.identity_image
         adjoint_image[c, :phi.d_in, :phi.d_in] = inv.adjoint_identity_image
+        v[c, ..., :k] = 0.0
         for i, m in enumerate(vs):
             v[c, i, :len(m), :k] = m
-    # the identity block: zero operator k >= K of a channel maps to row height - K + k
-    zero_ops = np.arange(n_kraus) >= counts[:, None, None]
-    chan, remix, op = np.nonzero(np.broadcast_to(zero_ops, (len(run), REMIX_CHECKS, n_kraus)))
-    v[chan, remix, heights[chan, remix] - counts[chan] + op, op] = 1.0
     mixed = remix_product(v, ops[:, None])
     # each remixed pair against its channel's stored one, the remixed pair not kept
     held = np.logical_and(*map(_remixed_close, invariant_pair(mixed), (image[:, None], adjoint_image[:, None])))
@@ -249,42 +248,30 @@ def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) ->
     return held, psd
 
 
-def _runs(channels: list[KrausChannel], isometries: list[list[np.ndarray]]):
-    """Slices of consecutive channels whose ``_choi_suites`` stack, ``(channels,
-    REMIX_CHECKS, rows + K, d_in d_out)`` on the run's padded grid (its largest K, row
-    count, ``d_in`` and ``d_out``), holds at most ``VERIFY_BLOCK_ENTRIES`` entries, or at
-    most the ``(d_in d_out)²`` of one Choi matrix of its largest channel: a channel over
-    both is a run alone."""
-    start, top = 0, (0, 0, 0, 0, 0)
-    for stop, (phi, vs) in enumerate(zip(channels, isometries)):
-        own = (max(map(len, vs)) - phi.n_kraus, phi.n_kraus, phi.d_in, phi.d_out, phi.d_in * phi.d_out)
-        extra, n_kraus, d_in, d_out, size = grown = tuple(map(max, top, own))
-        entries = (stop + 1 - start) * REMIX_CHECKS * (extra + 2 * n_kraus) * d_in * d_out
-        if stop > start and entries > max(VERIFY_BLOCK_ENTRIES, size**2):
-            yield slice(start, stop)
-            start, grown = stop, own
-        top = grown
-    yield slice(start, len(channels))
-
-
 def _blocks(channels: list[KrausChannel], trials: int):
-    """Runs of consecutive channels whose input stacks hold at most
-    ``VERIFY_BLOCK_ENTRIES`` entries together, a channel over it being a block alone,
-    each with the trial counts in which the block draws and checks its inputs. Each
-    count takes at most that many entries, or one trial, so memory stays bounded at
-    any ``--trials``: a block within the cap takes one count, all its trials."""
+    """Runs of consecutive channels whose trials hold at most ``VERIFY_BLOCK_ENTRIES``
+    entries together, a channel over it being a block alone, each with the trial counts
+    in which the block draws and checks its inputs and the number of channels each
+    ``_choi_suites`` run takes. A trial counts ``padded_dim_for(phi)**2`` entries, so its
+    image is counted too. One rule sizes both passes: a step takes ``max(1, cap //
+    entries)``, so memory stays bounded at any ``--trials`` and a block within the cap
+    takes one count, all its trials."""
     blocks: list[list[KrausChannel]] = []
     entries = 0
     for phi in channels:
-        size = trials * phi.d_in**2
+        size = trials * padded_dim_for(phi) ** 2
         if not blocks or entries + size > VERIFY_BLOCK_ENTRIES:
             blocks.append([])
             entries = 0
         blocks[-1].append(phi)
         entries += size
     for block in blocks:
-        step = max(1, VERIFY_BLOCK_ENTRIES // sum(phi.d_in**2 for phi in block))
-        yield block, [min(step, trials - start) for start in range(0, trials, step)]
+        step = max(1, VERIFY_BLOCK_ENTRIES // sum(padded_dim_for(phi) ** 2 for phi in block))
+        n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in block) for a in ("n_kraus", "d_in", "d_out"))
+        # a channel's share of a run's stack (channels, REMIX_CHECKS, rows + K, d_in d_out) on the
+        # block's padded grid, rows being K + 2, the height of the taller remix isometry
+        run = max(1, VERIFY_BLOCK_ENTRIES // (REMIX_CHECKS * (2 * n_kraus + 2) * d_in * d_out))
+        yield block, [min(step, trials - start) for start in range(0, trials, step)], run
 
 
 def _tally(suites: dict, *flags) -> None:
@@ -324,7 +311,7 @@ def _cmd_verify(args) -> int:
         "choi positivity": [0, 0],
     }
     witness: dict | None = None
-    for block, counts in _blocks(channels, args.trials):
+    for block, counts, run in _blocks(channels, args.trials):
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
@@ -355,7 +342,7 @@ def _cmd_verify(args) -> int:
         # one QR per isometry shape for the whole block
         flat = orthonormal_columns(gaussians)
         isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
-        runs = [_choi_suites(block[run], isometries[run]) for run in _runs(block, isometries)]
+        runs = [_choi_suites(block[c:c + run], isometries[c:c + run]) for c in range(0, len(block), run)]
         remixed, psd = np.concatenate([held for held, _ in runs]), np.concatenate([ok for _, ok in runs])
         _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
         bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd

@@ -113,7 +113,7 @@ def fan_projectors(x, k: int) -> FanProjectors:
     # stable sort: eigenvalues tied in magnitude keep their decomposition order
     order = np.argsort(-absw, kind="stable")
     selected = order[:k]
-    tol = ZERO_EIGENVALUE_TOL * max(1.0, float(absw.max()))
+    tol = ZERO_EIGENVALUE_TOL * float(absw.max())
     pos, neg = selected[w[selected] > tol], selected[w[selected] < -tol]
     # an empty selection gives the zero projector
     p_q, p_r = (v[:, cols] @ v[:, cols].conj().T for cols in (pos, neg))

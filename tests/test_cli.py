@@ -651,8 +651,10 @@ def test_verify_builds_no_remixed_channel(capsys, monkeypatch):
 def test_verify_validates_each_input_size_once_per_chunk(capsys, monkeypatch):
     # each stacked check validates its inputs once per distinct input size: at seed 0 the
     # six channels have d_in 3, 2, 2, 3, 3 and 2, so one block takes two validations; with
-    # a cap of 20 entries each channel is a block alone, in chunks of 5 (d = 2) or 2 (d = 3)
-    # of its 3 trials, one validation each
+    # a cap of 20 entries each channel is a block alone, in chunks of 5 (padded dimension 2)
+    # or 2 (padded dimension 3) of its 3 trials, one validation each. A trial counts its
+    # padded dimension squared, so the 2 -> 3 channels (the third and the sixth) chunk as
+    # d = 3 does: 1 + 5 * 2 chunks
     validations = []
     real_require, real_check = shrink.require_hermitian, cli.check_gauge_bounds
 
@@ -676,7 +678,7 @@ def test_verify_validates_each_input_size_once_per_chunk(capsys, monkeypatch):
     checks.clear()
     monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 20)
     assert run(capsys, *argv)[:2] == (0, out)
-    assert checks == [(1, 1)] * 9
+    assert checks == [(1, 1)] * 11
 
 
 def _remixed_channel_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
@@ -905,7 +907,7 @@ def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
     def parts(cap, dims, trials):
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
         channels = [identity_channel(d) for d in dims]
-        return [([phi.d_in for phi in block], counts) for block, counts in cli._blocks(channels, trials)]
+        return [([phi.d_in for phi in block], counts) for block, counts, _ in cli._blocks(channels, trials)]
 
     # 4 trials of d_in 2, 1 and 2: 16 + 4 + 16 = 36 entries
     assert parts(36, (2, 1, 2), 4) == [([2, 1, 2], [4])]
@@ -917,55 +919,83 @@ def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
     assert parts(20, (1, 3), 4) == [([1], [4]), ([3], [2, 2])]
     # the default cap: a 16 x 16 channel at 300 trials holds 76,800 entries
     monkeypatch.undo()
-    ((block, counts),) = cli._blocks([identity_channel(16)], 300)
+    ((block, counts, _),) = cli._blocks([identity_channel(16)], 300)
     assert len(block) == 1 and counts == [256, 44]
 
 
-def test_choi_runs_stay_within_the_cap_or_one_choi_matrix(monkeypatch):
-    # one rule splits a block's Choi suites into runs of consecutive channels: a run's stack,
-    # (channels, 2, rows + K, d_in d_out) on its padded grid (its largest counts and d_in and
-    # d_out), holds at most the cap's entries or one Choi matrix's (d_in d_out)^2 of its
-    # largest channel
+def test_verify_counts_each_trial_on_its_padded_dimension(capsys):
+    # a trial's image is d_out x d_out, so a 1 -> 16 channel counts 16^2 = 256 entries per
+    # trial, not one: 16,000 trials take chunks of 256, whose images hold the cap's entries.
+    # In one chunk their images would hold 62 x the cap, and the pass peaks at 182 x 16 bytes
+    # per entry of the cap; in chunks it peaks at about 4 x
+    ((block, counts, _),) = cli._blocks([random_channel(1, 16, 2, 1.0, 1)], 16000)
+    assert len(block) == 1 and counts == [256] * 62 + [128]
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--channel", "random:1x16x2:1", "--trials", "16000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "result: PASS" in out
+    assert peak <= 6 * 16 * cli.VERIFY_BLOCK_ENTRIES
+
+
+def test_choi_runs_stay_within_the_cap(monkeypatch):
+    # the rule that sizes a block's trial chunks sizes its Choi runs: a run takes max(1, cap //
+    # entries) channels, a channel's entries being its share of the run's stack, (2, rows + K,
+    # d_in d_out) on the block's padded grid (its largest K and d_in and d_out, rows = K + 2).
+    # Each run's own stack holds at most the cap's entries, or the run is one channel
     def runs(cap, dims):
-        # a dimension d is the identity channel on d, a pair (d_in, d_out) a random channel
+        # a dimension d is the identity channel on d, a triple (d_in, d_out, K) a random channel
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
-        channels = [identity_channel(d) if isinstance(d, int) else random_channel(*d, 1, 1.0, 0) for d in dims]
-        isometries = [[np.zeros((1 + 2 * extra, 1)) for extra in range(cli.REMIX_CHECKS)] for _ in channels]
-        return [[phi.d_in for phi in channels[run]] for run in cli._runs(channels, isometries)]
+        channels = [identity_channel(d) if isinstance(d, int) else random_channel(*d, 1.0, 0) for d in dims]
+        parts = []
+        for block, _, size in cli._blocks(channels, 1):
+            for c in range(0, len(block), size):
+                part = block[c:c + size]
+                n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in part) for a in ("n_kraus", "d_in", "d_out"))
+                assert len(part) == 1 or len(part) * cli.REMIX_CHECKS * (2 * n_kraus + 2) * d_in * d_out <= cap
+                parts.append([phi.d_in for phi in part])
+        return parts
 
     # one Kraus operator: rows 3 + K 1, so each channel holds 2 * 4 * d^2 entries at d_in = d
-    # alone: 32 at d = 2, 128 at d = 4 (one Choi matrix has 256)
+    # alone: 32 at d = 2, 128 at d = 4
     assert runs(96, (2, 2, 2, 2)) == [[2, 2, 2], [2]]
     assert runs(128, (2, 2, 2, 2)) == [[2, 2, 2, 2]]
-    assert runs(100, (4, 4, 4)) == [[4, 4], [4]]
-    assert runs(100, (2, 4, 2, 2)) == [[2, 4], [2, 2]]
+    # a channel over the cap is a run alone
+    assert runs(100, (4, 4, 4)) == [[4], [4], [4]]
+    # every channel of the block counts on its 4 x 4 grid
+    assert runs(100, (2, 4, 2, 2)) == [[2], [4], [2], [2]]
     assert runs(1, (2, 2)) == [[2], [2]]
     assert runs(100, (1,)) == [[1]]
+    # and at its largest Kraus count: K = 3 gives rows 5 + K 3, 2 * 8 * 4 = 64 entries at d = 2
+    assert runs(128, ((2, 2, 3), 2)) == [[2, 2]]
+    assert runs(127, ((2, 2, 3), 2)) == [[2], [2]]
     # a 6 -> 2 channel beside a 2 -> 6 one: each alone holds 2 * 4 * 12 = 96 entries, but a
     # run of both pads them to the 6 x 6 grid, 2 * 2 * 4 * 36 = 576 entries, not 192
-    assert runs(200, ((6, 2), (2, 6))) == [[6], [2]]
-    assert runs(575, ((6, 2), (2, 6))) == [[6], [2]]
-    assert runs(576, ((6, 2), (2, 6))) == [[6, 2]]
+    assert runs(200, ((6, 2, 1), (2, 6, 1))) == [[6], [2]]
+    assert runs(575, ((6, 2, 1), (2, 6, 1))) == [[6], [2]]
+    assert runs(576, ((6, 2, 1), (2, 6, 1))) == [[6, 2]]
 
 
 def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):
-    # a block of 60 channels with d_in, d_out in 1..16 (one block: their inputs hold far under
-    # the cap) would hold 7.3 x 16 x 2^16 bytes in one Choi pass; in runs each holds about 2 x
-    # 16 bytes per entry the rule allows (the stack, and the QR's copy of it). The table and
-    # the witness do not depend on the runs: one run per channel and one for the whole block
-    # print the same
+    # a block of 60 channels with d_in, d_out in 1..32 (one block: their inputs hold under the
+    # cap) stacks 15 x the cap's entries in one Choi pass, where a run of one 32 x 32 channel's
+    # Choi matrix's entries, 16 x the cap, peaks at 22 x 16 bytes per entry of the cap; in runs
+    # of at most the cap each holds about 2 x (the stack, and the QR's copy of it). The table
+    # and the witness do not depend on the runs: one run per channel and one for the whole
+    # block print the same
     peaks = []
-    real = cli._choi_suites
+    real, real_blocks = cli._choi_suites, cli._blocks
 
     def traced(channels, isometries):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         out = real(channels, isometries)
-        size = max(phi.d_in * phi.d_out for phi in channels)
-        peaks.append((tracemalloc.get_traced_memory()[1] - before) / (16 * max(cli.VERIFY_BLOCK_ENTRIES, size**2)))
+        peaks.append((tracemalloc.get_traced_memory()[1] - before) / (16 * cli.VERIFY_BLOCK_ENTRIES))
         return out
 
-    argv = ("verify", "--random", "60", "--dims", "1..16", "--trials", "1")
+    argv = ("verify", "--random", "60", "--dims", "1..32", "--trials", "1")
     monkeypatch.setattr(cli, "_choi_suites", traced)
     tracemalloc.start()
     try:
@@ -975,10 +1005,10 @@ def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):
     assert code == 0 and "choi positivity                     60         0" in out
     assert len(peaks) > 1 and max(peaks) <= 3
     monkeypatch.setattr(cli, "_choi_suites", real)
-    monkeypatch.setattr(cli, "_runs", lambda channels, isometries: [slice(c, c + 1) for c in range(len(channels))])
-    assert run(capsys, *argv)[:2] == (0, out)
-    monkeypatch.setattr(cli, "_runs", lambda channels, isometries: [slice(None)])
-    assert run(capsys, *argv)[:2] == (0, out)
+    for run_of in (lambda block: 1, len):
+        monkeypatch.setattr(cli, "_blocks", lambda channels, trials, run_of=run_of: (
+            (block, counts, run_of(block)) for block, counts, _ in real_blocks(channels, trials)))
+        assert run(capsys, *argv)[:2] == (0, out)
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -114,6 +114,16 @@ class TestFanProjectors:
         val = np.trace((proj.p_q - proj.p_r) @ x).real
         assert val == pytest.approx(7.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 2.0**-490, 2.0**490])
+    def test_zero_eigenvalue_tolerance_is_relative(self, scale):
+        # the projectors of c x are those of x at any scale c: a floor of 1 under the tolerance
+        # dropped every direction of 1e-20 diag(2, -5, 1), so tr[(p_q - p_r) x] read 0, not 7e-20
+        x = np.diag([2.0, -5.0, 1.0])
+        proj, unit = fan_projectors(scale * x, 2), fan_projectors(x, 2)
+        assert np.array_equal(proj.p_q, unit.p_q) and np.array_equal(proj.p_r, unit.p_r)
+        val = np.trace((proj.p_q - proj.p_r) @ (scale * x)).real
+        assert val == pytest.approx(7.0 * scale, rel=1e-12)
+
     def test_psd_input_has_no_negative_block(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
