@@ -188,49 +188,53 @@ def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> np.ndarray:
     return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * np.abs(base).max(axis=(-2, -1))
 
 
+def _remix_heights(n_kraus: int) -> range:
+    # the row counts of a channel's REMIX_CHECKS remix isometries: square, then two rows taller each
+    return range(n_kraus, n_kraus + 2 * REMIX_CHECKS, 2)
+
+
 def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """Remix invariance ``(channels, REMIX_CHECKS)`` and Choi positivity ``(channels,)`` of a
     run of channels, each remixed by its isometries, with no Choi matrix formed.
 
-    Each channel's Kraus set is copied into one zero-padded stack ``(channels, K, d_out,
-    d_in)`` at the run's largest counts. Zero operators and zero rows and columns leave a
-    channel's pair and Choi spectrum as they are, apart from zero padding and extra zero
-    eigenvalues. Each isometry ``v`` becomes ``v ⊕ I`` on the channel's zero operators,
-    zero rows between them and ``I`` in the last K rows, so it stays an isometry of the
-    padded stack, every remix keeps its nonzero rows where they were, and every remix comes from
-    one ``remix_product`` call and every remixed pair from one ``invariant_pair`` call. A
-    remix keeps the pair when each remixed operator is within the tolerance of the
-    channel's own. The Choi facts are read from the vectorized Kraus operators ``V``
+    Each channel's Kraus set is copied into one zero-padded stack
+    ``(channels, K, d_out, d_in)`` at the run's largest counts. Zero operators and zero rows
+    and columns leave a channel's pair and Choi spectrum as they are, apart from zero
+    padding and extra zero eigenvalues. Each isometry ``v`` becomes ``v ⊕ I`` on the
+    channel's zero operators, zero rows between them and ``I`` in the last K rows, so it
+    stays an isometry of the padded stack, every remix keeps its nonzero rows where they
+    were, and every remix comes from one ``remix_product`` call. A channel's isometries are
+    ``_remix_heights(k)`` rows tall, so the padded ones are ``_remix_heights(K)[-1]`` rows
+    tall. One ``invariant_pair`` call reads every channel's own pair from the padded stack,
+    not through ``remix_product``, and one more every remixed pair. A remix keeps the pair
+    when each of its two operators is entrywise within ``1e-9`` times the largest entry of
+    the channel's own. The Choi facts are read from the vectorized Kraus operators ``V``
     (``kraus_vectors``, ``Choi = Vᵀ V̄``). Choi's nonzero eigenvalues are those of the Gram
     ``V̄ Vᵀ``, since ``XY`` and ``YX`` share theirs. For a remix ``F`` of ``E``,
     ``Choi(F) - Choi(E) = Aᵀ S Ā`` with ``A = [V_F; V_E]`` and ``S = diag(I, -I)``; with
     ``Aᵀ = QR`` that is ``Q (R S R†) Q†``, so its spectral norm is the largest eigenvalue
     magnitude of the Hermitian ``R S R†``. It must be within ``1e-9`` times Choi's largest
-    entry, which for a PSD matrix is its largest diagonal entry, ``max_(i, a) sum_n
-    |E_n[a, i]|²``. So the run takes one Gram product and one ``is_psd`` solve, and one
-    QR, one product and one solve for the remixes.
+    entry, which for a PSD matrix is its largest diagonal entry,
+    ``max_(i, a) sum_n |E_n[a, i]|²``. So the run takes one Gram product and one ``is_psd``
+    solve, and one QR, one product and one solve for the remixes.
     """
     n_kraus, d_out, d_in = (max(getattr(phi, a) for phi in run) for a in ("n_kraus", "d_out", "d_in"))
-    rows = n_kraus + max(len(m) - phi.n_kraus for phi, vs in zip(run, isometries) for m in vs)
+    rows = _remix_heights(n_kraus)[-1]
     # the padded Kraus stack, held as its vectors so that kraus_vectors(ops) is a view of them
     ops = np.zeros((len(run), n_kraus, d_in, d_out), dtype=np.complex128).swapaxes(-2, -1)
-    image = np.zeros((len(run), d_out, d_out), dtype=np.complex128)
-    adjoint_image = np.zeros((len(run), d_in, d_in), dtype=np.complex128)
     v = np.zeros((len(run), REMIX_CHECKS, rows, n_kraus), dtype=np.complex128)
     # the identity on the last K rows: zero operator k of a channel maps to row rows - K + k,
     # below every isometry's own rows; a channel's own columns take its isometries instead
     v[..., rows - n_kraus:, :] = np.eye(n_kraus)
     for c, (phi, vs) in enumerate(zip(run, isometries)):
-        inv, k = phi.invariants(), phi.n_kraus
+        k = phi.n_kraus
         ops[c, :k, :phi.d_out, :phi.d_in] = phi.kraus
-        image[c, :phi.d_out, :phi.d_out] = inv.identity_image
-        adjoint_image[c, :phi.d_in, :phi.d_in] = inv.adjoint_identity_image
         v[c, ..., :k] = 0.0
         for i, m in enumerate(vs):
             v[c, i, :len(m), :k] = m
     mixed = remix_product(v, ops[:, None])
-    # each remixed pair against its channel's stored one, the remixed pair not kept
-    held = np.logical_and(*map(_remixed_close, invariant_pair(mixed), (image[:, None], adjoint_image[:, None])))
+    # each remixed pair against its channel's own, both read from the padded stack, neither kept
+    held = np.logical_and(*map(_remixed_close, invariant_pair(mixed), (p[:, None] for p in invariant_pair(ops))))
     own = kraus_vectors(ops)
     psd = is_psd(own.conj() @ own.swapaxes(-2, -1))
     top = (np.abs(own) ** 2).sum(axis=-2).max(axis=-1)
@@ -269,8 +273,8 @@ def _blocks(channels: list[KrausChannel], trials: int):
         step = max(1, VERIFY_BLOCK_ENTRIES // sum(padded_dim_for(phi) ** 2 for phi in block))
         n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in block) for a in ("n_kraus", "d_in", "d_out"))
         # a channel's share of a run's stack (channels, REMIX_CHECKS, rows + K, d_in d_out) on the
-        # block's padded grid, rows being K + 2, the height of the taller remix isometry
-        run = max(1, VERIFY_BLOCK_ENTRIES // (REMIX_CHECKS * (2 * n_kraus + 2) * d_in * d_out))
+        # block's padded grid, rows being the height of the tallest remix isometry
+        run = max(1, VERIFY_BLOCK_ENTRIES // (REMIX_CHECKS * (_remix_heights(n_kraus)[-1] + n_kraus) * d_in * d_out))
         yield block, [min(step, trials - start) for start in range(0, trials, step)], run
 
 
@@ -329,9 +333,7 @@ def _cmd_verify(args) -> int:
             for phi in block:
                 inputs.append(random_hermitian(phi.d_in, rng, count))
                 if i == len(counts) - 1:
-                    gaussians += [
-                        complex_gaussian(rng, (phi.n_kraus + 2 * extra, phi.n_kraus)) for extra in range(REMIX_CHECKS)
-                    ]
+                    gaussians += [complex_gaussian(rng, (h, phi.n_kraus)) for h in _remix_heights(phi.n_kraus)]
             ok = check_gauge_bounds(block, inputs, battery).ok  # (norms, channels, count)
             # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
             trial_ok = (ok | ~rows[:, :, None]).all(axis=0)  # (channels, count)

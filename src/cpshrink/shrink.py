@@ -589,14 +589,15 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     ``xs`` holds one Hermitian input or stack ``(*lead, d_in, d_in)`` per channel,
     all of one shape (else DimensionMismatch); the record's fields have shape
     ``(N, C, *lead)``. The input stacks are validated and hermitized once per size
-    (``per_shape``), each then mapped with ``kraus_map``, and the image stacks are
-    hermitized once per size; each channel's upper bound is read once for its whole
-    stack: ``read_invariant_norms`` first takes the ``s`` and ``t`` not yet read
-    in one general SVD per operator size, and ``shrink_upper_bound`` then reads
-    them kept. The image stacks and the input stacks are grouped together by
-    matrix size (``per_shape``), each size taking one Hermitian SVD (which reads
-    one triangle: inputs and images are hermitized, so it reads the whole matrix)
-    zero-padded to the largest ``padded_dim_for`` in the list. The whole list is
+    (``per_shape``), each then mapped with ``kraus_map``; each channel's upper bound
+    is read once for its whole stack: ``read_invariant_norms`` first takes the ``s``
+    and ``t`` not yet read in one general SVD per operator size, and
+    ``shrink_upper_bound`` then reads them kept. The image stacks and the input
+    stacks are grouped together by matrix size (``per_shape``), and each size is
+    hermitized and takes one Hermitian SVD (which reads one triangle, so it reads
+    the whole matrix) zero-padded to the largest ``padded_dim_for`` in the list.
+    The inputs are exactly Hermitian after their validation, so hermitizing them
+    again there changes no bit. The whole list is
     then evaluated in one ``gauge_eval`` call and all inequalities are compared at
     once. Zero padding leaves every gauge value as it is: a channel whose padded
     dimension is the list's gets the values of a call on it alone bit for bit,
@@ -616,10 +617,11 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     xs = per_shape(lambda stack: hermitize(require_hermitian(stack, stacked=True)), xs)
     read_invariant_norms([p.invariants() for p in phis])
     bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
-    # the C image stacks, hermitized once per size, then the C input stacks
-    mats = per_shape(hermitize, [kraus_map(p.kraus, y) for p, y in zip(phis, xs)]) + xs
     padded = max(padded_dim_for(p) for p in phis)
-    spectra = np.array(per_shape(partial(singular_values, padded_dim=padded, hermitian=True), mats))
+    # the C image stacks, then the C input stacks, hermitized in their one spectral pass; the
+    # inputs are exactly Hermitian already, so hermitizing them again changes no bit
+    mats = [kraus_map(p.kraus, y) for p, y in zip(phis, xs)] + xs
+    spectra = np.array(per_shape(lambda stack: singular_values(hermitize(stack), padded, hermitian=True), mats))
     # (norms, image | input, channels, ...)
     values = gauge_eval(norms, spectra.reshape(2, len(phis), *lead, padded))
     lhs, rhs = values[:, 0], bounds * values[:, 1]

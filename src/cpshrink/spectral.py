@@ -11,8 +11,8 @@ the lower-bound search, whose matrices are PSD up to rounding) makes the one
 remix suite) makes the one ``eigvalsh`` call; all three solvers go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
 place that stacks a list of matrices by shape for a batched call (the
-invariant norms' SVDs, the checks' input validation, image hermitization and
-Hermitian SVDs, the remix isometries' QRs);
+invariant norms' SVDs, the checks' input validation and the Hermitian SVDs of
+their hermitized images and inputs, the remix isometries' QRs);
 numpy factors each matrix of a stack on its own, so each result equals the one
 of a call on its matrix alone bit for bit.
 ``singular_values``, ``hermitian_decomposition``, ``hermitian_eigenvalues`` and

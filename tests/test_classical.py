@@ -21,8 +21,11 @@ The channel has one Kraus operator per nonzero entry of ``P``, so a sparse ``P``
 the rows that the Kraus count decides: every row when ``P`` has one nonzero entry, and
 Ky Fan ``k`` with ``nnz(P) <= k < padded_dim``. Those rows are checked for equality with
 the oracle. A dense grid over the PSD inputs of a two-dimensional input space checks
-them on channels that are not classical.
+them on channels that are not classical, and a grid refined around each norm's best
+point is a lower-bound oracle for every searched row at ``d_in = 2``.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpshrink import KrausChannel, KyFan, Schatten, parse_norm, random_channel, shrink_report
+from cpshrink.cli import resolve_channel
 
 BOYD_STEPS = 10_000
 EXPONENTS = (1.5, 3.0)
@@ -238,3 +242,86 @@ def test_kraus_count_rows_meet_a_dense_grid(shape, seed, specs):
         best = float((_gauge(gauge, image_eigs) / _gauge(gauge, input_eigs)).max())
         assert best <= row.empirical_lower + 1e-12 * u
         assert row.empirical_lower - best <= 1e-4 * u
+
+
+# The d_in = 2 oracle. Every PSD input of unit norm is a(r) [(1 + r)/2 I + (1 - r)/2 n·σ], with
+# n on the Bloch sphere at (θ, φ) and eigenvalues 1 and r in [0, 1], so three real parameters
+# reach every norm's factor, the ratio |||Φ(x)||| / |||x||| at its best input, for any d_out and
+# K. The oracle takes a 13 x 24 x 7 grid in (θ, φ, r), then 5 rounds of a 5 x 5 x 5 grid around
+# each norm's best point, its width halved each round and r clipped to [0, 1]. Every point is a
+# real input, so the oracle is a lower bound on the factor, found without the search.
+QUBIT_NORMS = {
+    "schatten:3": ((1.0, "schatten", 3.0),),
+    "schatten:1.5": ((1.0, "schatten", 1.5),),
+    "schatten:4": ((1.0, "schatten", 4.0),),
+    "schatten:1.2": ((1.0, "schatten", 1.2),),
+    "combo:1*kyfan:1+1*schatten:1": ((1.0, "kyfan", 1), (1.0, "schatten", 1.0)),
+    "combo:0.5*schatten:2+2*kyfan:2": ((0.5, "schatten", 2.0), (2.0, "kyfan", 2)),
+}
+QUBIT_CHANNELS = [f"{kind}:2x{d_out}x{k}:{seed}" for kind in ("random", "cptp") for d_out in (2, 3, 4)
+                  for k in (2, 3, 4) for seed in range(4)]
+# the rows where the default schedule stops at a local maximum below the oracle, short by
+# 3.06e-3 u, 2.62e-3 u and 1.28e-3 u (ROADMAP item 18)
+QUBIT_SHORT_ROWS = [
+    ("cptp:2x3x3:3", "combo:0.5*schatten:2+2*kyfan:2"),
+    ("cptp:2x4x4:2", "kyfan:2"),
+    ("cptp:2x3x3:0", "combo:0.5*schatten:2+2*kyfan:2"),
+]
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _qubit_spectra(paulis: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The image and input spectra at ``points`` ``(..., 3)`` in ``(θ, φ, r)``, with ``paulis``
+    the images of I, σx, σy and σz."""
+    theta, phase, r = np.moveaxis(points, -1, 0)
+    bloch = np.stack([np.sin(theta) * np.cos(phase), np.sin(theta) * np.sin(phase), np.cos(theta)], axis=-1)
+    coefficients = np.concatenate([(1 + r)[..., None] / 2, (1 - r)[..., None] / 2 * bloch], axis=-1)
+    return np.linalg.eigvalsh(np.tensordot(coefficients, paulis, 1)), np.stack([np.ones_like(r), r], axis=-1)
+
+
+@functools.cache
+def _qubit_shortfalls(name: str) -> dict:
+    """Each norm's oracle value less the default report's row, in units of ``u``."""
+    # random_channel(2, d_out, K, 1.0, seed) or random_cptp_channel(2, d_out, K, seed)
+    phi = resolve_channel(name)
+    kyfans = range(2, min(phi.n_kraus, phi.d_out))
+    norms = {**QUBIT_NORMS, **{f"kyfan:{k}": ((1.0, "kyfan", k),) for k in kyfans}}
+    specs, gauges = list(norms), list(norms.values())
+    paulis = np.einsum("nij,pjk,nlk->pil", phi.kraus, PAULI, phi.kraus.conj())
+    grid = np.stack(np.meshgrid(np.linspace(0, np.pi, 13), np.linspace(0, 2 * np.pi, 24, endpoint=False),
+                                np.linspace(0, 1, 7), indexing="ij"), axis=-1).reshape(-1, 3)
+    image_eigs, input_eigs = _qubit_spectra(paulis, grid)
+    values = np.array([_gauge(g, image_eigs) / _gauge(g, input_eigs) for g in gauges])
+    best, oracle = grid[values.argmax(axis=1)], values.max(axis=1)
+    # the grid's spacing in each parameter, halved each round; each local grid holds its best point
+    width = np.array([np.pi / 12, np.pi / 12, 1 / 6])
+    local = np.stack(np.meshgrid(*[np.linspace(-1, 1, 5)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    for _ in range(5):
+        points = best[:, None] + local * width
+        points[..., 2] = points[..., 2].clip(0, 1)
+        image_eigs, input_eigs = _qubit_spectra(paulis, points)
+        values = np.array([_gauge(g, e) / _gauge(g, x) for g, e, x in zip(gauges, image_eigs, input_eigs)])
+        best = points[np.arange(len(gauges)), values.argmax(axis=1)]
+        oracle = np.maximum(oracle, values.max(axis=1))
+        width /= 2
+    rep = shrink_report(phi, [parse_norm(spec) for spec in specs], restarts=0, steps=200)
+    # u bounds every input, so no oracle value exceeds it beyond rounding
+    assert (oracle <= rep.upper_bound * (1 + 1e-12)).all()
+    return {spec: (value - row.empirical_lower) / rep.upper_bound
+            for spec, value, row in zip(specs, oracle, rep.per_norm)}
+
+
+@pytest.mark.parametrize("name", QUBIT_CHANNELS)
+def test_default_report_reaches_the_qubit_oracle(name):
+    # every row is at least the oracle's value less 1e-9 u, but the known local maxima below
+    for spec, shortfall in _qubit_shortfalls(name).items():
+        if (name, spec) not in QUBIT_SHORT_ROWS:
+            assert shortfall <= 1e-9, (spec, shortfall)
+
+
+@pytest.mark.xfail(strict=True, reason="the default schedule stops at a local maximum below the oracle")
+@pytest.mark.parametrize("name, spec", QUBIT_SHORT_ROWS)
+def test_default_report_escapes_the_qubit_local_maxima(name, spec):
+    # the trace witness of a cptp channel projects onto whichever eigenvector of Φ†(I) = I
+    # eigh returns, which leaves one informed start
+    assert _qubit_shortfalls(name)[spec] <= 1e-9

@@ -978,6 +978,30 @@ def test_choi_runs_stay_within_the_cap(monkeypatch):
     assert runs(576, ((6, 2, 1), (2, 6, 1))) == [[6, 2]]
 
 
+@pytest.mark.parametrize("dims", ["4..8", "6..10", "8..12", "10..16"])
+def test_choi_runs_stay_within_the_cap_at_any_remix_count(capsys, monkeypatch, dims):
+    # the draws, the run sizes and the padded isometries read one set of remix heights, so
+    # with three remixes (heights K, K + 2 and K + 4) every run of more than one channel still
+    # holds at most the cap's entries. Each run's stack (channels, remixes, rows + K, d_in d_out)
+    # is counted from the isometries it is given, at the run's largest K, d_in and d_out
+    monkeypatch.setattr(cli, "REMIX_CHECKS", 3)
+    sizes = []
+    real = cli._choi_suites
+
+    def counted(part, isometries):
+        n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in part) for a in ("n_kraus", "d_in", "d_out"))
+        rows = n_kraus + max(len(m) - phi.n_kraus for phi, vs in zip(part, isometries) for m in vs)
+        assert {len(vs) for vs in isometries} == {3}
+        sizes.append((len(part), len(part) * 3 * (rows + n_kraus) * d_in * d_out))
+        return real(part, isometries)
+
+    monkeypatch.setattr(cli, "_choi_suites", counted)
+    code, out, _ = run(capsys, "verify", "--random", "40", "--dims", dims, "--trials", "1")
+    assert code == 0 and "remix invariance                   120         0" in out
+    assert any(channels > 1 for channels, _ in sizes)
+    assert all(entries <= cli.VERIFY_BLOCK_ENTRIES for channels, entries in sizes if channels > 1)
+
+
 def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):
     # a block of 60 channels with d_in, d_out in 1..32 (one block: their inputs hold under the
     # cap) stacks 15 x the cap's entries in one Choi pass, where a run of one 32 x 32 channel's
