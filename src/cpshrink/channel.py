@@ -353,11 +353,14 @@ def matrix_to_entries(mat: np.ndarray) -> list:
 
 
 def entries_to_matrix(raw, rows: int, cols: int, field: str) -> np.ndarray:
-    """Parse nested [re, im] rows into a (rows, cols) complex matrix."""
+    """Parse nested [re, im] rows into a (rows, cols) complex matrix.
+
+    Every row and entry is checked before the matrix is allocated, so rows that disagree
+    with the stated dimensions fail on the first bad one, whatever size those state."""
     if not isinstance(raw, list) or len(raw) != rows:
         got = len(raw) if isinstance(raw, list) else type(raw).__name__
         raise ChannelFormatError(f"{field}: expected {rows} rows, got {got}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    values = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             got = len(row) if isinstance(row, list) else type(row).__name__
@@ -375,8 +378,8 @@ def entries_to_matrix(raw, rows: int, cols: int, field: str) -> np.ndarray:
                 re = im = np.inf
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise ChannelFormatError(f"{field}[{r}][{c}]: entries must be finite")
-            out[r, c] = re + 1j * im
-    return out
+            values.append(re + 1j * im)
+    return np.array(values, dtype=np.complex128).reshape(rows, cols)
 
 
 def _require_positive_int(value, field: str) -> int:

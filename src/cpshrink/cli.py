@@ -46,6 +46,7 @@ REMIX_CHECKS = 2
 # matrix entries of the inputs that verify checks in one stacked pass (1 MiB of complex128)
 VERIFY_BLOCK_ENTRIES = 2**16
 DEFAULT_NORMS = ("schatten:inf", "schatten:2", "schatten:1")
+SUITES = ("ky fan inequality (per k)", "gauge norm battery", "remix invariance", "choi positivity")
 NORM_COLUMN = 27
 
 
@@ -104,14 +105,18 @@ def resolve_channel(source: str) -> KrausChannel:
         return KrausChannel.from_json(text)
 
 
+def _count(ok: np.ndarray) -> tuple[int, int]:
+    # a flag array's (cases, failures): a case is one flag, and a failure is one False
+    return ok.size, ok.size - int(np.count_nonzero(ok))
+
+
 def _report_doc(args, phi: KrausChannel) -> dict:
     norms = [parse_norm(t) for t in (args.norm or DEFAULT_NORMS)]
     rep = shrink_report(phi, norms, args.restarts, args.steps, args.seed)
 
     rng = np.random.default_rng(args.seed)
     xs = random_hermitian(phi.d_in, rng, REPORT_FUZZ_INPUTS)
-    oks = check_kyfan_bounds(phi, xs).ok
-    checks, failures = oks.size, int(oks.size - np.count_nonzero(oks))
+    checks, failures = _count(check_kyfan_bounds(phi, xs).ok)
 
     return {
         "channel": {
@@ -278,13 +283,6 @@ def _blocks(channels: list[KrausChannel], trials: int):
         yield block, [min(step, trials - start) for start in range(0, trials, step)], run
 
 
-def _tally(suites: dict, *flags) -> None:
-    # a case is one flag
-    for name, ok in flags:
-        suites[name][0] += ok.size
-        suites[name][1] += ok.size - np.count_nonzero(ok)
-
-
 def _cmd_verify(args) -> int:
     for flag, count in (("--random", args.random), ("--trials", args.trials)):
         if count is not None and count < 1:
@@ -308,12 +306,7 @@ def _cmd_verify(args) -> int:
             sub = int(rng.integers(2**31))
             channels.append(random_channel(d_in, d_out, n_kraus, 1.0, sub))
 
-    suites = {
-        "ky fan inequality (per k)": [0, 0],
-        "gauge norm battery": [0, 0],
-        "remix invariance": [0, 0],
-        "choi positivity": [0, 0],
-    }
+    tally = {name: [] for name in SUITES}  # each suite's (cases, failures), per chunk or block
     witness: dict | None = None
     for block, counts, run in _blocks(channels, args.trials):
         padded = np.array([padded_dim_for(phi) for phi in block])
@@ -327,7 +320,9 @@ def _cmd_verify(args) -> int:
         # checks its inputs chunk by chunk before its Gaussians: the stream is the same,
         # since random_hermitian reads a stack as that many single draws
         gaussians: list[np.ndarray] = []
-        failed_input: list[np.ndarray | None] = [None] * len(block)  # each channel's first failing input
+        # the block's lowest-indexed channel with a failing trial and its first failing input:
+        # only a one-channel block takes more than one chunk, so the earliest chunk's holds
+        slot: tuple = ()
         for i, count in enumerate(counts):
             inputs = []
             for phi in block:
@@ -337,31 +332,34 @@ def _cmd_verify(args) -> int:
             ok = check_gauge_bounds(block, inputs, battery).ok  # (norms, channels, count)
             # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
             trial_ok = (ok | ~rows[:, :, None]).all(axis=0)  # (channels, count)
-            for c in np.flatnonzero(~trial_ok.all(axis=1)):
-                if failed_input[c] is None:
-                    failed_input[c] = inputs[c][np.argmin(trial_ok[c])]
-            _tally(suites, ("ky fan inequality (per k)", ok[rows & (orders > 0)]), ("gauge norm battery", ok[rows]))
+            if not slot and not trial_ok.all():
+                c = int(np.argmin(trial_ok.all(axis=1)))
+                slot = (c, inputs[c][np.argmin(trial_ok[c])])
+            for name, flags in zip(SUITES, (ok[rows & (orders > 0)], ok[rows])):
+                tally[name].append(_count(flags))
         # one QR per isometry shape for the whole block
         flat = orthonormal_columns(gaussians)
         isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
-        runs = [_choi_suites(block[c:c + run], isometries[c:c + run]) for c in range(0, len(block), run)]
-        remixed, psd = np.concatenate([held for held, _ in runs]), np.concatenate([ok for _, ok in runs])
-        _tally(suites, ("remix invariance", remixed), ("choi positivity", psd))
-        bad = np.array([x is not None for x in failed_input]) | ~remixed.all(axis=1) | ~psd
-        # the run's witness is its first failing channel, as a channel-by-channel pass finds it
-        if witness is None and bad.any():
-            c = int(np.argmax(bad))
+        remixed, psd = map(np.concatenate, zip(*(
+            _choi_suites(block[c:c + run], isometries[c:c + run]) for c in range(0, len(block), run))))
+        for name, flags in zip(SUITES[2:], (remixed, psd)):
+            tally[name].append(_count(flags))
+        # the witness is the first failing channel, as a channel-by-channel pass finds it: the
+        # block's first to fail the remix or Choi suite, or the slot's, whichever comes first
+        failing = [*np.flatnonzero(~remixed.all(axis=1) | ~psd)[:1], *slot[:1]]
+        if witness is None and failing:
+            c = int(min(failing))
             witness = {"channel": block[c].to_dict()}
-            if failed_input[c] is not None:
-                witness["input"] = matrix_to_entries(failed_input[c])
+            if slot and slot[0] == c:
+                witness["input"] = matrix_to_entries(slot[1])
 
+    totals = {name: tuple(map(sum, zip(*pairs))) for name, pairs in tally.items()}
     print(f"{'suite':<30}{'cases':>8}{'failures':>10}")
-    for name, (cases, fails) in suites.items():
+    for name, (cases, fails) in totals.items():
         print(f"{name:<30}{cases:>8}{fails:>10}")
     if args.channel is not None:
         print(f"upper bound: {shrink_upper_bound(channels[0])!r}")
-    total_failures = sum(f for _, f in suites.values())
-    if total_failures:
+    if any(fails for _, fails in totals.values()):
         print("result: FAIL")
         assert witness is not None
         print(json.dumps(witness, indent=2))

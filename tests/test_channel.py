@@ -623,12 +623,15 @@ class TestJsonInterchange:
     (lambda: KrausChannel.from_dict({"d_in": 1, "d_out": 1, "kraus": []}), ChannelFormatError, "kraus: expected"),
     (lambda: KrausChannel.from_dict({"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0]]]]}), ChannelFormatError,
      "kraus[0][0]: expected 2 entries"),
+    # a 1 x 10^12 matrix would need 14.6 TiB: the short row is named before anything is allocated
+    (lambda: KrausChannel.from_dict({"d_in": 10**12, "d_out": 1, "kraus": [[[[1, 0]]]]}), ChannelFormatError,
+     "kraus[0][0]: expected 1000000000000 entries, got 1"),
     (lambda: partial_trace_channel(0, 2), ValueError, "(0, 2)"),
     (lambda: random_channel(2, 2, 0), ValueError, "n_kraus must be >= 1, got 0"),
     (lambda: random_channel(2, 2, 1, 0.0), ValueError, "scale must be positive, got 0.0"),
     (lambda: random_cptp_channel(2, 2, 0), ValueError, "n_kraus must be >= 1, got 0"),
     (lambda: random_cptp_channel(0, 2, 1), ValueError, "d_in=0"),
-], ids=["dims", "document", "empty-kraus", "row-entries", "ptrace", "random-count", "random-scale",
+], ids=["dims", "document", "empty-kraus", "row-entries", "wide-row-entries", "ptrace", "random-count", "random-scale",
         "cptp-count", "cptp-dims"])
 def test_bad_input_is_named(build, error, named):
     with pytest.raises(error) as caught:

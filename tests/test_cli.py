@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import tracemalloc
@@ -543,14 +545,22 @@ def test_negative_seed_exits_2_naming_it(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["report", "verify"])
-def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
+OVERSIZED_INTEGER = ('{"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0], [1%s, 0.0]]]]}' % ("0" * 400),
+                     "kraus[0][0][1]: entries must be finite")
+# a row far shorter than d_in is bad input, named before its 14.6 TiB matrix is allocated
+WIDE_ROW = ('{"d_in": 1000000000000, "d_out": 1, "kraus": [[[[1, 0]]]]}', "kraus[0][0]: expected 1000000000000 entries, got 1")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("report", *OVERSIZED_INTEGER), ("verify", *OVERSIZED_INTEGER), ("report", *WIDE_ROW), ("verify", *WIDE_ROW),
+], ids=["report", "verify", "report-wide-row", "verify-wide-row"])
+def test_oversized_json_integer_exits_2(capsys, tmp_path, command, text, message):
     path = tmp_path / "huge.json"
-    path.write_text('{"d_in": 2, "d_out": 1, "kraus": [[[[1.0, 0.0], [1%s, 0.0]]]]}' % ("0" * 400))
+    path.write_text(text)
     code, out, err = run(capsys, command, "--channel", str(path))
     assert code == 2
     assert out == ""
-    assert "kraus[0][0][1]: entries must be finite" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["report", "verify"])
@@ -898,6 +908,30 @@ def test_verify_checks_a_channel_over_the_cap_in_chunks(capsys, monkeypatch, ent
     monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", entries)
     assert run(capsys, *argv) == whole
     assert sizes == stacks
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    channels=st.integers(2, 6),
+    dims=st.lists(st.integers(1, 5), min_size=2, max_size=2).map(sorted),
+    trials=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+    slack=st.sampled_from([-0.6, -0.05]),
+)
+def test_verify_output_does_not_depend_on_the_block_cap(channels, dims, trials, seed, slack):
+    # a negative slack fails some trials; the exit code and stdout, the witness and its input
+    # included, are the same at every cap: one channel per block, a cap of 50 entries (a lone
+    # channel's trials in chunks beside blocks of several channels) and the default
+    argv = ["verify", "--random", str(channels), "--dims", "%d..%d" % tuple(dims), "--trials", str(trials),
+            "--seed", str(seed)]
+    printed = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shrink, "BOUND_SLACK", slack)
+        for cap in (1, 50, 2**16):
+            m.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                printed.append((main(argv), out.getvalue()))
+    assert printed[1:] == printed[:1] * 2
 
 
 def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
