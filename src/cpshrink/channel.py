@@ -31,7 +31,7 @@ from .errors import (
     NotIsometry,
 )
 from .spectral import (
-    as_complex_matrix, hermitian_eigensystem, hermitian_eigenvalues, hermitize, per_shape, require_hermitian,
+    as_complex_matrix, hermitian_decomposition, hermitian_eigenvalues, hermitize, per_shape, require_hermitian,
     singular_values,
 )
 
@@ -50,6 +50,7 @@ __all__ = [
     "random_cptp_channel",
     "random_isometry",
     "read_invariant_norms",
+    "read_top_projectors",
     "remix_product",
 ]
 
@@ -166,10 +167,9 @@ class ChannelInvariants:
 
     @cached_property
     def adjoint_top_projector(self) -> np.ndarray:
-        """Read-only rank-1 projector onto the first listed top eigenvector of ``Phi†(I)``."""
-        _, vectors = hermitian_eigensystem(self.adjoint_identity_image)
-        top = vectors[:, :1]
-        return _frozen(hermitize(top @ top.conj().T))
+        """Read-only rank-1 projector onto the first listed top eigenvector of ``Phi†(I)``,
+        as ``read_top_projectors`` reads it."""
+        return read_top_projectors([self])[0]
 
     @cached_property
     def identity_image_spectrum(self) -> np.ndarray:
@@ -212,6 +212,20 @@ def read_invariant_norms(pairs: Sequence[ChannelInvariants]) -> None:
               if attr not in vars(inv)]
     for (inv, attr, _, _), value in zip(unread, _invariant_norms([(op, name) for _, _, op, name in unread])):
         vars(inv)[attr] = value
+
+
+def read_top_projectors(pairs: Sequence[ChannelInvariants]) -> list[np.ndarray]:
+    """``adjoint_top_projector`` of every pair, read at once and kept where its own read
+    keeps it; a pair that holds one already keeps it.
+
+    ``read_invariant_norms`` reads ``s`` and ``t`` first, so an overflowed pair raises the
+    NonFinite that names it. Then one eigensystem per distinct size of ``Phi†(I)`` gives
+    each pair's projector as a read of that pair alone gives it, bit for bit.
+    """
+    read_invariant_norms(pairs)
+    tops = per_shape(lambda m: hermitian_decomposition(m)[1][..., :1], [inv.adjoint_identity_image for inv in pairs])
+    return [vars(inv).setdefault("adjoint_top_projector", _frozen(hermitize(v @ v.conj().T)))
+            for inv, v in zip(pairs, tops)]
 
 
 def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:

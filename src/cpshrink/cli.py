@@ -10,18 +10,15 @@ from functools import partial
 
 import numpy as np
 
+from . import shrink
 from .channel import (
     KrausChannel,
-    complex_gaussian,
     identity_channel,
-    invariant_pair,
-    kraus_vectors,
     matrix_to_entries,
-    orthonormal_columns,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
-    remix_product,
+    read_top_projectors,
 )
 from .errors import ChannelFormatError, ConvergenceFailure
 from .gauge import KyFan, format_norm, parse_norm
@@ -33,7 +30,7 @@ from .shrink import (
     shrink_report,
     shrink_upper_bound,
 )
-from .spectral import hermitian_eigenvalues, hermitize, is_psd, random_hermitian
+from .spectral import random_hermitian
 from .spectral import spectral_norm  # unused; bench/tracer.py wraps cli.spectral_norm by name
 
 EXIT_OK = 0
@@ -42,11 +39,10 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 REPORT_FUZZ_INPUTS = 25
-REMIX_CHECKS = 2
 # matrix entries of the inputs that verify checks in one stacked pass (1 MiB of complex128)
 VERIFY_BLOCK_ENTRIES = 2**16
 DEFAULT_NORMS = ("schatten:inf", "schatten:2", "schatten:1")
-SUITES = ("ky fan inequality (per k)", "gauge norm battery", "remix invariance", "choi positivity")
+SUITES = ("ky fan inequality (per k)", "gauge norm battery", "bound attained")
 NORM_COLUMN = 27
 
 
@@ -187,100 +183,29 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _remixed_close(mixed: np.ndarray, base: np.ndarray) -> np.ndarray:
-    # one flag per matrix of the stack mixed, entrywise and relative to the largest entry of
-    # its base matrix (base broadcasts against mixed), so it holds at any Kraus scale
-    return np.abs(mixed - base).max(axis=(-2, -1)) <= 1e-9 * np.abs(base).max(axis=(-2, -1))
-
-
-def _remix_heights(n_kraus: int) -> range:
-    # the row counts of a channel's REMIX_CHECKS remix isometries: square, then two rows taller each
-    return range(n_kraus, n_kraus + 2 * REMIX_CHECKS, 2)
-
-
-def _choi_suites(run: list[KrausChannel], isometries: list[list[np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Remix invariance ``(channels, REMIX_CHECKS)`` and Choi positivity ``(channels,)`` of a
-    run of channels, each remixed by its isometries, with no Choi matrix formed.
-
-    Each channel's Kraus set is copied into one zero-padded stack
-    ``(channels, K, d_out, d_in)`` at the run's largest counts. Zero operators and zero rows
-    and columns leave a channel's pair and Choi spectrum as they are, apart from zero
-    padding and extra zero eigenvalues. Each isometry ``v`` becomes ``v ⊕ I`` on the
-    channel's zero operators, zero rows between them and ``I`` in the last K rows, so it
-    stays an isometry of the padded stack, every remix keeps its nonzero rows where they
-    were, and every remix comes from one ``remix_product`` call. A channel's isometries are
-    ``_remix_heights(k)`` rows tall, so the padded ones are ``_remix_heights(K)[-1]`` rows
-    tall. One ``invariant_pair`` call reads every channel's own pair from the padded stack,
-    not through ``remix_product``, and one more every remixed pair. A remix keeps the pair
-    when each of its two operators is entrywise within ``1e-9`` times the largest entry of
-    the channel's own. The Choi facts are read from the vectorized Kraus operators ``V``
-    (``kraus_vectors``, ``Choi = Vᵀ V̄``). Choi's nonzero eigenvalues are those of the Gram
-    ``V̄ Vᵀ``, since ``XY`` and ``YX`` share theirs. For a remix ``F`` of ``E``,
-    ``Choi(F) - Choi(E) = Aᵀ S Ā`` with ``A = [V_F; V_E]`` and ``S = diag(I, -I)``; with
-    ``Aᵀ = QR`` that is ``Q (R S R†) Q†``, so its spectral norm is the largest eigenvalue
-    magnitude of the Hermitian ``R S R†``. It must be within ``1e-9`` times Choi's largest
-    entry, which for a PSD matrix is its largest diagonal entry,
-    ``max_(i, a) sum_n |E_n[a, i]|²``. So the run takes one Gram product and one ``is_psd``
-    solve, and one QR, one product and one solve for the remixes.
-    """
-    n_kraus, d_out, d_in = (max(getattr(phi, a) for phi in run) for a in ("n_kraus", "d_out", "d_in"))
-    rows = _remix_heights(n_kraus)[-1]
-    # the padded Kraus stack, held as its vectors so that kraus_vectors(ops) is a view of them
-    ops = np.zeros((len(run), n_kraus, d_in, d_out), dtype=np.complex128).swapaxes(-2, -1)
-    v = np.zeros((len(run), REMIX_CHECKS, rows, n_kraus), dtype=np.complex128)
-    # the identity on the last K rows: zero operator k of a channel maps to row rows - K + k,
-    # below every isometry's own rows; a channel's own columns take its isometries instead
-    v[..., rows - n_kraus:, :] = np.eye(n_kraus)
-    for c, (phi, vs) in enumerate(zip(run, isometries)):
-        k = phi.n_kraus
-        ops[c, :k, :phi.d_out, :phi.d_in] = phi.kraus
-        v[c, ..., :k] = 0.0
-        for i, m in enumerate(vs):
-            v[c, i, :len(m), :k] = m
-    mixed = remix_product(v, ops[:, None])
-    # each remixed pair against its channel's own, both read from the padded stack, neither kept
-    held = np.logical_and(*map(_remixed_close, invariant_pair(mixed), (p[:, None] for p in invariant_pair(ops))))
-    own = kraus_vectors(ops)
-    psd = is_psd(own.conj() @ own.swapaxes(-2, -1))
-    top = (np.abs(own) ** 2).sum(axis=-2).max(axis=-1)
-    # A of each channel and remix: the remixed operators' vectors, then from row `rows` the channel's own
-    own = np.broadcast_to(own[:, None], (len(run), REMIX_CHECKS, *own.shape[1:]))
-    stack = np.concatenate([kraus_vectors(mixed), own], axis=-2)
-    # the QR copies the stack: free the run's other padded arrays first, so that they are
-    # never alive beside that copy
-    del ops, own, mixed
-    r = np.linalg.qr(stack.swapaxes(-2, -1), mode="r")
-    # on an exact remix R S R† is rounding alone, so only its hermitized form is Hermitian
-    # within the tolerance relative to its own largest entry
-    w = hermitian_eigenvalues(hermitize((r * np.repeat([1.0, -1.0], [rows, n_kraus])) @ r.conj().swapaxes(-2, -1)))
-    held &= np.maximum(w[..., 0], -w[..., -1]) <= 1e-9 * top[:, None]
-    return held, psd
-
-
 def _blocks(channels: list[KrausChannel], trials: int):
-    """Runs of consecutive channels whose trials hold at most ``VERIFY_BLOCK_ENTRIES``
+    """Runs of consecutive channels whose inputs hold at most ``VERIFY_BLOCK_ENTRIES``
     entries together, a channel over it being a block alone, each with the trial counts
-    in which the block draws and checks its inputs and the number of channels each
-    ``_choi_suites`` run takes. A trial counts ``padded_dim_for(phi)**2`` entries, so its
-    image is counted too. One rule sizes both passes: a step takes ``max(1, cap //
-    entries)``, so memory stays bounded at any ``--trials`` and a block within the cap
-    takes one count, all its trials."""
+    in which the block draws and checks its inputs. A channel's inputs are its trials
+    and, in the block's last chunk, its two attaining inputs; an input counts
+    ``padded_dim_for(phi)**2`` entries, so its image is counted too. A chunk takes
+    ``max(2, cap // entries)`` inputs, so memory stays bounded at any ``--trials`` and a
+    block within the cap takes all its inputs at once. The short chunk comes first, so
+    the last one has room for the attaining pair."""
     blocks: list[list[KrausChannel]] = []
     entries = 0
     for phi in channels:
-        size = trials * padded_dim_for(phi) ** 2
+        size = (trials + 2) * padded_dim_for(phi) ** 2
         if not blocks or entries + size > VERIFY_BLOCK_ENTRIES:
             blocks.append([])
             entries = 0
         blocks[-1].append(phi)
         entries += size
     for block in blocks:
-        step = max(1, VERIFY_BLOCK_ENTRIES // sum(padded_dim_for(phi) ** 2 for phi in block))
-        n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in block) for a in ("n_kraus", "d_in", "d_out"))
-        # a channel's share of a run's stack (channels, REMIX_CHECKS, rows + K, d_in d_out) on the
-        # block's padded grid, rows being the height of the tallest remix isometry
-        run = max(1, VERIFY_BLOCK_ENTRIES // (REMIX_CHECKS * (_remix_heights(n_kraus)[-1] + n_kraus) * d_in * d_out))
-        yield block, [min(step, trials - start) for start in range(0, trials, step)], run
+        step = max(2, VERIFY_BLOCK_ENTRIES // sum(padded_dim_for(phi) ** 2 for phi in block))
+        counts = [min(step, trials + 2 - start) for start in range(0, trials + 2, step)][::-1]
+        counts[-1] -= 2
+        yield block, counts
 
 
 def _cmd_verify(args) -> int:
@@ -308,28 +233,27 @@ def _cmd_verify(args) -> int:
 
     tally = {name: [] for name in SUITES}  # each suite's (cases, failures), per chunk or block
     witness: dict | None = None
-    for block, counts, run in _blocks(channels, args.trials):
+    for block, counts in _blocks(channels, args.trials):
         padded = np.array([padded_dim_for(phi) for phi in block])
         battery = norm_battery(int(padded.max()))
         # the battery's Ky Fan rows are KyFan(1..padded) of the block; a channel reads those
         # up to its own padded dimension, the per-k suite, since the rest repeat its trace norm
         orders = np.array([n.k if isinstance(n, KyFan) else 0 for n in battery])[:, None]
         rows = orders <= padded  # (norms, channels)
-        # every draw in channel order: a channel's inputs, then the Gaussians of its remix
-        # isometries as random_isometry draws them. A lone channel over the cap draws and
-        # checks its inputs chunk by chunk before its Gaussians: the stream is the same,
-        # since random_hermitian reads a stack as that many single draws
-        gaussians: list[np.ndarray] = []
         # the block's lowest-indexed channel with a failing trial and its first failing input:
-        # only a one-channel block takes more than one chunk, so the earliest chunk's holds
+        # only a one-channel block takes more than one chunk, so the earliest chunk's holds.
+        # A lone channel over the cap draws its trials chunk by chunk: the stream is the
+        # same, since random_hermitian reads a stack as that many single draws
         slot: tuple = ()
         for i, count in enumerate(counts):
-            inputs = []
-            for phi in block:
-                inputs.append(random_hermitian(phi.d_in, rng, count))
-                if i == len(counts) - 1:
-                    gaussians += [complex_gaussian(rng, (h, phi.n_kraus)) for h in _remix_heights(phi.n_kraus)]
-            ok = check_gauge_bounds(block, inputs, battery).ok  # (norms, channels, count)
+            inputs = [random_hermitian(phi.d_in, rng, count) for phi in block]
+            if i == len(counts) - 1:
+                # after the last trials, the inputs that attain u: I in the spectral norm and
+                # the top eigenprojector of Phi†(I) in the trace norm
+                tops = read_top_projectors([phi.invariants() for phi in block])
+                inputs = [np.concatenate([x, [np.eye(phi.d_in), p]]) for phi, x, p in zip(block, inputs, tops)]
+            check = check_gauge_bounds(block, inputs, battery)  # (norms, channels, inputs)
+            ok = check.ok[..., :count]
             # a trial fails when it fails any of its channel's battery rows (the per-k suite among them)
             trial_ok = (ok | ~rows[:, :, None]).all(axis=0)  # (channels, count)
             if not slot and not trial_ok.all():
@@ -337,21 +261,22 @@ def _cmd_verify(args) -> int:
                 slot = (c, inputs[c][np.argmin(trial_ok[c])])
             for name, flags in zip(SUITES, (ok[rows & (orders > 0)], ok[rows])):
                 tally[name].append(_count(flags))
-        # one QR per isometry shape for the whole block
-        flat = orthonormal_columns(gaussians)
-        isometries = [flat[i:i + REMIX_CHECKS] for i in range(0, len(flat), REMIX_CHECKS)]
-        remixed, psd = map(np.concatenate, zip(*(
-            _choi_suites(block[c:c + run], isometries[c:c + run]) for c in range(0, len(block), run))))
-        for name, flags in zip(SUITES[2:], (remixed, psd)):
-            tally[name].append(_count(flags))
+        # the bound is attained when the battery's largest lhs / rhs over the attaining pair is
+        # within the slack of 1: no row above 1 + slack, and some row at or above 1 - slack
+        lhs, rhs, ok = (a[..., count:] for a in (check.lhs, check.rhs, check.ok))
+        pair = rows[:, :, None]
+        reached = lhs >= (1.0 - shrink.BOUND_SLACK) * rhs
+        attained = ok.all(axis=(0, 2), where=pair) & reached.any(axis=(0, 2), where=pair)
+        tally[SUITES[2]].append(_count(attained))
         # the witness is the first failing channel, as a channel-by-channel pass finds it: the
-        # block's first to fail the remix or Choi suite, or the slot's, whichever comes first
-        failing = [*np.flatnonzero(~remixed.all(axis=1) | ~psd)[:1], *slot[:1]]
+        # block's first to fail attainment, or the slot's, whichever comes first. One that fails
+        # attainment alone carries its attaining input of the larger ratio, the one the suite reads
+        failing = [*np.flatnonzero(~attained)[:1], *slot[:1]]
         if witness is None and failing:
             c = int(min(failing))
-            witness = {"channel": block[c].to_dict()}
-            if slot and slot[0] == c:
-                witness["input"] = matrix_to_entries(slot[1])
+            top = (lhs[:, c] / rhs[:, c]).max(axis=0, initial=0.0, where=pair[:, c]).argmax()
+            x = slot[1] if slot and slot[0] == c else inputs[c][count + top]
+            witness = {"channel": block[c].to_dict(), "input": matrix_to_entries(x)}
 
     totals = {name: tuple(map(sum, zip(*pairs))) for name, pairs in tally.items()}
     print(f"{'suite':<30}{'cases':>8}{'failures':>10}")

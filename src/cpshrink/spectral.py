@@ -4,15 +4,16 @@
 channel's invariant norms and ``spectral_norm``/``trace_norm``) is the
 package's one SVD call; Hermitian stacks take numpy's Hermitian path through
 it. ``hermitian_decomposition`` (eigenpairs by descending eigenvalue, read by
-the lower-bound search, whose matrices are PSD up to rounding) makes the one
-``eigh`` call, and ``hermitian_eigensystem`` is its checked 2-D front.
-``hermitian_eigenvalues`` (read by ``is_psd``, the Schatten-2 factor,
-``ChannelInvariants.identity_image_spectrum``, ``top_k_eigensum`` and verify's
-remix suite) makes the one ``eigvalsh`` call; all three solvers go through one checked call
+the lower-bound search, whose matrices are PSD up to rounding, and by the trace
+witnesses) makes the one ``eigh`` call, and ``hermitian_eigensystem`` is its
+checked 2-D front. ``hermitian_eigenvalues`` (read by ``is_psd``, the
+Schatten-2 factor, ``ChannelInvariants.identity_image_spectrum`` and
+``top_k_eigensum``) makes the one ``eigvalsh`` call; all three solvers go through one checked call
 that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
 place that stacks a list of matrices by shape for a batched call (the
-invariant norms' SVDs, the checks' input validation and the Hermitian SVDs of
-their hermitized images and inputs, the remix isometries' QRs);
+invariant norms' SVDs, the trace witnesses' eigensystems, the checks' input
+validation and the Hermitian SVDs of their hermitized images and inputs, the
+isometries' QRs);
 numpy factors each matrix of a stack on its own, so each result equals the one
 of a call on its matrix alone bit for bit.
 ``singular_values``, ``hermitian_decomposition``, ``hermitian_eigenvalues`` and

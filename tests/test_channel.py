@@ -6,8 +6,10 @@ import pytest
 
 from cpshrink.channel import (
     KrausChannel,
+    choi_product,
     complex_gaussian,
     identity_channel,
+    invariant_pair,
     kraus_map,
     orthonormal_columns,
     partial_trace_channel,
@@ -15,6 +17,8 @@ from cpshrink.channel import (
     random_cptp_channel,
     random_isometry,
     read_invariant_norms,
+    read_top_projectors,
+    remix_product,
 )
 from cpshrink.errors import (
     ChannelFormatError,
@@ -380,6 +384,32 @@ class TestInvariants:
                 read_invariant_norms(pairs)
             assert "identity_image_norm" not in vars(fine)
 
+    def test_batch_projectors_equal_single_reads(self, monkeypatch):
+        # one eigensystem per distinct d_in, and each kept projector equals a fresh channel's
+        # single read bit for bit, read-only, at Kraus scales 2^+-490 too
+        shapes = [(1, 1, 1), (3, 2, 2), (2, 3, 1), (3, 3, 2), (1, 4, 3), (4, 1, 2), (3, 5, 3)]
+        channels = [random_channel(*shape, 2.0 ** (490 * (i % 3 - 1)), 70 + i) for i, shape in enumerate(shapes)]
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or real(a, *args))
+        read_top_projectors([phi.invariants() for phi in channels])
+        assert calls == [(2, 1, 1), (3, 3, 3), (1, 2, 2), (1, 4, 4)]
+        monkeypatch.undo()
+        for phi in channels:
+            kept = phi.invariants().adjoint_top_projector
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, KrausChannel(phi.d_in, phi.d_out, phi.kraus).invariants().adjoint_top_projector)
+            # the trace norm's attaining input: tr Phi(P) = t
+            assert np.trace(phi.apply(kept)).real == pytest.approx(phi.invariants().adjoint_identity_image_norm, rel=1e-14)
+
+    def test_batch_projectors_name_the_overflowed_operator(self):
+        # s and t are read first, so the error names the operator as their reads do
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = KrausChannel(3, 1, [np.full((1, 3), 8e153)]).invariants()  # Phi(I) overflows
+        with pytest.raises(NonFinite, match=r"Phi\(I\) overflows float64"):
+            read_top_projectors([random_channel(2, 2, 1, 1.0, 3).invariants(), wide])
+        assert "adjoint_top_projector" not in vars(wide)
+
 
 class TestRemix:
     def test_identity_recombination(self):
@@ -414,6 +444,25 @@ class TestRemix:
         for m in range(5):
             want = sum(v[m, n] * phi.kraus[n] for n in range(3))
             assert np.abs(mixed.kraus[m] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("d_in, d_out, n_kraus, j", [
+        (1, 1, 1, 0), (3, 2, 2, 490), (2, 5, 3, -490), (4, 4, 2, 17), (6, 1, 1, -200), (2, 3, 4, 300),
+    ])
+    def test_stacked_helpers_match_remixed_channels(self, d_in, d_out, n_kraus, j):
+        # the helpers on a stack of isometries, square and two rows taller, give each remixed
+        # channel's pair and Choi matrix bit for bit
+        phi = random_channel(d_in, d_out, n_kraus, 2.0**j, 31 + abs(j))
+        rng = np.random.default_rng(32 + abs(j))
+        for rows in (n_kraus, n_kraus + 2):
+            vs = np.stack([random_isometry(rows, n_kraus, rng) for _ in range(2)])
+            ops = remix_product(vs, phi.kraus)
+            pair, choi = invariant_pair(ops), choi_product(ops)
+            for r, v in enumerate(vs):
+                mixed = KrausChannel(d_in, d_out, (v @ phi.kraus.reshape(n_kraus, -1)).reshape(rows, d_out, d_in))
+                inv = mixed.invariants()
+                assert np.array_equal(pair[0][r], inv.identity_image)
+                assert np.array_equal(pair[1][r], inv.adjoint_identity_image)
+                assert np.array_equal(choi[r], mixed.choi_matrix())
 
     def test_rejects_non_isometry(self):
         phi = random_channel(2, 2, 2, 1.0, 8)

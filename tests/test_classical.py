@@ -248,9 +248,10 @@ def test_kraus_count_rows_meet_a_dense_grid(shape, seed, specs):
 # n on the Bloch sphere at (θ, φ) and eigenvalues 1 and r in [0, 1], so three real parameters
 # reach every norm's factor, the ratio |||Φ(x)||| / |||x||| at its best input, for any d_out and
 # K. The oracle takes a 13 x 24 x 7 grid in (θ, φ, r), then 10 rounds of a 5 x 5 x 5 grid around
-# each of two starts per norm, its best point and its best with r < 1, the grid's width times 0.6
-# each round and r clipped to [0, 1]. Every point is a real input, so the oracle is a lower bound
-# on the factor, found without the search.
+# each of three starts per norm, its best point, its best with r < 1 and its best with r < 1 whose
+# n lies beyond the second start's reach, the grid's width times 0.6 each round and r clipped to
+# [0, 1]. Every point is a real input, so the oracle is a lower bound on the factor, found
+# without the search.
 QUBIT_NORMS = {
     "schatten:3": ((1.0, "schatten", 3.0),),
     "schatten:1.5": ((1.0, "schatten", 1.5),),
@@ -271,12 +272,17 @@ QUBIT_SHORT_ROWS = [
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
+def _bloch(points: np.ndarray) -> np.ndarray:
+    """The unit Bloch vectors ``n`` of ``points`` ``(..., 3)`` in ``(θ, φ, r)``."""
+    theta, phase = points[..., 0], points[..., 1]
+    return np.stack([np.sin(theta) * np.cos(phase), np.sin(theta) * np.sin(phase), np.cos(theta)], axis=-1)
+
+
 def _qubit_spectra(paulis: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The image and input spectra at ``points`` ``(..., 3)`` in ``(θ, φ, r)``, with ``paulis``
     the images of I, σx, σy and σz."""
-    theta, phase, r = np.moveaxis(points, -1, 0)
-    bloch = np.stack([np.sin(theta) * np.cos(phase), np.sin(theta) * np.sin(phase), np.cos(theta)], axis=-1)
-    coefficients = np.concatenate([(1 + r)[..., None] / 2, (1 - r)[..., None] / 2 * bloch], axis=-1)
+    r = points[..., 2]
+    coefficients = np.concatenate([(1 + r)[..., None] / 2, (1 - r)[..., None] / 2 * _bloch(points)], axis=-1)
     return np.linalg.eigvalsh(np.tensordot(coefficients, paulis, 1)), np.stack([np.ones_like(r), r], axis=-1)
 
 
@@ -294,11 +300,16 @@ def _qubit_shortfalls(name: str) -> dict:
     image_eigs, input_eigs = _qubit_spectra(paulis, grid)
     values = np.array([_gauge(g, image_eigs) / _gauge(g, input_eigs) for g in gauges])
     oracle = values.max(axis=1)
-    # two starts per norm: its best grid point, and its best with r < 1, since at r = 1 the input
-    # is I whatever n is, and a search from there stays near that point's (θ, φ)
-    best = grid[np.stack([values, np.where(grid[:, 2] < 1, values, -np.inf)], axis=1).argmax(axis=-1)]
     # the grid's spacing in each parameter, times 0.6 each round; each local grid holds its best point
     width = np.array([np.pi / 12, np.pi / 12, 1 / 6])
+    # three starts per norm: its best grid point; its best with r < 1, since at r = 1 the input is
+    # I whatever n is, and a search from there stays near that point's (θ, φ); and its best with
+    # r < 1 whose n is beyond the reach of the second start's search, which moves n at most
+    # width / (1 - 0.6) over its rounds. Where the best grid point has r < 1, the second start is it
+    inner = np.where(grid[:, 2] < 1, values, -np.inf)
+    bloch = _bloch(grid)
+    near = bloch[inner.argmax(axis=1)] @ bloch.T > np.cos(width[0] / (1 - 0.6))  # (norms, points)
+    best = grid[np.stack([values, inner, np.where(near, -np.inf, inner)], axis=1).argmax(axis=-1)]
     local = np.stack(np.meshgrid(*[np.linspace(-1, 1, 5)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     for _ in range(10):
         points = best[:, :, None] + local * width  # (norms, starts, 125, 3)

@@ -11,23 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpshrink import channel, cli, shrink
-from cpshrink.channel import (
-    KrausChannel,
-    choi_product,
-    identity_channel,
-    invariant_pair,
-    kraus_vectors,
-    matrix_to_entries,
-    random_channel,
-    random_isometry,
-    remix_product,
-)
+from cpshrink import cli, shrink
+from cpshrink.channel import KrausChannel, identity_channel, matrix_to_entries, random_channel, random_cptp_channel
 from cpshrink.cli import main, resolve_channel
 from cpshrink.errors import ChannelFormatError
 from cpshrink.gauge import KyFan, Schatten
 from cpshrink.shrink import check_gauge_bounds, norm_battery, shrink_report, shrink_upper_bound
-from cpshrink.spectral import is_psd, random_hermitian
+from cpshrink.spectral import random_hermitian
 
 
 def run(capsys, *argv):
@@ -313,6 +303,13 @@ class TestReport:
             doc["factors"]["spectral"], doc["factors"]["trace"]
         ) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
 
+    @pytest.mark.parametrize("spec, padded", [("ptrace:2x3", 6), ("cptp:3x2x2:1", 3), ("random:1x4x2:0", 4)])
+    def test_verification_block_counts_its_fuzz(self, capsys, spec, padded):
+        # the embedded fuzz checks 25 seeded inputs on Ky Fan 1..padded_dim each
+        code, out, _ = run(capsys, "report", "--channel", spec, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verification"] == {"inputs": 25, "checks": 25 * padded, "failures": 0}
+
 
 class TestVerify:
     def test_named_channel_passes(self, capsys):
@@ -353,29 +350,20 @@ class TestVerify:
             main(["verify"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("scale", [1e3, 1e120])
-    def test_remix_invariance_holds_at_large_kraus_scale(self, capsys, tmp_path, scale):
-        path = tmp_path / "chan.json"
-        path.write_text(random_channel(3, 3, 2, scale, 1).to_json())
-        code, out, _ = run(capsys, "verify", "--channel", str(path), "--trials", "5")
-        assert code == 0
-        assert "remix invariance                     2         0" in out
-        assert "result: PASS" in out
-
-    @pytest.mark.parametrize("scale", [1e-6, 1e-150])
-    def test_wrong_remix_fails_at_any_kraus_scale(self, capsys, monkeypatch, tmp_path, scale):
-        # the comparison is relative to the base's largest entry, so a remix that scales the
-        # Kraus set by 1.5 fails at a small Kraus scale too, and a right one passes there
-        path = tmp_path / "chan.json"
-        path.write_text(random_channel(3, 3, 2, scale, 1).to_json())
-        argv = ("verify", "--channel", str(path), "--trials", "5")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and "remix invariance                     2         0" in out
-        real = cli.remix_product
-        monkeypatch.setattr(cli, "remix_product", lambda v, ops: real(v, ops) * 1.5)
-        code, out, _ = run(capsys, *argv)
-        assert code == 1
-        assert "remix invariance                     2         2" in out
+    @pytest.mark.parametrize("spec, scale", [
+        ("identity:3", None), ("ptrace:2x3", None), ("cptp:4x2x3:1", None), ("random:1x5x2:3", None),
+        ("random:3x2x2:4", 1e-140), ("random:3x2x2:4", 1e140),
+    ], ids=["identity", "ptrace", "cptp", "1-to-5", "1e-140", "1e140"])
+    def test_bound_is_attained_on_every_kind_of_channel(self, capsys, tmp_path, spec, scale):
+        # u is attained at I or at the top eigenprojector of Phi†(I) on a unital channel, a
+        # partial trace, a trace-preserving one, a 1 -> 5 one, and at Kraus entries near
+        # 1e+-140, with no numpy RuntimeWarning (an error under the tests' warning filter)
+        if scale is not None:
+            phi = resolve_channel(spec)
+            spec = str(tmp_path / "chan.json")
+            (tmp_path / "chan.json").write_text(KrausChannel(phi.d_in, phi.d_out, scale * phi.kraus).to_json())
+        code, out, _ = run(capsys, "verify", "--channel", spec, "--trials", "3")
+        assert code == 0 and "bound attained                       1         0" in out
 
     @pytest.mark.parametrize("scale", [2.0**40, 2.0**-40, 1e150, 1e-150], ids=["2^40", "2^-40", "1e150", "1e-150"])
     def test_halved_bound_fails_alike_at_any_kraus_scale(self, capsys, monkeypatch, tmp_path, scale):
@@ -389,19 +377,13 @@ class TestVerify:
             path.write_text(random_channel(3, 2, 2, c, 4).to_json())
             code, out, _ = run(capsys, "verify", "--channel", str(path))
             assert code == 1
-            tables.append(out.splitlines()[:5])
+            tables.append(out.splitlines()[:4])
         assert tables[0] == tables[1]
-        assert tables[0][1:3] == [
+        assert tables[0][1:] == [
             "ky fan inequality (per k)           60         3",
             "gauge norm battery                 200         8",
+            "bound attained                       1         1",
         ]
-
-    def test_tampered_remix_fails(self, capsys, monkeypatch):
-        real = cli.remix_product
-        monkeypatch.setattr(cli, "remix_product", lambda v, ops: real(v, ops) * (1 + 1e-6))
-        code, out, _ = run(capsys, "verify", "--channel", "random:3x3x2:1", "--trials", "5")
-        assert code == 1
-        assert "remix invariance                     2         2" in out
 
     def test_failing_suites_and_witness(self, capsys, monkeypatch):
         # a negative slack fails some checks: the counts and the first failing trial are pinned
@@ -409,12 +391,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--channel", "random:3x2x2:4", "--trials", "6")
         assert code == 1
         table, _, witness = out.partition("result: FAIL\n")
-        assert table.splitlines()[:5] == [
+        assert table.splitlines()[:4] == [
             "suite                            cases  failures",
             "ky fan inequality (per k)           18         3",
             "gauge norm battery                  60        11",
-            "remix invariance                     2         0",
-            "choi positivity                      1         0",
+            "bound attained                       1         1",
         ]
         doc = json.loads(witness)
         assert doc["channel"] == resolve_channel("random:3x2x2:4").to_dict()
@@ -424,7 +405,11 @@ class TestVerify:
 
     def test_stacked_channels_match_a_per_channel_loop(self, capsys, monkeypatch):
         # a negative slack fails some checks; the suite table and the witness are those
-        # that one check per channel predicts, with the draws in the same order
+        # that one check per channel predicts, with the draws in the same order. Each
+        # channel's check takes its trials, then I and the top eigenprojector of Phi†(I).
+        # Every channel fails attainment under a negative slack, so the first channel is
+        # the witness: with its first failing trial, or else the attaining input that
+        # holds its largest ratio
         monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
         rng = np.random.default_rng(0)
         shapes = [(int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(2**31)))
@@ -434,15 +419,16 @@ class TestVerify:
         for d_in, d_out, n_kraus, sub in shapes:
             phi = random_channel(d_in, d_out, n_kraus, 1.0, sub)
             xs = random_hermitian(d_in, rng, 6)
-            for extra in range(cli.REMIX_CHECKS):
-                random_isometry(n_kraus + 2 * extra, n_kraus, rng)
-            check = check_gauge_bounds([phi], [xs], norm_battery(max(d_in, d_out)))
-            oks = check.ok[:, 0]
+            attaining = np.stack([np.eye(d_in), phi.invariants().adjoint_top_projector])
+            check = check_gauge_bounds([phi], [np.concatenate([xs, attaining])], norm_battery(max(d_in, d_out)))
+            oks = check.ok[:, 0, :6]
             kyfan = np.array([isinstance(norm, KyFan) for norm in check.norms])
             cases, fails = cases + oks.size, fails + int((~oks).sum())
             kyfan_cases, kyfan_fails = kyfan_cases + oks[kyfan].size, kyfan_fails + int((~oks[kyfan]).sum())
-            if witness is None and not oks.all():
-                witness = {"channel": phi.to_dict(), "input": matrix_to_entries(xs[np.argmin(oks.all(axis=0))])}
+            if witness is None:
+                ratios = (check.lhs[:, 0, 6:] / check.rhs[:, 0, 6:]).max(axis=0)
+                x = xs[np.argmin(oks.all(axis=0))] if not oks.all() else attaining[np.argmax(ratios)]
+                witness = {"channel": phi.to_dict(), "input": matrix_to_entries(x)}
         assert fails and witness is not None
         argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
         code, out, _ = run(capsys, *argv)
@@ -451,72 +437,53 @@ class TestVerify:
         assert table.splitlines()[1:] == [
             f"ky fan inequality (per k){kyfan_cases:>13}{kyfan_fails:>10}",
             f"gauge norm battery{cases:>20}{fails:>10}",
-            "remix invariance                    10         0",
-            "choi positivity                      5         0",
+            "bound attained                       5         5",
         ]
         assert json.loads(printed) == witness
         # one channel per block prints the same
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
         assert run(capsys, *argv)[:2] == (1, out)
 
-    @pytest.mark.parametrize("patched, line", [
-        ("is_psd", "choi positivity                      5         1"),
-        ("remix_product", "remix invariance                    10         2"),
-    ])
-    def test_witness_of_a_suite_without_inputs(self, capsys, monkeypatch, patched, line):
-        # the third of five random channels fails a suite that draws no input: its
-        # witness is the channel alone, unless the battery fails in an earlier channel
+    def test_witness_of_a_channel_that_fails_attainment_alone(self, capsys, monkeypatch):
+        # the third of five random channels gets a bound 1e-6 too large: none of its trials
+        # can fail, but its bound is no longer attained. Its witness is the attaining input
+        # that holds its largest ratio, I when s > t and else the top eigenprojector of
+        # Phi†(I), unless an earlier channel fails first
         rng = np.random.default_rng(0)
         shapes = [[int(rng.integers(*r)) for r in ((1, 6), (1, 6), (1, 4), (2**31,))] for _ in range(5)]
-        d_in, d_out, n_kraus, sub = shapes[2]
-        target = random_channel(d_in, d_out, n_kraus, 1.0, sub)
-        vecs = kraus_vectors(target.kraus)
-        gram = vecs.conj() @ vecs.T
-        real = getattr(cli, patched)
+        first, _, target, *_ = (random_channel(d_in, d_out, k, 1.0, sub) for d_in, d_out, k, sub in shapes)
+        real = shrink.shrink_upper_bound
 
-        def is_psd(grams):
-            # the target's Kraus Gram, zero-padded in the stack of its run, shifted by
-            # -2 |gram|_max I: no longer positive, while its remix suite reads no Gram
-            grams = grams.copy()
-            for g in grams:
-                if (np.abs(g[:n_kraus, :n_kraus] - gram).max() <= 1e-9 * np.abs(gram).max()
-                        and not g[n_kraus:].any() and not g[:, n_kraus:].any()):
-                    g -= 2 * np.abs(gram).max() * np.eye(len(g))
-            return real(grams)
-
-        def remix_product(v, ops):
-            # the target's remixed Kraus sets scaled by 1.5, every other channel's as they are:
-            # ops is the run's zero-padded Kraus stack (channels, 1, K, d_out, d_in)
-            mixed = real(v, ops)
-            for c, padded in enumerate(ops[:, 0]):
-                if (np.array_equal(padded[:n_kraus, :d_out, :d_in], target.kraus)
-                        and np.count_nonzero(padded) == np.count_nonzero(target.kraus)):
-                    mixed[c] *= 1.5
-            return mixed
+        def scaled(factors):
+            # verify builds its own channels, so each is known by its Kraus set
+            return lambda phi: real(phi) * factors.get(phi.kraus.tobytes(), 1.0)
 
         argv = ("verify", "--random", "5", "--dims", "1..5", "--trials", "6")
-
-        def witness(out):
-            return json.loads(out.partition("result: FAIL\n")[2])
-
-        with monkeypatch.context() as m:
-            m.setattr(shrink, "BOUND_SLACK", -0.6)
-            battery_witness = witness(run(capsys, *argv)[1])
-        monkeypatch.setattr(cli, patched, {"is_psd": is_psd, "remix_product": remix_product}[patched])
         code, out, _ = run(capsys, *argv)
-        assert code == 1 and line in out
-        assert [row.split()[-1] for row in out.splitlines()[1:5]].count("0") == 3
-        assert witness(out) == {"channel": target.to_dict()}
+        assert code == 0
+        passed = out.splitlines()[:4]
+        monkeypatch.setattr(shrink, "shrink_upper_bound", scaled({target.kraus.tobytes(): 1 + 1e-6}))
+        code, out, _ = run(capsys, *argv)
+        table, _, printed = out.partition("result: FAIL\n")
+        assert code == 1 and table.splitlines() == passed[:3] + ["bound attained                       5         1"]
+        inv = target.invariants()
+        assert inv.identity_image_norm != inv.adjoint_identity_image_norm
+        top = np.eye(target.d_in) if inv.identity_image_norm > inv.adjoint_identity_image_norm else inv.adjoint_top_projector
+        assert json.loads(printed) == {"channel": target.to_dict(), "input": matrix_to_entries(top)}
         # one channel per block prints the same
         with monkeypatch.context() as m:
             m.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
             assert run(capsys, *argv)[:2] == (1, out)
-        # a battery failure in an earlier channel wins, with its failing input
-        monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
+        # a quarter of the first channel's bound fails its trials too, and it wins with its
+        # first failing trial, not an attaining input
+        monkeypatch.setattr(shrink, "shrink_upper_bound", scaled({first.kraus.tobytes(): 0.25, target.kraus.tobytes(): 1 + 1e-6}))
         code, out, _ = run(capsys, *argv)
-        assert code == 1 and line in out
-        assert witness(out) == battery_witness
-        assert "input" in battery_witness and battery_witness["channel"] != target.to_dict()
+        table, _, printed = out.partition("result: FAIL\n")
+        assert code == 1 and table.splitlines()[-1] == "bound attained                       5         2"
+        witness = json.loads(printed)
+        inv = first.invariants()
+        attaining = [matrix_to_entries(x) for x in (np.eye(first.d_in), inv.adjoint_top_projector)]
+        assert witness["channel"] == first.to_dict() and witness["input"] not in attaining
 
     def test_file_channel(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
@@ -581,10 +548,9 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     (("report", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
     # the searched row's search reads the trace witness; its eigh calls are not pinned here
     (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None, 0),
-    # the printed bound reads the s and t the stacked check already computed; the Choi
-    # suites take two values-only solves per run of channels: one for the stack of Kraus
-    # Grams (positivity) and one for the stack of R S R† (remix invariance)
-    (("verify", "--channel", "cptp:3x2x2:1"), 4, 0, 2),
+    # the printed bound reads the s and t the stacked check already computed, and the
+    # attaining projector takes one eigensystem of Phi†(I)
+    (("verify", "--channel", "cptp:3x2x2:1"), 4, 1, 0),
     # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs;
     # with one Kraus operator every row is u, so no Gram is built or solved
     (("report", "--channel", "random:3x3x1:1"), 2, 0, 0),
@@ -597,16 +563,15 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
     # a combination on Schatten 2 and Ky Fan 2 is searched as it is: no row reads h or
     # ||Phi(I)||_(2), so neither the Gram nor Phi(I)'s eigenvalues are solved for
     (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 2, None, 0),
-    # the block's s and t (the remixed channels never read them or the witness) take one
-    # SVD per distinct size of Phi(I) (d_out) and Phi†(I) (d_in), and the one stacked check
-    # one per distinct matrix size over images and inputs together. At seed 0 the channels
-    # are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes {4, 2, 5} | {5, 3, 2}, the check
-    # sizes {4, 2, 5} | {5, 3, 2}: 4 + 4. The three channels are one block and one run of
-    # the Choi suites, whose two solves (Grams, then R S R†) serve all three
-    (("verify", "--random", "3"), 8, 0, 2),
+    # the block's s and t take one SVD per distinct size of Phi(I) (d_out) and Phi†(I)
+    # (d_in), and the one stacked check one per distinct matrix size over images and inputs
+    # together. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes
+    # {4, 2, 5} | {5, 3, 2}, the check sizes {4, 2, 5} | {5, 3, 2}: 4 + 4. The attaining
+    # projectors take one eigensystem per distinct d_in: 3
+    (("verify", "--random", "3"), 8, 3, 0),
     # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
-    # the check: 2 + 2. One block and one run: two solves for the six channels' Choi suites
-    (("verify", "--random", "6", "--dims", "2..3"), 4, 0, 2),
+    # the check: 2 + 2, and d_in {2, 3} for the projectors
+    (("verify", "--random", "6", "--dims", "2..3"), 4, 2, 0),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
         "report-kyfan-shared-spectrum", "report-combination-reads-no-base", "verify-random",
         "verify-random-shared-sizes"])
@@ -631,30 +596,13 @@ def test_spectral_work_is_done_once(capsys, monkeypatch, argv, svd, eigh, eigval
     assert counts["eigvalsh"] == eigvalsh
 
 
-def test_verify_forms_no_choi_matrix(capsys, monkeypatch):
-    # the Choi suites read K x K algebra of the vectorized Kraus operators: choi_product is
-    # not called, and no solve is larger than a run's remixed and own Kraus counts together.
-    # The channel is 4 x 4 with two Kraus operators, so its Choi matrix would be 16 x 16;
-    # the solves are its 2 x 2 Gram and the 6 x 6 R S R† of 4 remixed and 2 own operators
-    calls = []
-    monkeypatch.setattr(channel, "choi_product", lambda ops: calls.append(ops.shape))
-    monkeypatch.setattr(cli, "choi_product", lambda ops: calls.append(ops.shape), raising=False)
-    sizes = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args: sizes.append(a.shape[-1]) or real(a, *args))
-    code, out, _ = run(capsys, "verify", "--channel", "random:4x4x2:1", "--trials", "1")
-    assert code == 0 and "choi positivity                      1         0" in out
-    assert calls == [] and sizes == [2, 6]
-
-
 def test_verify_builds_no_remixed_channel(capsys, monkeypatch):
-    # the remix suite reads the remixed pair and Choi matrices from the shared helpers, so the
-    # only channels constructed are the six checked ones
+    # the only channels constructed are the six checked ones
     built = []
     real = KrausChannel.__post_init__
     monkeypatch.setattr(KrausChannel, "__post_init__", lambda self: built.append(1) or real(self))
     code, out, _ = run(capsys, "verify", "--random", "6", "--dims", "2..3", "--trials", "1")
-    assert code == 0 and "remix invariance                    12         0" in out
+    assert code == 0 and "bound attained                       6         0" in out
     assert len(built) == 6
 
 
@@ -662,9 +610,9 @@ def test_verify_validates_each_input_size_once_per_chunk(capsys, monkeypatch):
     # each stacked check validates its inputs once per distinct input size: at seed 0 the
     # six channels have d_in 3, 2, 2, 3, 3 and 2, so one block takes two validations; with
     # a cap of 20 entries each channel is a block alone, in chunks of 5 (padded dimension 2)
-    # or 2 (padded dimension 3) of its 3 trials, one validation each. A trial counts its
-    # padded dimension squared, so the 2 -> 3 channels (the third and the sixth) chunk as
-    # d = 3 does: 1 + 5 * 2 chunks
+    # or 2 (padded dimension 3) of its 3 trials and 2 attaining inputs, one validation each.
+    # An input counts its padded dimension squared, so the 2 -> 3 channels (the third and
+    # the sixth) chunk as d = 3 does: 1 + 5 * 3 chunks
     validations = []
     real_require, real_check = shrink.require_hermitian, cli.check_gauge_bounds
 
@@ -688,176 +636,57 @@ def test_verify_validates_each_input_size_once_per_chunk(capsys, monkeypatch):
     checks.clear()
     monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 20)
     assert run(capsys, *argv)[:2] == (0, out)
-    assert checks == [(1, 1)] * 11
+    assert checks == [(1, 1)] * 16
 
 
-def _remixed_channel_holds(phi: KrausChannel, v: np.ndarray, base_choi: np.ndarray) -> bool:
-    # the per-remix path: build the remixed channel and compare its pair and Choi matrix
-    def close(mixed, base):
-        return float(np.abs(mixed - base).max()) <= 1e-9 * float(np.abs(base).max())
-
-    mixed = phi.remix(v)
-    inv, minv = phi.invariants(), mixed.invariants()
-    return (
-        close(minv.identity_image, inv.identity_image)
-        and close(minv.adjoint_identity_image, inv.adjoint_identity_image)
-        and close(mixed.choi_matrix(), base_choi)
-    )
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    d_in=st.integers(1, 6),
-    d_out=st.integers(1, 6),
-    n_kraus=st.integers(1, 3),
-    j=st.integers(-490, 490),
-    seed=st.integers(0, 2**31 - 1),
-    tamper=st.sampled_from([1.0, 1 + 1e-12, 1 + 1e-6]),
-)
-def test_remix_suite_matches_remixed_channels(d_in, d_out, n_kraus, j, seed, tamper):
-    phi = random_channel(d_in, d_out, n_kraus, 2.0**j, seed)
-    rng = np.random.default_rng(seed)
-    # the helpers on a stack of unpadded isometries give each remixed channel's pair and Choi
-    # matrix bit for bit
-    for rows in (n_kraus, n_kraus + 2):
-        vs = np.stack([random_isometry(rows, n_kraus, rng) for _ in range(2)])
-        ops = remix_product(vs, phi.kraus)
-        pair, choi = invariant_pair(ops), choi_product(ops)
-        for r, v in enumerate(vs):
-            mixed = KrausChannel(d_in, d_out, (v @ phi.kraus.reshape(n_kraus, -1)).reshape(rows, d_out, d_in))
-            inv = mixed.invariants()
-            assert np.array_equal(pair[0][r], inv.identity_image)
-            assert np.array_equal(pair[1][r], inv.adjoint_identity_image)
-            assert np.array_equal(choi[r], mixed.choi_matrix())
-    # verify's Choi suites, square isometry padded, flag each remix as the remixed channels
-    # do, against the channel's own Kraus vectors scaled by sqrt(tamper), so that its Choi
-    # matrix is off by the factor tamper: the reference compares that Choi matrix entrywise,
-    # the suite reads the spectral norm of the difference from R S R†
-    vs = [random_isometry(n_kraus + 2 * extra, n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
-    base = choi_product(phi.kraus * np.sqrt(tamper))
-    real = cli.kraus_vectors
-    with pytest.MonkeyPatch.context() as m:
-        # the run's own Kraus stack is (channels, K, d_out, d_in), its remixes (channels, 2, rows, d_out, d_in)
-        m.setattr(cli, "kraus_vectors", lambda ops: real(ops) * (np.sqrt(tamper) if ops.ndim == 4 else 1.0))
-        (held,), (psd,) = cli._choi_suites([phi], [vs])
-    assert held.tolist() == [_remixed_channel_holds(phi, v, base) for v in vs]
-    assert held.all() == (tamper != 1 + 1e-6)
-    assert psd
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    d_in=st.integers(1, 6),
-    d_out=st.integers(1, 6),
-    n_kraus=st.integers(1, 4),
     j=st.sampled_from([-490, 490]) | st.integers(-490, 490),
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=2).map(sorted),
     seed=st.integers(0, 2**31 - 1),
-    tamper=st.sampled_from([1.0, 1 + 1e-12, 1 + 1e-6, 1.5]),
 )
-def test_choi_suites_read_the_choi_spectra(d_in, d_out, n_kraus, j, seed, tamper):
-    # the two facts the Choi suites rest on, read from the matrices they solve: the Kraus
-    # Gram's eigenvalues are the Choi matrix's top min(K, d_in d_out), rank-deficient
-    # Grams (K > d_in d_out) among them, and R S R†'s largest eigenvalue magnitude is the
-    # spectral norm of the Choi difference, ~0 on exact remixes and never under its largest
-    # entry. The channel's own vectors are scaled by sqrt(tamper), its Choi matrix by tamper
-    phi = random_channel(d_in, d_out, n_kraus, 2.0**j, seed)
-    rng = np.random.default_rng(seed)
-    vs = [random_isometry(n_kraus + 2 * extra, n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
-    base = choi_product(phi.kraus * np.sqrt(tamper))
-    grams, differences = [], []
-    real_vectors, real_psd, real_eigenvalues = cli.kraus_vectors, cli.is_psd, cli.hermitian_eigenvalues
+def test_bound_off_by_one_part_in_a_million_fails_attainment_on_every_channel(j, dims, seed):
+    # the bound is attained at I and at the top eigenprojector of Phi†(I), so a bound 1e-6
+    # too small or too large fails every channel's attainment case, and the true bound none,
+    # at Kraus scales 2^+-490. The channels are random ones with 1-3 Kraus operators, and
+    # every other one whose shape allows it trace preserving, each scaled by 2^j
+    real_bound, real_channel = shrink.shrink_upper_bound, cli.random_channel
+
+    def channel(d_in, d_out, n_kraus, scale, sub):
+        if sub % 2 and n_kraus * d_out >= d_in:
+            return KrausChannel(d_in, d_out, random_cptp_channel(d_in, d_out, n_kraus, sub).kraus * 2.0**j)
+        return real_channel(d_in, d_out, n_kraus, 2.0**j, sub)
+
+    argv = ["verify", "--random", "6", "--dims", "%d..%d" % tuple(dims), "--trials", "2", "--seed", str(seed)]
+    printed = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(cli, "kraus_vectors", lambda ops: real_vectors(ops) * (np.sqrt(tamper) if ops.ndim == 4 else 1.0))
-        m.setattr(cli, "is_psd", lambda x: grams.append(x) or real_psd(x))
-        m.setattr(cli, "hermitian_eigenvalues", lambda x: differences.append(x) or real_eigenvalues(x))
-        (held,), (psd,) = cli._choi_suites([phi], [vs])
-    ((gram,),), ((difference, *_),) = grams, differences
-    assert gram.shape == (n_kraus, n_kraus)
-    w = np.linalg.eigvalsh(base)[::-1]
-    top = min(n_kraus, d_in * d_out)
-    np.testing.assert_allclose(np.linalg.eigvalsh(gram)[::-1][:top], w[:top], rtol=0, atol=1e-12 * w[0])
-    assert psd == is_psd(base)
-    largest = float(np.abs(base).max())
-    for r, v in enumerate(vs):
-        norm = float(np.abs(np.linalg.eigvalsh(difference[r])).max())
-        entrywise = float(np.abs(phi.remix(v).choi_matrix() - base).max())
-        assert norm >= entrywise - 1e-12 * largest
-        if tamper == 1.0:
-            assert norm <= 1e-12 * largest
-    assert held.all() == (tamper < 1 + 1e-6)
+        m.setattr(cli, "random_channel", channel)
+        for f in (1.0, 1 - 1e-6, 1 + 1e-6):
+            m.setattr(shrink, "shrink_upper_bound", lambda phi, f=f: real_bound(phi) * f)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            printed.append((code, out.getvalue().splitlines()[3]))
+    assert printed == [
+        (0, "bound attained                       6         0"),
+        (1, "bound attained                       6         6"),
+        (1, "bound attained                       6         6"),
+    ]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    first=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-    rest=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=4),
-    counts=st.lists(st.integers(1, 4), min_size=6, max_size=6),
-    scales=st.lists(st.sampled_from([-490, 490]) | st.integers(-490, 490), min_size=6, max_size=6),
-    seed=st.integers(0, 2**31 - 1),
-    tampered=st.integers(0, 5),
-    patched=st.sampled_from(["remix_product", "invariant_pair", "kraus_vectors"]),
-)
-def test_padded_run_flags_each_channel_as_alone(first, rest, counts, scales, seed, tampered, patched):
-    # a run of 2-6 channels is padded to its largest K, row count, d_in and d_out; the first two
-    # channels are d_in -> d_out and d_out -> d_in, so the padded grid exceeds some channel's
-    # d_in d_out unless d_in = d_out. One channel's first remix is tampered by 1 + 1e-6: its
-    # operators (both checks see them), its pair (the pair check alone sees it) or its vectors
-    # (the Choi check alone sees them). Each channel's flags are those of its own single-channel run, so
-    # padding never flips a neighbour's verdict, and every exact remix holds at Kraus scales
-    # 2^+-490, each check at its own channel's threshold
-    shapes = [first, first[::-1], *rest]
-    rng = np.random.default_rng(seed)
-    run = [random_channel(d_in, d_out, k, 2.0**j, int(rng.integers(2**31)))
-           for (d_in, d_out), k, j in zip(shapes, counts, scales)]
-    isometries = [[random_isometry(phi.n_kraus + 2 * extra, phi.n_kraus, rng) for extra in range(cli.REMIX_CHECKS)]
-                  for phi in run]
-    tampered %= len(run)
-    real = getattr(cli, patched)
-
-    def suites(channels, isos, target):
-        # the remixes' operators (channels, 2, rows, d_out, d_in), pair or vectors (channels, 2,
-        # rows, d_in d_out); the channels' own stack (channels, K, d_out, d_in) is left alone
-        def tampering(*args):
-            out = real(*args)
-            if target is not None and args[-1].ndim == 5:
-                for part in out if patched == "invariant_pair" else (out,):
-                    part[target, 0] *= 1 + 1e-6
-            return out
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(cli, patched, tampering)
-            return cli._choi_suites(channels, isos)
-
-    held, psd = suites(run, isometries, tampered)
-    for c, (phi, vs) in enumerate(zip(run, isometries)):
-        (alone_held,), (alone_psd,) = suites([phi], [vs], 0 if c == tampered else None)
-        assert held[c].tolist() == alone_held.tolist() and psd[c] == alone_psd
-    expected = np.ones((len(run), cli.REMIX_CHECKS), dtype=bool)
-    expected[tampered, 0] = False
-    assert held.tolist() == expected.tolist() and psd.all()
-
-
-@pytest.mark.parametrize("argv, one_block, channel_blocks", [
-    # at seed 0 the channels have 2, 1 and 2 Kraus operators; the remix isometries are
-    # (n + 2 * extra) x n for extra 0 and 1, so the shapes are {2x2, 4x2, 1x1, 3x1}: 4 in
-    # one block, and 2 per channel in blocks of one: 2 * 3. The remix suite adds one R
-    # factor per run of the Choi suites: one block is one run, 4 + 1, and a block of one
-    # channel is one run too, (2 + 1) * 3
-    (("verify", "--random", "3"), 5, 9),
-    # 2, 1, 2, 3, 2 and 3 Kraus operators: shapes {1x1, 3x1, 2x2, 4x2, 3x3, 5x3}, 6 in
-    # one block, and 2 * 6 in blocks of one; plus one R factor per run, 6 + 1 and (2 + 1) * 6
-    (("verify", "--random", "6", "--dims", "2..3"), 7, 18),
-], ids=["verify-random", "verify-random-shared-shapes"])
-def test_verify_takes_one_qr_per_isometry_shape_per_block(capsys, monkeypatch, argv, one_block, channel_blocks):
+def test_verify_takes_one_eigensystem_per_input_size_per_block(capsys, monkeypatch):
+    # the attaining projectors of a block come from one eigensystem per distinct d_in: at
+    # seed 0 the six channels have d_in 3, 2, 2, 3, 3 and 2, so one block takes two stacked
+    # solves, and one channel per block takes one solve each
     calls = []
-    real = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+    argv = ("verify", "--random", "6", "--dims", "2..3")
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and len(calls) == one_block
+    assert code == 0 and calls == [(3, 3, 3), (3, 2, 2)]
     calls.clear()
     monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", 1)
     assert run(capsys, *argv)[:2] == (0, out)
-    assert len(calls) == channel_blocks
+    assert calls == [(1, d, d) for d in (3, 2, 2, 3, 3, 2)]
 
 
 def test_verify_draws_and_checks_each_channel_once(capsys, monkeypatch):
@@ -892,12 +721,14 @@ def test_help_is_formatted_as_argparse_default(monkeypatch, columns):
     assert [p.prog for p in sub.choices.values()] == ["cpshrink report", "cpshrink verify"]
 
 
-@pytest.mark.parametrize("entries, stacks", [(18, [2, 2, 2, 1]), (9, [1] * 7)])
+@pytest.mark.parametrize("entries, stacks", [(27, [3, 3, 3]), (9, [1, 2, 2, 2, 2])])
 def test_verify_checks_a_channel_over_the_cap_in_chunks(capsys, monkeypatch, entries, stacks):
     # a lone channel whose inputs exceed the cap draws and checks them at most that many
-    # entries at a time, so its memory does not grow with --trials; under a negative slack
-    # trial 1 fails first, so the witness's input comes from the first or the second chunk. The
-    # table, the witness and the exit code are those of one pass over all seven trials
+    # entries at a time, or two inputs at a time under one input's entries, so its memory
+    # does not grow with --trials. Its seven trials and two attaining inputs end in a full
+    # chunk; under a negative slack trial 1 fails first, so the witness's input comes from
+    # the first or the second chunk. The table, the witness and the exit code are those of
+    # one pass over all seven trials
     monkeypatch.setattr(shrink, "BOUND_SLACK", -0.6)
     argv = ("verify", "--channel", "random:3x2x2:4", "--trials", "7")
     whole = run(capsys, *argv)
@@ -935,35 +766,39 @@ def test_verify_output_does_not_depend_on_the_block_cap(channels, dims, trials, 
 
 
 def test_verify_blocks_and_chunks_at_the_cap(monkeypatch):
-    # one rule partitions every run: a channel that brings a block to exactly the cap
-    # stays in it, one entry more starts a new block, and each block takes its trials in
-    # chunks of at most the cap's entries: all at once within the cap, else summing to them
+    # one rule partitions every run: a channel's inputs are its trials and its two attaining
+    # inputs. A channel that brings a block to exactly the cap stays in it, one entry more
+    # starts a new block, and each block takes its inputs in chunks of at most the cap's
+    # entries, or of two inputs: all at once within the cap, else summing to them with the
+    # short chunk first. The counts are of trials, so the last one is its chunk less two
     def parts(cap, dims, trials):
         monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
         channels = [identity_channel(d) for d in dims]
-        return [([phi.d_in for phi in block], counts) for block, counts, _ in cli._blocks(channels, trials)]
+        return [([phi.d_in for phi in block], counts) for block, counts in cli._blocks(channels, trials)]
 
-    # 4 trials of d_in 2, 1 and 2: 16 + 4 + 16 = 36 entries
-    assert parts(36, (2, 1, 2), 4) == [([2, 1, 2], [4])]
-    assert parts(35, (2, 1, 2), 4) == [([2, 1], [4]), ([2], [4])]
-    # a lone channel over the cap: 7 trials of 9 entries, at most 18 at a time, or one
-    # trial when the cap is under one trial's entries
-    assert parts(18, (3,), 7) == [([3], [2, 2, 2, 1])]
-    assert parts(8, (3,), 7) == [([3], [1] * 7)]
-    assert parts(20, (1, 3), 4) == [([1], [4]), ([3], [2, 2])]
-    # the default cap: a 16 x 16 channel at 300 trials holds 76,800 entries
+    # 4 trials and 2 attaining inputs of d_in 2, 1 and 2: 24 + 6 + 24 = 54 entries
+    assert parts(54, (2, 1, 2), 4) == [([2, 1, 2], [4])]
+    assert parts(53, (2, 1, 2), 4) == [([2, 1], [4]), ([2], [4])]
+    # a lone channel over the cap: 9 inputs of 9 entries, at most 27 or 18 at a time, or
+    # two inputs when the cap is under two inputs' entries; the last chunk may hold the
+    # attaining pair alone
+    assert parts(27, (3,), 7) == [([3], [3, 3, 1])]
+    assert parts(18, (3,), 7) == [([3], [1, 2, 2, 2, 0])]
+    assert parts(8, (3,), 7) == [([3], [1, 2, 2, 2, 0])]
+    assert parts(20, (1, 3), 4) == [([1], [4]), ([3], [2, 2, 0])]
+    # the default cap: a 16 x 16 channel at 300 trials holds 77,312 entries
     monkeypatch.undo()
-    ((block, counts, _),) = cli._blocks([identity_channel(16)], 300)
-    assert len(block) == 1 and counts == [256, 44]
+    ((block, counts),) = cli._blocks([identity_channel(16)], 300)
+    assert len(block) == 1 and counts == [46, 254]
 
 
 def test_verify_counts_each_trial_on_its_padded_dimension(capsys):
     # a trial's image is d_out x d_out, so a 1 -> 16 channel counts 16^2 = 256 entries per
-    # trial, not one: 16,000 trials take chunks of 256, whose images hold the cap's entries.
-    # In one chunk their images would hold 62 x the cap, and the pass peaks at 182 x 16 bytes
-    # per entry of the cap; in chunks it peaks at about 4 x
-    ((block, counts, _),) = cli._blocks([random_channel(1, 16, 2, 1.0, 1)], 16000)
-    assert len(block) == 1 and counts == [256] * 62 + [128]
+    # trial, not one: 16,000 trials and 2 attaining inputs take chunks of 256, whose images
+    # hold the cap's entries. In one chunk their images would hold 62 x the cap, and the pass
+    # peaks at 182 x 16 bytes per entry of the cap; in chunks it peaks at about 4 x
+    ((block, counts),) = cli._blocks([random_channel(1, 16, 2, 1.0, 1)], 16000)
+    assert len(block) == 1 and counts == [130] + [256] * 61 + [254]
     tracemalloc.start()
     try:
         code, out, _ = run(capsys, "verify", "--channel", "random:1x16x2:1", "--trials", "16000")
@@ -972,101 +807,6 @@ def test_verify_counts_each_trial_on_its_padded_dimension(capsys):
         tracemalloc.stop()
     assert code == 0 and "result: PASS" in out
     assert peak <= 6 * 16 * cli.VERIFY_BLOCK_ENTRIES
-
-
-def test_choi_runs_stay_within_the_cap(monkeypatch):
-    # the rule that sizes a block's trial chunks sizes its Choi runs: a run takes max(1, cap //
-    # entries) channels, a channel's entries being its share of the run's stack, (2, rows + K,
-    # d_in d_out) on the block's padded grid (its largest K and d_in and d_out, rows = K + 2).
-    # Each run's own stack holds at most the cap's entries, or the run is one channel
-    def runs(cap, dims):
-        # a dimension d is the identity channel on d, a triple (d_in, d_out, K) a random channel
-        monkeypatch.setattr(cli, "VERIFY_BLOCK_ENTRIES", cap)
-        channels = [identity_channel(d) if isinstance(d, int) else random_channel(*d, 1.0, 0) for d in dims]
-        parts = []
-        for block, _, size in cli._blocks(channels, 1):
-            for c in range(0, len(block), size):
-                part = block[c:c + size]
-                n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in part) for a in ("n_kraus", "d_in", "d_out"))
-                assert len(part) == 1 or len(part) * cli.REMIX_CHECKS * (2 * n_kraus + 2) * d_in * d_out <= cap
-                parts.append([phi.d_in for phi in part])
-        return parts
-
-    # one Kraus operator: rows 3 + K 1, so each channel holds 2 * 4 * d^2 entries at d_in = d
-    # alone: 32 at d = 2, 128 at d = 4
-    assert runs(96, (2, 2, 2, 2)) == [[2, 2, 2], [2]]
-    assert runs(128, (2, 2, 2, 2)) == [[2, 2, 2, 2]]
-    # a channel over the cap is a run alone
-    assert runs(100, (4, 4, 4)) == [[4], [4], [4]]
-    # every channel of the block counts on its 4 x 4 grid
-    assert runs(100, (2, 4, 2, 2)) == [[2], [4], [2], [2]]
-    assert runs(1, (2, 2)) == [[2], [2]]
-    assert runs(100, (1,)) == [[1]]
-    # and at its largest Kraus count: K = 3 gives rows 5 + K 3, 2 * 8 * 4 = 64 entries at d = 2
-    assert runs(128, ((2, 2, 3), 2)) == [[2, 2]]
-    assert runs(127, ((2, 2, 3), 2)) == [[2], [2]]
-    # a 6 -> 2 channel beside a 2 -> 6 one: each alone holds 2 * 4 * 12 = 96 entries, but a
-    # run of both pads them to the 6 x 6 grid, 2 * 2 * 4 * 36 = 576 entries, not 192
-    assert runs(200, ((6, 2, 1), (2, 6, 1))) == [[6], [2]]
-    assert runs(575, ((6, 2, 1), (2, 6, 1))) == [[6], [2]]
-    assert runs(576, ((6, 2, 1), (2, 6, 1))) == [[6, 2]]
-
-
-@pytest.mark.parametrize("dims", ["4..8", "6..10", "8..12", "10..16"])
-def test_choi_runs_stay_within_the_cap_at_any_remix_count(capsys, monkeypatch, dims):
-    # the draws, the run sizes and the padded isometries read one set of remix heights, so
-    # with three remixes (heights K, K + 2 and K + 4) every run of more than one channel still
-    # holds at most the cap's entries. Each run's stack (channels, remixes, rows + K, d_in d_out)
-    # is counted from the isometries it is given, at the run's largest K, d_in and d_out
-    monkeypatch.setattr(cli, "REMIX_CHECKS", 3)
-    sizes = []
-    real = cli._choi_suites
-
-    def counted(part, isometries):
-        n_kraus, d_in, d_out = (max(getattr(phi, a) for phi in part) for a in ("n_kraus", "d_in", "d_out"))
-        rows = n_kraus + max(len(m) - phi.n_kraus for phi, vs in zip(part, isometries) for m in vs)
-        assert {len(vs) for vs in isometries} == {3}
-        sizes.append((len(part), len(part) * 3 * (rows + n_kraus) * d_in * d_out))
-        return real(part, isometries)
-
-    monkeypatch.setattr(cli, "_choi_suites", counted)
-    code, out, _ = run(capsys, "verify", "--random", "40", "--dims", dims, "--trials", "1")
-    assert code == 0 and "remix invariance                   120         0" in out
-    assert any(channels > 1 for channels, _ in sizes)
-    assert all(entries <= cli.VERIFY_BLOCK_ENTRIES for channels, entries in sizes if channels > 1)
-
-
-def test_verify_choi_suites_keep_memory_bounded(capsys, monkeypatch):
-    # a block of 60 channels with d_in, d_out in 1..32 (one block: their inputs hold under the
-    # cap) stacks 15 x the cap's entries in one Choi pass, where a run of one 32 x 32 channel's
-    # Choi matrix's entries, 16 x the cap, peaks at 22 x 16 bytes per entry of the cap; in runs
-    # of at most the cap each holds about 2 x (the stack, and the QR's copy of it). The table
-    # and the witness do not depend on the runs: one run per channel and one for the whole
-    # block print the same
-    peaks = []
-    real, real_blocks = cli._choi_suites, cli._blocks
-
-    def traced(channels, isometries):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = real(channels, isometries)
-        peaks.append((tracemalloc.get_traced_memory()[1] - before) / (16 * cli.VERIFY_BLOCK_ENTRIES))
-        return out
-
-    argv = ("verify", "--random", "60", "--dims", "1..32", "--trials", "1")
-    monkeypatch.setattr(cli, "_choi_suites", traced)
-    tracemalloc.start()
-    try:
-        code, out, _ = run(capsys, *argv)
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and "choi positivity                     60         0" in out
-    assert len(peaks) > 1 and max(peaks) <= 3
-    monkeypatch.setattr(cli, "_choi_suites", real)
-    for run_of in (lambda block: 1, len):
-        monkeypatch.setattr(cli, "_blocks", lambda channels, trials, run_of=run_of: (
-            (block, counts, run_of(block)) for block, counts, _ in real_blocks(channels, trials)))
-        assert run(capsys, *argv)[:2] == (0, out)
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -15,7 +15,7 @@ from cpshrink.channel import (
     random_isometry,
 )
 from cpshrink import channel, shrink, spectral
-from cpshrink.cli import main
+from cpshrink.cli import DEFAULT_NORMS, main
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch
 from cpshrink.gauge import (
     Combination,
@@ -1021,6 +1021,21 @@ class TestInequalityChecks:
         with pytest.raises(ValueError, match="not Hermitian"):
             check_gauge_bounds([phi], [xs + 0.55 * HERMITICITY_TOL * scale * skew], norm_battery(6))
 
+    @pytest.mark.parametrize("e", [-200, 200])
+    def test_hermitian_tolerance_reads_fixed_relative_skews(self, e):
+        # skews fixed relative to each input's largest entry, not set by the constant: one of
+        # 1e-11 is read, and one of 1e-8 refused, at input scales 2^+-200
+        phi = random_channel(4, 3, 2, 1.0, 45)
+        rng = np.random.default_rng(46)
+        xs = random_hermitian(4, 47, 3)
+        skew = rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape)
+        skew -= np.swapaxes(skew, -2, -1).conj()
+        # x + r * scale * skew deviates from its adjoint by at most 2 r times x's largest entry
+        scale = np.abs(xs).max(axis=(-2, -1), keepdims=True) / np.abs(skew).max(axis=(-2, -1), keepdims=True)
+        check_gauge_bounds([phi], [2.0**e * (xs + 1e-11 * scale * skew)], norm_battery(4))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_gauge_bounds([phi], [2.0**e * (xs + 1e-8 * scale * skew)], norm_battery(4))
+
     def test_empty_norm_list(self):
         phi = random_channel(3, 2, 2, 1.0, 38)
         xs = random_hermitian(3, 39, 4)
@@ -1553,6 +1568,28 @@ class TestKrausCountProperties:
         for row, other in rows:
             if _new_exact(phi, row.norm):
                 assert other.empirical_lower == pytest.approx(row.empirical_lower, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        phi=kraus_count_channels(),
+        extra=st.sampled_from([0, 2]),
+        j=st.sampled_from([-490, 490]) | st.integers(-490, 490),
+        seed=st.integers(0, 1000),
+    )
+    def test_default_report_agrees_under_remix_at_any_scale(self, phi, extra, j, seed):
+        # a remix keeps the map, and the default norms' answers read only the map (s, t and
+        # h), so a report on Phi.remix(V), V an isometry with K or K + 2 rows, matches the
+        # report on Phi within 1e-12 u at Kraus scales 2^+-490, although a taller V changes
+        # the Kraus count the rules read
+        phi = KrausChannel(phi.d_in, phi.d_out, 2.0**j * phi.kraus)
+        mixed = phi.remix(random_isometry(phi.n_kraus + extra, phi.n_kraus, seed))
+        norms = [parse_norm(spec) for spec in DEFAULT_NORMS]
+        rep, other = (shrink_report(chan, norms, 0, 200) for chan in (phi, mixed))
+        tol = 1e-12 * rep.upper_bound
+        for field in ("upper_bound", "spectral_factor", "trace_factor"):
+            assert abs(getattr(other, field) - getattr(rep, field)) <= tol
+        (row,), (mixed_row,) = ([r for r in x.per_norm if r.norm == Schatten(2.0)] for x in (rep, other))
+        assert abs(mixed_row.empirical_lower - row.empirical_lower) <= tol
 
 
 class TestSharedSpectralData:

@@ -264,8 +264,8 @@ class TestEigensystem:
             np.testing.assert_allclose(
                 hermitian_eigenvalues(x), hermitian_eigenvalues(hermitize(x)), rtol=0, atol=1e-13 * np.abs(x).max()
             )
-            # verify's Choi positivity hands is_psd the Kraus Gram as its product gives it,
-            # not hermitized: it passes the check at Kraus scales 2^+-490 too
+            # a Kraus Gram as its product gives it, not hermitized, passes the check at Kraus
+            # scales 2^+-490 too
             vecs = kraus_vectors(random_channel(3, 4, 3, 2.0**j, 7).kraus)
             assert is_psd(vecs.conj() @ vecs.T)
 
