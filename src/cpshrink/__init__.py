@@ -55,7 +55,6 @@ from .shrink import (
 )
 from .spectral import (
     hermitian_eigensystem,
-    is_psd,
     random_hermitian,
     singular_values,
     spectral_norm,
@@ -90,7 +89,6 @@ __all__ = [
     "gauge_eval",
     "hermitian_eigensystem",
     "identity_channel",
-    "is_psd",
     "norm_battery",
     "padded_dim_for",
     "parse_norm",

@@ -5,6 +5,11 @@ operators on a d_out-dimensional space through x -> sum_n E_n x E_n†. Channels
 here are not required to be trace preserving; the trace-preserving constructor
 is provided separately.
 
+A channel holds its Kraus set as one read-only stack. Its invariant pair (built
+once, at construction), ``remix`` and ``choi_matrix`` are each one matrix product
+over the whole stack, written where it is used; ``kraus_map`` is the map itself,
+shared by ``apply``, the search and the checks.
+
 The JSON interchange format is::
 
     {"d_in": int, "d_out": int, "kraus": [op, ...]}
@@ -38,20 +43,15 @@ from .spectral import (
 __all__ = [
     "ChannelInvariants",
     "KrausChannel",
-    "choi_product",
     "complex_gaussian",
     "identity_channel",
-    "invariant_pair",
     "kraus_map",
-    "kraus_vectors",
-    "orthonormal_columns",
     "partial_trace_channel",
     "random_channel",
     "random_cptp_channel",
     "random_isometry",
     "read_invariant_norms",
     "read_top_projectors",
-    "remix_product",
 ]
 
 ISOMETRY_TOL = 1e-9
@@ -75,63 +75,6 @@ def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
     blocks = (x @ right).reshape(*x.shape[:-1], n_kraus, d_out)
     return left @ blocks.swapaxes(-3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
-
-
-def invariant_pair(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Phi(I), Phi†(I))`` of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``, each
-    hermitized, with the stack's leading axes.
-
-    ``Phi(I) = L L†`` with ``L = [E_1 ... E_K]``, and ``Phi†(I) = R† R`` with ``R`` the
-    ``E_n`` stacked into rows: one matrix product each over the whole Kraus set.
-    """
-    *lead, n_kraus, d_out, d_in = ops.shape
-    left = ops.swapaxes(-3, -2).reshape(*lead, d_out, n_kraus * d_in)
-    right = ops.reshape(*lead, n_kraus * d_out, d_in)
-    return (
-        hermitize(left @ left.conj().swapaxes(-2, -1)),
-        hermitize(right.conj().swapaxes(-2, -1) @ right),
-    )
-
-
-def kraus_vectors(ops: np.ndarray) -> np.ndarray:
-    """``V``: the vectorized operators of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``,
-    shape ``(..., K, d_in * d_out)``, row ``n`` holding ``E_n[a, i]`` at ``i * d_out + a``.
-
-    ``Choi = Vᵀ V̄`` (``choi_product``), and the ``K x K`` Kraus Gram ``V̄ Vᵀ`` holds
-    ``tr(E_m† E_n)``. The two products share their nonzero eigenvalues, so Choi
-    facts read from the Gram cost ``K x K`` algebra, not ``(d_in d_out)²``. Zero
-    entries added to the rows, or zero rows added to ``V``, change neither product's
-    nonzero eigenvalues.
-    """
-    *lead, n_kraus, d_out, d_in = ops.shape
-    return ops.swapaxes(-2, -1).reshape(*lead, n_kraus, d_in * d_out)
-
-
-def choi_product(ops: np.ndarray) -> np.ndarray:
-    """Choi matrix of a Kraus stack ``ops`` of shape ``(..., K, d_out, d_in)``, hermitized, with
-    the stack's leading axes: one product of the vectorized operators with their conjugates."""
-    vecs = kraus_vectors(ops)
-    return hermitize(vecs.swapaxes(-2, -1) @ vecs.conj())
-
-
-def remix_product(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Kraus set ``G_m = sum_n v[m, n] E_n`` of the stack ``ops`` ``(..., K, d_out, d_in)`` for each
-    complex128 recombination matrix in ``v`` ``(..., rows, K)``, shape ``(..., rows, d_out, d_in)``
-    with the leading axes of ``v`` and ``ops`` broadcast against each other.
-
-    Every matrix of ``v`` must have K columns (else DimensionMismatch) that are
-    orthonormal, ``v† v = I`` within ``ISOMETRY_TOL`` (else NotIsometry). Zero rows
-    of ``v`` add zero operators, which leave the map as it is.
-    """
-    *lead, n_kraus, d_out, d_in = ops.shape
-    rows, cols = v.shape[-2:]
-    if cols != n_kraus:
-        raise DimensionMismatch(f"recombination matrix has {cols} columns, channel has {n_kraus} Kraus operators")
-    dev = float(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(cols)).max())
-    if dev > ISOMETRY_TOL:
-        raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
-    mixed = v @ ops.reshape(*lead, cols, d_out * d_in)
-    return mixed.reshape(*mixed.shape[:-1], d_out, d_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +229,10 @@ class KrausChannel:
         stack = _frozen(_kraus_stack(self.kraus, self.d_out, self.d_in))
         if not stack.any():
             raise ValueError("Kraus set must contain at least one nonzero operator")
-        image, adjoint_image = invariant_pair(stack)
+        # Phi(I) = L L† with L = [E_1 ... E_K], and Phi†(I) = R† R with R the E_n stacked into rows
+        left = stack.transpose(1, 0, 2).reshape(self.d_out, -1)
+        right = stack.reshape(-1, self.d_in)
+        image, adjoint_image = hermitize(left @ left.conj().T), hermitize(right.conj().T @ right)
         inv = ChannelInvariants(_frozen(image), _frozen(adjoint_image))
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "_invariants", inv)
@@ -309,18 +255,32 @@ class KrausChannel:
     def remix(self, v) -> "KrausChannel":
         """Equivalent channel with Kraus set ``G_m = sum_n v[m, n] E_n``.
 
-        ``v`` must have orthonormal columns (``v† v = I`` within 1e-9) and as
-        many columns as there are Kraus operators; extra rows grow the set.
+        ``v`` must have as many columns as there are Kraus operators (else
+        DimensionMismatch), orthonormal: ``v† v = I`` within ``ISOMETRY_TOL``
+        (else NotIsometry). Extra rows grow the set. One product of ``v`` with the
+        flattened stack.
         """
-        return KrausChannel(self.d_in, self.d_out, remix_product(as_complex_matrix(v), self.kraus))
+        mat = as_complex_matrix(v)
+        rows, cols = mat.shape
+        if cols != self.n_kraus:
+            raise DimensionMismatch(
+                f"recombination matrix has {cols} columns, channel has {self.n_kraus} Kraus operators"
+            )
+        dev = float(np.abs(mat.conj().T @ mat - np.eye(cols)).max())
+        if dev > ISOMETRY_TOL:
+            raise NotIsometry(f"columns are not orthonormal: deviation {dev:.3e}")
+        mixed = mat @ self.kraus.reshape(cols, -1)
+        return KrausChannel(self.d_in, self.d_out, mixed.reshape(rows, self.d_out, self.d_in))
 
     def choi_matrix(self) -> np.ndarray:
         """Block matrix of basis-unit images, row-block index = input basis index.
 
         Dimension is ``d_in * d_out``; the result is positive semidefinite
-        exactly because the map is completely positive.
+        exactly because the map is completely positive. ``V^T conj(V)``, hermitized,
+        with ``V`` the vectorized operators: row ``n`` holds ``E_n[a, i]`` at ``i * d_out + a``.
         """
-        return choi_product(self.kraus)
+        vecs = self.kraus.swapaxes(1, 2).reshape(self.n_kraus, -1)
+        return hermitize(vecs.T @ vecs.conj())
 
     def to_dict(self) -> dict:
         """Channel as a JSON-ready dict in the interchange schema."""
@@ -456,21 +416,15 @@ def random_cptp_channel(d_in: int, d_out: int, n_kraus: int, seed=0) -> KrausCha
 def random_isometry(rows: int, cols: int, seed=0) -> np.ndarray:
     """Matrix with orthonormal columns from the QR of a complex Gaussian draw.
 
-    ``seed`` may be a ``np.random.Generator``, which the draw advances. A block of
-    isometries drawn with ``complex_gaussian`` and taken through
-    ``orthonormal_columns`` equals per-call results bit for bit.
+    ``seed`` may be a ``np.random.Generator``, which the draw advances as
+    ``complex_gaussian`` of shape ``(rows, cols)`` advances it.
     """
     if rows < cols:
         raise InfeasibleShape(f"an isometry needs rows >= cols, got {rows} x {cols}")
-    return orthonormal_columns([complex_gaussian(np.random.default_rng(seed), (rows, cols))])[0]
+    return np.linalg.qr(complex_gaussian(np.random.default_rng(seed), (rows, cols)))[0]
 
 
 def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. complex Gaussian entries: one draw of the real parts, then one of the imaginary."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-
-def orthonormal_columns(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The Q factor of each matrix's reduced QR, one stacked ``np.linalg.qr`` per distinct
-    shape (``per_shape``), so each Q equals that of the matrix's own QR bit for bit."""
-    return per_shape(lambda stack: np.linalg.qr(stack)[0], mats)

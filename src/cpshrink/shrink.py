@@ -29,7 +29,6 @@ from .channel import ChannelInvariants, KrausChannel, complex_gaussian, kraus_ma
 from .errors import DimensionMismatch
 from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_eval, gauge_table, table_eval
 from .spectral import (
-    as_complex_matrix,
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -81,7 +80,7 @@ def top_k_eigensum(x, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(hermitian_eigenvalues(as_complex_matrix(x))[:k].sum())
+    return float(hermitian_eigenvalues(x)[:k].sum())
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,19 +6,19 @@ package's one SVD call; Hermitian stacks take numpy's Hermitian path through
 it. ``hermitian_decomposition`` (eigenpairs by descending eigenvalue, read by
 the lower-bound search, whose matrices are PSD up to rounding, and by the trace
 witnesses) makes the one ``eigh`` call, and ``hermitian_eigensystem`` is its
-checked 2-D front. ``hermitian_eigenvalues`` (read by ``is_psd``, the
-Schatten-2 factor, ``ChannelInvariants.identity_image_spectrum`` and
-``top_k_eigensum``) makes the one ``eigvalsh`` call; all three solvers go through one checked call
-that raises a solver failure as ConvergenceFailure. ``per_shape`` is the one
-place that stacks a list of matrices by shape for a batched call (the
-invariant norms' SVDs, the trace witnesses' eigensystems, the checks' input
-validation and the Hermitian SVDs of their hermitized images and inputs, the
-isometries' QRs);
-numpy factors each matrix of a stack on its own, so each result equals the one
-of a call on its matrix alone bit for bit.
-``singular_values``, ``hermitian_decomposition``, ``hermitian_eigenvalues`` and
-``is_psd`` take one matrix or a stack. Everything is complex128
-and written for small dimensions; no sparse or structured paths.
+checked 2-D front. ``hermitian_eigenvalues`` (read by the Schatten-2 factor,
+``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``, each on
+one matrix) makes the one ``eigvalsh`` call; all three solvers go through one
+checked call that raises a solver failure as ConvergenceFailure. ``per_shape``
+is the one place that stacks a list of matrices by shape for a batched call
+(the invariant norms' SVDs, the trace witnesses' eigensystems, the checks'
+input validation and the Hermitian SVDs of their hermitized images and
+inputs); numpy factors each matrix of a stack on its own, so each result
+equals the one of a call on its matrix alone bit for bit.
+``singular_values`` and ``hermitian_decomposition`` take one matrix or a
+stack; ``hermitian_eigensystem`` and ``hermitian_eigenvalues`` take one
+matrix. Everything is complex128 and written for small dimensions; no sparse
+or structured paths.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
     "hermitize",
-    "is_psd",
     "per_shape",
     "random_hermitian",
     "require_hermitian",
@@ -45,7 +44,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-9
 
 
 def as_complex_matrix(a, stacked: bool = False) -> np.ndarray:
@@ -68,7 +66,7 @@ def require_hermitian(a, stacked: bool = False) -> np.ndarray:
 
     The accepted deviation from the adjoint is entrywise
     ``HERMITICITY_TOL * largest entry magnitude``. The tolerance is relative only,
-    as ``is_psd``'s is, so ``c * a`` checks as ``a`` at any scale ``c > 0``. With
+    so ``c * a`` checks as ``a`` at any scale ``c > 0``. With
     ``stacked`` a stack ``(..., d, d)`` is accepted too, each matrix held to its
     own tolerance.
     """
@@ -173,13 +171,12 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues of a Hermitian operator, or of each one in a stack ``(..., d, d)``,
-    descending, from one values-only solve.
+    """Eigenvalues of one Hermitian operator, descending, from one values-only solve.
 
-    The input is checked as ``require_hermitian(x, stacked=True)`` checks it, and a
-    solver failure is surfaced as ConvergenceFailure.
+    The input is checked as ``require_hermitian`` checks it, so a stack raises
+    DimensionMismatch, and a solver failure is surfaced as ConvergenceFailure.
     """
-    return _linalg("eigvalsh", require_hermitian(x, stacked=True))[..., ::-1]
+    return _linalg("eigvalsh", require_hermitian(x))[::-1]
 
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
@@ -197,18 +194,6 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
     w, v = _linalg("eigh", mat)
     return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
-
-
-def is_psd(x) -> bool | np.ndarray:
-    """Positive semidefinite: the smallest eigenvalue is at least ``-PSD_TOL`` times
-    the largest one, or at least 0 when none is positive. The tolerance is relative
-    only, so the test reads ``c * x`` as it reads ``x`` at any scale ``c > 0``.
-
-    A bool for one matrix, and a bool array with the stack's leading axes for a
-    stack ``(..., d, d)``, from one ``hermitian_eigenvalues`` call."""
-    w = hermitian_eigenvalues(x)
-    ok = w[..., -1] >= -PSD_TOL * np.maximum(0.0, w[..., 0])
-    return ok if ok.ndim else bool(ok)
 
 
 def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:

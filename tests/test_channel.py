@@ -6,19 +6,15 @@ import pytest
 
 from cpshrink.channel import (
     KrausChannel,
-    choi_product,
     complex_gaussian,
     identity_channel,
-    invariant_pair,
     kraus_map,
-    orthonormal_columns,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
     random_isometry,
     read_invariant_norms,
     read_top_projectors,
-    remix_product,
 )
 from cpshrink.errors import (
     ChannelFormatError,
@@ -27,7 +23,7 @@ from cpshrink.errors import (
     NonFinite,
     NotIsometry,
 )
-from cpshrink.spectral import hermitize, is_psd, random_hermitian
+from cpshrink.spectral import hermitian_eigenvalues, hermitize, random_hermitian
 
 
 # ==== independent oracles ====
@@ -274,8 +270,8 @@ class TestApply:
         for seed in range(10):
             phi = random_channel(3, 3, 2, 1.0, seed)
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            assert is_psd(phi.apply(a @ a.conj().T))
-        assert not is_psd(np.diag([1.0, -1e-6]))
+            w = hermitian_eigenvalues(phi.apply(a @ a.conj().T))
+            assert w[-1] >= -1e-9 * max(0.0, w[0])
 
     def test_trace_identity(self):
         # tr(Phi(x)) equals tr(Phi†(I) x)
@@ -329,8 +325,9 @@ class TestInvariants:
     def test_psd(self):
         for seed in range(10):
             inv = random_channel(3, 2, 2, 1.0, seed).invariants()
-            assert is_psd(inv.identity_image)
-            assert is_psd(inv.adjoint_identity_image)
+            for op in (inv.identity_image, inv.adjoint_identity_image):
+                w = hermitian_eigenvalues(op)
+                assert w[-1] >= -1e-9 * max(0.0, w[0])
 
     def test_identity_image_is_image_of_identity(self):
         phi = random_channel(3, 2, 2, 1.0, 12)
@@ -448,21 +445,24 @@ class TestRemix:
     @pytest.mark.parametrize("d_in, d_out, n_kraus, j", [
         (1, 1, 1, 0), (3, 2, 2, 490), (2, 5, 3, -490), (4, 4, 2, 17), (6, 1, 1, -200), (2, 3, 4, 300),
     ])
-    def test_stacked_helpers_match_remixed_channels(self, d_in, d_out, n_kraus, j):
-        # the helpers on a stack of isometries, square and two rows taller, give each remixed
-        # channel's pair and Choi matrix bit for bit
+    def test_keeps_the_channel_at_any_scale(self, d_in, d_out, n_kraus, j):
+        # isometries square and two rows taller: the Kraus set is v times the flattened
+        # stack bit for bit, and the pair and Choi matrix stay the channel's to a tolerance
+        # relative to their size, where an absolute one would pass anything at 2^-490
         phi = random_channel(d_in, d_out, n_kraus, 2.0**j, 31 + abs(j))
+        inv = phi.invariants()
+        choi = phi.choi_matrix()
         rng = np.random.default_rng(32 + abs(j))
         for rows in (n_kraus, n_kraus + 2):
-            vs = np.stack([random_isometry(rows, n_kraus, rng) for _ in range(2)])
-            ops = remix_product(vs, phi.kraus)
-            pair, choi = invariant_pair(ops), choi_product(ops)
-            for r, v in enumerate(vs):
-                mixed = KrausChannel(d_in, d_out, (v @ phi.kraus.reshape(n_kraus, -1)).reshape(rows, d_out, d_in))
-                inv = mixed.invariants()
-                assert np.array_equal(pair[0][r], inv.identity_image)
-                assert np.array_equal(pair[1][r], inv.adjoint_identity_image)
-                assert np.array_equal(choi[r], mixed.choi_matrix())
+            v = random_isometry(rows, n_kraus, rng)
+            mixed = phi.remix(v)
+            want = (v @ phi.kraus.reshape(n_kraus, -1)).reshape(rows, d_out, d_in)
+            assert mixed.kraus.tobytes() == want.tobytes()
+            minv = mixed.invariants()
+            for a, b in ((inv.identity_image, minv.identity_image),
+                         (inv.adjoint_identity_image, minv.adjoint_identity_image),
+                         (choi, mixed.choi_matrix())):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_rejects_non_isometry(self):
         phi = random_channel(2, 2, 2, 1.0, 8)
@@ -473,6 +473,15 @@ class TestRemix:
         phi = random_channel(2, 2, 2, 1.0, 8)
         with pytest.raises(DimensionMismatch):
             phi.remix(np.eye(3))
+
+    def test_isometry_tolerance(self):
+        # columns off unit length by 1e-7 are refused, and by 1e-12 pass: the check holds
+        # v† v to I within 1e-9
+        phi = random_channel(3, 2, 3, 1.0, 15)
+        v = random_isometry(5, 3, 16)
+        with pytest.raises(NotIsometry, match="columns are not orthonormal"):
+            phi.remix(v * (1 + 1e-7))
+        assert phi.remix(v * (1 + 1e-12)).n_kraus == 5
 
 
 class TestChoi:
@@ -589,18 +598,15 @@ class TestRandomChannels:
         [(3, 1), (1, 1), (2, 2), (4, 2), (3, 3), (5, 3)],  # no shape shared
         [(4, 2), (2, 2), (4, 2), (3, 3), (2, 2), (4, 2), (1, 1)],  # shared shapes, interleaved
     ], ids=["unshared", "shared"])
-    def test_block_of_isometries_is_the_loop(self, monkeypatch, shapes):
-        # drawn in order, then one QR per distinct shape: bit for bit the per-call
-        # isometries, with the generator left where the calls leave it
+    def test_block_of_isometries_is_the_loop(self, shapes):
+        # isometries drawn from one generator advance it as complex_gaussian draws of their
+        # shapes do, and each has orthonormal columns
         block, loop = np.random.default_rng(8), np.random.default_rng(8)
-        singles = [random_isometry(rows, cols, loop) for rows, cols in shapes]
-        calls = []
-        real = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(a.shape) or real(a))
-        stacked = orthonormal_columns([complex_gaussian(block, shape) for shape in shapes])
-        assert len(calls) == len(set(shapes))
-        for q, single in zip(stacked, singles):
-            assert q.shape == single.shape and q.tobytes() == single.tobytes()
+        for rows, cols in shapes:
+            q = random_isometry(rows, cols, loop)
+            complex_gaussian(block, (rows, cols))
+            assert q.shape == (rows, cols)
+            assert np.abs(q.conj().T @ q - np.eye(cols)).max() <= 1e-12
         assert block.bit_generator.state == loop.bit_generator.state
 
 

@@ -124,6 +124,17 @@ class TestFanProjectors:
         val = np.trace((proj.p_q - proj.p_r) @ (scale * x)).real
         assert val == pytest.approx(7.0 * scale, rel=1e-12)
 
+    @pytest.mark.parametrize("w, k, ranks", [
+        ([1.0, 1e-9, -1e-9, 0.0], 3, (2, 1)),
+        ([1.0, 0.5, 0.0, 0.0], 4, (2, 0)),
+    ], ids=["small", "zero"])
+    def test_rank_deficient_input(self, w, k, ranks):
+        # (rank p_q, rank p_r) of U diag(w) U†: directions 1e-9 of the largest keep their
+        # signs, and the exact zeros, which the rotation leaves at rounding level, are dropped
+        u = _random_unitary(4, np.random.default_rng(7))
+        proj = fan_projectors(u @ np.diag(w) @ u.conj().T, k)
+        assert tuple(round(np.trace(p).real) for p in (proj.p_q, proj.p_r)) == ranks
+
     def test_psd_input_has_no_negative_block(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from cpshrink.channel import kraus_vectors, random_channel
+from cpshrink.channel import random_channel
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
 from cpshrink.shrink import fan_projectors, top_k_eigensum
 from cpshrink.spectral import (
@@ -10,7 +12,6 @@ from cpshrink.spectral import (
     hermitian_eigensystem,
     hermitian_eigenvalues,
     hermitize,
-    is_psd,
     random_hermitian,
     require_hermitian,
     singular_values,
@@ -194,20 +195,19 @@ class TestEigensystem:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.zeros((2, 3)))
-        # single-matrix functions refuse stacks; the channel map, hermitian_eigenvalues and
-        # is_psd take them
+        with pytest.raises(DimensionMismatch):
+            hermitian_eigenvalues(np.zeros((2, 3)))
+        # single-matrix functions refuse stacks; the channel map takes them
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         for call in (
             hermitian_eigensystem,
+            hermitian_eigenvalues,
             require_hermitian,
             lambda x: top_k_eigensum(x, 1),
             lambda x: fan_projectors(x, 1),
         ):
             with pytest.raises(DimensionMismatch):
                 call(stack)
-        for call in (hermitian_eigenvalues, is_psd):
-            with pytest.raises(DimensionMismatch):
-                call(np.ones((2, 2, 3)))
 
     def test_eigenvalues_match_the_eigensystem(self):
         # the values-only solve gives the eigensystem's values, descending, up to rounding,
@@ -222,28 +222,15 @@ class TestEigensystem:
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-    def test_eigenvalues_and_psd_take_stacks(self, scale):
-        # a stack gives each matrix's own values and verdict bit for bit, with the stack's
-        # leading axes, from one solve; one matrix still gives a Python bool
-        rng = np.random.default_rng(8)
-        stack = scale * np.stack([random_hermitian(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
-        stack[0, 0] = scale * np.diag([1.0, 0.0, 0.0])
-        stack[1, 2] = scale * np.diag([1.0, 0.5, -1e-2])
-        w = hermitian_eigenvalues(stack)
-        ok = is_psd(stack)
-        assert w.shape == (2, 3, 3) and ok.shape == (2, 3) and ok.dtype == bool
-        for i in np.ndindex(2, 3):
-            assert w[i].tobytes() == hermitian_eigenvalues(stack[i]).tobytes()
-            assert ok[i] == is_psd(stack[i])
-        assert ok[0, 0] and not ok[1, 2]
-        assert is_psd(np.ones((2, 1, 1))).tolist() == [True, True]
-        assert is_psd(stack[0, 0]) is True and is_psd(stack[1, 2]) is False
-        # the stack is checked as require_hermitian checks it, entrywise within 1e-10 times
-        # the matrix's largest entry
-        bad = stack.copy()
-        bad[1, 1, 0, 1] += scale
+    def test_eigenvalues_at_any_scale(self, scale):
+        # the values scale with the matrix, and the input is checked as require_hermitian
+        # checks it, entrywise within 1e-10 times the matrix's largest entry
+        w = hermitian_eigenvalues(scale * np.diag([0.5, -1e-2, 1.0]))
+        np.testing.assert_allclose(w, scale * np.array([1.0, 0.5, -1e-2]), rtol=1e-15)
+        bad = scale * random_hermitian(3, 8)
+        bad[0, 1] += scale
         with pytest.raises(ValueError, match="not Hermitian"):
-            is_psd(bad)
+            hermitian_eigenvalues(bad)
 
     def test_hermiticity_tolerance_is_relative(self):
         # the adjoint deviation is held to 1e-10 times the matrix's own largest entry, so a
@@ -251,23 +238,22 @@ class TestEigensystem:
         # matrix of a stack, and an asymmetry at rounding level passes at any scale
         upper = np.array([[0.0, 1.0], [0.0, 0.0]])
         for scale in (1.0, 1e-20, 2.0**-490):
-            for call in (require_hermitian, hermitian_eigenvalues, is_psd):
+            for call in (require_hermitian, hermitian_eigenvalues):
                 with pytest.raises(ValueError, match="not Hermitian"):
                     call(scale * upper)
         stack = np.stack([np.diag([2.0, 1.0]), 1e-20 * upper, np.eye(2)])
-        for call in (lambda x: require_hermitian(x, stacked=True), hermitian_eigenvalues, is_psd):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                call(stack)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(stack, stacked=True)
         for j in (-490, 0, 490):
             x = random_hermitian(4, 3) * 2.0**j
             x[0, 1] *= 1 + 1e-14
             np.testing.assert_allclose(
                 hermitian_eigenvalues(x), hermitian_eigenvalues(hermitize(x)), rtol=0, atol=1e-13 * np.abs(x).max()
             )
-            # a Kraus Gram as its product gives it, not hermitized, passes the check at Kraus
-            # scales 2^+-490 too
-            vecs = kraus_vectors(random_channel(3, 4, 3, 2.0**j, 7).kraus)
-            assert is_psd(vecs.conj() @ vecs.T)
+            # a Kraus Gram tr(E_m† E_n) as its product gives it, not hermitized, passes the
+            # check at Kraus scales 2^+-490 too
+            vecs = random_channel(3, 4, 3, 2.0**j, 7).kraus.swapaxes(1, 2).reshape(3, -1)
+            require_hermitian(vecs.conj() @ vecs.T)
 
     def test_convergence_failure_type_exists(self):
         # eigh essentially never fails on valid input; the contract is that a
@@ -286,8 +272,6 @@ class TestEigensystem:
             hermitian_eigensystem(np.eye(2))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_eigenvalues(np.eye(2))
-        with pytest.raises(ConvergenceFailure, match=eig_failure):
-            is_psd(np.eye(2))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_decomposition(np.stack([np.eye(2)] * 3))
         svd_failure = "^singular value decomposition failed: Eigenvalues did not converge$"
@@ -382,14 +366,17 @@ class TestHelpers:
         assert one.bit_generator.state == loop.bit_generator.state
         assert one.standard_normal() == loop.standard_normal()
 
-    @pytest.mark.parametrize("c", [1.0, 1e-8, 1e-150, 1e150])
-    def test_psd_tolerance_is_relative_at_any_scale(self, c):
-        # a negative eigenvalue 1e-2 of the largest fails at every scale, where an absolute
-        # floor would let it pass once the largest eigenvalue is below 1
-        assert not is_psd(c * np.diag([1.0, -1e-2]))
-        assert is_psd(c * np.diag([1.0, 0.0]))
-
 
 def test_empty_matrix_is_named():
     with pytest.raises(DimensionMismatch, match=r"positive, got \(0, 3\)$"):
         as_complex_matrix(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("module", [
+    "cpshrink", "cpshrink.channel", "cpshrink.gauge", "cpshrink.shrink", "cpshrink.spectral",
+])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition went would break `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
