@@ -125,14 +125,18 @@ def _invariant_norms(ops: Sequence[tuple[np.ndarray, str]]) -> list[float]:
     """Spectral norms of operators of invariant pairs, given with their names.
 
     One general SVD per distinct size (``per_shape`` over ``singular_values``), so
-    a value does not depend on the others. Before any SVD, the first operator that
-    overflowed float64 raises NonFinite naming it.
+    a value does not depend on the others. Each size's stack is checked for finiteness
+    once, before its SVD; a stack that overflowed float64 starts a scan of all the
+    operators in the given order, and the first that overflowed raises NonFinite
+    naming it, whichever stack found it.
     """
-    for op, name in ops:
-        if not np.isfinite(op).all():
+    def tops(stack: np.ndarray) -> np.ndarray:
+        if not np.isfinite(stack).all():
+            name = next(name for op, name in ops if not np.isfinite(op).all())
             raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150")
-    tops = per_shape(lambda stack: singular_values(stack, stack.shape[-1])[:, 0], [op for op, _ in ops])
-    return [float(top) for top in tops]
+        return singular_values(stack, stack.shape[-1])[:, 0]
+
+    return [float(top) for top in per_shape(tops, [op for op, _ in ops])]
 
 
 # each norm of the pair: the cached property that keeps it, its operator, the operator's name
@@ -162,13 +166,18 @@ def read_top_projectors(pairs: Sequence[ChannelInvariants]) -> list[np.ndarray]:
     keeps it; a pair that holds one already keeps it.
 
     ``read_invariant_norms`` reads ``s`` and ``t`` first, so an overflowed pair raises the
-    NonFinite that names it. Then one eigensystem per distinct size of ``Phi†(I)`` gives
-    each pair's projector as a read of that pair alone gives it, bit for bit.
+    NonFinite that names it. Then each distinct size of ``Phi†(I)`` takes one eigensystem
+    and one product ``hermitize(v v†)`` of its top eigenvectors ``v``, each entry of which
+    is one product, so each pair's projector equals a read of that pair alone bit for bit.
+    A pair keeps a read-only copy of its projector, not a view of its size's stack.
     """
+    def projectors(m: np.ndarray) -> np.ndarray:
+        v = hermitian_decomposition(m)[1][..., :1]
+        return hermitize(v @ v.conj().swapaxes(-2, -1))
+
     read_invariant_norms(pairs)
-    tops = per_shape(lambda m: hermitian_decomposition(m)[1][..., :1], [inv.adjoint_identity_image for inv in pairs])
-    return [vars(inv).setdefault("adjoint_top_projector", _frozen(hermitize(v @ v.conj().T)))
-            for inv, v in zip(pairs, tops)]
+    tops = per_shape(projectors, [inv.adjoint_identity_image for inv in pairs])
+    return [vars(inv).setdefault("adjoint_top_projector", _frozen(p.copy())) for inv, p in zip(pairs, tops)]
 
 
 def _kraus_stack(kraus, d_out: int, d_in: int) -> np.ndarray:

@@ -147,9 +147,15 @@ def table_eval(s, weights, exponents, coefficients, grad: bool = True) -> tuple[
     one subgradient, always finite. A row's arithmetic does not depend on the other
     rows: a column the row does not use adds an exact zero, and each column is raised
     with its exponent as a Python float, in ascending order.
+
+    The Ky Fan part is one ``np.vecdot(weights, s)``, each row contracted with its
+    spectrum, whether the rows share each spectrum or each has its own; no ``(..., N, n)``
+    product is formed. ``np.vecdot`` sums in an order that follows the memory layout, so
+    ``s`` is made contiguous first, and a view of a stack (flipped, strided, Fortran-ordered)
+    gives the stack's values and gradients bit for bit.
     """
-    product = weights * s
-    value, g = product.sum(axis=-1), np.broadcast_to(weights, product.shape) if grad else None
+    s = np.ascontiguousarray(s)
+    value, g = np.vecdot(weights, s), np.broadcast_to(weights, np.broadcast(weights, s).shape) if grad else None
     # s_max * ||u||_p with u = s / s_max: s ** p alone overflows or underflows for large p
     top = s[..., :1]
     unit = s / np.where(top > 0.0, top, 1.0)
@@ -172,8 +178,9 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
     Entries are sorted internally, making the result permutation invariant.
 
     ``norm`` may also be a sequence of N norms, and the N values then come
-    stacked on a new leading axis. Either way the spectra are validated and
-    sorted once and the whole list is one values-only ``table_eval`` call on its
+    stacked on a new leading axis. Either way the spectra are validated once and
+    sorted once, descending, into one contiguous array (``-np.sort(-s)``, not a
+    flipped view), and the whole list is one values-only ``table_eval`` call on its
     table; each value equals the value of the norm's one-row table bit for bit.
     """
     s = np.asarray(spectrum, dtype=float)
@@ -181,7 +188,7 @@ def gauge_eval(norm: GaugeNorm | Sequence[GaugeNorm], spectrum):
         raise DimensionMismatch("spectrum must have at least one entry")
     if np.any(s < 0):
         raise ValueError("spectrum entries must be nonnegative")
-    s = np.flip(np.sort(s, axis=-1), axis=-1)
+    s = -np.sort(-s, axis=-1)
     norms = (norm,) if isinstance(norm, GaugeNorm) else tuple(norm)
     values, _ = table_eval(s[..., None, :], *gauge_table(norms, s.shape[-1]), grad=False)
     if isinstance(norm, GaugeNorm):

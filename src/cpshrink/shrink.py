@@ -310,14 +310,16 @@ def _unit_norm(z: np.ndarray, w: np.ndarray, ps: tuple[float, ...], c: np.ndarra
     as the search's starts (all ones and ``e_1``), Hölder's direction and ``_solve_gradient``'s
     answers: the value of the one-row table ``(w, ps, c)``, a norm's step entry, in closed form.
 
-    These are ``table_eval``'s own operations, in its own order, at ``top = 1``, where its
-    ``unit = z / top`` is ``z`` and ``top * (c * size)`` is ``c * size``; so on such spectra the
-    value equals ``table_eval(z, w, ps, c, grad=False)[0]`` bit for bit, and so does the norm's
-    row of a whole-list ``gauge_table``, whose columns the norm does not use add exact zeros.
+    These are ``table_eval``'s own operations, in its own order, at ``top = 1``: its Ky Fan
+    part is the same ``np.vecdot(w, z)`` (every caller's ``z`` is a fresh contiguous array, as
+    ``table_eval`` makes its spectra), its ``unit = z / top`` is ``z``, and its
+    ``top * (c * size)`` is ``c * size``; so on such spectra the value equals
+    ``table_eval(z, w, ps, c, grad=False)[0]`` bit for bit, and so does the norm's row of a
+    whole-list ``gauge_table``, whose columns the norm does not use add exact zeros.
     It is valid only there: without the leading 1, ``z ** p`` can over- or underflow where
     ``table_eval``'s rescaled spectrum does not.
     """
-    value = (w * z).sum(axis=-1)
+    value = np.vecdot(w, z)
     for j, p in enumerate(ps):
         value = value + c[j] * (z ** p).sum(axis=-1) ** (1.0 / p)
     return value

@@ -407,6 +407,29 @@ class TestInvariants:
             read_top_projectors([random_channel(2, 2, 1, 1.0, 3).invariants(), wide])
         assert "adjoint_top_projector" not in vars(wide)
 
+    @pytest.mark.parametrize("case", ["later group", "two sizes"])
+    def test_stack_checks_name_the_first_overflowed_operator(self, case):
+        # finiteness is checked once per size's stack, and a failed stack starts a scan in pair
+        # order. "later group": the sizes' stacks are 2 x 2 (finite, its SVD taken), 3 x 3
+        # (finite), then 1 x 1, which holds the overflowed Phi†(I). "two sizes": the 3 x 3 stack
+        # comes first and holds an overflowed Phi†(I), but the 2 x 2 Phi(I) of the same pair
+        # overflowed too, and comes first in pair order
+        with np.errstate(over="ignore", invalid="ignore"):
+            if case == "later group":
+                pairs, name = [random_channel(2, 2, 1, 1.0, 3).invariants(),
+                               KrausChannel(1, 3, [np.full((3, 1), 8e153)]).invariants()], r"Phi†\(I\)"
+            else:
+                pairs, name = [random_channel(2, 3, 1, 1.0, 3).invariants(),
+                               KrausChannel(3, 2, [np.full((2, 3), 1e154)]).invariants()], r"Phi\(I\)"
+        overflowed = [not np.isfinite(op).all() for inv in pairs
+                      for op in (inv.identity_image, inv.adjoint_identity_image)]
+        assert overflowed == ([False, False, False, True] if case == "later group" else [False, False, True, True])
+        for read in (read_invariant_norms, read_top_projectors):
+            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
+                read(pairs)
+            for inv in pairs:
+                assert not {"identity_image_norm", "adjoint_identity_image_norm", "adjoint_top_projector"} & set(vars(inv))
+
 
 class TestRemix:
     def test_identity_recombination(self):

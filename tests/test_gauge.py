@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,42 @@ class TestGaugeTable:
         owner = np.array([n] * len(s))
         by_row, by_row_grad = table_eval(s, weights[owner], exponents, coefficients[owner])
         assert by_row.tobytes() == wrapped.tobytes() and by_row_grad.tobytes() == grads[:, n].tobytes()
+
+    @given(TABLE_NORMS, TABLE_SPECTRA)
+    def test_values_do_not_depend_on_the_layout(self, norms, rows):
+        # np.vecdot sums in an order that follows the memory layout: flipped, strided and
+        # Fortran-ordered views of a contiguous stack give its values and gradients bit for bit,
+        # with rows sharing each spectrum (gauge_eval's form) or each on its own (the search's)
+        s = -np.sort(-np.array(rows))
+        table = weights, exponents, coefficients = gauge_table(tuple(norms), s.shape[-1])
+        owner = np.arange(len(s)) % len(norms)
+        values, grads = table_eval(s[:, None, :], *table)
+        own, own_grad = table_eval(s, weights[owner], exponents, coefficients[owner])
+        views = np.flip(np.flip(s, axis=-1).copy(), axis=-1), np.stack([s, s], axis=-1)[..., 0], np.asfortranarray(s)
+        for view in views:
+            assert np.array_equal(view, s)
+            v, g = table_eval(view[:, None, :], *table)
+            assert v.tobytes() == values.tobytes() and g.tobytes() == grads.tobytes()
+            v, g = table_eval(view, weights[owner], exponents, coefficients[owner])
+            assert v.tobytes() == own.tobytes() and g.tobytes() == own_grad.tobytes()
+        # gauge_eval sorts unsorted spectra, views among them, into one contiguous array
+        unsorted = np.array(rows)
+        for view in (unsorted, np.flip(np.flip(unsorted, axis=-1).copy(), axis=-1), np.asfortranarray(unsorted)):
+            assert gauge_eval(norms, view).tobytes() == np.moveaxis(values, -1, 0).tobytes()
+
+    def test_values_form_no_broadcast_product(self):
+        # each row's Ky Fan part is one contraction with its spectrum: the battery's 39 rows on
+        # 2000 spectra of length 32 as a (2000, 39, 32) product would take 19 MiB
+        norms = norm_battery(32)
+        s = np.random.default_rng(15).random((2000, 32))
+        gauge_eval(norms, s[:1])  # the table is built and kept outside the trace
+        tracemalloc.start()
+        try:
+            gauge_eval(norms, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(norms) == 39 and peak < 6 * 2**20
 
     def test_an_overflowing_column_stays_in_its_rows(self):
         # ||s||_3 overflows at these entries; the Ky Fan row beside it reads as it does alone
