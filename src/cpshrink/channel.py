@@ -83,30 +83,39 @@ class ChannelInvariants:
 
     ``identity_image`` is the channel applied to the identity (lives on the
     output space); ``adjoint_identity_image`` is the adjoint map applied to the
-    identity (lives on the input space). Both are positive semidefinite.
+    identity (lives on the input space). Both are positive semidefinite, and
+    finite: a pair with an operator that overflowed float64 (Kraus entries far
+    beyond 1e150) is not built, and raises NonFinite naming that operator,
+    ``Phi(I)`` before ``Phi†(I)``.
 
     The spectral data every shrinking factor reads is derived from the pair here
     and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
     ``t = ||Phi†(I)||_inf``, the trace witness and the eigenvalues of ``Phi(I)``,
-    whose partial sums are its Ky Fan norms. ``read_invariant_norms``
-    reads ``s`` and ``t`` of many pairs at once and keeps them where these reads
-    keep them. A failed solver call is raised and not kept, so the next read
-    tries again. An operator of the pair that overflowed float64 (Kraus entries
-    far beyond 1e150) raises NonFinite, naming it, when ``s`` or ``t`` is read.
+    whose partial sums are its Ky Fan norms. ``s`` and ``t`` are read together, by
+    ``read_invariant_norms`` of the pair, as the trace witness is read by
+    ``read_top_projectors``. A failed solver call is raised and not kept, so the
+    next read tries again.
     """
 
     identity_image: np.ndarray
     adjoint_identity_image: np.ndarray
 
+    def __post_init__(self):
+        for op, name in ((self.identity_image, "Phi(I)"), (self.adjoint_identity_image, "Phi†(I)")):
+            if not np.isfinite(op).all():
+                raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150")
+
     @cached_property
     def identity_image_norm(self) -> float:
         """``s``: the spectral-norm factor, and the largest eigenvalue of ``Phi(I)``."""
-        return _invariant_norms([(self.identity_image, "Phi(I)")])[0]
+        read_invariant_norms([self])
+        return vars(self)["identity_image_norm"]
 
     @cached_property
     def adjoint_identity_image_norm(self) -> float:
         """``t``: the trace-norm factor, and the largest eigenvalue of ``Phi†(I)``."""
-        return _invariant_norms([(self.adjoint_identity_image, "Phi†(I)")])[0]
+        read_invariant_norms([self])
+        return vars(self)["adjoint_identity_image_norm"]
 
     @cached_property
     def adjoint_top_projector(self) -> np.ndarray:
@@ -121,61 +130,37 @@ class ChannelInvariants:
         return _frozen(hermitian_eigenvalues(self.identity_image))
 
 
-def _invariant_norms(ops: Sequence[tuple[np.ndarray, str]]) -> list[float]:
-    """Spectral norms of operators of invariant pairs, given with their names.
-
-    One general SVD per distinct size (``per_shape`` over ``singular_values``), so
-    a value does not depend on the others. Each size's stack is checked for finiteness
-    once, before its SVD; a stack that overflowed float64 starts a scan of all the
-    operators in the given order, and the first that overflowed raises NonFinite
-    naming it, whichever stack found it.
-    """
-    def tops(stack: np.ndarray) -> np.ndarray:
-        if not np.isfinite(stack).all():
-            name = next(name for op, name in ops if not np.isfinite(op).all())
-            raise NonFinite(f"{name} overflows float64: Kraus entries beyond the supported range 1e-150..1e150")
-        return singular_values(stack, stack.shape[-1])[:, 0]
-
-    return [float(top) for top in per_shape(tops, [op for op, _ in ops])]
-
-
-# each norm of the pair: the cached property that keeps it, its operator, the operator's name
-_PAIR_NORMS = (
-    ("identity_image_norm", "identity_image", "Phi(I)"),
-    ("adjoint_identity_image_norm", "adjoint_identity_image", "Phi†(I)"),
-)
+# each norm of the pair: the cached property that keeps it, and its operator
+_PAIR_NORMS = (("identity_image_norm", "identity_image"), ("adjoint_identity_image_norm", "adjoint_identity_image"))
 
 
 def read_invariant_norms(pairs: Sequence[ChannelInvariants]) -> None:
     """Read ``s`` and ``t`` of every pair at once, kept where the pairs' own reads keep them.
 
-    The operators not read yet take one general SVD per distinct size, as a
-    single read takes one, so each value equals its single read bit for bit and
-    a later read recomputes nothing. The first operator that overflowed, in pair
-    order with ``Phi(I)`` before ``Phi†(I)``, raises the NonFinite that names it.
-    A solver failure is raised, and nothing is kept.
+    The operators not read yet take one general SVD per distinct size
+    (``per_shape`` over ``singular_values``), so a value does not depend on the
+    others: each equals a read of its pair alone bit for bit, and a later read
+    recomputes nothing. A solver failure is raised, and nothing is kept.
     """
-    unread = [(inv, attr, getattr(inv, op), name) for inv in pairs for attr, op, name in _PAIR_NORMS
-              if attr not in vars(inv)]
-    for (inv, attr, _, _), value in zip(unread, _invariant_norms([(op, name) for _, _, op, name in unread])):
-        vars(inv)[attr] = value
+    unread = [(inv, attr, getattr(inv, op)) for inv in pairs for attr, op in _PAIR_NORMS if attr not in vars(inv)]
+    tops = per_shape(lambda stack: singular_values(stack, stack.shape[-1])[:, 0], [op for *_, op in unread])
+    for (inv, attr, _), top in zip(unread, tops):
+        vars(inv)[attr] = float(top)
 
 
 def read_top_projectors(pairs: Sequence[ChannelInvariants]) -> list[np.ndarray]:
     """``adjoint_top_projector`` of every pair, read at once and kept where its own read
     keeps it; a pair that holds one already keeps it.
 
-    ``read_invariant_norms`` reads ``s`` and ``t`` first, so an overflowed pair raises the
-    NonFinite that names it. Then each distinct size of ``Phi†(I)`` takes one eigensystem
-    and one product ``hermitize(v v†)`` of its top eigenvectors ``v``, each entry of which
-    is one product, so each pair's projector equals a read of that pair alone bit for bit.
-    A pair keeps a read-only copy of its projector, not a view of its size's stack.
+    Each distinct size of ``Phi†(I)`` takes one eigensystem and one product
+    ``hermitize(v v†)`` of its top eigenvectors ``v``, each entry of which is one product,
+    so each pair's projector equals a read of that pair alone bit for bit. A pair keeps a
+    read-only copy of its projector, not a view of its size's stack.
     """
     def projectors(m: np.ndarray) -> np.ndarray:
         v = hermitian_decomposition(m)[1][..., :1]
         return hermitize(v @ v.conj().swapaxes(-2, -1))
 
-    read_invariant_norms(pairs)
     tops = per_shape(projectors, [inv.adjoint_identity_image for inv in pairs])
     return [vars(inv).setdefault("adjoint_top_projector", _frozen(p.copy())) for inv, p in zip(pairs, tops)]
 
@@ -217,7 +202,9 @@ class KrausChannel:
         Operators of shape ``(d_out, d_in)``, finite. Individual zero operators
         are allowed, but at least one operator must be nonzero. An operator of
         the wrong shape or with NaN or Inf entries is named as ``kraus[i]`` in
-        the error, whichever form the set comes in.
+        the error, whichever form the set comes in. A set whose invariant pair
+        overflows float64 raises NonFinite naming the operator, with no numpy
+        warning.
 
     ``kraus`` is stored as one read-only complex128 copy of shape
     ``(n_kraus, d_out, d_in)``, and the invariant pair is computed from it once,
@@ -241,7 +228,9 @@ class KrausChannel:
         # Phi(I) = L L† with L = [E_1 ... E_K], and Phi†(I) = R† R with R the E_n stacked into rows
         left = stack.transpose(1, 0, 2).reshape(self.d_out, -1)
         right = stack.reshape(-1, self.d_in)
-        image, adjoint_image = hermitize(left @ left.conj().T), hermitize(right.conj().T @ right)
+        # a pair that overflowed raises the named NonFinite; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            image, adjoint_image = hermitize(left @ left.conj().T), hermitize(right.conj().T @ right)
         inv = ChannelInvariants(_frozen(image), _frozen(adjoint_image))
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "_invariants", inv)
@@ -318,7 +307,9 @@ class KrausChannel:
         ops = [entries_to_matrix(op, d_out, d_in, field=f"kraus[{n}]") for n, op in enumerate(raw)]
         try:
             return cls(d_in, d_out, ops)
-        except (ValueError, DimensionMismatch) as exc:
+        except NonFinite:
+            raise  # the pair's overflow, named as the constructor names it
+        except ValueError as exc:
             raise ChannelFormatError(f"kraus: {exc}") from exc
 
     @classmethod

@@ -68,7 +68,9 @@ def resolve_channel(source: str) -> KrausChannel:
 
     Named forms: ``identity:<d>``, ``ptrace:<dB>x<dC>``,
     ``random:<dIn>x<dOut>x<n>:<seed>``, ``cptp:<dIn>x<dOut>x<n>:<seed>``.
-    Anything else is treated as a path to a channel JSON document.
+    Anything else is treated as a path to a channel JSON document. A channel
+    whose invariant pair overflows float64 raises the named NonFinite as it is
+    built, as every ``KrausChannel`` does.
     """
     if source.startswith("identity:"):
         d = _parse_int(source[len("identity:"):], "identity dimension")
@@ -95,10 +97,7 @@ def resolve_channel(source: str) -> KrausChannel:
             text = fh.read()
     except OSError as exc:
         raise ChannelFormatError(f"cannot read channel file {source!r}: {exc}") from exc
-    # finite entries whose invariant pair overflows raise the named NonFinite error on
-    # construction, since s and t are read first; numpy's warnings would only precede it
-    with np.errstate(over="ignore", invalid="ignore"):
-        return KrausChannel.from_json(text)
+    return KrausChannel.from_json(text)
 
 
 def _count(ok: np.ndarray) -> tuple[int, int]:

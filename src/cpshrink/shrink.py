@@ -165,12 +165,15 @@ def _rescaled_norm(norm: GaugeNorm) -> tuple[GaugeNorm, int]:
 
     A positive multiple of a norm has the same factor, so a search can run on this
     one without over- or underflowing and scale its witness back by ``2**-k``. A
-    norm that is not a combination has coefficient 1 and comes back as it is.
+    norm that is not a combination has coefficient 1 and comes back as it is. A term
+    whose coefficient is more than ``2**1074`` below the largest rescales to 0 and
+    is dropped: it would add exact zeros to every value and gradient.
     """
     if not isinstance(norm, Combination):
         return norm, 0
     k = frexp(max(c for c, _ in norm.terms))[1] - 1
-    return Combination(tuple((ldexp(c, -k), t) for c, t in norm.terms)), k
+    terms = [(ldexp(c, -k), t) for c, t in norm.terms]
+    return Combination(tuple((c, t) for c, t in terms if c)), k
 
 
 def schatten2_shrink_factor(phi: KrausChannel) -> tuple[float, np.ndarray]:

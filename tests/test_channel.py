@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from cpshrink.channel import (
+    ChannelInvariants,
     KrausChannel,
     complex_gaussian,
     identity_channel,
     kraus_map,
+    matrix_to_entries,
     partial_trace_channel,
     random_channel,
     random_cptp_channel,
@@ -335,18 +337,45 @@ class TestInvariants:
             phi.apply(np.eye(3)), phi.invariants().identity_image, atol=1e-10
         )
 
-    @pytest.mark.parametrize("read, name", [
-        ("identity_image_norm", r"Phi\(I\)"),
-        ("adjoint_identity_image_norm", r"Phi†\(I\)"),
-    ], ids=["s", "t"])
-    def test_overflowing_pair_is_named(self, read, name):
-        # finite Kraus entries whose squares overflow float64: reading s or t names the
-        # operator, on every read, rather than calling the matrix non-finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv = KrausChannel(2, 2, [np.array([[1e160, 0.0], [2e160, 1e160]])]).invariants()
-        for _ in range(2):
-            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
-                getattr(inv, read)
+    @pytest.mark.parametrize("form", ["array", "list", "json"])
+    @pytest.mark.parametrize("shape, entry, name", [
+        ((1, 3), 8e153, r"Phi\(I\)"),  # the one row's squared norm overflows; Phi†(I) is finite
+        ((3, 1), 8e153, r"Phi†\(I\)"),  # the one column's; Phi(I) is finite
+        ((2, 2), 1e160, r"Phi\(I\)"),  # both overflow, and Phi(I) is named first
+    ], ids=["image", "adjoint image", "both"])
+    def test_overflowing_pair_is_rejected_at_construction(self, form, shape, entry, name):
+        # finite Kraus entries whose pair overflows float64: the channel is not built, and the
+        # error names the operator, with no numpy warning first (the suite makes one an error)
+        ops = np.full((1, *shape), entry, dtype=np.complex128)
+        d_out, d_in = shape
+        build = {
+            "array": lambda: KrausChannel(d_in, d_out, ops),
+            "list": lambda: KrausChannel(d_in, d_out, list(ops)),
+            "json": lambda: KrausChannel.from_json(json.dumps(
+                {"d_in": d_in, "d_out": d_out, "kraus": [matrix_to_entries(op) for op in ops]})),
+        }[form]
+        with pytest.raises(NonFinite, match="^" + name + r" overflows float64: Kraus entries beyond the supported range 1e-150\.\.1e150$"):
+            build()
+
+    def test_directly_built_pair_must_be_finite(self):
+        with pytest.raises(NonFinite, match=r"^Phi†\(I\) overflows float64"):
+            ChannelInvariants(np.eye(2), np.full((2, 2), np.inf))
+
+    def test_lone_read_fills_the_pair(self, monkeypatch):
+        # s and t have one read path: a lone read of s on a square pair is the pair's batch
+        # read, one general SVD of its two operators, and t is kept with it
+        inv = random_channel(3, 3, 2, 1.0, 8).invariants()
+        twin = random_channel(3, 3, 2, 1.0, 8).invariants()
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        s = inv.identity_image_norm
+        assert calls == [(2, 3, 3)]
+        assert "adjoint_identity_image_norm" in vars(inv)
+        t = inv.adjoint_identity_image_norm
+        assert len(calls) == 1
+        read_invariant_norms([twin])
+        assert type(s) is float and (s, t) == (twin.identity_image_norm, twin.adjoint_identity_image_norm)
 
     def test_batch_read_equals_single_reads(self, monkeypatch):
         # mixed sizes, 1 x 1 among them, sizes shared within and across channels
@@ -367,20 +396,6 @@ class TestInvariants:
             assert type(s) is float and type(t) is float
             assert (s, t) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
 
-    def test_batch_read_names_the_overflowed_operator(self):
-        # one operator of each pair overflows: the squared norm of the one row, or of the
-        # one column, of three entries 8e153. The first overflowed operator in pair order is
-        # named, and the batch reads nothing before it
-        with np.errstate(over="ignore", invalid="ignore"):
-            wide = KrausChannel(3, 1, [np.full((1, 3), 8e153)]).invariants()  # Phi(I) overflows
-            tall = KrausChannel(1, 3, [np.full((3, 1), 8e153)]).invariants()  # Phi†(I) overflows
-        assert np.isfinite(wide.adjoint_identity_image).all() and np.isfinite(tall.identity_image).all()
-        fine = random_channel(2, 2, 1, 1.0, 3).invariants()
-        for pairs, name in (([fine, wide, tall], r"Phi\(I\)"), ([fine, tall, wide], r"Phi†\(I\)")):
-            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
-                read_invariant_norms(pairs)
-            assert "identity_image_norm" not in vars(fine)
-
     def test_batch_projectors_equal_single_reads(self, monkeypatch):
         # one eigensystem per distinct d_in, and each kept projector equals a fresh channel's
         # single read bit for bit, read-only, at Kraus scales 2^+-490 too
@@ -398,37 +413,6 @@ class TestInvariants:
             assert np.array_equal(kept, KrausChannel(phi.d_in, phi.d_out, phi.kraus).invariants().adjoint_top_projector)
             # the trace norm's attaining input: tr Phi(P) = t
             assert np.trace(phi.apply(kept)).real == pytest.approx(phi.invariants().adjoint_identity_image_norm, rel=1e-14)
-
-    def test_batch_projectors_name_the_overflowed_operator(self):
-        # s and t are read first, so the error names the operator as their reads do
-        with np.errstate(over="ignore", invalid="ignore"):
-            wide = KrausChannel(3, 1, [np.full((1, 3), 8e153)]).invariants()  # Phi(I) overflows
-        with pytest.raises(NonFinite, match=r"Phi\(I\) overflows float64"):
-            read_top_projectors([random_channel(2, 2, 1, 1.0, 3).invariants(), wide])
-        assert "adjoint_top_projector" not in vars(wide)
-
-    @pytest.mark.parametrize("case", ["later group", "two sizes"])
-    def test_stack_checks_name_the_first_overflowed_operator(self, case):
-        # finiteness is checked once per size's stack, and a failed stack starts a scan in pair
-        # order. "later group": the sizes' stacks are 2 x 2 (finite, its SVD taken), 3 x 3
-        # (finite), then 1 x 1, which holds the overflowed Phi†(I). "two sizes": the 3 x 3 stack
-        # comes first and holds an overflowed Phi†(I), but the 2 x 2 Phi(I) of the same pair
-        # overflowed too, and comes first in pair order
-        with np.errstate(over="ignore", invalid="ignore"):
-            if case == "later group":
-                pairs, name = [random_channel(2, 2, 1, 1.0, 3).invariants(),
-                               KrausChannel(1, 3, [np.full((3, 1), 8e153)]).invariants()], r"Phi†\(I\)"
-            else:
-                pairs, name = [random_channel(2, 3, 1, 1.0, 3).invariants(),
-                               KrausChannel(3, 2, [np.full((2, 3), 1e154)]).invariants()], r"Phi\(I\)"
-        overflowed = [not np.isfinite(op).all() for inv in pairs
-                      for op in (inv.identity_image, inv.adjoint_identity_image)]
-        assert overflowed == ([False, False, False, True] if case == "later group" else [False, False, True, True])
-        for read in (read_invariant_norms, read_top_projectors):
-            with pytest.raises(NonFinite, match=name + " overflows float64: .* supported range"):
-                read(pairs)
-            for inv in pairs:
-                assert not {"identity_image_norm", "adjoint_identity_image_norm", "adjoint_top_projector"} & set(vars(inv))
 
 
 class TestRemix:

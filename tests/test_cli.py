@@ -213,6 +213,15 @@ class TestReport:
         assert rows[spec]["empirical_lower"] == pytest.approx(rows[plain]["empirical_lower"], rel=1e-12)
         assert rows[spec]["gap"] == pytest.approx(rows[plain]["gap"], rel=1e-12, abs=1e-12)
 
+    def test_underflowing_term_exits_0(self, capsys):
+        # the kyfan:1 coefficient rescales to 0 beside 1e160: the row is the schatten:3 row
+        code, out, err = run(capsys, "report", "--channel", "random:3x3x2:0", "--norm",
+                             "combo:1e-170*kyfan:1+1e160*schatten:3", "--norm", "schatten:3", "--format", "json")
+        assert (code, err) == (0, "")
+        row, base = json.loads(out)["norms"]
+        assert row["norm"] == "combo:1e-170*kyfan:1+1e+160*schatten:3"
+        assert {**row, "norm": base["norm"]} == base
+
     @pytest.mark.parametrize("spec", ["schatten:1.0000000001", "schatten:1234567.0",
                                       "combo:0.1234567*kyfan:1+1*schatten:2", "combo:1e-320*schatten:3"])
     def test_row_names_the_norm_asked_for(self, capsys, spec):

@@ -575,6 +575,18 @@ class TestEmpiricalLowerBound:
         lower, witness = empirical_lower_bound(phi, parse_norm(spec), 4, 10, seed=0)
         assert 0.0 < lower <= shrink_upper_bound(phi) and witness.shape == (8, 8)
 
+    def test_underflowing_term_is_dropped(self):
+        # 1e-170 is more than 2**1074 below 1e160, so its rescaled coefficient is 0 and its term,
+        # which adds exact zeros, is dropped: the row is its dominant base's bit for bit, under
+        # its own label, and the search of the combination alone finds that value up to rounding
+        phi = random_channel(3, 3, 2, 1.0, 0)
+        norm = parse_norm("combo:1e-170*kyfan:1+1e160*schatten:3")
+        assert [t for _, t in shrink._rescaled_norm(norm)[0].terms] == [Schatten(3.0)]
+        row, base = shrink_report(phi, [norm, Schatten(3.0)], 0, 200, seed=0).per_norm
+        assert format_norm(row.norm) == "combo:1e-170*kyfan:1+1e+160*schatten:3"
+        assert (row.empirical_lower, row.upper) == (base.empirical_lower, base.upper)
+        assert empirical_lower_bound(phi, norm, 0, 200, seed=0)[0] == pytest.approx(base.empirical_lower, rel=1e-12)
+
     def test_rejects_negative_arguments(self):
         phi = identity_channel(2)
         with pytest.raises(ValueError):
