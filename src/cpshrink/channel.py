@@ -36,8 +36,7 @@ from .errors import (
     NotIsometry,
 )
 from .spectral import (
-    as_complex_matrix, hermitian_decomposition, hermitian_eigenvalues, hermitize, per_shape, require_hermitian,
-    singular_values,
+    as_complex_matrix, hermitian_decomposition, hermitian_spectra, hermitize, per_shape, require_hermitian,
 )
 
 __all__ = [
@@ -67,13 +66,16 @@ def kraus_map(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``sum_n E_n x E_n†`` for a Kraus stack ``ops`` and ``x`` of shape ``(..., d_in, d_in)``.
 
     The package's one implementation of the map; it does no validation. Two
-    batched matmuls, each over the whole Kraus set: ``x [E_1† ... E_K†]``, its
-    K blocks stacked into rows, then ``[E_1 ... E_K]`` times that.
+    matmuls, each over the whole Kraus set: ``x [E_1† ... E_K†]``, one flat
+    product over every matrix of the stack (one BLAS call, where a batched
+    matmul makes one per matrix), its K blocks stacked into rows, then
+    ``[E_1 ... E_K]`` times that, batched. A stack's images equal its
+    matrices' images one at a time, bit for bit.
     """
     n_kraus, d_out, d_in = ops.shape
     right = ops.conj().transpose(2, 0, 1).reshape(d_in, n_kraus * d_out)
     left = ops.transpose(1, 0, 2).reshape(d_out, n_kraus * d_in)
-    blocks = (x @ right).reshape(*x.shape[:-1], n_kraus, d_out)
+    blocks = (x.reshape(-1, d_in) @ right).reshape(*x.shape[:-1], n_kraus, d_out)
     return left @ blocks.swapaxes(-3, -2).reshape(*x.shape[:-2], n_kraus * d_in, d_out)
 
 
@@ -91,10 +93,12 @@ class ChannelInvariants:
     The spectral data every shrinking factor reads is derived from the pair here
     and nowhere else, each on first read and then kept: ``s = ||Phi(I)||_inf``,
     ``t = ||Phi†(I)||_inf``, the trace witness and the eigenvalues of ``Phi(I)``,
-    whose partial sums are its Ky Fan norms. ``s`` and ``t`` are read together, by
-    ``read_invariant_norms`` of the pair, as the trace witness is read by
-    ``read_top_projectors``. A failed solver call is raised and not kept, so the
-    next read tries again.
+    whose partial sums are its Ky Fan norms. Both operators are PSD, so ``s`` and
+    ``t`` are their largest eigenvalues. A first read of ``s``, ``t`` or the
+    spectrum is ``read_invariant_norms`` of the pair, which keeps all three with
+    the top eigenvector of ``Phi†(I)``; the trace witness is formed from that
+    vector on its own first read, by ``read_top_projectors``, with no solve. A
+    failed solver call is raised and not kept, so the next read tries again.
     """
 
     identity_image: np.ndarray
@@ -107,9 +111,9 @@ class ChannelInvariants:
 
     @cached_property
     def identity_image_norm(self) -> float:
-        """``s``: the spectral-norm factor, and the largest eigenvalue of ``Phi(I)``."""
-        read_invariant_norms([self])
-        return vars(self)["identity_image_norm"]
+        """``s``: the spectral-norm factor, the largest eigenvalue of ``Phi(I)``, read as the
+        first of ``identity_image_spectrum``."""
+        return float(self.identity_image_spectrum[0])
 
     @cached_property
     def adjoint_identity_image_norm(self) -> float:
@@ -127,41 +131,43 @@ class ChannelInvariants:
     def identity_image_spectrum(self) -> np.ndarray:
         """Read-only eigenvalues of ``Phi(I)``, descending, from one values-only solve: the sum
         of the first ``k`` is ``||Phi(I)||_(k)``, as ``shrink.top_k_eigensum`` computes it."""
-        return _frozen(hermitian_eigenvalues(self.identity_image))
-
-
-# each norm of the pair: the cached property that keeps it, and its operator
-_PAIR_NORMS = (("identity_image_norm", "identity_image"), ("adjoint_identity_image_norm", "adjoint_identity_image"))
+        read_invariant_norms([self])
+        return vars(self)["identity_image_spectrum"]
 
 
 def read_invariant_norms(pairs: Sequence[ChannelInvariants]) -> None:
-    """Read ``s`` and ``t`` of every pair at once, kept where the pairs' own reads keep them.
+    """Read ``s``, ``t`` and the spectrum of every pair at once, kept where the pairs' own
+    reads keep them, with the top eigenvector of ``Phi†(I)`` that the trace witness reads.
 
-    The operators not read yet take one general SVD per distinct size
-    (``per_shape`` over ``singular_values``), so a value does not depend on the
-    others: each equals a read of its pair alone bit for bit, and a later read
-    recomputes nothing. A solver failure is raised, and nothing is kept.
+    The pairs not read yet take two solves per distinct operator size (``per_shape``):
+    one values-only solve of their ``Phi(I)`` stack (``hermitian_spectra``), whose first
+    eigenvalue is ``s``, and one eigensystem of their ``Phi†(I)`` stack
+    (``hermitian_decomposition``), whose first eigenpair gives ``t`` and the vector.
+    numpy factors each matrix of a stack on its own, so each value equals a read of its
+    pair alone bit for bit, and a later read recomputes nothing. A pair keeps its spectrum
+    as a row of its size's read-only stack, and a copy of its top eigenvector. A solver
+    failure is raised, and nothing is kept.
     """
-    unread = [(inv, attr, getattr(inv, op)) for inv in pairs for attr, op in _PAIR_NORMS if attr not in vars(inv)]
-    tops = per_shape(lambda stack: singular_values(stack, stack.shape[-1])[:, 0], [op for *_, op in unread])
-    for (inv, attr, _), top in zip(unread, tops):
-        vars(inv)[attr] = float(top)
+    unread = [inv for inv in pairs if "identity_image_spectrum" not in vars(inv)]
+    spectra = per_shape(lambda m: _frozen(hermitian_spectra(m)), [inv.identity_image for inv in unread])
+    systems = per_shape(lambda m: zip(*hermitian_decomposition(m)), [inv.adjoint_identity_image for inv in unread])
+    for inv, w, (t, v) in zip(unread, spectra, systems):
+        vars(inv).update(identity_image_spectrum=w, adjoint_identity_image_norm=float(t[0]))
+        vars(inv)["_adjoint_top_vector"] = v[:, :1].copy()
 
 
 def read_top_projectors(pairs: Sequence[ChannelInvariants]) -> list[np.ndarray]:
     """``adjoint_top_projector`` of every pair, read at once and kept where its own read
     keeps it; a pair that holds one already keeps it.
 
-    Each distinct size of ``Phi†(I)`` takes one eigensystem and one product
-    ``hermitize(v v†)`` of its top eigenvectors ``v``, each entry of which is one product,
-    so each pair's projector equals a read of that pair alone bit for bit. A pair keeps a
-    read-only copy of its projector, not a view of its size's stack.
+    ``read_invariant_norms`` reads the pairs first, so each projector is formed from its
+    pair's kept top eigenvector ``v``, with no solve: one product ``hermitize(v v†)`` per
+    distinct size, each entry of which is one product, so each pair's projector equals a
+    read of that pair alone bit for bit. A pair keeps a read-only copy of its projector,
+    not a view of its size's stack.
     """
-    def projectors(m: np.ndarray) -> np.ndarray:
-        v = hermitian_decomposition(m)[1][..., :1]
-        return hermitize(v @ v.conj().swapaxes(-2, -1))
-
-    tops = per_shape(projectors, [inv.adjoint_identity_image for inv in pairs])
+    read_invariant_norms(pairs)
+    tops = per_shape(lambda v: hermitize(v @ v.conj().mT), [vars(inv)["_adjoint_top_vector"] for inv in pairs])
     return [vars(inv).setdefault("adjoint_top_projector", _frozen(p.copy())) for inv, p in zip(pairs, tops)]
 
 

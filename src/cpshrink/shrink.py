@@ -74,9 +74,9 @@ def top_k_eigensum(x, k: int) -> float:
 
     This equals the maximum of tr(p x) over operators p with 0 <= p <= I and
     tr(p) = k; ``k`` beyond the dimension is treated as the full trace. One
-    values-only solve, as ``ChannelInvariants.identity_image_spectrum`` takes for
-    ``Phi(I)``, so the report's ``||Phi(I)||_(k)`` equals this bit for bit. One
-    matrix only: a stack raises DimensionMismatch.
+    values-only solve, as ``read_invariant_norms`` takes for each ``Phi(I)`` in
+    its stacks, so the report's ``||Phi(I)||_(k)`` equals this bit for bit, and
+    ``s`` equals it at ``k = 1``. One matrix only: a stack raises DimensionMismatch.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -594,9 +594,10 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     all of one shape (else DimensionMismatch); the record's fields have shape
     ``(N, C, *lead)``. The input stacks are validated and hermitized once per size
     (``per_shape``), each then mapped with ``kraus_map``; each channel's upper bound
-    is read once for its whole stack: ``read_invariant_norms`` first takes the ``s``
-    and ``t`` not yet read in one general SVD per operator size, and
-    ``shrink_upper_bound`` then reads them kept. The image stacks and the input
+    is read once for its whole stack: ``read_invariant_norms`` first reads the pairs
+    not yet read, in one values-only solve per size of ``Phi(I)`` and one
+    eigensystem per size of ``Phi†(I)``, and ``shrink_upper_bound`` then reads
+    ``s`` and ``t`` kept. The image stacks and the input
     stacks are grouped together by matrix size (``per_shape``), and each size is
     hermitized and takes one Hermitian SVD (which reads one triangle, so it reads
     the whole matrix) zero-padded to the largest ``padded_dim_for`` in the list.
@@ -737,8 +738,10 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     """Bracket the shrinking factor of ``phi`` for each requested norm.
 
     This is the one function that decides each row's value, witness builder and
-    upper bound. ``s`` and ``t`` are read together (``read_invariant_norms``) and
-    kept by the channel, and the report's ``upper_bound`` is ``u = max(s, t)``.
+    upper bound. ``s`` and ``t`` are read together (``read_invariant_norms``), with
+    the spectrum of ``Phi(I)`` and the top eigenvector of ``Phi†(I)``, in one
+    values-only solve and one eigensystem, and kept by the channel; the report's
+    ``upper_bound`` is ``u = max(s, t)``.
 
     Each row reads one answer, its key's. A row's key is its base gauge
     (``gauge.base_terms`` at the padded dimension) when its terms have one base, or when
@@ -758,7 +761,8 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     key, or a combination of a one-Kraus channel, has the bracket's value and bound, and
     its witness is the key's divided by the sum of its coefficients (``_scaled_witness``).
     So the multiples of a base share one search, and one witness solve. A witness is
-    built on first read and kept, so a report read for its values takes no ``eigh``.
+    built on first read and kept, so a report read for its values takes no ``eigh`` beyond
+    the pair's, and forms no trace projector.
 
     A value above ``u`` is rounding, and the row holds ``u`` instead.
     ``empirical_lower_bound`` already clamps each searched value to ``u``; the clamp
@@ -769,7 +773,6 @@ def shrink_report(phi: KrausChannel, norms, restarts: int, steps: int, seed=0) -
     norms = list(norms)
     padded = padded_dim_for(phi)
     inv = phi.invariants()
-    read_invariant_norms([inv])
     spectral, trace = inv.identity_image_norm, inv.adjoint_identity_image_norm
     upper = max(spectral, trace)
     # coefficients rescaled as the search's, so their sum cannot overflow

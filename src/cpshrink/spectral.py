@@ -1,24 +1,25 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-``singular_values`` (zero-padded spectra, read by the inequality checks, the
-channel's invariant norms and ``spectral_norm``/``trace_norm``) is the
-package's one SVD call; Hermitian stacks take numpy's Hermitian path through
-it. ``hermitian_decomposition`` (eigenpairs by descending eigenvalue, read by
-the lower-bound search, whose matrices are PSD up to rounding, and by the trace
-witnesses) makes the one ``eigh`` call, and ``hermitian_eigensystem`` is its
-checked 2-D front. ``hermitian_eigenvalues`` (read by the Schatten-2 factor,
-``ChannelInvariants.identity_image_spectrum`` and ``top_k_eigensum``, each on
-one matrix) makes the one ``eigvalsh`` call; all three solvers go through one
-checked call that raises a solver failure as ConvergenceFailure. ``per_shape``
-is the one place that stacks a list of matrices by shape for a batched call
-(the invariant norms' SVDs, the trace witnesses' eigensystems, the checks'
-input validation and the Hermitian SVDs of their hermitized images and
-inputs); numpy factors each matrix of a stack on its own, so each result
-equals the one of a call on its matrix alone bit for bit.
-``singular_values`` and ``hermitian_decomposition`` take one matrix or a
-stack; ``hermitian_eigensystem`` and ``hermitian_eigenvalues`` take one
-matrix. Everything is complex128 and written for small dimensions; no sparse
-or structured paths.
+``singular_values`` (zero-padded spectra, read by the inequality checks and
+``spectral_norm``/``trace_norm``) is the package's one SVD call; Hermitian
+stacks take numpy's Hermitian path through it. ``hermitian_decomposition``
+(eigenpairs by descending eigenvalue, read by the lower-bound search, whose
+matrices are PSD up to rounding, and by the channel's ``Phi†(I)`` stacks, for
+``t`` and the trace witness) makes the one ``eigh`` call, and
+``hermitian_eigensystem`` is its checked 2-D front. ``hermitian_spectra``
+(read by the channel's ``Phi(I)`` stacks, for ``s`` and the Ky Fan norms) makes
+the one ``eigvalsh`` call, and ``hermitian_eigenvalues`` (read by the
+Schatten-2 factor and ``top_k_eigensum``) is its checked 2-D front. All three
+solvers go through one checked call that raises a solver failure as
+ConvergenceFailure. ``per_shape`` is the one place that stacks a list of
+matrices by shape for a batched call (the invariant pair's two solves, the
+trace witnesses' products, the checks' input validation and the Hermitian
+SVDs of their hermitized images and inputs); numpy factors each matrix of a
+stack on its own, so each result equals the one of a call on its matrix alone
+bit for bit. ``singular_values``, ``hermitian_decomposition`` and
+``hermitian_spectra`` take one matrix or a stack; ``hermitian_eigensystem``
+and ``hermitian_eigenvalues`` take one matrix. Everything is complex128 and
+written for small dimensions; no sparse or structured paths.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "hermitian_decomposition",
     "hermitian_eigensystem",
     "hermitian_eigenvalues",
+    "hermitian_spectra",
     "hermitize",
     "per_shape",
     "random_hermitian",
@@ -99,12 +101,14 @@ def per_shape(solve: Callable[[np.ndarray], Sequence], mats: Sequence[np.ndarray
 
     ``solve`` takes a stack ``(n, *shape)`` of the matrices that share a shape and
     returns their n results in stack order. Shapes are taken in order of first
-    appearance; a shape with one matrix passes it as a stack of one without a copy.
+    appearance; a shape with one matrix passes it as a stack of one without a copy,
+    and the others are copied into one array by ``np.array``, which costs well under
+    ``np.stack``'s call overhead on small matrices.
     """
     out = [None] * len(mats)
     for shape in dict.fromkeys(m.shape for m in mats):
         members = [i for i, m in enumerate(mats) if m.shape == shape]
-        stack = mats[members[0]][None] if len(members) == 1 else np.stack([mats[i] for i in members])
+        stack = mats[members[0]][None] if len(members) == 1 else np.array([mats[i] for i in members])
         for i, result in zip(members, solve(stack)):
             out[i] = result
     return out
@@ -127,11 +131,9 @@ def singular_values(m, padded_dim: int, hermitian: bool = False) -> np.ndarray:
         at well under the cost of the general one. They must be square, else
         DimensionMismatch is raised; symmetry is the caller's to guarantee.
     """
-    mat = as_complex_matrix(m, stacked=True)
+    mat = _square(m) if hermitian else as_complex_matrix(m, stacked=True)
     if padded_dim < 1:
         raise ValueError(f"padded_dim must be >= 1, got {padded_dim}")
-    if hermitian and mat.shape[-2] != mat.shape[-1]:
-        raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
@@ -171,12 +173,13 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues of one Hermitian operator, descending, from one values-only solve.
+    """Eigenvalues of one Hermitian operator, descending, from one values-only solve:
+    ``hermitian_spectra`` of the input once ``require_hermitian`` has checked it.
 
-    The input is checked as ``require_hermitian`` checks it, so a stack raises
-    DimensionMismatch, and a solver failure is surfaced as ConvergenceFailure.
+    So a stack raises DimensionMismatch, and a solver failure is surfaced as
+    ConvergenceFailure.
     """
-    return _linalg("eigvalsh", require_hermitian(x))[::-1]
+    return hermitian_spectra(require_hermitian(x))
 
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +192,26 @@ def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:
     for finiteness and squareness, and a solver failure is surfaced as
     ConvergenceFailure.
     """
+    w, v = _linalg("eigh", _square(x))
+    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
+
+
+def hermitian_spectra(x) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or of each one in a stack ``(..., d, d)``, descending,
+    from one values-only solve: ``hermitian_decomposition``'s values without its vectors.
+
+    The input is checked and read as ``hermitian_decomposition`` checks and reads it, and a
+    solver failure is surfaced as ConvergenceFailure.
+    """
+    return _linalg("eigvalsh", _square(x))[..., ::-1]
+
+
+def _square(x) -> np.ndarray:
+    """``x`` as ``as_complex_matrix`` returns a stack, checked square, else DimensionMismatch."""
     mat = as_complex_matrix(x, stacked=True)
     if mat.shape[-2] != mat.shape[-1]:
         raise DimensionMismatch(f"Hermitian operator must be square, got shape {mat.shape}")
-    w, v = _linalg("eigh", mat)
-    return np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(v[..., ::-1])
+    return mat
 
 
 def random_hermitian(dim: int, seed=0, count: int | None = None) -> np.ndarray:

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpshrink.channel import (
     ChannelInvariants,
@@ -25,7 +27,21 @@ from cpshrink.errors import (
     NonFinite,
     NotIsometry,
 )
-from cpshrink.spectral import hermitian_eigenvalues, hermitize, random_hermitian
+from cpshrink.shrink import top_k_eigensum
+from cpshrink.spectral import hermitian_decomposition, hermitian_eigenvalues, hermitize, random_hermitian
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record each ``eigvalsh`` and ``eigh`` call as (name, shape of its matrix argument)."""
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+        return lambda a, *args: calls.append((name, a.shape)) or real(a, *args)
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
 
 
 # ==== independent oracles ====
@@ -208,6 +224,21 @@ class TestKrausMap:
             assert out.shape == loop.shape
             assert np.abs(out - loop).max() <= 1e-12 * np.abs(loop).max()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8), st.integers(1, 8), st.integers(1, 4),
+        st.lists(st.integers(1, 5), max_size=2), st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_its_matrices_alone(self, d_in, d_out, n_kraus, lead, seed):
+        # a stack's images are the images of its matrices mapped one at a time, bit for bit:
+        # the first product is one flat matrix product over the whole stack
+        rng = np.random.default_rng(seed)
+        ops = complex_gaussian(rng, (n_kraus, d_out, d_in))
+        x = complex_gaussian(rng, (*lead, d_in, d_in))
+        out = kraus_map(ops, x)
+        for i in np.ndindex(*lead):
+            assert out[i].tobytes() == kraus_map(ops, x[i]).tobytes()
+
     def test_no_superoperator(self):
         # the map works on d x d blocks: a kernel that forms the d^2 x d^2 matrix
         # sum_n E_n ⊗ conj(E_n) allocates one d^4 complex array (85 MB at d = 48) or more
@@ -362,43 +393,71 @@ class TestInvariants:
             ChannelInvariants(np.eye(2), np.full((2, 2), np.inf))
 
     def test_lone_read_fills_the_pair(self, monkeypatch):
-        # s and t have one read path: a lone read of s on a square pair is the pair's batch
-        # read, one general SVD of its two operators, and t is kept with it
+        # s and t have one read path: a lone read of s on a 3 -> 3 pair is the pair's batch
+        # read, one values-only solve of Phi(I) and one eigensystem of Phi†(I), each a stack
+        # of one, and t is kept with it
         inv = random_channel(3, 3, 2, 1.0, 8).invariants()
         twin = random_channel(3, 3, 2, 1.0, 8).invariants()
-        calls = []
-        real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        calls = _count_solves(monkeypatch)
         s = inv.identity_image_norm
-        assert calls == [(2, 3, 3)]
+        assert calls == [("eigvalsh", (1, 3, 3)), ("eigh", (1, 3, 3))]
         assert "adjoint_identity_image_norm" in vars(inv)
         t = inv.adjoint_identity_image_norm
-        assert len(calls) == 1
+        assert len(calls) == 2
         read_invariant_norms([twin])
         assert type(s) is float and (s, t) == (twin.identity_image_norm, twin.adjoint_identity_image_norm)
 
+    @pytest.mark.parametrize("read", ["identity_image_norm", "adjoint_identity_image_norm", "identity_image_spectrum"])
+    def test_first_read_fills_all_three(self, monkeypatch, read):
+        # whichever of s, t and the spectrum is read first, a 2 -> 4 pair takes one values-only
+        # solve of its 4 x 4 Phi(I) and one eigensystem of its 2 x 2 Phi†(I), and then reads
+        # the other two and the trace witness with no solve
+        inv = random_channel(2, 4, 3, 1.0, 9).invariants()
+        calls = _count_solves(monkeypatch)
+        getattr(inv, read)
+        assert calls == [("eigvalsh", (1, 4, 4)), ("eigh", (1, 2, 2))]
+        assert inv.identity_image_norm == inv.identity_image_spectrum[0]
+        inv.adjoint_identity_image_norm, inv.adjoint_top_projector
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("j", [-490, 0, 490])
+    def test_pair_norms_are_the_top_eigenvalues(self, j):
+        # s is the first of the kept spectrum and top_k_eigensum's Ky Fan 1 norm, and t the first
+        # eigenvalue of the eigensystem, bit for bit, at Kraus scales 2^+-490 too
+        shapes = [(1, 1, 1), (3, 2, 2), (2, 5, 3), (4, 4, 1), (6, 3, 2)]
+        for i, shape in enumerate(shapes):
+            inv = random_channel(*shape, 2.0**j, 90 + i).invariants()
+            s, t = inv.identity_image_norm, inv.adjoint_identity_image_norm
+            assert s == inv.identity_image_spectrum[0] == top_k_eigensum(inv.identity_image, 1)
+            assert t == hermitian_decomposition(inv.adjoint_identity_image)[0][0]
+
     def test_batch_read_equals_single_reads(self, monkeypatch):
-        # mixed sizes, 1 x 1 among them, sizes shared within and across channels
+        # mixed sizes, 1 x 1 among them, sizes shared within and across channels, and Kraus
+        # scales 2^-490, 1 and 2^490 in turn
         shapes = [(1, 1, 1), (3, 2, 2), (2, 3, 1), (3, 3, 2), (1, 4, 3), (4, 1, 2)]
-        pairs = [random_channel(*shape, 1.0, 60 + i).invariants() for i, shape in enumerate(shapes)]
-        singles = [random_channel(*shape, 1.0, 60 + i).invariants() for i, shape in enumerate(shapes)]
-        calls = []
-        real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+        pairs, singles = ([random_channel(*shape, 2.0 ** (490 * (i % 3 - 1)), 60 + i).invariants()
+                           for i, shape in enumerate(shapes)] for _ in range(2))
+        calls = _count_solves(monkeypatch)
         read_invariant_norms(pairs)
-        # one general SVD per distinct operator size: {1, 2, 3, 4}
-        assert sorted(shape[-1] for shape in calls) == [1, 2, 3, 4]
+        # one values-only solve per distinct d_out, {1, 2, 3, 4} in order of first appearance,
+        # then one eigensystem per distinct d_in, {1, 3, 2, 4}
+        assert calls == [("eigvalsh", (2, 1, 1)), ("eigvalsh", (1, 2, 2)), ("eigvalsh", (2, 3, 3)),
+                         ("eigvalsh", (1, 4, 4)), ("eigh", (2, 1, 1)), ("eigh", (2, 3, 3)), ("eigh", (1, 2, 2)),
+                         ("eigh", (1, 4, 4))]
         calls.clear()
         read_invariant_norms(pairs)
-        batch = [(inv.identity_image_norm, inv.adjoint_identity_image_norm) for inv in pairs]
+        batch = [(inv.identity_image_norm, inv.adjoint_identity_image_norm, inv.identity_image_spectrum)
+                 for inv in pairs]
         assert calls == []
-        for (s, t), inv in zip(batch, singles):
+        for (s, t, w), inv in zip(batch, singles):
             assert type(s) is float and type(t) is float
             assert (s, t) == (inv.identity_image_norm, inv.adjoint_identity_image_norm)
+            assert w.tobytes() == inv.identity_image_spectrum.tobytes() and not w.flags.writeable
 
     def test_batch_projectors_equal_single_reads(self, monkeypatch):
-        # one eigensystem per distinct d_in, and each kept projector equals a fresh channel's
-        # single read bit for bit, read-only, at Kraus scales 2^+-490 too
+        # the projectors' read is the pairs' read, one eigensystem per distinct d_in, and each
+        # kept projector equals a fresh channel's single read bit for bit, read-only, at Kraus
+        # scales 2^+-490 too
         shapes = [(1, 1, 1), (3, 2, 2), (2, 3, 1), (3, 3, 2), (1, 4, 3), (4, 1, 2), (3, 5, 3)]
         channels = [random_channel(*shape, 2.0 ** (490 * (i % 3 - 1)), 70 + i) for i, shape in enumerate(shapes)]
         calls = []

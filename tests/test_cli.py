@@ -552,35 +552,41 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("argv, svd, eigh, eigvalsh", [
-    # s and t take one SVD each, the fuzz one per matrix size (2 x 2 images, 3 x 3 inputs);
-    # the report reads no witness, so no eigh: one values-only solve for the Schatten-2 Gram
-    (("report", "--channel", "cptp:3x2x2:1"), 4, 0, 1),
-    # the searched row's search reads the trace witness; its eigh calls are not pinned here
-    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 4, None, 0),
-    # the printed bound reads the s and t the stacked check already computed, and the
-    # attaining projector takes one eigensystem of Phi†(I)
-    (("verify", "--channel", "cptp:3x2x2:1"), 4, 1, 0),
-    # a square channel's s and t take one stacked SVD, and its fuzz one for images and inputs;
-    # with one Kraus operator every row is u, so no Gram is built or solved
-    (("report", "--channel", "random:3x3x1:1"), 2, 0, 0),
-    # with two, the Schatten-2 row takes the Gram's one values-only solve
-    (("report", "--channel", "random:3x3x2:1"), 2, 0, 1),
+    # the pair takes one values-only solve of Phi(I) (2 x 2), for s, and one eigensystem of
+    # Phi†(I) (3 x 3), for t; the fuzz takes one SVD per matrix size (2 x 2 images, 3 x 3
+    # inputs), and the Schatten-2 Gram one values-only solve. The report reads no witness, so
+    # no projector is formed: 2 SVDs, 1 eigh, 1 + 1 eigvalsh
+    (("report", "--channel", "cptp:3x2x2:1"), 2, 1, 2),
+    # the searched row's search reads the trace witness; its eigh calls are not pinned here.
+    # No row reads h, so the one values-only solve is the pair's
+    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 2, None, 1),
+    # the printed bound reads the s and t the stacked check kept, and the attaining
+    # projector is formed from the top eigenvector kept with them, with no solve:
+    # the pair's 1 + 1 and the check's 2 SVDs
+    (("verify", "--channel", "cptp:3x2x2:1"), 2, 1, 1),
+    # a square channel's fuzz takes one SVD for images and inputs together, and its pair one
+    # solve of each kind; with one Kraus operator every row is u, so no Gram is built or solved
+    (("report", "--channel", "random:3x3x1:1"), 1, 1, 1),
+    # with two, the Schatten-2 row takes the Gram's one values-only solve beside the pair's
+    (("report", "--channel", "random:3x3x2:1"), 1, 1, 2),
     # Ky Fan 3 and 4 of a partial trace (three Kraus operators, padded dimension 6) have a
-    # closed form, and both read Phi(I)'s eigenvalues from one values-only solve: s and t
-    # take one SVD per size (2 and 6), the fuzz one for the images and one for the inputs
-    (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 4, 0, 1),
-    # a combination on Schatten 2 and Ky Fan 2 is searched as it is: no row reads h or
-    # ||Phi(I)||_(2), so neither the Gram nor Phi(I)'s eigenvalues are solved for
-    (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 2, None, 0),
-    # the block's s and t take one SVD per distinct size of Phi(I) (d_out) and Phi†(I)
-    # (d_in), and the one stacked check one per distinct matrix size over images and inputs
-    # together. At seed 0 the channels are 5 -> 4, 3 -> 2 and 2 -> 5: s and t take sizes
-    # {4, 2, 5} | {5, 3, 2}, the check sizes {4, 2, 5} | {5, 3, 2}: 4 + 4. The attaining
-    # projectors take one eigensystem per distinct d_in: 3
-    (("verify", "--random", "3"), 8, 3, 0),
-    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: sizes {2, 3} for s and t and for
-    # the check: 2 + 2, and d_in {2, 3} for the projectors
-    (("verify", "--random", "6", "--dims", "2..3"), 4, 2, 0),
+    # closed form, and both read Phi(I)'s eigenvalues, kept by the values-only solve that
+    # gives s: the pair's 1 + 1 (Phi(I) 2 x 2, Phi†(I) 6 x 6), and the fuzz one SVD for the
+    # images and one for the inputs
+    (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 2, 1, 1),
+    # a combination on Schatten 2 and Ky Fan 2 is searched as it is: no row reads h, so no
+    # Gram is solved, and the one values-only solve is the pair's
+    (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 1, None, 1),
+    # the block's pairs take one values-only solve per distinct size of Phi(I) (d_out) and one
+    # eigensystem per distinct size of Phi†(I) (d_in), and the one stacked check one SVD per
+    # distinct matrix size over images and inputs together. At seed 0 the channels are
+    # 5 -> 4, 3 -> 2 and 2 -> 5: the pairs take d_out {4, 2, 5} and d_in {5, 3, 2}, the
+    # check sizes {4, 2, 5} | {5, 3, 2}: 4 SVDs, 3 eigh, 3 eigvalsh. The attaining
+    # projectors are formed from the kept vectors, with no solve
+    (("verify", "--random", "3"), 4, 3, 3),
+    # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: d_out {3, 2}, d_in {3, 2}, and sizes
+    # {2, 3} for the check: 2 SVDs, 2 eigh, 2 eigvalsh
+    (("verify", "--random", "6", "--dims", "2..3"), 2, 2, 2),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
         "report-kyfan-shared-spectrum", "report-combination-reads-no-base", "verify-random",
         "verify-random-shared-sizes"])

@@ -628,19 +628,19 @@ PINNED_NORMS = [parse_norm(spec) for spec in (
     "combo:1*kyfan:1+1*schatten:1", "combo:1*kyfan:1+2*kyfan:3", "combo:0.5*schatten:2+2*kyfan:2",
 )]
 PINNED = [
-    (random_channel(3, 2, 2, 1.0, 40), 9.81674719074042,
+    (random_channel(3, 2, 2, 1.0, 40), 9.816747190740418,
      [8.1511996437460255, 8.4826573691261959, 8.8606326284791876, 8.3347265115403282, 8.4933181239368789,
       8.6469169042847014]),
-    (random_channel(2, 4, 3, 1.0, 41), 22.20425719398057,
+    (random_channel(2, 4, 3, 1.0, 41), 22.204257193980567,
      [18.938953103872723, 17.614436557156051, 21.613555494917609, 19.753332263056706, 20.394032075877629,
       20.773861338428027]),
     (random_channel(4, 4, 2, 1.0, 46), 33.84372117053839,
      [27.701105122429606, 24.818096915924496, 33.843721170538394, 28.233631907498086, 30.047825287402564,
       32.110661086583988]),
-    (random_channel(3, 3, 3, 1.0, 47), 30.887254733627845,
+    (random_channel(3, 3, 3, 1.0, 47), 30.887254733627856,
      [22.640528071642112, 24.809411075999321, 23.869065777697866, 24.530093063460434, 23.599107697415132,
       23.114483842132291]),
-    (random_cptp_channel(4, 3, 2, 42), 1.9190730439113826,
+    (random_cptp_channel(4, 3, 2, 42), 1.9190730439113832,
      [1.2166757661298417, 1.5233270927571425, 1.7663071012236831, 1.3058720938055377, 1.4170104348444832,
       1.6680908907342142]),
     (partial_trace_channel(2, 2), 2.0,
@@ -1172,19 +1172,21 @@ class TestInequalityChecks:
         # only stacks fail here, so the error must come from the search's batched
         # hermitian_decomposition (the trace witness decomposes one matrix)
         ("eigh", lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
-        ("svd", shrink_upper_bound, 2),
+        # the pair's two solves: a values-only one of Phi(I), an eigensystem of Phi†(I)
+        ("eigh", shrink_upper_bound, 3),
+        ("eigvalsh", shrink_upper_bound, 3),
         ("svd", lambda phi: spectral_norm(phi.kraus[0]), 2),
         ("svd", lambda phi: trace_norm(phi.kraus[0]), 2),
         ("svd", lambda phi: check_gauge_bounds([phi], [np.eye(phi.d_in)], norm_battery(3)), 2),
         # only stacks fail here, so the error must come from the stacked check's SVDs
         ("svd", lambda phi: check_gauge_bounds([phi], [np.stack([np.eye(phi.d_in)] * 3)], norm_battery(3)), 3),
     ],
-    ids=["empirical_lower_bound", "shrink_upper_bound", "spectral_norm", "trace_norm",
+    ids=["empirical_lower_bound", "shrink_upper_bound", "shrink_upper_bound-values", "spectral_norm", "trace_norm",
          "check_gauge_bounds", "check_gauge_bounds_stacked"],
 )
 def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, solver, call, min_ndim):
-    # singular_values has the one checked SVD call, and hermitian_decomposition
-    # shares the one checked eigh call; each wraps the solver's error
+    # singular_values has the one checked SVD call, hermitian_decomposition the one checked
+    # eigh call and hermitian_spectra the one checked eigvalsh call; each wraps the solver's error
     real = getattr(np.linalg, solver)
 
     def flaky(a, *args, **kwargs):
@@ -1194,7 +1196,7 @@ def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, solver, call, 
 
     phi = random_channel(2, 3, 2, 1.0, 35)
     monkeypatch.setattr(np.linalg, solver, flaky)
-    failure = {"eigh": "eigensolver did not converge", "svd": "singular value decomposition failed"}[solver]
+    failure = {"svd": "singular value decomposition failed"}.get(solver, "eigensolver did not converge")
     with pytest.raises(ConvergenceFailure, match=f"^{failure}: {solver} did not converge$"):
         call(phi)
 
@@ -1240,9 +1242,10 @@ class TestBatteryAndReport:
         assert len(calls) == (0 if n_norms == 1 else 1)
 
     def test_exact_witness_is_built_on_first_read(self, monkeypatch):
-        # schatten:2 and two positive multiples of it share one values-only solve; no eigh runs
-        # until a witness is read, one runs then and no eigvalsh, and the base keeps what it built,
-        # so reading the multiples' witnesses takes no second eigh
+        # schatten:2 and two positive multiples of it share one values-only solve of the Gram,
+        # beside the pair's values-only solve of Phi(I) and eigensystem of Phi†(I); no other
+        # eigh runs until a witness is read, one runs then and no eigvalsh, and the base keeps
+        # what it built, so reading the multiples' witnesses takes no third eigh
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def call(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -1253,15 +1256,15 @@ class TestBatteryAndReport:
         phi = random_channel(3, 2, 2, 1.0, 48)
         norms = [parse_norm(spec) for spec in ("schatten:2", "combo:3*schatten:2", "combo:1*schatten:2+3*schatten:2")]
         rep = shrink_report(phi, norms, restarts=0, steps=5)
-        assert counts == {"eigh": 0, "eigvalsh": 1}
+        assert counts == {"eigh": 1, "eigvalsh": 2}
         row, *multiples = rep.per_norm
         witness = row.witness
         # the read solves for the eigensystem alone, not for the value again
-        assert counts == {"eigh": 1, "eigvalsh": 1}
+        assert counts == {"eigh": 2, "eigvalsh": 2}
         assert row.witness is witness
         for multiple, total in zip(multiples, (3.0, 4.0)):
             assert multiple.witness.tobytes() == (witness / total).tobytes()
-        assert counts == {"eigh": 1, "eigvalsh": 1}
+        assert counts == {"eigh": 2, "eigvalsh": 2}
         h, want = schatten2_shrink_factor(phi)
         assert row.empirical_lower == multiples[0].empirical_lower == multiples[1].empirical_lower == min(h, rep.upper_bound)
         np.testing.assert_array_equal(witness, want)
@@ -1647,11 +1650,17 @@ class TestSharedSpectralData:
         self._assert_same_report(shrink_report(phi, self.NORMS, restarts=3, steps=4, seed=1), before)
 
     @pytest.mark.parametrize("solver, read", [
-        ("svd", shrink_upper_bound),
-        ("svd", lambda phi: trace_shrink_factor(phi)[0]),
+        ("eigvalsh", shrink_upper_bound),
+        ("eigh", lambda phi: trace_shrink_factor(phi)[0]),
         ("eigh", lambda phi: trace_shrink_factor(phi)[1]),
-    ], ids=["upper-bound", "trace-factor", "trace-witness"])
+        ("eigh", shrink_upper_bound),
+        ("eigvalsh", lambda phi: phi.invariants().identity_image_spectrum),
+        ("eigvalsh", lambda phi: trace_shrink_factor(phi)[1]),
+    ], ids=["upper-bound", "trace-factor", "trace-witness", "upper-bound-eigensystem", "spectrum",
+            "trace-witness-values"])
     def test_failed_first_read_is_not_kept(self, monkeypatch, solver, read):
+        # a failure of either of the pair's two solves keeps none of s, t, the spectrum and the
+        # top eigenvector, whichever read made them; the next read solves again
         real = getattr(np.linalg, solver)
         failures = []
 
@@ -1665,6 +1674,7 @@ class TestSharedSpectralData:
         monkeypatch.setattr(np.linalg, solver, fail_once)
         with pytest.raises(ConvergenceFailure):
             read(phi)
+        assert vars(phi.invariants()).keys() == {"identity_image", "adjoint_identity_image"}
         np.testing.assert_array_equal(read(phi), read(random_channel(3, 2, 2, 1.0, 47)))
 
 

@@ -11,6 +11,7 @@ from cpshrink.spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
     hermitian_eigenvalues,
+    hermitian_spectra,
     hermitize,
     random_hermitian,
     require_hermitian,
@@ -289,7 +290,8 @@ def _hermitian_stack(rng, count, dim):
 class TestHermitianDecomposition:
     def test_eigenpairs_descend_as_the_eigensystem_gives_them(self):
         # eigenvalues descend, and each matrix of a stack gives hermitian_eigensystem's (w, v)
-        # bit for bit, on the first matrix's magnitude tie (+-2) and on an exact 2 I alike
+        # bit for bit, on the first matrix's magnitude tie (+-2) and on an exact 2 I alike; the
+        # values-only hermitian_spectra gives hermitian_eigenvalues' values bit for bit
         rng = np.random.default_rng(23)
         for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
             count = int(np.prod(shape))
@@ -300,9 +302,13 @@ class TestHermitianDecomposition:
             w, v = hermitian_decomposition(x)
             assert w.shape == x.shape[:-1] and v.shape == x.shape
             assert np.all(np.diff(w, axis=-1) <= 0.0)
-            for mat, values, vectors in zip(stack, w.reshape(count, dim), v.reshape(count, dim, dim)):
+            spectra = hermitian_spectra(x)
+            assert spectra.shape == w.shape
+            for mat, values, vectors, alone in zip(stack, w.reshape(count, dim), v.reshape(count, dim, dim),
+                                                   spectra.reshape(count, dim)):
                 one_w, one_v = hermitian_eigensystem(mat)
                 assert values.tobytes() == one_w.tobytes() and vectors.tobytes() == one_v.tobytes()
+                assert alone.tobytes() == hermitian_eigenvalues(mat).tobytes()
         # the search decomposes PSD matrices only, where w is the singular spectrum: ranks 1..d
         # at mixed scales, and the zero matrix
         for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
@@ -329,14 +335,15 @@ class TestHermitianDecomposition:
 
     def test_input_checks(self):
         bad = np.stack([np.eye(3, dtype=complex)] * 4)
-        bad[2, 1, 0] = np.nan
-        with pytest.raises(NonFinite):
-            hermitian_decomposition(bad)
-        bad[2, 1, 0] = np.inf
-        with pytest.raises(NonFinite):
-            hermitian_decomposition(bad)
-        with pytest.raises(DimensionMismatch):
-            hermitian_decomposition(np.zeros((2, 2, 3)))
+        for solve in (hermitian_decomposition, hermitian_spectra):
+            bad[2, 1, 0] = np.nan
+            with pytest.raises(NonFinite):
+                solve(bad)
+            bad[2, 1, 0] = np.inf
+            with pytest.raises(NonFinite):
+                solve(bad)
+            with pytest.raises(DimensionMismatch):
+                solve(np.zeros((2, 2, 3)))
         # the eigensystem is the decomposition's 2-D front: require_hermitian refuses a stack
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.stack([np.eye(3)] * 2))
