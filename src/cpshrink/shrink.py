@@ -31,12 +31,12 @@ from .gauge import Combination, GaugeNorm, KyFan, Schatten, base_terms, gauge_ev
 from .spectral import (
     hermitian_decomposition,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
+    hermitian_spectra,
     hermitize,
     per_shape,
     random_hermitian,  # unused; bench/tracer.py wraps shrink.random_hermitian by name
     require_hermitian,
-    singular_values,
+    singular_values,  # unused; bench/tracer.py wraps shrink.singular_values by name
     spectral_norm,  # unused; bench/tracer.py wraps shrink.spectral_norm by name
 )
 
@@ -74,13 +74,14 @@ def top_k_eigensum(x, k: int) -> float:
 
     This equals the maximum of tr(p x) over operators p with 0 <= p <= I and
     tr(p) = k; ``k`` beyond the dimension is treated as the full trace. One
-    values-only solve, as ``read_invariant_norms`` takes for each ``Phi(I)`` in
-    its stacks, so the report's ``||Phi(I)||_(k)`` equals this bit for bit, and
-    ``s`` equals it at ``k = 1``. One matrix only: a stack raises DimensionMismatch.
+    values-only solve (``hermitian_spectra``) once ``require_hermitian`` has checked
+    the input, as ``read_invariant_norms`` takes for each ``Phi(I)`` in its stacks,
+    so the report's ``||Phi(I)||_(k)`` equals this bit for bit, and ``s`` equals it
+    at ``k = 1``. One matrix only: a stack raises DimensionMismatch.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(hermitian_eigenvalues(x)[:k].sum())
+    return float(hermitian_spectra(require_hermitian(x))[:k].sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +221,9 @@ def _schatten2_gram(phi: KrausChannel) -> tuple[np.ndarray, int]:
 
 
 def _schatten2_value(gram: np.ndarray, k: int) -> float:
-    """``h`` from ``_schatten2_gram``'s pair: the root of the Gram's top eigenvalue, scaled back by ``4**k``."""
-    return sqrt(hermitian_eigenvalues(gram)[0]) * 4.0**k
+    """``h`` from ``_schatten2_gram``'s pair: the root of the Gram's top eigenvalue, from one values-only
+    solve of the Gram it built Hermitian (``hermitian_spectra``), scaled back by ``4**k``."""
+    return sqrt(hermitian_spectra(gram)[0]) * 4.0**k
 
 
 def _schatten2_witness(gram: np.ndarray, d_in: int) -> np.ndarray:
@@ -599,14 +601,15 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     eigensystem per size of ``Phi†(I)``, and ``shrink_upper_bound`` then reads
     ``s`` and ``t`` kept. The image stacks and the input
     stacks are grouped together by matrix size (``per_shape``), and each size is
-    hermitized and takes one Hermitian SVD (which reads one triangle, so it reads
-    the whole matrix) zero-padded to the largest ``padded_dim_for`` in the list.
-    The inputs are exactly Hermitian after their validation, so hermitizing them
-    again there changes no bit. The whole list is
-    then evaluated in one ``gauge_eval`` call and all inequalities are compared at
-    once. Zero padding leaves every gauge value as it is: a channel whose padded
-    dimension is the list's gets the values of a call on it alone bit for bit,
-    any other one up to rounding.
+    hermitized and takes one values-only solve (``hermitian_spectra``, which reads
+    one triangle, so it reads the whole matrix); its eigenvalue magnitudes, the
+    singular values unsorted, are zero-padded to the largest ``padded_dim_for`` in
+    the list. The inputs are exactly Hermitian after their validation, so
+    hermitizing them again there changes no bit. The whole list is then evaluated
+    in one ``gauge_eval`` call, whose one sort orders the spectra, and all
+    inequalities are compared at once. Zero padding leaves every gauge value as it
+    is: a channel whose padded dimension is the list's gets the values of a call on
+    it alone bit for bit, any other one up to rounding.
     """
     phis, xs = list(phis), list(xs)
     if len(phis) != len(xs):
@@ -623,10 +626,13 @@ def check_gauge_bounds(phis: Sequence[KrausChannel], xs, norms) -> NormCheck:
     read_invariant_norms([p.invariants() for p in phis])
     bounds = np.array([shrink_upper_bound(p) for p in phis]).reshape(-1, *(1,) * len(lead))
     padded = max(padded_dim_for(p) for p in phis)
-    # the C image stacks, then the C input stacks, hermitized in their one spectral pass; the
-    # inputs are exactly Hermitian already, so hermitizing them again changes no bit
+    # the C image stacks, then the C input stacks, hermitized in their one values-only solve per
+    # size; the inputs are exactly Hermitian already, so hermitizing them again changes no bit.
+    # Each stack's magnitudes fill the start of its rows; gauge_eval sorts them
     mats = [kraus_map(p.kraus, y) for p, y in zip(phis, xs)] + xs
-    spectra = np.array(per_shape(lambda stack: singular_values(hermitize(stack), padded, hermitian=True), mats))
+    spectra = np.zeros((len(mats), *lead, padded))
+    for row, w in zip(spectra, per_shape(lambda stack: np.abs(hermitian_spectra(hermitize(stack))), mats)):
+        row[..., :w.shape[-1]] = w
     # (norms, image | input, channels, ...)
     values = gauge_eval(norms, spectra.reshape(2, len(phis), *lead, padded))
     lhs, rhs = values[:, 0], bounds * values[:, 1]

@@ -1,25 +1,24 @@
 """Dense complex matrix helpers: validation, singular values, Hermitian eigensystems.
 
-``singular_values`` (zero-padded spectra, read by the inequality checks and
-``spectral_norm``/``trace_norm``) is the package's one SVD call; Hermitian
-stacks take numpy's Hermitian path through it. ``hermitian_decomposition``
-(eigenpairs by descending eigenvalue, read by the lower-bound search, whose
-matrices are PSD up to rounding, and by the channel's ``Phi†(I)`` stacks, for
-``t`` and the trace witness) makes the one ``eigh`` call, and
-``hermitian_eigensystem`` is its checked 2-D front. ``hermitian_spectra``
-(read by the channel's ``Phi(I)`` stacks, for ``s`` and the Ky Fan norms) makes
-the one ``eigvalsh`` call, and ``hermitian_eigenvalues`` (read by the
-Schatten-2 factor and ``top_k_eigensum``) is its checked 2-D front. All three
-solvers go through one checked call that raises a solver failure as
-ConvergenceFailure. ``per_shape`` is the one place that stacks a list of
-matrices by shape for a batched call (the invariant pair's two solves, the
-trace witnesses' products, the checks' input validation and the Hermitian
-SVDs of their hermitized images and inputs); numpy factors each matrix of a
-stack on its own, so each result equals the one of a call on its matrix alone
-bit for bit. ``singular_values``, ``hermitian_decomposition`` and
-``hermitian_spectra`` take one matrix or a stack; ``hermitian_eigensystem``
-and ``hermitian_eigenvalues`` take one matrix. Everything is complex128 and
-written for small dimensions; no sparse or structured paths.
+``singular_values`` (zero-padded spectra, read by ``spectral_norm`` and
+``trace_norm``, and the tests' reference for the checks) is the package's one SVD
+call, the general one. ``hermitian_decomposition`` (eigenpairs by descending
+eigenvalue, read by the lower-bound search, whose matrices are PSD up to
+rounding, and by the channel's ``Phi†(I)`` stacks, for ``t`` and the trace
+witness) makes the one ``eigh`` call, and ``hermitian_eigensystem`` is its
+checked 2-D front. ``hermitian_spectra`` (read by the channel's ``Phi(I)``
+stacks, for ``s`` and the Ky Fan norms, by the inequality checks, whose spectra
+are its magnitudes, by the Schatten-2 factor and by ``top_k_eigensum``) makes the
+one ``eigvalsh`` call. All three solvers go through one checked call that raises
+a solver failure as ConvergenceFailure. ``per_shape`` is the one place that
+stacks a list of matrices by shape for a batched call (the invariant pair's two
+solves, the trace witnesses' products, the checks' input validation and the
+values-only solves of their hermitized images and inputs); numpy factors each
+matrix of a stack on its own, so each result equals the one of a call on its
+matrix alone bit for bit. ``singular_values``, ``hermitian_decomposition`` and
+``hermitian_spectra`` take one matrix or a stack; ``hermitian_eigensystem`` takes
+one matrix. Everything is complex128 and written for small dimensions; no sparse
+or structured paths.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_decomposition",
     "hermitian_eigensystem",
-    "hermitian_eigenvalues",
     "hermitian_spectra",
     "hermitize",
     "per_shape",
@@ -114,7 +112,7 @@ def per_shape(solve: Callable[[np.ndarray], Sequence], mats: Sequence[np.ndarray
     return out
 
 
-def singular_values(m, padded_dim: int, hermitian: bool = False) -> np.ndarray:
+def singular_values(m, padded_dim: int) -> np.ndarray:
     """Singular values of ``m``, descending, zero-padded to length ``padded_dim``.
 
     Parameters
@@ -125,19 +123,14 @@ def singular_values(m, padded_dim: int, hermitian: bool = False) -> np.ndarray:
     padded_dim : int
         Length of each returned spectrum. Must be at least ``min(r, c)``, the
         length of the full spectrum, otherwise PadTooSmall is raised.
-    hermitian : bool
-        The matrices are Hermitian: the same SVD call then takes numpy's
-        Hermitian path, the eigenvalues of the lower triangle by magnitude,
-        at well under the cost of the general one. They must be square, else
-        DimensionMismatch is raised; symmetry is the caller's to guarantee.
     """
-    mat = _square(m) if hermitian else as_complex_matrix(m, stacked=True)
+    mat = as_complex_matrix(m, stacked=True)
     if padded_dim < 1:
         raise ValueError(f"padded_dim must be >= 1, got {padded_dim}")
     n = min(mat.shape[-2:])
     if padded_dim < n:
         raise PadTooSmall(f"padded_dim={padded_dim} is less than min(r, c)={n}")
-    s = _linalg("svd", mat, compute_uv=False, hermitian=hermitian)
+    s = _linalg("svd", mat, compute_uv=False)
     if n == padded_dim:
         return s
     out = np.zeros(s.shape[:-1] + (padded_dim,))
@@ -170,16 +163,6 @@ def hermitian_eigensystem(x) -> tuple[np.ndarray, np.ndarray]:
     underlying solver are surfaced as ConvergenceFailure, never masked.
     """
     return hermitian_decomposition(require_hermitian(x))
-
-
-def hermitian_eigenvalues(x) -> np.ndarray:
-    """Eigenvalues of one Hermitian operator, descending, from one values-only solve:
-    ``hermitian_spectra`` of the input once ``require_hermitian`` has checked it.
-
-    So a stack raises DimensionMismatch, and a solver failure is surfaced as
-    ConvergenceFailure.
-    """
-    return hermitian_spectra(require_hermitian(x))
 
 
 def hermitian_decomposition(x) -> tuple[np.ndarray, np.ndarray]:

@@ -160,11 +160,11 @@ class TestReport:
         assert code == 2
         assert "foo" in err
 
-    def test_svd_failure_exits_3(self, capsys, monkeypatch):
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         code, _, err = run(capsys, "report", "--channel", "random:2x2x2:1")
         assert code == 3
         assert err.startswith("error: numerical failure: ")
@@ -553,40 +553,40 @@ def test_overflowing_kraus_set_exits_2(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("argv, svd, eigh, eigvalsh", [
     # the pair takes one values-only solve of Phi(I) (2 x 2), for s, and one eigensystem of
-    # Phi†(I) (3 x 3), for t; the fuzz takes one SVD per matrix size (2 x 2 images, 3 x 3
-    # inputs), and the Schatten-2 Gram one values-only solve. The report reads no witness, so
-    # no projector is formed: 2 SVDs, 1 eigh, 1 + 1 eigvalsh
-    (("report", "--channel", "cptp:3x2x2:1"), 2, 1, 2),
+    # Phi†(I) (3 x 3), for t; the fuzz takes one values-only solve per matrix size (2 x 2
+    # images, 3 x 3 inputs), and the Schatten-2 Gram one. No command takes an SVD. The report
+    # reads no witness, so no projector is formed: 1 eigh, 1 + 2 + 1 eigvalsh
+    (("report", "--channel", "cptp:3x2x2:1"), 0, 1, 4),
     # the searched row's search reads the trace witness; its eigh calls are not pinned here.
-    # No row reads h, so the one values-only solve is the pair's
-    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 2, None, 1),
+    # No row reads h, so the values-only solves are the pair's and the fuzz's 2
+    (("report", "--channel", "cptp:3x2x2:1", "--norm", "schatten:3"), 0, None, 3),
     # the printed bound reads the s and t the stacked check kept, and the attaining
     # projector is formed from the top eigenvector kept with them, with no solve:
-    # the pair's 1 + 1 and the check's 2 SVDs
-    (("verify", "--channel", "cptp:3x2x2:1"), 2, 1, 1),
-    # a square channel's fuzz takes one SVD for images and inputs together, and its pair one
-    # solve of each kind; with one Kraus operator every row is u, so no Gram is built or solved
-    (("report", "--channel", "random:3x3x1:1"), 1, 1, 1),
-    # with two, the Schatten-2 row takes the Gram's one values-only solve beside the pair's
-    (("report", "--channel", "random:3x3x2:1"), 1, 1, 2),
+    # the pair's 1 + 1 and the check's 2 values-only solves
+    (("verify", "--channel", "cptp:3x2x2:1"), 0, 1, 3),
+    # a square channel's fuzz takes one values-only solve for images and inputs together, and its
+    # pair one solve of each kind; with one Kraus operator every row is u, so no Gram is built or solved
+    (("report", "--channel", "random:3x3x1:1"), 0, 1, 2),
+    # with two, the Schatten-2 row takes the Gram's one values-only solve beside the pair's and the fuzz's
+    (("report", "--channel", "random:3x3x2:1"), 0, 1, 3),
     # Ky Fan 3 and 4 of a partial trace (three Kraus operators, padded dimension 6) have a
     # closed form, and both read Phi(I)'s eigenvalues, kept by the values-only solve that
-    # gives s: the pair's 1 + 1 (Phi(I) 2 x 2, Phi†(I) 6 x 6), and the fuzz one SVD for the
-    # images and one for the inputs
-    (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 2, 1, 1),
+    # gives s: the pair's 1 + 1 (Phi(I) 2 x 2, Phi†(I) 6 x 6), and the fuzz one values-only
+    # solve for the images and one for the inputs
+    (("report", "--channel", "ptrace:2x3", "--norm", "kyfan:3", "--norm", "kyfan:4"), 0, 1, 3),
     # a combination on Schatten 2 and Ky Fan 2 is searched as it is: no row reads h, so no
-    # Gram is solved, and the one values-only solve is the pair's
-    (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 1, None, 1),
+    # Gram is solved, and the values-only solves are the pair's and the fuzz's one
+    (("report", "--channel", "random:3x3x2:1", "--norm", "combo:0.5*schatten:2+2*kyfan:2"), 0, None, 2),
     # the block's pairs take one values-only solve per distinct size of Phi(I) (d_out) and one
-    # eigensystem per distinct size of Phi†(I) (d_in), and the one stacked check one SVD per
-    # distinct matrix size over images and inputs together. At seed 0 the channels are
+    # eigensystem per distinct size of Phi†(I) (d_in), and the one stacked check one values-only
+    # solve per distinct matrix size over images and inputs together. At seed 0 the channels are
     # 5 -> 4, 3 -> 2 and 2 -> 5: the pairs take d_out {4, 2, 5} and d_in {5, 3, 2}, the
-    # check sizes {4, 2, 5} | {5, 3, 2}: 4 SVDs, 3 eigh, 3 eigvalsh. The attaining
+    # check sizes {4, 2, 5} | {5, 3, 2}: 3 eigh, 3 + 4 eigvalsh. The attaining
     # projectors are formed from the kept vectors, with no solve
-    (("verify", "--random", "3"), 4, 3, 3),
+    (("verify", "--random", "3"), 0, 3, 7),
     # 3 -> 3, 2 -> 2, 2 -> 3, 3 -> 3, 3 -> 3 and 2 -> 3: d_out {3, 2}, d_in {3, 2}, and sizes
-    # {2, 3} for the check: 2 SVDs, 2 eigh, 2 eigvalsh
-    (("verify", "--random", "6", "--dims", "2..3"), 2, 2, 2),
+    # {2, 3} for the check: 2 eigh, 2 + 2 eigvalsh
+    (("verify", "--random", "6", "--dims", "2..3"), 0, 2, 4),
 ], ids=["report", "report-schatten3", "verify-channel", "report-square", "report-square-two-kraus",
         "report-kyfan-shared-spectrum", "report-combination-reads-no-base", "verify-random",
         "verify-random-shared-sizes"])

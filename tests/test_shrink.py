@@ -16,7 +16,7 @@ from cpshrink.channel import (
 )
 from cpshrink import channel, shrink, spectral
 from cpshrink.cli import DEFAULT_NORMS, main
-from cpshrink.errors import ConvergenceFailure, DimensionMismatch
+from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite
 from cpshrink.gauge import (
     Combination,
     KyFan,
@@ -330,6 +330,51 @@ class TestSchattenTwoFactor:
         phi = random_channel(*shape, 1.0, seed)
         mixed = phi.remix(random_isometry(phi.n_kraus + extra, phi.n_kraus, seed))
         assert schatten2_shrink_factor(mixed)[0] == pytest.approx(schatten2_shrink_factor(phi)[0], rel=1e-12)
+
+
+def _scaled(phi, j):
+    return KrausChannel(phi.d_in, phi.d_out, 2.0**j * phi.kraus)
+
+
+def _tensor(phi, psi):
+    """The product channel Phi (x) Psi: Kraus operators E_i (x) F_j."""
+    ops = np.einsum("iab,jcd->ijacbd", phi.kraus, psi.kraus)
+    d_out, d_in = phi.d_out * psi.d_out, phi.d_in * psi.d_in
+    return KrausChannel(d_in, d_out, ops.reshape(phi.n_kraus * psi.n_kraus, d_out, d_in))
+
+
+def _exact_factors(phi):
+    inv = phi.invariants()
+    return np.array([inv.identity_image_norm, inv.adjoint_identity_image_norm, schatten2_shrink_factor(phi)[0]])
+
+
+class TestProductChannels:
+    # random and cptp factors 2 x 3 (K = 3) with 3 x 2 (K = 2), and squares up to d_in = 16, K = 6
+    PAIRS = [
+        *((random_channel(2, 3, 3, 1.0, i), random_channel(3, 2, 2, 1.0, 10 + i)) for i in range(3)),
+        *((random_cptp_channel(2, 3, 3, i), random_cptp_channel(3, 2, 2, 10 + i)) for i in range(3)),
+        (random_cptp_channel(3, 3, 2, 0), random_cptp_channel(3, 3, 2, 1)),
+        (random_cptp_channel(4, 4, 2, 0), random_cptp_channel(4, 4, 2, 1)),
+        (random_cptp_channel(2, 3, 3, 2), random_cptp_channel(4, 4, 2, 2)),
+        (random_channel(4, 4, 2, 1.0, 3), random_cptp_channel(4, 4, 3, 3)),
+    ]
+
+    @pytest.mark.parametrize("j, k", [(0, 0), (245, 245), (-245, -245), (490, -490)])
+    def test_exact_factors_multiply(self, j, k):
+        # (Phi (x) Psi)(I) = Phi(I) (x) Psi(I), likewise for the adjoint, and the product's map matrix
+        # is M(Phi) (x) M(Psi) up to a permutation, so s, t and h multiply. The product's entries lie
+        # at 2^(j + k): 1, 2^+-490, and 1 again from factors at 2^490 and 2^-490. Each value is
+        # within 16 eps of the product of the factors' (at most 5 eps measured)
+        for phi, psi in self.PAIRS:
+            phi, psi = _scaled(phi, j), _scaled(psi, k)
+            want = _exact_factors(phi) * _exact_factors(psi)
+            np.testing.assert_allclose(_exact_factors(_tensor(phi, psi)), want, rtol=16 * np.finfo(float).eps)
+
+    def test_factors_at_the_range_ends_overflow_the_pair(self):
+        # both factors at 2^490 put the product's Phi(I) near 2^1960, beyond float64
+        phi, psi = self.PAIRS[0]
+        with pytest.raises(NonFinite, match=r"^Phi\(I\) overflows float64"):
+            _tensor(_scaled(phi, 490), _scaled(psi, 490))
 
 
 class TestEmpiricalLowerBound:
@@ -1024,7 +1069,7 @@ class TestInequalityChecks:
                         assert single.rhs[0, 0] == pytest.approx(rhs, rel=1e-15, abs=0.0)
 
     def test_input_inside_the_hermitian_tolerance_is_read_whole(self):
-        # the Hermitian SVD reads one triangle, so an input off its adjoint by just
+        # the values-only solve reads one triangle, so an input off its adjoint by just
         # under the tolerance must check as its Hermitian part on both sides
         phi = random_channel(6, 5, 3, 1.0, 42)
         rng = np.random.default_rng(43)
@@ -1089,7 +1134,7 @@ class TestInequalityChecks:
         trials=st.one_of(st.none(), st.integers(1, 4)),
         seed=st.integers(0, 2**31 - 1),
     )
-    # one channel's image size is another's input size, so one SVD takes both
+    # one channel's image size is another's input size, so one values-only solve takes both
     @example(shapes=[(2, 3, 1, 0), (3, 2, 2, 1)], trials=3, seed=0)
     def test_channel_sequence_matches_one_call_per_channel(self, shapes, trials, seed):
         # one stacked pass over several channels: the ok flags of one call per channel,
@@ -1169,17 +1214,18 @@ class TestInequalityChecks:
 @pytest.mark.parametrize(
     "solver, call, min_ndim",
     [
-        # only stacks fail here, so the error must come from the search's batched
-        # hermitian_decomposition (the trace witness decomposes one matrix)
+        # the pair is read first, and the trace witness takes no solve of its own, so the
+        # error must come from the search's batched hermitian_decomposition
         ("eigh", lambda phi: empirical_lower_bound(phi, Schatten(2.0), restarts=1, steps=1, seed=0), 3),
         # the pair's two solves: a values-only one of Phi(I), an eigensystem of Phi†(I)
         ("eigh", shrink_upper_bound, 3),
         ("eigvalsh", shrink_upper_bound, 3),
         ("svd", lambda phi: spectral_norm(phi.kraus[0]), 2),
         ("svd", lambda phi: trace_norm(phi.kraus[0]), 2),
-        ("svd", lambda phi: check_gauge_bounds([phi], [np.eye(phi.d_in)], norm_battery(3)), 2),
-        # only stacks fail here, so the error must come from the stacked check's SVDs
-        ("svd", lambda phi: check_gauge_bounds([phi], [np.stack([np.eye(phi.d_in)] * 3)], norm_battery(3)), 3),
+        # the pair is read first; the check's values-only solves take stacks of one matrix at least
+        ("eigvalsh", lambda phi: check_gauge_bounds([phi], [np.eye(phi.d_in)], norm_battery(3)), 3),
+        # only stacks of stacks fail here, so the error must come from the stacked check's solves
+        ("eigvalsh", lambda phi: check_gauge_bounds([phi], [np.stack([np.eye(phi.d_in)] * 3)], norm_battery(3)), 4),
     ],
     ids=["empirical_lower_bound", "shrink_upper_bound", "shrink_upper_bound-values", "spectral_norm", "trace_norm",
          "check_gauge_bounds", "check_gauge_bounds_stacked"],
@@ -1195,6 +1241,9 @@ def test_svd_failure_surfaces_as_convergence_failure(monkeypatch, solver, call, 
         return real(a, *args, **kwargs)
 
     phi = random_channel(2, 3, 2, 1.0, 35)
+    if call is not shrink_upper_bound:
+        # the pair's solves take 3-D stacks too: read it first, so the failure is the call's own
+        shrink_upper_bound(phi)
     monkeypatch.setattr(np.linalg, solver, flaky)
     failure = {"svd": "singular value decomposition failed"}.get(solver, "eigensolver did not converge")
     with pytest.raises(ConvergenceFailure, match=f"^{failure}: {solver} did not converge$"):

@@ -5,14 +5,15 @@ import pytest
 
 from cpshrink.channel import random_channel
 from cpshrink.errors import ConvergenceFailure, DimensionMismatch, NonFinite, PadTooSmall
-from cpshrink.shrink import fan_projectors, top_k_eigensum
+from cpshrink.gauge import KyFan, gauge_eval
+from cpshrink.shrink import check_gauge_bounds, fan_projectors, padded_dim_for, shrink_upper_bound, top_k_eigensum
 from cpshrink.spectral import (
     as_complex_matrix,
     hermitian_decomposition,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     hermitian_spectra,
     hermitize,
+    per_shape,
     random_hermitian,
     require_hermitian,
     singular_values,
@@ -129,38 +130,55 @@ class TestSingularValues:
 KRAUS_SCALES = [1e-150, 1e-75, 1.0, 1e75, 1e150]
 
 
+def _check_partial_sums(phis, xs):
+    """The first channel's image and input partial sums from ``check_gauge_bounds``: its Ky Fan k
+    values for k = 1..padded, each ``(*lead, padded)``, the partial sums of the sorted eigenvalue
+    magnitudes it reads; the input's are its right-hand sides divided by the bound."""
+    padded = max(padded_dim_for(p) for p in phis)
+    chk = check_gauge_bounds(phis, xs, [KyFan(k) for k in range(1, padded + 1)])
+    return np.moveaxis(chk.lhs[:, 0], 0, -1), np.moveaxis(chk.rhs[:, 0], 0, -1) / shrink_upper_bound(phis[0])
+
+
 class TestHermitianSingularValues:
     @pytest.mark.parametrize("scale", KRAUS_SCALES)
     @pytest.mark.parametrize("d_in, d_out, n_kraus", [(3, 3, 2), (2, 4, 1), (4, 2, 3), (1, 3, 2)])
     def test_matches_the_general_svd(self, scale, d_in, d_out, n_kraus):
-        # images and inputs of a check, padded to the channel's common length and not
+        # the check's sorted magnitudes of images and inputs, padded to the channel's own length and
+        # to a wider channel's in the same list, are the general SVD's singular values: their partial
+        # sums agree within 1e-13 of the total, and the padding adds exact zeros
         phi = random_channel(d_in, d_out, n_kraus, scale, 16)
         xs = random_hermitian(d_in, 17, 6)
-        for mats in (phi.apply(xs), xs):
-            for padded in (mats.shape[-1], max(d_in, d_out) + 1):
-                fast = singular_values(mats, padded, hermitian=True)
-                slow = singular_values(mats, padded)
-                assert fast.shape == slow.shape == (6, padded)
-                assert np.all(np.abs(fast - slow) <= 1e-13 * slow.max(axis=-1, keepdims=True))
-                assert np.all(fast[:, mats.shape[-1]:] == 0.0)
+        wide = random_channel(1, max(d_in, d_out) + 1, 1, 1.0, 18)
+        for phis, inputs in (([phi], [xs]), ([phi, wide], [xs, random_hermitian(1, 19, 6)])):
+            padded = max(padded_dim_for(p) for p in phis)
+            for got, mats in zip(_check_partial_sums(phis, inputs), (phi.apply(xs), xs)):
+                want = np.cumsum(singular_values(mats, padded), axis=-1)
+                assert got.shape == want.shape == (6, padded)
+                assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
+                n = mats.shape[-1]
+                assert np.all(got[:, n:] == got[:, n - 1:n])
+
+    @pytest.mark.parametrize("d_in, d_out, n_kraus", [(3, 3, 2), (2, 4, 1), (4, 2, 3), (5, 6, 3)])
+    def test_images_are_read_hermitized(self, d_in, d_out, n_kraus):
+        # the solve reads one triangle, and an image off its adjoint by rounding must be read whole:
+        # the check's Ky Fan values are those of apply's hermitized images, bit for bit
+        phi = random_channel(d_in, d_out, n_kraus, 1.0, 20)
+        xs = random_hermitian(d_in, 21, 6)
+        padded = padded_dim_for(phi)
+        spectra = np.zeros((6, padded))
+        spectra[:, :d_out] = np.abs(hermitian_spectra(phi.apply(xs)))
+        want = gauge_eval([KyFan(k) for k in range(1, padded + 1)], spectra)
+        got, _ = _check_partial_sums([phi], [xs])
+        assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
 
     def test_one_matrix(self):
+        # one 2-D input, its spectra padded to 6 by a wider channel in the list
+        phi = random_channel(4, 3, 2, 1.0, 18)
         x = random_hermitian(4, 18)
-        np.testing.assert_allclose(singular_values(x, 6, hermitian=True), singular_values(x, 6), rtol=0, atol=1e-13)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch, match="square"):
-            singular_values(np.ones((2, 3)), 3, hermitian=True)
-        with pytest.raises(DimensionMismatch, match="square"):
-            singular_values(np.ones((4, 2, 3)), 3, hermitian=True)
-
-    def test_rejects_non_finite(self):
-        bad = np.eye(3, dtype=complex)
-        bad[2, 1] = bad[1, 2] = np.nan
-        with pytest.raises(NonFinite):
-            singular_values(bad, 3, hermitian=True)
-        with pytest.raises(NonFinite):
-            singular_values(np.stack([np.eye(3), bad]), 3, hermitian=True)
+        for got, mat in zip(_check_partial_sums([phi, random_channel(2, 6, 1, 1.0, 19)], [x, np.eye(2)]),
+                            (phi.apply(x), x)):
+            want = np.cumsum(singular_values(mat, 6))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want[-1])
 
 
 class TestEigensystem:
@@ -197,13 +215,12 @@ class TestEigensystem:
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
-            hermitian_eigenvalues(np.zeros((2, 3)))
+            hermitian_spectra(require_hermitian(np.zeros((2, 3))))
         # single-matrix functions refuse stacks; the channel map takes them
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         for call in (
             hermitian_eigensystem,
-            hermitian_eigenvalues,
-            require_hermitian,
+                    require_hermitian,
             lambda x: top_k_eigensum(x, 1),
             lambda x: fan_projectors(x, 1),
         ):
@@ -216,22 +233,22 @@ class TestEigensystem:
         rng = np.random.default_rng(5)
         for dim in (1, 2, 5, 9):
             x = random_hermitian(dim, rng)
-            w = hermitian_eigenvalues(x)
+            w = hermitian_spectra(require_hermitian(x))
             assert np.all(np.diff(w) <= 0.0)
             np.testing.assert_allclose(w, hermitian_eigensystem(x)[0], rtol=0, atol=1e-13 * np.abs(w).max())
         with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            hermitian_spectra(require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     def test_eigenvalues_at_any_scale(self, scale):
         # the values scale with the matrix, and the input is checked as require_hermitian
         # checks it, entrywise within 1e-10 times the matrix's largest entry
-        w = hermitian_eigenvalues(scale * np.diag([0.5, -1e-2, 1.0]))
+        w = hermitian_spectra(require_hermitian(scale * np.diag([0.5, -1e-2, 1.0])))
         np.testing.assert_allclose(w, scale * np.array([1.0, 0.5, -1e-2]), rtol=1e-15)
         bad = scale * random_hermitian(3, 8)
         bad[0, 1] += scale
         with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eigenvalues(bad)
+            hermitian_spectra(require_hermitian(bad))
 
     def test_hermiticity_tolerance_is_relative(self):
         # the adjoint deviation is held to 1e-10 times the matrix's own largest entry, so a
@@ -239,7 +256,7 @@ class TestEigensystem:
         # matrix of a stack, and an asymmetry at rounding level passes at any scale
         upper = np.array([[0.0, 1.0], [0.0, 0.0]])
         for scale in (1.0, 1e-20, 2.0**-490):
-            for call in (require_hermitian, hermitian_eigenvalues):
+            for call in (require_hermitian, lambda x: hermitian_spectra(require_hermitian(x))):
                 with pytest.raises(ValueError, match="not Hermitian"):
                     call(scale * upper)
         stack = np.stack([np.diag([2.0, 1.0]), 1e-20 * upper, np.eye(2)])
@@ -249,7 +266,10 @@ class TestEigensystem:
             x = random_hermitian(4, 3) * 2.0**j
             x[0, 1] *= 1 + 1e-14
             np.testing.assert_allclose(
-                hermitian_eigenvalues(x), hermitian_eigenvalues(hermitize(x)), rtol=0, atol=1e-13 * np.abs(x).max()
+                hermitian_spectra(require_hermitian(x)),
+                hermitian_spectra(require_hermitian(hermitize(x))),
+                rtol=0,
+                atol=1e-13 * np.abs(x).max(),
             )
             # a Kraus Gram tr(E_m† E_n) as its product gives it, not hermitized, passes the
             # check at Kraus scales 2^+-490 too
@@ -272,7 +292,7 @@ class TestEigensystem:
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_eigensystem(np.eye(2))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
-            hermitian_eigenvalues(np.eye(2))
+            hermitian_spectra(require_hermitian(np.eye(2)))
         with pytest.raises(ConvergenceFailure, match=eig_failure):
             hermitian_decomposition(np.stack([np.eye(2)] * 3))
         svd_failure = "^singular value decomposition failed: Eigenvalues did not converge$"
@@ -291,7 +311,7 @@ class TestHermitianDecomposition:
     def test_eigenpairs_descend_as_the_eigensystem_gives_them(self):
         # eigenvalues descend, and each matrix of a stack gives hermitian_eigensystem's (w, v)
         # bit for bit, on the first matrix's magnitude tie (+-2) and on an exact 2 I alike; the
-        # values-only hermitian_spectra gives hermitian_eigenvalues' values bit for bit
+        # values-only hermitian_spectra gives each matrix's values alone bit for bit
         rng = np.random.default_rng(23)
         for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
             count = int(np.prod(shape))
@@ -308,7 +328,7 @@ class TestHermitianDecomposition:
                                                    spectra.reshape(count, dim)):
                 one_w, one_v = hermitian_eigensystem(mat)
                 assert values.tobytes() == one_w.tobytes() and vectors.tobytes() == one_v.tobytes()
-                assert alone.tobytes() == hermitian_eigenvalues(mat).tobytes()
+                assert alone.tobytes() == hermitian_spectra(require_hermitian(mat)).tobytes()
         # the search decomposes PSD matrices only, where w is the singular spectrum: ranks 1..d
         # at mixed scales, and the zero matrix
         for shape, dim in (((), 4), ((6,), 5), ((2, 3), 3)):
@@ -321,7 +341,7 @@ class TestHermitianDecomposition:
                 a[-1] = 0.0
             x = (a @ a.conj().swapaxes(-2, -1)).reshape(*shape, dim, dim)
             w, _ = hermitian_decomposition(x)
-            sv = singular_values(x, dim, hermitian=True)
+            sv = singular_values(x, dim)
             assert np.all(np.abs(w - sv) <= 1e-12 * sv[..., :1])
 
     def test_rebuilds_each_matrix_of_a_stack(self):
@@ -334,19 +354,54 @@ class TestHermitianDecomposition:
             assert np.abs(vecs.conj().T @ vecs - np.eye(5)).max() <= 1e-12
 
     def test_input_checks(self):
+        # one matrix and a stack alike
         bad = np.stack([np.eye(3, dtype=complex)] * 4)
         for solve in (hermitian_decomposition, hermitian_spectra):
-            bad[2, 1, 0] = np.nan
-            with pytest.raises(NonFinite):
-                solve(bad)
-            bad[2, 1, 0] = np.inf
-            with pytest.raises(NonFinite):
-                solve(bad)
-            with pytest.raises(DimensionMismatch):
-                solve(np.zeros((2, 2, 3)))
+            for value in (np.nan, np.inf):
+                bad[2, 1, 0] = value
+                for x in (bad, bad[2]):
+                    with pytest.raises(NonFinite):
+                        solve(x)
+            for shape in ((2, 2, 3), (2, 3)):
+                with pytest.raises(DimensionMismatch, match="square"):
+                    solve(np.zeros(shape))
         # the eigensystem is the decomposition's 2-D front: require_hermitian refuses a stack
         with pytest.raises(DimensionMismatch):
             hermitian_eigensystem(np.stack([np.eye(3)] * 2))
+
+
+class TestPerShape:
+    SHAPES = [(3, 3), (2, 2), (3, 3), (2, 4), (2, 2), (3, 3)]
+
+    def _mats(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in self.SHAPES]
+
+    def test_one_solve_per_shape_in_order_of_first_appearance(self):
+        # interleaved shapes come back in input order; each distinct shape is one stack of its
+        # matrices, in input order, and a shape with one matrix goes as a stack of one, not a copy
+        mats, stacks = self._mats(26), []
+
+        def solve(stack):
+            stacks.append(stack)
+            return [m.shape for m in stack]
+
+        assert per_shape(solve, mats) == self.SHAPES
+        assert [stack.shape for stack in stacks] == [(3, 3, 3), (2, 2, 2), (1, 2, 4)]
+        for stack, members in zip(stacks, ([0, 2, 5], [1, 4], [3])):
+            assert stack.tobytes() == np.array([mats[i] for i in members]).tobytes()
+        assert np.shares_memory(stacks[2], mats[3])
+
+    def test_each_result_is_its_matrix_alone(self):
+        # numpy factors each matrix of a stack on its own, so each result equals the one of a
+        # call on its matrix alone, bit for bit: the general SVD, and the checks' magnitudes of
+        # the square matrices' Hermitian parts
+        mats = self._mats(27)
+        square = [m for m in mats if m.shape[0] == m.shape[1]]
+        solves = (lambda m: singular_values(m, 4), lambda m: np.abs(hermitian_spectra(hermitize(m))))
+        for solve, ms in zip(solves, (mats, square)):
+            for mat, got in zip(ms, per_shape(solve, ms)):
+                assert got.tobytes() == solve(mat[None])[0].tobytes()
 
 
 class TestHelpers:
